@@ -8,7 +8,7 @@ threshold below the disabled run.  Subprocesses are required because
 the knob is read once at ``repro.sim.host`` import; rounds alternate
 between the two modes so thermal drift hits both equally.
 
-Usage (CI runs this after the bench smoke)::
+Usage (as CI's cc-arena-smoke job runs it)::
 
     PYTHONPATH=src python benchmarks/check_flowstats_overhead.py \
         --scenario smoke --rounds 3 --threshold 0.05

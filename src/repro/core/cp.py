@@ -64,8 +64,14 @@ class RedEcnMarker:
         )
 
     def should_mark(self, queue_bytes: float) -> bool:
-        """Roll the dice for one arriving packet."""
+        """Roll the dice for one arriving packet.
+
+        The common case, a queue at or below ``Kmin``, returns before
+        the probability is computed; no random number is drawn for it.
+        """
         self.seen += 1
+        if queue_bytes <= self.kmin_bytes:
+            return False
         p = self.probability(queue_bytes)
         if p <= 0.0:
             return False

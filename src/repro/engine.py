@@ -1,8 +1,8 @@
 """Discrete-event scheduler with an integer-nanosecond clock.
 
 The engine is deliberately minimal: a binary heap of
-``[time, sched, seq, fn, args]`` entries.  Three design points matter
-for the rest of the library:
+``[time, sched, tb, seq, fn, args]`` entries.  Three design points
+matter for the rest of the library:
 
 * **Integer time.**  All timestamps are integer nanoseconds, so event
   ordering is exact and runs are bit-for-bit reproducible.
@@ -31,7 +31,7 @@ re-heapifying; cancelled entries are skipped when popped.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional
 
 # entry layout: [time, sched, tb, seq, fn_or_None, args]
@@ -41,6 +41,9 @@ _TB = 2
 _SEQ = 3
 _FN = 4
 _ARGS = 5
+
+#: later than any timestamp: the ``until`` of an unbounded run
+_FOREVER = float("inf")
 
 
 class Event:
@@ -74,18 +77,15 @@ class EventScheduler:
 
     def __init__(self) -> None:
         self._heap: List[list] = []
-        self._now: int = 0
+        #: current simulated time in nanoseconds.  A plain attribute
+        #: because every per-packet callback reads it; only the event
+        #: loop assigns it.
+        self.now: int = 0
         self._seq: int = 0
         self.events_processed: int = 0
-        #: optional :class:`repro.telemetry.profiler.SchedulerProfiler`.
-        #: Checked once per run()/run_until() call, never per event, so
-        #: the unprofiled hot loop is unchanged.
+        #: optional :class:`repro.telemetry.profiler.SchedulerProfiler`,
+        #: looked up once per run()/run_until() call, never per event
         self.profiler = None
-
-    @property
-    def now(self) -> int:
-        """Current simulated time in nanoseconds."""
-        return self._now
 
     def schedule_at(
         self,
@@ -107,14 +107,14 @@ class EventScheduler:
         same-tick local events exactly where the serial run would have.
         ``tb`` is the structural tie-break tuple (see :meth:`schedule`).
         """
-        if time < self._now:
+        if time < self.now:
             raise ValueError(
-                f"cannot schedule at t={time}ns before now={self._now}ns"
+                f"cannot schedule at t={time}ns before now={self.now}ns"
             )
-        sched = self._now if sched_time is None else sched_time
+        sched = self.now if sched_time is None else sched_time
         entry = [time, sched, tb, self._seq, fn, args]
         self._seq += 1
-        heapq.heappush(self._heap, entry)
+        heappush(self._heap, entry)
         return Event(entry)
 
     def schedule(self, delay: int, fn: Callable, *args: Any, tb: tuple = ()) -> Event:
@@ -130,44 +130,68 @@ class EventScheduler:
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}ns")
-        entry = [self._now + delay, self._now, tb, self._seq, fn, args]
+        now = self.now
+        entry = [now + delay, now, tb, self._seq, fn, args]
         self._seq += 1
-        heapq.heappush(self._heap, entry)
+        heappush(self._heap, entry)
         return Event(entry)
+
+    def post(self, delay: int, fn: Callable, args: tuple = (), tb: tuple = ()) -> None:
+        """:meth:`schedule` for the per-packet sites: no handle, no repacking.
+
+        Same heap key and the same negative-delay check, but ``args``
+        arrives as a ready-made tuple and no :class:`Event` is built,
+        so the entry cannot be cancelled.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}ns")
+        now = self.now
+        heappush(self._heap, [now + delay, now, tb, self._seq, fn, args])
+        self._seq += 1
 
     def peek_time(self) -> Optional[int]:
         """Timestamp of the next pending event, or ``None`` if drained."""
         heap = self._heap
         while heap and heap[0][_FN] is None:
-            heapq.heappop(heap)
+            heappop(heap)
         return heap[0][_TIME] if heap else None
 
-    def step(self) -> bool:
-        """Run the next event.  Returns ``False`` when no events remain."""
+    def _run(self, until: int, limit: int) -> int:
+        """Fire up to ``limit`` events with timestamp ``<= until``.
+
+        The one event loop.  ``record`` is the dispatch function: the
+        installed profiler's (``record(fn, args)`` runs ``fn(*args)``
+        under its clock) or ``None`` for a direct call.  It is read
+        once per call, never per event.
+        """
         heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            entry = pop(heap)
+        profiler = self.profiler
+        record = None if profiler is None else profiler.record
+        processed = 0
+        while heap and processed != limit:
+            entry = heap[0]
+            if entry[_TIME] > until:
+                break
+            heappop(heap)
             fn = entry[_FN]
             if fn is None:
                 continue
-            self._now = entry[_TIME]
-            self.events_processed += 1
-            if self.profiler is not None:
-                self.profiler.record(fn, entry[_ARGS])
-            else:
+            self.now = entry[_TIME]
+            processed += 1
+            if record is None:
                 fn(*entry[_ARGS])
-            return True
-        return False
+            else:
+                record(fn, entry[_ARGS])
+        self.events_processed += processed
+        return processed
+
+    def step(self) -> bool:
+        """Run the next event.  Returns ``False`` when no events remain."""
+        return self._run(_FOREVER, 1) == 1
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the heap drains (or ``max_events``); returns count run."""
-        count = 0
-        while self.step():
-            count += 1
-            if max_events is not None and count >= max_events:
-                break
-        return count
+        return self._run(_FOREVER, -1 if max_events is None else max_events)
 
     def run_until(self, time: int) -> None:
         """Run every event with timestamp ``<= time``, then set now=time.
@@ -176,47 +200,9 @@ class EventScheduler:
         clock is advanced to ``time`` even if the heap drains early, so
         rate computations over the window stay well-defined.
         """
-        if self.profiler is not None:
-            self._run_until_profiled(time)
-            return
-        heap = self._heap
-        pop = heapq.heappop
-        processed = 0
-        while heap:
-            entry = heap[0]
-            if entry[_TIME] > time:
-                break
-            pop(heap)
-            fn = entry[_FN]
-            if fn is None:
-                continue
-            self._now = entry[_TIME]
-            processed += 1
-            fn(*entry[_ARGS])
-        self.events_processed += processed
-        if time > self._now:
-            self._now = time
-
-    def _run_until_profiled(self, time: int) -> None:
-        """The :meth:`run_until` loop with per-event profiling."""
-        heap = self._heap
-        pop = heapq.heappop
-        record = self.profiler.record
-        processed = 0
-        while heap:
-            entry = heap[0]
-            if entry[_TIME] > time:
-                break
-            pop(heap)
-            fn = entry[_FN]
-            if fn is None:
-                continue
-            self._now = entry[_TIME]
-            processed += 1
-            record(fn, entry[_ARGS])
-        self.events_processed += processed
-        if time > self._now:
-            self._now = time
+        self._run(time, -1)
+        if time > self.now:
+            self.now = time
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""

@@ -334,8 +334,8 @@ class Flow:
         cwnd is outstanding; an ACK reopens it.  In-window packets stay
         line-rate paced — no super-line bursts.
         """
-        if not self.has_backlog():
-            return NEVER
+        if self.failed or not (self.greedy or self.next_seq < self.end_seq):
+            return NEVER  # has_backlog(), inlined
         cwnd_source = self._cwnd_source
         if cwnd_source is not None:
             cwnd = cwnd_source.cwnd_pkts()

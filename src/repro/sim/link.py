@@ -16,8 +16,9 @@ Ports implement the details PFC correctness depends on:
   wait at most for the in-flight frame) and are never themselves
   subject to pause, mirroring how switches emit PFC out-of-band.
 * **Per-priority pause state** — ``paused_mask`` records which
-  priorities the *peer* has paused; the owning device consults
-  :meth:`Port.can_send` when choosing the next frame.
+  priorities the *peer* has paused; the owning device consults it
+  (:meth:`Port.can_send`, or the mask itself on the per-packet path)
+  when choosing the next frame.
 * **Non-congestion losses** (paper §7) — an optional per-frame error
   probability models CRC-failing frames on a marginal cable.  RoCEv2's
   go-back-N makes such losses expensive, which is exactly the §7
@@ -48,6 +49,7 @@ class Port:
         "engine",
         "owner",
         "index",
+        "_arrival_tb",
         "peer",
         "rate_bps",
         "_ns_per_byte",
@@ -81,6 +83,12 @@ class Port:
         self.engine = engine
         self.owner = owner
         self.index = owner.attach_port(self)
+        # tie-break key of every arrival this port causes: it orders
+        # simultaneous arrivals from different senders by the sending
+        # port, not by this engine's sequence counter — the one
+        # tie-break a sharded run can reproduce exactly (see
+        # repro.shard.boundary._inject)
+        self._arrival_tb = (owner.name, self.index)
         self.peer: Optional["Port"] = None
         self.rate_bps = rate_bps
         # Precomputed for the per-packet hot path: ns to serialize one
@@ -190,27 +198,24 @@ class Port:
         self.notify()
 
     def notify(self) -> None:
-        """Poke the port: if idle, try to start the next transmission."""
+        """Poke the port: if idle, start serializing the next frame."""
         if self.busy or not self.link_up:
             return
-        pkt = self._dequeue()
-        if pkt is None:
-            return
-        self._start_transmission(pkt)
-
-    def _dequeue(self) -> Optional[Packet]:
-        if self._control_queue:
-            return self._control_queue.popleft()
-        return self.owner.next_packet(self)
-
-    def _start_transmission(self, pkt: Packet) -> None:
+        control = self._control_queue
+        if control:
+            pkt = control.popleft()
+        else:
+            pkt = self.owner.next_packet(self)
+            if pkt is None:
+                return
         self.busy = True
-        self.busy_since = self.engine.now
+        engine = self.engine
+        self.busy_since = engine.now
         exact = pkt.size * self._ns_per_byte
         ser = int(exact)
         if exact > ser:
             ser += 1
-        self.engine.schedule(ser, self._tx_done, pkt)
+        engine.post(ser, self._tx_done, (pkt,))
 
     def set_error_rate(self, rate: float, seed: Optional[int] = None) -> None:
         """Drop each transmitted frame with probability ``rate``.
@@ -227,7 +232,8 @@ class Port:
 
     def _tx_done(self, pkt: Packet) -> None:
         self.busy = False
-        now = self.engine.now
+        engine = self.engine
+        now = engine.now
         self.busy_ns += now - self.busy_since
         self.tx_bytes += pkt.size
         self.tx_packets += 1
@@ -262,21 +268,31 @@ class Port:
                     bytes=pkt.size,
                 )
         elif self.remote_sink is None:
-            # tb orders simultaneous arrivals from different senders by
-            # the sending port, not by this engine's sequence counter —
-            # the one tie-break a sharded run can reproduce exactly
-            # (see repro.shard.boundary._inject)
-            self.engine.schedule(
-                self.prop_delay_ns,
-                peer.owner.receive,
-                pkt,
-                peer,
-                tb=(self.owner.name, self.index),
+            engine.post(
+                self.prop_delay_ns, peer.owner.receive, (pkt, peer), self._arrival_tb
             )
         else:
             self.remote_sink(pkt)
-        self.owner.tx_complete(self, pkt)
-        self.notify()
+        owner = self.owner
+        owner.tx_complete(self, pkt)
+        # notify(), inlined: tx_complete may have queued a RESUME here
+        # and started it, so busy is tested again
+        if self.busy or not self.link_up:
+            return
+        control = self._control_queue
+        if control:
+            nxt = control.popleft()
+        else:
+            nxt = owner.next_packet(self)
+            if nxt is None:
+                return
+        self.busy = True
+        self.busy_since = now
+        exact = nxt.size * self._ns_per_byte
+        ser = int(exact)
+        if exact > ser:
+            ser += 1
+        engine.post(ser, self._tx_done, (nxt,))
 
     def utilization(self, window_ns: int) -> float:
         """Fraction of ``window_ns`` this port spent serializing frames."""

@@ -213,13 +213,14 @@ class HostNic(Device):
 
     def next_packet(self, port: Port) -> Optional[Packet]:
         control = self._control
-        if control and port.can_send(control[0].priority):
+        paused = port.paused_mask
+        if control and not (paused >> control[0].priority) & 1:
             return control.popleft()
         now = self.engine.now
         best: Optional[Flow] = None
         best_ready = NEVER
         for flow in self._tx_flows.values():
-            if not port.can_send(flow.priority):
+            if (paused >> flow.priority) & 1:
                 continue
             ready = flow.ready_time()
             if ready < best_ready or (
@@ -233,7 +234,8 @@ class HostNic(Device):
             self._schedule_kick(best_ready)
             return None
         pkt = best.take_packet(now)
-        self._arm_rto(best)
+        if not best._rto_armed:
+            self._arm_rto(best)
         return pkt
 
     def tx_complete(self, port: Port, pkt: Packet) -> None:
@@ -244,15 +246,16 @@ class HostNic(Device):
 
     def _send_control(self, pkt: Packet) -> None:
         self._control.append(pkt)
-        self.port.notify()
+        self.ports[0].notify()
 
     def _schedule_kick(self, at_ns: int) -> None:
         if at_ns >= NEVER:
             return
-        if self._kick_at <= at_ns and self._kick_at > self.engine.now:
+        now = self.engine.now
+        if now < self._kick_at <= at_ns:
             return  # an earlier (or equal) kick is already pending
         self._kick_at = at_ns
-        self.engine.schedule_at(at_ns, self._kick)
+        self.engine.post(at_ns - now, self._kick)
 
     def _maybe_schedule_kick(self) -> None:
         ready = min(
@@ -263,7 +266,7 @@ class HostNic(Device):
 
     def _kick(self) -> None:
         self._kick_at = NEVER
-        self.port.notify()
+        self.ports[0].notify()
 
     # --- receive path -------------------------------------------------------------
 
@@ -390,9 +393,7 @@ class HostNic(Device):
     # --- retransmission timeout ------------------------------------------------------
 
     def _arm_rto(self, flow: Flow) -> None:
-        if not self.config.enable_rto:
-            return
-        if getattr(flow, "_rto_armed", False):
+        if flow._rto_armed or not self.config.enable_rto:
             return
         flow._rto_armed = True
         flow._last_progress_seq = flow.acked_seq

@@ -70,9 +70,13 @@ def ecmp_hash(flow_id: int, src: int, dst: int, salt: int) -> int:
     return (x ^ (x >> 31)) & 0xFFFFFFFFFFFFFFFF
 
 
-@dataclass
+@dataclass(frozen=True)
 class SwitchConfig:
     """Behavioural knobs of one switch.
+
+    Frozen: :class:`Switch` copies the per-packet flags into slots of
+    its own when it is built, and a later assignment here would not
+    reach them.
 
     ``pfc_mode`` selects how the PAUSE threshold is computed:
     ``"dynamic"`` (Trident II beta formula, the correct configuration),
@@ -114,14 +118,21 @@ class Switch(Device):
         "buffer_bytes",
         "_shared_pool_bytes",
         "_dyn_factor",
+        "_pfc_off",
+        "_pfc_static_bytes",
+        "_resume_hysteresis",
+        "_egress_alpha",
+        "_ecn_enabled",
         "routing_table",
         "default_route",
+        "_egress_memo",
         "occupied_bytes",
         "_ingress_bytes",
         "_egress_bytes",
         "_egress_queues",
         "_nonempty_mask",
         "_paused_upstream",
+        "_paused_count",
         "_marker",
         "guard",
         "cc_feedback",
@@ -145,31 +156,46 @@ class Switch(Device):
         ecmp_salt: int = 0,
     ):
         super().__init__(engine, device_id, name)
-        self.config = config or SwitchConfig()
+        self.config = config = config or SwitchConfig()
         self.ecmp_salt = ecmp_salt
-        profile = self.config.profile
+        profile = config.profile
         self.num_priorities = profile.num_priorities
         self.buffer_bytes = profile.buffer_bytes
-        # hot-path constants for the dynamic PFC threshold
+        # per-packet constants, resolved once (the config is frozen)
         self._shared_pool_bytes = profile.shared_pool_bytes
-        self._dyn_factor = self.config.beta / profile.num_priorities
+        self._dyn_factor = config.beta / profile.num_priorities
+        self._pfc_off = config.pfc_mode == "off"
+        #: the fixed PAUSE threshold, or None for the dynamic one
+        self._pfc_static_bytes = (
+            config.t_pfc_static_bytes if config.pfc_mode == "static" else None
+        )
+        self._resume_hysteresis = 2 * profile.mtu_bytes
+        self._egress_alpha = config.egress_dynamic_alpha
+        self._ecn_enabled = config.ecn_enabled
         # dst host id -> tuple of egress port indices (equal cost)
         self.routing_table: Dict[int, Tuple[int, ...]] = {}
         # fallback ECMP group for destinations with no table entry —
         # the "default up" route of structured fabric routing (empty
         # tuple: no fallback, unknown destinations are an error)
         self.default_route: Tuple[int, ...] = ()
+        # (flow_id, src, dst) -> egress port index: _pick_egress is a
+        # pure function of those, the routes and ecmp_salt, so the
+        # answer is kept until a route changes
+        self._egress_memo: Dict[Tuple[int, int, int], int] = {}
         # accounting
         self.occupied_bytes = 0
         self._ingress_bytes: List[List[int]] = []
         self._egress_bytes: List[List[int]] = []
         self._egress_queues: List[List[Deque[Packet]]] = []
         self._nonempty_mask: List[int] = []
+        # (ingress port, priority) -> PAUSE outstanding.  Keys are never
+        # removed: simultaneous RESUMEs go out in first-PAUSE order.
         self._paused_upstream: Dict[Tuple[int, int], bool] = {}
-        seed = self.config.ecn_seed
+        self._paused_count = 0
+        seed = config.ecn_seed
         if seed is None:
             seed = (device_id * 7919 + 13) & 0x7FFFFFFF
-        self._marker = RedEcnMarker(self.config.marking, seed=seed)
+        self._marker = RedEcnMarker(config.marking, seed=seed)
         #: invariant guard (repro.invariants), attached by the Network;
         #: None keeps the dequeue hot path to a single attribute test
         self.guard = None
@@ -209,6 +235,7 @@ class Switch(Device):
             if index < 0 or index >= len(self.ports):
                 raise ValueError(f"{self.name}: bad port index {index}")
         self.routing_table[dst] = tuple(port_indices)
+        self._egress_memo.clear()
 
     def set_default_route(self, port_indices: Tuple[int, ...]) -> None:
         """Install the fallback ECMP group (structured routing's "up").
@@ -224,6 +251,7 @@ class Switch(Device):
             if index < 0 or index >= len(self.ports):
                 raise ValueError(f"{self.name}: bad port index {index}")
         self.default_route = tuple(port_indices)
+        self._egress_memo.clear()
 
     def route_to(self, dst: int) -> Tuple[int, ...]:
         """The effective ECMP port set for destination ``dst``.
@@ -252,9 +280,8 @@ class Switch(Device):
         :func:`repro.buffers.thresholds.dynamic_pfc_threshold` —
         equality with the reference formula is covered by tests.
         """
-        config = self.config
-        if config.pfc_mode == "static":
-            return config.t_pfc_static_bytes
+        if self._pfc_static_bytes is not None:
+            return self._pfc_static_bytes
         free = self._shared_pool_bytes - self.occupied_bytes
         return free * self._dyn_factor if free > 0 else 0.0
 
@@ -297,30 +324,36 @@ class Switch(Device):
 
     def _enqueue(self, pkt: Packet, ingress_index: int) -> None:
         size = pkt.size
-        if self.occupied_bytes + size > self.buffer_bytes:
+        occupied = self.occupied_bytes
+        if occupied + size > self.buffer_bytes:
             self.dropped_packets += 1
             self.dropped_bytes += size
             if self.tracer is not None:
                 self._trace_drop(pkt, "buffer_full")
             return
-        egress_index = self._pick_egress(pkt)
-        if self.config.pfc_mode == "off":
+        key = (pkt.flow_id, pkt.src, pkt.dst)
+        try:
+            egress_index = self._egress_memo[key]
+        except KeyError:
+            egress_index = self._egress_memo[key] = self._pick_egress(pkt)
+        prio = pkt.priority
+        egress_bytes = self._egress_bytes[egress_index]
+        queued = egress_bytes[prio]
+        if self._pfc_off:
             # lossy-mode admission: dynamic per-queue cap (alpha * free)
-            free = self._shared_pool_bytes - self.occupied_bytes
-            limit = self.config.egress_dynamic_alpha * free
-            if self._egress_bytes[egress_index][pkt.priority] + size > limit:
+            limit = self._egress_alpha * (self._shared_pool_bytes - occupied)
+            if queued + size > limit:
                 self.dropped_packets += 1
                 self.dropped_bytes += size
                 if self.tracer is not None:
                     self._trace_drop(pkt, "egress_cap")
                 return
-        prio = pkt.priority
         # CP algorithm: RED/ECN on the instantaneous egress queue depth.
         marked = False
         if (
-            self.config.ecn_enabled
+            self._ecn_enabled
             and pkt.ecn == ECN_ECT
-            and self._marker.should_mark(self._egress_bytes[egress_index][prio])
+            and self._marker.should_mark(queued)
         ):
             marked = True
             pkt.ecn = ECN_CE
@@ -333,19 +366,29 @@ class Switch(Device):
                     flow=pkt.flow_id,
                     port=egress_index,
                     prio=prio,
-                    queue_bytes=self._egress_bytes[egress_index][prio],
+                    queue_bytes=queued,
                 )
         pkt.ingress_index = ingress_index
-        self.occupied_bytes += size
-        if self.occupied_bytes > self.peak_occupancy_bytes:
-            self.peak_occupancy_bytes = self.occupied_bytes
-        self._ingress_bytes[ingress_index][prio] += size
-        self._egress_bytes[egress_index][prio] += size
+        self.occupied_bytes = occupied = occupied + size
+        if occupied > self.peak_occupancy_bytes:
+            self.peak_occupancy_bytes = occupied
+        ingress_bytes = self._ingress_bytes[ingress_index]
+        ingress_bytes[prio] = buffered = ingress_bytes[prio] + size
+        egress_bytes[prio] = queued + size
         self._egress_queues[egress_index][prio].append(pkt)
         self._nonempty_mask[egress_index] |= 1 << prio
         self.forwarded_packets += 1
-        self._maybe_pause(ingress_index, prio)
-        self.ports[egress_index].notify()
+        if not self._pfc_off:
+            # PAUSE test (current_pfc_threshold, inlined)
+            threshold = self._pfc_static_bytes
+            if threshold is None:
+                free = self._shared_pool_bytes - occupied
+                threshold = free * self._dyn_factor if free > 0 else 0.0
+            if buffered > threshold:
+                self._pause_upstream(ingress_index, prio)
+        port = self.ports[egress_index]
+        if not port.busy:
+            port.notify()
         if self.cc_feedback is not None and pkt.kind == KIND_DATA:
             for generator in self.cc_feedback:
                 generator.on_enqueue(self, pkt, egress_index, marked)
@@ -377,43 +420,41 @@ class Switch(Device):
         self._ingress_bytes[pkt.ingress_index][prio] -= size
         if self.guard is not None:
             self.guard.on_switch_dequeue(self, port.index, pkt)
-        self._maybe_resume()
+        if self._paused_count:
+            self._maybe_resume()
 
     # --- PFC ------------------------------------------------------------------
 
-    def _maybe_pause(self, ingress_index: int, prio: int) -> None:
-        if self.config.pfc_mode == "off":
-            return
+    def _pause_upstream(self, ingress_index: int, prio: int) -> None:
+        """Send a PAUSE for (ingress port, priority) unless one is outstanding."""
         key = (ingress_index, prio)
         if self._paused_upstream.get(key):
             return
-        if self._ingress_bytes[ingress_index][prio] > self.current_pfc_threshold():
-            self._paused_upstream[key] = True
-            self.pause_frames_sent += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    self.engine.now,
-                    trace_events.PFC_PAUSE_TX,
-                    self.name,
-                    port=ingress_index,
-                    prio=prio,
-                )
-            self.ports[ingress_index].send_control(
-                pause_frame(self.device_id, prio, pause=True)
+        self._paused_upstream[key] = True
+        self._paused_count += 1
+        self.pause_frames_sent += 1
+        if self.tracer is not None:
+            self.tracer.emit(
+                self.engine.now,
+                trace_events.PFC_PAUSE_TX,
+                self.name,
+                port=ingress_index,
+                prio=prio,
             )
+        self.ports[ingress_index].send_control(
+            pause_frame(self.device_id, prio, pause=True)
+        )
 
     def _maybe_resume(self) -> None:
-        if not self._paused_upstream:
-            return
-        threshold = self.current_pfc_threshold()
-        hysteresis = 2 * self.config.profile.mtu_bytes
-        resume_below = threshold - hysteresis
-        for key, paused in list(self._paused_upstream.items()):
+        """RESUME every paused pair now below threshold (a departure)."""
+        resume_below = self.current_pfc_threshold() - self._resume_hysteresis
+        for key, paused in self._paused_upstream.items():
             if not paused:
                 continue
             ingress_index, prio = key
             if self._ingress_bytes[ingress_index][prio] <= resume_below:
                 self._paused_upstream[key] = False
+                self._paused_count -= 1
                 self.resume_frames_sent += 1
                 if self.tracer is not None:
                     self.tracer.emit(

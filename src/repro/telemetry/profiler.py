@@ -9,9 +9,10 @@ method (``Port._tx_done``, ``Switch.receive``, ``PeriodicTimer._fire``,
 ...).  The hotspot table this produces is the measurement baseline the
 ROADMAP's hot-path optimisation PRs are judged against.
 
-Zero overhead when off: :class:`~repro.engine.EventScheduler` checks
-``self.profiler`` once per ``run_until``/``run`` call and only enters
-the instrumented loop when a profiler is installed.
+Near-zero overhead when off: :class:`~repro.engine.EventScheduler`
+reads ``self.profiler`` once per ``run_until``/``run`` call and its one
+loop dispatches through :meth:`SchedulerProfiler.record` only when a
+profiler is installed.
 """
 
 from __future__ import annotations

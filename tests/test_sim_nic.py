@@ -113,13 +113,12 @@ class TestDcqcnAttach:
 class TestReliability:
     def lossy_star(self):
         """Tiny buffer, no PFC: guaranteed drops under incast."""
-        profile_config = SwitchConfig(pfc_mode="off")
         from repro.buffers.thresholds import SwitchProfile
 
-        profile_config.profile = SwitchProfile(
+        profile = SwitchProfile(
             buffer_bytes=units.kb(60), headroom_bytes=0, num_ports=8
         )
-        return star(5, switch_config=profile_config)
+        return star(5, switch_config=SwitchConfig(pfc_mode="off", profile=profile))
 
     def test_drops_trigger_nacks_and_recovery(self):
         net, switch, hosts = self.lossy_star()

@@ -1,5 +1,7 @@
 """Shared-buffer switch: forwarding, ECMP, ECN, PFC, accounting."""
 
+import dataclasses
+
 import pytest
 
 from repro import units
@@ -294,6 +296,47 @@ class TestPfc:
         assert switch.pause_frames_received == 1
         assert switch.ports[2].rx_pause_frames == 1
 
+    def test_simultaneous_resumes_go_out_in_first_pause_order(self):
+        """Two pairs released by one dequeue RESUME in the order they were
+        first PAUSEd (port 1, then port 0), not in port order: the order
+        sets the frames' engine sequence numbers, hence every later
+        tie-break."""
+        from repro.sim.host import Flow
+
+        class Recorder:
+            def __init__(self):
+                self.rows = []
+
+            def emit(self, now, event, device, **fields):
+                self.rows.append((now, event, fields.get("port")))
+
+        profile = SwitchProfile(buffer_bytes=20_000, num_ports=4, headroom_bytes=0)
+        config = SwitchConfig(profile=profile, beta=8.0, ecn_enabled=False)
+        engine, switch, nics = make_switch(config, n_neighbors=4)
+        switch.tracer = recorder = Recorder()
+        # threshold = free pool (beta / priorities = 1); nothing drains
+        # while the packets go in, so the threshold falls 1 KB a packet
+        for port, count in ((2, 1), (1, 10), (0, 6)):
+            flow = Flow(port, nics[port].host, nics[3].host)
+            nics[port].register_tx_flow(flow)
+            nics[3].register_rx_flow(flow)
+            for seq in range(count):
+                switch.receive(
+                    data_packet(
+                        port, nics[port].device_id, nics[3].device_id, 1000, seq, 0
+                    ),
+                    switch.ports[port],
+                )
+        engine.run()
+
+        def ports(event):
+            return [port for _, name, port in recorder.rows if name == event]
+
+        assert ports("pfc.pause_tx") == [1, 0]
+        assert ports("pfc.resume_tx") == [1, 0]
+        resume_times = {now for now, name, _ in recorder.rows if name == "pfc.resume_tx"}
+        assert len(resume_times) == 1  # one dequeue released both
+
 
 class TestConfigValidation:
     def test_bad_pfc_mode(self):
@@ -303,3 +346,10 @@ class TestConfigValidation:
     def test_bad_beta(self):
         with pytest.raises(ValueError):
             SwitchConfig(beta=0)
+
+    def test_config_is_frozen(self):
+        """Switch copies the per-packet flags at build; a later write
+        here would not reach them, so it must not be possible."""
+        config = SwitchConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.pfc_mode = "off"
