@@ -24,9 +24,9 @@ import sys
 
 CHILD = """\
 import json, time
-from repro.cli import _build_named_scenario
+from repro.cli import _prepare_scenario
 from repro.runner import run_scenario_inline
-scenario = _build_named_scenario({scenario!r})
+scenario = _prepare_scenario({scenario!r})
 if scenario is None:
     raise SystemExit(2)
 start = time.perf_counter()

@@ -27,10 +27,10 @@ import tempfile
 
 CHILD = """\
 import json, time
-from repro.cli import _build_named_scenario
+from repro.cli import _prepare_scenario
 from repro.runner import run_scenario_inline
 from repro.shard import runner as shard_runner
-scenario = _build_named_scenario({scenario!r})
+scenario = _prepare_scenario({scenario!r})
 if scenario is None:
     raise SystemExit(2)
 start = time.perf_counter()

@@ -13,7 +13,8 @@ The package provides:
   used for parameter tuning.
 * :mod:`repro.buffers` — the §4 buffer-threshold analysis (headroom,
   t_PFC, t_ECN).
-* :mod:`repro.baselines` — DCTCP, QCN and PFC-only comparison points.
+* :mod:`repro.cc` — every congestion controller behind one interface:
+  DCQCN and the DCTCP, QCN, TIMELY-like and FNCC-style comparison points.
 * :mod:`repro.traffic` — synthetic datacenter workloads (user traffic
   + incast disk-rebuild events).
 * :mod:`repro.hoststack` — the TCP vs RDMA host-overhead model behind

@@ -30,12 +30,10 @@ Hardened execution (see DESIGN.md §10)::
     python -m repro fig16 --timeout 300            # per-cell budget (s)
     python -m repro fig16 --resume                 # finish interrupted sweep
 
-CC arena and perf baselines (see DESIGN.md §11)::
+CC arena (see DESIGN.md §11)::
 
     python -m repro run arena                      # controller league table
     python -m repro run arena --invariants strict  # ... guarded
-    python -m repro bench                          # events/sec baselines
-    python -m repro bench smoke --dry-run          # measure, don't record
 
 Figure rendering (see DESIGN.md §12)::
 
@@ -45,9 +43,10 @@ Figure rendering (see DESIGN.md §12)::
     python -m repro plot queues --out-dir /tmp/f   # Fig 19 queue CDFs
 
 Each command prints the same rows the corresponding benchmark emits.
-The dispatch table is :data:`repro.runner.REGISTRY`, populated by
-:mod:`repro.experiments.catalog`; ``--jobs`` / ``--no-cache`` set the
-``REPRO_JOBS`` / ``REPRO_CACHE`` knobs for the invocation.
+The experiment table is :data:`repro.runner.REGISTRY`, populated by
+:mod:`repro.experiments.catalog`.  Options that must reach pool workers
+(``--scale``, ``--jobs``, ``--no-cache``, ...) travel as environment
+variables (``REPRO_SCALE`` etc.), set in one place: :func:`_export_env`.
 """
 
 from __future__ import annotations
@@ -56,19 +55,20 @@ import argparse
 import dataclasses
 import os
 import sys
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import repro.experiments.catalog  # noqa: F401  (populates REGISTRY)
-from repro.invariants import INVARIANTS_ENV, MODES
+from repro.invariants import (
+    INVARIANTS_ENV,
+    MODES,
+    InvariantConfig,
+    InvariantViolation,
+)
 from repro.runner import JOBS_ENV, REGISTRY, SCALE_ENV, SCENARIOS, format_table
 from repro.runner.cache import CACHE_ENV
 from repro.runner.resilience import RESUME_ENV, TIMEOUT_ENV
 from repro.runner.scale import SCALES
-
-#: compat view of the registry: id -> (runner, description)
-COMMANDS: Dict[str, tuple] = {
-    exp.id: (exp.runner, exp.description) for exp in REGISTRY
-}
+from repro.shard import SHARDS_ENV
 
 
 def _jobs_arg(value: str) -> str:
@@ -96,6 +96,77 @@ def _shards_arg(value: str) -> int:
     return shards
 
 
+#: options more than one parser takes, each declared once: dest -> (flag, spec)
+_SHARED_OPTIONS = {
+    "scale": (
+        "--scale",
+        dict(choices=SCALES, help="override REPRO_SCALE for this invocation"),
+    ),
+    "jobs": (
+        "--jobs",
+        dict(
+            type=_jobs_arg,
+            help="worker processes for cell fan-out ('auto' or an integer; "
+            "sets REPRO_JOBS)",
+        ),
+    ),
+    "no_cache": (
+        "--no-cache",
+        dict(
+            action="store_true",
+            help="recompute everything, ignoring results/.cache/",
+        ),
+    ),
+    "seed": ("--seed", dict(type=int, default=0, help="simulation seed")),
+    "faults": (
+        "--faults",
+        dict(
+            metavar="PLAN.json",
+            help="overlay a fault plan on a named scenario "
+            "(see 'python -m repro faults example')",
+        ),
+    ),
+    "invariants": (
+        "--invariants",
+        dict(
+            choices=MODES,
+            help="run under the invariant guard ('strict' aborts on the "
+            "first violation, 'report' collects them)",
+        ),
+    ),
+}
+
+#: parsed option -> the variable that carries it to pool workers
+_ENV_OF = {
+    "scale": SCALE_ENV,
+    "jobs": JOBS_ENV,
+    "shards": SHARDS_ENV,
+    "timeout": TIMEOUT_ENV,
+    # experiments that arm the guard themselves (the CC arena) read the
+    # mode from the environment; named scenarios get it overlaid too
+    "invariants": INVARIANTS_ENV,
+    "no_cache": CACHE_ENV,
+    "resume": RESUME_ENV,
+}
+
+#: what an on/off switch exports when on (other options export their value)
+_SWITCH_WORD = {"no_cache": "off", "resume": "on"}
+
+
+def _add_shared(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Add the named :data:`_SHARED_OPTIONS` to ``parser``."""
+    for name in names:
+        flag, spec = _SHARED_OPTIONS[name]
+        parser.add_argument(flag, **spec)
+
+
+def _export_env(args: argparse.Namespace) -> None:
+    """Publish the parsed options pool workers must see to the environment."""
+    for name, value in vars(args).items():
+        if name in _ENV_OF and value is not None and value is not False:
+            os.environ[_ENV_OF[name]] = _SWITCH_WORD.get(name, str(value))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -111,19 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="experiment id when the first argument is 'run'",
     )
-    parser.add_argument(
-        "--scale",
-        choices=SCALES,
-        default=None,
-        help="override REPRO_SCALE for this invocation",
-    )
-    parser.add_argument(
-        "--jobs",
-        default=None,
-        type=_jobs_arg,
-        help="worker processes for cell fan-out ('auto' or an integer; "
-        "sets REPRO_JOBS)",
-    )
+    _add_shared(parser, "scale", "jobs")
     parser.add_argument(
         "--shards",
         default=None,
@@ -131,30 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for one sharded fabric run (sets "
         "REPRO_SHARDS; non-fabric scenarios stay serial)",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute everything, ignoring results/.cache/",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="simulation seed (named scenarios only)",
-    )
-    parser.add_argument(
-        "--faults",
-        default=None,
-        metavar="PLAN.json",
-        help="overlay a fault plan when running a named scenario",
-    )
-    parser.add_argument(
-        "--invariants",
-        choices=MODES,
-        default=None,
-        help="run under the invariant guard (named scenarios; 'strict' "
-        "aborts on the first violation, 'report' collects them)",
-    )
+    _add_shared(parser, "no_cache", "seed", "faults", "invariants")
     parser.add_argument(
         "--resume",
         action="store_true",
@@ -176,9 +212,11 @@ def list_experiments() -> str:
     return format_table(["experiment", "regenerates"], rows)
 
 
-def list_scenarios() -> str:
+def scenarios_main(argv: Sequence[str]) -> int:
+    """``python -m repro scenarios`` — the named-scenario table."""
     rows = [[sc.id, sc.description] for sc in SCENARIOS]
-    return format_table(["scenario", "description"], rows)
+    print(format_table(["scenario", "description"], rows))
+    return 0
 
 
 def _telemetry_parser(prog: str, description: str) -> argparse.ArgumentParser:
@@ -186,72 +224,56 @@ def _telemetry_parser(prog: str, description: str) -> argparse.ArgumentParser:
     parser.add_argument(
         "scenario", help="named scenario (see 'python -m repro scenarios')"
     )
-    parser.add_argument("--seed", type=int, default=0, help="simulation seed")
-    parser.add_argument(
-        "--scale",
-        choices=SCALES,
-        default=None,
-        help="override REPRO_SCALE for this invocation",
-    )
-    parser.add_argument(
-        "--faults",
-        default=None,
-        metavar="PLAN.json",
-        help="overlay a fault plan (see 'python -m repro faults example')",
-    )
-    parser.add_argument(
-        "--invariants",
-        choices=MODES,
-        default=None,
-        help="run under the invariant guard ('strict' aborts on the "
-        "first violation, 'report' collects them)",
-    )
+    _add_shared(parser, "seed", "scale", "faults", "invariants")
     return parser
 
 
-def _load_fault_plan(path: str):
-    """Parse a plan file; prints the error and returns None on failure."""
-    import json
+def _prepare_scenario(
+    scenario_id: str,
+    faults: Optional[str] = None,
+    invariants: Optional[str] = None,
+):
+    """Build a named scenario and overlay ``--faults`` / ``--invariants``.
 
-    from repro.faults import FaultPlan
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        return FaultPlan.from_json(data)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
-        print(f"bad fault plan {path!r}: {exc}", file=sys.stderr)
-        return None
-
-
-def _apply_fault_plan(scenario, path: Optional[str]):
-    """Overlay ``--faults`` onto a scenario; None if the plan is bad."""
-    if path is None:
-        return scenario
-    plan = _load_fault_plan(path)
-    if plan is None:
-        return None
-    return dataclasses.replace(scenario, faults=plan)
-
-
-def _apply_invariants(scenario, mode: Optional[str]):
-    """Overlay ``--invariants <mode>`` onto a scenario."""
-    if mode is None:
-        return scenario
-    from repro.invariants import InvariantConfig
-
-    return dataclasses.replace(scenario, invariants=InvariantConfig(mode=mode))
-
-
-def _build_named_scenario(scenario_id: str):
-    """Resolve a scenario id; prints the error and returns None if unknown."""
+    Prints the reason and returns None when the id is unknown or the
+    plan file does not load.
+    """
     if scenario_id not in SCENARIOS:
         print(
             f"unknown scenario {scenario_id!r}; try 'scenarios'",
             file=sys.stderr,
         )
         return None
-    return SCENARIOS.build(scenario_id)
+    scenario = SCENARIOS.build(scenario_id)
+    if faults is not None:
+        import json
+
+        from repro.faults import FaultPlan
+
+        try:
+            with open(faults, "r", encoding="utf-8") as handle:
+                plan = FaultPlan.from_json(json.load(handle))
+        except (OSError, ValueError, TypeError, KeyError) as exc:
+            print(f"bad fault plan {faults!r}: {exc}", file=sys.stderr)
+            return None
+        scenario = dataclasses.replace(scenario, faults=plan)
+    if invariants is not None:
+        scenario = dataclasses.replace(
+            scenario, invariants=InvariantConfig(mode=invariants)
+        )
+    return scenario
+
+
+def _run_inline(scenario, seed: int, **instruments):
+    """One inline repetition; None, after saying why, if the guard aborts it."""
+    from repro.runner import run_scenario_inline
+
+    try:
+        result, _ = run_scenario_inline(scenario, seed, **instruments)
+    except InvariantViolation as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return None
+    return result
 
 
 def trace_main(argv: Sequence[str]) -> int:
@@ -293,19 +315,13 @@ def trace_main(argv: Sequence[str]) -> int:
         help="sample per-flow goodput at this period",
     )
     args = parser.parse_args(argv)
-    if args.scale is not None:
-        os.environ[SCALE_ENV] = args.scale
-    scenario = _build_named_scenario(args.scenario)
-    if scenario is not None:
-        scenario = _apply_fault_plan(scenario, args.faults)
+    _export_env(args)
+    scenario = _prepare_scenario(args.scenario, args.faults, args.invariants)
     if scenario is None:
         return 2
-    scenario = _apply_invariants(scenario, args.invariants)
 
     import json
 
-    from repro.invariants import InvariantViolation
-    from repro.runner import run_scenario_inline
     from repro.telemetry import Telemetry, TelemetrySpec
 
     spec = TelemetrySpec(
@@ -319,12 +335,11 @@ def trace_main(argv: Sequence[str]) -> int:
     scenario = dataclasses.replace(scenario, telemetry=spec)
     telemetry = Telemetry.from_spec(spec, seed=args.seed)
     try:
-        result, _ = run_scenario_inline(scenario, args.seed, telemetry=telemetry)
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 3
+        result = _run_inline(scenario, args.seed, telemetry=telemetry)
     finally:
         telemetry.close()
+    if result is None:
+        return 3
 
     counts = sorted(telemetry.trace_counts().items())
     summary_rows = [[etype, count] for etype, count in counts]
@@ -351,242 +366,21 @@ def profile_main(argv: Sequence[str]) -> int:
         "--limit", type=int, default=15, help="rows in the hotspot table"
     )
     args = parser.parse_args(argv)
-    if args.scale is not None:
-        os.environ[SCALE_ENV] = args.scale
-    scenario = _build_named_scenario(args.scenario)
-    if scenario is not None:
-        scenario = _apply_fault_plan(scenario, args.faults)
+    _export_env(args)
+    scenario = _prepare_scenario(args.scenario, args.faults, args.invariants)
     if scenario is None:
         return 2
-    scenario = _apply_invariants(scenario, args.invariants)
 
-    from repro.invariants import InvariantViolation
-    from repro.runner import run_scenario_inline
     from repro.telemetry import SchedulerProfiler
 
     profiler = SchedulerProfiler()
-    try:
-        result, _ = run_scenario_inline(scenario, args.seed, profiler=profiler)
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
+    result = _run_inline(scenario, args.seed, profiler=profiler)
+    if result is None:
         return 3
     print(f"=== profile: {scenario.label or args.scenario} ===")
     print(profiler.table(limit=args.limit))
     print()
     print(result.table())
-    return 0
-
-
-#: scenarios ``repro bench`` times when none are named: one of each
-#: canonical shape (single switch, parking lot, Clos, fat-tree fabric)
-BENCH_SCENARIOS = ("smoke", "unfairness-dcqcn", "victim", "fabric-smoke")
-
-
-def _peak_rss_kb() -> int:
-    """Peak RSS of this process in KB (Linux ``ru_maxrss`` unit)."""
-    import resource
-
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-
-
-def bench_main(argv: Sequence[str]) -> int:
-    """``python -m repro bench`` — simulator throughput baselines.
-
-    Runs each named scenario once inline and reports scheduler events
-    per wall-clock second, plus the topology-layer costs the fabric
-    subsystem is accountable for: network build and route-install
-    wall-clock, and the process peak RSS after each run.  The numbers
-    are appended as a new baseline to ``BENCH_sim.json`` (next to
-    ``results/``) so performance work has a recorded trajectory.
-    ``--dry-run`` measures without recording.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Measure simulator events/sec on canonical scenarios.",
-    )
-    parser.add_argument(
-        "scenarios",
-        nargs="*",
-        help="named scenarios to time (default: "
-        + ", ".join(BENCH_SCENARIOS)
-        + ")",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="simulation seed")
-    parser.add_argument(
-        "--scale",
-        choices=SCALES,
-        default=None,
-        help="override REPRO_SCALE for this invocation",
-    )
-    parser.add_argument(
-        "--shards",
-        default=None,
-        type=_shards_arg,
-        help="also time each fabric scenario sharded across this many "
-        "workers and record the speedup over the serial run",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="record into this file instead of BENCH_sim.json",
-    )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="print the table but do not record a baseline",
-    )
-    args = parser.parse_args(argv)
-    if args.scale is not None:
-        os.environ[SCALE_ENV] = args.scale
-
-    import json
-    import time
-    from pathlib import Path
-
-    from repro.runner import run_scenario_inline
-    from repro.runner.cache import results_dir
-    from repro.runner.scale import scale as active_scale
-    from repro.runner.scenario import build_scenario_network
-
-    ids = args.scenarios or list(BENCH_SCENARIOS)
-    rows = []
-    record: Dict[str, dict] = {}
-    for scenario_id in ids:
-        scenario = _build_named_scenario(scenario_id)
-        if scenario is None:
-            return 2
-        # time the topology layer alone first: construction plus route
-        # install, the costs that grow with fabric size
-        start = time.perf_counter()
-        built_net, _, _ = build_scenario_network(scenario, args.seed)
-        build_s = time.perf_counter() - start
-        route_install_s = built_net.route_install_s
-        del built_net
-        start = time.perf_counter()
-        _, net = run_scenario_inline(scenario, args.seed)
-        wall_s = time.perf_counter() - start
-        events = net.engine.events_processed
-        eps = events / wall_s if wall_s > 0 else 0.0
-        record[scenario_id] = {
-            "events": events,
-            "wall_s": round(wall_s, 4),
-            "events_per_sec": round(eps),
-            "sim_ns": scenario.warmup_ns + scenario.duration_ns,
-            "build_s": round(build_s, 4),
-            "route_install_s": round(route_install_s, 4),
-            "peak_rss_kb": _peak_rss_kb(),
-        }
-        rows.append(
-            [
-                scenario_id,
-                str(events),
-                f"{wall_s:.2f}",
-                f"{eps:,.0f}",
-                f"{build_s:.3f}",
-                f"{route_install_s:.3f}",
-                str(record[scenario_id]["peak_rss_kb"]),
-            ]
-        )
-        if args.shards and args.shards > 1:
-            # time the same cell again, sharded (checkpoint journaling
-            # included, so its overhead is visible in the numbers);
-            # LAST_STATS stays None when the scenario cannot shard
-            # (non-fabric topology)
-            from repro.shard import SHARDS_ENV
-            from repro.shard import runner as shard_runner
-
-            shard_runner.LAST_STATS = None
-            os.environ[SHARDS_ENV] = str(args.shards)
-            try:
-                start = time.perf_counter()
-                run_scenario_inline(scenario, args.seed)
-                shard_wall_s = time.perf_counter() - start
-            finally:
-                os.environ.pop(SHARDS_ENV, None)
-            stats = shard_runner.LAST_STATS
-            if stats is None:
-                rows[-1].extend(["-", "-", "-", "-", "-", "-"])
-            else:
-                speedup = wall_s / shard_wall_s if shard_wall_s > 0 else 0.0
-                # the compute-bound speedup: serial wall over the
-                # busiest shard's sync-free compute time.  On a host
-                # with >= shards cores the measured speedup approaches
-                # this bound; on fewer cores (CI containers) the wall
-                # speedup is meaningless and this is the number that
-                # tracks the partition quality
-                busy = [
-                    w - s
-                    for w, s in zip(stats["wall_s"], stats["stall_s"])
-                ]
-                bound = wall_s / max(busy) if max(busy) > 0 else 0.0
-                checkpoint_s = stats.get("checkpoint_s", 0.0)
-                record[scenario_id].update(
-                    {
-                        "shards": stats["shards"],
-                        "shard_wall_s": round(shard_wall_s, 4),
-                        "shard_events_per_sec": [
-                            round(v) for v in stats["events_per_sec"]
-                        ],
-                        "sync_stall_fraction": round(
-                            stats["stall_fraction"], 4
-                        ),
-                        "speedup": round(speedup, 2),
-                        "speedup_compute_bound": round(bound, 2),
-                        "shard_checkpoint_s": round(checkpoint_s, 4),
-                    }
-                )
-                rows[-1].extend(
-                    [
-                        str(stats["shards"]),
-                        f"{shard_wall_s:.2f}",
-                        f"{stats['stall_fraction']:.0%}",
-                        f"{speedup:.2f}x",
-                        f"{bound:.2f}x",
-                        f"{checkpoint_s:.3f}",
-                    ]
-                )
-    headers = [
-        "scenario",
-        "events",
-        "wall s",
-        "events/s",
-        "build s",
-        "routes s",
-        "peak RSS KB",
-    ]
-    if args.shards and args.shards > 1:
-        headers += [
-            "shards",
-            "shard wall s",
-            "sync stall",
-            "speedup",
-            "bound",
-            "ckpt s",
-        ]
-    print(format_table(headers, rows))
-    if args.dry_run:
-        return 0
-    path = (
-        Path(args.out) if args.out else results_dir().parent / "BENCH_sim.json"
-    )
-    data = {"baselines": []}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except ValueError:
-            print(f"refusing to overwrite malformed {path}", file=sys.stderr)
-            return 2
-    data.setdefault("baselines", []).append(
-        {
-            "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "scale": active_scale(),
-            "seed": args.seed,
-            "scenarios": record,
-        }
-    )
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    print(f"recorded baseline #{len(data['baselines'])} to {path}")
     return 0
 
 
@@ -628,7 +422,7 @@ def fabric_main(argv: Sequence[str]) -> int:
     parser.add_argument(
         "--hosts-per-tor", type=int, default=2, help="clos: hosts per ToR"
     )
-    parser.add_argument("--seed", type=int, default=0, help="build seed")
+    _add_shared(parser, "seed")
     parser.add_argument(
         "--expect-hosts",
         type=int,
@@ -719,30 +513,9 @@ def plot_main(argv: Sequence[str]) -> int:
         default="mice_p99",
         help="grid heatmap cell value (default: mice_p99)",
     )
-    parser.add_argument(
-        "--scale",
-        choices=SCALES,
-        default=None,
-        help="override REPRO_SCALE for this invocation",
-    )
-    parser.add_argument(
-        "--jobs",
-        default=None,
-        type=_jobs_arg,
-        help="worker processes for cell fan-out (sets REPRO_JOBS)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute everything, ignoring results/.cache/",
-    )
+    _add_shared(parser, "scale", "jobs", "no_cache")
     args = parser.parse_args(argv)
-    if args.scale is not None:
-        os.environ[SCALE_ENV] = args.scale
-    if args.jobs is not None:
-        os.environ[JOBS_ENV] = str(args.jobs)
-    if args.no_cache:
-        os.environ[CACHE_ENV] = "off"
+    _export_env(args)
 
     from pathlib import Path
 
@@ -888,23 +661,15 @@ def run_scenario_main(scenario_id: str, args) -> int:
     path the telemetry commands use, so ``--faults`` overlays a plan and
     the result table includes the fault/watchdog counters.
     """
-    scenario = _build_named_scenario(scenario_id)
-    if scenario is not None:
-        scenario = _apply_fault_plan(scenario, getattr(args, "faults", None))
+    scenario = _prepare_scenario(scenario_id, args.faults, args.invariants)
     if scenario is None:
         return 2
-    scenario = _apply_invariants(scenario, getattr(args, "invariants", None))
 
-    from repro.invariants import InvariantViolation
-    from repro.runner import run_scenario_inline
     from repro.shard import runner as shard_runner
 
-    seed = getattr(args, "seed", 0) or 0
     shard_runner.LAST_STATS = None
-    try:
-        result, _ = run_scenario_inline(scenario, seed)
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
+    result = _run_inline(scenario, args.seed)
+    if result is None:
         return 3
     print(f"=== scenario {scenario_id}: {scenario.label or scenario_id} ===")
     print(result.table())
@@ -927,7 +692,7 @@ def run_scenario_main(scenario_id: str, args) -> int:
                 f"{resumed} barriers resumed from checkpoint, "
                 f"degraded={'yes' if degraded else 'no'}"
             )
-    elif getattr(args, "shards", None) and args.shards > 1:
+    elif args.shards is not None and args.shards > 1:
         print(
             f"sharding skipped ({scenario.topology!r} topology runs serial)"
         )
@@ -947,49 +712,29 @@ def run_scenario_main(scenario_id: str, args) -> int:
     return 0
 
 
+#: commands with their own option grammar, dispatched before the
+#: experiment parser (whose grammar is a bare positional id)
+SUBCOMMANDS = {
+    "trace": trace_main,
+    "profile": profile_main,
+    "scenarios": scenarios_main,
+    "faults": faults_main,
+    "plot": plot_main,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
-    # telemetry commands take their own options, so they dispatch before
-    # the experiment parser (whose grammar is a bare positional id)
-    if argv and argv[0] == "trace":
-        return trace_main(argv[1:])
-    if argv and argv[0] == "profile":
-        return profile_main(argv[1:])
-    if argv and argv[0] == "scenarios":
-        print(list_scenarios())
-        return 0
-    if argv and argv[0] == "faults":
-        return faults_main(argv[1:])
-    if argv and argv[0] == "bench":
-        return bench_main(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        return SUBCOMMANDS[argv[0]](argv[1:])
     # only dispatch "fabric" when an action follows: a bare
     # ``repro fabric`` is the experiment of the same name
-    if argv and argv[0] == "fabric" and len(argv) > 1 and argv[1] == "check":
+    if argv[:2] == ["fabric", "check"]:
         return fabric_main(argv[1:])
-    if argv and argv[0] == "plot":
-        return plot_main(argv[1:])
     args = build_parser().parse_args(argv)
-    if args.scale is not None:
-        os.environ[SCALE_ENV] = args.scale
-    if args.jobs is not None:
-        os.environ[JOBS_ENV] = str(args.jobs)
-    if args.shards is not None:
-        from repro.shard import SHARDS_ENV
-
-        os.environ[SHARDS_ENV] = str(args.shards)
-    if args.no_cache:
-        os.environ[CACHE_ENV] = "off"
-    if args.resume:
-        os.environ[RESUME_ENV] = "on"
-    if args.timeout is not None:
-        os.environ[TIMEOUT_ENV] = args.timeout
-    if args.invariants is not None:
-        # experiments that arm the guard themselves (the CC arena) read
-        # the mode from the environment; named scenarios also get it
-        # overlaid onto their spec below
-        os.environ[INVARIANTS_ENV] = args.invariants
+    _export_env(args)
     experiment_id = args.experiment
     if experiment_id == "run":
         if args.extra is None:

@@ -209,6 +209,10 @@ class EventScheduler:
         return sum(1 for entry in self._heap if entry[_FN] is not None)
 
 
+#: jitter seed of a :class:`PeriodicTimer` constructed with ``seed=None``
+UNSEEDED_JITTER_SEED = 0
+
+
 class PeriodicTimer:
     """Restartable periodic timer built on :class:`EventScheduler`.
 
@@ -218,7 +222,10 @@ class PeriodicTimer:
     ``jitter_ns`` adds an independent uniform ±jitter to every firing,
     modelling firmware timer skew.  Real NICs do not tick in lockstep;
     without jitter, N identical flows cut and recover in phase and the
-    simulated queue oscillates far more than hardware does.
+    simulated queue oscillates far more than hardware does.  The draws
+    come from ``random.Random(seed)``; a timer built without a seed
+    uses :data:`UNSEEDED_JITTER_SEED`, never OS entropy, so no
+    construction path makes a run non-reproducible.
     """
 
     __slots__ = ("_engine", "_period", "_fn", "_event", "running", "_jitter", "_rng")
@@ -247,7 +254,9 @@ class PeriodicTimer:
         if jitter_ns:
             import random
 
-            self._rng = random.Random(seed)
+            self._rng = random.Random(
+                UNSEEDED_JITTER_SEED if seed is None else seed
+            )
         else:
             self._rng = None
 

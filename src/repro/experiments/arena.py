@@ -90,7 +90,7 @@ def _supports_seed_rate(cc: str) -> bool:
     """Whether ``cc`` accepts ``initial_rate_bps`` (rate seeding)."""
     from repro.cc import CcContext, create_cc
     from repro.core.params import DCQCNParams
-    from repro.sim.engine import EventScheduler
+    from repro.engine import EventScheduler
 
     ctx = CcContext(
         engine=EventScheduler(),
@@ -147,15 +147,19 @@ def _probes(
     )
 
 
-def arena_scenario(scenario_id: str, cc: str) -> Scenario:
-    """Build one maze for one controller (same seed ⇒ same conditions)."""
+def arena_scenario(
+    scenario_id: str, cc: str, guard_mode: Optional[str] = None
+) -> Scenario:
+    """Build one maze for one controller (same seed ⇒ same conditions).
+
+    ``guard_mode`` arms the invariant guard (``None``: unguarded).
+    """
     warmup_ns, duration_ns = _horizon()
     invariants = None
-    mode = os.environ.get(INVARIANTS_ENV)
-    if mode is not None:
+    if guard_mode is not None:
         from repro.invariants import InvariantConfig
 
-        invariants = InvariantConfig(mode=mode)
+        invariants = InvariantConfig(mode=guard_mode)
 
     if scenario_id == "incast":
         greedy = tuple(
@@ -258,6 +262,8 @@ class ArenaResult:
     scores: Dict[Tuple[str, str], ArenaScore] = field(default_factory=dict)
     controllers: Tuple[str, ...] = ARENA_CONTROLLERS
     scenarios: Tuple[str, ...] = ARENA_SCENARIOS
+    #: invariant-guard mode every cell ran under (None: no guard armed)
+    guard_mode: Optional[str] = None
 
     def score(self, scenario: str, cc: str) -> ArenaScore:
         return self.scores[(scenario, cc)]
@@ -328,9 +334,9 @@ class ArenaResult:
             f"{len(self.scenarios)} scenarios × 5 metrics) --\n"
             + format_table(["#", "cc", "mean rank"], standing_rows)
         )
-        mode = os.environ.get(INVARIANTS_ENV, "report")
         sections.append(
-            f"invariants[{mode}]: {self.total_violations():.0f} violations, "
+            f"invariants[{self.guard_mode or 'off'}]: "
+            f"{self.total_violations():.0f} violations, "
             f"{self.total_failures()} failed cells"
         )
         return "\n\n".join(sections)
@@ -415,14 +421,17 @@ def run_arena(
     """Run the full tournament (fanned out as one sweep)."""
     if seeds is None:
         seeds = scale.seeds_for(scale.pick(2, 4, 1), base=6000)
+    guard_mode = os.environ.get(INVARIANTS_ENV)
     built = {
-        (scenario_id, cc): arena_scenario(scenario_id, cc)
+        (scenario_id, cc): arena_scenario(scenario_id, cc, guard_mode)
         for scenario_id in scenarios
         for cc in controllers
     }
     sweep: SweepResult = run_sweep("arena", built, seeds)
     result = ArenaResult(
-        controllers=tuple(controllers), scenarios=tuple(scenarios)
+        controllers=tuple(controllers),
+        scenarios=tuple(scenarios),
+        guard_mode=guard_mode,
     )
     for point in sweep.points:
         scenario_id, cc = point.value

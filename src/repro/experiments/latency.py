@@ -18,7 +18,6 @@ from typing import Any, Dict, List, Optional
 
 from repro import units
 from repro.analysis.stats import percentile
-from repro.experiments import common
 from repro.runner import Cell, execute
 from repro.runner import scale
 
@@ -59,7 +58,6 @@ def queue_cell(
     seed: int,
 ) -> Dict[str, Any]:
     """One arm of Figure 19 — the worker-side entry point."""
-    from repro.baselines.dctcp import add_dctcp_flow
     from repro.core.params import DCQCNParams
     from repro.sim.monitor import QueueSampler
     from repro.sim.switch import SwitchConfig
@@ -78,10 +76,7 @@ def queue_cell(
     receiver = hosts[-1]
     flows = []
     for sender in hosts[:incast_degree]:
-        if protocol == "dcqcn":
-            flow = net.add_flow(sender, receiver, cc="dcqcn")
-        else:
-            flow = add_dctcp_flow(net, sender, receiver)
+        flow = net.add_flow(sender, receiver, cc=protocol)
         flow.set_greedy()
         flows.append(flow)
 

@@ -20,7 +20,6 @@ from typing import Any, Dict, List, Optional
 
 from repro import units
 from repro.analysis.stats import jain_fairness
-from repro.experiments import common
 from repro.runner import Cell, execute
 from repro.runner import scale
 
@@ -47,33 +46,6 @@ class SingleSwitchFairnessResult:
 ABLATION_HEADERS = ["scheme", "total Gbps", "Jain", "min Gbps", "max Gbps"]
 
 
-def _build_single_switch_net(scheme: str, n_hosts: int, seed: int):
-    """Like topology.single_switch but with a QCN CP when asked."""
-    from repro.baselines.qcn import QcnSwitch
-    from repro.core.params import DCQCNParams
-    from repro.sim.network import Network
-    from repro.sim.switch import SwitchConfig
-
-    params = DCQCNParams.deployed()
-    net = Network(seed=seed, dcqcn_params=params)
-    config = SwitchConfig(marking=params)
-    if scheme == "qcn":
-        switch = QcnSwitch(
-            net.engine, net._device_id(), "S1", config=config,
-            ecmp_salt=net.rng.getrandbits(64),
-        )
-        net.switches.append(switch)
-    else:
-        switch = net.new_switch("S1", config=config)
-    hosts = []
-    for index in range(n_hosts):
-        host = net.new_host(f"H{index + 1}")
-        net.connect(host, switch)
-        hosts.append(host)
-    net.build_routes()
-    return net, switch, hosts
-
-
 def fairness_cell(
     scheme: str,
     n_senders: int,
@@ -82,16 +54,17 @@ def fairness_cell(
     seed: int,
 ) -> Dict[str, Any]:
     """One scheme's incast run — the worker-side entry point."""
-    from repro.baselines.qcn import add_qcn_flow
+    from repro.core.params import DCQCNParams
+    from repro.sim.topology import single_switch
 
-    net, _, hosts = _build_single_switch_net(scheme, n_senders + 1, seed)
+    # switches mark with, and DCQCN flows run, the deployed defaults;
+    # QCN's increase timers keep the strawman (802.1Qau) pace
+    net, _, hosts = single_switch(n_senders + 1, seed=seed)
+    flow_params = DCQCNParams.strawman() if scheme == "qcn" else None
     receiver = hosts[-1]
     flows = []
     for sender in hosts[:n_senders]:
-        if scheme == "qcn":
-            flow = add_qcn_flow(net, sender, receiver)
-        else:
-            flow = net.add_flow(sender, receiver, cc=scheme)
+        flow = net.add_flow(sender, receiver, cc=scheme, params=flow_params)
         flow.set_greedy()
         flows.append(flow)
     net.run_for(warmup_ns)

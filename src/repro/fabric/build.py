@@ -210,7 +210,7 @@ def build_fabric(
     ``dcqcn_params`` / ``nic_config`` go to the :class:`Network`, the
     same sharing contract as the hand-built topologies.  Routing is
     installed structurally; the wall-clock spent doing so is recorded
-    as ``net.route_install_s`` for the ``repro bench`` trajectory.
+    as ``net.route_install_s`` (``repro fabric check`` prints it).
     """
     if spec is None:
         spec = FabricSpec(**spec_kwargs)
@@ -292,7 +292,7 @@ def build_fabric(
             rack.append(host)
         fabric.hosts.append(rack)
 
-    # 5. structured routes (recorded for the bench trajectory)
+    # 5. structured routes (timed into net.route_install_s)
     from repro.fabric.routing import install_fabric_routes
 
     started = time.perf_counter()

@@ -628,7 +628,7 @@ def run_scenario_cell(spec: Mapping[str, Any], seed: int) -> Dict[str, Any]:
         # spec rides in the cell hash, while REPRO_SHARDS does not —
         # honoring the env var here would store shard-tagged results
         # under the serial cell's key.  (It still applies to the
-        # never-cached inline commands: run/trace/bench.)
+        # never-cached inline commands: run/trace/profile.)
         # before building telemetry: a sharded run owns its workers'
         # sinks, and an unused parent-side jsonl sink would leak an
         # empty file

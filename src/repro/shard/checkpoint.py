@@ -101,8 +101,8 @@ class ShardCheckpoint:
     its buffer on the way out (:mod:`repro.shard.runner` wraps the
     loop); only a hard parent kill can lose the last ``< every``
     rounds.  ``checkpoint_s`` accumulates the wall-clock spent
-    serializing and writing — the number ``repro bench --shards``
-    reports as checkpoint overhead.
+    serializing and writing — the number the checkpoint-overhead gate
+    (``benchmarks/check_shard_checkpoint_overhead.py``) bounds.
     """
 
     def __init__(

@@ -60,8 +60,8 @@ from repro.shard.supervise import (
 )
 from repro.shard.worker import shard_worker_main
 
-#: statistics of the most recent sharded run in this process, for
-#: ``repro bench`` (None until a sharded run completes)
+#: statistics of the most recent sharded run in this process (None until
+#: one completes): ``repro run``'s "sharded:" line and ``bench/`` read it
 LAST_STATS: Optional[Dict[str, Any]] = None
 
 #: test hook: after this many live routing rounds the parent raises
@@ -78,11 +78,14 @@ def effective_shards(scenario) -> int:
     if not raw:
         return 1
     try:
-        return max(1, int(raw))
+        shards = int(raw)
     except ValueError:
         raise ValueError(
             f"{SHARDS_ENV} must be an integer shard count, got {raw!r}"
         ) from None
+    if shards < 1:
+        raise ValueError(f"{SHARDS_ENV} must be >= 1, got {shards}")
+    return shards
 
 
 def can_shard(scenario) -> bool:
@@ -535,8 +538,8 @@ def _run_serial_degraded(scenario, seed: int, supervisor: ShardSupervisor):
 
     Sharded == serial bit-for-bit (DESIGN.md §14), so the answer is the
     one the fleet would have produced — the only traces of the ordeal
-    are the ``shard_report`` and the ``degraded`` flag in the bench
-    stats.
+    are the ``shard_report`` and the ``degraded`` flag in
+    :data:`LAST_STATS`.
     """
     from repro.runner.scenario import run_scenario_inline
     from repro.telemetry import Telemetry

@@ -17,7 +17,7 @@ plus the *extras* the merge step needs but no RunResult carries:
 * ``bytes_delivered`` — per-flow delivered bytes, to patch the
   receiver-side ``size_bytes`` of greedy ``flow_stats`` rows;
 * ``sync`` / ``events`` / ``wall_s`` — sync-stall and throughput
-  statistics for ``repro bench``.
+  statistics, folded into ``shard.runner.LAST_STATS``.
 
 Errors (including strict-mode :class:`InvariantViolation`) are pickled
 back as ``("error", exc, traceback_text)`` so the parent can re-raise

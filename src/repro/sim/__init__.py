@@ -1,7 +1,7 @@
 """Packet-level discrete-event network simulator.
 
 This package is the substrate the DCQCN reproduction runs on: an
-integer-nanosecond event engine (:mod:`repro.sim.engine`), links and
+integer-nanosecond event engine (:mod:`repro.engine`), links and
 serializing ports (:mod:`repro.sim.link`), shared-buffer switches with
 PFC and RED/ECN (:mod:`repro.sim.switch`), RoCEv2 host NICs with
 hardware-style per-flow rate limiters (:mod:`repro.sim.nic`), topology
@@ -9,7 +9,7 @@ builders (:mod:`repro.sim.topology`) and measurement probes
 (:mod:`repro.sim.monitor`).
 """
 
-from repro.sim.engine import EventScheduler, PeriodicTimer
+from repro.engine import EventScheduler, PeriodicTimer
 from repro.sim.packet import (
     Packet,
     ECN_NOT_ECT,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import EventScheduler
+    from repro.engine import EventScheduler
     from repro.sim.link import Port
     from repro.sim.packet import Packet
 

@@ -36,8 +36,8 @@ import random
 from collections import deque
 from typing import Deque, Optional, Tuple
 
+from repro.engine import EventScheduler
 from repro.sim.device import Device
-from repro.sim.engine import EventScheduler
 from repro.sim.packet import Packet
 from repro.units import serialization_time_ns
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.sim.engine import EventScheduler
+from repro.engine import EventScheduler
 from repro.sim.host import Flow
 from repro.sim.switch import Switch
 from repro.telemetry.events import SAMPLE_QUEUE, SAMPLE_RATE, SAMPLE_TIER_QUEUE

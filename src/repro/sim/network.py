@@ -27,7 +27,7 @@ from typing import List, Mapping, Optional, Union
 from repro import units
 from repro.cc import CcContext, create_cc, create_switch_feedback
 from repro.core.params import DCQCNParams
-from repro.sim.engine import EventScheduler
+from repro.engine import EventScheduler
 from repro.sim.host import DATA_PRIORITY, Flow, Host
 from repro.sim.link import connect as connect_ports
 from repro.sim.nic import HostNic, NicConfig
@@ -62,7 +62,7 @@ class Network:
         self.switches: List[Switch] = []
         self.flows: List[Flow] = []
         self._next_device_id = 0
-        #: wall-clock seconds spent installing routes (bench trajectory)
+        #: wall-clock seconds spent installing routes
         self.route_install_s = 0.0
         #: the :class:`repro.fabric.Fabric` handle when this network was
         #: built by :func:`repro.fabric.build_fabric`, else None — lets
@@ -187,8 +187,8 @@ class Network:
 
         Hand-built topologies route by graph search; fabrics built via
         :mod:`repro.fabric` install structured routes instead and never
-        call this.  Both record ``route_install_s`` so ``repro bench``
-        can watch the topology layer.
+        call this.  Both record ``route_install_s`` (``bench/`` reports
+        it as ``fabric.route_install_s``).
         """
         import time
 
@@ -288,12 +288,7 @@ class Network:
         return flow
 
     def _ensure_switch_feedback(self, kind: str, flow_id: int) -> None:
-        """Install (once per switch) and arm the feedback generator ``kind``.
-
-        Switches that already carry a generator of this kind (e.g. a
-        pre-built ``QcnSwitch``) are not given a second one — that
-        would double-sample.
-        """
+        """Install (once per switch) and arm the feedback generator ``kind``."""
         for switch in self.switches:
             generators = switch.cc_feedback or ()
             generator = next(
@@ -303,24 +298,6 @@ class Network:
                 generator = create_switch_feedback(kind, switch)
                 switch.add_cc_feedback(generator)
             generator.watch(flow_id)
-
-    def register_flow(self, flow: Flow, **rx_kwargs) -> None:
-        """Register an externally constructed flow (baseline transports)."""
-        if flow.flow_id != len(self.flows):
-            raise ValueError(
-                f"flow id {flow.flow_id} out of order; use next_flow_id()"
-            )
-        if flow.cc is not None:
-            flow.cc.set_tracer(self.tracer)
-            flow.cc.set_guard(self.invariant_guard)
-        self.flows.append(flow)
-        flow.src.flows.append(flow)
-        flow.src.nic.register_tx_flow(flow)
-        flow.dst.nic.register_rx_flow(flow, **rx_kwargs)
-
-    def next_flow_id(self) -> int:
-        """Id the next registered flow must carry."""
-        return len(self.flows)
 
     # --- running --------------------------------------------------------------------
 

@@ -34,9 +34,9 @@ from typing import Deque, Dict, Optional
 from repro import units
 from repro.core.np import NotificationPoint
 from repro.core.params import DCQCNParams
+from repro.engine import EventScheduler
 from repro.telemetry import events as trace_events
 from repro.sim.device import Device
-from repro.sim.engine import EventScheduler
 from repro.sim.host import CONTROL_PRIORITY, Flow, NEVER
 from repro.sim.link import Port
 from repro.sim.packet import (

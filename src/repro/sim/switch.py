@@ -38,9 +38,9 @@ from repro import units
 from repro.buffers.thresholds import SwitchProfile, dynamic_pfc_threshold
 from repro.core.cp import RedEcnMarker
 from repro.core.params import DCQCNParams
+from repro.engine import EventScheduler
 from repro.telemetry import events as trace_events
 from repro.sim.device import Device
-from repro.sim.engine import EventScheduler
 from repro.sim.link import Port
 from repro.sim.packet import (
     ECN_CE,

@@ -25,10 +25,6 @@ from repro.sim.nic import NicConfig
 from repro.sim.switch import Switch, SwitchConfig
 
 
-def _fresh_config(switch_config: Optional[SwitchConfig]) -> Optional[SwitchConfig]:
-    return switch_config
-
-
 def single_switch(
     n_hosts: int,
     rate_bps: float = DEFAULT_LINK_RATE_BPS,
@@ -42,7 +38,7 @@ def single_switch(
     if n_hosts < 2:
         raise ValueError("need at least two hosts")
     net = Network(seed=seed, dcqcn_params=dcqcn_params, nic_config=nic_config)
-    switch = net.new_switch("S1", config=_fresh_config(switch_config))
+    switch = net.new_switch("S1", config=switch_config)
     hosts = []
     for i in range(n_hosts):
         host = net.new_host(f"H{i + 1}")
@@ -64,8 +60,8 @@ def dumbbell(
 ) -> Tuple[Network, List[Host], List[Host]]:
     """Classic dumbbell: left hosts -- SL == SR -- right hosts."""
     net = Network(seed=seed, dcqcn_params=dcqcn_params)
-    left_switch = net.new_switch("SL", config=_fresh_config(switch_config))
-    right_switch = net.new_switch("SR", config=_fresh_config(switch_config))
+    left_switch = net.new_switch("SL", config=switch_config)
+    right_switch = net.new_switch("SR", config=switch_config)
     net.connect(left_switch, right_switch, trunk_rate_bps or rate_bps, prop_delay_ns)
     lefts, rights = [], []
     for i in range(n_left):
@@ -96,8 +92,8 @@ def parking_lot(
     protocol biased against multi-bottleneck flows starves f2.
     """
     net = Network(seed=seed, dcqcn_params=dcqcn_params)
-    switch_a = net.new_switch("A", config=_fresh_config(switch_config))
-    switch_b = net.new_switch("B", config=_fresh_config(switch_config))
+    switch_a = net.new_switch("A", config=switch_config)
+    switch_b = net.new_switch("B", config=switch_config)
     net.connect(switch_a, switch_b, rate_bps, prop_delay_ns)
     hosts = {}
     for name, switch in (
@@ -179,7 +175,7 @@ def three_tier_clos(
             naming="fig2",
         ),
         seed=seed,
-        switch_config=_fresh_config(switch_config),
+        switch_config=switch_config,
         dcqcn_params=dcqcn_params,
         nic_config=nic_config,
     )

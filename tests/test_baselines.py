@@ -3,16 +3,9 @@
 import pytest
 
 from repro import units
-from repro.baselines.dctcp import DctcpFlow, add_dctcp_flow
-from repro.baselines.qcn import (
-    QCN_FB_LEVELS,
-    QcnReactionPoint,
-    QcnSwitch,
-    add_qcn_flow,
-)
+from repro.cc.qcn import QCN_FB_LEVELS, QcnReactionPoint
 from repro.core.params import DCQCNParams
 from repro.engine import EventScheduler
-from repro.sim.network import Network
 from repro.sim.switch import SwitchConfig
 from repro.sim.topology import single_switch
 
@@ -22,6 +15,10 @@ def dctcp_net(n_hosts=5, threshold=units.kb(160)):
         marking=DCQCNParams.deployed().with_cutoff_marking(threshold)
     )
     return single_switch(n_hosts, switch_config=config, seed=9)
+
+
+def add_dctcp_flow(net, src, dst, **cc_params):
+    return net.add_flow(src, dst, cc="dctcp", cc_params=cc_params)
 
 
 class TestDctcpFlow:
@@ -38,7 +35,7 @@ class TestDctcpFlow:
         flow = add_dctcp_flow(net, hosts[0], hosts[1], initial_cwnd_pkts=4)
         flow.set_greedy()
         net.run_for(units.ms(1))
-        assert flow.cwnd_pkts > 4
+        assert flow.cc.cwnd > 4
 
     def test_saturates_uncongested_link(self):
         net, _, hosts = dctcp_net(3)
@@ -56,8 +53,8 @@ class TestDctcpFlow:
             flow.set_greedy()
         net.run_for(units.ms(10))
         assert switch.marked_packets > 0
-        assert all(f.dctcp_alpha > 0 for f in flows)
-        assert all(not f.in_slow_start for f in flows)
+        assert all(f.cc.dctcp_alpha > 0 for f in flows)
+        assert all(not f.cc.in_slow_start for f in flows)
 
     def test_incast_fair_and_bounded_queue(self):
         net, switch, hosts = dctcp_net(6)
@@ -73,9 +70,9 @@ class TestDctcpFlow:
     def test_validation(self):
         net, _, hosts = dctcp_net(3)
         with pytest.raises(ValueError):
-            DctcpFlow(0, hosts[0], hosts[1], initial_cwnd_pkts=0)
+            add_dctcp_flow(net, hosts[0], hosts[1], initial_cwnd_pkts=0)
         with pytest.raises(ValueError):
-            DctcpFlow(0, hosts[0], hosts[1], g=0)
+            add_dctcp_flow(net, hosts[0], hosts[1], g=0)
 
 
 class TestQcnReactionPoint:
@@ -111,18 +108,21 @@ class TestQcnReactionPoint:
 
 def qcn_net(n_hosts):
     params = DCQCNParams.deployed()
-    net = Network(seed=13, dcqcn_params=params)
-    switch = QcnSwitch(
-        net.engine, net._device_id(), "S", config=SwitchConfig(marking=params)
+    return single_switch(
+        n_hosts,
+        switch_config=SwitchConfig(marking=params),
+        seed=13,
+        dcqcn_params=params,
     )
-    net.switches.append(switch)
-    hosts = []
-    for index in range(n_hosts):
-        host = net.new_host(f"H{index}")
-        net.connect(host, switch)
-        hosts.append(host)
-    net.build_routes()
-    return net, switch, hosts
+
+
+def add_qcn_flow(net, src, dst):
+    return net.add_flow(src, dst, cc="qcn", params=DCQCNParams.strawman())
+
+
+def qcn_feedback_sent(switch):
+    (congestion_point,) = switch.cc_feedback
+    return congestion_point.feedback_sent
 
 
 class TestQcnEndToEnd:
@@ -133,7 +133,7 @@ class TestQcnEndToEnd:
         for flow in flows:
             flow.set_greedy()
         net.run_for(units.ms(5))
-        assert switch.qcn_feedback_sent > 0
+        assert qcn_feedback_sent(switch) > 0
         assert all(f.rate_bps < units.gbps(40) for f in flows)
 
     def test_no_feedback_without_congestion(self):
@@ -141,7 +141,7 @@ class TestQcnEndToEnd:
         flow = add_qcn_flow(net, hosts[0], hosts[1])
         flow.set_greedy()
         net.run_for(units.ms(3))
-        assert switch.qcn_feedback_sent == 0
+        assert qcn_feedback_sent(switch) == 0
 
     def test_improves_fairness_over_pfc_only(self):
         """QCN is a *working* L2 congestion control — the paper's issue

@@ -15,10 +15,10 @@ from repro import units
 from repro.cc import CcContext, available_cc, create_cc
 from repro.cc.params import DctcpParams, FnccParams, QcnCpParams, TimelyParams
 from repro.core.params import DCQCNParams
+from repro.engine import EventScheduler
 from repro.invariants import InvariantConfig
 from repro.runner import FlowSpec, Scenario, run_scenario, run_scenario_inline
 from repro.sim import topology
-from repro.sim.engine import EventScheduler
 
 #: every controller the arena scores (the registry minus "none")
 CONTROLLERS = ("dcqcn", "dctcp", "qcn", "timely", "fncc")
@@ -308,9 +308,22 @@ class TestArena:
         )
         table = result.table()
         assert "incast" in table and "league standings" in table
+        # no guard was armed, so the footer must not claim a clean check
+        assert "invariants[off]: 0 violations" in table
         score = result.score("incast", "dcqcn")
         assert 0.0 < score.fairness <= 1.0
         assert result.total_failures() == 0
+
+    def test_arena_footer_names_the_armed_guard(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_SCALE", "smoke")
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_INVARIANTS", "report")
+        from repro.experiments.arena import run_arena
+
+        result = run_arena(
+            controllers=("dcqcn",), scenarios=("incast",), seeds=[6001]
+        )
+        assert "invariants[report]: 0 violations" in result.table()
 
     def test_arena_scenarios_build_for_every_controller(self):
         from repro.experiments.arena import (

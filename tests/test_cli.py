@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import COMMANDS, build_parser, list_experiments, main
+from repro.cli import build_parser, list_experiments, main
+from repro.runner import REGISTRY
 
 
 class TestParser:
@@ -19,7 +20,7 @@ class TestDispatch:
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in COMMANDS:
+        for name in REGISTRY.ids():
             assert name in out
 
     def test_unknown_experiment(self, capsys):
@@ -28,7 +29,7 @@ class TestDispatch:
 
     def test_every_command_is_listed(self):
         listing = list_experiments()
-        assert listing.count("\n") == len(COMMANDS) + 1
+        assert listing.count("\n") == len(REGISTRY) + 1
 
     def test_tab14_runs(self, capsys):
         assert main(["tab14"]) == 0
@@ -88,3 +89,43 @@ class TestFaultCommands:
         plan_file.write_text('{"injectors": [{"kind": "gremlin"}]}')
         assert main(["run", "storm", "--faults", str(plan_file)]) == 2
         assert "bad fault plan" in capsys.readouterr().err
+
+
+class TestSharedOptions:
+    """Every parser takes its shared options from one declaration and
+    exports them through one helper (``repro.cli._export_env``)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["trace"], ["profile"], ["plot"], ["faults"], ["fabric", "check"], []],
+        ids=["trace", "profile", "plot", "faults", "fabric-check", "experiment"],
+    )
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--help"])
+        assert exit_info.value.code == 0
+        assert "usage: repro" in capsys.readouterr().out
+
+    def test_bench_subcommand_is_gone(self, capsys):
+        # bench/run.py is the benchmark; 'bench' is just an unknown id now
+        assert main(["bench"]) == 2
+        assert "unknown experiment 'bench'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "trace", "profile", "plot"])
+    def test_scale_flag_reaches_the_environment(
+        self, command, capsys, tmp_path, monkeypatch
+    ):
+        import os
+
+        argv = {
+            "run": ["run", "smoke"],
+            "trace": ["trace", "smoke", "--out", str(tmp_path / "t.jsonl")],
+            "profile": ["profile", "smoke"],
+            "plot": ["plot", "queues", "--out-dir", str(tmp_path)],
+        }[command]
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        # a full-scale run would take minutes: finishing at all shows
+        # the flag, not this variable, set the scale the run used
+        monkeypatch.setenv("REPRO_SCALE", "full")
+        assert main(argv + ["--scale", "smoke"]) == 0
+        assert os.environ["REPRO_SCALE"] == "smoke"

@@ -218,3 +218,5 @@ class TestPeriodicTimer:
 
         assert run(7) == run(7)
         assert run(7) != run(8)
+        # no seed means the fixed UNSEEDED_JITTER_SEED, never OS entropy
+        assert run(None) == run(None)

@@ -164,6 +164,26 @@ class TestLatencyAndParkingLot:
         )
         assert dcqcn.percentile_kb(90) < dctcp.percentile_kb(90)
 
+    def test_fig19_dctcp_arm_pinned(self):
+        """The DCTCP arm at smoke size, pinned to the values the
+        pre-registry ``add_dctcp_flow`` path produced (PR 12's commit),
+        the way bench/digests.json pins the contract workloads."""
+        import hashlib
+        import json
+
+        from repro.experiments.latency import queue_cell
+
+        value = queue_cell(
+            "dctcp", 2, units.ms(4), units.ms(2), units.us(5), seed=23
+        )
+        samples = json.dumps(value["samples_bytes"]).encode()
+        assert len(value["samples_bytes"]) == 400
+        assert hashlib.sha256(samples).hexdigest() == (
+            "26052126a0bf496fc73e99cf7925fbab"
+            "8dca32ac305f7ba909c035354f88e55a"
+        )
+        assert value["total_goodput_gbps"] == 40.0
+
     def test_queue_comparison_validates_protocol(self):
         with pytest.raises(ValueError):
             run_queue_comparison("cubic")
@@ -225,3 +245,18 @@ class TestQcnAblation:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             run_single_switch_fairness("timely")
+
+    def test_qcn_arm_is_a_pure_function_of_its_cell(self):
+        # the result cache keys a cell by (fn, kwargs): the QCN arm's
+        # jittered increase timers must seed from the cell, not the OS
+        from repro.experiments.qcn_ablation import fairness_cell
+
+        results = {
+            tuple(
+                fairness_cell("qcn", 4, units.ms(2), units.ms(1), seed=0)[
+                    "per_flow_gbps"
+                ]
+            )
+            for _ in range(5)
+        }
+        assert len(results) == 1

@@ -187,6 +187,18 @@ class TestDispatch:
         with pytest.raises(ValueError, match=SHARDS_ENV):
             effective_shards(scenario)
 
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_effective_shards_rejects_nonpositive(self, monkeypatch, raw):
+        # --shards 0 is an argparse error; the variable must not be laxer
+        scenario = Scenario(
+            topology="fabric",
+            topology_kwargs={"k": 4},
+            flows=(FlowSpec(name="f0", src="0:0:0", dst="1:0:0"),),
+        )
+        monkeypatch.setenv(SHARDS_ENV, raw)
+        with pytest.raises(ValueError, match=f"{SHARDS_ENV} must be >= 1"):
+            effective_shards(scenario)
+
     def test_non_fabric_run_stays_serial(self, monkeypatch):
         from repro.runner.scenario import run_scenario_inline
 

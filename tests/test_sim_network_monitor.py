@@ -25,14 +25,6 @@ class TestNetworkConstruction:
         f2 = net.add_flow(hosts[1], hosts[2])
         assert (f1.flow_id, f2.flow_id) == (0, 1)
 
-    def test_register_flow_id_guard(self):
-        from repro.sim.host import Flow
-
-        net, _, hosts = single_switch(2)
-        stray = Flow(17, hosts[0], hosts[1])
-        with pytest.raises(ValueError):
-            net.register_flow(stray)
-
     def test_run_for_advances_clock(self):
         net, _, _ = single_switch(2)
         net.run_for(units.ms(3))
