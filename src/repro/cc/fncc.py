@@ -30,11 +30,8 @@ from repro.cc.dcqcn import RpBackedControl
 from repro.cc.params import FnccParams
 from repro.cc.registry import register_cc, register_switch_feedback
 from repro.core.rp import ReactionPoint
-from repro.sim.packet import Packet, cnp_packet
+from repro.sim.packet import CONTROL_PRIORITY, Packet, cnp_packet
 from repro.telemetry import events as trace_events
-
-#: control class for switch-generated CNPs (mirrors repro.sim.host)
-_CONTROL_PRIORITY = 6
 
 
 class FnccControl(RpBackedControl):
@@ -81,7 +78,7 @@ class FnccFeedback:
                 flow=pkt.flow_id,
             )
         cnp = cnp_packet(
-            pkt.flow_id, switch.device_id, pkt.src, _CONTROL_PRIORITY
+            pkt.flow_id, switch.device_id, pkt.src, CONTROL_PRIORITY
         )
         # switch-originated: attribute buffer usage to the ingress the
         # marked packet used (the CNP heads back that way)

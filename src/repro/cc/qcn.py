@@ -40,15 +40,13 @@ from repro.cc.registry import register_cc, register_switch_feedback
 from repro.core.rp import ReactionPoint
 from repro.sim.packet import (
     CONTROL_FRAME_BYTES,
+    CONTROL_PRIORITY,
     KIND_QCN_FB,
     Packet,
 )
 
 #: QCN quantizes |Fb| to 6 bits.
 QCN_FB_LEVELS = 64
-
-#: control class for feedback frames (mirrors repro.sim.host)
-_CONTROL_PRIORITY = 6
 
 
 class QcnReactionPoint(ReactionPoint):
@@ -146,7 +144,7 @@ class QcnFeedback:
             src=switch.device_id,
             dst=pkt.src,
             size=CONTROL_FRAME_BYTES,
-            priority=_CONTROL_PRIORITY,
+            priority=CONTROL_PRIORITY,
             qcn_fb=quantized,
         )
         # switch-originated frame: attribute its buffer usage to the

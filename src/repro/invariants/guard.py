@@ -203,6 +203,11 @@ class InvariantGuard:
         #: whether this guard runs the fleet-wide checks (exactly one
         #: shard does, so the merged check count matches serial)
         self._fleet = True
+        #: (port, peer) of every cable with both ends local, resolved at
+        #: the first sweep (cabling and ownership are fixed by then), and
+        #: the local ports counted as checked but not compared
+        self._link_pairs: Optional[List[Tuple[Any, Any]]] = None
+        self._links_skipped = 0
 
     def restrict(self, local_names, fleet: bool) -> "InvariantGuard":
         """Limit sweep checks to one shard's devices (repro.shard).
@@ -306,8 +311,11 @@ class InvariantGuard:
     def check_switch(self, switch) -> None:
         """Shared-buffer conservation, bounds and PFC losslessness."""
         self.checks += 1
-        ingress = sum(sum(per_prio) for per_prio in switch._ingress_bytes)
-        egress = sum(sum(per_prio) for per_prio in switch._egress_bytes)
+        # flat per-(port, priority) ledgers: summed and scanned in C
+        ingress_bytes = switch._ingress_bytes
+        egress_bytes = switch._egress_bytes
+        ingress = sum(ingress_bytes)
+        egress = sum(egress_bytes)
         occupied = switch.occupied_bytes
         if occupied != ingress or occupied != egress:
             self.violation(
@@ -315,11 +323,7 @@ class InvariantGuard:
                 switch.name,
                 f"occupied={occupied} ingress_sum={ingress} egress_sum={egress}",
             )
-        if any(
-            count < 0
-            for per_port in (*switch._ingress_bytes, *switch._egress_bytes)
-            for count in per_port
-        ):
+        if min(ingress_bytes, default=0) < 0 or min(egress_bytes, default=0) < 0:
             self.violation(
                 "switch.negative_queue",
                 switch.name,
@@ -344,28 +348,32 @@ class InvariantGuard:
 
     def _check_links(self, net) -> None:
         """Per-cable byte conservation: tx == delivered + lost + in flight."""
-        devices = [*net.switches, *(host.nic for host in net.hosts)]
-        for device in devices:
-            if not self._is_local(device.name):
-                continue
-            for port in device.ports:
-                self.checks += 1
-                peer = port.peer
-                if peer is None:
+        pairs = self._link_pairs
+        if pairs is None:
+            pairs = self._link_pairs = []
+            for device in (*net.switches, *(host.nic for host in net.hosts)):
+                if not self._is_local(device.name):
                     continue
-                if not self._is_local(peer.owner.name):
-                    # boundary-cut cable: the two byte counters live in
-                    # different shards; re-checked at merge time
-                    continue
-                in_flight = port.tx_bytes - port.lost_bytes - peer.rx_bytes
-                if in_flight < 0:
-                    self.violation(
-                        "link.byte_conservation",
-                        f"{device.name}[{port.index}]",
-                        f"delivered+lost exceeds transmitted by {-in_flight}B "
-                        f"(tx={port.tx_bytes} rx={peer.rx_bytes} "
-                        f"lost={port.lost_bytes})",
-                    )
+                for port in device.ports:
+                    peer = port.peer
+                    if peer is None or not self._is_local(peer.owner.name):
+                        # unwired, or a boundary-cut cable: its two byte
+                        # counters live in different shards and are
+                        # re-checked at merge time
+                        self._links_skipped += 1
+                    else:
+                        pairs.append((port, peer))
+        self.checks += len(pairs) + self._links_skipped
+        for port, peer in pairs:
+            in_flight = port.tx_bytes - port.lost_bytes - peer.rx_bytes
+            if in_flight < 0:
+                self.violation(
+                    "link.byte_conservation",
+                    f"{port.owner.name}[{port.index}]",
+                    f"delivered+lost exceeds transmitted by {-in_flight}B "
+                    f"(tx={port.tx_bytes} rx={peer.rx_bytes} "
+                    f"lost={port.lost_bytes})",
+                )
 
     def _check_cnp_conservation(self, net) -> None:
         """Fleet-wide: CNPs received + dropped never exceed CNPs sent.
@@ -403,10 +411,11 @@ class InvariantGuard:
         """O(1) non-negativity check after every buffer decrement."""
         self.checks += 1
         prio = pkt.priority
+        k = switch.num_priorities
         if (
             switch.occupied_bytes < 0
-            or switch._egress_bytes[port_index][prio] < 0
-            or switch._ingress_bytes[pkt.ingress_index][prio] < 0
+            or switch._egress_bytes[port_index * k + prio] < 0
+            or switch._ingress_bytes[pkt.ingress_index * k + prio] < 0
         ):
             self.violation(
                 "switch.negative_queue",

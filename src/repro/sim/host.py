@@ -27,7 +27,12 @@ import os
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 
-from repro.sim.packet import Packet, data_packet
+from repro.sim.packet import (  # noqa: F401 - priorities re-exported
+    CONTROL_PRIORITY,
+    DATA_PRIORITY,
+    Packet,
+    data_packet,
+)
 from repro.telemetry import events as trace_events
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,13 +46,6 @@ _MAX_RTT_PROBES = 64
 
 #: Sentinel "never" timestamp for flows with nothing to send.
 NEVER = 1 << 62
-
-#: Priority class used for data in all experiments (one lossless class).
-DATA_PRIORITY = 0
-
-#: Priority class for CNPs / ACKs / NACKs — "we send CNPs with high
-#: priority, to avoid missing the CNP deadline" (paper §3.3).
-CONTROL_PRIORITY = 6
 
 #: kill switch for per-transfer FCT bookkeeping (``flow.*`` lifecycle
 #: events and first-byte tracking).  On by default; the CI overhead

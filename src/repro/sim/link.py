@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.engine import EventScheduler
 from repro.sim.device import Device
@@ -98,7 +98,8 @@ class Port:
         self.prop_delay_ns = prop_delay_ns
         self.busy = False
         self.paused_mask = 0
-        self._control_queue: Deque[Packet] = deque()
+        # PFC frames waiting to go out; None until the first one
+        self._control_queue: Optional[Deque[Packet]] = None
         # counters
         self.tx_bytes = 0
         self.tx_packets = 0
@@ -115,9 +116,10 @@ class Port:
         self.error_rate = 0.0
         self._error_rng: Optional[random.Random] = None
         self.corrupted_frames = 0
-        # cumulative time each priority spent PAUSEd (prio -> ns)
-        self._paused_since: dict = {}
-        self._paused_ns: dict = {}
+        # cumulative time each priority spent PAUSEd (prio -> ns);
+        # None until the first PAUSE arrives
+        self._paused_since: Optional[Dict[int, int]] = None
+        self._paused_ns: Optional[Dict[int, int]] = None
         # link fault state (LinkFlap injector)
         self.link_up = True
         self.link_down_drops = 0
@@ -137,6 +139,9 @@ class Port:
         bit = 1 << priority
         if paused:
             if not self.paused_mask & bit:
+                if self._paused_since is None:
+                    self._paused_since = {}
+                    self._paused_ns = {}
                 self._paused_since[priority] = self.engine.now
             self.paused_mask |= bit
         else:
@@ -155,6 +160,8 @@ class Port:
         The PFC-cascade damage metric: a victim flow's throughput loss
         is roughly its bottleneck port's paused fraction.
         """
+        if self._paused_ns is None:
+            return 0
         total = self._paused_ns.get(priority, 0)
         started = self._paused_since.get(priority)
         if started is not None:
@@ -194,7 +201,10 @@ class Port:
         """Queue a link-local control frame (PFC); bypasses data and pause."""
         if pkt.pause:
             self.tx_pause_frames += 1
-        self._control_queue.append(pkt)
+        control = self._control_queue
+        if control is None:
+            control = self._control_queue = deque()
+        control.append(pkt)
         self.notify()
 
     def notify(self) -> None:

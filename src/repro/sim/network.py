@@ -234,6 +234,15 @@ class Network:
         """
         if src is dst:
             raise ValueError("src and dst must differ")
+        # the switch datapath indexes port * num_priorities + priority
+        # unchecked: out of range it would alias a neighbouring port
+        if priority < 0 or any(
+            priority >= switch.num_priorities for switch in self.switches
+        ):
+            raise ValueError(
+                f"priority {priority} has no queue on every switch "
+                "(need 0 <= priority < num_priorities)"
+            )
         flow_id = len(self.flows)
         effective = params or self.dcqcn_params
         ctx = CcContext(

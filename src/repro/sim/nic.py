@@ -37,10 +37,11 @@ from repro.core.params import DCQCNParams
 from repro.engine import EventScheduler
 from repro.telemetry import events as trace_events
 from repro.sim.device import Device
-from repro.sim.host import CONTROL_PRIORITY, Flow, NEVER
+from repro.sim.host import Flow, NEVER
 from repro.sim.link import Port
 from repro.sim.packet import (
     CONTROL_FRAME_BYTES,
+    CONTROL_PRIORITY,
     ECN_CE,
     KIND_ACK,
     KIND_CNP,
@@ -132,7 +133,8 @@ class HostNic(Device):
         self.host = None  # set by Host.__init__
         self._tx_flows: Dict[int, Flow] = {}
         self._rx_states: Dict[int, _RxState] = {}
-        self._control: Deque[Packet] = deque()
+        # CNPs / ACKs / NACKs waiting for the port; None until the first
+        self._control: Optional[Deque[Packet]] = None
         self._kick_at = NEVER
         # counters
         self.cnps_sent = 0
@@ -245,7 +247,10 @@ class HostNic(Device):
                 flow.cc.on_bytes_sent(pkt.size)
 
     def _send_control(self, pkt: Packet) -> None:
-        self._control.append(pkt)
+        control = self._control
+        if control is None:
+            control = self._control = deque()
+        control.append(pkt)
         self.ports[0].notify()
 
     def _schedule_kick(self, at_ns: int) -> None:

@@ -41,6 +41,15 @@ ECN_NOT_ECT = 0
 ECN_ECT = 1
 ECN_CE = 3
 
+# --- priority classes -----------------------------------------------------
+
+#: Priority class used for data in all experiments (one lossless class).
+DATA_PRIORITY = 0
+
+#: Priority class for CNPs / ACKs / NACKs — "we send CNPs with high
+#: priority, to avoid missing the CNP deadline" (paper §3.3).
+CONTROL_PRIORITY = 6
+
 # --- wire constants -------------------------------------------------------
 
 # RoCEv2 per-packet overhead: Ethernet(14+4) + IP(20) + UDP(8) + IB BTH(12)

@@ -43,6 +43,7 @@ from repro.telemetry import events as trace_events
 from repro.sim.device import Device
 from repro.sim.link import Port
 from repro.sim.packet import (
+    CONTROL_PRIORITY,
     ECN_CE,
     ECN_ECT,
     KIND_DATA,
@@ -159,6 +160,11 @@ class Switch(Device):
         self.config = config = config or SwitchConfig()
         self.ecmp_salt = ecmp_salt
         profile = config.profile
+        if profile.num_priorities <= CONTROL_PRIORITY:
+            raise ValueError(
+                f"{name}: num_priorities={profile.num_priorities} leaves no "
+                f"queue for the control class (priority {CONTROL_PRIORITY})"
+            )
         self.num_priorities = profile.num_priorities
         self.buffer_bytes = profile.buffer_bytes
         # per-packet constants, resolved once (the config is frozen)
@@ -182,11 +188,13 @@ class Switch(Device):
         # pure function of those, the routes and ecmp_salt, so the
         # answer is kept until a route changes
         self._egress_memo: Dict[Tuple[int, int, int], int] = {}
-        # accounting
+        # accounting.  The three per-(port, priority) lists are flat:
+        # slot = port_index * num_priorities + priority.  A queue slot
+        # holds None until its first packet (DESIGN.md §13).
         self.occupied_bytes = 0
-        self._ingress_bytes: List[List[int]] = []
-        self._egress_bytes: List[List[int]] = []
-        self._egress_queues: List[List[Deque[Packet]]] = []
+        self._ingress_bytes: List[int] = []
+        self._egress_bytes: List[int] = []
+        self._egress_queues: List[Optional[Deque[Packet]]] = []
         self._nonempty_mask: List[int] = []
         # (ingress port, priority) -> PAUSE outstanding.  Keys are never
         # removed: simultaneous RESUMEs go out in first-PAUSE order.
@@ -221,9 +229,9 @@ class Switch(Device):
     def attach_port(self, port: Port) -> int:
         index = super().attach_port(port)
         k = self.num_priorities
-        self._ingress_bytes.append([0] * k)
-        self._egress_bytes.append([0] * k)
-        self._egress_queues.append([deque() for _ in range(k)])
+        self._ingress_bytes.extend([0] * k)
+        self._egress_bytes.extend([0] * k)
+        self._egress_queues.extend([None] * k)
         self._nonempty_mask.append(0)
         return index
 
@@ -266,12 +274,25 @@ class Switch(Device):
     def egress_queue_bytes(self, port_index: int, priority: Optional[int] = None) -> int:
         """Egress queue depth, one priority or the whole port."""
         if priority is None:
-            return sum(self._egress_bytes[port_index])
-        return self._egress_bytes[port_index][priority]
+            first = self._slot(port_index, 0)
+            return sum(self._egress_bytes[first : first + self.num_priorities])
+        return self._egress_bytes[self._slot(port_index, priority)]
 
     def ingress_queue_bytes(self, port_index: int, priority: int) -> int:
         """Bytes buffered that arrived via (port, priority) — PFC counter."""
-        return self._ingress_bytes[port_index][priority]
+        return self._ingress_bytes[self._slot(port_index, priority)]
+
+    def _slot(self, port_index: int, priority: int) -> int:
+        """Checked flat index of (port, priority), for the cold accessors.
+
+        The datapath computes ``port * num_priorities + priority``
+        unchecked; out of range that would read a neighbouring port.
+        """
+        if not 0 <= port_index < len(self.ports):
+            raise IndexError(f"{self.name}: no port {port_index}")
+        if not 0 <= priority < self.num_priorities:
+            raise IndexError(f"{self.name}: no priority {priority}")
+        return port_index * self.num_priorities + priority
 
     def current_pfc_threshold(self) -> float:
         """The PAUSE threshold in force right now.
@@ -337,8 +358,10 @@ class Switch(Device):
         except KeyError:
             egress_index = self._egress_memo[key] = self._pick_egress(pkt)
         prio = pkt.priority
-        egress_bytes = self._egress_bytes[egress_index]
-        queued = egress_bytes[prio]
+        k = self.num_priorities
+        egress_slot = egress_index * k + prio
+        egress_bytes = self._egress_bytes
+        queued = egress_bytes[egress_slot]
         if self._pfc_off:
             # lossy-mode admission: dynamic per-queue cap (alpha * free)
             limit = self._egress_alpha * (self._shared_pool_bytes - occupied)
@@ -372,10 +395,14 @@ class Switch(Device):
         self.occupied_bytes = occupied = occupied + size
         if occupied > self.peak_occupancy_bytes:
             self.peak_occupancy_bytes = occupied
-        ingress_bytes = self._ingress_bytes[ingress_index]
-        ingress_bytes[prio] = buffered = ingress_bytes[prio] + size
-        egress_bytes[prio] = queued + size
-        self._egress_queues[egress_index][prio].append(pkt)
+        ingress_bytes = self._ingress_bytes
+        ingress_slot = ingress_index * k + prio
+        ingress_bytes[ingress_slot] = buffered = ingress_bytes[ingress_slot] + size
+        egress_bytes[egress_slot] = queued + size
+        queue = self._egress_queues[egress_slot]
+        if queue is None:
+            queue = self._egress_queues[egress_slot] = deque()
+        queue.append(pkt)
         self._nonempty_mask[egress_index] |= 1 << prio
         self.forwarded_packets += 1
         if not self._pfc_off:
@@ -403,7 +430,7 @@ class Switch(Device):
         if not allowed:
             return None
         prio = allowed.bit_length() - 1  # strict priority, highest first
-        queue = self._egress_queues[index][prio]
+        queue = self._egress_queues[index * self.num_priorities + prio]
         pkt = queue.popleft()
         if not queue:
             self._nonempty_mask[index] &= ~(1 << prio)
@@ -416,8 +443,9 @@ class Switch(Device):
         size = pkt.size
         prio = pkt.priority
         self.occupied_bytes -= size
-        self._egress_bytes[port.index][prio] -= size
-        self._ingress_bytes[pkt.ingress_index][prio] -= size
+        k = self.num_priorities
+        self._egress_bytes[port.index * k + prio] -= size
+        self._ingress_bytes[pkt.ingress_index * k + prio] -= size
         if self.guard is not None:
             self.guard.on_switch_dequeue(self, port.index, pkt)
         if self._paused_count:
@@ -448,11 +476,12 @@ class Switch(Device):
     def _maybe_resume(self) -> None:
         """RESUME every paused pair now below threshold (a departure)."""
         resume_below = self.current_pfc_threshold() - self._resume_hysteresis
+        k = self.num_priorities
         for key, paused in self._paused_upstream.items():
             if not paused:
                 continue
             ingress_index, prio = key
-            if self._ingress_bytes[ingress_index][prio] <= resume_below:
+            if self._ingress_bytes[ingress_index * k + prio] <= resume_below:
                 self._paused_upstream[key] = False
                 self._paused_count -= 1
                 self.resume_frames_sent += 1

@@ -152,16 +152,28 @@ class TestRuntimeChecks:
 
     def test_doctored_switch_counters_flagged(self):
         net, switch, guard = self._guarded_net()
-        switch._ingress_bytes[0][0] += 500  # corrupt the ingress ledger
+        switch._ingress_bytes[0] += 500  # corrupt the ingress ledger
         guard.check_switch(switch)
         names = [v.name for v in guard.violations]
         assert "switch.byte_conservation" in names
 
     def test_negative_queue_flagged(self):
         net, switch, guard = self._guarded_net()
-        switch._egress_bytes[0][0] = -1
+        switch._egress_bytes[0] = -1
         guard.check_switch(switch)
         assert any(v.name == "switch.negative_queue" for v in guard.violations)
+
+    def test_corruption_away_from_slot_zero_flagged(self):
+        # port 2, priority 3: the flat sum / min must cover every slot
+        net, switch, guard = self._guarded_net()
+        slot = 2 * switch.num_priorities + 3
+        switch._egress_bytes[slot] = -700
+        guard.check_switch(switch)
+        names = [v.name for v in guard.violations]
+        assert "switch.byte_conservation" in names
+        assert "switch.negative_queue" in names
+        assert switch.egress_queue_bytes(2, 3) == -700
+        assert switch.egress_queue_bytes(1) == 0  # the neighbour is untouched
 
     def test_drop_on_pfc_switch_reported_once(self):
         net, switch, guard = self._guarded_net()
@@ -197,7 +209,7 @@ class TestRuntimeChecks:
 
     def test_strict_mode_raises_on_first_violation(self):
         net, switch, guard = self._guarded_net(mode="strict")
-        switch._ingress_bytes[0][0] += 500
+        switch._ingress_bytes[0] += 500
         with pytest.raises(InvariantViolation, match="byte_conservation"):
             guard.check_switch(switch)
 

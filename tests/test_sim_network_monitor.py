@@ -19,6 +19,13 @@ class TestNetworkConstruction:
         with pytest.raises(ValueError):
             net.add_flow(hosts[0], hosts[1], cc="bbr")
 
+    @pytest.mark.parametrize("priority", [8, 9, -1])
+    def test_add_flow_rejects_priority_no_switch_queues(self, priority):
+        net, _, hosts = single_switch(2)
+        with pytest.raises(ValueError, match="priority"):
+            net.add_flow(hosts[0], hosts[1], priority=priority)
+        assert net.flows == []
+
     def test_flow_ids_sequential(self):
         net, _, hosts = single_switch(3)
         f1 = net.add_flow(hosts[0], hosts[1])

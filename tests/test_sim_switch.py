@@ -12,24 +12,34 @@ from repro.sim.host import Host
 from repro.sim.link import connect
 from repro.sim.nic import HostNic
 from repro.sim.packet import (
+    CONTROL_PRIORITY,
     ECN_CE,
     ECN_ECT,
     KIND_DATA,
     Packet,
+    cnp_packet,
     data_packet,
     pause_frame,
 )
 from repro.sim.switch import Switch, SwitchConfig, ecmp_hash
+from tests.test_sim_link import StubDevice
 
 
-def make_switch(config=None, n_neighbors=3):
-    """A switch wired to n stub NICs (hosts 100..)."""
+def make_switch(config=None, n_neighbors=3, recording=False):
+    """A switch wired to n stub NICs (hosts 100..), port i -> neighbour i.
+
+    ``recording`` wires :class:`StubDevice` neighbours instead, which
+    log every arrival and answer nothing.
+    """
     engine = EventScheduler()
     switch = Switch(engine, 0, "S", config=config)
     nics = []
     for index in range(n_neighbors):
-        nic = HostNic(engine, 100 + index, f"h{index}.nic")
-        Host(f"h{index}", nic)
+        if recording:
+            nic = StubDevice(engine, 100 + index, f"stub{index}")
+        else:
+            nic = HostNic(engine, 100 + index, f"h{index}.nic")
+            Host(f"h{index}", nic)
         connect(engine, nic, switch, units.gbps(40), 500)
         switch.set_route(nic.device_id, (index,))
         nics.append(nic)
@@ -338,7 +348,149 @@ class TestPfc:
         assert len(resume_times) == 1  # one dequeue released both
 
 
+def queue_holders(net):
+    """(switch queues, port control queues, NIC control queues) that exist."""
+    slots = [
+        (switch.name, slot // switch.num_priorities, slot % switch.num_priorities)
+        for switch in net.switches
+        for slot, queue in enumerate(switch._egress_queues)
+        if queue is not None
+    ]
+    devices = [*net.switches, *(host.nic for host in net.hosts)]
+    port_control = [
+        port for device in devices for port in device.ports
+        if port._control_queue is not None
+    ]
+    nic_control = [host.nic for host in net.hosts if host.nic._control is not None]
+    return slots, port_control, nic_control
+
+
+class TestAllocateOnFirstUse:
+    """Per-(port, priority) structures exist from first use (DESIGN.md §13)."""
+
+    @pytest.mark.parametrize("shape", ["fat_tree_k8", "fig2_clos"])
+    def test_built_fabric_holds_no_queue_object(self, shape):
+        if shape == "fat_tree_k8":
+            from repro.fabric import build_fabric
+
+            net = build_fabric(kind="fat_tree", k=8).net
+        else:
+            from repro.sim.topology import three_tier_clos
+
+            net = three_tier_clos().net
+        assert queue_holders(net) == ([], [], [])
+        for switch in net.switches:
+            k = switch.num_priorities
+            assert len(switch._egress_queues) == len(switch.ports) * k
+            assert switch._egress_bytes == [0] * (len(switch.ports) * k)
+            assert switch._ingress_bytes == [0] * (len(switch.ports) * k)
+            for port in switch.ports:
+                assert port._paused_since is None and port._paused_ns is None
+
+    def test_fabric_smoke_run_allocates_only_the_two_classes_in_use(self):
+        from repro.experiments import catalog  # noqa: F401 — registers
+        from repro.runner import run_scenario_inline
+        from repro.runner.registry import SCENARIOS
+
+        _, net = run_scenario_inline(SCENARIOS.build("fabric-smoke"), seed=0)
+        slots, _, nic_control = queue_holders(net)
+        assert {prio for _, _, prio in slots} == {0, CONTROL_PRIORITY}
+        total = sum(len(switch._egress_queues) for switch in net.switches)
+        assert 0 < len(slots) < total // 4
+        assert nic_control  # receivers sent CNPs / ACKs
+
+    def test_attach_port_keeps_earlier_slots(self):
+        engine, switch, stubs = make_switch(n_neighbors=2, recording=True)
+        src, dst = stubs[0].device_id, stubs[1].device_id
+        for seq in range(2):  # the first goes onto the wire, both stay buffered
+            switch.receive(data_packet(0, src, dst, 1000, seq, 3), switch.ports[0])
+        queue = switch._egress_queues[1 * switch.num_priorities + 3]
+        late = StubDevice(engine, 102, "late")
+        connect(engine, late, switch, units.gbps(40), 500)
+        k = switch.num_priorities
+        assert len(switch._egress_queues) == len(switch._egress_bytes) == 3 * k
+        assert switch._egress_queues[1 * k + 3] is queue
+        assert switch.egress_queue_bytes(1, 3) == 2000
+        assert switch.ingress_queue_bytes(0, 3) == 2000
+        assert switch.egress_queue_bytes(2) == 0
+        assert switch._egress_queues[2 * k : 3 * k] == [None] * k
+        engine.run()
+        assert [pkt.seq for _, pkt in stubs[1].received] == [0, 1]
+        assert switch.occupied_bytes == 0
+
+    def test_receive_against_a_hand_ledger(self):
+        """Two ingress ports, three priorities, one egress: every count,
+        the dequeue order and the pause clock, checked by hand."""
+        engine, switch, stubs = make_switch(recording=True)
+        a, b, dst = (stub.device_id for stub in stubs)
+        out = switch.ports[2]
+        assert out._paused_since is None
+        # the peer pauses priority 3 on the egress before anything queues
+        switch.receive(pause_frame(dst, 3, pause=True), out)
+        arrivals = [
+            (data_packet(0, a, dst, 1000, 0, 0), 0),  # onto the wire at once
+            (data_packet(0, a, dst, 1000, 1, 0), 0),
+            (data_packet(1, b, dst, 500, 0, 3), 1),
+            (cnp_packet(7, b, dst, CONTROL_PRIORITY), 1),  # queue made last
+        ]
+        for pkt, ingress in arrivals:
+            switch.receive(pkt, switch.ports[ingress])
+        k = switch.num_priorities
+        made = [s for s, q in enumerate(switch._egress_queues) if q is not None]
+        assert made == [2 * k + 0, 2 * k + 3, 2 * k + CONTROL_PRIORITY]
+        assert switch.egress_queue_bytes(2, 0) == 2000
+        assert switch.egress_queue_bytes(2, 3) == 500
+        assert switch.egress_queue_bytes(2, CONTROL_PRIORITY) == 64
+        assert switch.egress_queue_bytes(2) == 2564
+        assert switch.egress_queue_bytes(0) == switch.egress_queue_bytes(1) == 0
+        assert switch.ingress_queue_bytes(0, 0) == 2000
+        assert switch.ingress_queue_bytes(1, 3) == 500
+        assert switch.ingress_queue_bytes(1, CONTROL_PRIORITY) == 64
+        assert switch.ingress_queue_bytes(1, 0) == 0
+        assert switch.ingress_queue_bytes(0, 3) == 0
+        assert switch.occupied_bytes == 2564
+
+        engine.run_until(2_000)
+        # strict priority: the CNP overtakes the queued data; priority 3 waits
+        sent = [(pkt.priority, pkt.seq) for _, pkt in stubs[2].received]
+        assert sent == [(0, 0), (CONTROL_PRIORITY, 0), (0, 1)]
+        assert switch.egress_queue_bytes(2) == 500
+        assert switch.ingress_queue_bytes(1, 3) == 500
+        assert switch.ingress_queue_bytes(0, 0) == 0
+        assert switch.occupied_bytes == 500
+
+        switch.receive(pause_frame(dst, 3, pause=False), out)
+        engine.run()
+        assert [pkt.priority for _, pkt in stubs[2].received][-1] == 3
+        assert out.total_paused_ns(3) == 2_000
+        assert out.total_paused_ns(0) == 0
+        assert switch.ports[0].total_paused_ns(0) == 0  # never paused
+        assert switch.ports[0]._paused_since is None
+        assert switch.occupied_bytes == 0
+        assert switch._egress_bytes == switch._ingress_bytes == [0] * (3 * k)
+
+
 class TestConfigValidation:
+    def test_too_few_priorities_for_the_control_class(self):
+        config = SwitchConfig(profile=SwitchProfile(num_priorities=4))
+        with pytest.raises(ValueError, match="num_priorities=4"):
+            Switch(EventScheduler(), 0, "S", config=config)
+
+    @pytest.mark.parametrize(
+        "port, priority", [(0, 8), (0, -1), (3, 0), (-1, 0)]
+    )
+    def test_accessors_reject_out_of_range(self, port, priority):
+        _, switch, _ = make_switch()
+        with pytest.raises(IndexError):
+            switch.egress_queue_bytes(port, priority)
+        with pytest.raises(IndexError):
+            switch.ingress_queue_bytes(port, priority)
+
+    def test_port_total_rejects_unknown_port(self):
+        _, switch, _ = make_switch()
+        with pytest.raises(IndexError):
+            switch.egress_queue_bytes(3)
+
     def test_bad_pfc_mode(self):
         with pytest.raises(ValueError):
             SwitchConfig(pfc_mode="sometimes")
