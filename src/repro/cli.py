@@ -68,7 +68,7 @@ from repro.runner import JOBS_ENV, REGISTRY, SCALE_ENV, SCENARIOS, format_table
 from repro.runner.cache import CACHE_ENV
 from repro.runner.resilience import RESUME_ENV, TIMEOUT_ENV
 from repro.runner.scale import SCALES
-from repro.shard import SHARDS_ENV
+from repro.shard import SHARDS_ENV, can_shard, effective_shards
 
 
 def _jobs_arg(value: str) -> str:
@@ -665,15 +665,18 @@ def run_scenario_main(scenario_id: str, args) -> int:
     if scenario is None:
         return 2
 
-    from repro.shard import runner as shard_runner
+    # the shard runtime is imported only by a run that will use it
+    shard_runner = None
+    if can_shard(scenario) and effective_shards(scenario) > 1:
+        from repro.shard import runner as shard_runner
 
-    shard_runner.LAST_STATS = None
+        shard_runner.LAST_STATS = None
     result = _run_inline(scenario, args.seed)
     if result is None:
         return 3
     print(f"=== scenario {scenario_id}: {scenario.label or scenario_id} ===")
     print(result.table())
-    stats = shard_runner.LAST_STATS
+    stats = None if shard_runner is None else shard_runner.LAST_STATS
     if stats is not None:
         print(
             f"sharded: {stats['shards']} workers, "

@@ -41,6 +41,11 @@ class RedEcnMarker:
     Keeps its own ``random.Random`` stream so that switch marking
     decisions are reproducible independently of any other randomness in
     the simulation.
+
+    ``seen`` counts the packets *offered to the marker*, not the
+    packets the queue admitted: :meth:`repro.sim.switch.Switch.receive`
+    does not call :meth:`should_mark` for a queue at or below ``Kmin``
+    (the answer is False and no random number is drawn either way).
     """
 
     __slots__ = ("kmin_bytes", "kmax_bytes", "pmax", "_rng", "marked", "seen")
@@ -85,7 +90,7 @@ class RedEcnMarker:
 
     @property
     def mark_fraction(self) -> float:
-        """Fraction of observed packets that were marked."""
+        """Fraction of the packets offered to the marker that were marked."""
         if self.seen == 0:
             return 0.0
         return self.marked / self.seen

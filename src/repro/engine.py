@@ -159,28 +159,41 @@ class EventScheduler:
     def _run(self, until: int, limit: int) -> int:
         """Fire up to ``limit`` events with timestamp ``<= until``.
 
-        The one event loop.  ``record`` is the dispatch function: the
-        installed profiler's (``record(fn, args)`` runs ``fn(*args)``
-        under its clock) or ``None`` for a direct call.  It is read
-        once per call, never per event.
+        The one event loop, written out twice: the profiler is looked
+        up once per call, never per event, so the direct-call loop and
+        the one dispatching through the installed profiler's
+        ``record(fn, args)`` (which runs ``fn(*args)`` under its clock)
+        differ in their last line only.  Each pops first and pushes the
+        one entry past ``until`` back: the entry and its key are
+        unchanged, so it returns to the same place in the order.
         """
         heap = self._heap
         profiler = self.profiler
-        record = None if profiler is None else profiler.record
         processed = 0
-        while heap and processed != limit:
-            entry = heap[0]
-            if entry[_TIME] > until:
-                break
-            heappop(heap)
-            fn = entry[_FN]
-            if fn is None:
-                continue
-            self.now = entry[_TIME]
-            processed += 1
-            if record is None:
+        if profiler is None:
+            while heap and processed != limit:
+                entry = heappop(heap)
+                if entry[_TIME] > until:
+                    heappush(heap, entry)
+                    break
+                fn = entry[_FN]
+                if fn is None:
+                    continue
+                self.now = entry[_TIME]
+                processed += 1
                 fn(*entry[_ARGS])
-            else:
+        else:
+            record = profiler.record
+            while heap and processed != limit:
+                entry = heappop(heap)
+                if entry[_TIME] > until:
+                    heappush(heap, entry)
+                    break
+                fn = entry[_FN]
+                if fn is None:
+                    continue
+                self.now = entry[_TIME]
+                processed += 1
                 record(fn, entry[_ARGS])
         self.events_processed += processed
         return processed

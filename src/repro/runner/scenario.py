@@ -34,6 +34,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro import units
 from repro.runner.executor import Cell, execute
 from repro.runner.results import RunFailure, RunResult, SweepPoint, SweepResult
+from repro.shard.spec import maybe_run_sharded
 from repro.sim import host as sim_host
 from repro.telemetry import Telemetry, TelemetrySpec
 from repro.telemetry.flowstats import collect_flow_stats
@@ -456,8 +457,6 @@ def run_scenario_inline(
     the shard's own devices, syncing at conservative-lookahead barriers.
     """
     if telemetry is None and profiler is None and _shard is None:
-        from repro.shard.runner import maybe_run_sharded
-
         sharded = maybe_run_sharded(scenario, seed)
         if sharded is not None:
             return sharded, None
@@ -622,8 +621,6 @@ def run_scenario_cell(spec: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     """Execute one (scenario, seed) cell — the worker-side entry point."""
     scenario = Scenario.from_spec(spec)
     if scenario.sharding is not None:
-        from repro.shard.runner import maybe_run_sharded
-
         # only an embedded ShardingSpec shards a *cached* cell: the
         # spec rides in the cell hash, while REPRO_SHARDS does not —
         # honoring the env var here would store shard-tagged results

@@ -16,57 +16,25 @@ workers restart by deterministic replay, an interrupted run resumes
 with ``--resume``, and an unsalvageable fleet degrades to serial
 re-execution — all bit-identical to the undisturbed run
 (:mod:`repro.shard.supervise`).
+
+Only the declarative half (:mod:`repro.shard.spec`: the spec, the env
+var name and the serial-or-sharded dispatch) is re-exported here, so
+importing the package costs a serial run nothing; everything else is
+imported from its submodule by the code that needs it.
 """
 
-from repro.shard.boundary import (
-    SHARD_CHAOS_ENV,
-    ShardContext,
-    barrier_schedule,
-)
-from repro.shard.checkpoint import (
-    SHARD_CHECKPOINT_ENV,
-    ShardCheckpoint,
-    replay_slice,
-    shard_checkpoint_enabled,
-    shard_checkpoints_dir,
-)
-from repro.shard.merge import merge_shard_results
-from repro.shard.partition import BoundaryChannel, ShardPlan, partition_fabric
-from repro.shard.runner import (
-    ShardSupervisor,
+from repro.shard.spec import (
+    SHARDS_ENV,
+    ShardingSpec,
     can_shard,
     effective_shards,
     maybe_run_sharded,
-    run_scenario_sharded,
-)
-from repro.shard.spec import SHARDS_ENV, ShardingSpec
-from repro.shard.supervise import (
-    ShardFailure,
-    ShardRunError,
-    SupervisionPolicy,
 )
 
 __all__ = [
     "SHARDS_ENV",
-    "SHARD_CHAOS_ENV",
-    "SHARD_CHECKPOINT_ENV",
-    "BoundaryChannel",
-    "ShardCheckpoint",
-    "ShardContext",
-    "ShardFailure",
-    "ShardPlan",
-    "ShardRunError",
-    "ShardSupervisor",
     "ShardingSpec",
-    "SupervisionPolicy",
-    "barrier_schedule",
     "can_shard",
     "effective_shards",
     "maybe_run_sharded",
-    "merge_shard_results",
-    "partition_fabric",
-    "replay_slice",
-    "run_scenario_sharded",
-    "shard_checkpoint_enabled",
-    "shard_checkpoints_dir",
 ]

@@ -1,12 +1,8 @@
 """Parent-side orchestration of one sharded run.
 
-:func:`maybe_run_sharded` is the single dispatch point, called by
-:func:`repro.runner.scenario.run_scenario_inline` (and the cell entry
-point) before any serial work starts.  It answers ``None`` whenever
-the run should stay serial — non-fabric topology, shard count 1, a
-daemonic process that cannot spawn children, or a fabric whose
-boundary links give no positive lookahead — so callers need no
-topology knowledge of their own.
+:func:`repro.shard.spec.maybe_run_sharded` is the single dispatch
+point; it imports this module only once the answer is more than one
+shard, so a serial run never pays for the runtime below.
 
 The sync topology is a star: every worker exchanges messages only
 with this parent over its own pipe.  Workers all derive the identical
@@ -41,7 +37,6 @@ determinism guarantee) or, with degradation disabled, raises
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from typing import Any, Dict, List, Optional
 
@@ -52,7 +47,7 @@ from repro.shard.checkpoint import (
     shard_checkpoint_enabled,
 )
 from repro.shard.partition import partition_fabric
-from repro.shard.spec import SHARDS_ENV, ShardingSpec
+from repro.shard.spec import ShardingSpec
 from repro.shard.supervise import (
     ShardFailure,
     ShardRunError,
@@ -68,46 +63,6 @@ LAST_STATS: Optional[Dict[str, Any]] = None
 #: ``KeyboardInterrupt`` (right after the round is journalled and
 #: acked) — the resume tests' stand-in for an operator's ctrl-C
 _TEST_ABORT_AFTER_ROUNDS: Optional[int] = None
-
-
-def effective_shards(scenario) -> int:
-    """The shard count this scenario should run with (1 = serial)."""
-    if scenario.sharding is not None:
-        return scenario.sharding.shards
-    raw = os.environ.get(SHARDS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        shards = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{SHARDS_ENV} must be an integer shard count, got {raw!r}"
-        ) from None
-    if shards < 1:
-        raise ValueError(f"{SHARDS_ENV} must be >= 1, got {shards}")
-    return shards
-
-
-def can_shard(scenario) -> bool:
-    """Whether sharded execution is even an option for this scenario.
-
-    Only ``fabric`` topologies have the pod structure the partitioner
-    needs, and a daemonic process (a process-pool worker) may not
-    spawn children — those runs silently stay serial.
-    """
-    if scenario.topology != "fabric":
-        return False
-    return not multiprocessing.current_process().daemon
-
-
-def maybe_run_sharded(scenario, seed: int):
-    """Run sharded if requested and possible; ``None`` means run serial."""
-    if not can_shard(scenario):
-        return None
-    shards = effective_shards(scenario)
-    if shards <= 1:
-        return None
-    return run_scenario_sharded(scenario, seed, shards)
 
 
 def _plan_for(scenario, seed: int, shards: int):

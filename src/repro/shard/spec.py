@@ -17,6 +17,8 @@ cell than an unsupervised one.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -98,3 +100,61 @@ class ShardingSpec:
                 f"stall_timeout_s must be positive or None, "
                 f"got {self.stall_timeout_s}"
             )
+
+
+# --- dispatch: the cheap half -------------------------------------------------
+#
+# Whether a run is sharded at all is decided here, from the scenario
+# and the environment alone, so a serial run never imports the shard
+# runtime (repro.shard.runner and the five modules behind it).
+
+
+def effective_shards(scenario) -> int:
+    """The shard count this scenario should run with (1 = serial)."""
+    if scenario.sharding is not None:
+        return scenario.sharding.shards
+    raw = os.environ.get(SHARDS_ENV, "").strip()
+    if not raw:
+        return 1
+    try:
+        shards = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"{SHARDS_ENV} must be an integer shard count, got {raw!r}"
+        ) from None
+    if shards < 1:
+        raise ValueError(f"{SHARDS_ENV} must be >= 1, got {shards}")
+    return shards
+
+
+def can_shard(scenario) -> bool:
+    """Whether sharded execution is even an option for this scenario.
+
+    Only ``fabric`` topologies have the pod structure the partitioner
+    needs, and a daemonic process (a process-pool worker) may not
+    spawn children — those runs silently stay serial.
+    """
+    if scenario.topology != "fabric":
+        return False
+    return not multiprocessing.current_process().daemon
+
+
+def maybe_run_sharded(scenario, seed: int):
+    """Run sharded if requested and possible; ``None`` means run serial.
+
+    The single dispatch point, called by
+    :func:`repro.runner.scenario.run_scenario_inline` (and the cell
+    entry point) before any serial work starts.  It answers ``None``
+    whenever the run should stay serial — non-fabric topology, shard
+    count 1, a daemonic process that cannot spawn children, or a fabric
+    whose boundary links give no positive lookahead — so callers need
+    no topology knowledge of their own.
+    """
+    if not can_shard(scenario):
+        return None
+    shards = effective_shards(scenario)
+    if shards <= 1:
+        return None
+    from repro.shard.runner import run_scenario_sharded
+
+    return run_scenario_sharded(scenario, seed, shards)

@@ -19,7 +19,9 @@ class Device:
     * :meth:`receive` — a frame arrived on one of our ports.
     * :meth:`next_packet` — the port is idle; hand it the next frame to
       serialize (respecting PFC pause state via ``port.can_send``), or
-      ``None`` to go idle.
+      ``None`` to go idle.  Asked after every completed frame unless the
+      device keeps ``port.queued_mask`` exact (see
+      :mod:`repro.sim.link`); the default mask of ``-1`` always asks.
     * :meth:`tx_complete` — a frame we handed out finished serializing
       (switches free shared-buffer space here).
 

@@ -30,8 +30,9 @@ from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 from repro.sim.packet import (  # noqa: F401 - priorities re-exported
     CONTROL_PRIORITY,
     DATA_PRIORITY,
+    ECN_ECT,
+    KIND_DATA,
     Packet,
-    data_packet,
 )
 from repro.telemetry import events as trace_events
 
@@ -346,37 +347,49 @@ class Flow:
         seq = self.next_seq
         boundary = self._boundary_by_seq.get(seq)
         msg_id = boundary.msg_id if boundary is not None else -1
-        pkt = data_packet(
-            flow_id=self.flow_id,
-            src=self.src.nic.device_id,
-            dst=self.dst.nic.device_id,
-            size=self.mtu_bytes,
-            seq=seq,
-            priority=self.priority,
-            msg_id=msg_id,
+        mtu = self.mtu_bytes
+        nic = self.src.nic
+        # data_packet(), positionally: (kind, flow_id, src, dst, size,
+        # seq, priority, ecn, msg_id)
+        pkt = Packet(
+            KIND_DATA,
+            self.flow_id,
+            nic.device_id,
+            self.dst.nic.device_id,
+            mtu,
+            seq,
+            self.priority,
+            ECN_ECT,
+            msg_id,
         )
         self.next_seq = seq + 1
         self.packets_sent += 1
-        self.bytes_sent += self.mtu_bytes
+        self.bytes_sent += mtu
         if self._first_by_seq:
             message = self._first_by_seq.pop(seq, None)
             if message is not None:
                 message.first_byte_ns = now_ns
-                tracer = self.src.nic.tracer
+                tracer = nic.tracer
                 if tracer is not None:
                     tracer.emit(
                         now_ns,
                         trace_events.FLOW_FIRST_BYTE,
-                        self.src.nic.name,
+                        nic.name,
                         flow=self.flow_id,
                         msg=message.msg_id,
                     )
         if self._sample_rtt and len(self._rtt_probes) < _MAX_RTT_PROBES:
             self._rtt_probes.append((seq, now_ns))
-        gap = int(self.mtu_bytes * 8e9 / self.rate_bps) + 1
+        # the rate_bps property, inlined.  Read per packet, not cached:
+        # Port.set_rate can change the line rate behind a flow's back.
+        rate = self.cc.rate_bps() if self.cc is not None else None
+        if rate is None:
+            rate = self._static_rate_bps
+            if rate is None:
+                rate = nic.ports[0].rate_bps
         self._last_pull_ns = now_ns
-        self._last_pull_bytes = self.mtu_bytes
-        self.next_send_ns = now_ns + gap
+        self._last_pull_bytes = mtu
+        self.next_send_ns = now_ns + int(mtu * 8e9 / rate) + 1
         return pkt
 
     # --- reliability (go-back-N sender half) -------------------------------------

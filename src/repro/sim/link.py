@@ -19,6 +19,13 @@ Ports implement the details PFC correctness depends on:
   priorities the *peer* has paused; the owning device consults it
   (:meth:`Port.can_send`, or the mask itself on the per-packet path)
   when choosing the next frame.
+* **Asking the owner only when it can answer** — ``queued_mask`` says
+  which priorities the owner holds frames of.  It starts at ``-1``
+  (always ask); an owner that keeps it exact, as
+  :class:`repro.sim.switch.Switch` does, spares the port a
+  ``next_packet`` call after every frame that leaves nothing eligible
+  behind, and may start a frame on a port it knows to be idle with
+  :meth:`Port.transmit` instead of queueing it first.
 * **Non-congestion losses** (paper §7) — an optional per-frame error
   probability models CRC-failing frames on a marginal cable.  RoCEv2's
   go-back-N makes such losses expensive, which is exactly the §7
@@ -56,6 +63,7 @@ class Port:
         "prop_delay_ns",
         "busy",
         "paused_mask",
+        "queued_mask",
         "_control_queue",
         "tx_bytes",
         "tx_packets",
@@ -82,6 +90,12 @@ class Port:
             raise ValueError(f"propagation delay must be >= 0, got {prop_delay_ns}")
         self.engine = engine
         self.owner = owner
+        #: bit p set = the owner holds a frame of priority p for this
+        #: port; _tx_done asks the owner for the next frame only when a
+        #: queued priority is unpaused.  -1 is "always ask"; an owner
+        #: that keeps the bits exact itself (Switch) clears it in
+        #: attach_port, hence set before that call.
+        self.queued_mask = -1
         self.index = owner.attach_port(self)
         # tie-break key of every arrival this port causes: it orders
         # simultaneous arrivals from different senders by the sending
@@ -227,6 +241,23 @@ class Port:
             ser += 1
         engine.post(ser, self._tx_done, (pkt,))
 
+    def transmit(self, pkt: Packet) -> None:
+        """Start serializing ``pkt`` now, on a port known to be idle.
+
+        For an owner that has established what :meth:`notify` would
+        find: not busy, link up, no control frame waiting, and ``pkt``
+        the frame :meth:`Device.next_packet` would hand back.  The
+        switch's idle-egress cut-through is the one caller.
+        """
+        self.busy = True
+        engine = self.engine
+        self.busy_since = engine.now
+        exact = pkt.size * self._ns_per_byte
+        ser = int(exact)
+        if exact > ser:
+            ser += 1
+        engine.post(ser, self._tx_done, (pkt,))
+
     def set_error_rate(self, rate: float, seed: Optional[int] = None) -> None:
         """Drop each transmitted frame with probability ``rate``.
 
@@ -292,10 +323,12 @@ class Port:
         control = self._control_queue
         if control:
             nxt = control.popleft()
-        else:
+        elif self.queued_mask & ~self.paused_mask:
             nxt = owner.next_packet(self)
             if nxt is None:
                 return
+        else:
+            return
         self.busy = True
         self.busy_since = now
         exact = nxt.size * self._ns_per_byte

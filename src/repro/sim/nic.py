@@ -224,7 +224,15 @@ class HostNic(Device):
         for flow in self._tx_flows.values():
             if (paused >> flow.priority) & 1:
                 continue
-            ready = flow.ready_time()
+            if flow._cwnd_source is not None:
+                ready = flow.ready_time()
+            elif flow.failed or not (flow.greedy or flow.next_seq < flow.end_seq):
+                continue  # ready_time() is NEVER, which never wins below
+            else:
+                # Flow.ready_time, inlined for a flow without a window
+                ready = flow.next_send_ns
+                if ready < flow.start_ns:
+                    ready = flow.start_ns
             if ready < best_ready or (
                 ready == best_ready
                 and best is not None

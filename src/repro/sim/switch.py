@@ -124,6 +124,7 @@ class Switch(Device):
         "_resume_hysteresis",
         "_egress_alpha",
         "_ecn_enabled",
+        "_ecn_kmin_bytes",
         "routing_table",
         "default_route",
         "_egress_memo",
@@ -131,7 +132,6 @@ class Switch(Device):
         "_ingress_bytes",
         "_egress_bytes",
         "_egress_queues",
-        "_nonempty_mask",
         "_paused_upstream",
         "_paused_count",
         "_marker",
@@ -178,6 +178,7 @@ class Switch(Device):
         self._resume_hysteresis = 2 * profile.mtu_bytes
         self._egress_alpha = config.egress_dynamic_alpha
         self._ecn_enabled = config.ecn_enabled
+        self._ecn_kmin_bytes = config.marking.kmin_bytes
         # dst host id -> tuple of egress port indices (equal cost)
         self.routing_table: Dict[int, Tuple[int, ...]] = {}
         # fallback ECMP group for destinations with no table entry —
@@ -195,7 +196,6 @@ class Switch(Device):
         self._ingress_bytes: List[int] = []
         self._egress_bytes: List[int] = []
         self._egress_queues: List[Optional[Deque[Packet]]] = []
-        self._nonempty_mask: List[int] = []
         # (ingress port, priority) -> PAUSE outstanding.  Keys are never
         # removed: simultaneous RESUMEs go out in first-PAUSE order.
         self._paused_upstream: Dict[Tuple[int, int], bool] = {}
@@ -232,7 +232,9 @@ class Switch(Device):
         self._ingress_bytes.extend([0] * k)
         self._egress_bytes.extend([0] * k)
         self._egress_queues.extend([None] * k)
-        self._nonempty_mask.append(0)
+        # receive and next_packet keep this port's queued_mask exact
+        # from here on, so the port may skip asking when it is zero
+        port.queued_mask = 0
         return index
 
     def set_route(self, dst: int, port_indices: Tuple[int, ...]) -> None:
@@ -323,7 +325,18 @@ class Switch(Device):
     # --- datapath ---------------------------------------------------------------
 
     def receive(self, pkt: Packet, in_port: Port) -> None:
-        in_port.rx_bytes += pkt.size
+        """A frame arrived on ``in_port``: PFC state change, or admission.
+
+        Admission is one body: buffer and cap checks, ECN marking, the
+        three ledgers, the PAUSE test (so a PAUSE is posted before the
+        data frame that caused it), then the egress port.  A frame
+        whose egress port is idle with nothing queued, nothing paused,
+        no control frame waiting and the link up goes straight to
+        :meth:`Port.transmit`: the queue would have been appended to
+        and popped inside this call, so no state differs afterwards.
+        """
+        size = pkt.size
+        in_port.rx_bytes += size
         kind = pkt.kind
         if kind == KIND_PAUSE or kind == KIND_RESUME:
             if pkt.pause:
@@ -341,10 +354,6 @@ class Switch(Device):
                 )
             in_port.set_paused(pkt.pause_priority, pkt.pause)
             return
-        self._enqueue(pkt, in_port.index)
-
-    def _enqueue(self, pkt: Packet, ingress_index: int) -> None:
-        size = pkt.size
         occupied = self.occupied_bytes
         if occupied + size > self.buffer_bytes:
             self.dropped_packets += 1
@@ -372,9 +381,12 @@ class Switch(Device):
                     self._trace_drop(pkt, "egress_cap")
                 return
         # CP algorithm: RED/ECN on the instantaneous egress queue depth.
+        # At or below Kmin should_mark returns False without a draw, so
+        # the marker is only offered the packets that can be marked.
         marked = False
         if (
-            self._ecn_enabled
+            queued > self._ecn_kmin_bytes
+            and self._ecn_enabled
             and pkt.ecn == ECN_ECT
             and self._marker.should_mark(queued)
         ):
@@ -391,6 +403,7 @@ class Switch(Device):
                     prio=prio,
                     queue_bytes=queued,
                 )
+        ingress_index = in_port.index
         pkt.ingress_index = ingress_index
         self.occupied_bytes = occupied = occupied + size
         if occupied > self.peak_occupancy_bytes:
@@ -399,11 +412,6 @@ class Switch(Device):
         ingress_slot = ingress_index * k + prio
         ingress_bytes[ingress_slot] = buffered = ingress_bytes[ingress_slot] + size
         egress_bytes[egress_slot] = queued + size
-        queue = self._egress_queues[egress_slot]
-        if queue is None:
-            queue = self._egress_queues[egress_slot] = deque()
-        queue.append(pkt)
-        self._nonempty_mask[egress_index] |= 1 << prio
         self.forwarded_packets += 1
         if not self._pfc_off:
             # PAUSE test (current_pfc_threshold, inlined)
@@ -414,26 +422,50 @@ class Switch(Device):
             if buffered > threshold:
                 self._pause_upstream(ingress_index, prio)
         port = self.ports[egress_index]
-        if not port.busy:
-            port.notify()
-        if self.cc_feedback is not None and pkt.kind == KIND_DATA:
+        if (
+            port.busy
+            or port.queued_mask
+            or port.paused_mask
+            or port._control_queue
+            or not port.link_up
+        ):
+            queue = self._egress_queues[egress_slot]
+            if queue is None:
+                queue = self._egress_queues[egress_slot] = deque()
+            queue.append(pkt)
+            port.queued_mask |= 1 << prio
+            if not port.busy:
+                port.notify()
+        else:
+            port.transmit(pkt)
+        if self.cc_feedback is not None and kind == KIND_DATA:
             for generator in self.cc_feedback:
                 generator.on_enqueue(self, pkt, egress_index, marked)
+
+    def _enqueue(self, pkt: Packet, ingress_index: int) -> None:
+        """Admit a frame this switch originated (QCN feedback, FNCC CNP).
+
+        Its buffer usage is charged to ``ingress_index`` like an
+        arrival's, but it never crossed that port's wire: the receive
+        counter is wound back by what :meth:`receive` is about to add.
+        """
+        in_port = self.ports[ingress_index]
+        in_port.rx_bytes -= pkt.size
+        self.receive(pkt, in_port)
 
     def add_cc_feedback(self, generator) -> None:
         """Install a switch-side congestion-feedback generator."""
         self.cc_feedback = (*(self.cc_feedback or ()), generator)
 
     def next_packet(self, port: Port) -> Optional[Packet]:
-        index = port.index
-        allowed = self._nonempty_mask[index] & ~port.paused_mask
+        allowed = port.queued_mask & ~port.paused_mask
         if not allowed:
             return None
         prio = allowed.bit_length() - 1  # strict priority, highest first
-        queue = self._egress_queues[index * self.num_priorities + prio]
+        queue = self._egress_queues[port.index * self.num_priorities + prio]
         pkt = queue.popleft()
         if not queue:
-            self._nonempty_mask[index] &= ~(1 << prio)
+            port.queued_mask &= ~(1 << prio)
         return pkt
 
     def tx_complete(self, port: Port, pkt: Packet) -> None:

@@ -22,7 +22,7 @@ Slowdown analytics over these rows live in :mod:`repro.analysis.fct`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 
@@ -55,11 +55,19 @@ class FlowStats:
         return self.fct_ns is not None
 
     def to_json(self) -> Dict[str, Any]:
-        return asdict(self)
+        """The row as a dict, fields in declaration order.
+
+        Equal to ``dataclasses.asdict``, which would recurse into and
+        deep-copy thirteen scalars per row.
+        """
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "FlowStats":
-        return cls(**{f: data[f] for f in cls.__dataclass_fields__})
+        return cls(**{name: data[name] for name in _FIELD_NAMES})
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(FlowStats))
 
 
 def collect_flow_stats(

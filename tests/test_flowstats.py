@@ -142,6 +142,30 @@ class TestFlowStatsTable:
         )
         assert stats_from_json([record.to_json()]) == [record]
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(msg=0, first_byte_ns=2_000, finish_ns=6_226, fct_ns=6_226),
+            dict(msg=4, first_byte_ns=None, finish_ns=None, fct_ns=None),
+            dict(msg=-1, first_byte_ns=None, finish_ns=None, fct_ns=None),
+        ],
+        ids=["completed", "unfinished", "greedy-aggregate"],
+    )
+    def test_to_json_equals_asdict_key_for_key(self, fields):
+        """``to_json`` reads the fields itself; ``asdict`` is the reference."""
+        import dataclasses
+
+        record = FlowStats(
+            flow="probe", flow_id=3, cc="dcqcn", size_bytes=20_000, start_ns=150,
+            retransmits=2, pauses_rx=1, line_rate_bps=LINE_RATE_BPS, mtu_bytes=MTU,
+            **fields,
+        )
+        row = record.to_json()
+        assert row == dataclasses.asdict(record)
+        assert list(row) == list(dataclasses.asdict(record))
+        assert FlowStats.from_json(row) == record
+        assert FlowStats.from_json(json.loads(json.dumps(row))) == record
+
 
 class TestDeterminism:
     def test_serial_equals_parallel_flow_stats(self, tmp_path, monkeypatch):

@@ -3,25 +3,32 @@
 Each shortcut the hot path takes is checked here against the plain
 version it replaced: ``post`` against ``schedule``, the memoised ECMP
 pick against ``_pick_egress``, the early return of ``should_mark``
-against ``marking_probability`` plus one draw, and the whole path
-against the result digests pinned in ``bench/digests.json``.
+against ``marking_probability`` plus one draw, the idle-egress
+cut-through against the queued path, and the whole path against the
+result digests pinned in ``bench/digests.json`` (plus two pins for the
+switch-originated frames no benchmark workload sends).
 """
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.buffers.thresholds import SwitchProfile
 from repro.core.cp import RedEcnMarker, marking_probability
 from repro.core.params import DCQCNParams
 from repro.engine import EventScheduler
 from repro.runner import Scenario, run_scenario_inline
-from repro.sim.packet import data_packet
-from tests.test_sim_switch import make_switch
+from repro.sim.link import Port
+from repro.sim.packet import data_packet, pause_frame
+from repro.sim.switch import SwitchConfig
+from tests.test_sim_switch import EventLog, make_switch
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -154,6 +161,189 @@ class TestShouldMarkStream:
         assert marker.seen == len(queues)
 
 
+# --- idle-egress cut-through vs the queued path -------------------------------
+
+PORTS = 4
+PRIORITIES = (0, 3, 6)
+#: never carries a frame here.  Paused on every port of the reference
+#: switch it sends every arrival down the queued path (the cut-through
+#: is conservative: *any* paused priority queues) and changes nothing else.
+UNUSED_PRIORITY = 7
+TIMES = st.integers(min_value=0, max_value=3_000)  # 1000 B at 40G is 200 ns
+PORT_INDEX = st.integers(min_value=0, max_value=PORTS - 1)
+
+ACTIONS = st.lists(
+    st.one_of(
+        # an arrival; egress == ingress is a hairpin
+        st.tuples(
+            st.just("data"), TIMES, PORT_INDEX, PORT_INDEX,
+            st.sampled_from(PRIORITIES), st.sampled_from([64, 500, 1000]),
+        ),
+        # PAUSE / RESUME from the peer of a port
+        st.tuples(
+            st.just("pfc"), TIMES, PORT_INDEX,
+            st.sampled_from(PRIORITIES), st.booleans(),
+        ),
+        # a control frame the switch sends out of a port
+        st.tuples(st.just("control"), TIMES, PORT_INDEX),
+    ),
+    max_size=70,
+)
+LINK_WINDOW = st.tuples(PORT_INDEX, TIMES, st.integers(min_value=1, max_value=1_500))
+
+#: a flow whose egress is its ingress, present in every example
+HAIRPIN = [("data", 100 + 150 * i, 1, 1, 0, 1000) for i in range(4)]
+
+#: small buffer, low static PAUSE threshold and a steep RED profile, so
+#: drops, PAUSEs from the switch and drawn marks all occur in ~3 us
+CUT_THROUGH_CONFIG = SwitchConfig(
+    profile=SwitchProfile(buffer_bytes=8_000, num_ports=PORTS, headroom_bytes=0),
+    pfc_mode="static",
+    t_pfc_static_bytes=2_500,
+    marking=dataclasses.replace(
+        DCQCNParams.deployed(), kmin_bytes=1_000, kmax_bytes=6_000, pmax=0.5
+    ),
+    ecn_seed=7,
+)
+
+
+def event_keys(log):
+    """``(time, callback __qualname__, flow_id, seq)`` of every event."""
+    return [
+        (at, fn.__qualname__, pkt and pkt.flow_id, pkt and pkt.seq)
+        for at, fn, pkt in log.rows
+    ]
+
+
+def scripted_switch(actions, link_window, force_queued):
+    """One switch among recording stubs with ``actions`` on its heap."""
+    engine, switch, stubs = make_switch(
+        CUT_THROUGH_CONFIG, n_neighbors=PORTS, recording=True
+    )
+    engine.profiler = log = EventLog(engine)
+    if force_queued:
+        for port in switch.ports:
+            port.set_paused(UNUSED_PRIORITY, True)
+    seqs = Counter()
+    for kind, at, index, *rest in actions:
+        port = switch.ports[index]
+        if kind == "data":
+            egress, prio, size = rest
+            flow_id = (index * PORTS + egress) * 8 + prio
+            pkt = data_packet(
+                flow_id, 100 + index, 100 + egress, size, seqs[flow_id], prio
+            )
+            seqs[flow_id] += 1
+            engine.schedule_at(at, switch.receive, pkt, port)
+        elif kind == "pfc":
+            prio, pause = rest
+            frame = pause_frame(100 + index, prio, pause=pause)
+            engine.schedule_at(at, switch.receive, frame, port)
+        else:
+            frame = pause_frame(switch.device_id, 5, pause=True)
+            engine.schedule_at(at, port.send_control, frame)
+    index, down_at, down_for = link_window
+    engine.schedule_at(down_at, switch.ports[index].set_link_up, False)
+    engine.schedule_at(down_at + down_for, switch.ports[index].set_link_up, True)
+    return engine, switch, stubs, log
+
+
+def assert_mask_exact_and_no_idle_port_owes_a_frame(switch):
+    k = switch.num_priorities
+    for port in switch.ports:
+        for prio in range(k):
+            queue = switch._egress_queues[port.index * k + prio]
+            assert bool((port.queued_mask >> prio) & 1) == bool(queue)
+        if not port.busy and port.link_up:
+            # what Switch.receive relies on to skip the queue
+            assert not port.queued_mask & ~port.paused_mask
+            assert not port._control_queue
+
+
+SWITCH_COUNTERS = (
+    "occupied_bytes", "peak_occupancy_bytes", "forwarded_packets",
+    "dropped_packets", "dropped_bytes", "marked_packets", "pause_frames_sent",
+    "resume_frames_sent", "pause_frames_received", "_paused_count",
+)
+PORT_COUNTERS = (
+    "busy", "busy_since", "busy_ns", "tx_bytes", "tx_packets", "rx_bytes",
+    "lost_bytes", "tx_pause_frames", "rx_pause_frames", "link_up",
+    "link_down_drops", "queued_mask",
+)
+
+
+def state(switch, stubs):
+    """Everything the switch, its ports and its neighbours hold."""
+    return {
+        "switch": [getattr(switch, name) for name in SWITCH_COUNTERS],
+        "ledgers": (list(switch._ingress_bytes), list(switch._egress_bytes)),
+        "queues": [
+            [(pkt.flow_id, pkt.seq) for pkt in queue or ()]
+            for queue in switch._egress_queues
+        ],
+        "paused_upstream": dict(switch._paused_upstream),
+        "marker": (switch._marker.seen, switch._marker.marked),
+        "ports": [
+            [getattr(port, name) for name in PORT_COUNTERS]
+            + [port.paused_mask & ~(1 << UNUSED_PRIORITY)]
+            + [len(port._control_queue or ())]
+            + [port.total_paused_ns(prio) for prio in PRIORITIES]
+            for port in switch.ports
+        ],
+        "received": [
+            [(at, pkt.kind, pkt.flow_id, pkt.seq, pkt.ecn) for at, pkt in stub.received]
+            for stub in stubs
+        ],
+    }
+
+
+class TestCutThroughEqualsQueuedPath:
+    @settings(deadline=None, max_examples=60)
+    @given(ACTIONS, LINK_WINDOW)
+    def test_same_events_and_state_after_every_step(self, actions, link_window):
+        actions = HAIRPIN + actions
+        fast_engine, fast, fast_stubs, fast_log = scripted_switch(
+            actions, link_window, force_queued=False
+        )
+        ref_engine, ref, ref_stubs, ref_log = scripted_switch(
+            actions, link_window, force_queued=True
+        )
+        while fast_engine.step():
+            assert ref_engine.step()
+            assert_mask_exact_and_no_idle_port_owes_a_frame(fast)
+            assert_mask_exact_and_no_idle_port_owes_a_frame(ref)
+            assert state(fast, fast_stubs) == state(ref, ref_stubs)
+        assert not ref_engine.step()
+        assert event_keys(fast_log) == event_keys(ref_log)
+        # the marker drew the same numbers: the streams still agree
+        assert fast._marker._rng.random() == ref._marker._rng.random()
+
+    def test_the_reference_queues_every_frame_and_the_fast_run_does_not(
+        self, monkeypatch
+    ):
+        """The comparison above is between two different paths."""
+        direct = []
+        transmit = Port.transmit
+
+        def counting(port, pkt):
+            direct.append(pkt)
+            transmit(port, pkt)
+
+        monkeypatch.setattr(Port, "transmit", counting)
+        actions = HAIRPIN + [
+            ("data", 150 * i, i % 2, 2 + i % 2, 0, 1000) for i in range(12)
+        ]
+        window = (3, 400, 300)
+        for force_queued in (False, True):
+            del direct[:]
+            engine, switch, _, _ = scripted_switch(actions, window, force_queued)
+            engine.run()
+            if force_queued:
+                assert not direct
+            else:
+                assert 0 < len(direct) < switch.forwarded_packets
+
+
 # --- pinned digests -----------------------------------------------------------
 
 
@@ -164,12 +354,71 @@ def load_bench_child():
     return module
 
 
-@pytest.mark.parametrize("workload", ["clos_victim_pfc", "clos_storage_dcqcn"])
+def digest(result):
+    text = load_bench_child().canonical_json(result.to_json())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "workload", ["clos_victim_pfc", "clos_storage_dcqcn", "fabric_storage_k8"]
+)
 def test_result_digest_matches_the_bench_pin(workload):
     """Digest drift fails tier-1, not only the benchmark."""
     pins = json.loads((BENCH / "digests.json").read_text())
     spec = json.loads((BENCH / "workloads" / f"{workload}.json").read_text())
     result, _ = run_scenario_inline(Scenario.from_spec(spec["scenario"]), pins["seed"])
-    text = load_bench_child().canonical_json(result.to_json())
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == pins["workloads"][workload]["cells"]["run"]
+    assert digest(result) == pins["workloads"][workload]["cells"]["run"]
+
+
+# Switch-originated frames (QCN feedback, FNCC CNPs) are the only callers
+# of Switch._enqueue and no bench/ workload sends any.  Pinned at commit
+# e1be42c, before _enqueue became an entry into Switch.receive, with
+#
+#   REPRO_SCALE=smoke PYTHONPATH=src python -c "
+#   import hashlib, importlib.util, json
+#   from repro.experiments.arena import arena_scenario
+#   from repro.experiments.qcn_ablation import _cell_kwargs, fairness_cell
+#   from repro.runner import run_scenario_inline
+#   spec = importlib.util.spec_from_file_location('child', 'bench/child.py')
+#   child = importlib.util.module_from_spec(spec); spec.loader.exec_module(child)
+#   sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+#   cell = fairness_cell(**_cell_kwargs('qcn', 4, None, None, 0))
+#   print(sha(json.dumps(cell, sort_keys=True, separators=(',', ':'))))
+#   for cc in ('qcn', 'fncc'):
+#       scenario = arena_scenario('incast', cc, guard_mode='strict')
+#       print(cc, sha(child.canonical_json(run_scenario_inline(scenario, 0)[0].to_json())))"
+QCN_ABLATION_CELL_SHA256 = (
+    "63ef67e5e117f27ac1f6066617c0ab7e5a962cc3b4d096c97bc083755b8d529b"
+)
+ARENA_INCAST_SHA256 = {
+    "qcn": "18ac7fac2a0597b4fd4c9e43cec1e13472876e29dc903f61f7fbe51f9855b5da",
+    "fncc": "ab43ba4d14a102267d649a8b86d3a024aed3314bce2290545781b2d901d808a0",
+}
+
+
+def test_qcn_ablation_cell_matches_its_pin(monkeypatch):
+    from repro.experiments.qcn_ablation import _cell_kwargs, fairness_cell
+
+    monkeypatch.setenv("REPRO_SCALE", "smoke")
+    cell = fairness_cell(**_cell_kwargs("qcn", 4, None, None, 0))
+    text = json.dumps(cell, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == QCN_ABLATION_CELL_SHA256
+
+
+@pytest.mark.parametrize("cc", ["qcn", "fncc"])
+def test_switch_feedback_conserves_every_link_and_matches_its_pin(cc, monkeypatch):
+    """The arena incast under the strict guard: a frame the switch made
+    itself must not count as received on the port it is charged to."""
+    from repro.experiments.arena import arena_scenario
+
+    monkeypatch.setenv("REPRO_SCALE", "smoke")
+    scenario = arena_scenario("incast", cc, guard_mode="strict")
+    result, net = run_scenario_inline(scenario, 0)  # strict: a violation raises
+    (switch,) = net.switches
+    originated = switch.cnps_sent + sum(
+        getattr(generator, "feedback_sent", 0) for generator in switch.cc_feedback
+    )
+    assert originated > 0
+    assert result.invariant_report["violation_count"] == 0
+    assert result.invariant_report["checks"] > 0
+    assert digest(result) == ARENA_INCAST_SHA256[cc]

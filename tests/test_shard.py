@@ -1,19 +1,17 @@
 """repro.shard: partitioner, sharding spec, codec, barrier schedule."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro import units
 from repro.fabric import build_fabric
 from repro.runner.scenario import FlowSpec, Scenario
-from repro.shard import (
-    SHARDS_ENV,
-    ShardingSpec,
-    barrier_schedule,
-    can_shard,
-    effective_shards,
-    partition_fabric,
-)
-from repro.shard.boundary import decode_packet, encode_packet
+from repro.shard import SHARDS_ENV, ShardingSpec, can_shard, effective_shards
+from repro.shard.boundary import barrier_schedule, decode_packet, encode_packet
+from repro.shard.partition import partition_fabric
 from repro.sim.packet import Packet
 
 
@@ -212,6 +210,59 @@ class TestDispatch:
         result, net = run_scenario_inline(scenario, 0)
         assert net is not None  # serial path returns the live network
         assert "shard.count" not in result.metrics["gauges"]
+
+
+#: what a run pays for only once it is told to shard
+SHARD_RUNTIME = [
+    f"repro.shard.{name}"
+    for name in (
+        "runner", "boundary", "checkpoint", "merge", "partition",
+        "supervise", "worker",
+    )
+]
+
+SERIAL_RUNS = """
+from repro.experiments import catalog  # registers the named scenarios
+from repro.runner import run_scenario_inline
+from repro.runner.registry import SCENARIOS
+for name in ("victim", "fabric-smoke"):  # the Fig 2 Clos, a k=4 fat-tree
+    result, net = run_scenario_inline(SCENARIOS.build(name), 0)
+    print(name, "serial" if net is not None else "sharded")
+"""
+
+
+class TestSerialRunsSkipTheShardRuntime:
+    """Deciding that a run is serial needs ``repro.shard.spec`` alone."""
+
+    def imported(self, *argv, shards=None):
+        """``(stdout, repro.shard modules imported)`` of one interpreter."""
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env["REPRO_SCALE"] = "smoke"
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        if shards is not None:
+            env[SHARDS_ENV] = shards
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        modules = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+        return done.stdout, sorted(m for m in modules if m.startswith("repro.shard"))
+
+    def test_serial_clos_and_fabric_runs(self):
+        out, modules = self.imported("-c", SERIAL_RUNS)
+        assert out.split() == ["victim", "serial", "fabric-smoke", "serial"]
+        assert modules == ["repro.shard", "repro.shard.spec"]
+
+    def test_help(self):
+        out, modules = self.imported("-m", "repro", "--help")
+        assert "usage" in out.lower()
+        assert modules == ["repro.shard", "repro.shard.spec"]
+
+    def test_the_variable_still_shards_the_fabric_run(self):
+        out, modules = self.imported("-c", SERIAL_RUNS, shards="2")
+        assert out.split() == ["victim", "serial", "fabric-smoke", "sharded"]
+        assert set(SHARD_RUNTIME) <= set(modules)
 
 
 class TestPacketCodec:

@@ -25,9 +25,11 @@ from repro.invariants import InvariantConfig
 from repro.runner import cache
 from repro.runner.resilience import RESUME_ENV
 from repro.runner.scenario import run_scenario_inline
-from repro.shard import SHARD_CHAOS_ENV, ShardingSpec, ShardRunError
+from repro.shard import ShardingSpec
 from repro.shard import runner as shard_runner
+from repro.shard.boundary import SHARD_CHAOS_ENV
 from repro.shard.checkpoint import SHARD_CHECKPOINT_ENV
+from repro.shard.supervise import ShardRunError
 
 
 def _scenario():

@@ -298,3 +298,42 @@ class TestValidation:
         c = StubDevice(engine, 2, "c")
         with pytest.raises(LookupError):
             a.port_to(c)
+
+
+class TestQueuedMaskContract:
+    """``Port.queued_mask`` is -1 ("always ask the owner") unless the
+    owner clears it and keeps it exact.  A device that has never heard
+    of the mask, like :class:`StubDevice`, is asked after every
+    ``_tx_done`` exactly as before the mask existed."""
+
+    def test_an_owner_that_ignores_the_mask_is_asked_after_every_tx_done(self):
+        engine, a, b, port_a, _ = make_pair()
+        assert port_a.queued_mask == -1
+        asked = []
+        real = a.next_packet
+
+        def next_packet(port):
+            asked.append(engine.now)
+            return real(port)
+
+        a.next_packet = next_packet
+        for seq in range(3):
+            a.push(Packet(KIND_DATA, size=1000, seq=seq))
+        engine.run()
+        assert [pkt.seq for _, pkt in b.received] == [0, 1, 2]
+        # the first push finds the port idle; then one question per
+        # completed frame, the last of them answered with None
+        assert asked == [0, 200, 400, 600]
+        assert port_a.queued_mask == -1
+
+    def test_a_paused_priority_does_not_silence_the_question(self):
+        engine, a, b, port_a, _ = make_pair()
+        port_a.set_paused(0, True)
+        asked = []
+        real = a.next_packet
+        a.next_packet = lambda port: asked.append(engine.now) or real(port)
+        a.push(Packet(KIND_DATA, size=1000, priority=3))
+        a.push(Packet(KIND_DATA, size=1000, priority=0))
+        engine.run()
+        assert asked == [0, 200]  # asked at 200 although all it holds is paused
+        assert [pkt.priority for _, pkt in b.received] == [3]

@@ -16,6 +16,7 @@ from repro.sim.packet import (
     ECN_CE,
     ECN_ECT,
     KIND_DATA,
+    KIND_PAUSE,
     Packet,
     cnp_packet,
     data_packet,
@@ -468,6 +469,149 @@ class TestAllocateOnFirstUse:
         assert switch.ports[0]._paused_since is None
         assert switch.occupied_bytes == 0
         assert switch._egress_bytes == switch._ingress_bytes == [0] * (3 * k)
+
+
+class EventLog:
+    """Engine profiler that logs ``(time, callback, frame or None)`` per event."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.rows = []
+
+    def record(self, fn, args):
+        pkt = next((arg for arg in args if isinstance(arg, Packet)), None)
+        self.rows.append((self.engine.now, fn, pkt))
+        fn(*args)
+
+    def tx_done(self):
+        """``(time, port index, frame kind)`` of every completed frame."""
+        return [
+            (at, fn.__self__.index, pkt.kind)
+            for at, fn, pkt in self.rows
+            if fn.__name__ == "_tx_done"
+        ]
+
+
+class TestIdleEgressCutThrough:
+    """A frame that never waits visits no queue (DESIGN.md, hot-path contract)."""
+
+    def test_idle_egress_touches_no_queue_and_charges_every_ledger(self):
+        engine, switch, stubs = make_switch(recording=True)
+        src, dst = stubs[0].device_id, stubs[1].device_id
+        out = switch.ports[1]
+        assert [port.queued_mask for port in switch.ports] == [0, 0, 0]
+        switch.receive(data_packet(0, src, dst, 1000, 0, 3), switch.ports[0])
+        assert out.busy and out.busy_since == 0
+        assert out.queued_mask == 0
+        assert switch._egress_queues == [None] * (3 * switch.num_priorities)
+        # buffered until serialization completes, like a queued frame
+        assert switch.egress_queue_bytes(1, 3) == 1000
+        assert switch.ingress_queue_bytes(0, 3) == 1000
+        assert switch.occupied_bytes == switch.peak_occupancy_bytes == 1000
+        assert switch.forwarded_packets == 1
+        engine.run()
+        assert [(at, pkt.seq) for at, pkt in stubs[1].received] == [(700, 0)]
+        assert switch.occupied_bytes == 0
+        assert switch._egress_bytes == switch._ingress_bytes == [0] * 24
+        assert (out.tx_packets, out.tx_bytes, out.busy_ns) == (1, 1000, 200)
+
+    @pytest.mark.parametrize("cause", ["busy", "paused", "control", "down"])
+    def test_an_egress_that_cannot_start_at_once_queues(self, cause):
+        engine, switch, stubs = make_switch(recording=True)
+        src, dst = stubs[0].device_id, stubs[1].device_id
+        out = switch.ports[1]
+        if cause == "busy":
+            switch.receive(data_packet(9, src, dst, 1000, 0, 0), switch.ports[0])
+        elif cause == "paused":  # any priority, not only the frame's
+            out.set_paused(5, True)
+        elif cause == "control":  # waiting behind a dark link
+            out.link_up = False
+            out.send_control(pause_frame(0, 0, pause=True))
+            out.link_up = True
+        else:
+            out.set_link_up(False)
+        switch.receive(data_packet(0, src, dst, 1000, 0, 3), switch.ports[0])
+        slot = 1 * switch.num_priorities + 3
+        queue = switch._egress_queues[slot]
+        if cause in ("busy", "down"):
+            assert [pkt.flow_id for pkt in queue] == [0]
+            assert out.queued_mask == 1 << 3
+        else:
+            # idle and eligible: notify() took it (or the control frame
+            # ahead of it) straight back out of the queue
+            assert out.busy
+            assert out.queued_mask == (1 << 3 if cause == "control" else 0)
+        if cause == "down":
+            out.set_link_up(True)
+        engine.run()
+        assert [pkt.flow_id for _, pkt in stubs[1].received if pkt.kind == KIND_DATA][
+            -1
+        ] == 0
+        assert out.queued_mask == 0 and not queue
+        assert switch.occupied_bytes == 0
+
+    def two_port_ledger(self):
+        config = SwitchConfig(pfc_mode="static", t_pfc_static_bytes=50)
+        engine, switch, stubs = make_switch(config, n_neighbors=2, recording=True)
+        engine.profiler = log = EventLog(engine)
+        return engine, switch, stubs, log
+
+    def test_pause_is_posted_before_the_data_frame_that_caused_it(self):
+        """One arrival starts two frames in one callback: the PAUSE to its
+        ingress and, cut through, the frame itself.  Same size, same
+        rate, so both finish at t=13 and only the order they were posted
+        in (heap ``seq``) decides which ``_tx_done`` runs first."""
+        engine, switch, stubs, log = self.two_port_ledger()
+        src, dst = stubs[0].device_id, stubs[1].device_id
+        switch.receive(data_packet(0, src, dst, 64, 0, 0), switch.ports[0])
+        assert switch.pause_frames_sent == 1
+        assert switch.ports[0].busy and switch.ports[1].busy
+        assert switch._egress_queues == [None] * (2 * switch.num_priorities)
+        engine.run()
+        assert log.tx_done() == [(13, 0, KIND_PAUSE), (13, 1, KIND_DATA)]
+        assert [(at, pkt.kind) for at, pkt in stubs[0].received] == [(513, KIND_PAUSE)]
+        assert [(at, pkt.kind) for at, pkt in stubs[1].received] == [(513, KIND_DATA)]
+
+    def test_hairpin_frame_waits_behind_the_pause_it_caused(self):
+        """Egress == ingress: the PAUSE takes the idle port first, so the
+        frame that caused it finds the port busy and queues."""
+        engine, switch, stubs, log = self.two_port_ledger()
+        host = stubs[0].device_id
+        port = switch.ports[0]
+        switch.receive(data_packet(0, host, host, 64, 0, 0), port)
+        assert port.busy and port.queued_mask == 1
+        assert [pkt.seq for pkt in switch._egress_queues[0]] == [0]
+        engine.run()
+        assert log.tx_done() == [(13, 0, KIND_PAUSE), (26, 0, KIND_DATA)]
+        assert port.queued_mask == 0
+        assert switch.occupied_bytes == 0
+
+    def test_switch_originated_frame_never_crossed_the_ingress_wire(self):
+        """``_enqueue`` charges the buffer to an ingress port whose
+        receive counter must not move (per-link conservation)."""
+        engine, switch, stubs = make_switch(recording=True)
+        back = switch.ports[0]
+        cnp = cnp_packet(7, switch.device_id, stubs[1].device_id, CONTROL_PRIORITY)
+        switch._enqueue(cnp, 0)
+        assert back.rx_bytes == 0
+        assert cnp.ingress_index == 0
+        assert switch.ingress_queue_bytes(0, CONTROL_PRIORITY) == 64
+        assert switch.egress_queue_bytes(1, CONTROL_PRIORITY) == 64
+        assert switch.forwarded_packets == 1
+        engine.run()
+        assert [pkt.kind for _, pkt in stubs[1].received] == [cnp.kind]
+        assert back.rx_bytes == 0 and switch.occupied_bytes == 0
+
+    def test_a_dropped_switch_originated_frame_leaves_the_counter_alone(self):
+        profile = SwitchProfile(buffer_bytes=1_000, num_ports=3, headroom_bytes=0)
+        engine, switch, stubs = make_switch(
+            SwitchConfig(profile=profile), recording=True
+        )
+        src, dst = stubs[0].device_id, stubs[1].device_id
+        switch.receive(data_packet(0, src, dst, 1000, 0, 0), switch.ports[0])
+        switch._enqueue(cnp_packet(7, switch.device_id, dst, CONTROL_PRIORITY), 2)
+        assert switch.dropped_packets == 1
+        assert switch.ports[2].rx_bytes == 0
 
 
 class TestConfigValidation:
