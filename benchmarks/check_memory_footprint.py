@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI gate: hot simulation objects stay slotted and fabrics stay lean.
 
-Two checks, both cheap enough for every CI run:
+Three checks, all cheap enough for every CI run:
 
 1. **Slots** — the per-packet / per-port / per-flow classes must not
    grow an instance ``__dict__``.  A stray class attribute or a
@@ -11,19 +11,30 @@ Two checks, both cheap enough for every CI run:
    fitting in the executor's memory budget or not.
 
 2. **Footprint** — building a k-ary fat-tree (k=8: 128 hosts, 80
-   switches; k=16: 1024 hosts, 320 switches; routes installed) must
-   stay under a per-host tracemalloc budget.  The budget is generous
-   (2x the measured value, rounded up) so it only trips on regressions
-   of kind, not noise: an accidental per-host copy of a config object,
-   a queue object per (port, priority) built before any packet needs
-   it, routing tables going quadratic, and so on.  Core routing tables
-   are O(hosts) per core switch, so the per-host figure grows slowly
-   with k; the k=16 run catches growth the k=8 one is too small to show.
+   switches; k=16: 1024 hosts, 320 switches; k=32: 8192 hosts, 1280
+   switches; routes installed) must stay under a per-host tracemalloc
+   budget.  The budget is generous (2x the measured value, rounded up)
+   so it only trips on regressions of kind, not noise: an accidental
+   per-host copy of a config object, a queue object per (port,
+   priority) built before any packet needs it, a random stream per
+   switch built before any draw, and so on.  Nothing a switch holds
+   grows with the number of hosts beyond its own rack, so the per-host
+   figure does not rise with k (5.4 / 5.0 / 4.7 KB at k = 8 / 16 / 32);
+   the k=32 run is where a per-host table in the core tier would show
+   (14.7 KB/host there).
 
-Usage (CI runs this at both sizes in the fabric-smoke job)::
+3. **Route state** — the same property as a count that does not drift
+   with the box: exact entries plus block routes, summed over every
+   switch, stay within 3 x hosts (one entry per host at its edge
+   switch, one block per rack per pod agg, one block per pod per
+   core: 8 192 + 16 384 at k=32, where one entry per host in every agg
+   and core would be 2 236 416).
+
+Usage (CI runs this at all three sizes in the fabric-smoke job)::
 
     PYTHONPATH=src python benchmarks/check_memory_footprint.py --k 8
     PYTHONPATH=src python benchmarks/check_memory_footprint.py --k 16
+    PYTHONPATH=src python benchmarks/check_memory_footprint.py --k 32
 """
 
 from __future__ import annotations
@@ -46,9 +57,15 @@ SLOTTED = (
 )
 
 #: tracemalloc bytes per host allowed for a freshly built fat-tree
-#: (measured 7.7 KB/host at k=8 and 8.2 KB/host at k=16 with queues
-#: made on first use, 45 KB/host before that; 2x headroom, rounded up)
-PER_HOST_BUDGET_BYTES = 20_000
+#: (measured 5.4 / 5.0 / 4.7 KB/host at k = 8 / 16 / 32 with block
+#: routes; 7.7 / 8.2 / 14.7 with one entry per host in every core,
+#: 45 KB/host before queues were made on first use; 2x headroom,
+#: rounded up)
+PER_HOST_BUDGET_BYTES = 10_000
+
+#: installed route state (exact entries + blocks over all switches)
+#: allowed per host
+ROUTE_STATE_PER_HOST = 3
 
 
 def check_slots() -> list:
@@ -75,17 +92,22 @@ def check_slots() -> list:
     return problems
 
 
-def measure_fabric_bytes(k: int) -> tuple:
-    """(total_bytes, host_count) for building a k-ary fat-tree."""
+def measure_fabric(k: int) -> tuple:
+    """(traced bytes, hosts, route entries, route blocks) of a k-ary fat-tree."""
     from repro.fabric import build_fabric
 
     tracemalloc.start()
     before, _ = tracemalloc.get_traced_memory()
     fabric = build_fabric(kind="fat_tree", k=k)
     after, _ = tracemalloc.get_traced_memory()
-    host_count = len(fabric.all_hosts())
     tracemalloc.stop()
-    return after - before, host_count
+    switches = fabric.net.switches
+    return (
+        after - before,
+        len(fabric.all_hosts()),
+        sum(len(switch.routing_table) for switch in switches),
+        sum(len(switch.route_blocks()) for switch in switches),
+    )
 
 
 def main(argv=None) -> int:
@@ -107,7 +129,7 @@ def main(argv=None) -> int:
     if not problems:
         print(f"slots ok: {len(SLOTTED)} hot classes carry no __dict__")
 
-    total, hosts = measure_fabric_bytes(args.k)
+    total, hosts, entries, blocks = measure_fabric(args.k)
     per_host = total / hosts
     print(
         f"k={args.k} fat-tree: {total / 1e6:.1f} MB traced for {hosts} hosts "
@@ -120,6 +142,16 @@ def main(argv=None) -> int:
             f"{args.budget_bytes} B"
         )
         problems.append("footprint")
+    print(
+        f"route state: {entries} entries + {blocks} blocks "
+        f"(limit {ROUTE_STATE_PER_HOST} x {hosts} hosts)"
+    )
+    if entries + blocks > ROUTE_STATE_PER_HOST * hosts:
+        print(
+            f"FAIL route state {entries + blocks} exceeds "
+            f"{ROUTE_STATE_PER_HOST} per host"
+        )
+        problems.append("route state")
     return 1 if problems else 0
 
 

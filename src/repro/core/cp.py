@@ -40,7 +40,10 @@ class RedEcnMarker:
 
     Keeps its own ``random.Random`` stream so that switch marking
     decisions are reproducible independently of any other randomness in
-    the simulation.
+    the simulation.  The stream (2.5 KB of Mersenne Twister state) is
+    built from the kept seed at the first probabilistic draw: the same
+    seed gives the same draw sequence, and a queue that never sits
+    between ``Kmin`` and ``Kmax`` never pays for one.
 
     ``seen`` counts the packets *offered to the marker*, not the
     packets the queue admitted: :meth:`repro.sim.switch.Switch.receive`
@@ -48,7 +51,9 @@ class RedEcnMarker:
     (the answer is False and no random number is drawn either way).
     """
 
-    __slots__ = ("kmin_bytes", "kmax_bytes", "pmax", "_rng", "marked", "seen")
+    __slots__ = (
+        "kmin_bytes", "kmax_bytes", "pmax", "_seed", "_stream", "marked", "seen",
+    )
 
     def __init__(
         self,
@@ -58,9 +63,18 @@ class RedEcnMarker:
         self.kmin_bytes = params.kmin_bytes
         self.kmax_bytes = params.kmax_bytes
         self.pmax = params.pmax
-        self._rng = random.Random(seed)
+        self._seed = seed
+        self._stream: Optional[random.Random] = None
         self.marked = 0
         self.seen = 0
+
+    @property
+    def _rng(self) -> random.Random:
+        """The marking stream, built on first use."""
+        stream = self._stream
+        if stream is None:
+            stream = self._stream = random.Random(self._seed)
+        return stream
 
     def probability(self, queue_bytes: float) -> float:
         """Marking probability at the given instantaneous queue length."""
@@ -83,7 +97,10 @@ class RedEcnMarker:
         if p >= 1.0:
             self.marked += 1
             return True
-        if self._rng.random() < p:
+        stream = self._stream
+        if stream is None:
+            stream = self._rng
+        if stream.random() < p:
             self.marked += 1
             return True
         return False

@@ -23,6 +23,7 @@ Routing is installed structurally (no graph search): see
 from __future__ import annotations
 
 import time
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.params import DCQCNParams
@@ -125,8 +126,9 @@ class Fabric:
 
         Covers the CI gate: expected per-tier device counts, per-switch
         port counts, link symmetry, and routing completeness (every
-        switch can forward to every host via its table or its default
-        route — no blackholes by construction).
+        switch can forward to every host via an exact entry, a block
+        route or its default route, resolved through ``route_to`` as
+        the datapath does — no blackholes by construction).
         """
         spec = self.spec
         problems: List[str] = []
@@ -163,16 +165,16 @@ class Fabric:
         host_ids = [host.host_id for host in hosts]
         for switch in self.net.switches:
             n_ports = len(switch.ports)
-            for indices in switch.routing_table.values():
+            for indices in chain(
+                switch.routing_table.values(),
+                (ports for _, _, ports in switch.route_blocks()),
+            ):
                 bad = [i for i in indices if i < 0 or i >= n_ports]
                 if bad:
                     problems.append(f"{switch.name}: route to missing port {bad}")
-            missing = sum(
-                1
-                for host_id in host_ids
-                if host_id not in switch.routing_table
-                and not switch.default_route
-            )
+            if switch.default_route:
+                continue  # every destination resolves, as the datapath would
+            missing = sum(1 for host_id in host_ids if not switch.route_to(host_id))
             if missing:
                 problems.append(
                     f"{switch.name}: no route (and no default) for "
@@ -281,7 +283,8 @@ def build_fabric(
                     fabric._agg_up[g].append(up.index)
                     fabric._core_pod_ports[c][pod].append(down.index)
 
-    # 4. hosts, edge-major
+    # 4. hosts, edge-major: a rack's ids, and a pod's, are consecutive,
+    # which the block routes of step 5 rest on (and verify)
     for t, edge in enumerate(fabric.edges):
         pod, e = divmod(t, spec.edges_per_pod)
         rack: List[Host] = []

@@ -14,8 +14,9 @@ The model follows the paper's description of the Arista 7050QX32
 * ECN marking (the DCQCN CP algorithm) happens at *egress* enqueue
   using the instantaneous per-(port, priority) egress queue length and
   the RED profile of Figure 5;
-* forwarding uses a per-destination list of equal-cost egress ports,
-  picked by a deterministic per-flow hash (ECMP);
+* forwarding uses a per-destination list of equal-cost egress ports
+  (an exact entry, else a block of consecutive destination ids, else
+  the default route), picked by a deterministic per-flow hash (ECMP);
 * egress scheduling is strict priority, so CNPs travelling in the high
   priority class overtake data.
 
@@ -30,6 +31,7 @@ that.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
@@ -146,6 +148,8 @@ class Switch(Device):
         "pause_frames_received",
         "forwarded_packets",
         "peak_occupancy_bytes",
+        "_block_starts",
+        "_block_routes",
     )
 
     def __init__(
@@ -181,6 +185,10 @@ class Switch(Device):
         self._ecn_kmin_bytes = config.marking.kmin_bytes
         # dst host id -> tuple of egress port indices (equal cost)
         self.routing_table: Dict[int, Tuple[int, ...]] = {}
+        # block routes, two parallel lists sorted by first dst id:
+        # _block_routes[i] = (stop, ports) covers _block_starts[i] .. stop-1
+        self._block_starts: List[int] = []
+        self._block_routes: List[Tuple[int, Tuple[int, ...]]] = []
         # fallback ECMP group for destinations with no table entry —
         # the "default up" route of structured fabric routing (empty
         # tuple: no fallback, unknown destinations are an error)
@@ -237,39 +245,86 @@ class Switch(Device):
         port.queued_mask = 0
         return index
 
-    def set_route(self, dst: int, port_indices: Tuple[int, ...]) -> None:
-        """Install the equal-cost egress port set for destination ``dst``."""
+    def _checked_ports(self, port_indices, what: str) -> Tuple[int, ...]:
+        """``port_indices`` as a tuple: non-empty, every index a port."""
         if not port_indices:
-            raise ValueError(f"{self.name}: empty ECMP set for dst {dst}")
+            raise ValueError(f"{self.name}: empty {what}")
         for index in port_indices:
             if index < 0 or index >= len(self.ports):
                 raise ValueError(f"{self.name}: bad port index {index}")
-        self.routing_table[dst] = tuple(port_indices)
+        return tuple(port_indices)
+
+    def set_route(self, dst: int, port_indices: Tuple[int, ...]) -> None:
+        """Install the equal-cost egress port set for destination ``dst``."""
+        self.routing_table[dst] = self._checked_ports(
+            port_indices, f"ECMP set for dst {dst}"
+        )
+        self._egress_memo.clear()
+
+    def set_route_block(
+        self, first_dst: int, count: int, port_indices: Tuple[int, ...]
+    ) -> None:
+        """Install one ECMP set for ``first_dst .. first_dst + count - 1``.
+
+        The prefix route of an IP fabric: a rack or a pod of
+        consecutively numbered hosts costs one entry, however many
+        hosts it holds.  Blocks may not overlap; an exact
+        :meth:`set_route` entry inside a block wins over it.
+        """
+        if count < 1:
+            raise ValueError(f"{self.name}: route block of {count} destinations")
+        stop = first_dst + count
+        ports = self._checked_ports(
+            port_indices, f"ECMP set for block {first_dst}..{stop - 1}"
+        )
+        starts = self._block_starts
+        at = bisect_right(starts, first_dst)
+        if (at and self._block_routes[at - 1][0] > first_dst) or (
+            at < len(starts) and starts[at] < stop
+        ):
+            raise ValueError(
+                f"{self.name}: route block {first_dst}..{stop - 1} overlaps "
+                f"an installed block"
+            )
+        starts.insert(at, first_dst)
+        self._block_routes.insert(at, (stop, ports))
         self._egress_memo.clear()
 
     def set_default_route(self, port_indices: Tuple[int, ...]) -> None:
         """Install the fallback ECMP group (structured routing's "up").
 
-        Any destination without a :meth:`set_route` entry hashes over
-        these ports; on a fat-tree/Clos that is every host that is not
-        below this switch, which keeps table size O(local hosts)
-        instead of O(all hosts) on the edge and aggregation tiers.
+        Any destination without a :meth:`set_route` entry or a
+        :meth:`set_route_block` block hashes over these ports; on a
+        fat-tree/Clos that is every host that is not below this switch,
+        which keeps table size O(what is below) instead of O(all hosts)
+        on the edge and aggregation tiers.
         """
-        if not port_indices:
-            raise ValueError(f"{self.name}: empty default ECMP set")
-        for index in port_indices:
-            if index < 0 or index >= len(self.ports):
-                raise ValueError(f"{self.name}: bad port index {index}")
-        self.default_route = tuple(port_indices)
+        self.default_route = self._checked_ports(port_indices, "default ECMP set")
         self._egress_memo.clear()
 
     def route_to(self, dst: int) -> Tuple[int, ...]:
         """The effective ECMP port set for destination ``dst``.
 
-        The per-destination entry when one exists, else the default
-        route; empty means the destination is unreachable from here.
+        The exact entry when one exists, else the block that contains
+        ``dst``, else the default route; empty means the destination is
+        unreachable from here.
         """
-        return self.routing_table.get(dst, self.default_route)
+        choices = self.routing_table.get(dst)
+        if choices is not None:
+            return choices
+        at = bisect_right(self._block_starts, dst)
+        if at:
+            stop, choices = self._block_routes[at - 1]
+            if dst < stop:
+                return choices
+        return self.default_route
+
+    def route_blocks(self) -> List[Tuple[int, int, Tuple[int, ...]]]:
+        """The installed block routes as ``(first_dst, count, ports)``."""
+        return [
+            (first, stop - first, ports)
+            for first, (stop, ports) in zip(self._block_starts, self._block_routes)
+        ]
 
     # --- helpers ----------------------------------------------------------------
 
@@ -309,14 +364,12 @@ class Switch(Device):
         return free * self._dyn_factor if free > 0 else 0.0
 
     def _pick_egress(self, pkt: Packet) -> int:
-        try:
-            choices = self.routing_table[pkt.dst]
-        except KeyError:
-            choices = self.default_route
-            if not choices:
-                raise LookupError(
-                    f"{self.name}: no route to host {pkt.dst} (packet {pkt!r})"
-                ) from None
+        # runs on an _egress_memo miss only: once per (flow, switch)
+        choices = self.route_to(pkt.dst)
+        if not choices:
+            raise LookupError(
+                f"{self.name}: no route to host {pkt.dst} (packet {pkt!r})"
+            )
         if len(choices) == 1:
             return choices[0]
         h = ecmp_hash(pkt.flow_id, pkt.src, pkt.dst, self.ecmp_salt)

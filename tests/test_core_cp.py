@@ -89,3 +89,35 @@ class TestRedEcnMarker:
 
     def test_mark_fraction_empty(self):
         assert RedEcnMarker(DCQCNParams.deployed()).mark_fraction == 0.0
+
+
+class TestStreamOnFirstDraw:
+    """The Mersenne state is built by the first probabilistic draw."""
+
+    def test_only_a_probabilistic_call_builds_the_stream(self):
+        params = DCQCNParams.deployed()
+        marker = RedEcnMarker(params, seed=3)
+        assert marker._stream is None
+        assert not marker.should_mark(0)
+        assert not marker.should_mark(params.kmin_bytes)  # at Kmin: p = 0
+        assert marker.should_mark(params.kmax_bytes + 1)  # above Kmax: p = 1
+        assert marker._stream is None
+        marker.should_mark((params.kmin_bytes + params.kmax_bytes) / 2)
+        assert marker._stream is not None
+        assert (marker.seen, marker.marked) in ((4, 1), (4, 2))
+
+    def test_a_built_fabric_holds_no_stream(self):
+        from repro.fabric import build_fabric
+
+        fabric = build_fabric(kind="fat_tree", k=8)
+        assert len(fabric.net.switches) == 80
+        assert all(switch._marker._stream is None for switch in fabric.net.switches)
+
+    def test_unseeded_marker_still_marks(self):
+        params = DCQCNParams.deployed().with_red_marking(
+            units.kb(5), units.kb(200), 1.0
+        )
+        marker = RedEcnMarker(params)
+        mid = (params.kmin_bytes + params.kmax_bytes) / 2
+        marks = sum(marker.should_mark(mid) for _ in range(2_000))
+        assert 800 < marks < 1_200  # p = 0.5, +-9 sigma

@@ -114,6 +114,19 @@ class TestBuilder:
         assert fabric.validate() == []
         assert len(fabric.all_hosts()) == 12
 
+    def test_validate_reads_block_routes_as_the_datapath_does(self):
+        fabric = build_fabric(kind="fat_tree", k=4)
+        core, agg = fabric.cores[0], fabric.aggs[0]
+        # a core that lost one pod's block blackholes that pod's 4 hosts
+        del core._block_starts[1], core._block_routes[1]
+        # a block whose port does not exist (set_route_block would refuse)
+        stop, _ = agg._block_routes[0]
+        agg._block_routes[0] = (stop, (99,))
+        assert fabric.validate() == [
+            f"{agg.name}: route to missing port [99]",
+            f"{core.name}: no route (and no default) for 4 hosts",
+        ]
+
     def test_tier_handles(self):
         fabric = build_fabric(kind="fat_tree", k=4)
         tiers = fabric.tiers()
@@ -165,7 +178,9 @@ class TestDeterminism:
         assert [h.name for h in a.all_hosts()] == [h.name for h in b.all_hosts()]
         for sa, sb in zip(a.net.switches, b.net.switches):
             assert sa.routing_table == sb.routing_table
+            assert sa.route_blocks() == sb.route_blocks()
             assert sa.default_route == sb.default_route
+        assert any(switch.route_blocks() for switch in a.net.switches)
 
     def test_scoped_names_stable_across_sizes(self):
         """A device's name depends on its position, not the fabric size."""

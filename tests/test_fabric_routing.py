@@ -1,9 +1,10 @@
 """Structured fabric routing: ECMP widths, BFS equivalence, resilience."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import units
-from repro.fabric import FabricSpec, build_fabric
+from repro.fabric import FabricSpec, build_fabric, install_fabric_routes
 from repro.sim.routing import adjacency, hop_distances, install_routes
 
 
@@ -115,6 +116,73 @@ class TestBfsEquivalence:
                 hosts_per_tor=2,
             )
         )
+
+
+SMALL_SPECS = st.one_of(
+    st.builds(
+        FabricSpec,
+        kind=st.just("fat_tree"),
+        k=st.sampled_from([2, 4, 6]),
+        hosts_per_edge=st.integers(1, 3),
+    ),
+    st.builds(
+        FabricSpec,
+        kind=st.just("clos"),
+        pods=st.integers(1, 3),
+        tors_per_pod=st.integers(1, 3),
+        leaves_per_pod=st.integers(1, 3),
+        spines=st.integers(1, 3),
+        hosts_per_tor=st.integers(1, 3),
+    ),
+)
+
+
+class TestBlockRoutes:
+    """Agg and core tiers route per rack and per pod, not per host."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(SMALL_SPECS)
+    def test_any_small_fabric_matches_bfs(self, spec):
+        assert_matches_bfs(build_fabric(spec))
+
+    def test_table_shape_k8(self):
+        fabric = build_fabric(kind="fat_tree", k=8)
+        spec = fabric.spec
+        for core in fabric.cores:
+            assert len(core.route_blocks()) == spec.pod_count
+            assert not core.routing_table
+        for agg in fabric.aggs:
+            assert len(agg.route_blocks()) == spec.edges_per_pod
+            assert not agg.routing_table
+        for edge in fabric.edges:
+            assert not edge.route_blocks()
+        assert (
+            sum(len(switch.routing_table) for switch in fabric.net.switches)
+            == spec.host_count()
+        )
+
+    @pytest.mark.parametrize(
+        "swaps, where",
+        [
+            # one host of rack 0 trades ids with one of rack 1
+            ([((0, 1), (1, 0))], "rack 0"),
+            # rack 1 (pod 0) trades ids with rack 2 (pod 1), host by
+            # host: every rack stays consecutive, the pods do not
+            ([((1, 0), (2, 0)), ((1, 1), (2, 1))], "pod 0"),
+        ],
+    )
+    def test_non_consecutive_host_ids_are_refused(self, swaps, where):
+        """Blocks rest on edge-major host numbering: a rack or a pod
+        whose ids are not ``first .. first+n-1`` raises before any table
+        is written, it is not routed to the wrong rack."""
+        fabric = build_fabric(kind="fat_tree", k=4)
+        for (rack_a, i), (rack_b, j) in swaps:
+            a, b = fabric.hosts[rack_a][i].nic, fabric.hosts[rack_b][j].nic
+            a.device_id, b.device_id = b.device_id, a.device_id
+        before = effective_routes(fabric.net)
+        with pytest.raises(ValueError, match=f"{where}: host ids are not"):
+            install_fabric_routes(fabric)
+        assert effective_routes(fabric.net) == before
 
 
 class TestSymmetryAndReachability:

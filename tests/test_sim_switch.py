@@ -3,6 +3,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import units
 from repro.buffers.thresholds import SwitchProfile, dynamic_pfc_threshold
@@ -118,6 +119,137 @@ class TestForwarding:
         assert nics[1].rx_state(0).expected_seq == 1  # blocker then... lo dropped OOO?
         # more direct: switch served prio 6 before prio 0's second packet
         assert switch.egress_queue_bytes(1) == 0
+
+
+class TestRouteBlocks:
+    """One ECMP set for a run of consecutive destination ids."""
+
+    def test_resolves_inside_the_block_only(self):
+        _, switch, _ = make_switch()
+        switch.set_route_block(10, 5, (1, 2))
+        assert switch.route_to(10) == (1, 2)  # first id
+        assert switch.route_to(14) == (1, 2)  # last id
+        assert switch.route_to(9) == ()
+        assert switch.route_to(15) == ()  # stop: one past the block
+        switch.set_default_route((0,))
+        assert switch.route_to(9) == (0,)
+        assert switch.route_to(15) == (0,)
+        assert switch.route_to(12) == (1, 2)
+
+    def test_exact_entry_wins_over_its_block(self):
+        _, switch, _ = make_switch()
+        switch.set_route_block(10, 5, (1,))
+        switch.set_route(12, (2,))
+        assert switch.route_to(12) == (2,)
+        assert switch.route_to(11) == (1,)
+        assert switch.route_to(13) == (1,)
+
+    def test_adjacent_blocks_are_not_overlap(self):
+        _, switch, _ = make_switch()
+        switch.set_route_block(10, 5, (1,))
+        switch.set_route_block(15, 5, (2,))
+        switch.set_route_block(5, 5, (0,))
+        assert switch.route_blocks() == [(5, 5, (0,)), (10, 5, (1,)), (15, 5, (2,))]
+        assert [switch.route_to(d) for d in (9, 10, 14, 15)] == [
+            (0,), (1,), (1,), (2,),
+        ]
+
+    @pytest.mark.parametrize(
+        "first, count, ports",
+        [
+            (10, 3, (1,)),  # same start
+            (8, 3, (1,)),  # over the left edge
+            (14, 3, (1,)),  # over the right edge
+            (11, 2, (1,)),  # contained
+            (8, 10, (1,)),  # containing
+            (30, 0, (1,)),  # count < 1
+            (30, -2, (1,)),
+            (30, 2, ()),  # empty port set
+            (30, 2, (99,)),  # no such port
+            (30, 2, (-1,)),
+        ],
+    )
+    def test_a_rejected_block_leaves_the_table_unchanged(self, first, count, ports):
+        _, switch, _ = make_switch()
+        switch.set_route_block(10, 5, (0,))
+
+        def table():
+            return (
+                switch.route_blocks(),
+                dict(switch.routing_table),
+                switch.default_route,
+            )
+
+        before = table()
+        with pytest.raises(ValueError):
+            switch.set_route_block(first, count, ports)
+        assert table() == before
+        assert [switch.route_to(d) for d in range(5, 35)] == [
+            (0,) if 10 <= d < 15 else () for d in range(5, 35)
+        ]
+
+    def test_default_route_validates_ports_too(self):
+        _, switch, _ = make_switch()
+        with pytest.raises(ValueError):
+            switch.set_default_route(())
+        with pytest.raises(ValueError):
+            switch.set_default_route((0, 3))
+        assert switch.default_route == ()
+
+    def test_a_new_block_repoints_a_flow_already_forwarded(self):
+        """``set_route_block`` clears the egress memo, as ``set_route`` does."""
+        engine, switch, stubs = make_switch(recording=True)
+        dst = 500
+
+        def forward(seq):
+            switch.receive(data_packet(7, 100, dst, 1000, seq, 0), switch.ports[0])
+            engine.run()
+
+        switch.set_default_route((1,))
+        forward(0)
+        assert [len(stub.received) for stub in stubs] == [0, 1, 0]
+        switch.set_route_block(dst - 2, 4, (2,))
+        forward(1)
+        assert [len(stub.received) for stub in stubs] == [0, 1, 1]
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 60),
+                st.integers(1, 8),
+                st.lists(st.integers(0, 2), min_size=1, max_size=3),
+            ),
+            max_size=12,
+        ),
+        st.dictionaries(
+            st.integers(-2, 70),
+            st.lists(st.integers(0, 2), min_size=1, max_size=3),
+            max_size=8,
+        ),
+        st.one_of(st.just(()), st.lists(st.integers(0, 2), min_size=1, max_size=3)),
+    )
+    def test_equals_a_per_host_table(self, blocks, exact, default):
+        """Blocks in any order + exact entries == one dict entry per host."""
+        _, switch, _ = make_switch()
+        reference = {}
+        for first, count, ports in blocks:
+            covered = range(first, first + count)
+            if any(dst in reference for dst in covered):
+                with pytest.raises(ValueError):
+                    switch.set_route_block(first, count, ports)
+                continue
+            switch.set_route_block(first, count, ports)
+            reference.update(dict.fromkeys(covered, tuple(ports)))
+        for dst, ports in exact.items():
+            switch.set_route(dst, ports)
+            reference[dst] = tuple(ports)
+        if default:
+            switch.set_default_route(default)
+        for dst in range(-4, 75):
+            assert switch.route_to(dst) == reference.get(dst, tuple(default))
+        starts = [first for first, _, _ in switch.route_blocks()]
+        assert starts == sorted(starts)
 
 
 class TestEcnMarking:
