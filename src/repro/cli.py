@@ -68,7 +68,7 @@ from repro.runner import JOBS_ENV, REGISTRY, SCALE_ENV, SCENARIOS, format_table
 from repro.runner.cache import CACHE_ENV
 from repro.runner.resilience import RESUME_ENV, TIMEOUT_ENV
 from repro.runner.scale import SCALES
-from repro.shard import SHARDS_ENV, can_shard, effective_shards
+from repro.shard import SHARDS_ENV, can_shard, effective_shards, serial_reason
 
 
 def _jobs_arg(value: str) -> str:
@@ -194,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="resume an interrupted sweep — or an interrupted sharded "
-        "run, mid-simulation — from its checkpoint (sets REPRO_RESUME)",
+        help="resume an interrupted sweep from its checkpoint "
+        "(sets REPRO_RESUME)",
     )
     parser.add_argument(
         "--timeout",
@@ -685,20 +685,17 @@ def run_scenario_main(scenario_id: str, args) -> int:
             f"{stats['messages']} boundary messages, "
             f"sync stall {stats['stall_fraction']:.0%}"
         )
-        restarts = stats.get("restarts", 0)
-        resumed = stats.get("resumed_barriers", 0)
-        degraded = stats.get("degraded", False)
-        if restarts or resumed or degraded:
-            # the survived-fault summary; CI greps for this line
+        from repro.shard.supervise import ShardFailure
+
+        for failure in result.shard_report.get("failures", ()):
+            # the survived-fault summary
             print(
-                f"resilience: {restarts} worker restarts, "
-                f"{resumed} barriers resumed from checkpoint, "
-                f"degraded={'yes' if degraded else 'no'}"
+                "resilience: degraded to serial after "
+                + ShardFailure(**failure).describe()
             )
     elif args.shards is not None and args.shards > 1:
-        print(
-            f"sharding skipped ({scenario.topology!r} topology runs serial)"
-        )
+        reason = serial_reason(scenario) or "the fabric has no shard boundary"
+        print(f"sharding skipped ({reason})")
     if result.flow_stats:
         completed = [r for r in result.flow_stats_records() if r.completed]
         print(

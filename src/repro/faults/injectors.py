@@ -298,8 +298,10 @@ def install_plan(
     its transmit-side shard, a LinkFlap wherever either endpoint lives
     (counted on the ``a`` side only).  ``fault.windows`` is still
     accumulated from the full plan so every shard reports the serial
-    total, and the deadlock watchdog — which walks a global wait-for
-    graph no single shard can see — is not armed on sharded runs.
+    total.  The deadlock watchdog walks a global wait-for graph no
+    single shard can see, so a plan that asks for one never reaches a
+    shard worker (:func:`repro.shard.spec.serial_reason` keeps the run
+    serial).
     """
     emitter = _Emitter(telemetry, net.engine)
 

@@ -113,12 +113,11 @@ class RunResult:
     #: :class:`repro.telemetry.flowstats.FlowStats`; empty when the run
     #: predates FCT recording or ``REPRO_FLOWSTATS=off``
     flow_stats: List[Dict[str, Any]] = field(default_factory=list)
-    #: shard-resilience record of the run that produced this result:
-    #: restarts, resumed barriers, failures survived, degradation to
-    #: serial (see DESIGN.md §15).  Empty — and absent from the JSON —
-    #: for serial runs and for sharded runs that saw no fault, so an
-    #: undisturbed sharded result stays bit-identical to its serial
-    #: twin.
+    #: record of a sharded run that lost a worker and was re-executed
+    #: serially: ``{mode, shards, failures}`` (see DESIGN.md §14).
+    #: Empty — and absent from the JSON — for serial runs and for
+    #: sharded runs that saw no fault, so an undisturbed sharded result
+    #: stays bit-identical to its serial twin.
     shard_report: Dict[str, Any] = field(default_factory=dict)
 
     def throughput_gbps(self, flow: str) -> float:

@@ -108,9 +108,21 @@ def decode_value(value: Any) -> Any:
     if isinstance(value, Mapping):
         if _KIND_KEY in value:
             cls = _config_types()[value[_KIND_KEY]]
-            kwargs = {
-                k: decode_value(v) for k, v in value.items() if k != _KIND_KEY
-            }
+            retired = getattr(cls, "RETIRED_FIELDS", {})
+            kwargs = {}
+            for k, v in value.items():
+                if k in retired:
+                    # a spec frozen before the field went still loads,
+                    # as long as it never asked for anything but the
+                    # default; see ShardingSpec.RETIRED_FIELDS
+                    if v != retired[k] or type(v) is not type(retired[k]):
+                        raise ValueError(
+                            f"{cls.__name__}.{k} was removed and only its "
+                            f"old default {retired[k]!r} still loads, "
+                            f"got {v!r}"
+                        )
+                elif k != _KIND_KEY:
+                    kwargs[k] = decode_value(v)
             return cls(**kwargs)
         return {k: decode_value(v) for k, v in value.items()}
     if isinstance(value, list):

@@ -10,12 +10,11 @@ The parent routes boundary messages and null-message time grants
 RunResult that is identical to the serial run for metrics-only
 telemetry (:mod:`repro.shard.merge`).  See DESIGN.md §14.
 
-The parent is also a supervisor (DESIGN.md §15): routed barrier rounds
-are journalled (:mod:`repro.shard.checkpoint`) so dead or stalled
-workers restart by deterministic replay, an interrupted run resumes
-with ``--resume``, and an unsalvageable fleet degrades to serial
-re-execution — all bit-identical to the undisturbed run
-(:mod:`repro.shard.supervise`).
+The parent also watches its workers (:mod:`repro.shard.supervise`): a
+dead, stalled or desynchronised worker becomes a recorded
+``ShardFailure`` and the run degrades to one serial re-execution —
+bit-identical to the undisturbed run — or, with degradation off,
+raises ``ShardRunError``.
 
 Only the declarative half (:mod:`repro.shard.spec`: the spec, the env
 var name and the serial-or-sharded dispatch) is re-exported here, so
@@ -29,6 +28,7 @@ from repro.shard.spec import (
     can_shard,
     effective_shards,
     maybe_run_sharded,
+    serial_reason,
 )
 
 __all__ = [
@@ -37,4 +37,5 @@ __all__ = [
     "can_shard",
     "effective_shards",
     "maybe_run_sharded",
+    "serial_reason",
 ]

@@ -24,10 +24,8 @@ reached ``B``.
 
 from __future__ import annotations
 
-import os
-import signal
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.shard.partition import ShardPlan
 from repro.sim.packet import Packet
@@ -65,29 +63,6 @@ def decode_packet(fields: PacketTuple) -> Packet:
     return Packet(*fields)
 
 
-#: fault-injection hook for the supervision tests:
-#: ``"<kill|stall>:<shard_id>:<live-ordinal>[:<seconds>]"`` makes that
-#: shard's *first incarnation* kill itself (SIGKILL, no cleanup) or
-#: sleep ``seconds`` right before its Nth live barrier exchange.
-#: Respawned incarnations ignore it, so a supervised run converges.
-SHARD_CHAOS_ENV = "REPRO_SHARD_CHAOS"
-
-
-def _parse_chaos(raw: str) -> Optional[Tuple[str, int, int, float]]:
-    raw = raw.strip()
-    if not raw:
-        return None
-    parts = raw.split(":")
-    if len(parts) not in (3, 4) or parts[0] not in ("kill", "stall"):
-        raise ValueError(
-            f"{SHARD_CHAOS_ENV} must be 'kill|stall:shard:ordinal[:seconds]',"
-            f" got {raw!r}"
-        )
-    kind, shard_id, ordinal = parts[0], int(parts[1]), int(parts[2])
-    seconds = float(parts[3]) if len(parts) == 4 else 60.0
-    return (kind, shard_id, ordinal, seconds)
-
-
 def barrier_schedule(window_ns: int, warmup_ns: int, horizon_ns: int) -> List[int]:
     """Ascending barrier times: every window multiple below the horizon,
     the warmup boundary (where the pre/post counter snapshot is taken),
@@ -112,8 +87,6 @@ class ShardContext:
         shard_id: int,
         window_ns: int,
         conn,
-        replay: Sequence[Tuple[int, List[BoundaryMessage]]] = (),
-        incarnation: int = 0,
     ):
         if not 0 <= shard_id < plan.shards:
             raise ValueError(f"shard_id {shard_id} outside [0, {plan.shards})")
@@ -126,11 +99,6 @@ class ShardContext:
         self.shard_id = shard_id
         self.window_ns = window_ns
         self.conn = conn
-        #: journalled (barrier, inbox) rounds to re-execute without the
-        #: pipe — how a respawned or resumed worker fast-forwards to
-        #: where the original incarnation stood (DESIGN.md §15)
-        self.replay = list(replay)
-        self.incarnation = incarnation
         self.local_names = plan.local_names(shard_id)
         self.net = None
         #: set by run_scenario_inline so the worker can export raw
@@ -151,7 +119,6 @@ class ShardContext:
         self._tx_ports: Dict[int, object] = {}
         # sync statistics
         self.barriers = 0
-        self.replayed_barriers = 0
         self.messages_sent = 0
         self.messages_received = 0
         self.stall_s = 0.0
@@ -246,30 +213,9 @@ class ShardContext:
                 f"{barrier_ns} (got {kind!r} @ {ack_barrier})"
             )
         self._inject(incoming)
-        self._account_round(barrier_ns, len(outbox), len(incoming))
-
-    def _replay_round(self, barrier_ns: int, incoming: List[BoundaryMessage]) -> None:
-        """Re-execute one journalled barrier round without the pipe.
-
-        The local event loop already ran to the barrier, so the outbox
-        holds exactly the frames the original incarnation shipped — the
-        parent routed (and journalled) them long ago, so they are
-        dropped, not re-sent.  Injecting the journalled inbox then puts
-        the heap in the same state the live exchange produced, and the
-        per-channel send sequence counters advanced as a side effect of
-        regenerating the outbox, so the first live round continues the
-        numbering seamlessly.
-        """
-        outbox = list(self._outbox)
-        self._outbox.clear()
-        self._inject(incoming)
-        self.replayed_barriers += 1
-        self._account_round(barrier_ns, len(outbox), len(incoming))
-
-    def _account_round(self, barrier_ns: int, sent: int, recv: int) -> None:
         self.barriers += 1
-        self.messages_sent += sent
-        self.messages_received += recv
+        self.messages_sent += len(outbox)
+        self.messages_received += len(incoming)
         tracer = self.net.tracer
         if tracer is not None:
             tracer.emit(
@@ -277,22 +223,9 @@ class ShardContext:
                 "shard.sync",
                 f"shard{self.shard_id}",
                 barrier=barrier_ns,
-                sent=sent,
-                recv=recv,
+                sent=len(outbox),
+                recv=len(incoming),
             )
-
-    # --- fault injection (supervision tests only) -------------------------
-
-    def _maybe_chaos(self, live_ordinal: int) -> None:
-        chaos = _parse_chaos(os.environ.get(SHARD_CHAOS_ENV, ""))
-        if chaos is None or self.incarnation != 0:
-            return
-        kind, shard_id, ordinal, seconds = chaos
-        if shard_id != self.shard_id or ordinal != live_ordinal:
-            return
-        if kind == "kill":
-            os.kill(os.getpid(), signal.SIGKILL)
-        time.sleep(seconds)
 
     # --- the run loop -----------------------------------------------------
 
@@ -306,29 +239,13 @@ class ShardContext:
 
         Replaces the serial ``run_for(warmup); run_for(duration)``:
         identical local event order, plus a barrier exchange every
-        window.  The first ``len(self.replay)`` barriers are journal
-        replays (no pipe traffic); the rest are live exchanges.
-        ``on_warmup`` fires once the loop reaches the warmup boundary
-        (the serial pre/post snapshot point).
+        window.  ``on_warmup`` fires once the loop reaches the warmup
+        boundary (the serial pre/post snapshot point).
         """
         net = self.net
-        live_ordinal = 0
-        schedule = barrier_schedule(self.window_ns, warmup_ns, horizon_ns)
-        for index, barrier in enumerate(schedule):
+        for barrier in barrier_schedule(self.window_ns, warmup_ns, horizon_ns):
             net.run_until(barrier)
-            if index < len(self.replay):
-                logged_barrier, inbox = self.replay[index]
-                if logged_barrier != barrier:
-                    raise RuntimeError(
-                        f"shard {self.shard_id}: replay log diverges from "
-                        f"the barrier schedule at index {index} "
-                        f"({logged_barrier} != {barrier})"
-                    )
-                self._replay_round(barrier, inbox)
-            else:
-                self._maybe_chaos(live_ordinal)
-                self._exchange(barrier)
-                live_ordinal += 1
+            self._exchange(barrier)
             if barrier == warmup_ns and on_warmup is not None:
                 on_warmup()
 
@@ -351,7 +268,6 @@ class ShardContext:
     def sync_stats(self) -> Dict[str, float]:
         return {
             "barriers": self.barriers,
-            "replayed_barriers": self.replayed_barriers,
             "messages_sent": self.messages_sent,
             "messages_received": self.messages_received,
             "stall_s": self.stall_s,

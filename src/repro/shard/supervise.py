@@ -2,23 +2,21 @@
 
 The parent barrier loop (:mod:`repro.shard.runner`) watches its
 workers instead of trusting them: a worker that dies mid-barrier
-(``EOFError`` / ``BrokenPipeError`` / a silent nonzero exit) or stalls
-past the heartbeat deadline becomes a structured :class:`ShardFailure`
-rather than a hang or a bare ``RuntimeError``.  What happens next is
-the **degradation ladder** decided by :class:`SupervisionPolicy`:
+(``EOFError`` / ``BrokenPipeError`` / a silent nonzero exit), stalls
+past the heartbeat deadline or breaks the sync protocol becomes a
+structured :class:`ShardFailure` rather than a hang or a bare
+``RuntimeError``.  What happens next is decided by
+:class:`SupervisionPolicy`:
 
-1. *restart* — respawn the shard and fast-forward it to the last
-   completed barrier by replaying the parent's boundary-message log
-   (:mod:`repro.shard.checkpoint`), while the surviving workers wait
-   at the barrier;
-2. *degrade* — once the restart budget is exhausted, tear the fleet
-   down and re-execute the whole scenario serially (sharded == serial
-   bit-for-bit, so the answer is unchanged — only slower);
-3. *abort* — with degradation disabled, raise :class:`ShardRunError`
-   carrying the failure record.
+* *degrade* — tear the fleet down and re-execute the whole scenario
+  serially (sharded == serial bit-for-bit, so the answer is unchanged
+  — only slower);
+* *abort* — with degradation disabled, raise :class:`ShardRunError`
+  carrying the failure record.
 
-Every failure, whatever rung it landed on, is reported in the merged
-result's ``shard_report`` so a survived fault is visible, not silent.
+Either way the failure is reported — in the merged result's
+``shard_report`` or on the exception — so a survived fault is
+visible, not silent.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from typing import Any, Dict, Optional
 FAILURE_KINDS = ("death", "stall", "protocol")
 
 #: what the supervisor did about a failure
-ACTIONS = ("restart", "degrade", "abort")
+ACTIONS = ("degrade", "abort")
 
 
 @dataclass(frozen=True)
@@ -39,8 +37,8 @@ class ShardFailure:
     """One supervised fault in a sharded run.
 
     ``barrier_ns`` is the last barrier the fleet had fully completed
-    when the fault was handled — the point the shard was restarted
-    from (``None`` when the fleet had not reached its first barrier).
+    when the fault was handled (``None`` when the fleet had not
+    reached its first barrier).
     """
 
     shard_id: int
@@ -79,8 +77,8 @@ class ShardRunError(RuntimeError):
     """A sharded run failed in a way the policy does not absorb.
 
     Raised *instead of hanging* whenever a worker dies, stalls or
-    breaks protocol and neither a restart nor serial degradation is
-    available.  ``failure`` carries the structured record.
+    breaks protocol and serial degradation is disabled.  ``failure``
+    carries the structured record.
     """
 
     def __init__(self, failure: ShardFailure):
@@ -90,26 +88,21 @@ class ShardRunError(RuntimeError):
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
-    """How much failure one sharded run is allowed to absorb.
+    """What one sharded run does about a lost worker.
 
-    ``max_restarts`` is the *fleet-wide* restart budget: every worker
-    respawn — death or stall — consumes one.  ``degrade`` selects the
-    bottom rung of the ladder (serial re-execution) once the budget is
-    gone; with it off the run raises :class:`ShardRunError` instead.
-    ``stall_timeout_s`` bounds how long the parent waits for a barrier
-    message before declaring the silent workers stalled (``None``
-    disables stall detection; death detection is always on).
-    ``poll_s`` is the heartbeat granularity of the barrier wait loop.
+    ``degrade`` selects serial re-execution; with it off the run
+    raises :class:`ShardRunError` instead.  ``stall_timeout_s`` bounds
+    how long the parent waits for a barrier message before declaring
+    the silent workers stalled (``None`` disables stall detection;
+    death detection is always on).  ``poll_s`` is the heartbeat
+    granularity of the barrier wait loop.
     """
 
-    max_restarts: int = 1
     degrade: bool = True
     stall_timeout_s: Optional[float] = None
     poll_s: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be >= 0")
         if self.stall_timeout_s is not None and self.stall_timeout_s <= 0:
             raise ValueError("stall_timeout_s must be positive or None")
         if self.poll_s <= 0:
@@ -129,8 +122,4 @@ class SupervisionPolicy:
             from repro.runner.resilience import default_timeout_s
 
             stall = default_timeout_s()
-        return cls(
-            max_restarts=spec.max_restarts,
-            degrade=spec.degrade,
-            stall_timeout_s=stall,
-        )
+        return cls(degrade=spec.degrade, stall_timeout_s=stall)

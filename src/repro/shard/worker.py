@@ -31,17 +31,8 @@ import time
 import traceback
 
 
-def shard_worker_main(
-    conn, spec, seed, plan, shard_id, window_ns, replay=(), incarnation=0
-) -> None:
-    """Run one shard to completion and report over ``conn``.
-
-    ``replay`` is the journalled (barrier, inbox) prefix a respawned or
-    resumed incarnation fast-forwards through before its first live
-    exchange; ``incarnation`` counts respawns (the chaos hook only
-    fires on incarnation 0, so an injected fault is not re-injected
-    into its own recovery).
-    """
+def shard_worker_main(conn, spec, seed, plan, shard_id, window_ns) -> None:
+    """Run one shard to completion and report over ``conn``."""
     try:
         from repro.runner.scenario import Scenario, run_scenario_inline
         from repro.shard.boundary import ShardContext
@@ -56,14 +47,7 @@ def shard_worker_main(
                 tspec, path=f"{tspec.path}.shard{shard_id}"
             )
         telemetry = Telemetry.from_spec(tspec, seed=seed)
-        ctx = ShardContext(
-            plan,
-            shard_id,
-            window_ns,
-            conn,
-            replay=replay,
-            incarnation=incarnation,
-        )
+        ctx = ShardContext(plan, shard_id, window_ns, conn)
         started = time.perf_counter()
         result, net = run_scenario_inline(
             scenario, seed, telemetry=telemetry, _shard=ctx

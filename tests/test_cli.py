@@ -129,3 +129,70 @@ class TestSharedOptions:
         monkeypatch.setenv("REPRO_SCALE", "full")
         assert main(argv + ["--scale", "smoke"]) == 0
         assert os.environ["REPRO_SCALE"] == "smoke"
+
+
+class TestShardedRunLines:
+    """``repro run --shards N`` says what happened to the request."""
+
+    @pytest.fixture(autouse=True)
+    def smoke(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_SCALE", "smoke")
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        # --shards exports REPRO_SHARDS for good; set here, it is
+        # restored (to unset) after each test
+        monkeypatch.setenv("REPRO_SHARDS", "1")
+
+    def test_killed_worker_is_reported(self, capsys, monkeypatch):
+        import os
+        import signal
+
+        from repro.shard import runner as shard_runner
+
+        real_main = shard_runner.shard_worker_main
+
+        def killed_main(conn, spec, seed, plan, shard_id, window_ns):
+            if shard_id == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            real_main(conn, spec, seed, plan, shard_id, window_ns)
+
+        assert main(["run", "fabric-smoke"]) == 0
+        serial = capsys.readouterr().out
+        assert "resilience:" not in serial and "sharded:" not in serial
+        monkeypatch.setattr(shard_runner, "shard_worker_main", killed_main)
+        assert main(["run", "fabric-smoke", "--shards", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        (line,) = [ln for ln in lines if ln.startswith("resilience:")]
+        assert line.startswith(
+            "resilience: degraded to serial after shard 1 death "
+            "before the first barrier (exit -9)"
+        )
+        # the answer is the serial one: same table, two extra lines
+        extra = [ln for ln in lines if ln.startswith(("sharded:", "resilience:"))]
+        assert [ln for ln in lines if ln not in extra] == serial.splitlines()
+
+    def test_watchdog_plan_says_why_it_stayed_serial(self, capsys, tmp_path):
+        import json
+
+        from repro.faults import FaultPlan, WatchdogConfig
+
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(
+            json.dumps(FaultPlan(watchdog=WatchdogConfig()).to_json())
+        )
+        argv = ["run", "fabric-smoke", "--faults", str(plan_file)]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        # the line only a result carrying the watchdog's findings prints
+        assert serial.splitlines()[-1].startswith("invariants[-]:")
+        assert main(argv + ["--shards", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == serial.splitlines()[:-2] + [
+            "sharding skipped (the deadlock watchdog needs the whole "
+            "wait-for graph)"
+        ] + serial.splitlines()[-2:]
+
+    def test_non_fabric_says_why_it_stayed_serial(self, capsys):
+        assert main(["run", "smoke", "--shards", "2"]) == 0
+        assert (
+            "sharding skipped ('single_switch' topology runs serial)"
+            in capsys.readouterr().out
+        )

@@ -216,8 +216,7 @@ class TestDispatch:
 SHARD_RUNTIME = [
     f"repro.shard.{name}"
     for name in (
-        "runner", "boundary", "checkpoint", "merge", "partition",
-        "supervise", "worker",
+        "runner", "boundary", "merge", "partition", "supervise", "worker",
     )
 ]
 

@@ -1,34 +1,37 @@
-"""Supervision + checkpoint/resume: faults change nothing but the report.
+"""A lost shard worker changes nothing but the report.
 
-The contract of DESIGN.md §15, end to end: a sharded run that loses a
-worker (SIGKILL), sees one stall, degrades to serial, or is
-interrupted and resumed, must produce a RunResult **bit-identical** to
-the undisturbed run — counters, metrics, invariant report, flow_stats.
-The only trace of the ordeal is the ``shard_report`` (absent from an
-undisturbed run, so these tests pop it before comparing) and, for a
-run the policy cannot save, a structured
+The contract of DESIGN.md §14 ("When a worker is lost"), end to end: a
+sharded run whose worker dies (SIGKILL), stalls past the deadline or
+breaks the sync protocol is re-executed serially and must produce a
+RunResult **bit-identical** to the undisturbed run — counters, metrics,
+invariant report, flow_stats.  The only trace of the ordeal is the
+``shard_report`` (absent from an undisturbed run, so these tests pop it
+before comparing) or, with degradation off, a structured
 :class:`~repro.shard.supervise.ShardRunError` instead of a hang.
 
-The fault injection uses the ``REPRO_SHARD_CHAOS`` hook
-(:mod:`repro.shard.boundary`): the targeted shard's first incarnation
-SIGKILLs itself (or sleeps) right before a chosen live barrier
-exchange, exactly the mid-protocol death the supervisor must absorb.
+The faults come from outside the program: ``shard_worker_main`` is
+wrapped (workers are forked, so they inherit the patch) to hand the
+worker a proxy connection that misbehaves right before its Nth
+``send`` — exactly the mid-protocol failure the parent must absorb.
 """
 
 import dataclasses
+import json
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
 from repro import units
 from repro.experiments.fabric_scale import fabric_incast_scenario
-from repro.invariants import InvariantConfig
+from repro.faults.plan import FaultPlan, WatchdogConfig
+from repro.invariants import InvariantConfig, InvariantViolation
 from repro.runner import cache
-from repro.runner.resilience import RESUME_ENV
-from repro.runner.scenario import run_scenario_inline
-from repro.shard import ShardingSpec
+from repro.runner.scenario import Scenario, run_scenario_inline
+from repro.shard import ShardingSpec, can_shard
 from repro.shard import runner as shard_runner
-from repro.shard.boundary import SHARD_CHAOS_ENV
-from repro.shard.checkpoint import SHARD_CHECKPOINT_ENV
 from repro.shard.supervise import ShardRunError
 
 
@@ -50,19 +53,70 @@ def serial_json():
     return result.to_json()
 
 
-def _sharded_json(monkeypatch, tmp_path, spec, chaos=None, seed=SEED):
+# --- fault injection ----------------------------------------------------------
+
+
+def _kill(conn):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _stall(conn):
+    time.sleep(60)
+
+
+def _desync(conn):
+    conn.send(("sync", -1, []))
+
+
+def _crash(conn):
+    raise RuntimeError("injected application error")
+
+
+def _violate(conn):
+    raise InvariantViolation("injected", "shard0", 0, "from the test")
+
+
+class _FaultyConn:
+    """The worker's end of the pipe; ``fault(conn)`` runs right before
+    the ``nth`` send (1-based: send N is barrier exchange N)."""
+
+    def __init__(self, conn, fault, nth):
+        self._conn = conn
+        self._fault = fault
+        self._nth = nth
+        self._sends = 0
+
+    def send(self, message):
+        self._sends += 1
+        if self._sends == self._nth:
+            self._fault(self._conn)
+        self._conn.send(message)
+
+    def recv(self):
+        return self._conn.recv()
+
+    def close(self):
+        self._conn.close()
+
+
+def _inject(monkeypatch, fault, shard, nth):
+    """Make shard ``shard``'s worker run ``fault`` before its nth send."""
+    real_main = shard_runner.shard_worker_main
+
+    def faulty_main(conn, spec, seed, plan, shard_id, window_ns):
+        if shard_id == shard:
+            conn = _FaultyConn(conn, fault, nth)
+        real_main(conn, spec, seed, plan, shard_id, window_ns)
+
+    monkeypatch.setattr(shard_runner, "shard_worker_main", faulty_main)
+
+
+def _sharded_json(monkeypatch, tmp_path, spec):
     """One sharded run in an isolated results dir; returns
     (stripped result json, shard_report)."""
     monkeypatch.setenv(cache.RESULTS_ENV, str(tmp_path))
-    if chaos is not None:
-        monkeypatch.setenv(SHARD_CHAOS_ENV, chaos)
-    else:
-        monkeypatch.delenv(SHARD_CHAOS_ENV, raising=False)
     scenario = dataclasses.replace(_scenario(), sharding=spec)
-    try:
-        result, _ = run_scenario_inline(scenario, seed)
-    finally:
-        monkeypatch.delenv(SHARD_CHAOS_ENV, raising=False)
+    result, _ = run_scenario_inline(scenario, SEED)
     data = result.to_json()
     report = data.pop("shard_report", {})
     for gauge in ("shard.count", "shard.stall_fraction"):
@@ -70,74 +124,49 @@ def _sharded_json(monkeypatch, tmp_path, spec, chaos=None, seed=SEED):
     return data, report
 
 
+def _assert_degraded(report, shards, shard_id, kind):
+    assert report["mode"] == "serial-degraded"
+    assert report["shards"] == shards
+    assert set(report) == {"mode", "shards", "failures"}
+    (failure,) = report["failures"]
+    assert failure["shard_id"] == shard_id
+    assert failure["kind"] == kind
+    assert failure["action"] == "degrade"
+    assert shard_runner.LAST_STATS["degraded"] is True
+    assert not multiprocessing.active_children()
+
+
 class TestWorkerKill:
-    def test_sigkill_mid_run_restarts_bit_identical(
+    def test_sigkill_mid_run_degrades_bit_identical(
         self, monkeypatch, tmp_path, serial_json
     ):
+        _inject(monkeypatch, _kill, shard=1, nth=3)
         data, report = _sharded_json(
-            monkeypatch,
-            tmp_path,
-            ShardingSpec(shards=2, max_restarts=2),
-            chaos="kill:1:2",
+            monkeypatch, tmp_path, ShardingSpec(shards=2)
         )
         assert data == serial_json
-        assert report["mode"] == "sharded"
-        assert report["restarts"] == 1
-        (failure,) = report["failures"]
-        assert failure["shard_id"] == 1
-        assert failure["kind"] == "death"
-        assert failure["action"] == "restart"
+        _assert_degraded(report, shards=2, shard_id=1, kind="death")
+        assert report["failures"][0]["exitcode"] == -signal.SIGKILL
 
     def test_sigkill_at_four_shards(self, monkeypatch, tmp_path, serial_json):
+        _inject(monkeypatch, _kill, shard=3, nth=2)
         data, report = _sharded_json(
-            monkeypatch,
-            tmp_path,
-            ShardingSpec(shards=4, max_restarts=1),
-            chaos="kill:3:1",
+            monkeypatch, tmp_path, ShardingSpec(shards=4)
         )
         assert data == serial_json
-        assert report["restarts"] == 1
-        assert report["failures"][0]["shard_id"] == 3
-
-    def test_restart_works_without_disk_checkpointing(
-        self, monkeypatch, tmp_path, serial_json
-    ):
-        # the replay log lives in parent memory: restarts must not
-        # depend on the on-disk journal being enabled
-        monkeypatch.setenv(SHARD_CHECKPOINT_ENV, "off")
-        data, report = _sharded_json(
-            monkeypatch,
-            tmp_path,
-            ShardingSpec(shards=2, max_restarts=1),
-            chaos="kill:0:3",
-        )
-        assert data == serial_json
-        assert report["restarts"] == 1
+        _assert_degraded(report, shards=4, shard_id=3, kind="death")
 
 
 class TestDegradationLadder:
-    def test_exhausted_budget_degrades_to_serial_same_answer(
-        self, monkeypatch, tmp_path, serial_json
-    ):
-        data, report = _sharded_json(
-            monkeypatch,
-            tmp_path,
-            ShardingSpec(shards=2, max_restarts=0),
-            chaos="kill:0:2",
-        )
-        assert data == serial_json
-        assert report["mode"] == "serial-degraded"
-        assert report["failures"][0]["action"] == "degrade"
-        assert shard_runner.LAST_STATS["degraded"] is True
+    """The two rungs: degrade to serial, or abort."""
 
     def test_degradation_disabled_raises_structured_error(
         self, monkeypatch, tmp_path
     ):
         monkeypatch.setenv(cache.RESULTS_ENV, str(tmp_path))
-        monkeypatch.setenv(SHARD_CHAOS_ENV, "kill:0:1")
+        _inject(monkeypatch, _kill, shard=0, nth=2)
         scenario = dataclasses.replace(
-            _scenario(),
-            sharding=ShardingSpec(shards=2, max_restarts=0, degrade=False),
+            _scenario(), sharding=ShardingSpec(shards=2, degrade=False)
         )
         with pytest.raises(ShardRunError) as excinfo:
             run_scenario_inline(scenario, SEED)
@@ -145,98 +174,157 @@ class TestDegradationLadder:
         assert failure.kind == "death"
         assert failure.action == "abort"
         assert failure.shard_id == 0
+        assert not multiprocessing.active_children()
 
-    def test_stall_detection_recycles_the_silent_worker(
+    def test_stall_past_the_deadline_degrades(
         self, monkeypatch, tmp_path, serial_json
     ):
-        # shard 0 sleeps 60s mid-protocol; a 2s deadline must catch it
+        # shard 0 sleeps 60s mid-protocol; a 2s deadline must catch it,
+        # within the deadline plus a poll (and the serial rerun)
+        _inject(monkeypatch, _stall, shard=0, nth=3)
+        started = time.monotonic()
         data, report = _sharded_json(
-            monkeypatch,
-            tmp_path,
-            ShardingSpec(shards=2, max_restarts=1, stall_timeout_s=2.0),
-            chaos="stall:0:2:60",
+            monkeypatch, tmp_path, ShardingSpec(shards=2, stall_timeout_s=2.0)
         )
+        assert time.monotonic() - started < 10
         assert data == serial_json
-        assert report["failures"][0]["kind"] == "stall"
-        assert report["restarts"] == 1
+        _assert_degraded(report, shards=2, shard_id=0, kind="stall")
 
-
-class TestInterruptAndResume:
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_parent_interrupt_then_resume_bit_identical(
-        self, monkeypatch, tmp_path, serial_json, shards
-    ):
+    def test_stall_with_degradation_disabled_aborts(self, monkeypatch, tmp_path):
         monkeypatch.setenv(cache.RESULTS_ENV, str(tmp_path))
+        _inject(monkeypatch, _stall, shard=1, nth=1)
         scenario = dataclasses.replace(
             _scenario(),
-            sharding=ShardingSpec(shards=shards, checkpoint_every=2),
+            sharding=ShardingSpec(shards=2, degrade=False, stall_timeout_s=1.0),
         )
-        # ctrl-C stand-in: the parent aborts after three routed rounds
-        monkeypatch.setattr(shard_runner, "_TEST_ABORT_AFTER_ROUNDS", 3)
-        with pytest.raises(KeyboardInterrupt):
+        with pytest.raises(ShardRunError) as excinfo:
             run_scenario_inline(scenario, SEED)
-        monkeypatch.setattr(shard_runner, "_TEST_ABORT_AFTER_ROUNDS", None)
-        journals = list((tmp_path / ".checkpoints" / "shard").iterdir())
-        assert len(journals) == 1  # the interrupted run left its journal
+        assert excinfo.value.failure.kind == "stall"
+        assert excinfo.value.failure.barrier_ns is None
 
-        monkeypatch.setenv(RESUME_ENV, "on")
-        result, _ = run_scenario_inline(scenario, SEED)
-        data = result.to_json()
-        report = data.pop("shard_report")
-        for gauge in ("shard.count", "shard.stall_fraction"):
-            data["metrics"]["gauges"].pop(gauge, None)
+    @pytest.mark.parametrize("degrade", [True, False])
+    def test_protocol_desync(self, monkeypatch, tmp_path, serial_json, degrade):
+        # a sync for the wrong barrier ahead of the real third one
+        _inject(monkeypatch, _desync, shard=1, nth=3)
+        spec = ShardingSpec(shards=2, degrade=degrade)
+        if not degrade:
+            with pytest.raises(ShardRunError, match="expected sync @"):
+                _sharded_json(monkeypatch, tmp_path, spec)
+            return
+        data, report = _sharded_json(monkeypatch, tmp_path, spec)
         assert data == serial_json
-        assert report["resumed_barriers"] == 3
-        assert not journals[0].exists()  # consumed on success
+        _assert_degraded(report, shards=2, shard_id=1, kind="protocol")
 
-    def test_without_resume_flag_the_journal_is_ignored(
-        self, monkeypatch, tmp_path, serial_json
-    ):
+
+class TestWorkerErrorsAreNotDegraded:
+    """An application error is deterministic: the serial rerun would
+    only reproduce it, so it is re-raised with the worker's traceback."""
+
+    def test_application_error_is_reraised(self, monkeypatch, tmp_path):
+        _inject(monkeypatch, _crash, shard=1, nth=2)
+        with pytest.raises(RuntimeError, match="shard 1 worker failed") as info:
+            _sharded_json(monkeypatch, tmp_path, ShardingSpec(shards=2))
+        assert "injected application error" in str(info.value)
+        assert not isinstance(info.value, ShardRunError)
+        assert not multiprocessing.active_children()
+
+    def test_strict_invariant_violation_is_reraised(self, monkeypatch, tmp_path):
+        _inject(monkeypatch, _violate, shard=0, nth=2)
+        with pytest.raises(InvariantViolation, match="injected"):
+            _sharded_json(monkeypatch, tmp_path, ShardingSpec(shards=2))
+
+
+class TestParentInterrupt:
+    def test_interrupt_leaves_no_child_and_no_file(self, monkeypatch, tmp_path):
         monkeypatch.setenv(cache.RESULTS_ENV, str(tmp_path))
+        real_acks = shard_runner.ShardSupervisor._send_acks
+
+        def interrupted_acks(self, barrier, inboxes):
+            # ctrl-C stand-in: mid-run, with every worker at a barrier
+            if self.rounds == 3:
+                raise KeyboardInterrupt
+            real_acks(self, barrier, inboxes)
+
+        monkeypatch.setattr(
+            shard_runner.ShardSupervisor, "_send_acks", interrupted_acks
+        )
         scenario = dataclasses.replace(
             _scenario(), sharding=ShardingSpec(shards=2)
         )
-        monkeypatch.setattr(shard_runner, "_TEST_ABORT_AFTER_ROUNDS", 2)
         with pytest.raises(KeyboardInterrupt):
             run_scenario_inline(scenario, SEED)
-        monkeypatch.setattr(shard_runner, "_TEST_ABORT_AFTER_ROUNDS", None)
-        monkeypatch.delenv(RESUME_ENV, raising=False)
-        result, _ = run_scenario_inline(scenario, SEED)
-        data = result.to_json()
-        assert "shard_report" not in data  # a fresh, undisturbed run
-        for gauge in ("shard.count", "shard.stall_fraction"):
-            data["metrics"]["gauges"].pop(gauge, None)
-        assert data == serial_json
-
-    def test_clean_run_leaves_no_journal(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(cache.RESULTS_ENV, str(tmp_path))
-        scenario = dataclasses.replace(
-            _scenario(), sharding=ShardingSpec(shards=2)
-        )
-        result, _ = run_scenario_inline(scenario, SEED)
-        assert result.shard_report == {}
-        shard_dir = tmp_path / ".checkpoints" / "shard"
-        assert not shard_dir.exists() or not list(shard_dir.iterdir())
+        assert not multiprocessing.active_children()
+        assert not [path for path in tmp_path.rglob("*") if path.is_file()]
 
 
 class TestSpecKnobs:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ShardingSpec(shards=2, checkpoint_every=0)
-        with pytest.raises(ValueError):
-            ShardingSpec(shards=2, max_restarts=-1)
-        with pytest.raises(ValueError):
             ShardingSpec(shards=2, stall_timeout_s=0.0)
+        assert [f.name for f in dataclasses.fields(ShardingSpec)] == [
+            "shards", "window_ns", "degrade", "stall_timeout_s",
+        ]
 
     def test_knobs_participate_in_cache_identity(self):
         base = _scenario()
-        plain = dataclasses.replace(base, sharding=ShardingSpec(shards=2))
-        tuned = dataclasses.replace(
-            base,
-            sharding=ShardingSpec(shards=2, max_restarts=3, checkpoint=False),
+
+        def key(**knobs):
+            scenario = dataclasses.replace(
+                base, sharding=ShardingSpec(shards=2, **knobs)
+            )
+            return cache.cell_key(
+                "run_scenario_cell", {"spec": scenario.spec(), "seed": SEED}
+            )
+
+        assert len({key(), key(degrade=False), key(stall_timeout_s=5.0)}) == 3
+
+    @pytest.mark.parametrize(
+        "name", ["fabric_storage_k8_2shard", "probe_idle_barrier"]
+    )
+    def test_frozen_workload_specs_still_load(self, name):
+        # written when ShardingSpec had seven fields; not editable here
+        path = os.path.join(
+            os.path.dirname(__file__), "..", "bench", "workloads", f"{name}.json"
         )
-        assert cache.cell_key(
-            "run_scenario_cell", {"spec": plain.spec(), "seed": SEED}
-        ) != cache.cell_key(
-            "run_scenario_cell", {"spec": tuned.spec(), "seed": SEED}
+        with open(path) as handle:
+            spec = json.load(handle)["scenario"]
+        assert spec["sharding"]["max_restarts"] == 1  # still the old file
+        scenario = Scenario.from_spec(spec)
+        assert scenario.sharding == ShardingSpec(shards=2)
+        assert set(scenario.spec()["sharding"]) == {
+            "__kind__", "shards", "window_ns", "degrade", "stall_timeout_s",
+        }
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("checkpoint", False),
+            ("checkpoint_every", 1),
+            ("max_restarts", 0),
+            ("max_restarts", True),
+        ],
+    )
+    def test_retired_knob_with_a_live_value_fails_loudly(self, key, value):
+        spec = dataclasses.replace(
+            _scenario(), sharding=ShardingSpec(shards=2)
+        ).spec()
+        spec["sharding"][key] = value
+        with pytest.raises(ValueError, match=f"ShardingSpec.{key} was removed"):
+            Scenario.from_spec(spec)
+
+
+class TestWatchdogStaysSerial:
+    """The deadlock watchdog walks a global wait-for graph, so a plan
+    that asks for one is not sharded — it used to be, minus its scans."""
+
+    def test_sharding_request_runs_serial_and_equals_serial(self):
+        watched = dataclasses.replace(
+            _scenario(), faults=FaultPlan(watchdog=WatchdogConfig())
         )
+        serial, _ = run_scenario_inline(watched, SEED)
+        assert serial.invariant_report["watchdog"]["scans"] > 0
+        asked = dataclasses.replace(watched, sharding=ShardingSpec(shards=2))
+        assert not can_shard(asked)
+        result, net = run_scenario_inline(asked, SEED)
+        assert net is not None  # the serial path returns the live network
+        assert result.to_json() == serial.to_json()
