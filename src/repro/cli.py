@@ -26,9 +26,9 @@ Fault injection (see DESIGN.md §9)::
 
 Hardened execution (see DESIGN.md §10)::
 
-    python -m repro run chaos --invariants strict  # abort on 1st violation
+    python -m repro run chaos-mid --invariants strict  # abort on 1st violation
     python -m repro fig16 --timeout 300            # per-cell budget (s)
-    python -m repro fig16 --resume                 # finish interrupted sweep
+    python -m repro fig16                          # again: only the missing cells
 
 CC arena (see DESIGN.md §11)::
 
@@ -44,9 +44,12 @@ Figure rendering (see DESIGN.md §12)::
 
 Each command prints the same rows the corresponding benchmark emits.
 The experiment table is :data:`repro.runner.REGISTRY`, populated by
-:mod:`repro.experiments.catalog`.  Options that must reach pool workers
-(``--scale``, ``--jobs``, ``--no-cache``, ...) travel as environment
-variables (``REPRO_SCALE`` etc.), set in one place: :func:`_export_env`.
+:mod:`repro.experiments.catalog`.  The options that are fields of
+:class:`repro.runtime.RuntimeConfig` (``--scale``, ``--jobs``,
+``--no-cache``, ...) are checked by its parsers, written to the
+environment in one place (:func:`_export_env`) and read back, here and
+in pool and shard children, only through :func:`repro.runtime.current`.
+An option the target does not read is an error, not a no-op.
 """
 
 from __future__ import annotations
@@ -58,113 +61,112 @@ import sys
 from typing import Optional, Sequence
 
 import repro.experiments.catalog  # noqa: F401  (populates REGISTRY)
-from repro.invariants import (
-    INVARIANTS_ENV,
-    MODES,
-    InvariantConfig,
-    InvariantViolation,
-)
-from repro.runner import JOBS_ENV, REGISTRY, SCALE_ENV, SCENARIOS, format_table
-from repro.runner.cache import CACHE_ENV
-from repro.runner.resilience import RESUME_ENV, TIMEOUT_ENV
-from repro.runner.scale import SCALES
-from repro.shard import SHARDS_ENV, can_shard, effective_shards, serial_reason
+from repro import runtime
+from repro.invariants import MODES, InvariantConfig, InvariantViolation
+from repro.runner import REGISTRY, SCENARIOS, format_table
+from repro.shard import can_shard, effective_shards, serial_reason
 
 
-def _jobs_arg(value: str) -> str:
-    """Reject bad ``--jobs`` values at parse time, not mid-experiment."""
-    try:
-        if value != "auto" and int(value) < 1:
-            raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {value!r}"
-        ) from None
-    return value
+def _checked(field: str):
+    """An argparse ``type=`` holding a flag to the rule its variable obeys."""
+    var = runtime.VARS[field]
+
+    def check(value: str) -> str:
+        try:
+            var.parse(value.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {var.accepts}, got {value!r}"
+            ) from None
+        return value
+
+    return check
 
 
-def _shards_arg(value: str) -> int:
-    """Reject bad ``--shards`` values at parse time."""
-    try:
-        shards = int(value)
-        if shards < 1:
-            raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer shard count, got {value!r}"
-        ) from None
-    return shards
-
-
-#: options more than one parser takes, each declared once: dest -> (flag, spec)
+#: options more than one parser takes, each declared once, by dest.  A
+#: dest that is a :class:`~repro.runtime.RuntimeConfig` field takes its
+#: flag from :data:`repro.runtime.VARS` and parses to the *text*
+#: :func:`_export_env` writes; the typed value comes back from
+#: ``runtime.current()``.
 _SHARED_OPTIONS = {
-    "scale": (
-        "--scale",
-        dict(choices=SCALES, help="override REPRO_SCALE for this invocation"),
+    "scale": dict(
+        choices=runtime.SCALES, help="override REPRO_SCALE for this invocation"
     ),
-    "jobs": (
-        "--jobs",
-        dict(
-            type=_jobs_arg,
-            help="worker processes for cell fan-out ('auto' or an integer; "
-            "sets REPRO_JOBS)",
-        ),
+    "jobs": dict(
+        type=_checked("jobs"),
+        help="worker processes for cell fan-out ('auto' or an integer; "
+        "sets REPRO_JOBS)",
     ),
-    "no_cache": (
-        "--no-cache",
-        dict(
-            action="store_true",
-            help="recompute everything, ignoring results/.cache/",
-        ),
+    "shards": dict(
+        type=_checked("shards"),
+        help="worker processes for one sharded fabric run (sets "
+        "REPRO_SHARDS; non-fabric scenarios stay serial)",
     ),
-    "seed": ("--seed", dict(type=int, default=0, help="simulation seed")),
-    "faults": (
-        "--faults",
-        dict(
-            metavar="PLAN.json",
-            help="overlay a fault plan on a named scenario "
-            "(see 'python -m repro faults example')",
-        ),
+    "cache": dict(
+        action="store_const",
+        const="off",
+        help="recompute everything, ignoring results/.cache/",
     ),
-    "invariants": (
-        "--invariants",
-        dict(
-            choices=MODES,
-            help="run under the invariant guard ('strict' aborts on the "
-            "first violation, 'report' collects them)",
-        ),
+    "run_timeout": dict(
+        type=_checked("run_timeout"),
+        metavar="SECONDS",
+        help="per-cell wall-clock budget, or 'off' (sets REPRO_RUN_TIMEOUT; "
+        "default scales with REPRO_SCALE)",
+    ),
+    "invariants": dict(
+        choices=MODES,
+        help="run under the invariant guard ('strict' aborts on the "
+        "first violation, 'report' collects them)",
+    ),
+    "seed": dict(type=int, default=0, help="simulation seed"),
+    "faults": dict(
+        metavar="PLAN.json",
+        help="overlay a fault plan on a named scenario "
+        "(see 'python -m repro faults example')",
     ),
 }
 
-#: parsed option -> the variable that carries it to pool workers
-_ENV_OF = {
-    "scale": SCALE_ENV,
-    "jobs": JOBS_ENV,
-    "shards": SHARDS_ENV,
-    "timeout": TIMEOUT_ENV,
-    # experiments that arm the guard themselves (the CC arena) read the
-    # mode from the environment; named scenarios get it overlaid too
-    "invariants": INVARIANTS_ENV,
-    "no_cache": CACHE_ENV,
-    "resume": RESUME_ENV,
-}
+#: registry experiments that read ``invariants`` (they arm the guard
+#: themselves); named scenarios get the mode overlaid by
+#: :func:`_prepare_scenario`, every other experiment would drop it
+_READS_INVARIANTS = frozenset({"arena"})
 
-#: what an on/off switch exports when on (other options export their value)
-_SWITCH_WORD = {"no_cache": "off", "resume": "on"}
+#: options only a named scenario reads (:func:`run_scenario_main`)
+_SCENARIO_ONLY = ("faults", "shards", "seed")
 
 
 def _add_shared(parser: argparse.ArgumentParser, *names: str) -> None:
     """Add the named :data:`_SHARED_OPTIONS` to ``parser``."""
     for name in names:
-        flag, spec = _SHARED_OPTIONS[name]
-        parser.add_argument(flag, **spec)
+        var = runtime.VARS.get(name)
+        flag = var.flag if var is not None else f"--{name}"
+        parser.add_argument(flag, dest=name, **_SHARED_OPTIONS[name])
 
 
 def _export_env(args: argparse.Namespace) -> None:
-    """Publish the parsed options pool workers must see to the environment."""
-    for name, value in vars(args).items():
-        if name in _ENV_OF and value is not None and value is not False:
-            os.environ[_ENV_OF[name]] = _SWITCH_WORD.get(name, str(value))
+    """Write the given runtime options where ``runtime.current()``, here
+    and in every child process, reads them."""
+    for field, var in runtime.VARS.items():
+        value = getattr(args, field, None)
+        if value is not None:
+            os.environ[var.env] = value
+
+
+def _unread_option(experiment_id: str, args: argparse.Namespace) -> Optional[str]:
+    """Why a registry experiment cannot honour an option it was given."""
+    for name in _SCENARIO_ONLY:
+        if getattr(args, name) is not None:
+            return (
+                f"--{name} applies to named scenarios (see 'scenarios'), "
+                f"not to experiment {experiment_id!r}"
+            )
+    if args.invariants is not None and experiment_id not in _READS_INVARIANTS:
+        return (
+            "--invariants applies to named scenarios and to "
+            f"{', '.join(sorted(_READS_INVARIANTS))}, not to experiment "
+            f"{experiment_id!r}"
+        )
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,28 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="experiment id when the first argument is 'run'",
     )
-    _add_shared(parser, "scale", "jobs")
-    parser.add_argument(
-        "--shards",
-        default=None,
-        type=_shards_arg,
-        help="worker processes for one sharded fabric run (sets "
-        "REPRO_SHARDS; non-fabric scenarios stay serial)",
+    _add_shared(
+        parser,
+        "scale", "jobs", "shards", "cache", "seed", "faults", "invariants",
+        "run_timeout",
     )
-    _add_shared(parser, "no_cache", "seed", "faults", "invariants")
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume an interrupted sweep from its checkpoint "
-        "(sets REPRO_RESUME)",
-    )
-    parser.add_argument(
-        "--timeout",
-        default=None,
-        metavar="SECONDS",
-        help="per-cell wall-clock budget, or 'off' (sets REPRO_RUN_TIMEOUT; "
-        "default scales with REPRO_SCALE)",
-    )
+    # None = not given: main() refuses --seed on a target that would
+    # drop it, and a named scenario still runs seed 0
+    parser.set_defaults(seed=None)
     return parser
 
 
@@ -513,7 +501,7 @@ def plot_main(argv: Sequence[str]) -> int:
         default="mice_p99",
         help="grid heatmap cell value (default: mice_p99)",
     )
-    _add_shared(parser, "scale", "jobs", "no_cache")
+    _add_shared(parser, "scale", "jobs", "cache")
     args = parser.parse_args(argv)
     _export_env(args)
 
@@ -667,11 +655,12 @@ def run_scenario_main(scenario_id: str, args) -> int:
 
     # the shard runtime is imported only by a run that will use it
     shard_runner = None
-    if can_shard(scenario) and effective_shards(scenario) > 1:
+    ambient_shards = runtime.current().shards
+    if can_shard(scenario) and effective_shards(scenario, ambient_shards) > 1:
         from repro.shard import runner as shard_runner
 
         shard_runner.LAST_STATS = None
-    result = _run_inline(scenario, args.seed)
+    result = _run_inline(scenario, args.seed or 0)
     if result is None:
         return 3
     print(f"=== scenario {scenario_id}: {scenario.label or scenario_id} ===")
@@ -693,7 +682,7 @@ def run_scenario_main(scenario_id: str, args) -> int:
                 "resilience: degraded to serial after "
                 + ShardFailure(**failure).describe()
             )
-    elif args.shards is not None and args.shards > 1:
+    elif ambient_shards > 1:
         reason = serial_reason(scenario) or "the fabric has no shard boundary"
         print(f"sharding skipped ({reason})")
     if result.flow_stats:
@@ -734,7 +723,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv[:2] == ["fabric", "check"]:
         return fabric_main(argv[1:])
     args = build_parser().parse_args(argv)
-    _export_env(args)
     experiment_id = args.experiment
     if experiment_id == "run":
         if args.extra is None:
@@ -747,12 +735,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if experiment_id not in REGISTRY:
         # named scenarios run too ('repro run storm --faults plan.json')
         if experiment_id in SCENARIOS:
+            _export_env(args)
             return run_scenario_main(experiment_id, args)
         print(
             f"unknown experiment {experiment_id!r}; try 'list'",
             file=sys.stderr,
         )
         return 2
+    unread = _unread_option(experiment_id, args)
+    if unread is not None:
+        print(unread, file=sys.stderr)
+        return 2
+    _export_env(args)
     experiment = REGISTRY.get(experiment_id)
     print(f"=== {experiment.id}: {experiment.description} ===")
     print(experiment.run())

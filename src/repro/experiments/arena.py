@@ -29,22 +29,20 @@ controller as the greedy flows:
 Each (controller, scenario) cell is scored on Jain fairness across
 the greedy flows, the probe-stream FCT and its slowdown tail
 (p50/p99 of FCT over ideal-FCT), the recovery FCT, PAUSE frames and
-drops, with the invariant guard armed (``REPRO_INVARIANTS`` selects
-report / strict).  The league table ranks controllers per metric per
-scenario and sorts by mean rank.  Scores are *simulation* outcomes
-under this repo's models — a small-league benchmark harness, not a
-verdict on the protocols.
+drops, under the invariant guard when ``runtime.current().invariants``
+names a mode (report / strict).  The league table ranks controllers
+per metric per scenario and sorts by mean rank.  Scores are
+*simulation* outcomes under this repo's models — a small-league
+benchmark harness, not a verdict on the protocols.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro import units
+from repro import runtime, units
 from repro.analysis.stats import jain_fairness
-from repro.invariants import INVARIANTS_ENV
 from repro.runner import FlowSpec, Scenario, format_table, run_sweep, scale
 from repro.runner.results import SweepResult
 
@@ -361,13 +359,11 @@ def _aggregate(
         return [r for r in run.flow_stats_records() if r.flow == name]
 
     def probe_ns(run, name: str) -> float:
-        # first completed transfer of the probe, from the FlowStats
-        # table; the legacy counter is the REPRO_FLOWSTATS=off fallback
+        # first completed transfer of the probe, from the FlowStats table
         for record in probe_records(run, name):
             if record.fct_ns is not None:
                 return float(record.fct_ns)
-        value = run.counters.get(f"fct_ns.{name}", -1.0)
-        return float("inf") if value < 0 else value
+        return float("inf")
 
     greedy = _greedy_names(scenario)
     runs = point.runs
@@ -421,7 +417,7 @@ def run_arena(
     """Run the full tournament (fanned out as one sweep)."""
     if seeds is None:
         seeds = scale.seeds_for(scale.pick(2, 4, 1), base=6000)
-    guard_mode = os.environ.get(INVARIANTS_ENV)
+    guard_mode = runtime.current().invariants
     built = {
         (scenario_id, cc): arena_scenario(scenario_id, cc, guard_mode)
         for scenario_id in scenarios

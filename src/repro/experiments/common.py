@@ -14,16 +14,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.runner import cache as _cache
-from repro.runner import scale as _scale
 from repro.runner.results import format_table  # noqa: F401  (re-export)
-
-#: environment variable selecting run scale (re-export)
-SCALE_ENV = _scale.SCALE_ENV
-
-
-def scale() -> str:
-    """Alias for :func:`repro.runner.scale.scale`."""
-    return _scale.scale()
 
 
 def results_dir() -> Path:

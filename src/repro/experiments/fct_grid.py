@@ -2,7 +2,7 @@
 benchmark-traffic scenario, scored on slowdown.
 
 Two pieces, both built on the :class:`~repro.runner.scenario.Scenario`
-runner so every cell is cached, parallel, checkpointed and resumable:
+runner so every cell is cached and runs in parallel:
 
 * :func:`run_fct_grid` sweeps the ECN marking profile (Kmin, Kmax,
   Pmax) crossed with incast degree on a single switch, measuring the

@@ -19,7 +19,6 @@ turns those properties into declarative, always-cheap runtime checks:
 """
 
 from repro.invariants.guard import (
-    INVARIANTS_ENV,
     MODES,
     InvariantConfig,
     InvariantGuard,
@@ -29,7 +28,6 @@ from repro.invariants.guard import (
 )
 
 __all__ = [
-    "INVARIANTS_ENV",
     "MODES",
     "InvariantConfig",
     "InvariantGuard",

@@ -41,11 +41,6 @@ from typing import Any, Dict, List, Optional, Tuple
 #: supported guard modes
 MODES = ("report", "strict")
 
-#: environment variable selecting a guard mode for experiments that
-#: arm the guard themselves (the CC arena); ``repro run <experiment>
-#: --invariants <mode>`` sets it for the invocation
-INVARIANTS_ENV = "REPRO_INVARIANTS"
-
 #: default number of periodic sweeps across a run horizon
 _DEFAULT_SWEEPS = 32
 

@@ -2,16 +2,15 @@
 
 The pieces (see DESIGN.md §4):
 
-* :mod:`repro.runner.scale` — run-scale policy (``REPRO_SCALE``:
-  smoke / quick / full) and the deterministic seed schedule.
+* :mod:`repro.runner.scale` — run-scale policy (smoke / quick / full)
+  and the deterministic seed schedule.
 * :mod:`repro.runner.executor` — :class:`Cell` fan-out across worker
-  processes (``REPRO_JOBS``), input-order results, serial fallback.
+  processes, input-order results, serial fallback.
 * :mod:`repro.runner.cache` — content-hash result caching under
-  ``results/.cache/`` (``REPRO_CACHE``).
+  ``results/.cache/``, which is also what lets an interrupted sweep
+  pick up where it stopped.
 * :mod:`repro.runner.resilience` — execution hardening policy: run
-  timeouts (``REPRO_RUN_TIMEOUT``), bounded retry (``REPRO_RETRIES``)
-  and sweep checkpoint/resume (``REPRO_CHECKPOINT`` /
-  ``REPRO_RESUME``) under ``results/.checkpoints/``.
+  timeouts and bounded retry.
 * :mod:`repro.runner.scenario` — declarative :class:`Scenario` /
   :class:`FlowSpec` specs and the generic scenario cell.
 * :mod:`repro.runner.results` — JSON-serializable :class:`RunResult`
@@ -22,17 +21,13 @@ The pieces (see DESIGN.md §4):
 Serial (``jobs=1``) and parallel (``jobs=N``) execution are
 bit-identical: cells are pure functions of (spec, seed), results are
 JSON-normalized either way, and ordering follows the input list, not
-completion order.
+completion order.  What a run takes from outside (scale, jobs, cache,
+results directory, timeout) is parsed in one place,
+:mod:`repro.runtime`.
 """
 
 from repro.runner.cache import results_dir
-from repro.runner.executor import (
-    Cell,
-    ExecutionStats,
-    JOBS_ENV,
-    default_jobs,
-    execute,
-)
+from repro.runner.executor import Cell, ExecutionStats, execute
 from repro.runner.registry import (
     REGISTRY,
     SCENARIOS,
@@ -42,16 +37,7 @@ from repro.runner.registry import (
     ScenarioRegistry,
     experiment,
 )
-from repro.runner.resilience import (
-    CHECKPOINT_ENV,
-    RESUME_ENV,
-    RETRIES_ENV,
-    TIMEOUT_ENV,
-    RetryPolicy,
-    SweepCheckpoint,
-    checkpoints_dir,
-    default_timeout_s,
-)
+from repro.runner.resilience import RetryPolicy, default_timeout_s
 from repro.runner.results import (
     RunFailure,
     RunResult,
@@ -59,7 +45,7 @@ from repro.runner.results import (
     SweepResult,
     format_table,
 )
-from repro.runner.scale import SCALE_ENV, derive_seed, pick, seeds_for
+from repro.runner.scale import derive_seed, pick, seeds_for
 from repro.runner.scenario import (
     FlowSpec,
     Scenario,
@@ -71,30 +57,21 @@ from repro.runner.scenario import (
 )
 
 __all__ = [
-    "CHECKPOINT_ENV",
     "Cell",
     "ExecutionStats",
     "Experiment",
     "ExperimentRegistry",
     "FlowSpec",
-    "JOBS_ENV",
     "NamedScenario",
     "REGISTRY",
-    "RESUME_ENV",
-    "RETRIES_ENV",
     "RetryPolicy",
     "RunFailure",
     "RunResult",
-    "SCALE_ENV",
     "SCENARIOS",
     "Scenario",
     "ScenarioRegistry",
-    "SweepCheckpoint",
     "SweepPoint",
     "SweepResult",
-    "TIMEOUT_ENV",
-    "checkpoints_dir",
-    "default_jobs",
     "default_timeout_s",
     "derive_seed",
     "execute",

@@ -10,8 +10,13 @@ in ``results/.cache/<key>.json``.  The fingerprint covers every
 the whole cache, which keeps cached tables byte-identical to freshly
 computed ones without tracking fine-grained dependencies.
 
-``REPRO_CACHE=off`` disables the cache; ``REPRO_RESULTS_DIR`` moves it
-(together with the benchmark tables it sits beside).
+The cache is also how an interrupted sweep resumes: every finished
+cell is stored atomically as it completes, so running the same command
+again computes only what is missing, and because the key carries the
+code fingerprint it never mixes results of two versions of the code.
+
+:mod:`repro.runtime` says whether ``execute`` uses the cache (``cache``)
+and where it lives (``results_dir``, beside the benchmark tables).
 """
 
 from __future__ import annotations
@@ -24,11 +29,7 @@ import warnings
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
-#: environment variable toggling the result cache ("on"/"off")
-CACHE_ENV = "REPRO_CACHE"
-
-#: environment variable relocating results (and the cache under them)
-RESULTS_ENV = "REPRO_RESULTS_DIR"
+from repro import runtime
 
 #: sentinel distinguishing "no cached value" from a cached ``None``
 MISS = object()
@@ -38,7 +39,7 @@ _fingerprint: Optional[str] = None
 
 def results_dir() -> Path:
     """Directory where benchmarks drop their regenerated tables."""
-    root = Path(os.environ.get(RESULTS_ENV, "results"))
+    root = Path(runtime.current().results_dir)
     root.mkdir(parents=True, exist_ok=True)
     return root
 
@@ -48,14 +49,6 @@ def cache_dir() -> Path:
     path = results_dir() / ".cache"
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def enabled() -> bool:
-    """Whether caching is active (``REPRO_CACHE`` defaults to on)."""
-    value = os.environ.get(CACHE_ENV, "on").lower()
-    if value not in ("on", "off"):
-        raise ValueError(f"{CACHE_ENV} must be 'on' or 'off', got {value!r}")
-    return value == "on"
 
 
 def code_fingerprint() -> str:

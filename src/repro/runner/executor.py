@@ -2,10 +2,11 @@
 
 A :class:`Cell` names a module-level function (``"pkg.module:fn"``)
 plus JSON-serializable keyword arguments.  :func:`execute` fans a list
-of cells across worker processes (``REPRO_JOBS``), consults the result
+of cells across worker processes (``jobs``), consults the result
 cache first, and always returns results in *input* order regardless of
 completion order — so ``jobs=1`` and ``jobs=N`` produce bit-identical
-output and the serial path stays trivially reproducible.
+output and the serial path stays trivially reproducible.  Arguments
+left unset take their value from :func:`repro.runtime.current`.
 
 Results are normalized through a JSON round-trip before being
 returned, so a freshly computed value and a cache hit are exactly the
@@ -14,7 +15,7 @@ survived ``repr`` round-tripping).
 
 The executor is *hardened* (see :mod:`repro.runner.resilience`):
 
-* every cell runs under a wall-clock timeout scaled by ``REPRO_SCALE``
+* every cell runs under a wall-clock timeout scaled by the run scale
   (enforced when cells run in worker processes, ``jobs > 1``);
 * a worker that dies (OOM kill, segfault, ``os._exit``) breaks only
   its own cell — the pool is rebuilt and the other in-flight cells
@@ -24,8 +25,9 @@ The executor is *hardened* (see :mod:`repro.runner.resilience`):
 * with ``collect_failures=True`` a cell that still fails becomes a
   :class:`~repro.runner.results.RunFailure` in the returned list
   instead of aborting the batch — a sweep always comes back complete;
-* completed cells are journalled to a sweep checkpoint so an
-  interrupted sweep can ``--resume`` and execute only missing cells.
+* every completed cell is in the result cache before the next one is
+  looked at, so an interrupted sweep, run again, executes only the
+  missing cells.
 
 Crash attribution: a pool breakage with several cells in flight has an
 unknown culprit, so every in-flight cell becomes a *suspect* and is
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import importlib
 import json
-import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -45,21 +46,13 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional
 
+from repro import runtime
 from repro.invariants import InvariantViolation
 from repro.runner import cache as result_cache
-from repro.runner.resilience import (
-    RetryPolicy,
-    SweepCheckpoint,
-    checkpoint_enabled,
-    default_timeout_s,
-    resume_enabled,
-)
+from repro.runner.resilience import RetryPolicy, default_timeout_s
 from repro.runner.results import RunFailure
 
-#: environment variable selecting worker-process count ("auto" = cores)
-JOBS_ENV = "REPRO_JOBS"
-
-#: sentinel: "caller did not pass a timeout, use the env/scale policy"
+#: sentinel: "caller did not pass a timeout, use the configured policy"
 _UNSET = object()
 
 #: poll granularity of the parallel wait loop (seconds); deadlines are
@@ -89,30 +82,11 @@ class ExecutionStats:
     cached: int
     jobs: int
     failed: int = 0
-    resumed: int = 0
     retries: int = 0
 
 
 #: stats of the most recent :func:`execute` call (for tests/inspection)
 LAST_STATS: Optional[ExecutionStats] = None
-
-
-def default_jobs() -> int:
-    """Worker count from ``REPRO_JOBS`` (default 1 = serial)."""
-    raw = os.environ.get(JOBS_ENV, "").strip()
-    if not raw:
-        return 1
-    if raw.lower() == "auto":
-        return os.cpu_count() or 1
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{JOBS_ENV} must be a positive integer or 'auto', got {raw!r}"
-        ) from None
-    if jobs < 1:
-        raise ValueError(f"{JOBS_ENV} must be >= 1, got {jobs}")
-    return jobs
 
 
 def resolve(fn_path: str):
@@ -173,19 +147,17 @@ def execute(
     timeout_s: Any = _UNSET,
     retry: Optional[RetryPolicy] = None,
     collect_failures: bool = False,
-    checkpoint: Optional[SweepCheckpoint] = None,
-    resume: Optional[bool] = None,
 ) -> List[Any]:
     """Run every cell; results come back in input order.
 
-    ``jobs`` / ``cache`` default to the ``REPRO_JOBS`` / ``REPRO_CACHE``
-    environment policy.  Cache hits skip computation entirely; misses
-    are computed (in parallel when ``jobs > 1``) and stored.
+    ``jobs`` / ``cache`` default to :func:`repro.runtime.current`.
+    Cache hits skip computation entirely; misses are computed (in
+    parallel when ``jobs > 1``) and stored.
 
-    ``timeout_s`` is the per-cell wall-clock budget (default: the
-    ``REPRO_RUN_TIMEOUT`` / ``REPRO_SCALE`` policy; ``None`` disables).
-    ``retry`` bounds re-execution of failed cells (default:
-    ``REPRO_RETRIES`` policy).
+    ``timeout_s`` is the per-cell wall-clock budget (default:
+    :func:`~repro.runner.resilience.default_timeout_s`; ``None``
+    disables).  ``retry`` bounds re-execution of failed cells (default:
+    ``RetryPolicy()``, two attempts).
 
     With ``collect_failures=False`` (the legacy contract) a cell
     exception propagates immediately, a timeout raises
@@ -194,44 +166,24 @@ def execute(
     contract) every failed cell becomes a
     :class:`~repro.runner.results.RunFailure` *in its slot* of the
     returned list, and the call always returns the full batch.
-
-    ``checkpoint`` / ``resume`` control the sweep journal: a checkpoint
-    is kept by default (``REPRO_CHECKPOINT``) and deleted on full
-    success, so an interrupted batch leaves its completed cells behind;
-    ``resume`` (default: ``REPRO_RESUME``) pre-fills journalled results
-    and executes only the missing cells.
     """
     global LAST_STATS
     cells = list(cells)
-    n_jobs = default_jobs() if jobs is None else jobs
+    config = runtime.current()
+    n_jobs = config.jobs if jobs is None else jobs
     if n_jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {n_jobs}")
-    use_cache = result_cache.enabled() if cache is None else cache
+    use_cache = config.cache if cache is None else cache
     timeout = default_timeout_s() if timeout_s is _UNSET else timeout_s
     if timeout is not None and timeout <= 0:
         raise ValueError(f"timeout_s must be positive or None, got {timeout}")
-    policy = retry if retry is not None else RetryPolicy.from_env()
-    do_resume = resume_enabled() if resume is None else resume
-    if checkpoint is None and (checkpoint_enabled() or do_resume):
-        checkpoint = SweepCheckpoint(cells)
+    policy = retry if retry is not None else RetryPolicy()
 
     results: List[Any] = [None] * len(cells)
     stats = ExecutionStats(total=len(cells), computed=0, cached=0, jobs=n_jobs)
 
-    resolved = [False] * len(cells)
-    if checkpoint is not None and do_resume:
-        journalled = checkpoint.load()
-        for index in range(len(cells)):
-            token = checkpoint.tokens[index]
-            if token in journalled:
-                results[index] = journalled[token]
-                resolved[index] = True
-                stats.resumed += 1
-
     pending: List[int] = []
     for index, cell in enumerate(cells):
-        if resolved[index]:
-            continue
         if use_cache:
             hit = result_cache.load(cell.fn, cell.kwargs)
             if hit is not result_cache.MISS:
@@ -242,19 +194,15 @@ def execute(
     stats.computed = len(pending)
 
     def finish(index: int, value: Any) -> None:
-        """JSON-normalize, cache, journal one successfully computed cell."""
+        """JSON-normalize and cache one successfully computed cell."""
         value = json.loads(json.dumps(value))
         results[index] = value
         if use_cache:
             result_cache.store(cells[index].fn, cells[index].kwargs, value)
-        if checkpoint is not None:
-            checkpoint.record(checkpoint.tokens[index], value)
 
     def fail(index: int, failure: RunFailure) -> None:
         results[index] = failure
         stats.failed += 1
-        if checkpoint is not None:
-            checkpoint.record_failure(checkpoint.tokens[index], failure.to_json())
 
     if pending:
         if n_jobs > 1 and len(pending) > 1:
@@ -267,8 +215,6 @@ def execute(
                 cells, pending, policy, collect_failures, stats, finish, fail
             )
 
-    if checkpoint is not None and stats.failed == 0:
-        checkpoint.discard()
     LAST_STATS = stats
     return results
 

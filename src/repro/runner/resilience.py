@@ -1,50 +1,23 @@
-"""Execution-hardening policy: timeouts, retries, sweep checkpoints.
+"""Execution-hardening policy: run timeouts and retries.
 
-This module holds the knobs and persistence the hardened executor
+The two policies the hardened executor
 (:func:`repro.runner.executor.execute`) runs under:
 
-* **Run timeouts** — one wall-clock budget per cell, scaled by
-  ``REPRO_SCALE`` (a smoke cell that runs two minutes is hung; a full
-  cell legitimately runs much longer).  ``REPRO_RUN_TIMEOUT`` overrides
-  with a float in seconds, or ``off`` to disable.
-* **Retry policy** — bounded retry with exponential backoff per failed
-  cell (``REPRO_RETRIES`` sets the attempt budget).
-* **Sweep checkpoints** — a JSONL journal under
-  ``results/.checkpoints/`` recording each completed cell as it
-  finishes.  An interrupted sweep re-run with ``--resume``
-  (``REPRO_RESUME=on``) pre-fills the journalled results and executes
-  only the missing cells; a sweep that completes deletes its journal.
-
-Checkpoint keys hash the cell (fn + canonical kwargs) but — unlike
-the result cache — **not** the code fingerprint: resuming is an
-explicit "same code, keep going" request, which is why it hides behind
-a flag instead of being implied.
+* **Run timeouts**: one wall-clock budget per cell, scaled by the run
+  scale (a smoke cell that runs two minutes is hung; a full cell
+  legitimately runs much longer).  ``run_timeout`` in
+  :mod:`repro.runtime` overrides it with seconds, or ``off``.
+* **Retry policy**: bounded retry with exponential backoff per failed
+  cell; two attempts unless the caller passes its own
+  :class:`RetryPolicy`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
-from repro.runner.cache import results_dir
-
-#: per-cell wall-clock budget in seconds ("off" disables; empty uses
-#: the per-scale default)
-TIMEOUT_ENV = "REPRO_RUN_TIMEOUT"
-
-#: attempt budget per failed cell (default 2: one retry)
-RETRIES_ENV = "REPRO_RETRIES"
-
-#: checkpoint journaling ("on"/"off", default on)
-CHECKPOINT_ENV = "REPRO_CHECKPOINT"
-
-#: resume from an existing checkpoint ("on"/"off", default off);
-#: set by ``python -m repro run ... --resume``
-RESUME_ENV = "REPRO_RESUME"
+from repro import runtime
 
 #: default per-cell timeout by run scale (seconds)
 DEFAULT_TIMEOUT_S: Dict[str, float] = {
@@ -55,40 +28,11 @@ DEFAULT_TIMEOUT_S: Dict[str, float] = {
 
 
 def default_timeout_s() -> Optional[float]:
-    """The per-cell timeout policy: env override, else scaled default."""
-    raw = os.environ.get(TIMEOUT_ENV, "").strip().lower()
-    if raw in ("off", "none"):
-        return None
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"{TIMEOUT_ENV} must be a float (seconds) or 'off', got {raw!r}"
-            ) from None
-        if value <= 0:
-            raise ValueError(f"{TIMEOUT_ENV} must be positive, got {value}")
-        return value
-    from repro.runner.scale import scale
-
-    return DEFAULT_TIMEOUT_S[scale()]
-
-
-def _on_off(env: str, default: str) -> bool:
-    value = os.environ.get(env, default).strip().lower() or default
-    if value not in ("on", "off"):
-        raise ValueError(f"{env} must be 'on' or 'off', got {value!r}")
-    return value == "on"
-
-
-def checkpoint_enabled() -> bool:
-    """Whether sweeps journal completed cells (default on)."""
-    return _on_off(CHECKPOINT_ENV, "on")
-
-
-def resume_enabled() -> bool:
-    """Whether an existing journal pre-fills results (default off)."""
-    return _on_off(RESUME_ENV, "off")
+    """The per-cell timeout policy: the configured budget, else by scale."""
+    config = runtime.current()
+    if config.run_timeout is None:
+        return DEFAULT_TIMEOUT_S[config.scale]
+    return None if config.run_timeout == "off" else config.run_timeout
 
 
 @dataclass(frozen=True)
@@ -121,97 +65,3 @@ class RetryPolicy:
             self.backoff_s * self.backoff_factor ** (attempt - 1),
             self.max_backoff_s,
         )
-
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        raw = os.environ.get(RETRIES_ENV, "").strip()
-        if not raw:
-            return cls()
-        try:
-            attempts = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{RETRIES_ENV} must be a positive integer, got {raw!r}"
-            ) from None
-        if attempts < 1:
-            raise ValueError(f"{RETRIES_ENV} must be >= 1, got {attempts}")
-        return cls(max_attempts=attempts)
-
-
-# --- checkpoints ------------------------------------------------------------
-
-
-def cell_token(fn: str, kwargs: Any) -> str:
-    """Checkpoint identity of one cell: fn + canonical kwargs, no code."""
-    payload = json.dumps(
-        {"fn": fn, "kwargs": kwargs}, sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def checkpoints_dir() -> Path:
-    """Directory holding sweep journals (beside the result cache)."""
-    path = results_dir() / ".checkpoints"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-class SweepCheckpoint:
-    """JSONL journal of one sweep's completed cells.
-
-    One line per finished cell: ``{"cell": <token>, "result": ...}`` on
-    success, ``{"cell": <token>, "failure": {...}}`` on a recorded
-    failure.  Loading returns successes only — failed cells re-execute
-    on resume.  The journal file is named after the hash of the full
-    cell list, so the same sweep always finds its own journal and a
-    different sweep never does.
-    """
-
-    def __init__(self, cells: Sequence[Any], path: Optional[Path] = None):
-        self.tokens: List[str] = [
-            cell_token(cell.fn, dict(cell.kwargs)) for cell in cells
-        ]
-        if path is None:
-            digest = hashlib.sha256("\n".join(self.tokens).encode())
-            path = checkpoints_dir() / f"{digest.hexdigest()}.jsonl"
-        self.path = Path(path)
-
-    def load(self) -> Dict[str, Any]:
-        """token -> journalled result, successes only (tolerant reader:
-        a torn final line — the interrupt — is skipped, not fatal)."""
-        loaded: Dict[str, Any] = {}
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError:
-            return loaded
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn write at the moment of interruption
-            if "result" in entry and "cell" in entry:
-                loaded[entry["cell"]] = entry["result"]
-        return loaded
-
-    def _append(self, entry: Dict[str, Any]) -> None:
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            handle.flush()
-
-    def record(self, token: str, result: Any) -> None:
-        """Journal one completed cell (result already JSON-normalized)."""
-        self._append({"cell": token, "result": result})
-
-    def record_failure(self, token: str, failure_json: Dict[str, Any]) -> None:
-        """Journal one failed cell (re-executed on resume)."""
-        self._append({"cell": token, "failure": failure_json})
-
-    def discard(self) -> None:
-        """Delete the journal (the sweep completed fully)."""
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass

@@ -111,7 +111,7 @@ class RunResult:
     #: the per-flow FCT table: one JSON row per message transfer (and
     #: one per greedy flow) in the shape of
     #: :class:`repro.telemetry.flowstats.FlowStats`; empty when the run
-    #: predates FCT recording or ``REPRO_FLOWSTATS=off``
+    #: predates FCT recording
     flow_stats: List[Dict[str, Any]] = field(default_factory=list)
     #: record of a sharded run that lost a worker and was re-executed
     #: serially: ``{mode, shards, failures}`` (see DESIGN.md §14).

@@ -1,7 +1,8 @@
-"""Run-scale and seed policy (the ``REPRO_SCALE`` knob).
+"""Run-scale and seed policy.
 
 Every experiment sizes its repetitions and simulated durations through
-this module so one environment variable controls the whole suite:
+:func:`pick`, so one field of :mod:`repro.runtime` (``scale``, from
+``REPRO_SCALE`` / ``--scale``) controls the whole suite:
 
 * ``smoke`` — milliseconds-long runs, single repetitions; just enough
   to exercise every code path (CLI smoke tests, registry iteration).
@@ -13,26 +14,11 @@ this module so one environment variable controls the whole suite:
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import List
 
-#: environment variable selecting run scale
-SCALE_ENV = "REPRO_SCALE"
-
-#: recognised scales, smallest first
-SCALES = ("smoke", "quick", "full")
+from repro import runtime
 
 _UNSET = object()
-
-
-def scale() -> str:
-    """The active run scale (``"quick"`` unless ``REPRO_SCALE`` says else)."""
-    value = os.environ.get(SCALE_ENV, "quick").lower()
-    if value not in SCALES:
-        raise ValueError(
-            f"{SCALE_ENV} must be one of {', '.join(SCALES)}, got {value!r}"
-        )
-    return value
 
 
 def pick(quick_value, full_value, smoke_value=_UNSET):
@@ -41,7 +27,7 @@ def pick(quick_value, full_value, smoke_value=_UNSET):
     ``smoke_value`` is optional: call sites that predate the smoke
     scale (or where quick is already tiny) fall back to ``quick_value``.
     """
-    active = scale()
+    active = runtime.current().scale
     if active == "full":
         return full_value
     if active == "smoke" and smoke_value is not _UNSET:

@@ -31,11 +31,10 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro import units
+from repro import runtime, units
 from repro.runner.executor import Cell, execute
 from repro.runner.results import RunFailure, RunResult, SweepPoint, SweepResult
 from repro.shard.spec import maybe_run_sharded
-from repro.sim import host as sim_host
 from repro.telemetry import Telemetry, TelemetrySpec
 from repro.telemetry.flowstats import collect_flow_stats
 
@@ -460,8 +459,8 @@ def run_scenario_inline(
     ``profiler`` (a :class:`~repro.telemetry.SchedulerProfiler`) is
     installed on the engine before the run starts.
 
-    Sharded execution: when the scenario (or ``REPRO_SHARDS``) asks for
-    shards and the topology supports it, the run is delegated to
+    Sharded execution: when the scenario (or ``runtime.current().shards``)
+    asks for shards and the topology supports it, the run is delegated to
     :mod:`repro.shard` and the returned network is ``None`` (the
     devices lived in worker processes).  ``_shard`` is the internal
     worker-side handle (a :class:`repro.shard.boundary.ShardContext`):
@@ -469,7 +468,7 @@ def run_scenario_inline(
     the shard's own devices, syncing at conservative-lookahead barriers.
     """
     if telemetry is None and profiler is None and _shard is None:
-        sharded = maybe_run_sharded(scenario, seed)
+        sharded = maybe_run_sharded(scenario, seed, runtime.current().shards)
         if sharded is not None:
             return sharded, None
     if telemetry is None:
@@ -604,17 +603,15 @@ def run_scenario_inline(
                 fct = float(message.fct_ns())
                 break
         counters[f"fct_ns.{name}"] = fct
-    flow_stats: List[Dict[str, Any]] = []
-    if sim_host.flowstats_enabled():
-        rows = collect_flow_stats(net, {flow.flow_id: name for name, flow in flows})
-        if _shard is not None:
-            # rows are sender-side bookkeeping, so only the shard that
-            # drives the source emits them; the one receiver-side field
-            # (a greedy row's size_bytes = bytes delivered at the
-            # destination) is patched in by the merge step
-            driven = {f.flow_id for f in net.flows if drives(f.src)}
-            rows = [row for row in rows if row.flow_id in driven]
-        flow_stats = [row.to_json() for row in rows]
+    rows = collect_flow_stats(net, {flow.flow_id: name for name, flow in flows})
+    if _shard is not None:
+        # rows are sender-side bookkeeping, so only the shard that
+        # drives the source emits them; the one receiver-side field
+        # (a greedy row's size_bytes = bytes delivered at the
+        # destination) is patched in by the merge step
+        driven = {f.flow_id for f in net.flows if drives(f.src)}
+        rows = [row for row in rows if row.flow_id in driven]
+    flow_stats = [row.to_json() for row in rows]
     result = RunResult(
         label=scenario.label,
         seed=seed,
@@ -632,18 +629,14 @@ def run_scenario_inline(
 def run_scenario_cell(spec: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     """Execute one (scenario, seed) cell — the worker-side entry point."""
     scenario = Scenario.from_spec(spec)
-    if scenario.sharding is not None:
-        # only an embedded ShardingSpec shards a *cached* cell: the
-        # spec rides in the cell hash, while REPRO_SHARDS does not —
-        # honoring the env var here would store shard-tagged results
-        # under the serial cell's key.  (It still applies to the
-        # never-cached inline commands: run/trace/profile.)
-        # before building telemetry: a sharded run owns its workers'
-        # sinks, and an unused parent-side jsonl sink would leak an
-        # empty file
-        sharded = maybe_run_sharded(scenario, seed)
-        if sharded is not None:
-            return sharded.to_json()
+    # only an embedded ShardingSpec shards a *cached* cell: the spec
+    # rides in the cell hash and the ambient count does not, so the
+    # ambient count is 1 here (see RuntimeConfig.shards).  Before
+    # building telemetry: a sharded run owns its workers' sinks, and an
+    # unused parent-side jsonl sink would leak an empty file
+    sharded = maybe_run_sharded(scenario, seed, ambient_shards=1)
+    if sharded is not None:
+        return sharded.to_json()
     telemetry = Telemetry.from_spec(scenario.telemetry, seed=seed)
     result, _ = run_scenario_inline(scenario, seed, telemetry=telemetry)
     telemetry.close()
@@ -684,9 +677,9 @@ def run_sweep(
 
     The sweep runs under the hardened executor contract: a cell that
     times out, crashes its worker or raises (after retries) lands in
-    ``SweepPoint.failures`` instead of aborting the sweep, and
-    completed cells are checkpointed so an interrupted sweep can be
-    resumed (``REPRO_RESUME=on`` / ``repro run ... --resume``).
+    ``SweepPoint.failures`` instead of aborting the sweep, and every
+    completed cell is in the result cache, so an interrupted sweep run
+    again computes only the missing cells.
     """
     cells: List[Cell] = []
     slices: List[Tuple[Any, int]] = []

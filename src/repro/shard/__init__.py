@@ -16,14 +16,13 @@ dead, stalled or desynchronised worker becomes a recorded
 bit-identical to the undisturbed run — or, with degradation off,
 raises ``ShardRunError``.
 
-Only the declarative half (:mod:`repro.shard.spec`: the spec, the env
-var name and the serial-or-sharded dispatch) is re-exported here, so
+Only the declarative half (:mod:`repro.shard.spec`: the spec and the
+serial-or-sharded dispatch) is re-exported here, so
 importing the package costs a serial run nothing; everything else is
 imported from its submodule by the code that needs it.
 """
 
 from repro.shard.spec import (
-    SHARDS_ENV,
     ShardingSpec,
     can_shard,
     effective_shards,
@@ -32,7 +31,6 @@ from repro.shard.spec import (
 )
 
 __all__ = [
-    "SHARDS_ENV",
     "ShardingSpec",
     "can_shard",
     "effective_shards",

@@ -17,14 +17,8 @@ identity.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from dataclasses import dataclass
 from typing import Any, ClassVar, Mapping, Optional
-
-#: environment variable selecting a shard count for fabric scenarios
-#: that do not embed a :class:`ShardingSpec` (``repro run --shards N``
-#: sets it for the invocation); ``1`` / unset = serial
-SHARDS_ENV = "REPRO_SHARDS"
 
 
 @dataclass(frozen=True)
@@ -52,8 +46,8 @@ class ShardingSpec:
 
     ``stall_timeout_s`` — how long the parent waits at a barrier with
     no message before declaring the silent workers lost.  ``None``
-    inherits the per-cell wall-clock budget (``REPRO_RUN_TIMEOUT`` /
-    ``REPRO_SCALE`` policy).
+    inherits the per-cell wall-clock budget
+    (:func:`repro.runner.resilience.default_timeout_s`).
     """
 
     shards: int = 1
@@ -91,26 +85,21 @@ class ShardingSpec:
 # --- dispatch: the cheap half -------------------------------------------------
 #
 # Whether a run is sharded at all is decided here, from the scenario
-# and the environment alone, so a serial run never imports the shard
-# runtime (repro.shard.runner and the five modules behind it).
+# and the caller's ambient shard count alone, so a serial run never
+# imports the shard runtime (repro.shard.runner and the five modules
+# behind it).
 
 
-def effective_shards(scenario) -> int:
-    """The shard count this scenario should run with (1 = serial)."""
+def effective_shards(scenario, ambient_shards: int) -> int:
+    """The shard count this scenario should run with (1 = serial).
+
+    An embedded :class:`ShardingSpec` wins; ``ambient_shards`` is what
+    the caller was asked for from outside (``runtime.current().shards``
+    for the inline commands, 1 for a cached cell).
+    """
     if scenario.sharding is not None:
         return scenario.sharding.shards
-    raw = os.environ.get(SHARDS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        shards = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{SHARDS_ENV} must be an integer shard count, got {raw!r}"
-        ) from None
-    if shards < 1:
-        raise ValueError(f"{SHARDS_ENV} must be >= 1, got {shards}")
-    return shards
+    return ambient_shards
 
 
 def serial_reason(scenario) -> Optional[str]:
@@ -137,7 +126,7 @@ def can_shard(scenario) -> bool:
     return serial_reason(scenario) is None
 
 
-def maybe_run_sharded(scenario, seed: int):
+def maybe_run_sharded(scenario, seed: int, ambient_shards: int):
     """Run sharded if requested and possible; ``None`` means run serial.
 
     The single dispatch point, called by
@@ -150,7 +139,7 @@ def maybe_run_sharded(scenario, seed: int):
     """
     if not can_shard(scenario):
         return None
-    shards = effective_shards(scenario)
+    shards = effective_shards(scenario, ambient_shards)
     if shards <= 1:
         return None
     from repro.shard.runner import run_scenario_sharded

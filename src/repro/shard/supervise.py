@@ -110,11 +110,11 @@ class SupervisionPolicy:
 
     @classmethod
     def from_spec(cls, spec) -> "SupervisionPolicy":
-        """Policy for one run: the spec's knobs over the env defaults.
+        """Policy for one run: the spec's knobs over the run's defaults.
 
         A spec that leaves ``stall_timeout_s`` unset inherits the
-        per-cell wall-clock budget (``REPRO_RUN_TIMEOUT`` /
-        ``REPRO_SCALE``): a barrier round that outlives a whole cell's
+        per-cell wall-clock budget: a barrier round that outlives a whole
+        cell's
         budget is certainly stuck.
         """
         stall = spec.stall_timeout_s

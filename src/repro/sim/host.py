@@ -23,7 +23,6 @@ lossless fabric none of this machinery fires.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 
@@ -47,23 +46,6 @@ _MAX_RTT_PROBES = 64
 
 #: Sentinel "never" timestamp for flows with nothing to send.
 NEVER = 1 << 62
-
-#: kill switch for per-transfer FCT bookkeeping (``flow.*`` lifecycle
-#: events and first-byte tracking).  On by default; the CI overhead
-#: gate (benchmarks/check_flowstats_overhead.py) compares runs with it
-#: off vs on to pin the hot-path cost below its budget.
-FLOWSTATS_ENV = "REPRO_FLOWSTATS"
-
-_FLOWSTATS_ENABLED = os.environ.get(FLOWSTATS_ENV, "on").lower() not in (
-    "off",
-    "0",
-    "no",
-)
-
-
-def flowstats_enabled() -> bool:
-    """Whether per-transfer FCT bookkeeping is active in this process."""
-    return _FLOWSTATS_ENABLED
 
 
 class Message:
@@ -159,7 +141,6 @@ class Flow:
         "_boundaries",
         "_boundary_by_seq",
         "_first_by_seq",
-        "_flowstats",
         "on_message_complete",
         "_rto_armed",
         "_last_progress_seq",
@@ -222,10 +203,8 @@ class Flow:
         self._boundaries: Deque[Tuple[int, Message]] = deque()
         self._boundary_by_seq: dict = {}
         #: first_seq -> Message, for first-byte timestamps (popped on
-        #: first departure; empty for greedy flows and when FlowStats
-        #: recording is disabled via REPRO_FLOWSTATS=off)
+        #: first departure; empty for greedy flows)
         self._first_by_seq: dict = {}
-        self._flowstats = _FLOWSTATS_ENABLED
         self.on_message_complete: Optional[Callable[["Flow", Message], None]] = None
         # retransmission-timeout bookkeeping (managed by the NIC)
         self._rto_armed = False
@@ -297,20 +276,19 @@ class Flow:
         self._boundaries.append((message.last_seq, message))
         self._boundary_by_seq[message.last_seq] = message
         self.end_seq += packet_count
-        if self._flowstats:
-            self._first_by_seq[message.first_seq] = message
-            message._retx_at_start = self.retransmitted_packets
-            message._pause_rx_at_start = self.src.nic.port.rx_pause_frames
-            tracer = self.src.nic.tracer
-            if tracer is not None:
-                tracer.emit(
-                    message.start_ns,
-                    trace_events.FLOW_START,
-                    self.src.nic.name,
-                    flow=self.flow_id,
-                    msg=message.msg_id,
-                    bytes=size_bytes,
-                )
+        self._first_by_seq[message.first_seq] = message
+        message._retx_at_start = self.retransmitted_packets
+        message._pause_rx_at_start = self.src.nic.port.rx_pause_frames
+        tracer = self.src.nic.tracer
+        if tracer is not None:
+            tracer.emit(
+                message.start_ns,
+                trace_events.FLOW_START,
+                self.src.nic.name,
+                flow=self.flow_id,
+                msg=message.msg_id,
+                bytes=size_bytes,
+            )
         self.src.nic.flow_state_changed(self)
         return message
 
@@ -408,25 +386,23 @@ class Flow:
             _, message = self._boundaries.popleft()
             message.complete_ns = now
             self.messages_completed += 1
-            if self._flowstats:
-                message.retransmits = (
-                    self.retransmitted_packets - message._retx_at_start
+            message.retransmits = (
+                self.retransmitted_packets - message._retx_at_start
+            )
+            message.pauses_rx = (
+                self.src.nic.port.rx_pause_frames - message._pause_rx_at_start
+            )
+            tracer = self.src.nic.tracer
+            if tracer is not None:
+                tracer.emit(
+                    now,
+                    trace_events.FLOW_FCT,
+                    self.src.nic.name,
+                    flow=self.flow_id,
+                    msg=message.msg_id,
+                    fct_ns=now - message.start_ns,
+                    bytes=message.size_bytes,
                 )
-                message.pauses_rx = (
-                    self.src.nic.port.rx_pause_frames
-                    - message._pause_rx_at_start
-                )
-                tracer = self.src.nic.tracer
-                if tracer is not None:
-                    tracer.emit(
-                        now,
-                        trace_events.FLOW_FCT,
-                        self.src.nic.name,
-                        flow=self.flow_id,
-                        msg=message.msg_id,
-                        fct_ns=now - message.start_ns,
-                        bytes=message.size_bytes,
-                    )
             if self.on_message_complete is not None:
                 self.on_message_complete(self, message)
 

@@ -10,8 +10,7 @@ sender's line rate).
 
 Collection is a cold end-of-run sweep over state the sender already
 keeps (:class:`repro.sim.host.Message` bookkeeping); the per-packet
-hot path pays only the first-byte dict probe, and even that disappears
-under ``REPRO_FLOWSTATS=off``.  The table rides inside every
+hot path pays only the first-byte dict probe.  The table rides inside every
 :class:`~repro.runner.results.RunResult` as plain JSON, so it survives
 the result cache and the process-pool transport byte-identically —
 which is what lets ``repro plot`` build slowdown CDFs from cached

@@ -54,6 +54,46 @@ class TestDispatch:
         assert os.environ["REPRO_SCALE"] == "full"
 
 
+class TestBadInputEndsEarly:
+    """An option the target would drop, or a value no parser accepts,
+    ends the command with exit 2 and one line, before anything runs."""
+
+    @pytest.mark.parametrize(
+        "option, where",
+        [
+            (["--faults", "/nonexistent.json"], "--faults applies to named scenarios"),
+            (["--shards", "2"], "--shards applies to named scenarios"),
+            (["--seed", "3"], "--seed applies to named scenarios"),
+            (
+                ["--invariants", "strict"],
+                "--invariants applies to named scenarios and to arena",
+            ),
+        ],
+    )
+    def test_option_the_experiment_does_not_read(
+        self, option, where, capsys, monkeypatch
+    ):
+        import os
+
+        monkeypatch.setenv("REPRO_SHARDS", "")
+        assert main(["fig03"] + option) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert where in line and "'fig03'" in line
+        assert os.environ["REPRO_SHARDS"] == ""  # a refused command exports nothing
+
+    @pytest.mark.parametrize("value", ["soon", "-3"])
+    def test_timeout_is_checked_when_parsed(self, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig03", "--timeout", value])
+        assert exit_info.value.code == 2
+        assert (
+            "argument --timeout: expected positive seconds or 'off'"
+            in capsys.readouterr().err
+        )
+
+
 class TestFaultCommands:
     def test_faults_list(self, capsys):
         assert main(["faults", "list"]) == 0

@@ -8,10 +8,12 @@ automatically.
 
 import pytest
 
+from repro import runtime
 from repro.cli import main
 from repro.runner import REGISTRY
-from repro.runner.cache import RESULTS_ENV
-from repro.runner.scale import SCALE_ENV
+
+RESULTS_ENV = runtime.VARS["results_dir"].env
+SCALE_ENV = runtime.VARS["scale"].env
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ direction of each effect.
 
 import pytest
 
-from repro import units
+from repro import runtime, units
 from repro.experiments import common
 from repro.experiments.benchmark_traffic import (
     RESULT_HEADERS,
@@ -35,12 +35,12 @@ from repro.runner import scale
 
 class TestCommon:
     def test_scale_default(self, monkeypatch):
-        monkeypatch.delenv(common.SCALE_ENV, raising=False)
-        assert common.scale() == "quick"
+        monkeypatch.delenv(runtime.VARS["scale"].env, raising=False)
+        assert runtime.current().scale == "quick"
         assert scale.pick(1, 2) == 1
 
     def test_scale_full(self, monkeypatch):
-        monkeypatch.setenv(common.SCALE_ENV, "full")
+        monkeypatch.setenv(runtime.VARS["scale"].env, "full")
         assert scale.pick(1, 2) == 2
 
     def test_shims_removed(self):
@@ -50,9 +50,9 @@ class TestCommon:
         assert not hasattr(common, "seeds_for")
 
     def test_scale_invalid(self, monkeypatch):
-        monkeypatch.setenv(common.SCALE_ENV, "enormous")
+        monkeypatch.setenv(runtime.VARS["scale"].env, "enormous")
         with pytest.raises(ValueError):
-            common.scale()
+            scale.pick(1, 2)
 
     def test_format_table(self):
         table = common.format_table(["a", "bb"], [[1, 2], [33, 4]])

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro import units
+from repro import runtime, units
 from repro.faults import (
     CnpImpairment,
     DeadlockWatchdog,
@@ -18,7 +18,7 @@ from repro.faults import (
     WatchdogConfig,
 )
 from repro.runner import FlowSpec, Scenario, run_scenario
-from repro.runner import cache, executor, scale
+from repro.runner import scale
 from repro.runner.scenario import run_scenario_inline
 from repro.sim.network import Network
 from repro.telemetry import Telemetry
@@ -27,10 +27,10 @@ from repro.telemetry import Telemetry
 @pytest.fixture
 def isolated_results(tmp_path, monkeypatch):
     """Point the cache at a fresh directory and clear stale env knobs."""
-    monkeypatch.setenv(cache.RESULTS_ENV, str(tmp_path))
-    monkeypatch.delenv(executor.JOBS_ENV, raising=False)
-    monkeypatch.delenv(cache.CACHE_ENV, raising=False)
-    monkeypatch.delenv(scale.SCALE_ENV, raising=False)
+    monkeypatch.setenv(runtime.VARS["results_dir"].env, str(tmp_path))
+    monkeypatch.delenv(runtime.VARS["jobs"].env, raising=False)
+    monkeypatch.delenv(runtime.VARS["cache"].env, raising=False)
+    monkeypatch.delenv(runtime.VARS["scale"].env, raising=False)
     return tmp_path
 
 
@@ -326,7 +326,7 @@ class TestWatchdog:
         import repro.experiments.catalog  # noqa: F401  (populates SCENARIOS)
         from repro.runner import SCENARIOS
 
-        monkeypatch.setenv(scale.SCALE_ENV, "smoke")
+        monkeypatch.setenv(runtime.VARS["scale"].env, "smoke")
         guard = FaultPlan(watchdog=WatchdogConfig())
         for entry in SCENARIOS:
             sc = dataclasses.replace(SCENARIOS.build(entry.id), faults=guard)
@@ -354,10 +354,10 @@ class TestDeterminism:
         )
         sc = dumbbell_scenario(cc="dcqcn", faults=plan, duration_ns=units.ms(1))
         seeds = scale.seeds_for(4)
-        monkeypatch.setenv(cache.CACHE_ENV, "off")
-        monkeypatch.setenv(executor.JOBS_ENV, "1")
+        monkeypatch.setenv(runtime.VARS["cache"].env, "off")
+        monkeypatch.setenv(runtime.VARS["jobs"].env, "1")
         serial = run_scenario(sc, seeds)
-        monkeypatch.setenv(executor.JOBS_ENV, "4")
+        monkeypatch.setenv(runtime.VARS["jobs"].env, "4")
         parallel = run_scenario(sc, seeds)
         assert [dataclasses.asdict(r) for r in serial] == [
             dataclasses.asdict(r) for r in parallel

@@ -1,22 +1,18 @@
 """Flow lifecycle observability: FlowStats recording end to end.
 
 Covers the per-transfer FCT table in ``RunResult.flow_stats``, the
-``flow.*`` trace events, the ``REPRO_FLOWSTATS`` kill switch, the
-closed-loop message streams behind Fig 16 traffic, and the trace
-linter's hard-fail behaviour on empty/unknown input.
+``flow.*`` trace events, the closed-loop message streams behind
+Fig 16 traffic, and the trace linter's hard-fail behaviour on
+empty/unknown input.
 """
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
 from repro import units
 from repro.analysis.fct import base_rtt_ns, ideal_fct_ns, serialization_ns
 from repro.runner import FlowSpec, RunResult, Scenario, run_scenario, run_scenario_inline
-from repro.sim import host as sim_host
 from repro.telemetry import (
     FLOW_FCT,
     FLOW_FIRST_BYTE,
@@ -197,42 +193,6 @@ class TestTraceEvents:
 
     def test_off_level_emits_nothing(self):
         assert self.run_traced("off") == []
-
-
-class TestFlowstatsKnob:
-    def test_enabled_by_default(self):
-        assert sim_host.flowstats_enabled()
-
-    def test_off_disables_recording(self):
-        """REPRO_FLOWSTATS=off (read at import) empties flow_stats."""
-        code = (
-            "import json\n"
-            "from repro import units\n"
-            "from repro.runner import FlowSpec, Scenario, run_scenario_inline\n"
-            "from repro.sim import host\n"
-            "scenario = Scenario(\n"
-            "    topology='single_switch',\n"
-            "    topology_kwargs={'n_hosts': 2},\n"
-            "    flows=(FlowSpec(name='p', src='0', dst='1', cc='dcqcn',\n"
-            "                    greedy=False, message_bytes=5000),),\n"
-            "    duration_ns=units.us(100), label='knob')\n"
-            "result, _ = run_scenario_inline(scenario, seed=1)\n"
-            "print(json.dumps([host.flowstats_enabled(),\n"
-            "                  len(result.flow_stats),\n"
-            "                  result.counters.get('fct_ns.p', -1.0) > 0]))\n"
-        )
-        env = dict(os.environ, REPRO_FLOWSTATS="off")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        enabled, rows, legacy_fct = json.loads(out.stdout.strip())
-        assert enabled is False
-        assert rows == 0
-        assert legacy_fct is True  # the fct_ns.<name> counter still works
 
 
 class TestLint:

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro import units
+from repro import runtime, units
 from repro.core.params import DCQCNParams
 from repro.faults import FaultPlan, LinkFlap, WatchdogConfig
 from repro.invariants import (
@@ -14,7 +14,6 @@ from repro.invariants import (
     config_violations,
 )
 from repro.runner import FlowSpec, Scenario, run_sweep
-from repro.runner import cache, executor, scale
 from repro.runner.scenario import run_scenario_inline
 from repro.sim.switch import SwitchConfig
 from repro.sim.topology import single_switch
@@ -23,10 +22,10 @@ from repro.telemetry import Telemetry
 
 @pytest.fixture
 def isolated_results(tmp_path, monkeypatch):
-    monkeypatch.setenv(cache.RESULTS_ENV, str(tmp_path))
-    monkeypatch.delenv(executor.JOBS_ENV, raising=False)
-    monkeypatch.delenv(cache.CACHE_ENV, raising=False)
-    monkeypatch.setenv(scale.SCALE_ENV, "smoke")
+    monkeypatch.setenv(runtime.VARS["results_dir"].env, str(tmp_path))
+    monkeypatch.delenv(runtime.VARS["jobs"].env, raising=False)
+    monkeypatch.delenv(runtime.VARS["cache"].env, raising=False)
+    monkeypatch.setenv(runtime.VARS["scale"].env, "smoke")
     return tmp_path
 
 

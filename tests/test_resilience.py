@@ -1,4 +1,4 @@
-"""The hardened executor: timeouts, crash recovery, retry, checkpoint/resume."""
+"""The hardened executor: timeouts, crash recovery, retry, interrupted sweeps."""
 
 import json
 import os
@@ -7,9 +7,10 @@ import time
 
 import pytest
 
+from repro import runtime
 from repro.runner import Cell, RunFailure, execute
 from repro.runner import cache, executor, resilience, scale
-from repro.runner.resilience import RetryPolicy, SweepCheckpoint
+from repro.runner.resilience import RetryPolicy
 
 #: cheap, importable, pure cell for the happy path (same as test_runner)
 SEEDS_FN = "repro.runner.scale:seeds_for"
@@ -44,14 +45,11 @@ def flaky_cell(marker, value):
 
 @pytest.fixture
 def isolated_results(tmp_path, monkeypatch):
-    monkeypatch.setenv(cache.RESULTS_ENV, str(tmp_path))
-    monkeypatch.delenv(executor.JOBS_ENV, raising=False)
-    monkeypatch.delenv(cache.CACHE_ENV, raising=False)
-    monkeypatch.delenv(resilience.TIMEOUT_ENV, raising=False)
-    monkeypatch.delenv(resilience.RETRIES_ENV, raising=False)
-    monkeypatch.delenv(resilience.CHECKPOINT_ENV, raising=False)
-    monkeypatch.delenv(resilience.RESUME_ENV, raising=False)
-    monkeypatch.setenv(scale.SCALE_ENV, "smoke")
+    monkeypatch.setenv(runtime.VARS["results_dir"].env, str(tmp_path))
+    monkeypatch.delenv(runtime.VARS["jobs"].env, raising=False)
+    monkeypatch.delenv(runtime.VARS["cache"].env, raising=False)
+    monkeypatch.delenv(runtime.VARS["run_timeout"].env, raising=False)
+    monkeypatch.setenv(runtime.VARS["scale"].env, "smoke")
     return tmp_path
 
 
@@ -63,22 +61,22 @@ FAST_ONE_RETRY = RetryPolicy(max_attempts=2, backoff_s=0.01)
 class TestTimeoutPolicy:
     def test_scale_defaults(self, isolated_results, monkeypatch):
         assert resilience.default_timeout_s() == 120.0
-        monkeypatch.setenv(scale.SCALE_ENV, "quick")
+        monkeypatch.setenv(runtime.VARS["scale"].env, "quick")
         assert resilience.default_timeout_s() == 600.0
-        monkeypatch.setenv(scale.SCALE_ENV, "full")
+        monkeypatch.setenv(runtime.VARS["scale"].env, "full")
         assert resilience.default_timeout_s() == 3600.0
 
     def test_env_override_and_off(self, isolated_results, monkeypatch):
-        monkeypatch.setenv(resilience.TIMEOUT_ENV, "42.5")
+        monkeypatch.setenv(runtime.VARS["run_timeout"].env, "42.5")
         assert resilience.default_timeout_s() == 42.5
-        monkeypatch.setenv(resilience.TIMEOUT_ENV, "off")
+        monkeypatch.setenv(runtime.VARS["run_timeout"].env, "off")
         assert resilience.default_timeout_s() is None
 
     def test_bad_values_rejected(self, isolated_results, monkeypatch):
-        monkeypatch.setenv(resilience.TIMEOUT_ENV, "soon")
+        monkeypatch.setenv(runtime.VARS["run_timeout"].env, "soon")
         with pytest.raises(ValueError, match="REPRO_RUN_TIMEOUT"):
             resilience.default_timeout_s()
-        monkeypatch.setenv(resilience.TIMEOUT_ENV, "-3")
+        monkeypatch.setenv(runtime.VARS["run_timeout"].env, "-3")
         with pytest.raises(ValueError, match="positive"):
             resilience.default_timeout_s()
 
@@ -90,13 +88,6 @@ class TestRetryPolicy:
         assert policy.delay_s(2) == 2.0
         assert policy.delay_s(3) == 3.0  # capped
         assert policy.delay_s(0) == 0.0
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv(resilience.RETRIES_ENV, "5")
-        assert RetryPolicy.from_env().max_attempts == 5
-        monkeypatch.setenv(resilience.RETRIES_ENV, "zero")
-        with pytest.raises(ValueError, match="REPRO_RETRIES"):
-            RetryPolicy.from_env()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_attempts"):
@@ -124,38 +115,6 @@ class TestRunFailure:
     def test_error_taxonomy_enforced(self):
         with pytest.raises(ValueError, match="error"):
             RunFailure(error="meteor", message="", fn=SEEDS_FN)
-
-
-class TestCheckpoint:
-    def test_record_and_load_successes_only(self, isolated_results):
-        cells = [Cell(SEEDS_FN, {"repetitions": n}) for n in (1, 2, 3)]
-        cp = SweepCheckpoint(cells)
-        cp.record(cp.tokens[0], [11])
-        cp.record_failure(cp.tokens[1], {"error": "timeout"})
-        loaded = cp.load()
-        assert loaded == {cp.tokens[0]: [11]}
-
-    def test_torn_final_line_is_skipped(self, isolated_results):
-        cells = [Cell(SEEDS_FN, {"repetitions": 1})]
-        cp = SweepCheckpoint(cells)
-        cp.record(cp.tokens[0], [7])
-        with open(cp.path, "a") as handle:
-            handle.write('{"cell": "abc", "resu')  # interrupted mid-write
-        assert cp.load() == {cp.tokens[0]: [7]}
-
-    def test_same_cells_same_path_different_cells_different(self, isolated_results):
-        cells_a = [Cell(SEEDS_FN, {"repetitions": 1})]
-        cells_b = [Cell(SEEDS_FN, {"repetitions": 2})]
-        assert SweepCheckpoint(cells_a).path == SweepCheckpoint(cells_a).path
-        assert SweepCheckpoint(cells_a).path != SweepCheckpoint(cells_b).path
-
-    def test_discard(self, isolated_results):
-        cp = SweepCheckpoint([Cell(SEEDS_FN, {"repetitions": 1})])
-        cp.record(cp.tokens[0], [1])
-        assert cp.path.exists()
-        cp.discard()
-        assert not cp.path.exists()
-        cp.discard()  # idempotent
 
 
 class TestHardenedSerial:
@@ -255,64 +214,31 @@ class TestHardenedParallel:
             execute(cells, jobs=2, cache=False, retry=FAST_NO_RETRY)
 
 
-class TestCheckpointResume:
-    def test_resume_completes_only_missing_cells_byte_identical(
+class TestInterruptedSweep:
+    """The result cache is the only store of finished cells: a sweep
+    that stopped part-way is resumed by running it again."""
+
+    CELLS = [Cell(SEEDS_FN, {"repetitions": n}) for n in range(1, 6)]
+
+    def test_rerun_computes_only_missing_cells_byte_identical(
         self, isolated_results
     ):
-        cells = [Cell(SEEDS_FN, {"repetitions": n}) for n in range(1, 6)]
-        full = execute(cells, jobs=1, cache=False, collect_failures=True)
+        uninterrupted = execute(self.CELLS, jobs=1, cache=False)
+        # the interrupted sweep: only the first three cells ran
+        execute(self.CELLS[:3], jobs=1, cache=True, collect_failures=True)
+        rerun = execute(self.CELLS, jobs=1, cache=True, collect_failures=True)
+        assert executor.LAST_STATS.computed == 2
+        assert executor.LAST_STATS.cached == 3
+        assert json.dumps(rerun) == json.dumps(uninterrupted)
+        assert not (isolated_results / ".checkpoints").exists()
 
-        # simulate an interrupted sweep: only cells 0 and 2 finished
-        cp = SweepCheckpoint(cells)
-        cp.record(cp.tokens[0], full[0])
-        cp.record(cp.tokens[2], full[2])
-        resumed = execute(
-            cells,
-            jobs=1,
-            cache=False,
-            collect_failures=True,
-            checkpoint=cp,
-            resume=True,
-        )
-        assert resumed == full  # byte-identical to the uninterrupted sweep
-        assert executor.LAST_STATS.resumed == 2
-        assert executor.LAST_STATS.computed == 3
-
-    def test_checkpoint_deleted_on_full_success(self, isolated_results):
-        cells = [Cell(SEEDS_FN, {"repetitions": n}) for n in (1, 2)]
-        cp = SweepCheckpoint(cells)
-        execute(
-            cells, jobs=1, cache=False, collect_failures=True, checkpoint=cp
-        )
-        assert not cp.path.exists()
-
-    def test_checkpoint_kept_when_cells_failed(self, isolated_results):
-        cells = [
-            Cell(SEEDS_FN, {"repetitions": 1}),
-            Cell(f"{HERE}:raising_cell", {}),
-        ]
-        cp = SweepCheckpoint(cells)
-        execute(
-            cells,
-            jobs=1,
-            cache=False,
-            collect_failures=True,
-            checkpoint=cp,
-            retry=FAST_NO_RETRY,
-        )
-        assert cp.path.exists()
-        assert cp.load() == {cp.tokens[0]: scale.seeds_for(1)}
-
-    def test_resume_env_default_off(self, isolated_results):
-        # a stale journal with a WRONG value must be ignored unless
-        # resume is requested
-        cells = [Cell(SEEDS_FN, {"repetitions": 2})]
-        cp = SweepCheckpoint(cells)
-        cp.record(cp.tokens[0], ["stale", "values"])
-        results = execute(
-            cells, jobs=1, cache=False, collect_failures=True, checkpoint=cp
-        )
-        assert results == [scale.seeds_for(2)]
+    def test_changed_code_recomputes_every_cell(self, isolated_results, monkeypatch):
+        execute(self.CELLS[:3], jobs=1, cache=True, collect_failures=True)
+        # any edit under src/repro moves the fingerprint in every key
+        monkeypatch.setattr(cache, "_fingerprint", "edited")
+        execute(self.CELLS, jobs=1, cache=True, collect_failures=True)
+        assert executor.LAST_STATS.computed == 5
+        assert executor.LAST_STATS.cached == 0
 
 
 class TestCacheHardening:

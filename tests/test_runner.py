@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro import units
+from repro import runtime, units
 from repro.cli import main
 from repro.core.params import DCQCNParams
 from repro.runner import (
@@ -31,27 +31,27 @@ SEEDS_FN = "repro.runner.scale:seeds_for"
 @pytest.fixture
 def isolated_results(tmp_path, monkeypatch):
     """Point the cache at a fresh directory and clear stale env knobs."""
-    monkeypatch.setenv(cache.RESULTS_ENV, str(tmp_path))
-    monkeypatch.delenv(executor.JOBS_ENV, raising=False)
-    monkeypatch.delenv(cache.CACHE_ENV, raising=False)
-    monkeypatch.delenv(scale.SCALE_ENV, raising=False)
+    monkeypatch.setenv(runtime.VARS["results_dir"].env, str(tmp_path))
+    monkeypatch.delenv(runtime.VARS["jobs"].env, raising=False)
+    monkeypatch.delenv(runtime.VARS["cache"].env, raising=False)
+    monkeypatch.delenv(runtime.VARS["scale"].env, raising=False)
     return tmp_path
 
 
 class TestScale:
     def test_smoke_scale(self, monkeypatch):
-        monkeypatch.setenv(scale.SCALE_ENV, "smoke")
-        assert scale.scale() == "smoke"
+        monkeypatch.setenv(runtime.VARS["scale"].env, "smoke")
+        assert runtime.current().scale == "smoke"
         assert scale.pick(1, 2, 3) == 3
 
     def test_smoke_falls_back_to_quick(self, monkeypatch):
-        monkeypatch.setenv(scale.SCALE_ENV, "smoke")
+        monkeypatch.setenv(runtime.VARS["scale"].env, "smoke")
         assert scale.pick(1, 2) == 1
 
     def test_unknown_scale_rejected(self, monkeypatch):
-        monkeypatch.setenv(scale.SCALE_ENV, "enormous")
+        monkeypatch.setenv(runtime.VARS["scale"].env, "enormous")
         with pytest.raises(ValueError, match="REPRO_SCALE"):
-            scale.scale()
+            scale.pick(1, 2)
 
     def test_seeds_are_deterministic_and_distinct(self):
         seeds = scale.seeds_for(10)
@@ -78,16 +78,16 @@ class TestExecutor:
         assert serial == parallel
 
     def test_default_jobs_parsing(self, monkeypatch):
-        monkeypatch.delenv(executor.JOBS_ENV, raising=False)
-        assert executor.default_jobs() == 1
-        monkeypatch.setenv(executor.JOBS_ENV, "3")
-        assert executor.default_jobs() == 3
-        monkeypatch.setenv(executor.JOBS_ENV, "auto")
-        assert executor.default_jobs() == (os.cpu_count() or 1)
+        monkeypatch.delenv(runtime.VARS["jobs"].env, raising=False)
+        assert runtime.current().jobs == 1
+        monkeypatch.setenv(runtime.VARS["jobs"].env, "3")
+        assert runtime.current().jobs == 3
+        monkeypatch.setenv(runtime.VARS["jobs"].env, "auto")
+        assert runtime.current().jobs == (os.cpu_count() or 1)
         for bad in ("0", "-2", "many"):
-            monkeypatch.setenv(executor.JOBS_ENV, bad)
+            monkeypatch.setenv(runtime.VARS["jobs"].env, bad)
             with pytest.raises(ValueError, match="REPRO_JOBS"):
-                executor.default_jobs()
+                runtime.current().jobs
 
     def test_bad_fn_path_rejected(self):
         with pytest.raises(ValueError, match="package.module:function"):
@@ -122,14 +122,14 @@ class TestCache:
     def test_cache_off_recomputes(self, isolated_results, monkeypatch):
         cells = [Cell(SEEDS_FN, {"repetitions": 2})]
         execute(cells)
-        monkeypatch.setenv(cache.CACHE_ENV, "off")
+        monkeypatch.setenv(runtime.VARS["cache"].env, "off")
         execute(cells)
         assert executor.LAST_STATS.computed == 1
 
     def test_invalid_cache_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(cache.CACHE_ENV, "maybe")
+        monkeypatch.setenv(runtime.VARS["cache"].env, "maybe")
         with pytest.raises(ValueError, match="REPRO_CACHE"):
-            cache.enabled()
+            runtime.current()
 
 
 class TestScenario:
@@ -238,11 +238,11 @@ class TestEndToEnd:
     def test_fig03_identical_serial_and_parallel(
         self, isolated_results, monkeypatch, capsys
     ):
-        monkeypatch.setenv(scale.SCALE_ENV, "smoke")
-        monkeypatch.setenv(cache.CACHE_ENV, "off")
+        monkeypatch.setenv(runtime.VARS["scale"].env, "smoke")
+        monkeypatch.setenv(runtime.VARS["cache"].env, "off")
         outputs = []
         for jobs in ("1", "4"):
-            monkeypatch.setenv(executor.JOBS_ENV, jobs)
+            monkeypatch.setenv(runtime.VARS["jobs"].env, jobs)
             assert main(["fig03"]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
@@ -250,7 +250,7 @@ class TestEndToEnd:
     def test_second_invocation_is_fully_cached(
         self, isolated_results, monkeypatch, capsys
     ):
-        monkeypatch.setenv(scale.SCALE_ENV, "smoke")
+        monkeypatch.setenv(runtime.VARS["scale"].env, "smoke")
         assert main(["fig03"]) == 0
         first = capsys.readouterr().out
         assert executor.LAST_STATS.computed > 0

@@ -6,13 +6,19 @@ import sys
 
 import pytest
 
-from repro import units
+from repro import runtime, units
 from repro.fabric import build_fabric
 from repro.runner.scenario import FlowSpec, Scenario
-from repro.shard import SHARDS_ENV, ShardingSpec, can_shard, effective_shards
+from repro.shard import ShardingSpec, can_shard, effective_shards
 from repro.shard.boundary import barrier_schedule, decode_packet, encode_packet
 from repro.shard.partition import partition_fabric
 from repro.sim.packet import Packet
+
+SHARDS_ENV = runtime.VARS["shards"].env
+
+
+def ambient_shards():
+    return runtime.current().shards
 
 
 def _fabric(seed=0, **kwargs):
@@ -163,9 +169,9 @@ class TestDispatch:
             flows=(FlowSpec(name="f0", src="0:0:0", dst="1:0:0"),),
         )
         monkeypatch.delenv(SHARDS_ENV, raising=False)
-        assert effective_shards(scenario) == 1
+        assert effective_shards(scenario, ambient_shards()) == 1
         monkeypatch.setenv(SHARDS_ENV, "3")
-        assert effective_shards(scenario) == 3
+        assert effective_shards(scenario, ambient_shards()) == 3
         # an embedded spec wins over the environment
         sharded = Scenario(
             topology="fabric",
@@ -173,7 +179,7 @@ class TestDispatch:
             flows=scenario.flows,
             sharding=ShardingSpec(shards=2),
         )
-        assert effective_shards(sharded) == 2
+        assert effective_shards(sharded, ambient_shards()) == 2
 
     def test_effective_shards_rejects_junk(self, monkeypatch):
         scenario = Scenario(
@@ -183,7 +189,7 @@ class TestDispatch:
         )
         monkeypatch.setenv(SHARDS_ENV, "many")
         with pytest.raises(ValueError, match=SHARDS_ENV):
-            effective_shards(scenario)
+            effective_shards(scenario, ambient_shards())
 
     @pytest.mark.parametrize("raw", ["0", "-3"])
     def test_effective_shards_rejects_nonpositive(self, monkeypatch, raw):
@@ -194,8 +200,8 @@ class TestDispatch:
             flows=(FlowSpec(name="f0", src="0:0:0", dst="1:0:0"),),
         )
         monkeypatch.setenv(SHARDS_ENV, raw)
-        with pytest.raises(ValueError, match=f"{SHARDS_ENV} must be >= 1"):
-            effective_shards(scenario)
+        with pytest.raises(ValueError, match=f"{SHARDS_ENV} must be a positive"):
+            effective_shards(scenario, ambient_shards())
 
     def test_non_fabric_run_stays_serial(self, monkeypatch):
         from repro.runner.scenario import run_scenario_inline

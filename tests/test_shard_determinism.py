@@ -12,17 +12,18 @@ import dataclasses
 
 import pytest
 
-from repro import units
+from repro import runtime, units
 from repro.experiments.fabric_scale import (
     fabric_benchmark_scenario,
     fabric_incast_scenario,
 )
 from repro.faults.plan import ErrorBurst, FaultPlan, LinkFlap
 from repro.invariants import InvariantConfig
-from repro.runner import cache
 from repro.runner.scenario import FlowSpec, Scenario, run_scenario
 from repro.runner.scenario import run_scenario_inline
-from repro.shard import SHARDS_ENV, ShardingSpec
+from repro.shard import ShardingSpec
+
+SHARDS_ENV = runtime.VARS["shards"].env
 
 
 def _result_json(scenario, seed, shards, monkeypatch):
@@ -134,7 +135,7 @@ class TestShardedCache:
     def test_sharded_scenario_round_trips_through_the_cache(
         self, monkeypatch, tmp_path
     ):
-        monkeypatch.setenv(cache.RESULTS_ENV, str(tmp_path))
+        monkeypatch.setenv(runtime.VARS["results_dir"].env, str(tmp_path))
         monkeypatch.delenv(SHARDS_ENV, raising=False)
         scenario = Scenario(
             topology="fabric",
@@ -167,7 +168,7 @@ class TestShardedCache:
         # REPRO_SHARDS is not part of the cell hash, so a cached cell
         # must ignore it: otherwise a sweep run under the env var
         # would store shard-tagged results under the serial cell's key
-        monkeypatch.setenv(cache.RESULTS_ENV, str(tmp_path))
+        monkeypatch.setenv(runtime.VARS["results_dir"].env, str(tmp_path))
         monkeypatch.setenv(SHARDS_ENV, "2")
         scenario = Scenario(
             topology="fabric",

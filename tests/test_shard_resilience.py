@@ -24,7 +24,7 @@ import time
 
 import pytest
 
-from repro import units
+from repro import runtime, units
 from repro.experiments.fabric_scale import fabric_incast_scenario
 from repro.faults.plan import FaultPlan, WatchdogConfig
 from repro.invariants import InvariantConfig, InvariantViolation
@@ -114,7 +114,7 @@ def _inject(monkeypatch, fault, shard, nth):
 def _sharded_json(monkeypatch, tmp_path, spec):
     """One sharded run in an isolated results dir; returns
     (stripped result json, shard_report)."""
-    monkeypatch.setenv(cache.RESULTS_ENV, str(tmp_path))
+    monkeypatch.setenv(runtime.VARS["results_dir"].env, str(tmp_path))
     scenario = dataclasses.replace(_scenario(), sharding=spec)
     result, _ = run_scenario_inline(scenario, SEED)
     data = result.to_json()
@@ -163,7 +163,7 @@ class TestDegradationLadder:
     def test_degradation_disabled_raises_structured_error(
         self, monkeypatch, tmp_path
     ):
-        monkeypatch.setenv(cache.RESULTS_ENV, str(tmp_path))
+        monkeypatch.setenv(runtime.VARS["results_dir"].env, str(tmp_path))
         _inject(monkeypatch, _kill, shard=0, nth=2)
         scenario = dataclasses.replace(
             _scenario(), sharding=ShardingSpec(shards=2, degrade=False)
@@ -191,7 +191,7 @@ class TestDegradationLadder:
         _assert_degraded(report, shards=2, shard_id=0, kind="stall")
 
     def test_stall_with_degradation_disabled_aborts(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(cache.RESULTS_ENV, str(tmp_path))
+        monkeypatch.setenv(runtime.VARS["results_dir"].env, str(tmp_path))
         _inject(monkeypatch, _stall, shard=1, nth=1)
         scenario = dataclasses.replace(
             _scenario(),
@@ -236,7 +236,7 @@ class TestWorkerErrorsAreNotDegraded:
 
 class TestParentInterrupt:
     def test_interrupt_leaves_no_child_and_no_file(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(cache.RESULTS_ENV, str(tmp_path))
+        monkeypatch.setenv(runtime.VARS["results_dir"].env, str(tmp_path))
         real_acks = shard_runner.ShardSupervisor._send_acks
 
         def interrupted_acks(self, barrier, inboxes):

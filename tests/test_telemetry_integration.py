@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro import units
+from repro import runtime, units
 from repro.runner import (
     FlowSpec,
     RunResult,
@@ -13,7 +13,6 @@ from repro.runner import (
     run_scenario,
     run_scenario_inline,
 )
-from repro.runner import cache, executor, scale
 from repro.sim.monitor import QueueSampler, RateSampler
 from repro.sim.network import Network
 from repro.sim.topology import single_switch
@@ -30,10 +29,10 @@ from repro.telemetry import (
 @pytest.fixture
 def isolated_results(tmp_path, monkeypatch):
     """Point the cache at a fresh directory and clear stale env knobs."""
-    monkeypatch.setenv(cache.RESULTS_ENV, str(tmp_path))
-    monkeypatch.delenv(executor.JOBS_ENV, raising=False)
-    monkeypatch.delenv(cache.CACHE_ENV, raising=False)
-    monkeypatch.delenv(scale.SCALE_ENV, raising=False)
+    monkeypatch.setenv(runtime.VARS["results_dir"].env, str(tmp_path))
+    monkeypatch.delenv(runtime.VARS["jobs"].env, raising=False)
+    monkeypatch.delenv(runtime.VARS["cache"].env, raising=False)
+    monkeypatch.delenv(runtime.VARS["scale"].env, raising=False)
 
 
 def incast_scenario(telemetry=None, duration_ns=units.ms(1)) -> Scenario:
@@ -379,7 +378,7 @@ class TestCli:
         from repro.cli import main
         from repro.telemetry.lint import lint_file
 
-        monkeypatch.setenv(scale.SCALE_ENV, "smoke")
+        monkeypatch.setenv(runtime.VARS["scale"].env, "smoke")
         out_path = str(tmp_path / "trace.jsonl")
         assert main(["trace", "smoke", "--out", out_path]) == 0
         lines, errors = lint_file(out_path)
@@ -391,7 +390,7 @@ class TestCli:
                                           monkeypatch):
         from repro.cli import main
 
-        monkeypatch.setenv(scale.SCALE_ENV, "smoke")
+        monkeypatch.setenv(runtime.VARS["scale"].env, "smoke")
         assert main(["trace", "smoke", "--level", "cc"]) == 0
         out = capsys.readouterr().out
         decoded = [json.loads(line) for line in out.splitlines() if line]
@@ -402,7 +401,7 @@ class TestCli:
                                      monkeypatch):
         from repro.cli import main
 
-        monkeypatch.setenv(scale.SCALE_ENV, "smoke")
+        monkeypatch.setenv(runtime.VARS["scale"].env, "smoke")
         assert main(["profile", "smoke"]) == 0
         out = capsys.readouterr().out
         assert "callback site" in out
