@@ -1,7 +1,7 @@
 """Runtime fault injectors: turning a :class:`FaultPlan` into events.
 
 :func:`install_plan` is the one entry point — called by
-:func:`repro.runner.scenario.run_scenario_inline` after the network is
+:func:`repro.runner.scenario.instrument` after the network is
 built and flows are open, before the clock starts.  It schedules the
 inject/clear edges of every injector on the engine, arms the
 :class:`~repro.faults.watchdog.DeadlockWatchdog` and

@@ -17,9 +17,9 @@ The executor is *hardened* (see :mod:`repro.runner.resilience`):
 
 * every cell runs under a wall-clock timeout scaled by the run scale
   (enforced when cells run in worker processes, ``jobs > 1``);
-* a worker that dies (OOM kill, segfault, ``os._exit``) breaks only
-  its own cell — the pool is rebuilt and the other in-flight cells
-  re-run without being charged an attempt;
+* each worker process owns a private pipe, so a worker that dies (OOM
+  kill, segfault, ``os._exit``) or overruns its deadline names its own
+  cell: that cell alone is charged and no other cell runs again;
 * failed cells retry with exponential backoff up to
   :class:`~repro.runner.resilience.RetryPolicy` attempts;
 * with ``collect_failures=True`` a cell that still fails becomes a
@@ -28,23 +28,19 @@ The executor is *hardened* (see :mod:`repro.runner.resilience`):
 * every completed cell is in the result cache before the next one is
   looked at, so an interrupted sweep, run again, executes only the
   missing cells.
-
-Crash attribution: a pool breakage with several cells in flight has an
-unknown culprit, so every in-flight cell becomes a *suspect* and is
-re-run one at a time — a solo crash is proof of guilt (the attempt is
-charged), a solo completion proof of innocence.
 """
 
 from __future__ import annotations
 
 import importlib
 import json
+import multiprocessing
+import pickle
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional
+from multiprocessing import connection
+from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro import runtime
 from repro.invariants import InvariantViolation
@@ -54,10 +50,6 @@ from repro.runner.results import RunFailure
 
 #: sentinel: "caller did not pass a timeout, use the configured policy"
 _UNSET = object()
-
-#: poll granularity of the parallel wait loop (seconds); deadlines are
-#: checked at least this often even when nothing completes
-_POLL_S = 0.25
 
 
 @dataclass(frozen=True)
@@ -107,36 +99,74 @@ def call_cell(fn_path: str, kwargs: Mapping[str, Any]) -> Any:
 class _Task:
     """Mutable per-cell execution state inside one :func:`execute`."""
 
-    __slots__ = (
-        "index", "attempts", "not_before", "deadline", "started", "elapsed", "solo",
-    )
+    __slots__ = ("index", "attempts", "not_before", "deadline", "started", "elapsed")
 
     def __init__(self, index: int):
         self.index = index
         self.attempts = 0  # executions charged to this cell
         self.not_before = 0.0  # monotonic gate for backoff
         self.deadline: Optional[float] = None
-        self.started = 0.0  # monotonic submission time of this attempt
-        self.elapsed = 0.0  # wall-clock spent across charged attempts
-        self.solo = False  # run alone for crash attribution
+        self.started = 0.0  # monotonic start of the current attempt
+        self.elapsed = 0.0  # wall-clock spent across failed attempts
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down *now* — its workers may be hung or dead."""
-    for proc in list(getattr(pool, "_processes", {}).values()):
-        proc.terminate()
-    pool.shutdown(wait=False, cancel_futures=True)
+def _describe(exc: Exception) -> Tuple[str, str]:
+    """``(error kind, message)`` of an exception a cell raised."""
+    if isinstance(exc, InvariantViolation):
+        return "invariant", str(exc)
+    return "exception", f"{type(exc).__name__}: {exc}"
 
 
-def _failure(cell: Cell, error: str, message: str, task: _Task) -> RunFailure:
-    return RunFailure(
-        error=error,
-        message=message,
-        fn=cell.fn,
-        kwargs=dict(cell.kwargs),
-        attempts=max(task.attempts, 1),
-        duration_s=round(task.elapsed, 3),
-    )
+def _worker_main(conn) -> None:
+    """What a worker process runs: ``recv job -> call_cell -> send
+    outcome``, until the parent sends ``None`` or goes away."""
+    try:
+        while True:
+            job = conn.recv()
+            if job is None:
+                return
+            try:
+                outcome = ("ok", call_cell(*job))
+            except Exception as exc:
+                outcome = ("error", exc)
+            try:
+                payload = pickle.dumps(outcome)
+                if outcome[0] == "error":
+                    # an __init__ that cannot replay ``args`` pickles
+                    # fine and fails to load: find out on this side
+                    pickle.loads(payload)
+            except Exception as exc:
+                payload = pickle.dumps(
+                    ("error", RuntimeError(f"cell outcome does not pickle: {exc!r}"))
+                )
+            conn.send_bytes(payload)
+    except (EOFError, OSError):
+        return  # the parent is gone; nobody is left to report to
+
+
+class _Worker:
+    """One worker process and the parent's end of its private pipe."""
+
+    def __init__(self) -> None:
+        self.conn, child = multiprocessing.Pipe()
+        # not a daemon: a cell carrying a ShardingSpec starts shard workers
+        self.process = multiprocessing.Process(target=_worker_main, args=(child,))
+        self.process.start()
+        child.close()
+        self.task: Optional[_Task] = None
+
+    def stop(self, kill: bool) -> None:
+        """Retire the worker: ``kill`` one that is mid-cell (hung, or
+        dead already); an idle one is told to return."""
+        if kill:
+            self.process.kill()
+        else:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass  # it died while idle
+        self.conn.close()
+        self.process.join()
 
 
 def execute(
@@ -152,7 +182,7 @@ def execute(
 
     ``jobs`` / ``cache`` default to :func:`repro.runtime.current`.
     Cache hits skip computation entirely; misses are computed (in
-    parallel when ``jobs > 1``) and stored.
+    worker processes when ``jobs > 1``) and stored.
 
     ``timeout_s`` is the per-cell wall-clock budget (default:
     :func:`~repro.runner.resilience.default_timeout_s`; ``None``
@@ -200,232 +230,133 @@ def execute(
         if use_cache:
             result_cache.store(cells[index].fn, cells[index].kwargs, value)
 
-    def fail(index: int, failure: RunFailure) -> None:
-        results[index] = failure
+    def settle(task: _Task, error: str, message: str, exc=None) -> bool:
+        """Charge one failed attempt: the one place that chooses between
+        another try (``True``, with ``task.not_before`` set to the end
+        of the backoff), a :class:`RunFailure` in the cell's slot, and
+        raising under the legacy contract.  ``exc`` is the cell's own
+        exception when it raised one."""
+        cell = cells[task.index]
+        task.elapsed += time.monotonic() - task.started
+        if not collect_failures:
+            if exc is not None:
+                raise exc
+            if error == "timeout":
+                raise TimeoutError(
+                    f"cell {cell.fn} {message} wall-clock (attempt {task.attempts})"
+                )
+        # invariant violations are deterministic: never retry
+        if error != "invariant" and task.attempts < policy.max_attempts:
+            stats.retries += 1
+            task.not_before = time.monotonic() + policy.delay_s(task.attempts)
+            return True
+        if not collect_failures:  # what is left of the legacy contract: a crash
+            raise RuntimeError(
+                f"cell {cell.fn} killed its worker process "
+                f"{task.attempts} time(s): {message}"
+            )
+        results[task.index] = RunFailure(
+            error=error,
+            message=message,
+            fn=cell.fn,
+            kwargs=dict(cell.kwargs),
+            attempts=task.attempts,
+            duration_s=round(task.elapsed, 3),
+        )
         stats.failed += 1
+        return False
 
-    if pending:
-        if n_jobs > 1 and len(pending) > 1:
-            _execute_parallel(
-                cells, pending, min(n_jobs, len(pending)),
-                timeout, policy, collect_failures, stats, finish, fail,
-            )
-        else:
-            _execute_serial(
-                cells, pending, policy, collect_failures, stats, finish, fail
-            )
+    if n_jobs > 1 and pending:
+        _execute_parallel(
+            cells, pending, min(n_jobs, len(pending)), timeout, finish, settle
+        )
+    else:
+        _execute_serial(cells, pending, finish, settle)
 
     LAST_STATS = stats
     return results
 
 
-def _execute_serial(cells, pending, policy, collect_failures, stats, finish, fail):
+def _execute_serial(cells, pending, finish, settle):
     """In-process path (``jobs=1``): no timeout/crash isolation, but the
-    same retry and failure-collection semantics as the pool path."""
+    same retry and failure-collection policy as the worker path."""
     for index in pending:
         cell = cells[index]
         task = _Task(index)
         while True:
             task.attempts += 1
-            started = time.monotonic()
+            task.started = time.monotonic()
             try:
                 finish(index, call_cell(cell.fn, cell.kwargs))
-                break
-            except InvariantViolation as exc:
-                task.elapsed += time.monotonic() - started
-                if not collect_failures:
-                    raise
-                fail(index, _failure(cell, "invariant", str(exc), task))
-                break  # invariant violations are deterministic: never retry
             except Exception as exc:
-                task.elapsed += time.monotonic() - started
-                if not collect_failures:
-                    raise
-                if task.attempts >= policy.max_attempts:
-                    fail(
-                        index,
-                        _failure(cell, "exception", f"{type(exc).__name__}: {exc}", task),
-                    )
+                if not settle(task, *_describe(exc), exc):
                     break
-                stats.retries += 1
-                time.sleep(policy.delay_s(task.attempts))
+                time.sleep(max(0.0, task.not_before - time.monotonic()))
+            else:
+                break
 
 
-def _execute_parallel(
-    cells, pending, workers, timeout, policy, collect_failures, stats, finish, fail
-):
-    """Pool path: sliding-window submission with deadline enforcement,
-    crash attribution and bounded retry.  See the module docstring."""
+def _execute_parallel(cells, pending, workers, timeout, finish, settle):
+    """Worker path: at most ``workers`` processes, each reused from cell
+    to cell and each behind its own pipe.  The parent hands the head of
+    the input-order queue to an idle worker and sleeps until a pipe is
+    readable, a deadline passes or a backoff ends.  A pipe at EOF is a
+    crash of the cell that worker held and a passed deadline is a
+    timeout of it; either way that worker alone is killed, and replaced
+    when next needed."""
     queue: Deque[_Task] = deque(_Task(i) for i in pending)
-    suspects: Deque[_Task] = deque()
-    inflight: Dict[Any, _Task] = {}
-    pool: Optional[ProcessPoolExecutor] = None
-    pool_alive = False
-
-    def ensure_pool():
-        nonlocal pool, pool_alive
-        if not pool_alive:
-            pool = ProcessPoolExecutor(max_workers=workers)
-            pool_alive = True
-        return pool
-
-    def drop_pool():
-        nonlocal pool_alive
-        if pool_alive:
-            _kill_pool(pool)
-        pool_alive = False
-
-    def charge_failure(task: _Task, error: str, message: str, requeue_solo: bool):
-        """One charged failed attempt: retry with backoff or give up."""
-        cell = cells[task.index]
-        if not collect_failures:
-            if error == "timeout":
-                raise TimeoutError(
-                    f"cell {cell.fn} exceeded {timeout}s wall-clock "
-                    f"(attempt {task.attempts})"
-                )
-            if error == "crash" and task.attempts < policy.max_attempts:
-                stats.retries += 1
-                task.not_before = time.monotonic() + policy.delay_s(task.attempts)
-                task.solo = True
-                suspects.append(task)
-                return
-            if error == "crash":
-                raise RuntimeError(
-                    f"cell {cell.fn} killed its worker process "
-                    f"{task.attempts} time(s): {message}"
-                )
-            raise AssertionError(f"unreachable legacy error kind {error!r}")
-        if error == "invariant" or task.attempts >= policy.max_attempts:
-            fail(task.index, _failure(cell, error, message, task))
-            return
-        stats.retries += 1
-        task.not_before = time.monotonic() + policy.delay_s(task.attempts)
-        if requeue_solo:
-            task.solo = True
-            suspects.append(task)
-        else:
-            queue.append(task)
-
+    idle: List[_Worker] = []
+    busy: Dict[Any, _Worker] = {}  # parent end of the pipe -> its worker
     try:
-        while queue or suspects or inflight:
+        while queue or busy:
             now = time.monotonic()
-            # Suspects run strictly alone: any pool breakage is then
-            # attributable to the one cell in flight.
-            window = 1 if (suspects or any(t.solo for t in inflight.values())) else workers
-            while len(inflight) < window:
-                source = suspects if suspects else queue
-                if suspects and inflight:
-                    break  # wait for the pool to drain before going solo
-                if not source:
-                    break
-                task = source[0]
-                if task.not_before > now:
-                    break  # head is backing off; keep order, wait it out
-                source.popleft()
+            while queue and len(busy) < workers and queue[0].not_before <= now:
+                task = queue[0]
                 cell = cells[task.index]
-                task.attempts += 1
+                worker = idle.pop() if idle else _Worker()
                 try:
-                    future = ensure_pool().submit(call_cell, cell.fn, dict(cell.kwargs))
-                except BrokenProcessPool:
-                    task.attempts -= 1  # submission never ran: not charged
-                    drop_pool()
-                    source.appendleft(task)
+                    worker.conn.send((cell.fn, dict(cell.kwargs)))
+                except OSError:
+                    worker.stop(kill=True)  # died while idle: nobody's attempt
                     continue
+                queue.popleft()
+                task.attempts += 1
                 task.started = time.monotonic()
                 task.deadline = None if timeout is None else task.started + timeout
-                inflight[future] = task
-                if suspects:
-                    break  # one suspect at a time
+                worker.task = task
+                busy[worker.conn] = worker
 
-            if not inflight:
-                gates = [t.not_before for t in (*queue, *suspects)]
-                if gates:
-                    time.sleep(max(0.0, min(gates) - time.monotonic()))
-                continue
-
-            deadlines = [t.deadline for t in inflight.values() if t.deadline]
-            wait_s = _POLL_S
-            if deadlines:
-                wait_s = max(0.0, min(_POLL_S, min(deadlines) - time.monotonic()))
-            done, _ = wait(list(inflight), timeout=wait_s, return_when=FIRST_COMPLETED)
-
-            broke = False
-            for future in done:
-                task = inflight.pop(future)
-                started_solo = task.solo
-                ran_s = time.monotonic() - task.started
+            wakeups = [w.task.deadline for w in busy.values() if timeout is not None]
+            if queue and len(busy) < workers:
+                wakeups.append(queue[0].not_before)  # the head is backing off
+            wait_s = max(0.0, min(wakeups) - time.monotonic()) if wakeups else None
+            for conn in connection.wait(list(busy), timeout=wait_s):
+                worker = busy.pop(conn)
+                task = worker.task
                 try:
-                    value = future.result()
-                except InvariantViolation as exc:
-                    if not collect_failures:
-                        raise
-                    task.elapsed += ran_s
-                    charge_failure(task, "invariant", str(exc), started_solo)
-                except BrokenProcessPool as exc:
-                    broke = True
-                    if len(inflight) == 0 and (started_solo or len(done) == 1):
-                        # it was alone in the pool: guilty as charged
-                        task.elapsed += ran_s
-                        charge_failure(task, "crash", str(exc) or "worker died", True)
-                    else:
-                        task.attempts -= 1  # innocent until run solo
-                        task.solo = True
-                        suspects.append(task)
-                except Exception as exc:
-                    if not collect_failures:
-                        raise
-                    task.elapsed += ran_s
-                    charge_failure(
-                        task, "exception", f"{type(exc).__name__}: {exc}", started_solo
-                    )
-                else:
+                    kind, value = conn.recv()
+                except EOFError:
+                    worker.stop(kill=True)
+                    code = worker.process.exitcode
+                    if settle(task, "crash", f"worker died (exit code {code})"):
+                        queue.append(task)
+                    continue
+                idle.append(worker)
+                if kind == "ok":
                     finish(task.index, value)
-
-            if broke:
-                # Everything still in flight died with the pool; none of
-                # it is provably guilty, so re-run each alone, uncharged.
-                for future, task in inflight.items():
-                    task.attempts -= 1
-                    task.solo = True
-                    suspects.append(task)
-                inflight.clear()
-                drop_pool()
-                continue
+                elif settle(task, *_describe(value), value):
+                    queue.append(task)
 
             now = time.monotonic()
-            expired = [
-                (future, task)
-                for future, task in inflight.items()
-                if task.deadline is not None and now >= task.deadline and not future.done()
-            ]
-            if expired:
-                # The culprits are known exactly; innocents go back to
-                # the FRONT of the queue with no attempt charged.
-                innocents = [
-                    task
-                    for future, task in inflight.items()
-                    if future not in {f for f, _ in expired} and not future.done()
-                ]
-                leftovers = [
-                    (future, task)
-                    for future, task in inflight.items()
-                    if future.done() and (future, task) not in expired
-                ]
-                inflight.clear()
-                drop_pool()
-                for future, task in leftovers:
-                    try:
-                        finish(task.index, future.result())
-                    except Exception:
-                        task.attempts -= 1
-                        queue.appendleft(task)
-                for task in reversed(innocents):
-                    task.attempts -= 1
-                    queue.appendleft(task)
-                for future, task in expired:
-                    task.elapsed += timeout
-                    charge_failure(task, "timeout", f"exceeded {timeout}s", task.solo)
+            for conn, worker in list(busy.items()):
+                task = worker.task
+                if timeout is not None and now >= task.deadline and not conn.poll():
+                    del busy[conn]
+                    worker.stop(kill=True)
+                    if settle(task, "timeout", f"exceeded {timeout}s"):
+                        queue.append(task)
     finally:
-        if pool_alive:
-            drop_pool()
+        for worker in busy.values():
+            worker.stop(kill=True)
+        for worker in idle:
+            worker.stop(kill=False)

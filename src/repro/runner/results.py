@@ -39,8 +39,7 @@ class RunFailure:
     The hardened executor (see :mod:`repro.runner.resilience`) records
     one of these — instead of aborting the sweep — when a cell times
     out, its worker dies, it raises, or it trips a strict-mode
-    invariant.  ``attempts`` counts executions actually charged to the
-    cell (collateral pool rebuilds are not charged).
+    invariant.  ``attempts`` counts the executions of the cell.
     """
 
     error: str  # one of FAILURE_ERRORS

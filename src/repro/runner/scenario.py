@@ -7,6 +7,12 @@ serializes to a JSON spec, which makes a (scenario, seed) pair a
 :class:`~repro.runner.executor.Cell` — cacheable by content hash and
 shippable to worker processes.
 
+One repetition is four phases over a :class:`ScenarioRun` record:
+:func:`build` -> :func:`instrument` -> the event loop -> :func:`collect`.
+:func:`run_scenario_inline` composes them around two ``run_for`` calls,
+a :mod:`repro.shard` worker around its barrier loop, passing the one
+thing that differs: the ``local_names`` of the devices it simulates.
+
 Host locators
 -------------
 ``FlowSpec.src``/``dst`` are strings resolved against the built
@@ -442,12 +448,181 @@ def _install_samplers(
             )
 
 
+@dataclass
+class ScenarioRun:
+    """One scenario being run in this process: what :func:`build` made,
+    what :func:`instrument` armed and what :func:`collect` reads."""
+
+    scenario: Scenario
+    seed: int
+    net: Any
+    #: locator -> Host, and end-of-run counter probes, from the topology
+    resolve: Callable[[str], Any]
+    probes: Mapping[str, Callable[[], float]]
+    telemetry: Telemetry
+    #: names of the devices this process simulates; ``None`` means all
+    #: of them (a :mod:`repro.shard` worker passes its shard's names)
+    local_names: Optional[Any]
+    guard: Optional[Any] = None
+    fault_runtime: Optional[Any] = None
+    #: ``(name, flow)`` of every flow, in scenario order
+    flows: List[Tuple[str, Any]] = field(default_factory=list)
+    #: the message probes among them that this process drives
+    message_probes: List[Tuple[str, Any]] = field(default_factory=list)
+    #: bytes delivered per flow when measurement began
+    before: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def horizon_ns(self) -> int:
+        return self.scenario.warmup_ns + self.scenario.duration_ns
+
+    def drives(self, host) -> bool:
+        """Is this host simulated by this process (always, when serial)?"""
+        return self.local_names is None or host.name in self.local_names
+
+    def snapshot(self) -> None:
+        """Mark the end of warmup: rates are measured from here."""
+        self.before = {name: flow.bytes_delivered for name, flow in self.flows}
+
+
+def _closed_loop(size: int, budget: int):
+    """An ``on_message_complete`` callback that queues the next transfer
+    the instant one completes, until ``budget`` transfers are done."""
+
+    def next_message(done_flow, _message) -> None:
+        if done_flow.messages_completed < budget:
+            done_flow.send_message(size)
+
+    return next_message
+
+
+def _open_flow(run: ScenarioRun, flow_spec: FlowSpec) -> None:
+    """Build one flow and, where its source host is driven, start it."""
+    kwargs: Dict[str, Any] = {
+        "cc": flow_spec.cc,
+        "mtu_bytes": flow_spec.mtu_bytes,
+        "start_ns": flow_spec.start_ns,
+    }
+    if flow_spec.initial_rate_bps is not None:
+        kwargs["initial_rate_bps"] = flow_spec.initial_rate_bps
+    if flow_spec.cc_params:
+        kwargs["cc_params"] = flow_spec.cc_params
+    src = run.resolve(flow_spec.src)
+    flow = run.net.add_flow(src, run.resolve(flow_spec.dst), **kwargs)
+    run.flows.append((flow_spec.name, flow))
+    if not run.drives(src):
+        return
+    if flow_spec.greedy:
+        flow.set_greedy()
+    elif flow_spec.message_bytes is not None:
+        run.net.engine.schedule_at(
+            flow_spec.message_start_ns, flow.send_message, flow_spec.message_bytes
+        )
+        if flow_spec.message_count > 1:
+            flow.on_message_complete = _closed_loop(
+                flow_spec.message_bytes, flow_spec.message_count
+            )
+        run.message_probes.append((flow_spec.name, flow))
+
+
+def build(
+    scenario: Scenario, seed: int, telemetry: Telemetry, local_names=None, fleet=True
+) -> ScenarioRun:
+    """Phase 1: the network, its invariant guard and every flow.
+
+    With ``local_names`` (one shard's devices) the process still builds
+    *every* flow, in scenario order (device ids, flow ids and rng draws
+    must match the serial build), but starts only those whose source
+    host it drives: an undriven flow schedules no events and its
+    replicated controller stays quiescent.  ``fleet`` says whether this
+    process keeps the guard's fleet-wide counts (one shard does).
+    """
+    net, resolve, probes = build_scenario_network(scenario, seed)
+    net.attach_telemetry(telemetry)
+    run = ScenarioRun(scenario, seed, net, resolve, probes, telemetry, local_names)
+    if scenario.invariants is not None:
+        from repro.invariants import InvariantGuard
+
+        # Before flows are added: add_flow propagates the guard to each
+        # RP, and install() rejects mis-tuned buffer configs up front.
+        run.guard = InvariantGuard(scenario.invariants, telemetry=telemetry)
+        if local_names is not None:
+            run.guard.restrict(local_names, fleet=fleet)
+        run.guard.install(net, horizon_ns=run.horizon_ns)
+    for flow_spec in scenario.flows:
+        _open_flow(run, flow_spec)
+    return run
+
+
+def instrument(run: ScenarioRun, profiler=None) -> None:
+    """Phase 2: what watches or disturbs the run: the scheduler
+    ``profiler``, the telemetry samplers and the fault plan."""
+    scenario = run.scenario
+    if profiler is not None:
+        profiler.install(run.net.engine)
+    _install_samplers(run.net, scenario, run.telemetry, local_names=run.local_names)
+    if scenario.faults is not None:
+        from repro.faults import install_plan
+
+        run.fault_runtime = install_plan(
+            run.net,
+            scenario.faults,
+            run.resolve,
+            seed=run.seed,
+            horizon_ns=run.horizon_ns,
+            telemetry=run.telemetry,
+            local_names=run.local_names,
+        )
+
+
+def collect(run: ScenarioRun) -> RunResult:
+    """Phase 4, after the event loop reached the horizon: read the run."""
+    scenario, net = run.scenario, run.net
+    invariant_report: Dict[str, Any] = {}
+    if run.guard is not None:
+        run.guard.finalize()
+        invariant_report = run.guard.report()
+    if run.fault_runtime is not None and run.fault_runtime.watchdog is not None:
+        invariant_report["watchdog"] = run.fault_runtime.watchdog.findings()
+    flows_bps = {
+        name: (flow.bytes_delivered - run.before[name]) * 8e9 / scenario.duration_ns
+        for name, flow in run.flows
+    }
+    counters: Dict[str, float] = {
+        "pause_frames": net.total_pause_frames_sent(),
+        "drops": net.total_drops(),
+    }
+    for name, probe in run.probes.items():
+        counters[name] = probe()
+    for name, flow in run.message_probes:
+        first = next((m for m in flow.messages if m.completed), None)
+        counters[f"fct_ns.{name}"] = -1.0 if first is None else float(first.fct_ns())
+    rows = collect_flow_stats(net, {flow.flow_id: name for name, flow in run.flows})
+    if run.local_names is not None:
+        # rows are sender-side bookkeeping, so only the shard that
+        # drives the source emits them; the one receiver-side field
+        # (a greedy row's size_bytes = bytes delivered at the
+        # destination) is patched in by the merge step
+        driven = {f.flow_id for f in net.flows if run.drives(f.src)}
+        rows = [row for row in rows if row.flow_id in driven]
+    return RunResult(
+        label=scenario.label,
+        seed=run.seed,
+        warmup_ns=scenario.warmup_ns,
+        duration_ns=scenario.duration_ns,
+        flows_bps=flows_bps,
+        counters=counters,
+        metrics=net.metrics_snapshot(),
+        invariant_report=invariant_report,
+        flow_stats=[row.to_json() for row in rows],
+    )
+
+
 def run_scenario_inline(
     scenario: Scenario,
     seed: int,
     telemetry: Optional[Telemetry] = None,
     profiler=None,
-    _shard=None,
 ):
     """Run one repetition in this process; returns ``(RunResult, Network)``.
 
@@ -462,168 +637,22 @@ def run_scenario_inline(
     Sharded execution: when the scenario (or ``runtime.current().shards``)
     asks for shards and the topology supports it, the run is delegated to
     :mod:`repro.shard` and the returned network is ``None`` (the
-    devices lived in worker processes).  ``_shard`` is the internal
-    worker-side handle (a :class:`repro.shard.boundary.ShardContext`):
-    with it set, this function builds the full network but drives only
-    the shard's own devices, syncing at conservative-lookahead barriers.
+    devices lived in worker processes).
     """
-    if telemetry is None and profiler is None and _shard is None:
+    if telemetry is None and profiler is None:
         sharded = maybe_run_sharded(scenario, seed, runtime.current().shards)
         if sharded is not None:
             return sharded, None
     if telemetry is None:
         telemetry = Telemetry.from_spec(scenario.telemetry, seed=seed)
-    net, resolve, probes = build_scenario_network(scenario, seed)
-    net.attach_telemetry(telemetry)
-
-    def drives(host) -> bool:
-        """Is this host simulated by this process (always, when serial)?"""
-        return _shard is None or host.name in _shard.local_names
-
-    guard = None
-    if scenario.invariants is not None:
-        from repro.invariants import InvariantGuard
-
-        # Before flows are added: add_flow propagates the guard to each
-        # RP, and install() rejects mis-tuned buffer configs up front.
-        guard = InvariantGuard(scenario.invariants, telemetry=telemetry)
-        if _shard is not None:
-            guard.restrict(_shard.local_names, fleet=_shard.shard_id == 0)
-        guard.install(net, horizon_ns=scenario.warmup_ns + scenario.duration_ns)
-    if profiler is not None:
-        profiler.install(net.engine)
-    flows = []
-    probes_by_flow = []
-    for flow_spec in scenario.flows:
-        kwargs: Dict[str, Any] = {
-            "cc": flow_spec.cc,
-            "mtu_bytes": flow_spec.mtu_bytes,
-            "start_ns": flow_spec.start_ns,
-        }
-        if flow_spec.initial_rate_bps is not None:
-            kwargs["initial_rate_bps"] = flow_spec.initial_rate_bps
-        if flow_spec.cc_params:
-            kwargs["cc_params"] = flow_spec.cc_params
-        src = resolve(flow_spec.src)
-        # every shard *builds* every flow (device ids, flow ids and rng
-        # draws must match the serial build), but only the shard owning
-        # the source host *drives* it — an undriven flow schedules no
-        # events and its replicated controller stays quiescent
-        flow = net.add_flow(src, resolve(flow_spec.dst), **kwargs)
-        if not drives(src):
-            flows.append((flow_spec.name, flow))
-            continue
-        if flow_spec.greedy:
-            flow.set_greedy()
-        elif flow_spec.message_bytes is not None:
-            net.engine.schedule_at(
-                flow_spec.message_start_ns,
-                flow.send_message,
-                flow_spec.message_bytes,
-            )
-            if flow_spec.message_count > 1:
-                # closed loop: queue the next transfer the instant one
-                # completes, until the count is exhausted
-                def _next_message(
-                    done_flow,
-                    _message,
-                    size=flow_spec.message_bytes,
-                    budget=flow_spec.message_count,
-                ):
-                    if done_flow.messages_completed < budget:
-                        done_flow.send_message(size)
-
-                flow.on_message_complete = _next_message
-            probes_by_flow.append((flow_spec.name, flow))
-        flows.append((flow_spec.name, flow))
-    _install_samplers(
-        net,
-        scenario,
-        telemetry,
-        local_names=None if _shard is None else _shard.local_names,
-    )
-    fault_runtime = None
-    if scenario.faults is not None:
-        from repro.faults import install_plan
-
-        fault_runtime = install_plan(
-            net,
-            scenario.faults,
-            resolve,
-            seed=seed,
-            horizon_ns=scenario.warmup_ns + scenario.duration_ns,
-            telemetry=telemetry,
-            local_names=None if _shard is None else _shard.local_names,
-        )
-
-    if _shard is None:
-        net.run_for(scenario.warmup_ns)
-        before = {name: flow.bytes_delivered for name, flow in flows}
-        net.run_for(scenario.duration_ns)
-    else:
-        _shard.bind(net)
-        _shard.fault_runtime = fault_runtime
-        before = {}
-
-        def _snapshot_before() -> None:
-            before.update((name, flow.bytes_delivered) for name, flow in flows)
-
-        if scenario.warmup_ns == 0:
-            _snapshot_before()
-        _shard.run(
-            scenario.warmup_ns,
-            scenario.warmup_ns + scenario.duration_ns,
-            on_warmup=_snapshot_before,
-        )
-    if fault_runtime is not None and _shard is None:
-        # sharded workers export raw recovery state instead; the merge
-        # step folds the union exactly once (see repro.shard.merge)
-        fault_runtime.finalize()
-    invariant_report: Dict[str, Any] = {}
-    if guard is not None:
-        guard.finalize()
-        invariant_report = guard.report()
-    if fault_runtime is not None and fault_runtime.watchdog is not None:
-        invariant_report["watchdog"] = fault_runtime.watchdog.findings()
-
-    flows_bps = {
-        name: (flow.bytes_delivered - before[name]) * 8e9 / scenario.duration_ns
-        for name, flow in flows
-    }
-    counters: Dict[str, float] = {
-        "pause_frames": net.total_pause_frames_sent(),
-        "drops": net.total_drops(),
-    }
-    for name, probe in probes.items():
-        counters[name] = probe()
-    for name, flow in probes_by_flow:
-        fct = -1.0
-        for message in flow.messages:
-            if message.completed:
-                fct = float(message.fct_ns())
-                break
-        counters[f"fct_ns.{name}"] = fct
-    rows = collect_flow_stats(net, {flow.flow_id: name for name, flow in flows})
-    if _shard is not None:
-        # rows are sender-side bookkeeping, so only the shard that
-        # drives the source emits them; the one receiver-side field
-        # (a greedy row's size_bytes = bytes delivered at the
-        # destination) is patched in by the merge step
-        driven = {f.flow_id for f in net.flows if drives(f.src)}
-        rows = [row for row in rows if row.flow_id in driven]
-    flow_stats = [row.to_json() for row in rows]
-    result = RunResult(
-        label=scenario.label,
-        seed=seed,
-        warmup_ns=scenario.warmup_ns,
-        duration_ns=scenario.duration_ns,
-        flows_bps=flows_bps,
-        counters=counters,
-        metrics=net.metrics_snapshot(),
-        invariant_report=invariant_report,
-        flow_stats=flow_stats,
-    )
-    return result, net
+    run = build(scenario, seed, telemetry)
+    instrument(run, profiler)
+    run.net.run_for(scenario.warmup_ns)
+    run.snapshot()
+    run.net.run_for(scenario.duration_ns)
+    if run.fault_runtime is not None:
+        run.fault_runtime.finalize()
+    return collect(run), run.net
 
 
 def run_scenario_cell(spec: Mapping[str, Any], seed: int) -> Dict[str, Any]:

@@ -1,7 +1,8 @@
 """The shard boundary: packet codec, port cut and the sync loop.
 
-A shard worker builds the full network, then :meth:`ShardContext.bind`
-cuts the cross-shard cables: every *local* transmit port of a boundary
+A shard worker builds the full network
+(:func:`repro.runner.scenario.build` with its shard's ``local_names``),
+then :meth:`ShardContext.bind` cuts the cross-shard cables: every *local* transmit port of a boundary
 channel gets a ``remote_sink`` (see :meth:`repro.sim.link.Port._tx_done`)
 that diverts the frame — after its normal serialization and byte
 accounting — into this shard's outbox instead of scheduling delivery
@@ -101,9 +102,6 @@ class ShardContext:
         self.conn = conn
         self.local_names = plan.local_names(shard_id)
         self.net = None
-        #: set by run_scenario_inline so the worker can export raw
-        #: recovery-tracker state after the run
-        self.fault_runtime = None
         #: messages generated since the last barrier
         self._outbox: List[BoundaryMessage] = []
         #: per-channel send sequence (deterministic per-channel order)

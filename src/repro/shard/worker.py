@@ -2,10 +2,12 @@
 
 :func:`shard_worker_main` is the target of every worker
 ``multiprocessing.Process``.  It rebuilds the scenario from its JSON
-spec (the same transport the process-pool executor uses), runs it
-through :func:`repro.runner.scenario.run_scenario_inline` with a
-:class:`~repro.shard.boundary.ShardContext`, and ships the partial
-:class:`~repro.runner.results.RunResult` back over the sync pipe —
+spec (the same transport the executor's workers use) and composes the
+phases of :mod:`repro.runner.scenario` the way the serial run does,
+``build(local_names=...) -> instrument -> run -> collect``, except that
+the run is :meth:`ShardContext.run <repro.shard.boundary.ShardContext.run>`
+over the cut network instead of two ``run_for`` calls.  The partial
+:class:`~repro.runner.results.RunResult` goes back over the sync pipe,
 plus the *extras* the merge step needs but no RunResult carries:
 
 * ``boundary`` — per-channel tx/lost/rx byte counters, for the
@@ -34,7 +36,7 @@ import traceback
 def shard_worker_main(conn, spec, seed, plan, shard_id, window_ns) -> None:
     """Run one shard to completion and report over ``conn``."""
     try:
-        from repro.runner.scenario import Scenario, run_scenario_inline
+        from repro.runner.scenario import Scenario, build, collect, instrument
         from repro.shard.boundary import ShardContext
         from repro.telemetry import Telemetry
 
@@ -49,9 +51,18 @@ def shard_worker_main(conn, spec, seed, plan, shard_id, window_ns) -> None:
         telemetry = Telemetry.from_spec(tspec, seed=seed)
         ctx = ShardContext(plan, shard_id, window_ns, conn)
         started = time.perf_counter()
-        result, net = run_scenario_inline(
-            scenario, seed, telemetry=telemetry, _shard=ctx
+        run = build(
+            scenario, seed, telemetry, local_names=ctx.local_names, fleet=shard_id == 0
         )
+        instrument(run)
+        net = run.net
+        ctx.bind(net)
+        if scenario.warmup_ns == 0:
+            run.snapshot()  # no warmup barrier will fire
+        ctx.run(scenario.warmup_ns, run.horizon_ns, on_warmup=run.snapshot)
+        # no fault_runtime.finalize(): the raw recovery state goes out
+        # below and the merge step folds the union exactly once
+        result = collect(run)
         wall_s = time.perf_counter() - started
         telemetry.close()
         nics = [host.nic for host in net.hosts]
@@ -71,7 +82,7 @@ def shard_worker_main(conn, spec, seed, plan, shard_id, window_ns) -> None:
             },
             "recovery": None,
         }
-        runtime = ctx.fault_runtime
+        runtime = run.fault_runtime
         if runtime is not None and runtime.recovery is not None:
             extras["recovery"] = runtime.recovery.export_state()
         conn.send(("done", result.to_json(), extras))

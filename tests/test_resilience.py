@@ -1,6 +1,8 @@
 """The hardened executor: timeouts, crash recovery, retry, interrupted sweeps."""
 
+import collections
 import json
+import multiprocessing
 import os
 import signal
 import time
@@ -41,6 +43,35 @@ def flaky_cell(marker, value):
             handle.write("attempted")
         raise RuntimeError("transient")
     return value
+
+
+def logged_cell(name, log, seconds, exit_code=None):
+    """Appends its name to ``log`` every time it is *executed*."""
+    with open(log, "a") as handle:
+        handle.write(name + "\n")
+    time.sleep(seconds)
+    if exit_code is not None:
+        os._exit(exit_code)
+    return name
+
+
+def executions(log):
+    return dict(collections.Counter(log.read_text().split()))
+
+
+def unpicklable_value_cell():
+    return lambda: 0
+
+
+class Unreplayable(Exception):
+    """Pickles, but cannot be loaded: ``args`` does not fit ``__init__``."""
+
+    def __init__(self, left, right):
+        super().__init__(f"{left}{right}")
+
+
+def unloadable_error_cell():
+    raise Unreplayable("ka", "pow")
 
 
 @pytest.fixture
@@ -199,6 +230,92 @@ class TestHardenedParallel:
         assert isinstance(results[1], RunFailure)
         assert results[1].error == "crash"
         assert [results[0], results[2], results[3]] == serial_good
+
+    def test_neighbour_timeout_leaves_the_innocent_cell_alone(
+        self, isolated_results, tmp_path
+    ):
+        # B starts in the worker C vacated and is mid-cell when A times
+        # out: only A's worker may be touched
+        log = tmp_path / "executions"
+        cells = [
+            Cell(f"{HERE}:logged_cell", {"name": n, "log": str(log), "seconds": s})
+            for n, s in (("A", 30.0), ("C", 0.3), ("B", 0.6))
+        ]
+        results = execute(
+            cells, jobs=2, cache=False, timeout_s=0.7,
+            collect_failures=True, retry=FAST_NO_RETRY,
+        )
+        assert executions(log) == {"A": 1, "C": 1, "B": 1}
+        assert results[1:] == ["C", "B"]
+        assert (results[0].error, results[0].attempts) == ("timeout", 1)
+        assert executor.LAST_STATS.retries == 0
+
+    def test_neighbour_crash_leaves_the_innocent_cell_alone(
+        self, isolated_results, tmp_path
+    ):
+        log = tmp_path / "executions"
+        cells = [
+            Cell(f"{HERE}:logged_cell",
+                 {"name": "A", "log": str(log), "seconds": 0.2, "exit_code": 9}),
+            Cell(f"{HERE}:logged_cell", {"name": "B", "log": str(log), "seconds": 0.6}),
+        ]
+        results = execute(
+            cells, jobs=2, cache=False, collect_failures=True, retry=FAST_ONE_RETRY
+        )
+        assert executions(log) == {"A": FAST_ONE_RETRY.max_attempts, "B": 1}
+        assert results[1] == "B"
+        assert (results[0].error, results[0].attempts) == ("crash", 2)
+        assert "exit code 9" in results[0].message
+        assert executor.LAST_STATS.retries == 1
+
+    def test_lone_pending_cell_gets_its_timeout(self, isolated_results):
+        # the one cell still missing from the cache is likely the one
+        # that hung: jobs > 1 must isolate it even though it is alone
+        cells = [Cell(f"{HERE}:sleeping_cell", {"seconds": 3.0, "value": 1})]
+        started = time.monotonic()
+        results = execute(
+            cells, jobs=2, cache=False, timeout_s=0.5,
+            collect_failures=True, retry=FAST_NO_RETRY,
+        )
+        assert time.monotonic() - started < 2.0
+        assert results[0].error == "timeout"
+
+    def test_worker_returns_quietly_when_the_parent_is_gone(self):
+        parent_end, worker_end = multiprocessing.Pipe()
+        parent_end.close()
+        assert executor._worker_main(worker_end) is None
+
+    @pytest.mark.parametrize("cell", ["unpicklable_value_cell", "unloadable_error_cell"])
+    def test_outcome_that_does_not_pickle_is_an_exception_failure(
+        self, isolated_results, cell
+    ):
+        results = execute(
+            [Cell(f"{HERE}:{cell}", {}), Cell(SEEDS_FN, {"repetitions": 2})],
+            jobs=2, cache=False, timeout_s=20.0,
+            collect_failures=True, retry=FAST_NO_RETRY,
+        )
+        assert results[0].error == "exception"
+        assert "does not pickle" in results[0].message
+        assert results[1] == scale.seeds_for(2)
+
+    def test_no_worker_outlives_a_raise_or_an_interrupt(
+        self, isolated_results, monkeypatch
+    ):
+        slow = [
+            Cell(f"{HERE}:sleeping_cell", {"seconds": 30.0, "value": i})
+            for i in range(2)
+        ]
+        with pytest.raises(RuntimeError, match="boom"):  # the legacy contract
+            execute([Cell(f"{HERE}:raising_cell", {}), *slow], jobs=3, cache=False)
+        assert multiprocessing.active_children() == []
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(executor.connection, "wait", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            execute(slow, jobs=2, cache=False, collect_failures=True)
+        assert multiprocessing.active_children() == []
 
     def test_legacy_timeout_raises(self, isolated_results):
         cells = [

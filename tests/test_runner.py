@@ -1,5 +1,7 @@
 """The unified scenario/runner layer (executor, cache, scenarios, registry)."""
 
+import dataclasses
+import inspect
 import json
 import os
 import time
@@ -182,6 +184,68 @@ class TestScenario:
             assert run.flows_bps["f1"] > 0
             assert "pause_frames" in run.counters
         assert "f1" in runs[0].table()
+
+
+class TestScenarioPhases:
+    """``run_scenario_inline`` is ``build -> instrument -> run -> collect``."""
+
+    def scenario(self):
+        from repro.experiments.fabric_scale import fabric_incast_scenario
+        from repro.faults.plan import FaultPlan, LinkFlap
+        from repro.invariants import InvariantConfig
+
+        flap = LinkFlap(
+            a="p0e0", b="p0a0", start_ns=units.us(60), down_ns=units.us(20),
+            period_ns=units.us(80), count=2,
+        )
+        return dataclasses.replace(
+            fabric_incast_scenario(k=4, duration_ns=units.us(300)),  # fabric-smoke
+            warmup_ns=units.us(50),
+            faults=FaultPlan(injectors=(flap,), recovery_sample_ns=units.us(25)),
+            invariants=InvariantConfig(mode="strict"),
+        )
+
+    def test_signature_has_no_shard_parameter(self):
+        from repro.runner import run_scenario_inline
+
+        assert list(inspect.signature(run_scenario_inline).parameters) == [
+            "scenario", "seed", "telemetry", "profiler",
+        ]
+
+    def test_phases_composed_by_hand_equal_the_inline_run(self):
+        from repro.runner import run_scenario_inline
+        from repro.runner.scenario import build, collect, instrument
+        from repro.telemetry import Telemetry
+
+        scenario = self.scenario()
+        run = build(scenario, 5, Telemetry.from_spec(scenario.telemetry, seed=5))
+        instrument(run)
+        run.net.run_for(scenario.warmup_ns)
+        run.snapshot()
+        run.net.run_for(scenario.duration_ns)
+        run.fault_runtime.finalize()
+        by_hand = collect(run)
+        inline, net = run_scenario_inline(scenario, 5)
+        assert net is not None
+        assert by_hand.counters["drops"] == 0 and by_hand.flows_bps["incast0"] > 0
+        assert json.dumps(by_hand.to_json(), sort_keys=True) == json.dumps(
+            inline.to_json(), sort_keys=True
+        )
+
+    def test_a_replica_that_drives_nothing_still_builds_every_flow(self):
+        from repro.runner.scenario import build, collect, instrument
+        from repro.telemetry import Telemetry
+
+        scenario = self.scenario()
+        run = build(scenario, 5, Telemetry.from_spec(None, seed=5), local_names=frozenset())
+        instrument(run)
+        run.snapshot()
+        run.net.run_for(run.horizon_ns)
+        result = collect(run)
+        assert len(run.net.flows) == len(scenario.flows)
+        assert set(result.flows_bps) == {flow.name for flow in scenario.flows}
+        assert result.metrics["counters"]["link.tx_packets"] == 0
+        assert result.flow_stats == []
 
 
 class TestResultsSchema:
