@@ -11,8 +11,8 @@ turns those properties into declarative, always-cheap runtime checks:
   ``invariants`` field (so guarded and unguarded runs hash to
   different cache keys, exactly like fault plans).
 * :class:`InvariantGuard` — the runtime: build-time configuration
-  checks, a periodic conservation sweep on the event loop, and O(1)
-  hooks on the switch dequeue and RP update hot paths.
+  checks, a periodic sweep whose cost follows the traffic, and O(1)
+  checks on the switch dequeue (inline) and RP update hot paths.
 * :class:`InvariantViolation` — raised in ``strict`` mode; in
   ``report`` mode violations fold into telemetry metrics and
   ``RunResult.invariant_report`` instead.

@@ -527,12 +527,19 @@ class Switch(Device):
             return  # our own control frames are not buffered
         size = pkt.size
         prio = pkt.priority
-        self.occupied_bytes -= size
+        self.occupied_bytes = occupied = self.occupied_bytes - size
         k = self.num_priorities
-        self._egress_bytes[port.index * k + prio] -= size
-        self._ingress_bytes[pkt.ingress_index * k + prio] -= size
+        ledger = self._egress_bytes
+        slot = port.index * k + prio
+        ledger[slot] = egress = ledger[slot] - size
+        ledger = self._ingress_bytes
+        slot = pkt.ingress_index * k + prio
+        ledger[slot] = ingress = ledger[slot] - size
         if self.guard is not None:
-            self.guard.on_switch_dequeue(self, port.index, pkt)
+            # inline guard check: an int OR is negative iff an operand is
+            self.guard.checks += 1
+            if (occupied | egress | ingress) < 0:
+                self.guard.negative_queue(self, pkt)
         if self._paused_count:
             self._maybe_resume()
 

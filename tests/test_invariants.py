@@ -1,13 +1,16 @@
 """The invariant guard layer (repro.invariants) and its scenario wiring."""
 
+import dataclasses
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import runtime, units
 from repro.core.params import DCQCNParams
 from repro.faults import FaultPlan, LinkFlap, WatchdogConfig
 from repro.invariants import (
+    MODES,
     InvariantConfig,
     InvariantGuard,
     InvariantViolation,
@@ -15,7 +18,9 @@ from repro.invariants import (
 )
 from repro.runner import FlowSpec, Scenario, run_sweep
 from repro.runner.scenario import run_scenario_inline
-from repro.sim.switch import SwitchConfig
+from repro.sim.network import Network
+from repro.sim.packet import DATA_PRIORITY, KIND_DATA
+from repro.sim.switch import Switch, SwitchConfig
 from repro.sim.topology import single_switch
 from repro.telemetry import Telemetry
 
@@ -220,6 +225,219 @@ class TestRuntimeChecks:
         assert guard.violation_count == 10
         assert len(guard.violations) == 3
 
+    @pytest.mark.parametrize("field", ["rc_bps", "rt_bps"])
+    def test_rp_nan_rate_flagged(self, field):
+        net, switch, guard = self._guarded_net()
+        flow = net.add_flow(net.hosts[0], net.hosts[-1], cc="dcqcn")
+        setattr(flow.rp, field, float("nan"))
+        guard.on_rp_update(flow.rp, "increase")
+        assert [v.name for v in guard.violations] == ["rp.bounds"]
+        assert "=nan outside" in guard.violations[0].detail
+
+    def test_cc_nan_rate_flagged(self):
+        class NanRate:
+            component = "cc-nan"
+            line_rate_bps = units.gbps(40)
+
+            def rate_bps(self):
+                return float("nan")
+
+            def cwnd_pkts(self):
+                return None
+
+        net, switch, guard = self._guarded_net()
+        guard.on_cc_update(NanRate(), "update")
+        assert [(v.name, v.component) for v in guard.violations] == [
+            ("cc.bounds", "cc-nan")
+        ]
+
+
+def reference_check_switch(guard, switch):
+    """``InvariantGuard.check_switch`` before the sweep skipped empty
+    switches: the oracle of :class:`TestSweepEqualsReference`."""
+    guard.checks += 1
+    ingress_bytes = switch._ingress_bytes
+    egress_bytes = switch._egress_bytes
+    ingress = sum(ingress_bytes)
+    egress = sum(egress_bytes)
+    occupied = switch.occupied_bytes
+    if occupied != ingress or occupied != egress:
+        guard.violation(
+            "switch.byte_conservation",
+            switch.name,
+            f"occupied={occupied} ingress_sum={ingress} egress_sum={egress}",
+        )
+    if min(ingress_bytes, default=0) < 0 or min(egress_bytes, default=0) < 0:
+        guard.violation(
+            "switch.negative_queue",
+            switch.name,
+            "a per-(port, priority) byte count went negative",
+        )
+    if occupied < 0 or occupied > switch.buffer_bytes:
+        guard.violation(
+            "switch.buffer_bounds",
+            switch.name,
+            f"occupied={occupied} outside [0, {switch.buffer_bytes}]",
+        )
+    if switch.config.pfc_mode != "off":
+        seen = guard._seen_drops.get(switch.name, 0)
+        if switch.dropped_packets > seen:
+            guard._seen_drops[switch.name] = switch.dropped_packets
+            guard.violation(
+                "pfc.losslessness",
+                switch.name,
+                f"{switch.dropped_packets - seen} packet(s) dropped on a "
+                "PFC-protected switch",
+            )
+
+
+def reference_check_network(guard, net):
+    for switch in net.switches:
+        if guard._local_names is None or switch.name in guard._local_names:
+            reference_check_switch(guard, switch)
+    guard._check_links(net)
+    guard._check_cnp_conservation(net)
+
+
+_BUFFER = 10_000
+
+
+@st.composite
+def _ledger(draw, n_slots):
+    values = [0] * n_slots
+    if n_slots:
+        slot = st.integers(0, n_slots - 1)
+        # +x / -x pairs cancel in the sum but not slot by slot
+        for i, j, x in draw(
+            st.lists(st.tuples(slot, slot, st.integers(1, 5_000)), max_size=2)
+        ):
+            values[i] += x
+            values[j] -= x
+        for i, x in draw(
+            st.lists(st.tuples(slot, st.integers(-5_000, 5_000)), max_size=2)
+        ):
+            values[i] = x
+    return values
+
+
+@st.composite
+def _switch_state(draw, n_slots):
+    ingress = draw(_ledger(n_slots))
+    egress = draw(_ledger(n_slots))
+    occupied = draw(
+        st.sampled_from(
+            (0, sum(ingress), sum(egress), -1, 700, _BUFFER, _BUFFER + 1)
+        )
+    )
+    new_drops = draw(st.integers(0, 2))
+    return ingress, egress, occupied, new_drops
+
+
+@st.composite
+def _fleet(draw):
+    ports = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    pfc = draw(st.lists(st.booleans(), min_size=len(ports), max_size=len(ports)))
+    states = st.tuples(*(_switch_state(n * 8) for n in ports))
+    sweeps = draw(st.lists(states, min_size=1, max_size=4))
+    local = draw(st.none() | st.sets(st.integers(0, len(ports) - 1)))
+    return ports, pfc, sweeps, local, draw(st.sampled_from(MODES))
+
+
+def _outcome(sweep, guard, net):
+    try:
+        sweep(net)
+        raised = None
+    except InvariantViolation as exc:
+        raised = (exc.name, exc.component, exc.t_ns, exc.detail)
+    return (
+        raised,
+        guard.checks,
+        guard.violation_count,
+        [v.to_json() for v in guard.violations],
+    )
+
+
+class TestSweepEqualsReference:
+    @settings(deadline=None, max_examples=200)
+    @given(_fleet())
+    def test_same_checks_and_violations(self, fleet):
+        ports, pfc, sweeps, local, mode = fleet
+        net = Network(seed=0)
+        for i, pfc_on in enumerate(pfc):
+            config = SwitchConfig(pfc_mode="dynamic" if pfc_on else "off")
+            net.new_switch(f"S{i}", config).buffer_bytes = _BUFFER
+        fast = InvariantGuard(InvariantConfig(mode=mode))
+        slow = InvariantGuard(InvariantConfig(mode=mode))
+        for guard in (fast, slow):
+            guard.net = net
+            if local is not None:
+                guard.restrict({f"S{i}" for i in local}, fleet=True)
+        for states in sweeps:
+            for switch, (ingress, egress, occupied, new_drops) in zip(
+                net.switches, states
+            ):
+                switch._ingress_bytes = list(ingress)
+                switch._egress_bytes = list(egress)
+                switch.occupied_bytes = occupied
+                switch.dropped_packets += new_drops
+            got = _outcome(fast.check_network, fast, net)
+            want = _outcome(lambda n: reference_check_network(slow, n), slow, net)
+            assert got == want
+            if got[0] is not None:  # strict mode stopped the run
+                break
+
+
+class TestInlineDequeueCheck:
+    """``Switch.tx_complete`` checks every dequeue without a guard call."""
+
+    def _corrupted(self, monkeypatch, mode):
+        net, switch, hosts = single_switch(n_hosts=3)
+        # no periodic sweep inside the run: the dequeue check alone fires
+        config = InvariantConfig(
+            mode=mode, check_interval_ns=units.ms(10), max_records=10_000
+        )
+        guard = InvariantGuard(config).install(net, horizon_ns=units.ms(1))
+        for sender in hosts[:2]:
+            net.add_flow(sender, hosts[-1], cc="dcqcn").set_greedy()
+        net.run_for(units.us(50))
+        port = switch.port_to(hosts[-1].nic)
+        slot = port.index * switch.num_priorities + DATA_PRIORITY
+        # from here on every data dequeue through this port leaves the
+        # slot negative
+        switch._egress_bytes[slot] -= 10**9
+        offending = []
+        original = Switch.tx_complete
+
+        def spy(self, out_port, pkt):
+            if self is switch and out_port is port and pkt.kind == KIND_DATA:
+                offending.append(net.engine.now)
+            original(self, out_port, pkt)
+
+        monkeypatch.setattr(Switch, "tx_complete", spy)
+        return net, switch, guard, offending
+
+    def test_strict_raises_at_the_dequeue(self, monkeypatch):
+        net, switch, guard, offending = self._corrupted(monkeypatch, "strict")
+        with pytest.raises(InvariantViolation) as info:
+            net.run_for(units.us(20))
+        assert (info.value.name, info.value.component) == (
+            "switch.negative_queue",
+            switch.name,
+        )
+        assert len(offending) == 1
+        assert info.value.t_ns == offending[0] == net.engine.now
+        assert info.value.t_ns > units.us(50)
+
+    def test_report_records_each_offending_dequeue_once(self, monkeypatch):
+        net, switch, guard, offending = self._corrupted(monkeypatch, "report")
+        net.run_for(units.us(20))
+        assert len(offending) > 10
+        assert guard.violation_count == len(offending)
+        assert [(v.name, v.component, v.t_ns) for v in guard.violations] == [
+            ("switch.negative_queue", switch.name, t) for t in offending
+        ]
+        assert guard.violations[0].detail.startswith("dequeue of flow ")
+
 
 class TestScenarioIntegration:
     def test_clean_dcqcn_run_is_violation_free_strict(self, isolated_results):
@@ -230,6 +448,20 @@ class TestScenarioIntegration:
         assert report["violation_count"] == 0
         assert report["checks"] > 0
         assert report["sweeps"] > 0
+
+    def test_fabric_smoke_check_count_pinned(self, isolated_results):
+        # k=4 fat-tree incast; the count was taken before the sweep
+        # skipped empty switches and the dequeue check moved inline
+        import repro.experiments.catalog  # noqa: F401  (populates SCENARIOS)
+        from repro.runner import SCENARIOS
+
+        scenario = dataclasses.replace(
+            SCENARIOS.build("fabric-smoke"),
+            invariants=InvariantConfig(mode="report"),
+        )
+        result, _ = run_scenario_inline(scenario, seed=0)
+        assert result.invariant_report["checks"] == 23_419
+        assert result.invariant_report["violation_count"] == 0
 
     def test_guard_does_not_change_results(self, isolated_results):
         bare, _ = run_scenario_inline(smoke_scenario(), seed=0)
