@@ -9,28 +9,13 @@
   and recover in phase and queue oscillation is overstated.
 """
 
-from dataclasses import replace
-
-import numpy as np
-from conftest import emit, run_once
+from conftest import figure
 
 from repro import units
-from repro.analysis.stats import percentile
-from repro.core.params import DCQCNParams
-from repro.experiments.common import format_table
-from repro.experiments.qcn_ablation import ABLATION_HEADERS, run_ablation
-from repro.sim.monitor import QueueSampler
-from repro.sim.switch import SwitchConfig
-from repro.sim.topology import single_switch
 
 
-def test_ablation_qcn_vs_dcqcn(benchmark):
-    results = run_once(benchmark, run_ablation)
-    emit(
-        "ablation_qcn",
-        "Ablation: 4:1 incast on one L2 domain — PFC only vs QCN vs DCQCN",
-        format_table(ABLATION_HEADERS, [r.row() for r in results.values()]),
-    )
+def test_ablation_qcn_vs_dcqcn():
+    results = figure("ablations")["schemes"]
     # all three keep the single switch lossless and utilized
     for result in results.values():
         assert result.total_gbps > 30
@@ -39,77 +24,13 @@ def test_ablation_qcn_vs_dcqcn(benchmark):
     assert results["qcn"].fairness > 0.6
 
 
-def _queue_tail_for_pmax(pmax: float, degree: int = 16) -> float:
-    params = replace(DCQCNParams.deployed(), pmax=pmax)
-    net, switch, hosts = single_switch(
-        degree + 1,
-        switch_config=SwitchConfig(marking=params),
-        seed=71,
-        dcqcn_params=params,
-    )
-    receiver = hosts[-1]
-    for sender in hosts[:degree]:
-        flow = net.add_flow(sender, receiver, cc="dcqcn")
-        flow.set_greedy()
-    net.run_for(units.ms(25))
-    sampler = QueueSampler(
-        net.engine, switch, switch.port_to(receiver.nic).index,
-        interval_ns=units.us(10),
-    )
-    net.run_for(units.ms(15))
-    return percentile(sampler.samples_bytes, 90) / 1e3
-
-
-def test_ablation_pmax_queue_tail(benchmark):
-    def measure():
-        return {pmax: _queue_tail_for_pmax(pmax) for pmax in (0.01, 0.10)}
-
-    tails = run_once(benchmark, measure)
-    emit(
-        "ablation_pmax",
-        "Ablation: 16:1 incast queue tail (q90, KB) vs Pmax — "
-        "Pmax = 10% recovers the paper's <=100 KB queue claim",
-        format_table(
-            ["Pmax", "q90 KB"],
-            [[f"{p:.0%}", f"{q:.1f}"] for p, q in tails.items()],
-        ),
-    )
+def test_ablation_pmax_queue_tail():
+    tails = figure("ablations")["pmax_q90_kb"]
     assert tails[0.10] < tails[0.01]
     assert tails[0.10] < 120
 
 
-def test_ablation_timer_jitter(benchmark):
-    def tail_with_jitter(jitter_ns: int) -> float:
-        params = replace(
-            DCQCNParams.deployed(), rate_increase_timer_jitter_ns=jitter_ns
-        )
-        net, switch, hosts = single_switch(
-            9, switch_config=SwitchConfig(marking=params), seed=73,
-            dcqcn_params=params,
-        )
-        receiver = hosts[-1]
-        for sender in hosts[:8]:
-            flow = net.add_flow(sender, receiver, cc="dcqcn")
-            flow.set_greedy()
-        net.run_for(units.ms(20))
-        sampler = QueueSampler(
-            net.engine, switch, switch.port_to(receiver.nic).index,
-            interval_ns=units.us(10),
-        )
-        net.run_for(units.ms(15))
-        return float(np.std(sampler.samples_bytes)) / 1e3
-
-    def measure():
-        return {j: tail_with_jitter(j) for j in (0, units.us(4))}
-
-    stds = run_once(benchmark, measure)
-    emit(
-        "ablation_timer_jitter",
-        "Ablation: 8:1 incast queue std-dev (KB) vs RP timer jitter",
-        format_table(
-            ["jitter", "queue std KB"],
-            [[f"{j / 1e3:.0f} us", f"{s:.1f}"] for j, s in stds.items()],
-        ),
-    )
+def test_ablation_timer_jitter():
+    stds = figure("ablations")["jitter_std_kb"]
     # jitter must not destabilize the queue (and typically calms it)
     assert stds[units.us(4)] < stds[0] * 1.5

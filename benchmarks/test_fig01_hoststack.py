@@ -1,33 +1,11 @@
 """Figure 1: TCP vs RDMA throughput, CPU utilization and latency."""
 
-from conftest import emit, run_once
-
-from repro.experiments.common import format_table
-from repro.hoststack.model import RdmaStackModel, TcpStackModel, compare_stacks
+from conftest import figure
 
 
-def test_fig01_throughput_and_cpu(benchmark):
-    rows_by_size = run_once(benchmark, compare_stacks)
-    rows = [
-        [
-            f"{size // 1000}KB" if size < 10**6 else f"{size // 10**6}MB",
-            f"{row.tcp_throughput_gbps:.1f}",
-            f"{row.tcp_cpu_pct:.0f}",
-            f"{row.rdma_throughput_gbps:.1f}",
-            f"{row.rdma_client_cpu_pct:.2f}",
-            f"{row.rdma_server_cpu_pct:.2f}",
-        ]
-        for size, row in rows_by_size.items()
-    ]
-    emit(
-        "fig01_throughput_cpu",
-        "Figure 1(a)/(b): throughput (Gbps) and CPU (%) vs message size",
-        format_table(
-            ["size", "TCP Gbps", "TCP CPU%", "RDMA Gbps", "RDMA cli%", "RDMA srv%"],
-            rows,
-        ),
-    )
-    values = list(rows_by_size.values())
+def test_fig01_throughput_and_cpu():
+    stacks, _ = figure("fig01")
+    values = list(stacks.values())
     # paper claims: TCP CPU-bound at small sizes, >20% CPU at line rate;
     # RDMA saturates everywhere with <3% client CPU and ~0 server CPU
     assert values[0].tcp_throughput_gbps < 40
@@ -37,29 +15,10 @@ def test_fig01_throughput_and_cpu(benchmark):
     assert all(v.rdma_server_cpu_pct == 0 for v in values)
 
 
-def test_fig01_latency(benchmark):
-    tcp = TcpStackModel()
-    rdma = RdmaStackModel()
-
-    def measure():
-        return (
-            tcp.latency_us(2048),
-            rdma.latency_us(2048, "write"),
-            rdma.latency_us(2048, "send"),
-        )
-
-    tcp_us, write_us, send_us = run_once(benchmark, measure)
-    emit(
-        "fig01_latency",
-        "Figure 1(c): 2KB transfer latency (us)",
-        format_table(
-            ["stack", "latency us", "paper us"],
-            [
-                ["TCP", f"{tcp_us:.2f}", "25.4"],
-                ["RDMA read/write", f"{write_us:.2f}", "1.7"],
-                ["RDMA send", f"{send_us:.2f}", "2.8"],
-            ],
-        ),
-    )
+def test_fig01_latency():
+    _, latency_us = figure("fig01")
+    tcp_us = latency_us["TCP"]
+    write_us = latency_us["RDMA read/write"]
+    send_us = latency_us["RDMA send"]
     assert tcp_us > 10 * write_us  # an order of magnitude apart
     assert write_us < send_us < tcp_us

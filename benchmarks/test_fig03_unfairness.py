@@ -1,18 +1,10 @@
 """Figure 3: PFC's parking-lot unfairness (no congestion control)."""
 
-from conftest import emit, run_once
-
-from repro.experiments.pfc_pathologies import run_unfairness
+from conftest import figure
 
 
-def test_fig03_pfc_unfairness(benchmark):
-    result = run_once(benchmark, lambda: run_unfairness("none"))
-    emit(
-        "fig03_unfairness",
-        "Figure 3(b): per-host throughput, PFC only (min/median/max over "
-        f"{result.repetitions} ECMP draws, {result.duration_ms:.0f} ms each)",
-        result.table() + f"\nPAUSE frames per run: {result.pause_frames}",
-    )
+def test_fig03_pfc_unfairness():
+    result = figure("fig03")
     h4_min, h4_median, h4_max = result.stats_gbps("H4")
     other_medians = [result.stats_gbps(h)[1] for h in ("H1", "H2", "H3")]
     # the paper's claims: H4 (alone on its port) beats the others and

@@ -1,18 +1,10 @@
 """Figure 4: the victim-flow problem (cascading PAUSEs)."""
 
-from conftest import emit, run_once
-
-from repro.experiments.pfc_pathologies import run_victim_flow
+from conftest import figure
 
 
-def test_fig04_victim_flow(benchmark):
-    result = run_once(benchmark, lambda: run_victim_flow("none"))
-    emit(
-        "fig04_victim",
-        "Figure 4(b): victim median throughput vs senders under T3 "
-        f"(PFC only, {result.repetitions} ECMP draws)",
-        result.table(),
-    )
+def test_fig04_victim_flow():
+    result = figure("fig04")
     # the victim's path shares no congested link with the incast, yet:
     # (1) it is already degraded at 0 extra senders (~10 not ~20 Gbps),
     baseline = result.median_gbps(0)

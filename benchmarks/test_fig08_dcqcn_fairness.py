@@ -1,19 +1,12 @@
 """Figure 8: DCQCN fixes the Figure 3 unfairness."""
 
-from conftest import emit, run_once
+from conftest import figure
 
 from repro.analysis.stats import jain_fairness, percentile
-from repro.experiments.pfc_pathologies import run_unfairness
 
 
-def test_fig08_dcqcn_restores_fairness(benchmark):
-    result = run_once(benchmark, lambda: run_unfairness("dcqcn"))
-    emit(
-        "fig08_dcqcn_fairness",
-        "Figure 8: per-host throughput with DCQCN "
-        f"({result.repetitions} ECMP draws)",
-        result.table() + f"\nPAUSE frames per run: {result.pause_frames}",
-    )
+def test_fig08_dcqcn_restores_fairness():
+    result = figure("fig08")
     medians = [
         percentile(result.throughputs_bps[h], 50) / 1e9
         for h in ("H1", "H2", "H3", "H4")

@@ -1,18 +1,10 @@
 """Figure 9: DCQCN rescues the Figure 4 victim flow."""
 
-from conftest import emit, run_once
-
-from repro.experiments.pfc_pathologies import run_victim_flow
+from conftest import figure
 
 
-def test_fig09_dcqcn_victim(benchmark):
-    result = run_once(benchmark, lambda: run_victim_flow("dcqcn"))
-    emit(
-        "fig09_dcqcn_victim",
-        "Figure 9: victim median throughput vs senders under T3 "
-        f"(DCQCN, {result.repetitions} ECMP draws)",
-        result.table(),
-    )
+def test_fig09_dcqcn_victim():
+    result = figure("fig09")
     # "With DCQCN, the throughput of the VS-VR flow does not change as
     # we add senders under T3" — and it stays far above the collapsed
     # PFC-only numbers.  The victim's exact level depends on which

@@ -1,19 +1,10 @@
 """Figure 10: the fluid model tracks the (simulated) implementation."""
 
-from conftest import emit, run_once
-
-from repro.experiments.fluid_validation import run_fluid_vs_sim
+from conftest import figure
 
 
-def test_fig10_fluid_matches_sim(benchmark):
-    result = run_once(benchmark, run_fluid_vs_sim)
-    emit(
-        "fig10_fluid_vs_sim",
-        "Figure 10: second sender's rate — packet sim vs fluid model\n"
-        f"(correlation {result.correlation():.3f}, "
-        f"normalized RMSE {result.normalized_rmse():.3f})",
-        result.table(points=14),
-    )
+def test_fig10_fluid_matches_sim():
+    result = figure("fig10")
     # both trajectories ramp from the post-cut rate toward the 20 Gbps
     # fair share on the same (additive-increase) timescale
     assert result.correlation() > 0.6

@@ -1,19 +1,14 @@
 """Figure 11: fluid-model parameter sweeps for convergence."""
 
 import pytest
-from conftest import emit, run_once
+from conftest import figure
 
-from repro.experiments.sweeps import FIG11_PANELS, fig11_table, run_fig11_panel
+from repro.experiments.sweeps import FIG11_PANELS
 
 
 @pytest.mark.parametrize("panel", sorted(FIG11_PANELS))
-def test_fig11_sweep(benchmark, panel):
-    result = run_once(benchmark, lambda: run_fig11_panel(panel))
-    emit(
-        f"fig11_{panel}",
-        f"Figure 11 ({panel} sweep): steady rate gap of the 40G/5G flows",
-        fig11_table(panel, result),
-    )
+def test_fig11_sweep(panel):
+    result = figure("fig11")[panel]
     diffs = result.final_diff_gbps()
     if panel == "byte_counter":
         # slowing the byte counter (150 KB -> 10 MB) shrinks the gap

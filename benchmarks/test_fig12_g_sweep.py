@@ -1,18 +1,10 @@
 """Figure 12: choosing g by queue length and stability."""
 
-from conftest import emit, run_once
-
-from repro.experiments.sweeps import run_fig12
+from conftest import figure
 
 
-def test_fig12_g_study(benchmark):
-    result = run_once(benchmark, run_fig12)
-    emit(
-        "fig12_g_sweep",
-        "Figure 12: bottleneck queue vs g for 2:1 and 16:1 incast "
-        "(fluid model)",
-        result.table(),
-    )
+def test_fig12_g_study():
+    result = figure("fig12")
     for degree, res in result.per_degree.items():
         stds = res.queue_stddev_kb()
         means = res.steady_queue_kb()

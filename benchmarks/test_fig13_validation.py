@@ -1,31 +1,10 @@
 """Figure 13: validating the parameter choices in the packet simulator."""
 
-from conftest import emit, run_once
-
-from repro.experiments.common import format_table
-from repro.experiments.fluid_validation import run_all_validations
+from conftest import figure
 
 
-def test_fig13_parameter_validation(benchmark):
-    results = run_once(benchmark, run_all_validations)
-    rows = [
-        [
-            name,
-            f"{res.mean_rate_gbps[0]:.1f}",
-            f"{res.mean_rate_gbps[1]:.1f}",
-            f"{res.rate_gap_gbps:.2f}",
-            f"{max(res.rate_std_gbps):.2f}",
-        ]
-        for name, res in results.items()
-    ]
-    emit(
-        "fig13_validation",
-        "Figure 13: two staggered flows (second seeded at 5 Gbps), "
-        "steady-state mean rates / gap / oscillation",
-        format_table(
-            ["config", "flow1 Gbps", "flow2 Gbps", "gap Gbps", "std Gbps"], rows
-        ),
-    )
+def test_fig13_parameter_validation():
+    results = figure("fig13")
     strawman = results["strawman"]
     deployed = results["deployed"]
     red_only = results["red_marking_slow_timer"]

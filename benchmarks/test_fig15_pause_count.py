@@ -1,29 +1,10 @@
 """Figure 15: PAUSE frames reaching the spines, with and without DCQCN."""
 
-from conftest import emit, run_once
-
-from repro.experiments.benchmark_traffic import run_benchmark_traffic
-from repro.experiments.common import format_table
+from conftest import figure
 
 
-def test_fig15_spine_pause_count(benchmark):
-    def measure():
-        return {
-            variant: run_benchmark_traffic(variant, incast_degree=10)
-            for variant in ("none", "dcqcn")
-        }
-
-    results = run_once(benchmark, measure)
-    rows = [
-        [variant, res.total_spine_pauses(), sum(res.dropped_packets)]
-        for variant, res in results.items()
-    ]
-    emit(
-        "fig15_pause_count",
-        "Figure 15: PAUSE frames received at the spines "
-        "(10:1 incast + 20 user pairs)",
-        format_table(["variant", "spine PAUSE frames", "drops"], rows),
-    )
+def test_fig15_spine_pause_count():
+    results = figure("fig15")
     without = results["none"].total_spine_pauses()
     with_dcqcn = results["dcqcn"].total_spine_pauses()
     # the paper reports millions vs ~300 over two minutes; at our

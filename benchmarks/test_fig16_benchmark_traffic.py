@@ -1,28 +1,14 @@
 """Figure 16: benchmark traffic vs incast degree, with/without DCQCN."""
 
-from conftest import emit, run_once
-
-from repro.experiments.benchmark_traffic import (
-    RESULT_HEADERS,
-    fig16_table,
-    run_fig16,
-)
-from repro.runner import scale
+from conftest import figure
 
 
-def test_fig16_user_and_incast_throughput(benchmark):
-    degrees = scale.pick((2, 6, 10), (2, 4, 6, 8, 10))
-    results = run_once(benchmark, lambda: run_fig16(degrees=degrees))
-    emit(
-        "fig16_benchmark_traffic",
-        "Figure 16: median / 10th-pct goodput of user pairs and incast "
-        "senders vs incast degree",
-        fig16_table(results),
-    )
+def test_fig16_user_and_incast_throughput():
+    results = figure("fig16")
     none_runs = results["none"]
     dcqcn_runs = results["dcqcn"]
-    hi = max(degrees)
-    lo = min(degrees)
+    hi = max(none_runs)
+    lo = min(none_runs)
 
     # (a)/(b): without DCQCN user throughput collapses as incast deepens;
     # with DCQCN it barely moves

@@ -1,35 +1,14 @@
 """Figure 17: DCQCN carries 16x the user load at equal performance."""
 
-from conftest import emit, run_once
+from conftest import figure
 
 from repro.analysis.stats import percentile
-from repro.experiments.benchmark_traffic import run_fig17
-from repro.experiments.common import format_table
 
 
-def test_fig17_sixteen_x_user_traffic(benchmark):
-    results = run_once(benchmark, run_fig17)
+def test_fig17_sixteen_x_user_traffic():
+    results = figure("fig17")
     low = results["none_5pairs"]
     high = results["dcqcn_80pairs"]
-    rows = []
-    for name, res in results.items():
-        rows.append(
-            [
-                name,
-                f"{res.user_median_gbps():.2f}",
-                f"{res.user_p10_gbps():.2f}",
-                f"{percentile(res.incast_bps, 50) / 1e9:.2f}",
-                f"{percentile(res.incast_bps, 10) / 1e9:.2f}",
-            ]
-        )
-    emit(
-        "fig17_user_load",
-        "Figure 17: 5 pairs without DCQCN vs 80 pairs with DCQCN "
-        "(10:1 incast)",
-        format_table(
-            ["config", "user med", "user p10", "incast med", "incast p10"], rows
-        ),
-    )
     # "the performance of user traffic with 5 communicating pairs when
     # no DCQCN is used matches the performance ... with 80 pairs, with
     # DCQCN.  In other words, DCQCN handles 16x more user traffic."

@@ -1,32 +1,10 @@
 """Figure 18: DCQCN needs PFC, and PFC needs correct thresholds."""
 
-from conftest import emit, run_once
-
-from repro.experiments.benchmark_traffic import run_fig18
-from repro.experiments.common import format_table
+from conftest import figure
 
 
-def test_fig18_four_configurations(benchmark):
-    results = run_once(benchmark, run_fig18)
-    rows = [
-        [
-            variant,
-            f"{res.user_p10_gbps():.2f}",
-            f"{res.incast_p10_gbps():.2f}",
-            str(sum(res.dropped_packets)),
-            str(res.total_spine_pauses()),
-        ]
-        for variant, res in results.items()
-    ]
-    emit(
-        "fig18_pfc_need",
-        "Figure 18: 10th-percentile goodput for the four fabric "
-        "configurations (8:1 incast + user traffic)",
-        format_table(
-            ["variant", "user p10 Gbps", "incast p10 Gbps", "drops", "spine PAUSE"],
-            rows,
-        ),
-    )
+def test_fig18_four_configurations():
+    results = figure("fig18")
     none = results["none"]
     dcqcn = results["dcqcn"]
     no_pfc = results["dcqcn_no_pfc"]
@@ -38,18 +16,20 @@ def test_fig18_four_configurations(benchmark):
     assert dcqcn.user_p10_gbps() > none.user_p10_gbps()
     assert dcqcn.user_median_gbps() > none.user_median_gbps()
 
-    # without PFC: "packet losses are common, and this leads to poor
-    # performance" — losses occur only in this arm, and both tails sit
-    # below properly configured DCQCN.  (Our go-back-N retries forever,
-    # so the degradation is partial rather than the paper's total
-    # collapse; see EXPERIMENTS.md note 7.)
+    # without PFC: "packet losses are common" — losses occur only in
+    # this arm.  The paper's other half, "this leads to poor
+    # performance" of the user traffic, is recorded as not reproduced
+    # (EXPERIMENTS.md, Fig 18 row): over 7 seeds the paired DCQCN minus
+    # no-PFC user p10 has median +0.03 Gbps, a coin flip, because our
+    # go-back-N retries forever (note 7).
     assert sum(no_pfc.dropped_packets) > 0
     assert sum(dcqcn.dropped_packets) == 0
     assert sum(none.dropped_packets) == 0
-    assert no_pfc.user_p10_gbps() <= dcqcn.user_p10_gbps()
+    # fragile: holds at the 7-seed median but fails on 3 of 7 seeds
     assert no_pfc.incast_p10_gbps() <= dcqcn.incast_p10_gbps()
 
     # misconfigured thresholds: PFC fires before ECN (PAUSE traffic is
     # back) and performance sits below properly configured DCQCN
+    # (fragile: fails on 1 of 7 seeds)
     assert misconf.incast_p10_gbps() <= dcqcn.incast_p10_gbps()
     assert misconf.total_spine_pauses() > dcqcn.total_spine_pauses()

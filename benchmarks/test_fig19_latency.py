@@ -1,20 +1,10 @@
 """Figure 19: egress queue distribution, DCQCN vs DCTCP."""
 
-from conftest import emit, run_once
-
-from repro.experiments.common import format_table
-from repro.experiments.latency import QUEUE_HEADERS, run_fig19
+from conftest import figure
 
 
-def test_fig19_queue_cdf(benchmark):
-    results = run_once(benchmark, run_fig19)
-    emit(
-        "fig19_latency",
-        "Figure 19: egress queue length during 2:1 incast "
-        "(paper: q90 = 76.6 KB DCQCN vs 162.9 KB DCTCP)",
-        format_table(QUEUE_HEADERS, [r.row() for r in results]),
-    )
-    dcqcn, dctcp = results
+def test_fig19_queue_cdf():
+    dcqcn, dctcp = figure("fig19")
     assert dcqcn.protocol == "dcqcn"
     # the headline: DCQCN's hardware pacing admits a shallow Kmin and
     # keeps the queue roughly 2-3x shorter at the 90th percentile

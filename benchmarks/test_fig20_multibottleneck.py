@@ -1,19 +1,10 @@
 """Figure 20: multi-bottleneck flows under cut-off vs RED-like marking."""
 
-from conftest import emit, run_once
-
-from repro.experiments.common import format_table
-from repro.experiments.multibottleneck import PARKING_HEADERS, run_fig20
+from conftest import figure
 
 
-def test_fig20_marking_scheme_comparison(benchmark):
-    results = run_once(benchmark, run_fig20)
-    emit(
-        "fig20_multibottleneck",
-        "Figure 20(b): parking-lot flows (max-min share = 20 Gbps each); "
-        "f2 crosses both bottlenecks",
-        format_table(PARKING_HEADERS, [r.row() for r in results]),
-    )
+def test_fig20_marking_scheme_comparison():
+    results = figure("fig20")
     cutoff, red = results
     # with cut-off marking the two-bottleneck flow is starved well
     # below its max-min share...

@@ -1,23 +1,11 @@
 """§4: buffer thresholds — the derivation and its end-to-end effect."""
 
 import pytest
-from conftest import emit, run_once
-
-from repro.buffers.thresholds import plan_thresholds
-from repro.experiments.buffer_settings import (
-    run_ecn_before_pfc_check,
-    section4_table,
-)
+from conftest import figure
 
 
-def test_sec4_threshold_table(benchmark):
-    plan = run_once(benchmark, plan_thresholds)
-    emit(
-        "sec4_thresholds",
-        "Section 4: switch buffer thresholds (Trident II, 12 MB, 32 "
-        "ports, 8 priorities)",
-        section4_table(plan),
-    )
+def test_sec4_threshold_table():
+    plan, _ = figure("sec4")
     # the paper's numbers
     assert plan.static_pfc_bound_bytes == pytest.approx(24_475, rel=1e-3)
     assert plan.ecn_bound_static_bytes == pytest.approx(764.8, rel=1e-3)
@@ -27,24 +15,8 @@ def test_sec4_threshold_table(benchmark):
     assert plan.ecn_bound_static_bytes < plan.profile.mtu_bytes
 
 
-def test_sec4_ecn_fires_before_pfc(benchmark):
-    def measure():
-        return (
-            run_ecn_before_pfc_check(misconfigured=False),
-            run_ecn_before_pfc_check(misconfigured=True),
-        )
-
-    good, bad = run_once(benchmark, measure)
-    emit(
-        "sec4_ecn_before_pfc",
-        "Section 4 in action: which mechanism fires under 8:1 incast",
-        "\n".join(
-            f"{r.configuration}: marks={r.marked_packets} "
-            f"steady PAUSE={r.pause_frames} startup PAUSE={r.startup_pause_frames} "
-            f"drops={r.dropped_packets}"
-            for r in (good, bad)
-        ),
-    )
+def test_sec4_ecn_fires_before_pfc():
+    _, (good, bad) = figure("sec4")
     assert good.ecn_first
     assert not bad.ecn_first
     assert bad.startup_pause_frames + bad.pause_frames > 0

@@ -1,22 +1,10 @@
 """§6.1 closing claim: K:1 incast keeps utilization high, queue bounded."""
 
-from conftest import emit, run_once
-
-from repro.experiments.common import format_table
-from repro.experiments.microbench import INCAST_HEADERS, run_incast_sweep
-from repro.runner import scale
+from conftest import figure
 
 
-def test_sec61_incast_sweep(benchmark):
-    degrees = scale.pick((2, 4, 8, 16), (2, 4, 8, 12, 16, 19))
-    results = run_once(benchmark, lambda: run_incast_sweep(degrees=degrees))
-    emit(
-        "sec61_incast_utilization",
-        "Section 6.1: K:1 incast — total goodput and bottleneck queue "
-        "(paper: > 39 Gbps, queue <= ~100 KB; see EXPERIMENTS.md on the "
-        "queue tail at K >= 16)",
-        format_table(INCAST_HEADERS, [r.row() for r in results]),
-    )
+def test_sec61_incast_sweep():
+    results = figure("sec61")
     for result in results:
         # high utilization at every incast degree (paper: >39 of 40;
         # our pacing quantization costs ~2%)
@@ -24,4 +12,5 @@ def test_sec61_incast_sweep(benchmark):
         # PFC never engages: DCQCN is doing the control
         assert result.pause_frames == 0
     # queue grows with incast degree but stays far below the buffer
+    # (see EXPERIMENTS.md on the queue tail at K >= 16)
     assert results[-1].peak_queue_kb < 400

@@ -1,19 +1,10 @@
 """§7: sensitivity of RoCEv2's go-back-N to non-congestion losses."""
 
-from conftest import emit, run_once
-
-from repro.experiments.common import format_table
-from repro.experiments.link_errors import LOSS_HEADERS, run_loss_sweep
+from conftest import figure
 
 
-def test_sec7_loss_sensitivity(benchmark):
-    points = run_once(benchmark, run_loss_sweep)
-    emit(
-        "sec7_link_errors",
-        "Section 7: goodput vs non-congestion loss rate (go-back-N vs "
-        "an idealized selective-repeat bound)",
-        format_table(LOSS_HEADERS, [p.row() for p in points]),
-    )
+def test_sec7_loss_sensitivity():
+    points = figure("sec7")
     clean = points[0]
     assert clean.goodput_gbps > 39
     assert clean.retransmitted_packets == 0

@@ -1,31 +1,12 @@
 """Table 14: the deployed DCQCN parameter values."""
 
-from conftest import emit, run_once
+from conftest import figure
 
 from repro import units
-from repro.core.params import DCQCNParams
-from repro.experiments.common import format_table
 
 
-def test_tab14_deployed_parameters(benchmark):
-    params = run_once(benchmark, DCQCNParams.deployed)
-    rows = [
-        ["rate-increase timer", f"{params.rate_increase_timer_ns / 1e3:.0f} us", "55 us"],
-        ["byte counter", f"{params.byte_counter_bytes / 1e6:.0f} MB", "10 MB"],
-        ["Kmax", f"{params.kmax_bytes / 1e3:.0f} KB", "200 KB"],
-        ["Kmin", f"{params.kmin_bytes / 1e3:.0f} KB", "5 KB"],
-        ["Pmax", f"{params.pmax * 100:.0f} %", "1 %"],
-        ["g", f"1/{round(1 / params.g)}", "1/256"],
-        ["CNP interval N", f"{params.cnp_interval_ns / 1e3:.0f} us", "50 us"],
-        ["alpha timer K", f"{params.alpha_timer_ns / 1e3:.0f} us", "55 us"],
-        ["R_AI", f"{params.rai_bps / 1e6:.0f} Mbps", "40 Mbps"],
-        ["F", str(params.fast_recovery_threshold), "5"],
-    ]
-    emit(
-        "tab14_parameters",
-        "Table 14 (+Table 2): deployed DCQCN parameters",
-        format_table(["parameter", "value", "paper"], rows),
-    )
+def test_tab14_deployed_parameters():
+    params = figure("tab14")
     assert params.rate_increase_timer_ns == units.us(55)
     assert params.byte_counter_bytes == units.mb(10)
     assert params.kmax_bytes == units.kb(200)

@@ -232,7 +232,7 @@ def _prepare_scenario(
             file=sys.stderr,
         )
         return None
-    scenario = SCENARIOS.build(scenario_id)
+    scenario = SCENARIOS.get(scenario_id).compute()
     if faults is not None:
         import json
 

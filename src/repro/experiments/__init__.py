@@ -1,15 +1,13 @@
 """One module per paper experiment (see DESIGN.md's experiment index).
 
 Every experiment is a plain function returning a structured result
-dataclass; the ``benchmarks/`` tree wraps these in pytest-benchmark
-harnesses and prints the paper-figure tables, and ``examples/`` reuses
-them for runnable demos.
+dataclass.  :mod:`repro.experiments.catalog` registers each paper
+artifact once, as ``compute()`` plus ``table(result)``; both
+``python -m repro <id>`` and the ``benchmarks/`` figure tests read that
+one definition, and ``examples/`` reuses the functions for runnable
+demos.
 
 Durations are scaled relative to the testbed (minutes -> tens of
 simulated milliseconds); set ``REPRO_SCALE=full`` for longer runs and
 more repetitions.
 """
-
-from repro.experiments import common
-
-__all__ = ["common"]

@@ -31,8 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro import units
 from repro.analysis.stats import percentile
 from repro.core.params import DCQCNParams
-from repro.experiments import common
-from repro.runner import Cell, execute
+from repro.runner import Cell, execute, format_table
 from repro.runner import scale
 from repro.sim.switch import SwitchConfig
 from repro.traffic.distributions import FlowSizeDistribution
@@ -319,7 +318,7 @@ def fig16_table(results: Dict[str, Dict[int, BenchmarkTrafficResult]]) -> str:
     for variant, by_degree in results.items():
         for degree in sorted(by_degree):
             rows.append(by_degree[degree].row())
-    return common.format_table(RESULT_HEADERS, rows)
+    return format_table(RESULT_HEADERS, rows)
 
 
 def run_fig17(

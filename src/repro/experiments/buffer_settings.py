@@ -13,8 +13,7 @@ from typing import Any, Dict, Optional
 
 from repro import units
 from repro.buffers.thresholds import ThresholdPlan, plan_thresholds
-from repro.experiments import common
-from repro.runner import Cell, execute
+from repro.runner import Cell, execute, format_table
 from repro.runner import scale
 
 
@@ -33,7 +32,7 @@ def section4_table(plan: Optional[ThresholdPlan] = None) -> str:
         ["Kmin feasible (>= 1 MTU)", str(plan.kmin_feasible)],
         ["ECN guaranteed before PFC", str(plan.ecn_before_pfc)],
     ]
-    return common.format_table(["quantity", "value"], rows)
+    return format_table(["quantity", "value"], rows)
 
 
 @dataclass

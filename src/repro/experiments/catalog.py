@@ -3,9 +3,12 @@
 Importing this module populates :data:`repro.runner.REGISTRY` with one
 entry per paper artifact, plus :data:`repro.runner.SCENARIOS` with the
 named scenarios the telemetry commands (``python -m repro trace`` /
-``profile``) operate on.  Each runner is a zero-argument callable
-returning the rendered table; heavyweight imports stay inside the
-runners so ``python -m repro list`` stays fast.
+``profile``) operate on.  Each artifact is defined once: the decorated
+``compute()`` returns the result object and its ``table`` renders it.
+``python -m repro <id>`` prints ``table(compute())``; the figure test
+in ``benchmarks/`` makes the same two calls and asserts on the result.
+Heavyweight imports stay inside the functions so ``python -m repro
+list`` stays fast.
 """
 
 from __future__ import annotations
@@ -15,211 +18,365 @@ from repro.runner.registry import scenario
 from repro.runner.results import format_table
 
 
-@experiment("fig01", "TCP vs RDMA throughput / CPU / latency")
-def fig01() -> str:
-    from repro.hoststack.model import RdmaStackModel, TcpStackModel, compare_stacks
+def _own_table(result) -> str:
+    """table(result) for a result that renders itself."""
+    return result.table()
 
+
+#: Figure 1(c)'s reported 2 KB latencies (us), by stack
+_FIG01_PAPER_LATENCY_US = {"TCP": 25.4, "RDMA read/write": 1.7, "RDMA send": 2.8}
+
+
+def _fig01_table(result) -> str:
+    stacks, latency_us = result
     rows = [
         [
-            str(size),
+            f"{size // 1000}KB" if size < 10**6 else f"{size // 10**6}MB",
             f"{row.tcp_throughput_gbps:.1f}",
             f"{row.tcp_cpu_pct:.0f}",
             f"{row.rdma_throughput_gbps:.1f}",
             f"{row.rdma_client_cpu_pct:.2f}",
+            f"{row.rdma_server_cpu_pct:.2f}",
         ]
-        for size, row in compare_stacks().items()
+        for size, row in stacks.items()
     ]
-    table = format_table(
-        ["bytes", "TCP Gbps", "TCP CPU%", "RDMA Gbps", "RDMA cli CPU%"], rows
-    )
-    tcp, rdma = TcpStackModel(), RdmaStackModel()
     return (
-        table
-        + f"\nlatency (2KB): TCP {tcp.latency_us():.1f} us, RDMA write "
-        f"{rdma.latency_us():.2f} us, RDMA send "
-        f"{rdma.latency_us(operation='send'):.2f} us"
+        format_table(
+            ["size", "TCP Gbps", "TCP CPU%", "RDMA Gbps", "RDMA cli%", "RDMA srv%"],
+            rows,
+        )
+        + "\n\n"
+        + format_table(
+            ["stack", "2KB latency us", "paper us"],
+            [
+                [stack, f"{us:.2f}", _FIG01_PAPER_LATENCY_US[stack]]
+                for stack, us in latency_us.items()
+            ],
+        )
     )
 
 
-@experiment("fig03", "PFC parking-lot unfairness")
-def fig03() -> str:
+@experiment("fig01", "TCP vs RDMA throughput / CPU / latency", table=_fig01_table)
+def fig01():
+    from repro.hoststack.model import RdmaStackModel, TcpStackModel, compare_stacks
+
+    rdma = RdmaStackModel()
+    latency_us = {
+        "TCP": TcpStackModel().latency_us(2048),
+        "RDMA read/write": rdma.latency_us(2048, "write"),
+        "RDMA send": rdma.latency_us(2048, "send"),
+    }
+    return compare_stacks(), latency_us
+
+
+def _unfairness_table(result) -> str:
+    return result.table() + f"\nPAUSE frames per run: {result.pause_frames}"
+
+
+@experiment("fig03", "PFC parking-lot unfairness", table=_unfairness_table)
+def fig03():
     from repro.experiments.pfc_pathologies import run_unfairness
 
-    return run_unfairness("none").table()
+    return run_unfairness("none")
 
 
-@experiment("fig04", "PFC victim flow")
-def fig04() -> str:
+@experiment("fig04", "PFC victim flow", table=_own_table)
+def fig04():
     from repro.experiments.pfc_pathologies import run_victim_flow
 
-    return run_victim_flow("none").table()
+    return run_victim_flow("none")
 
 
-@experiment("fig08", "DCQCN fixes the unfairness")
-def fig08() -> str:
+@experiment("fig08", "DCQCN fixes the unfairness", table=_unfairness_table)
+def fig08():
     from repro.experiments.pfc_pathologies import run_unfairness
 
-    return run_unfairness("dcqcn").table()
+    return run_unfairness("dcqcn")
 
 
-@experiment("fig09", "DCQCN rescues the victim")
-def fig09() -> str:
+@experiment("fig09", "DCQCN rescues the victim", table=_own_table)
+def fig09():
     from repro.experiments.pfc_pathologies import run_victim_flow
 
-    return run_victim_flow("dcqcn").table()
+    return run_victim_flow("dcqcn")
 
 
-@experiment("fig10", "fluid model vs packet simulator")
-def fig10() -> str:
-    from repro.experiments.fluid_validation import run_fluid_vs_sim
-
-    result = run_fluid_vs_sim()
+def _fig10_table(result) -> str:
     return (
-        result.table()
+        result.table(points=14)
         + f"\ncorrelation {result.correlation():.3f}, "
         f"normalized RMSE {result.normalized_rmse():.3f}"
     )
 
 
-@experiment("fig11", "parameter sweeps for convergence")
-def fig11() -> str:
-    from repro.experiments.sweeps import fig11_table, run_fig11
+@experiment("fig10", "fluid model vs packet simulator", table=_fig10_table)
+def fig10():
+    from repro.experiments.fluid_validation import run_fluid_vs_sim
+
+    return run_fluid_vs_sim()
+
+
+def _fig11_table(panels) -> str:
+    from repro.experiments.sweeps import fig11_table
 
     return "\n\n".join(
         f"-- {panel} --\n" + fig11_table(panel, result)
-        for panel, result in run_fig11().items()
+        for panel, result in panels.items()
     )
 
 
-@experiment("fig12", "g sweep: queue length and stability")
-def fig12() -> str:
+@experiment("fig11", "parameter sweeps for convergence", table=_fig11_table)
+def fig11():
+    from repro.experiments.sweeps import run_fig11
+
+    return run_fig11()
+
+
+@experiment("fig12", "g sweep: queue length and stability", table=_own_table)
+def fig12():
     from repro.experiments.sweeps import run_fig12
 
-    return run_fig12().table()
+    return run_fig12()
 
 
-@experiment("fig13", "parameter validation on the simulator")
-def fig13() -> str:
-    from repro.experiments.fluid_validation import run_all_validations
-
+def _fig13_table(results) -> str:
     rows = [
         [
             name,
             f"{res.mean_rate_gbps[0]:.1f}",
             f"{res.mean_rate_gbps[1]:.1f}",
             f"{res.rate_gap_gbps:.2f}",
+            f"{max(res.rate_std_gbps):.2f}",
         ]
-        for name, res in run_all_validations().items()
+        for name, res in results.items()
     ]
-    return format_table(["config", "flow1 Gbps", "flow2 Gbps", "gap"], rows)
+    return format_table(
+        ["config", "flow1 Gbps", "flow2 Gbps", "gap Gbps", "std Gbps"], rows
+    )
 
 
-@experiment("tab14", "deployed parameter values")
-def tab14() -> str:
+@experiment("fig13", "parameter validation on the simulator", table=_fig13_table)
+def fig13():
+    from repro.experiments.fluid_validation import run_all_validations
+
+    return run_all_validations()
+
+
+def _tab14_table(params) -> str:
+    rows = [
+        ["rate-increase timer", f"{params.rate_increase_timer_ns / 1e3:.0f} us", "55 us"],
+        ["byte counter", f"{params.byte_counter_bytes / 1e6:.0f} MB", "10 MB"],
+        ["Kmax", f"{params.kmax_bytes / 1e3:.0f} KB", "200 KB"],
+        ["Kmin", f"{params.kmin_bytes / 1e3:.0f} KB", "5 KB"],
+        ["Pmax", f"{params.pmax * 100:.0f} %", "1 %"],
+        ["g", f"1/{round(1 / params.g)}", "1/256"],
+        ["CNP interval N", f"{params.cnp_interval_ns / 1e3:.0f} us", "50 us"],
+        ["alpha timer K", f"{params.alpha_timer_ns / 1e3:.0f} us", "55 us"],
+        ["R_AI", f"{params.rai_bps / 1e6:.0f} Mbps", "40 Mbps"],
+        ["F", str(params.fast_recovery_threshold), "5"],
+    ]
+    return format_table(["parameter", "value", "paper"], rows)
+
+
+@experiment("tab14", "deployed parameter values (+Table 2)", table=_tab14_table)
+def tab14():
     from repro.core.params import DCQCNParams
 
-    params = DCQCNParams.deployed()
-    rows = [
-        ["timer", f"{params.rate_increase_timer_ns / 1e3:.0f} us"],
-        ["byte counter", f"{params.byte_counter_bytes / 1e6:.0f} MB"],
-        ["Kmax", f"{params.kmax_bytes / 1e3:.0f} KB"],
-        ["Kmin", f"{params.kmin_bytes / 1e3:.0f} KB"],
-        ["Pmax", f"{params.pmax:.0%}"],
-        ["g", f"1/{round(1 / params.g)}"],
-    ]
-    return format_table(["parameter", "value"], rows)
+    return DCQCNParams.deployed()
 
 
-@experiment("fig15", "PAUSE frames at the spines")
-def fig15() -> str:
-    from repro.experiments.benchmark_traffic import run_benchmark_traffic
+def _traffic_table(results) -> str:
+    """Figures 15, 17 and 18: one row per benchmark-traffic configuration."""
+    from repro.experiments.benchmark_traffic import RESULT_HEADERS
 
-    rows = []
-    for variant in ("none", "dcqcn"):
-        result = run_benchmark_traffic(variant, incast_degree=10)
-        rows.append([variant, result.total_spine_pauses()])
-    return format_table(["variant", "spine PAUSE frames"], rows)
-
-
-@experiment("fig16", "benchmark traffic vs incast degree")
-def fig16() -> str:
-    from repro.experiments.benchmark_traffic import fig16_table, run_fig16
-    from repro.runner import scale
-
-    degrees = scale.pick((2, 6, 10), (2, 4, 6, 8, 10), (2, 6))
-    return fig16_table(run_fig16(degrees=degrees))
-
-
-@experiment("fig17", "16x user load comparison")
-def fig17() -> str:
-    from repro.experiments.benchmark_traffic import RESULT_HEADERS, run_fig17
-
-    results = run_fig17()
     return format_table(RESULT_HEADERS, [r.row() for r in results.values()])
 
 
-@experiment("fig18", "need for PFC and correct thresholds")
-def fig18() -> str:
-    from repro.experiments.benchmark_traffic import RESULT_HEADERS, run_fig18
+@experiment("fig15", "PAUSE frames at the spines", table=_traffic_table)
+def fig15():
+    from repro.experiments.benchmark_traffic import run_benchmark_traffic
 
-    return format_table(RESULT_HEADERS, [r.row() for r in run_fig18().values()])
-
-
-@experiment("fig19", "queue length: DCQCN vs DCTCP")
-def fig19() -> str:
-    from repro.experiments.latency import QUEUE_HEADERS, run_fig19
-
-    return format_table(QUEUE_HEADERS, [r.row() for r in run_fig19()])
+    return {
+        variant: run_benchmark_traffic(variant, incast_degree=10)
+        for variant in ("none", "dcqcn")
+    }
 
 
-@experiment("fig20", "multi-bottleneck marking comparison")
-def fig20() -> str:
-    from repro.experiments.multibottleneck import PARKING_HEADERS, run_fig20
+def _fig16_table(results) -> str:
+    from repro.experiments.benchmark_traffic import fig16_table
 
-    return format_table(PARKING_HEADERS, [r.row() for r in run_fig20()])
-
-
-@experiment("sec4", "buffer threshold calculations")
-def sec4() -> str:
-    from repro.experiments.buffer_settings import section4_table
-
-    return section4_table()
+    return fig16_table(results)
 
 
-@experiment("sec61", "K:1 incast utilization sweep")
-def sec61() -> str:
-    from repro.experiments.microbench import INCAST_HEADERS, run_incast_sweep
+@experiment("fig16", "benchmark traffic vs incast degree", table=_fig16_table)
+def fig16():
+    from repro.experiments.benchmark_traffic import run_fig16
     from repro.runner import scale
 
-    degrees = scale.pick((2, 4, 8, 16, 19), (2, 4, 8, 16, 19), (2, 4))
-    return format_table(INCAST_HEADERS, [r.row() for r in run_incast_sweep(degrees)])
+    return run_fig16(degrees=scale.pick((2, 6, 10), (2, 4, 6, 8, 10), (2, 6)))
 
 
-@experiment("sec7", "non-congestion loss sensitivity")
-def sec7() -> str:
-    from repro.experiments.link_errors import LOSS_HEADERS, run_loss_sweep
+@experiment("fig17", "16x user load comparison", table=_traffic_table)
+def fig17():
+    from repro.experiments.benchmark_traffic import run_fig17
 
-    return format_table(LOSS_HEADERS, [r.row() for r in run_loss_sweep()])
-
-
-@experiment("microbench", "K:1 incast utilization sweep (alias of sec61)")
-def microbench() -> str:
-    return sec61()
+    return run_fig17()
 
 
-@experiment("arena", "CC tournament: every controller x {incast, victim, multibottleneck}")
-def arena() -> str:
+@experiment("fig18", "need for PFC and correct thresholds", table=_traffic_table)
+def fig18():
+    from repro.experiments.benchmark_traffic import run_fig18
+
+    return run_fig18()
+
+
+def _fig19_table(results) -> str:
+    from repro.experiments.latency import QUEUE_HEADERS
+
+    return format_table(QUEUE_HEADERS, [r.row() for r in results])
+
+
+@experiment("fig19", "queue length: DCQCN vs DCTCP", table=_fig19_table)
+def fig19():
+    from repro.experiments.latency import run_fig19
+
+    return run_fig19()
+
+
+def _fig20_table(results) -> str:
+    from repro.experiments.multibottleneck import PARKING_HEADERS
+
+    return format_table(PARKING_HEADERS, [r.row() for r in results])
+
+
+@experiment("fig20", "multi-bottleneck marking comparison", table=_fig20_table)
+def fig20():
+    from repro.experiments.multibottleneck import run_fig20
+
+    return run_fig20()
+
+
+def _sec4_table(result) -> str:
+    from repro.experiments.buffer_settings import section4_table
+
+    plan, checks = result
+    rows = [
+        [
+            check.configuration,
+            check.marked_packets,
+            check.pause_frames,
+            check.startup_pause_frames,
+            check.dropped_packets,
+            check.ecn_first,
+        ]
+        for check in checks
+    ]
+    return (
+        section4_table(plan)
+        + "\n\n-- which mechanism fires under 8:1 incast --\n"
+        + format_table(
+            ["switch", "marks", "steady PAUSE", "startup PAUSE", "drops", "ECN first"],
+            rows,
+        )
+    )
+
+
+@experiment(
+    "sec4", "buffer thresholds, and ECN firing before PFC", table=_sec4_table
+)
+def sec4():
+    from repro.buffers.thresholds import plan_thresholds
+    from repro.experiments.buffer_settings import run_ecn_before_pfc_check
+
+    checks = [run_ecn_before_pfc_check(misconfigured=m) for m in (False, True)]
+    return plan_thresholds(), checks
+
+
+def _sec61_table(results) -> str:
+    from repro.experiments.microbench import INCAST_HEADERS
+
+    return format_table(INCAST_HEADERS, [r.row() for r in results])
+
+
+@experiment("sec61", "K:1 incast utilization sweep", table=_sec61_table)
+def sec61():
+    from repro.experiments.microbench import run_incast_sweep
+    from repro.runner import scale
+
+    return run_incast_sweep(scale.pick((2, 4, 8, 16, 19), (2, 4, 8, 16, 19), (2, 4)))
+
+
+def _sec7_table(results) -> str:
+    from repro.experiments.link_errors import LOSS_HEADERS
+
+    return format_table(LOSS_HEADERS, [r.row() for r in results])
+
+
+@experiment("sec7", "non-congestion loss sensitivity", table=_sec7_table)
+def sec7():
+    from repro.experiments.link_errors import run_loss_sweep
+
+    return run_loss_sweep()
+
+
+def _ablations_table(result) -> str:
+    from repro.experiments.qcn_ablation import ABLATION_HEADERS
+
+    return (
+        "-- 4:1 incast on one L2 domain: PFC only vs QCN vs DCQCN --\n"
+        + format_table(
+            ABLATION_HEADERS, [r.row() for r in result["schemes"].values()]
+        )
+        + "\n\n-- 16:1 incast queue tail vs Pmax --\n"
+        + format_table(
+            ["Pmax", "q90 KB"],
+            [[f"{p:.0%}", f"{q:.1f}"] for p, q in result["pmax_q90_kb"].items()],
+        )
+        + "\n\n-- 8:1 incast queue std-dev vs RP timer jitter --\n"
+        + format_table(
+            ["jitter", "queue std KB"],
+            [
+                [f"{j / 1e3:.0f} us", f"{s:.1f}"]
+                for j, s in result["jitter_std_kb"].items()
+            ],
+        )
+    )
+
+
+@experiment(
+    "ablations", "design-choice ablations: QCN, Pmax, RP timer jitter",
+    table=_ablations_table,
+)
+def ablations():
+    from repro import units
+    from repro.experiments.qcn_ablation import (
+        queue_std_for_jitter,
+        queue_tail_for_pmax,
+        run_ablation,
+    )
+
+    return {
+        "schemes": run_ablation(),
+        "pmax_q90_kb": {p: queue_tail_for_pmax(p) for p in (0.01, 0.10)},
+        "jitter_std_kb": {j: queue_std_for_jitter(j) for j in (0, units.us(4))},
+    }
+
+
+@experiment(
+    "arena",
+    "CC tournament: every controller x {incast, victim, multibottleneck}",
+    table=_own_table,
+)
+def arena():
     from repro.experiments.arena import run_arena
 
-    return run_arena().table()
+    return run_arena()
 
 
-@experiment("fct", "benchmark-traffic FCT slowdown, mice vs elephants")
-def fct_benchmark() -> str:
+def _fct_table(result) -> str:
     from repro.analysis.fct import fct_table
-    from repro.experiments.fct_grid import run_benchmark_fct
 
-    runs, summaries = run_benchmark_fct()
+    runs, summaries = result
     transfers = sum(len(run.flow_stats) for run in runs)
     return (
         fct_table(summaries)
@@ -227,40 +384,66 @@ def fct_benchmark() -> str:
     )
 
 
-@experiment("fctgrid", "(Kmin, Kmax, Pmax) x incast grid, scored on slowdown")
-def fctgrid() -> str:
-    from repro.experiments.fct_grid import grid_table, run_fct_grid
+@experiment(
+    "fct", "benchmark-traffic FCT slowdown, mice vs elephants", table=_fct_table
+)
+def fct_benchmark():
+    from repro.experiments.fct_grid import run_benchmark_fct
 
-    return grid_table(run_fct_grid())
+    return run_benchmark_fct()
+
+
+def _fctgrid_table(sweep) -> str:
+    from repro.experiments.fct_grid import grid_table
+
+    return grid_table(sweep)
+
+
+@experiment(
+    "fctgrid",
+    "(Kmin, Kmax, Pmax) x incast grid, scored on slowdown",
+    table=_fctgrid_table,
+)
+def fctgrid():
+    from repro.experiments.fct_grid import run_fct_grid
+
+    return run_fct_grid()
 
 
 @experiment("fabric", "DCQCN incast across fat-tree sizes (k=4, k=8)")
-def fabric() -> str:
+def fabric():
     from repro.experiments.fabric_scale import run_fabric
 
     return run_fabric()
 
 
 @experiment("fabric1024", "1024-host fat-tree incast with invariants")
-def fabric1024() -> str:
+def fabric1024():
     from repro.experiments.fabric_scale import run_fabric_1024
 
     return run_fabric_1024()
 
 
-@experiment("chaos", "scripted fault injection: PAUSE storms, flaps, recovery")
-def chaos() -> str:
-    from repro.experiments.chaos import run_chaos
-    from repro.experiments.pfc_pathologies import run_pause_storm
-
-    storm = run_pause_storm()
-    sweep = run_chaos()
+def _chaos_table(result) -> str:
+    storm, sweep = result
     return (
         "-- scripted PAUSE storm: cascade with and without DCQCN --\n"
         + storm.table()
         + "\n\n-- fault intensity sweep (storm + trunk flap, DCQCN) --\n"
         + sweep.table()
     )
+
+
+@experiment(
+    "chaos",
+    "scripted fault injection: PAUSE storms, flaps, recovery",
+    table=_chaos_table,
+)
+def chaos():
+    from repro.experiments.chaos import run_chaos
+    from repro.experiments.pfc_pathologies import run_pause_storm
+
+    return run_pause_storm(), run_chaos()
 
 
 # --- named scenarios (python -m repro trace/profile <id>) ------------------

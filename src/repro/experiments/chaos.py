@@ -21,8 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import units
 from repro.analysis.stats import percentile
-from repro.experiments import common
-from repro.runner import FlowSpec, Scenario, run_sweep
+from repro.runner import FlowSpec, Scenario, format_table, run_sweep
 from repro.runner import scale
 
 CHAOS_HEADERS = [
@@ -67,7 +66,7 @@ class ChaosResult:
     points: List[ChaosPoint] = field(default_factory=list)
 
     def table(self) -> str:
-        return common.format_table(CHAOS_HEADERS, [p.row() for p in self.points])
+        return format_table(CHAOS_HEADERS, [p.row() for p in self.points])
 
 
 def chaos_scenario(

@@ -23,8 +23,7 @@ import numpy as np
 
 from repro import units
 from repro.core.params import DCQCNParams
-from repro.experiments import common
-from repro.runner import Cell, execute
+from repro.runner import Cell, execute, format_table
 from repro.runner import scale
 from repro.runner.scenario import decode_value, encode_value
 
@@ -61,7 +60,7 @@ class FluidVsSimResult:
                     f"{self.fluid_rate_bps[index] / 1e9:.2f}",
                 ]
             )
-        return common.format_table(["t (ms)", "sim Gbps", "fluid Gbps"], rows)
+        return format_table(["t (ms)", "sim Gbps", "fluid Gbps"], rows)
 
 
 def fluid_vs_sim_cell(

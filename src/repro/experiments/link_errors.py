@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro import units
-from repro.experiments import common
 from repro.runner import Cell, execute
 from repro.runner import scale
 

@@ -17,7 +17,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro import units
 from repro.core.params import DCQCNParams
-from repro.experiments import common
 from repro.runner import Cell, execute
 from repro.runner import scale
 from repro.runner.scenario import decode_value, encode_value

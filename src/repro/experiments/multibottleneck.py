@@ -16,7 +16,6 @@ from typing import Any, Dict, List, Optional
 
 from repro import units
 from repro.core.params import DCQCNParams
-from repro.experiments import common
 from repro.runner import Cell, execute
 from repro.runner import scale
 

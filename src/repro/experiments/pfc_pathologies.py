@@ -32,9 +32,14 @@ from typing import Dict, List, Optional, Sequence
 from repro import units
 from repro.analysis.stats import percentile
 from repro.core.params import DCQCNParams
-from repro.experiments import common
-from repro.runner import FlowSpec, Scenario, run_scenario, run_sweep
-from repro.runner import scale
+from repro.runner import (
+    FlowSpec,
+    Scenario,
+    format_table,
+    run_scenario,
+    run_sweep,
+    scale,
+)
 from repro.sim.switch import SwitchConfig
 
 #: the four competing writers of the unfairness scenario
@@ -65,7 +70,7 @@ class UnfairnessResult:
         for host in sorted(self.throughputs_bps):
             lo, med, hi = self.stats_gbps(host)
             rows.append([host, f"{lo:.2f}", f"{med:.2f}", f"{hi:.2f}"])
-        return common.format_table(
+        return format_table(
             ["host", "min Gbps", "median Gbps", "max Gbps"], rows
         )
 
@@ -161,7 +166,7 @@ class VictimFlowResult:
             [n, f"{self.median_gbps(n):.2f}" if self.victim_bps[n] else "n/a"]
             for n in sorted(self.victim_bps)
         ]
-        return common.format_table(
+        return format_table(
             ["senders under T3", "victim median Gbps"], rows
         )
 
@@ -312,7 +317,7 @@ class PauseStormResult:
                 str(int(percentile(self.pause_frames[cc], 50))),
                 f"{percentile(self.goodput_fraction[cc], 50):.2f}",
             ])
-        return common.format_table(
+        return format_table(
             [
                 "cc",
                 "feeder Gbps",

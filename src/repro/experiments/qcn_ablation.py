@@ -1,4 +1,5 @@
-"""DCQCN vs QCN ablation (paper §2.3 rationale).
+"""DCQCN vs QCN ablation (paper §2.3 rationale), plus the Pmax and
+RP timer jitter ablations of DESIGN.md §6.
 
 QCN works within one L2 domain: on a single switch it provides
 flow-level control much like DCQCN.  The paper's complaint is not that
@@ -11,15 +12,23 @@ routing rewrites).  This ablation shows both halves:
 * on the routed Clos, QCN's feedback cannot identify flows across the
   IP boundary, so it must be disabled — the PFC pathologies return
   (we model the restriction by simply not deploying QCN there).
+
+The other two ablations drive a greedy N:1 DCQCN incast on one switch
+and read the bottleneck queue: Table 14's OCR-ambiguous Pmax (1%) pins
+the 16:1 queue near Kmax while Pmax = 10% recovers §6.1's "queue never
+exceeds ~100 KB"; and without firmware timer skew, synchronized flows
+cut and recover in phase, overstating the queue oscillation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from repro import units
-from repro.analysis.stats import jain_fairness
+from repro.analysis.stats import jain_fairness, percentile
 from repro.runner import Cell, execute
 from repro.runner import scale
 
@@ -138,3 +147,60 @@ def run_ablation(**kwargs) -> Dict[str, SingleSwitchFairnessResult]:
     ]
     values = execute(cells)
     return {scheme: _from_cell(v) for scheme, v in zip(schemes, values)}
+
+
+def _incast_queue_bytes(
+    params, degree: int, seed: int, warmup_ns: int, measure_ns: int
+) -> List[int]:
+    """Bottleneck queue every 10 us after ``warmup_ns`` of a greedy
+    ``degree``:1 DCQCN incast whose switch marks with ``params``."""
+    from repro.sim.monitor import QueueSampler
+    from repro.sim.switch import SwitchConfig
+    from repro.sim.topology import single_switch
+
+    net, switch, hosts = single_switch(
+        degree + 1,
+        switch_config=SwitchConfig(marking=params),
+        seed=seed,
+        dcqcn_params=params,
+    )
+    receiver = hosts[-1]
+    for sender in hosts[:degree]:
+        flow = net.add_flow(sender, receiver, cc="dcqcn")
+        flow.set_greedy()
+    net.run_for(warmup_ns)
+    sampler = QueueSampler(
+        net.engine, switch, switch.port_to(receiver.nic).index,
+        interval_ns=units.us(10),
+    )
+    net.run_for(measure_ns)
+    return sampler.samples_bytes
+
+
+def queue_tail_for_pmax(pmax: float, degree: int = 16) -> float:
+    """q90 (KB) of the 16:1 incast queue with Table 14's Pmax replaced."""
+    from repro.core.params import DCQCNParams
+
+    samples = _incast_queue_bytes(
+        replace(DCQCNParams.deployed(), pmax=pmax),
+        degree,
+        seed=71,
+        warmup_ns=scale.pick(units.ms(25), units.ms(25), units.ms(3)),
+        measure_ns=scale.pick(units.ms(15), units.ms(15), units.ms(2)),
+    )
+    return percentile(samples, 90) / 1e3
+
+
+def queue_std_for_jitter(jitter_ns: int) -> float:
+    """Standard deviation (KB) of the 8:1 incast queue under RP timer
+    jitter ``jitter_ns``."""
+    from repro.core.params import DCQCNParams
+
+    samples = _incast_queue_bytes(
+        replace(DCQCNParams.deployed(), rate_increase_timer_jitter_ns=jitter_ns),
+        8,
+        seed=73,
+        warmup_ns=scale.pick(units.ms(20), units.ms(20), units.ms(3)),
+        measure_ns=scale.pick(units.ms(15), units.ms(15), units.ms(2)),
+    )
+    return float(np.std(samples)) / 1e3

@@ -15,8 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.experiments import common
-from repro.runner import Cell, execute
+from repro.runner import Cell, execute, format_table
 from repro.runner import scale
 
 #: panel name -> (sweep function name, unit label, value formatter)
@@ -105,7 +104,7 @@ def fig11_table(panel: str, result) -> str:
         [fmt(value), f"{diff:.2f}"]
         for value, diff in zip(result.values, result.final_diff_gbps())
     ]
-    return common.format_table([header, "steady |r1-r2| Gbps"], rows)
+    return format_table([header, "steady |r1-r2| Gbps"], rows)
 
 
 @dataclass
@@ -165,7 +164,7 @@ class Fig12Result:
                 rows.append(
                     [f"{degree}:1", f"1/{round(1 / g)}", f"{mean_kb:.1f}", f"{std_kb:.1f}"]
                 )
-        return common.format_table(
+        return format_table(
             ["incast", "g", "steady queue KB", "queue stddev KB"], rows
         )
 

@@ -31,10 +31,8 @@ from repro.runner.executor import Cell, ExecutionStats, execute
 from repro.runner.registry import (
     REGISTRY,
     SCENARIOS,
-    Experiment,
-    ExperimentRegistry,
-    NamedScenario,
-    ScenarioRegistry,
+    Entry,
+    Registry,
     experiment,
 )
 from repro.runner.resilience import RetryPolicy, default_timeout_s
@@ -58,18 +56,16 @@ from repro.runner.scenario import (
 
 __all__ = [
     "Cell",
+    "Entry",
     "ExecutionStats",
-    "Experiment",
-    "ExperimentRegistry",
     "FlowSpec",
-    "NamedScenario",
     "REGISTRY",
+    "Registry",
     "RetryPolicy",
     "RunFailure",
     "RunResult",
     "SCENARIOS",
     "Scenario",
-    "ScenarioRegistry",
     "SweepPoint",
     "SweepResult",
     "default_timeout_s",

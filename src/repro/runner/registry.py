@@ -1,16 +1,19 @@
 """The experiment and scenario registries: one source of truth for the CLI.
 
-Every reproducible figure/table registers itself (id, description,
-zero-argument runner returning the rendered table) via the
-:func:`experiment` decorator.  ``python -m repro list`` and
-``python -m repro <id>`` both read from :data:`REGISTRY`, and smoke
-tests can iterate it generically instead of naming commands by hand.
+Every reproducible figure/table registers itself via the
+:func:`experiment` decorator, as one definition in two parts: the
+decorated zero-argument ``compute()`` returns the result object, and
+``table(result)`` renders the text.  ``python -m repro <id>`` prints
+``table(compute())``; the ``benchmarks/`` figure tests make the same
+two calls and assert on the result.  ``python -m repro list`` and the
+smoke tests iterate :data:`REGISTRY` instead of naming commands by hand.
 
-:data:`SCENARIOS` is the sibling registry of *named scenarios* —
-declarative :class:`~repro.runner.scenario.Scenario` factories the
-telemetry commands (``python -m repro trace <name>`` /
-``profile <name>``) operate on.  Factories, not instances, so a
-scenario may consult the scale policy at build time.
+:data:`SCENARIOS` is a second instance of the same :class:`Registry`,
+holding *named scenarios*: there ``compute()`` builds a declarative
+:class:`~repro.runner.scenario.Scenario` for the telemetry commands
+(``python -m repro trace <name>`` / ``profile <name>``).  Factories,
+not instances, so a scenario may consult the scale policy at build
+time.
 """
 
 from __future__ import annotations
@@ -20,126 +23,71 @@ from typing import Any, Callable, Dict, Iterator, List
 
 
 @dataclass(frozen=True)
-class Experiment:
-    """One registered experiment."""
+class Entry:
+    """One registered id: what runs, and how its result is printed."""
 
     id: str
     description: str
-    runner: Callable[[], str]
+    compute: Callable[[], Any]
+    #: result -> text; the default prints a compute() that already
+    #: returns its text
+    table: Callable[[Any], str] = str
 
     def run(self) -> str:
-        return self.runner()
+        """The text ``python -m repro <id>`` prints."""
+        return self.table(self.compute())
 
 
-class ExperimentRegistry:
-    """Ordered mapping of experiment id -> :class:`Experiment`."""
+class Registry:
+    """Ordered mapping of id -> :class:`Entry`."""
 
-    def __init__(self) -> None:
-        self._experiments: Dict[str, Experiment] = {}
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+        self._entries: Dict[str, Entry] = {}
 
-    def register(self, experiment_id: str, description: str):
-        """Decorator registering a zero-argument runner under ``id``."""
+    def register(
+        self, entry_id: str, description: str, table: Callable[[Any], str] = str
+    ):
+        """Decorator registering a zero-argument ``compute`` under ``id``."""
 
-        def decorate(runner: Callable[[], str]) -> Callable[[], str]:
-            if experiment_id in self._experiments:
-                raise ValueError(f"duplicate experiment id {experiment_id!r}")
-            self._experiments[experiment_id] = Experiment(
-                id=experiment_id, description=description, runner=runner
-            )
-            return runner
-
-        return decorate
-
-    def get(self, experiment_id: str) -> Experiment:
-        try:
-            return self._experiments[experiment_id]
-        except KeyError:
-            raise KeyError(
-                f"unknown experiment {experiment_id!r}; "
-                f"known: {', '.join(self.ids())}"
-            ) from None
-
-    def run(self, experiment_id: str) -> str:
-        return self.get(experiment_id).run()
-
-    def ids(self) -> List[str]:
-        return sorted(self._experiments)
-
-    def __iter__(self) -> Iterator[Experiment]:
-        return iter(self._experiments[i] for i in self.ids())
-
-    def __contains__(self, experiment_id: str) -> bool:
-        return experiment_id in self._experiments
-
-    def __len__(self) -> int:
-        return len(self._experiments)
-
-
-@dataclass(frozen=True)
-class NamedScenario:
-    """One registered scenario factory."""
-
-    id: str
-    description: str
-    factory: Callable[[], Any]
-
-    def build(self):
-        """Construct the :class:`~repro.runner.scenario.Scenario`."""
-        return self.factory()
-
-
-class ScenarioRegistry:
-    """Ordered mapping of scenario id -> :class:`NamedScenario`."""
-
-    def __init__(self) -> None:
-        self._scenarios: Dict[str, NamedScenario] = {}
-
-    def register(self, scenario_id: str, description: str):
-        """Decorator registering a zero-argument Scenario factory."""
-
-        def decorate(factory: Callable[[], Any]) -> Callable[[], Any]:
-            if scenario_id in self._scenarios:
-                raise ValueError(f"duplicate scenario id {scenario_id!r}")
-            self._scenarios[scenario_id] = NamedScenario(
-                id=scenario_id, description=description, factory=factory
-            )
-            return factory
+        def decorate(compute: Callable[[], Any]) -> Callable[[], Any]:
+            if entry_id in self._entries:
+                raise ValueError(f"duplicate {self.kind} id {entry_id!r}")
+            self._entries[entry_id] = Entry(entry_id, description, compute, table)
+            return compute
 
         return decorate
 
-    def get(self, scenario_id: str) -> NamedScenario:
+    def get(self, entry_id: str) -> Entry:
         try:
-            return self._scenarios[scenario_id]
+            return self._entries[entry_id]
         except KeyError:
             raise KeyError(
-                f"unknown scenario {scenario_id!r}; "
+                f"unknown {self.kind} {entry_id!r}; "
                 f"known: {', '.join(self.ids())}"
             ) from None
 
-    def build(self, scenario_id: str):
-        return self.get(scenario_id).build()
-
     def ids(self) -> List[str]:
-        return sorted(self._scenarios)
+        return sorted(self._entries)
 
-    def __iter__(self) -> Iterator[NamedScenario]:
-        return iter(self._scenarios[i] for i in self.ids())
+    def __iter__(self) -> Iterator[Entry]:
+        return iter(self._entries[i] for i in self.ids())
 
-    def __contains__(self, scenario_id: str) -> bool:
-        return scenario_id in self._scenarios
+    def __contains__(self, entry_id: str) -> bool:
+        return entry_id in self._entries
 
     def __len__(self) -> int:
-        return len(self._scenarios)
+        return len(self._entries)
 
 
 #: the process-wide registry (populated by ``repro.experiments.catalog``)
-REGISTRY = ExperimentRegistry()
+REGISTRY = Registry("experiment")
 
-#: decorator shorthand: ``@experiment("fig03", "PFC unfairness")``
+#: decorator shorthand: ``@experiment("fig03", "PFC unfairness", table=...)``
 experiment = REGISTRY.register
 
 #: named scenarios for the telemetry commands (also in the catalog)
-SCENARIOS = ScenarioRegistry()
+SCENARIOS = Registry("scenario")
 
 #: decorator shorthand: ``@scenario("smoke", "2-to-1 incast ...")``
 scenario = SCENARIOS.register

@@ -35,11 +35,7 @@ from repro.sim.topology import (
     three_tier_clos,
     ClosSpec,
 )
-from repro.sim.monitor import (
-    QueueSampler,
-    RateSampler,
-    CounterSet,
-)
+from repro.sim.monitor import QueueSampler, RateSampler
 
 __all__ = [
     "EventScheduler",
@@ -71,5 +67,4 @@ __all__ = [
     "ClosSpec",
     "QueueSampler",
     "RateSampler",
-    "CounterSet",
 ]

@@ -161,7 +161,6 @@ class Flow:
         priority: int = DATA_PRIORITY,
         mtu_bytes: int = 1000,
         start_ns: int = 0,
-        rp: Optional["ReactionPoint"] = None,
         static_rate_bps: Optional[float] = None,
         cc: Optional["CongestionControl"] = None,
     ):
@@ -171,14 +170,6 @@ class Flow:
         self.priority = priority
         self.mtu_bytes = mtu_bytes
         self.start_ns = start_ns
-        if rp is not None:
-            # legacy construction path: a bare ReactionPoint adapts to
-            # the cc interface (repro.cc is the canonical way in)
-            if cc is not None:
-                raise ValueError("pass either cc or rp, not both")
-            from repro.cc.dcqcn import DcqcnControl
-
-            cc = DcqcnControl(rp)
         self.cc = cc
         #: controller with an active congestion window (hot-path cache)
         self._cwnd_source: Optional["CongestionControl"] = (

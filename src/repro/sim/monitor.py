@@ -1,4 +1,4 @@
-"""Measurement probes: throughput samplers, queue samplers, counters.
+"""Measurement probes: throughput samplers and queue samplers.
 
 These mirror what the paper measures on the testbed: per-flow
 throughput over time (Figures 3, 8, 10, 13), switch egress queue
@@ -235,29 +235,3 @@ class TierQueueSampler(_PeriodicProbe):
 
     def peak_total_bytes(self) -> int:
         return max(self.totals_bytes, default=0)
-
-
-class CounterSet:
-    """Named integer counters with snapshot/delta support.
-
-    .. deprecated::
-        Run-level statistics now live in the
-        :class:`~repro.telemetry.metrics.MetricsRegistry` (stable
-        names, JSON snapshots inside every ``RunResult``); this class
-        remains only for ad-hoc notebook bookkeeping.
-    """
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-
-    def add(self, name: str, amount: int = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def snapshot(self) -> Dict[str, int]:
-        return dict(self._counts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CounterSet({self._counts})"

@@ -3,8 +3,15 @@
 Every registered experiment must run end-to-end at the tiny ``smoke``
 scale and print a non-empty table.  Iterating the registry (instead of
 naming commands) means a newly registered experiment is covered
-automatically.
+automatically.  The figure tests in ``benchmarks/`` read the same
+registry entries through their conftest's ``figure(id)``; the tests at
+the bottom hold the two callers to one definition.
 """
+
+import ast
+import importlib.util
+import re
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +21,20 @@ from repro.runner import REGISTRY
 
 RESULTS_ENV = runtime.VARS["results_dir"].env
 SCALE_ENV = runtime.VARS["scale"].env
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+#: ids that stand for a paper figure, table or section, or the ablations
+PAPER_ID = re.compile(r"(fig|tab|sec)\d+|ablations")
+
+
+def _load_benchmark_conftest():
+    spec = importlib.util.spec_from_file_location(
+        "benchmarks_conftest", BENCHMARKS / "conftest.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -41,3 +62,36 @@ def test_run_subcommand(monkeypatch, capsys, tmp_path):
     assert "1/256" in capsys.readouterr().out
     assert main(["run"]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_every_paper_id_has_exactly_one_figure_test():
+    callers = {}
+    for path in sorted(BENCHMARKS.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "figure"
+            ):
+                (arg,) = node.args
+                assert isinstance(arg, ast.Constant), path.name
+                callers.setdefault(arg.value, set()).add(path.name)
+    assert set(callers) - set(REGISTRY.ids()) == set(), "unregistered ids"
+    paper_ids = {i for i in REGISTRY.ids() if PAPER_ID.fullmatch(i)}
+    assert sorted(callers) == sorted(paper_ids)
+    for experiment_id, files in callers.items():
+        assert len(files) == 1, f"{experiment_id} is checked in {sorted(files)}"
+
+
+@pytest.mark.parametrize("experiment_id", ["tab14", "sec4"])
+def test_figure_writes_what_the_cli_prints(
+    experiment_id, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv(SCALE_ENV, "smoke")
+    monkeypatch.setenv(RESULTS_ENV, str(tmp_path))
+    _load_benchmark_conftest().figure(experiment_id)
+    capsys.readouterr()
+    assert main([experiment_id]) == 0
+    banner, printed = capsys.readouterr().out.split("\n", 1)
+    assert banner.startswith(f"=== {experiment_id}:")
+    assert (tmp_path / f"{experiment_id}.txt").read_text() == printed

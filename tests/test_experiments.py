@@ -8,7 +8,6 @@ direction of each effect.
 import pytest
 
 from repro import runtime, units
-from repro.experiments import common
 from repro.experiments.benchmark_traffic import (
     RESULT_HEADERS,
     VARIANTS,
@@ -30,7 +29,7 @@ from repro.experiments.multibottleneck import run_parking_lot
 from repro.experiments.pfc_pathologies import run_unfairness, run_victim_flow
 from repro.experiments.qcn_ablation import run_single_switch_fairness
 from repro.experiments.sweeps import fig11_table, run_fig11_panel, run_fig12
-from repro.runner import scale
+from repro.runner import format_table, scale
 
 
 class TestCommon:
@@ -43,27 +42,16 @@ class TestCommon:
         monkeypatch.setenv(runtime.VARS["scale"].env, "full")
         assert scale.pick(1, 2) == 2
 
-    def test_shims_removed(self):
-        # the PR-1 deprecation aliases are gone; repro.runner.scale is
-        # the one true home of the scale/seed policy
-        assert not hasattr(common, "pick")
-        assert not hasattr(common, "seeds_for")
-
     def test_scale_invalid(self, monkeypatch):
         monkeypatch.setenv(runtime.VARS["scale"].env, "enormous")
         with pytest.raises(ValueError):
             scale.pick(1, 2)
 
     def test_format_table(self):
-        table = common.format_table(["a", "bb"], [[1, 2], [33, 4]])
+        table = format_table(["a", "bb"], [[1, 2], [33, 4]])
         lines = table.splitlines()
         assert len(lines) == 4
         assert lines[0].startswith("a")
-
-    def test_write_result(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        path = common.write_result("probe", "hello")
-        assert path.read_text() == "hello\n"
 
     def test_seeds_are_distinct(self):
         seeds = scale.seeds_for(10)

@@ -106,7 +106,7 @@ class TestRegisteredScenarios:
         from repro.runner.registry import SCENARIOS
 
         for name in ("fabric-smoke", "fabric-k8", "fabric-bench", "fabric-1024"):
-            scenario = SCENARIOS.build(name)
+            scenario = SCENARIOS.get(name).compute()
             assert scenario.topology == "fabric"
             names = [flow.name for flow in scenario.flows]
             assert len(set(names)) == len(names)

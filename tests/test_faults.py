@@ -329,7 +329,7 @@ class TestWatchdog:
         monkeypatch.setenv(runtime.VARS["scale"].env, "smoke")
         guard = FaultPlan(watchdog=WatchdogConfig())
         for entry in SCENARIOS:
-            sc = dataclasses.replace(SCENARIOS.build(entry.id), faults=guard)
+            sc = dataclasses.replace(entry.compute(), faults=guard)
             res, _ = run_scenario_inline(sc, 0)
             counters = res.metrics["counters"]
             assert counters.get("watchdog.cycles", 0) == 0, entry.id

@@ -456,7 +456,7 @@ class TestScenarioIntegration:
         from repro.runner import SCENARIOS
 
         scenario = dataclasses.replace(
-            SCENARIOS.build("fabric-smoke"),
+            SCENARIOS.get("fabric-smoke").compute(),
             invariants=InvariantConfig(mode="report"),
         )
         result, _ = run_scenario_inline(scenario, seed=0)
@@ -479,7 +479,7 @@ class TestScenarioIntegration:
 
         for named in SCENARIOS:
             scenario = dataclasses.replace(
-                SCENARIOS.build(named.id),
+                named.compute(),
                 invariants=InvariantConfig(mode="strict"),
             )
             result, _ = run_scenario_inline(scenario, seed=0)

@@ -13,9 +13,9 @@ from repro.cli import main
 from repro.core.params import DCQCNParams
 from repro.runner import (
     Cell,
-    ExperimentRegistry,
     FlowSpec,
     REGISTRY,
+    Registry,
     RunResult,
     Scenario,
     SweepPoint,
@@ -274,13 +274,13 @@ class TestResultsSchema:
 
 class TestRegistry:
     def test_duplicate_id_rejected(self):
-        registry = ExperimentRegistry()
+        registry = Registry("experiment")
         registry.register("x", "first")(lambda: "a")
         with pytest.raises(ValueError, match="duplicate"):
             registry.register("x", "again")(lambda: "b")
 
     def test_get_unknown_lists_known(self):
-        registry = ExperimentRegistry()
+        registry = Registry("experiment")
         registry.register("fig99", "test")(lambda: "t")
         with pytest.raises(KeyError, match="fig99"):
             registry.get("nope")
@@ -295,7 +295,8 @@ class TestRegistry:
     def test_commands_compat_view(self):
         # the CLI dispatches straight off the registry: no second table
         entry = REGISTRY.get("tab14")
-        assert callable(entry.runner) and isinstance(entry.description, str)
+        assert callable(entry.compute) and callable(entry.table)
+        assert isinstance(entry.description, str)
 
 
 class TestEndToEnd:

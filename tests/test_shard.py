@@ -231,7 +231,7 @@ from repro.experiments import catalog  # registers the named scenarios
 from repro.runner import run_scenario_inline
 from repro.runner.registry import SCENARIOS
 for name in ("victim", "fabric-smoke"):  # the Fig 2 Clos, a k=4 fat-tree
-    result, net = run_scenario_inline(SCENARIOS.build(name), 0)
+    result, net = run_scenario_inline(SCENARIOS.get(name).compute(), 0)
     print(name, "serial" if net is not None else "sharded")
 """
 

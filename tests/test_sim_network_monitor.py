@@ -3,7 +3,7 @@
 import pytest
 
 from repro import units
-from repro.sim.monitor import CounterSet, QueueSampler, RateSampler
+from repro.sim.monitor import QueueSampler, RateSampler
 from repro.sim.network import Network
 from repro.sim.topology import single_switch
 
@@ -104,19 +104,3 @@ class TestQueueSampler:
         )
         net.run_for(units.us(100))
         assert sampler.max_bytes() == 0
-
-
-class TestCounterSet:
-    def test_add_and_get(self):
-        counters = CounterSet()
-        counters.add("x")
-        counters.add("x", 4)
-        assert counters.get("x") == 5
-        assert counters.get("missing") == 0
-
-    def test_snapshot_is_copy(self):
-        counters = CounterSet()
-        counters.add("x")
-        snap = counters.snapshot()
-        counters.add("x")
-        assert snap == {"x": 1}

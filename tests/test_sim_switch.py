@@ -525,7 +525,8 @@ class TestAllocateOnFirstUse:
         from repro.runner import run_scenario_inline
         from repro.runner.registry import SCENARIOS
 
-        _, net = run_scenario_inline(SCENARIOS.build("fabric-smoke"), seed=0)
+        scenario = SCENARIOS.get("fabric-smoke").compute()
+        _, net = run_scenario_inline(scenario, seed=0)
         slots, _, nic_control = queue_holders(net)
         assert {prio for _, _, prio in slots} == {0, CONTROL_PRIORITY}
         total = sum(len(switch._egress_queues) for switch in net.switches)

@@ -412,10 +412,3 @@ class TestCli:
 
         assert main(["trace", "nope"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
-
-    def test_microbench_alias_registered(self):
-        import repro.cli  # noqa: F401  (importing it populates REGISTRY)
-        from repro.runner import REGISTRY
-
-        assert "microbench" in REGISTRY
-        assert "sec61" in REGISTRY
