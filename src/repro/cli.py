@@ -42,6 +42,10 @@ Figure rendering (see DESIGN.md §12)::
     python -m repro plot grid --metric eleph_p99   # grid heatmap
     python -m repro plot queues --out-dir /tmp/f   # Fig 19 queue CDFs
 
+Result digests (see DESIGN.md §7)::
+
+    python -m repro digest > tests/digests.json    # re-pin every id and scenario
+
 Each command prints the same rows the corresponding benchmark emits.
 The experiment table is :data:`repro.runner.REGISTRY`, populated by
 :mod:`repro.experiments.catalog`.  The options that are fields of
@@ -642,6 +646,49 @@ def faults_main(argv: Sequence[str]) -> int:
     return 0
 
 
+def digest_main(argv: Sequence[str]) -> int:
+    """``python -m repro digest`` — the manifest ``tests/digests.json`` pins.
+
+    Every registered id runs at smoke scale with the cache on, each in
+    its own fresh results directory, so the cells it leaves there are
+    its own; then every named scenario runs once, strict, at seed 0.
+    Prints the manifest as JSON (see :mod:`repro.runner.digest`).
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro digest",
+        description="Print the result-digest manifest of every id and scenario.",
+    )
+    _add_shared(parser, "jobs")
+    args = parser.parse_args(argv)
+    _export_env(args)
+
+    import json
+    import tempfile
+
+    from repro.runner import digest
+
+    # the one configuration the manifest is taken at; the arena would
+    # arm its cells from an ambient guard mode
+    os.environ[runtime.VARS["scale"].env] = "smoke"
+    os.environ[runtime.VARS["cache"].env] = "on"
+    os.environ.pop(runtime.VARS["invariants"].env, None)
+    manifest: dict = {"experiments": {}, "scenarios": {}}
+    with tempfile.TemporaryDirectory() as root:
+        for experiment in REGISTRY:
+            os.environ[runtime.VARS["results_dir"].env] = os.path.join(
+                root, experiment.id
+            )
+            manifest["experiments"][experiment.id] = digest.of_experiment(
+                experiment.run()
+            )
+    for named in SCENARIOS:
+        manifest["scenarios"][named.id] = digest.sha256(
+            digest.scenario_result(named.id).to_json()
+        )
+    print(json.dumps(manifest, indent=1, sort_keys=True))
+    return 0
+
+
 def run_scenario_main(scenario_id: str, args) -> int:
     """``python -m repro run <scenario>`` — one inline scenario repetition.
 
@@ -709,6 +756,7 @@ SUBCOMMANDS = {
     "scenarios": scenarios_main,
     "faults": faults_main,
     "plot": plot_main,
+    "digest": digest_main,
 }
 
 

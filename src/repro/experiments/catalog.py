@@ -348,18 +348,9 @@ def _ablations_table(result) -> str:
     table=_ablations_table,
 )
 def ablations():
-    from repro import units
-    from repro.experiments.qcn_ablation import (
-        queue_std_for_jitter,
-        queue_tail_for_pmax,
-        run_ablation,
-    )
+    from repro.experiments.qcn_ablation import run_ablations
 
-    return {
-        "schemes": run_ablation(),
-        "pmax_q90_kb": {p: queue_tail_for_pmax(p) for p in (0.01, 0.10)},
-        "jitter_std_kb": {j: queue_std_for_jitter(j) for j in (0, units.us(4))},
-    }
+    return run_ablations()
 
 
 @experiment(

@@ -133,31 +133,23 @@ def run_single_switch_fairness(
     return _from_cell(value)
 
 
-def run_ablation(**kwargs) -> Dict[str, SingleSwitchFairnessResult]:
-    """All three schemes on the single-switch incast (fanned out)."""
-    schemes = ("none", "qcn", "dcqcn")
-    cells = [
-        Cell(_CELL_FN, _cell_kwargs(scheme=scheme, **{
-            "n_senders": kwargs.get("n_senders", 4),
-            "warmup_ns": kwargs.get("warmup_ns"),
-            "measure_ns": kwargs.get("measure_ns"),
-            "seed": kwargs.get("seed", 61),
-        }))
-        for scheme in schemes
-    ]
-    values = execute(cells)
-    return {scheme: _from_cell(v) for scheme, v in zip(schemes, values)}
-
-
-def _incast_queue_bytes(
-    params, degree: int, seed: int, warmup_ns: int, measure_ns: int
-) -> List[int]:
+def queue_cell(
+    overrides: Dict[str, Any],
+    degree: int,
+    seed: int,
+    warmup_ns: int,
+    measure_ns: int,
+) -> Dict[str, Any]:
     """Bottleneck queue every 10 us after ``warmup_ns`` of a greedy
-    ``degree``:1 DCQCN incast whose switch marks with ``params``."""
+    ``degree``:1 DCQCN incast whose switch marks, and whose flows react,
+    with the deployed parameters plus ``overrides`` — the worker-side
+    entry point."""
+    from repro.core.params import DCQCNParams
     from repro.sim.monitor import QueueSampler
     from repro.sim.switch import SwitchConfig
     from repro.sim.topology import single_switch
 
+    params = replace(DCQCNParams.deployed(), **overrides)
     net, switch, hosts = single_switch(
         degree + 1,
         switch_config=SwitchConfig(marking=params),
@@ -174,33 +166,59 @@ def _incast_queue_bytes(
         interval_ns=units.us(10),
     )
     net.run_for(measure_ns)
-    return sampler.samples_bytes
+    return {"samples_bytes": sampler.samples_bytes}
 
 
-def queue_tail_for_pmax(pmax: float, degree: int = 16) -> float:
-    """q90 (KB) of the 16:1 incast queue with Table 14's Pmax replaced."""
-    from repro.core.params import DCQCNParams
+_QUEUE_CELL_FN = "repro.experiments.qcn_ablation:queue_cell"
 
-    samples = _incast_queue_bytes(
-        replace(DCQCNParams.deployed(), pmax=pmax),
-        degree,
-        seed=71,
-        warmup_ns=scale.pick(units.ms(25), units.ms(25), units.ms(3)),
-        measure_ns=scale.pick(units.ms(15), units.ms(15), units.ms(2)),
-    )
-    return percentile(samples, 90) / 1e3
+#: Table 14's Pmax against §6.1's queue bound, on the 16:1 incast
+PMAXES = (0.01, 0.10)
+#: RP rate-increase timer jitter (ns), on the 8:1 incast
+JITTERS_NS = (0, units.us(4))
 
 
-def queue_std_for_jitter(jitter_ns: int) -> float:
-    """Standard deviation (KB) of the 8:1 incast queue under RP timer
-    jitter ``jitter_ns``."""
-    from repro.core.params import DCQCNParams
+def run_ablations() -> Dict[str, Any]:
+    """The three ablations as one fan-out of seven cells.
 
-    samples = _incast_queue_bytes(
-        replace(DCQCNParams.deployed(), rate_increase_timer_jitter_ns=jitter_ns),
-        8,
-        seed=73,
-        warmup_ns=scale.pick(units.ms(20), units.ms(20), units.ms(3)),
-        measure_ns=scale.pick(units.ms(15), units.ms(15), units.ms(2)),
-    )
-    return float(np.std(samples)) / 1e3
+    ``schemes``: the 4:1 single-switch incast under each scheme;
+    ``pmax_q90_kb``: q90 (KB) of the 16:1 incast queue with Table 14's
+    Pmax replaced; ``jitter_std_kb``: standard deviation (KB) of the
+    8:1 incast queue under each RP timer jitter.
+    """
+    schemes = ("none", "qcn", "dcqcn")
+    pmax_horizon = {
+        "warmup_ns": scale.pick(units.ms(25), units.ms(25), units.ms(3)),
+        "measure_ns": scale.pick(units.ms(15), units.ms(15), units.ms(2)),
+    }
+    jitter_horizon = {
+        "warmup_ns": scale.pick(units.ms(20), units.ms(20), units.ms(3)),
+        "measure_ns": scale.pick(units.ms(15), units.ms(15), units.ms(2)),
+    }
+    cells = [
+        Cell(_CELL_FN, _cell_kwargs(scheme, 4, None, None, seed=61))
+        for scheme in schemes
+    ]
+    cells += [
+        Cell(_QUEUE_CELL_FN, dict(
+            overrides={"pmax": pmax}, degree=16, seed=71, **pmax_horizon
+        ))
+        for pmax in PMAXES
+    ]
+    cells += [
+        Cell(_QUEUE_CELL_FN, dict(
+            overrides={"rate_increase_timer_jitter_ns": jitter},
+            degree=8, seed=73, **jitter_horizon,
+        ))
+        for jitter in JITTERS_NS
+    ]
+    values = iter(execute(cells))  # consumed in the order cells was built
+    return {
+        "schemes": {s: _from_cell(next(values)) for s in schemes},
+        "pmax_q90_kb": {
+            p: percentile(next(values)["samples_bytes"], 90) / 1e3 for p in PMAXES
+        },
+        "jitter_std_kb": {
+            j: float(np.std(next(values)["samples_bytes"])) / 1e3
+            for j in JITTERS_NS
+        },
+    }

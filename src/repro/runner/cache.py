@@ -27,7 +27,7 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Iterator, Mapping, Optional, Tuple
 
 from repro import runtime
 
@@ -84,11 +84,19 @@ def load(fn: str, kwargs: Mapping[str, Any]) -> Any:
         return MISS
     try:
         return json.loads(path.read_text())["result"]
-    except (json.JSONDecodeError, KeyError):
+    except (json.JSONDecodeError, KeyError, TypeError):
+        # not JSON, or JSON but not an entry object (null, [1], "x")
         warnings.warn(f"discarding corrupt cache entry {path.name}", stacklevel=2)
         return MISS  # corrupt or half-written entry: recompute
     except OSError:
         return MISS  # vanished or unreadable: recompute
+
+
+def entries() -> Iterator[Tuple[str, Any, Any]]:
+    """``(fn, kwargs, result)`` of every cell stored in :func:`cache_dir`."""
+    for path in sorted(cache_dir().glob("*.json")):
+        entry = json.loads(path.read_text())
+        yield entry["fn"], entry["kwargs"], entry["result"]
 
 
 def store(fn: str, kwargs: Mapping[str, Any], result: Any) -> Optional[Path]:

@@ -1,8 +1,10 @@
 """Registry-driven CLI smoke tests.
 
 Every registered experiment must run end-to-end at the tiny ``smoke``
-scale and print a non-empty table.  Iterating the registry (instead of
-naming commands) means a newly registered experiment is covered
+scale, print a non-empty table, and reproduce its pinned digests in
+``tests/digests.json``: the table's and every cell's it left in its own
+fresh result cache.  Iterating the registry (instead of naming
+commands) means a newly registered experiment is covered
 automatically.  The figure tests in ``benchmarks/`` read the same
 registry entries through their conftest's ``figure(id)``; the tests at
 the bottom hold the two callers to one definition.
@@ -17,10 +19,12 @@ import pytest
 
 from repro import runtime
 from repro.cli import main
-from repro.runner import REGISTRY
+from repro.runner import REGISTRY, SCENARIOS, digest
+from tests.pins import MANIFEST, REPIN, assert_pinned
 
 RESULTS_ENV = runtime.VARS["results_dir"].env
 SCALE_ENV = runtime.VARS["scale"].env
+CACHE_ENV = runtime.VARS["cache"].env
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -37,22 +41,28 @@ def _load_benchmark_conftest():
     return module
 
 
-@pytest.fixture(scope="module")
-def smoke_results_dir(tmp_path_factory):
-    """One shared cache dir so repeated cells amortize within the module."""
-    return tmp_path_factory.mktemp("smoke-results")
-
-
 @pytest.mark.parametrize("experiment_id", REGISTRY.ids())
-def test_experiment_smoke(experiment_id, smoke_results_dir, monkeypatch, capsys):
+def test_experiment_smoke(experiment_id, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(SCALE_ENV, "smoke")
-    monkeypatch.setenv(RESULTS_ENV, str(smoke_results_dir))
+    monkeypatch.setenv(CACHE_ENV, "on")
+    monkeypatch.setenv(RESULTS_ENV, str(tmp_path))  # only this id's cells
     assert main([experiment_id]) == 0
     out = capsys.readouterr().out
     lines = [line for line in out.splitlines() if line.strip()]
     # header banner, column headers, separator, and at least one data row
     assert lines[0].startswith(f"=== {experiment_id}:")
     assert len(lines) >= 4, f"{experiment_id} printed no table:\n{out}"
+    table = out.split("\n", 1)[1].removesuffix("\n")
+    assert_pinned(
+        f"experiment {experiment_id}",
+        MANIFEST["experiments"].get(experiment_id),
+        digest.of_experiment(table),
+    )
+
+
+def test_the_manifest_covers_every_id_and_scenario():
+    assert sorted(MANIFEST["experiments"]) == REGISTRY.ids(), REPIN
+    assert sorted(MANIFEST["scenarios"]) == SCENARIOS.ids(), REPIN
 
 
 def test_run_subcommand(monkeypatch, capsys, tmp_path):

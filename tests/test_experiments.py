@@ -152,26 +152,6 @@ class TestLatencyAndParkingLot:
         )
         assert dcqcn.percentile_kb(90) < dctcp.percentile_kb(90)
 
-    def test_fig19_dctcp_arm_pinned(self):
-        """The DCTCP arm at smoke size, pinned to the values the
-        pre-registry ``add_dctcp_flow`` path produced (PR 12's commit),
-        the way bench/digests.json pins the contract workloads."""
-        import hashlib
-        import json
-
-        from repro.experiments.latency import queue_cell
-
-        value = queue_cell(
-            "dctcp", 2, units.ms(4), units.ms(2), units.us(5), seed=23
-        )
-        samples = json.dumps(value["samples_bytes"]).encode()
-        assert len(value["samples_bytes"]) == 400
-        assert hashlib.sha256(samples).hexdigest() == (
-            "26052126a0bf496fc73e99cf7925fbab"
-            "8dca32ac305f7ba909c035354f88e55a"
-        )
-        assert value["total_goodput_gbps"] == 40.0
-
     def test_queue_comparison_validates_protocol(self):
         with pytest.raises(ValueError):
             run_queue_comparison("cubic")

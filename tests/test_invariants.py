@@ -449,20 +449,6 @@ class TestScenarioIntegration:
         assert report["checks"] > 0
         assert report["sweeps"] > 0
 
-    def test_fabric_smoke_check_count_pinned(self, isolated_results):
-        # k=4 fat-tree incast; the count was taken before the sweep
-        # skipped empty switches and the dequeue check moved inline
-        import repro.experiments.catalog  # noqa: F401  (populates SCENARIOS)
-        from repro.runner import SCENARIOS
-
-        scenario = dataclasses.replace(
-            SCENARIOS.get("fabric-smoke").compute(),
-            invariants=InvariantConfig(mode="report"),
-        )
-        result, _ = run_scenario_inline(scenario, seed=0)
-        assert result.invariant_report["checks"] == 23_419
-        assert result.invariant_report["violation_count"] == 0
-
     def test_guard_does_not_change_results(self, isolated_results):
         bare, _ = run_scenario_inline(smoke_scenario(), seed=0)
         guarded, _ = run_scenario_inline(
@@ -472,18 +458,16 @@ class TestScenarioIntegration:
         assert guarded.counters == bare.counters
 
     def test_every_registered_scenario_clean_under_strict(self, isolated_results):
-        import dataclasses
+        """...and equal to its pin in tests/digests.json, check count too."""
+        from repro.runner import SCENARIOS, digest
+        from tests.pins import MANIFEST, assert_pinned
 
-        import repro.experiments.catalog  # noqa: F401  (populates SCENARIOS)
-        from repro.runner import SCENARIOS
-
-        for named in SCENARIOS:
-            scenario = dataclasses.replace(
-                named.compute(),
-                invariants=InvariantConfig(mode="strict"),
-            )
-            result, _ = run_scenario_inline(scenario, seed=0)
-            assert result.invariant_report["violation_count"] == 0, named.id
+        fresh = {}
+        for scenario_id in SCENARIOS.ids():
+            result = digest.scenario_result(scenario_id)
+            assert result.invariant_report["violation_count"] == 0, scenario_id
+            fresh[scenario_id] = digest.sha256(result.to_json())
+        assert_pinned("named scenarios", MANIFEST["scenarios"], fresh)
 
     def test_strict_violation_becomes_run_failure_in_sweep(self, isolated_results):
         import dataclasses

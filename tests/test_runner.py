@@ -118,8 +118,11 @@ class TestCache:
 
     def test_corrupt_entry_is_a_miss(self, isolated_results):
         path = cache.store("m:f", {"a": 1}, 42)
-        path.write_text("not json{")
-        assert cache.load("m:f", {"a": 1}) is cache.MISS
+        # not JSON, then JSON that is not an entry object
+        for text in ("not json{", "null", "[1]", '"x"', "{}"):
+            path.write_text(text)
+            with pytest.warns(UserWarning, match="corrupt cache entry"):
+                assert cache.load("m:f", {"a": 1}) is cache.MISS
 
     def test_cache_off_recomputes(self, isolated_results, monkeypatch):
         cells = [Cell(SEEDS_FN, {"repetitions": 2})]
