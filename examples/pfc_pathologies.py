@@ -19,28 +19,28 @@ from repro.experiments.pfc_pathologies import run_unfairness, run_victim_flow
 
 def main() -> None:
     print("=== Parking-lot unfairness (Figure 3: PFC only) ===")
-    result = run_unfairness("none", repetitions=3)
+    result = run_unfairness("none")
     print(result.table())
     print(f"PAUSE frames per run: {result.pause_frames}")
     print("\nH4's *minimum* beats the others' typical share: PFC pauses "
           "ports,\nnot flows, and H4 shares its port with nobody.\n")
 
     print("=== Same scenario with DCQCN (Figure 8) ===")
-    result = run_unfairness("dcqcn", repetitions=3)
+    result = run_unfairness("dcqcn")
     print(result.table())
     print(f"PAUSE frames per run: {result.pause_frames}")
     print("\nPer-flow control: everyone converges to a quarter of the "
           "bottleneck\nand PFC never fires.\n")
 
     print("=== Victim flow (Figure 4: PFC only) ===")
-    result = run_victim_flow("none", repetitions=3)
+    result = run_victim_flow("none")
     print(result.table())
     print("\nThe victim shares no congested link with the incast, yet "
           "loses\nthroughput to the PAUSE cascade — and more as senders "
           "are added\nunder T3.\n")
 
     print("=== Same scenario with DCQCN (Figure 9) ===")
-    result = run_victim_flow("dcqcn", repetitions=3)
+    result = run_victim_flow("dcqcn")
     print(result.table())
     print("\nWith the incast paced at the true bottleneck, the cascade "
           "never\nstarts and the victim keeps its bandwidth.")

@@ -15,7 +15,7 @@ import argparse
 
 from repro import units
 from repro.analysis.stats import summarize
-from repro.experiments.benchmark_traffic import run_benchmark_traffic
+from repro.experiments.benchmark_traffic import traffic_cell
 
 
 def main() -> None:
@@ -30,19 +30,27 @@ def main() -> None:
           f"{args.degree}:1 disk rebuild, 40 Gbps Clos\n")
 
     for variant, label in (("none", "PFC only"), ("dcqcn", "DCQCN")):
-        result = run_benchmark_traffic(
-            variant, incast_degree=args.degree, n_pairs=args.pairs, repetitions=1
+        # DCQCN flows start at line rate and need a few ms to settle
+        result = traffic_cell(
+            variant,
+            incast_degree=args.degree,
+            n_pairs=args.pairs,
+            warmup_ns=units.ms(8 if variant == "dcqcn" else 2),
+            measure_ns=units.ms(8),
+            hosts_per_tor=5,
+            fresh_qp_per_message=False,
+            seed=5000 + 17 * args.degree,
         )
-        user = summarize(result.user_bps)
-        rebuild = summarize(result.incast_bps)
+        user = summarize(result["user_bps"])
+        rebuild = summarize(result["incast_bps"])
         print(f"=== {label} ===")
         print(f"  user pairs     : median {user.median / 1e9:5.2f} Gbps, "
               f"p10 {user.p10 / 1e9:5.2f} Gbps")
         print(f"  rebuild senders: median {rebuild.median / 1e9:5.2f} Gbps, "
               f"p10 {rebuild.p10 / 1e9:5.2f} Gbps "
               f"(ideal fair share {40 / args.degree:.2f})")
-        print(f"  PAUSE frames at spines: {result.total_spine_pauses()}")
-        print(f"  packets dropped: {sum(result.dropped_packets)}\n")
+        print(f"  PAUSE frames at spines: {result['spine_pause_frames']}")
+        print(f"  packets dropped: {result['dropped_packets']}\n")
 
     print("DCQCN keeps the rebuild fair and the user traffic unharmed —\n"
           "the PAUSE storm (and the head-of-line blocking it causes) is gone.")

@@ -1,11 +1,13 @@
 """One module per paper experiment (see DESIGN.md's experiment index).
 
-Every experiment is a plain function returning a structured result
-dataclass.  :mod:`repro.experiments.catalog` registers each paper
-artifact once, as ``compute()`` plus ``table(result)``; both
-``python -m repro <id>`` and the ``benchmarks/`` figure tests read that
-one definition, and ``examples/`` reuses the functions for runnable
-demos.
+A module is its cell functions plus one driver per catalog id, which
+takes no knobs, sizes itself with ``scale.pick`` and returns a
+structured result dataclass.  :mod:`repro.experiments.catalog`
+registers each paper artifact once, as ``compute()`` plus
+``table(result)``; both ``python -m repro <id>`` and the
+``benchmarks/`` figure tests read that one definition.  A test or an
+example that needs a smaller run calls a cell function or a
+``Scenario`` builder.
 
 Durations are scaled relative to the testbed (minutes -> tens of
 simulated milliseconds); set ``REPRO_SCALE=full`` for longer runs and

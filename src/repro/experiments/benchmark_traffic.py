@@ -26,7 +26,7 @@ cores at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro import units
 from repro.analysis.stats import percentile
@@ -34,7 +34,6 @@ from repro.core.params import DCQCNParams
 from repro.runner import Cell, execute, format_table
 from repro.runner import scale
 from repro.sim.switch import SwitchConfig
-from repro.traffic.distributions import FlowSizeDistribution
 
 VARIANTS = ("none", "dcqcn", "dcqcn_no_pfc", "dcqcn_misconfigured")
 
@@ -75,6 +74,13 @@ class BenchmarkTrafficResult:
     incast_bps: List[float] = field(default_factory=list)
     spine_pause_frames: List[int] = field(default_factory=list)
     dropped_packets: List[int] = field(default_factory=list)
+
+    def add(self, value: Dict[str, Any]) -> None:
+        """Fold in one repetition, as :func:`traffic_cell` returned it."""
+        self.user_bps.extend(value["user_bps"])
+        self.incast_bps.extend(value["incast_bps"])
+        self.spine_pause_frames.append(value["spine_pause_frames"])
+        self.dropped_packets.append(value["dropped_packets"])
 
     def user_median_gbps(self) -> float:
         return percentile(self.user_bps, 50) / 1e9
@@ -127,13 +133,13 @@ def traffic_cell(
     hosts_per_tor: int,
     fresh_qp_per_message: bool,
     seed: int,
-    distribution: Optional[FlowSizeDistribution] = None,
 ) -> Dict[str, Any]:
     """One (configuration, repetition) — the worker-side entry point.
 
-    ``distribution`` is only passed on the in-process path (a custom
-    distribution is not JSON-serializable); worker cells always replay
-    the default storage-cluster trace.
+    Each repetition rebuilds the Clos fabric with a fresh seed (new
+    ECMP placement, new random pairs and incast participants), runs
+    ``warmup + measure`` of simulated time and accounts goodput over
+    the measurement window only.
     """
     from repro.sim.topology import three_tier_clos
     from repro.traffic.distributions import storage_cluster
@@ -144,7 +150,6 @@ def traffic_cell(
     )
 
     cc, switch_config = variant_setup(variant)
-    distribution = distribution or storage_cluster()
     spec = three_tier_clos(
         hosts_per_tor=hosts_per_tor, seed=seed, switch_config=switch_config
     )
@@ -157,7 +162,7 @@ def traffic_cell(
         spec.net,
         hosts,
         n_pairs,
-        distribution=distribution,
+        distribution=storage_cluster(),
         cc=cc,
         seed=seed + 1,
         exclude=[receiver],
@@ -187,126 +192,65 @@ def traffic_cell(
 
 _CELL_FN = "repro.experiments.benchmark_traffic:traffic_cell"
 
+#: user pairs, unless a figure varies them
+N_PAIRS = 20
 
-def _plan(
-    variant: str,
-    incast_degree: int,
-    n_pairs: int = 20,
-    repetitions: Optional[int] = None,
-    warmup_ns: Optional[int] = None,
-    measure_ns: Optional[int] = None,
-    hosts_per_tor: int = 5,
-    distribution: Optional[FlowSizeDistribution] = None,
-    mtu_bytes: int = 1000,
-    fresh_qp_per_message: bool = False,
-) -> Dict[str, Any]:
-    """Resolve defaults into one configuration's list of cell kwargs."""
-    cc, _ = variant_setup(variant)
-    repetitions = repetitions or scale.pick(1, 5, 1)
-    warmup_ns = (
-        warmup_ns
-        if warmup_ns is not None
-        else (
+
+def _run(
+    configs: Sequence[Tuple[str, int, int]], fresh_qp_per_message: bool = False
+) -> List[BenchmarkTrafficResult]:
+    """One result per ``(variant, incast degree, #pairs)``, with every
+    repetition of every configuration in ONE executor fan-out."""
+    repetitions = scale.pick(1, 5, 1)
+    measure_ns = scale.pick(units.ms(8), units.ms(30), units.ms(2))
+    results: List[BenchmarkTrafficResult] = []
+    cells: List[Cell] = []
+    for variant, incast_degree, n_pairs in configs:
+        cc, _ = variant_setup(variant)
+        warmup_ns = (
             scale.pick(units.ms(8), units.ms(20), units.ms(3))
             if cc == "dcqcn"
             else units.ms(2)
         )
-    )
-    measure_ns = measure_ns or scale.pick(units.ms(8), units.ms(30), units.ms(2))
-    cell_kwargs = [
-        {
-            "variant": variant,
-            "incast_degree": incast_degree,
-            "n_pairs": n_pairs,
-            "warmup_ns": warmup_ns,
-            "measure_ns": measure_ns,
-            "hosts_per_tor": hosts_per_tor,
-            "fresh_qp_per_message": fresh_qp_per_message,
-            "seed": seed,
-        }
-        for seed in scale.seeds_for(repetitions, base=5000 + incast_degree * 17)
-    ]
-    return {
-        "variant": variant,
-        "incast_degree": incast_degree,
-        "n_pairs": n_pairs,
-        "repetitions": repetitions,
-        "measure_ns": measure_ns,
-        "distribution": distribution,
-        "cell_kwargs": cell_kwargs,
-    }
-
-
-def _aggregate(plan: Dict[str, Any], values: List[Dict[str, Any]]) -> BenchmarkTrafficResult:
-    result = BenchmarkTrafficResult(
-        variant=plan["variant"],
-        incast_degree=plan["incast_degree"],
-        n_pairs=plan["n_pairs"],
-        repetitions=plan["repetitions"],
-        measure_ms=plan["measure_ns"] / 1e6,
-    )
-    for value in values:
-        result.user_bps.extend(value["user_bps"])
-        result.incast_bps.extend(value["incast_bps"])
-        result.spine_pause_frames.append(value["spine_pause_frames"])
-        result.dropped_packets.append(value["dropped_packets"])
-    return result
-
-
-def _run_plans(plans: List[Dict[str, Any]]) -> List[BenchmarkTrafficResult]:
-    """Execute every plan's cells through ONE executor fan-out.
-
-    Plans carrying a custom (non-serializable) distribution run their
-    cells in-process and bypass the cache.
-    """
-    flat = [
-        Cell(_CELL_FN, kwargs)
-        for plan in plans
-        if plan["distribution"] is None
-        for kwargs in plan["cell_kwargs"]
-    ]
-    values = iter(execute(flat) if flat else [])
-    results = []
-    for plan in plans:
-        if plan["distribution"] is None:
-            plan_values = [next(values) for _ in plan["cell_kwargs"]]
-        else:
-            plan_values = [
-                traffic_cell(distribution=plan["distribution"], **kwargs)
-                for kwargs in plan["cell_kwargs"]
-            ]
-        results.append(_aggregate(plan, plan_values))
+        results.append(BenchmarkTrafficResult(
+            variant=variant,
+            incast_degree=incast_degree,
+            n_pairs=n_pairs,
+            repetitions=repetitions,
+            measure_ms=measure_ns / 1e6,
+        ))
+        cells += [
+            Cell(_CELL_FN, {
+                "variant": variant,
+                "incast_degree": incast_degree,
+                "n_pairs": n_pairs,
+                "warmup_ns": warmup_ns,
+                "measure_ns": measure_ns,
+                "hosts_per_tor": 5,
+                "fresh_qp_per_message": fresh_qp_per_message,
+                "seed": seed,
+            })
+            for seed in scale.seeds_for(repetitions, base=5000 + incast_degree * 17)
+        ]
+    values = iter(execute(cells))
+    for result in results:
+        for _ in range(repetitions):
+            result.add(next(values))
     return results
 
 
-def run_benchmark_traffic(
-    variant: str,
-    incast_degree: int,
-    **kwargs,
-) -> BenchmarkTrafficResult:
-    """One cell of Figures 15-18.
-
-    Each repetition rebuilds the Clos fabric with a fresh seed (new
-    ECMP placement, new random pairs and incast participants), runs
-    ``warmup + measure`` of simulated time and accounts goodput over
-    the measurement window only.
-    """
-    (result,) = _run_plans([_plan(variant, incast_degree, **kwargs)])
-    return result
+def run_fig15() -> Dict[str, BenchmarkTrafficResult]:
+    """Figure 15: PAUSE frames at the spines under 10:1 incast, without
+    and with DCQCN."""
+    variants = ("none", "dcqcn")
+    return dict(zip(variants, _run([(v, 10, N_PAIRS) for v in variants])))
 
 
-def run_fig16(
-    degrees: Sequence[int] = (2, 4, 6, 8, 10),
-    variants: Sequence[str] = ("none", "dcqcn"),
-    **kwargs,
-) -> Dict[str, Dict[int, BenchmarkTrafficResult]]:
+def run_fig16() -> Dict[str, Dict[int, BenchmarkTrafficResult]]:
     """Figure 16: user/incast throughput vs incast degree."""
-    plans = [
-        _plan(variant, degree, **kwargs)
-        for variant in variants
-        for degree in degrees
-    ]
-    results = iter(_run_plans(plans))
+    variants = ("none", "dcqcn")
+    degrees = scale.pick((2, 6, 10), (2, 4, 6, 8, 10), (2, 6))
+    results = iter(_run([(v, d, N_PAIRS) for v in variants for d in degrees]))
     return {
         variant: {degree: next(results) for degree in degrees}
         for variant in variants
@@ -321,40 +265,25 @@ def fig16_table(results: Dict[str, Dict[int, BenchmarkTrafficResult]]) -> str:
     return format_table(RESULT_HEADERS, rows)
 
 
-def run_fig17(
-    pair_counts: Sequence[int] = (5, 80),
-    incast_degree: int = 10,
-    **kwargs,
-) -> Dict[str, BenchmarkTrafficResult]:
+def run_fig17() -> Dict[str, BenchmarkTrafficResult]:
     """Figure 17: "16x more user traffic".
 
-    5 pairs without DCQCN vs 16x as many (80) pairs with DCQCN; the
-    paper shows the CDFs match, i.e. DCQCN carries 16x the user load
-    at the same per-pair performance.
+    5 pairs without DCQCN vs 16x as many (80) pairs with DCQCN, both
+    under 10:1 incast; the paper shows the CDFs match, i.e. DCQCN
+    carries 16x the user load at the same per-pair performance.
     """
-    low, high = pair_counts
-    none_result, dcqcn_result = _run_plans([
-        _plan("none", incast_degree, n_pairs=low, **kwargs),
-        _plan("dcqcn", incast_degree, n_pairs=high, **kwargs),
-    ])
-    return {
-        f"none_{low}pairs": none_result,
-        f"dcqcn_{high}pairs": dcqcn_result,
-    }
+    none_result, dcqcn_result = _run([("none", 10, 5), ("dcqcn", 10, 80)])
+    return {"none_5pairs": none_result, "dcqcn_80pairs": dcqcn_result}
 
 
-def run_fig18(
-    incast_degree: int = 8,
-    variants: Sequence[str] = VARIANTS,
-    **kwargs,
-) -> Dict[str, BenchmarkTrafficResult]:
+def run_fig18() -> Dict[str, BenchmarkTrafficResult]:
     """Figure 18: why PFC and correct thresholds are both needed.
 
-    User transfers run as fresh queue pairs (line-rate start per
-    message): with DCQCN but no PFC, every transfer start is a
-    loss event and go-back-N recovery caps the tails — exactly the
-    paper's "DCQCN does not obviate the need for PFC".
+    Under 8:1 incast, user transfers run as fresh queue pairs
+    (line-rate start per message): with DCQCN but no PFC, every
+    transfer start is a loss event and go-back-N recovery caps the
+    tails — exactly the paper's "DCQCN does not obviate the need for
+    PFC".
     """
-    kwargs.setdefault("fresh_qp_per_message", True)
-    plans = [_plan(variant, incast_degree, **kwargs) for variant in variants]
-    return dict(zip(variants, _run_plans(plans)))
+    configs = [(variant, 8, N_PAIRS) for variant in VARIANTS]
+    return dict(zip(VARIANTS, _run(configs, fresh_qp_per_message=True)))

@@ -9,7 +9,7 @@ the misconfigured static thresholds, PFC fires before ECN.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import units
 from repro.buffers.thresholds import ThresholdPlan, plan_thresholds
@@ -114,27 +114,19 @@ def ecn_check_cell(
 _CELL_FN = "repro.experiments.buffer_settings:ecn_check_cell"
 
 
-def run_ecn_before_pfc_check(
-    misconfigured: bool,
-    incast_degree: int = 8,
-    duration_ns: Optional[int] = None,
-    warmup_ns: Optional[int] = None,
-    seed: int = 53,
-) -> EcnBeforePfcCheck:
-    """Drive an incast and observe which mechanism fires.
-
-    ``misconfigured=True`` uses the Figure 18 mis-setting (static
-    t_PFC = 24.47 KB, marking threshold 5x higher).
-    """
-    duration_ns = duration_ns or scale.pick(units.ms(8), units.ms(20), units.ms(2))
-    if warmup_ns is None:
-        warmup_ns = scale.pick(units.ms(5), units.ms(15), units.ms(2))
+def run_sec4() -> Tuple[ThresholdPlan, List[EcnBeforePfcCheck]]:
+    """The §4 threshold plan, and an 8:1 incast under the deployed and
+    the misconfigured thresholds (the Figure 18 mis-setting: static
+    t_PFC = 24.47 KB, marking threshold 5x higher), observing which
+    mechanism fires."""
     kwargs = {
-        "misconfigured": misconfigured,
-        "incast_degree": incast_degree,
-        "duration_ns": duration_ns,
-        "warmup_ns": warmup_ns,
-        "seed": seed,
+        "incast_degree": 8,
+        "duration_ns": scale.pick(units.ms(8), units.ms(20), units.ms(2)),
+        "warmup_ns": scale.pick(units.ms(5), units.ms(15), units.ms(2)),
+        "seed": 53,
     }
-    (value,) = execute([Cell(_CELL_FN, kwargs)])
-    return EcnBeforePfcCheck(**value)
+    cells = [
+        Cell(_CELL_FN, dict(kwargs, misconfigured=misconfigured))
+        for misconfigured in (False, True)
+    ]
+    return plan_thresholds(), [EcnBeforePfcCheck(**v) for v in execute(cells)]

@@ -194,12 +194,9 @@ def _traffic_table(results) -> str:
 
 @experiment("fig15", "PAUSE frames at the spines", table=_traffic_table)
 def fig15():
-    from repro.experiments.benchmark_traffic import run_benchmark_traffic
+    from repro.experiments.benchmark_traffic import run_fig15
 
-    return {
-        variant: run_benchmark_traffic(variant, incast_degree=10)
-        for variant in ("none", "dcqcn")
-    }
+    return run_fig15()
 
 
 def _fig16_table(results) -> str:
@@ -211,9 +208,8 @@ def _fig16_table(results) -> str:
 @experiment("fig16", "benchmark traffic vs incast degree", table=_fig16_table)
 def fig16():
     from repro.experiments.benchmark_traffic import run_fig16
-    from repro.runner import scale
 
-    return run_fig16(degrees=scale.pick((2, 6, 10), (2, 4, 6, 8, 10), (2, 6)))
+    return run_fig16()
 
 
 @experiment("fig17", "16x user load comparison", table=_traffic_table)
@@ -285,11 +281,9 @@ def _sec4_table(result) -> str:
     "sec4", "buffer thresholds, and ECN firing before PFC", table=_sec4_table
 )
 def sec4():
-    from repro.buffers.thresholds import plan_thresholds
-    from repro.experiments.buffer_settings import run_ecn_before_pfc_check
+    from repro.experiments.buffer_settings import run_sec4
 
-    checks = [run_ecn_before_pfc_check(misconfigured=m) for m in (False, True)]
-    return plan_thresholds(), checks
+    return run_sec4()
 
 
 def _sec61_table(results) -> str:
@@ -301,9 +295,8 @@ def _sec61_table(results) -> str:
 @experiment("sec61", "K:1 incast utilization sweep", table=_sec61_table)
 def sec61():
     from repro.experiments.microbench import run_incast_sweep
-    from repro.runner import scale
 
-    return run_incast_sweep(scale.pick((2, 4, 8, 16, 19), (2, 4, 8, 16, 19), (2, 4)))
+    return run_incast_sweep()
 
 
 def _sec7_table(results) -> str:
@@ -432,9 +425,8 @@ def _chaos_table(result) -> str:
 )
 def chaos():
     from repro.experiments.chaos import run_chaos
-    from repro.experiments.pfc_pathologies import run_pause_storm
 
-    return run_pause_storm(), run_chaos()
+    return run_chaos()
 
 
 # --- named scenarios (python -m repro trace/profile <id>) ------------------

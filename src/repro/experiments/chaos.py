@@ -4,7 +4,8 @@ The paper's operational sections (§7 and the deployment discussion)
 are about surviving the failure modes PFC makes possible: slow
 receivers asserting PAUSE, flapping optics, lost or late CNPs.  This
 experiment runs the dumbbell feeder/victim scenario of
-:mod:`repro.experiments.pfc_pathologies` under an escalating
+:mod:`repro.experiments.pfc_pathologies` under a scripted PAUSE storm,
+with and without DCQCN, and under an escalating
 :class:`~repro.faults.FaultPlan` — a PAUSE storm plus a trunk link
 flap whose durations grow with the intensity knob — and reports the
 resilience metrics the fault subsystem folds into every run: goodput
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import units
 from repro.analysis.stats import percentile
@@ -202,36 +203,114 @@ def chaos_fabric_scenario(
     return dataclasses.replace(base, warmup_ns=warmup_ns, faults=faults)
 
 
-def run_chaos(
-    intensities: Sequence[float] = (0.0, 0.25, 0.5, 1.0),
-    cc: str = "dcqcn",
-    repetitions: Optional[int] = None,
-    duration_ns: Optional[int] = None,
-    warmup_ns: Optional[int] = None,
-) -> ChaosResult:
-    """Sweep fault intensity and report the resilience metrics."""
-    repetitions = repetitions or scale.pick(3, 6, 2)
-    scenarios = {
-        intensity: chaos_scenario(
-            intensity, cc=cc, duration_ns=duration_ns, warmup_ns=warmup_ns
+@dataclass
+class PauseStormResult:
+    """Feeder/victim damage from a scripted PAUSE storm, per CC variant."""
+
+    repetitions: int
+    duration_ms: float
+    #: cc -> list of per-run feeder throughputs under storm (bps)
+    feeder_bps: Dict[str, List[float]] = field(default_factory=dict)
+    #: cc -> list of per-run victim throughputs under storm (bps)
+    victim_bps: Dict[str, List[float]] = field(default_factory=dict)
+    #: cc -> list of per-run victim throughputs with no storm (bps)
+    clean_victim_bps: Dict[str, List[float]] = field(default_factory=dict)
+    #: cc -> list of per-run PAUSE frame totals under storm
+    pause_frames: Dict[str, List[int]] = field(default_factory=dict)
+    #: cc -> list of per-run in-storm goodput fractions (fault gauge)
+    goodput_fraction: Dict[str, List[float]] = field(default_factory=dict)
+
+    def victim_loss_pct(self, cc: str) -> float:
+        """Median victim throughput loss vs the storm-free run."""
+        clean = percentile(self.clean_victim_bps[cc], 50)
+        stormy = percentile(self.victim_bps[cc], 50)
+        if clean <= 0:
+            return 0.0
+        return 100.0 * (1.0 - stormy / clean)
+
+    def table(self) -> str:
+        rows = []
+        for cc in sorted(self.victim_bps):
+            rows.append([
+                cc,
+                f"{percentile(self.feeder_bps[cc], 50) / 1e9:.2f}",
+                f"{percentile(self.victim_bps[cc], 50) / 1e9:.2f}",
+                f"{percentile(self.clean_victim_bps[cc], 50) / 1e9:.2f}",
+                f"{self.victim_loss_pct(cc):.1f}%",
+                str(int(percentile(self.pause_frames[cc], 50))),
+                f"{percentile(self.goodput_fraction[cc], 50):.2f}",
+            ])
+        return format_table(
+            [
+                "cc",
+                "feeder Gbps",
+                "victim Gbps",
+                "victim clean Gbps",
+                "victim loss",
+                "PAUSE frames",
+                "storm goodput",
+            ],
+            rows,
         )
-        for intensity in intensities
-    }
-    seeds = {
-        intensity: scale.seeds_for(repetitions, base=9000)
-        for intensity in intensities
-    }
-    sweep = run_sweep("intensity", scenarios, seeds)
+
+
+def run_chaos() -> Tuple[PauseStormResult, ChaosResult]:
+    """The scripted PAUSE storm, with and without DCQCN, and the fault
+    intensity sweep under DCQCN, as one sweep of every cell.
+
+    Without CC the storm cascades over the trunk and the victim loses
+    throughput it should not; with DCQCN the cascade never forms.  Each
+    CC variant is also run storm-free to give the victim a baseline.
+    The intensity sweep reports the resilience metrics.
+    """
+    from repro.experiments.pfc_pathologies import pause_storm_scenario
+
+    repetitions = scale.pick(3, 6, 2)
+    ccs = ("none", "dcqcn")
+    intensities = (0.0, 0.25, 0.5, 1.0)
+    scenarios: Dict[Any, Scenario] = {}
+    seeds: Dict[Any, List[int]] = {}
+    for cc in ccs:
+        for arm, with_storm in (("storm", True), ("clean", False)):
+            scenarios[arm, cc] = pause_storm_scenario(cc, with_storm=with_storm)
+            seeds[arm, cc] = scale.seeds_for(repetitions, base=7000)
+    for intensity in intensities:
+        scenarios[intensity] = chaos_scenario(intensity)
+        seeds[intensity] = scale.seeds_for(repetitions, base=9000)
+    sweep = run_sweep("chaos", scenarios, seeds)
     if sweep.total_failures():
         warnings.warn(
             f"{sweep.total_failures()} of the chaos repetitions failed "
-            "(timeout/crash); point summaries cover the survivors"
+            "(timeout/crash); summaries cover the survivors"
         )
-    sample = next(iter(scenarios.values()))
-    result = ChaosResult(
-        cc=cc, repetitions=repetitions, duration_ms=sample.duration_ns / 1e6
+
+    storm = PauseStormResult(
+        repetitions=repetitions,
+        duration_ms=scenarios["storm", ccs[0]].duration_ns / 1e6,
     )
-    for point in sweep.points:
+    for cc in ccs:
+        stormy_runs = sweep.point(("storm", cc)).runs
+        clean_runs = sweep.point(("clean", cc)).runs
+        storm.feeder_bps[cc] = [run.flows_bps["feeder"] for run in stormy_runs]
+        storm.victim_bps[cc] = [run.flows_bps["victim"] for run in stormy_runs]
+        storm.clean_victim_bps[cc] = [
+            run.flows_bps["victim"] for run in clean_runs
+        ]
+        storm.pause_frames[cc] = [
+            int(run.metric("pfc.pause_tx")) for run in stormy_runs
+        ]
+        storm.goodput_fraction[cc] = [
+            run.metrics.get("gauges", {}).get("fault.goodput_fraction", 1.0)
+            for run in stormy_runs
+        ]
+
+    result = ChaosResult(
+        cc="dcqcn",
+        repetitions=repetitions,
+        duration_ms=scenarios[intensities[0]].duration_ns / 1e6,
+    )
+    for intensity in intensities:
+        point = sweep.point(intensity)
         gauges: Dict[str, float] = {}
         cycles = 0
         for run in point.runs:
@@ -256,4 +335,4 @@ def run_chaos(
             max_recovery_us=gauges.get("fault.max_recovery_ns", 0.0) / 1e3,
             watchdog_cycles=cycles,
         ))
-    return result
+    return storm, result

@@ -17,13 +17,14 @@ idle cross-pod path.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+import warnings
+from typing import List, Optional
 
 from repro import units
 from repro.analysis import fct
 from repro.runner import scale
 from repro.runner.results import format_table
-from repro.runner.scenario import FlowSpec, Scenario, run_scenario
+from repro.runner.scenario import FlowSpec, Scenario, run_scenario, run_sweep
 
 #: cross-pod fat-tree path: edge, agg, core, agg, edge — five
 #: store-and-forward hops (cf. ``BENCHMARK_HOPS = 3`` on the Clos)
@@ -256,30 +257,28 @@ def _slowdown_rows(
 FABRIC_HEADERS = ["fabric", "flows", "drops", "PAUSE", "edge rx", "agg rx", "core rx"]
 
 
-def run_fabric(
-    ks: Optional[Sequence[int]] = None,
-    repetitions: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: Optional[bool] = None,
-) -> str:
-    """Incast-under-DCQCN across fat-tree sizes, with per-tier PAUSE
-    aggregation and probe slowdowns; returns the rendered tables."""
-    ks = tuple(ks) if ks is not None else scale.pick((4, 8), (4, 8), (4,))
-    repetitions = repetitions or scale.pick(1, 3, 1)
+def run_fabric() -> str:
+    """Incast-under-DCQCN across fat-tree sizes (one sweep), with
+    per-tier PAUSE aggregation and probe slowdowns; returns the
+    rendered tables."""
+    ks = scale.pick((4, 8), (4, 8), (4,))
+    repetitions = scale.pick(1, 3, 1)
+    scenarios = {k: fabric_incast_scenario(k=k) for k in ks}
+    seeds = {k: scale.seeds_for(repetitions, base=4000 + 31 * k) for k in ks}
+    sweep = run_sweep("k", scenarios, seeds)
+    if sweep.total_failures():
+        warnings.warn(
+            f"{sweep.total_failures()} of the fabric repetitions failed "
+            "(timeout/crash); sums cover the survivors"
+        )
     fabric_rows = []
     slowdown_blocks = []
     for k in ks:
-        scenario = fabric_incast_scenario(k=k)
-        runs = run_scenario(
-            scenario,
-            scale.seeds_for(repetitions, base=4000 + 31 * k),
-            jobs=jobs,
-            cache=cache,
-        )
+        runs = sweep.point(k).runs
         fabric_rows.append(
             [
                 f"k={k} ({k * k * k // 4} hosts)",
-                str(len(scenario.flows)),
+                str(len(scenarios[k].flows)),
                 str(int(sum(run.counters["drops"] for run in runs))),
                 str(int(sum(run.counters["pause_frames"] for run in runs))),
                 str(int(sum(run.counters["pause_rx.edge"] for run in runs))),
@@ -299,12 +298,10 @@ def run_fabric(
     return out
 
 
-def run_fabric_1024(
-    jobs: Optional[int] = None, cache: Optional[bool] = None
-) -> str:
+def run_fabric_1024() -> str:
     """The 1024-host incast: one seed, invariants on, slowdowns out."""
     scenario = thousand_host_scenario()
-    runs = run_scenario(scenario, [2015], jobs=jobs, cache=cache)
+    runs = run_scenario(scenario, [2015])
     run = runs[0]
     violations = run.invariant_report.get("violations", [])
     lines = [

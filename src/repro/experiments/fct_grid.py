@@ -129,23 +129,16 @@ def grid_scenario(
     )
 
 
-def run_fct_grid(
-    points: Optional[Sequence[GridPoint]] = None,
-    repetitions: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: Optional[bool] = None,
-) -> SweepResult:
+def run_fct_grid() -> SweepResult:
     """Run the grid — every cell fanned out in one executor call."""
-    points = list(points) if points is not None else grid_points()
-    repetitions = repetitions or scale.pick(1, 3, 1)
+    points = grid_points()
+    repetitions = scale.pick(1, 3, 1)
     scenarios = {point: grid_scenario(*point) for point in points}
     seeds = {
         point: scale.seeds_for(repetitions, base=9000 + 13 * index)
         for index, point in enumerate(points)
     }
-    return run_sweep(
-        "kmin_kb/kmax_kb/pmax/degree", scenarios, seeds, jobs=jobs, cache=cache
-    )
+    return run_sweep("kmin_kb/kmax_kb/pmax/degree", scenarios, seeds)
 
 
 def point_summaries(sweep: SweepResult) -> Dict[GridPoint, Dict[str, fct.SlowdownSummary]]:
@@ -268,18 +261,10 @@ def benchmark_scenario(
     )
 
 
-def run_benchmark_fct(
-    repetitions: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: Optional[bool] = None,
-):
+def run_benchmark_fct():
     """Run the benchmark scenario; returns ``(runs, summaries)``."""
-    repetitions = repetitions or scale.pick(2, 5, 1)
     runs = run_scenario(
-        benchmark_scenario(),
-        scale.seeds_for(repetitions, base=1600),
-        jobs=jobs,
-        cache=cache,
+        benchmark_scenario(), scale.seeds_for(scale.pick(2, 5, 1), base=1600)
     )
     records = fct.records_from_runs(runs)
     rtt = fct.base_rtt_ns(hops=BENCHMARK_HOPS)

@@ -110,25 +110,15 @@ def fluid_vs_sim_cell(
     }
 
 
-def run_fluid_vs_sim(
-    duration_ns: Optional[int] = None,
-    second_start_ns: Optional[int] = None,
-    params: Optional[DCQCNParams] = None,
-    sample_interval_ns: int = units.us(500),
-    seed: int = 7,
-) -> FluidVsSimResult:
+def run_fluid_vs_sim() -> FluidVsSimResult:
     """Figure 10: overlay packet-sim and fluid-model rate ramps."""
-    duration_ns = duration_ns or scale.pick(
-        units.ms(40), units.ms(100), units.ms(10)
-    )
-    second_start_ns = second_start_ns or units.ms(10)
-    params = params or DCQCNParams.deployed()
     kwargs = {
-        "duration_ns": duration_ns,
-        "second_start_ns": second_start_ns,
-        "params": encode_value(params),
-        "sample_interval_ns": sample_interval_ns,
-        "seed": seed,
+        "duration_ns": scale.pick(units.ms(40), units.ms(100), units.ms(10)),
+        # the second sender starts inside even the 10 ms smoke horizon
+        "second_start_ns": scale.pick(units.ms(10), units.ms(10), units.ms(2.5)),
+        "params": encode_value(DCQCNParams.deployed()),
+        "sample_interval_ns": units.us(500),
+        "seed": 7,
     }
     (value,) = execute(
         [Cell("repro.experiments.fluid_validation:fluid_vs_sim_cell", kwargs)]
@@ -219,33 +209,7 @@ def two_flow_cell(
 _TWO_FLOW_FN = "repro.experiments.fluid_validation:two_flow_cell"
 
 
-def _two_flow_kwargs(
-    config_name: str,
-    duration_ns: Optional[int],
-    second_start_ns: Optional[int],
-    seed: int,
-    sample_interval_ns: int,
-    second_initial_rate_bps: Optional[float],
-) -> Dict[str, Any]:
-    if config_name not in FIG13_CONFIGS:
-        raise ValueError(
-            f"unknown config {config_name!r}; choose from {sorted(FIG13_CONFIGS)}"
-        )
-    duration_ns = duration_ns or scale.pick(
-        units.ms(60), units.ms(150), units.ms(12)
-    )
-    second_start_ns = second_start_ns or units.ms(5)
-    return {
-        "config_name": config_name,
-        "duration_ns": duration_ns,
-        "second_start_ns": second_start_ns,
-        "seed": seed,
-        "sample_interval_ns": sample_interval_ns,
-        "second_initial_rate_bps": second_initial_rate_bps,
-    }
-
-
-def _two_flow_result(value: Dict[str, Any]) -> TwoFlowFairnessResult:
+def _two_flow_result(config: str, value: Dict[str, Any]) -> TwoFlowFairnessResult:
     times = np.asarray(value["times_s"])
     rates = np.asarray(value["rates_bps"])
     # steady state: trailing half of the run
@@ -253,7 +217,7 @@ def _two_flow_result(value: Dict[str, Any]) -> TwoFlowFairnessResult:
     means = tail.mean(axis=0)
     stds = tail.std(axis=0)
     return TwoFlowFairnessResult(
-        config=value["config_name"],
+        config=config,
         mean_rate_gbps=(means[0] / 1e9, means[1] / 1e9),
         rate_gap_gbps=abs(means[0] - means[1]) / 1e9,
         rate_std_gbps=(stds[0] / 1e9, stds[1] / 1e9),
@@ -262,46 +226,27 @@ def _two_flow_result(value: Dict[str, Any]) -> TwoFlowFairnessResult:
     )
 
 
-def run_two_flow_validation(
-    config_name: str,
-    duration_ns: Optional[int] = None,
-    second_start_ns: Optional[int] = None,
-    seed: int = 11,
-    sample_interval_ns: int = units.us(500),
-    second_initial_rate_bps: Optional[float] = units.gbps(5),
-) -> TwoFlowFairnessResult:
-    """One Figure 13 panel: two staggered greedy flows, one switch.
+def run_all_validations() -> Dict[str, TwoFlowFairnessResult]:
+    """All four Figure 13 panels (fanned out across workers): two
+    staggered greedy flows on one switch under each configuration.
 
     The second flow is seeded at 5 Gbps (the §5.2 convergence setup):
     the testbed's unfairness is seeded by hardware noise that a
     deterministic simulator does not have, so the asymmetry the
     configs must (or must not) repair is injected explicitly.
     """
-    kwargs = _two_flow_kwargs(
-        config_name, duration_ns, second_start_ns, seed,
-        sample_interval_ns, second_initial_rate_bps,
-    )
-    (value,) = execute([Cell(_TWO_FLOW_FN, kwargs)])
-    value = dict(value, config_name=config_name)
-    return _two_flow_result(value)
-
-
-def run_all_validations(**kwargs) -> Dict[str, TwoFlowFairnessResult]:
-    """All four Figure 13 panels (fanned out across workers)."""
-    names = list(FIG13_CONFIGS)
+    kwargs = {
+        "duration_ns": scale.pick(units.ms(60), units.ms(150), units.ms(12)),
+        "second_start_ns": units.ms(5),
+        "seed": 11,
+        "sample_interval_ns": units.us(500),
+        "second_initial_rate_bps": units.gbps(5),
+    }
     cells = [
-        Cell(_TWO_FLOW_FN, _two_flow_kwargs(
-            name,
-            kwargs.get("duration_ns"),
-            kwargs.get("second_start_ns"),
-            kwargs.get("seed", 11),
-            kwargs.get("sample_interval_ns", units.us(500)),
-            kwargs.get("second_initial_rate_bps", units.gbps(5)),
-        ))
-        for name in names
+        Cell(_TWO_FLOW_FN, dict(kwargs, config_name=name)) for name in FIG13_CONFIGS
     ]
     values = execute(cells)
     return {
-        name: _two_flow_result(dict(value, config_name=name))
-        for name, value in zip(names, values)
+        name: _two_flow_result(name, value)
+        for name, value in zip(FIG13_CONFIGS, values)
     }

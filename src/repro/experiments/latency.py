@@ -14,7 +14,7 @@ the DCQCN one within a factor ~1.5; see EXPERIMENTS.md.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro import units
 from repro.analysis.stats import percentile
@@ -102,56 +102,17 @@ def queue_cell(
 _CELL_FN = "repro.experiments.latency:queue_cell"
 
 
-def _cell_kwargs(
-    protocol: str,
-    incast_degree: int,
-    warmup_ns: Optional[int],
-    measure_ns: Optional[int],
-    sample_interval_ns: int,
-    seed: int,
-) -> Dict[str, Any]:
-    if protocol not in ("dcqcn", "dctcp"):
-        raise ValueError(f"protocol must be 'dcqcn' or 'dctcp', got {protocol!r}")
-    if warmup_ns is None:
-        warmup_ns = scale.pick(units.ms(15), units.ms(40), units.ms(4))
-    measure_ns = measure_ns or scale.pick(units.ms(10), units.ms(40), units.ms(2))
-    return {
-        "protocol": protocol,
-        "incast_degree": incast_degree,
-        "warmup_ns": warmup_ns,
-        "measure_ns": measure_ns,
-        "sample_interval_ns": sample_interval_ns,
-        "seed": seed,
-    }
-
-
-def run_queue_comparison(
-    protocol: str,
-    incast_degree: int = 2,
-    warmup_ns: Optional[int] = None,
-    measure_ns: Optional[int] = None,
-    sample_interval_ns: int = units.us(5),
-    seed: int = 23,
-) -> QueueCdfResult:
-    """One arm of Figure 19 (``protocol`` in {"dcqcn", "dctcp"})."""
-    kwargs = _cell_kwargs(
-        protocol, incast_degree, warmup_ns, measure_ns, sample_interval_ns, seed
-    )
-    (value,) = execute([Cell(_CELL_FN, kwargs)])
-    return QueueCdfResult(**value)
-
-
-def run_fig19(**kwargs) -> List[QueueCdfResult]:
+def run_fig19() -> List[QueueCdfResult]:
     """Both arms of Figure 19 (fanned out across workers)."""
+    kwargs = {
+        "incast_degree": 2,
+        "warmup_ns": scale.pick(units.ms(15), units.ms(40), units.ms(4)),
+        "measure_ns": scale.pick(units.ms(10), units.ms(40), units.ms(2)),
+        "sample_interval_ns": units.us(5),
+        "seed": 23,
+    }
     cells = [
-        Cell(_CELL_FN, _cell_kwargs(
-            protocol=protocol,
-            incast_degree=kwargs.get("incast_degree", 2),
-            warmup_ns=kwargs.get("warmup_ns"),
-            measure_ns=kwargs.get("measure_ns"),
-            sample_interval_ns=kwargs.get("sample_interval_ns", units.us(5)),
-            seed=kwargs.get("seed", 23),
-        ))
+        Cell(_CELL_FN, dict(kwargs, protocol=protocol))
         for protocol in ("dcqcn", "dctcp")
     ]
     return [QueueCdfResult(**value) for value in execute(cells)]

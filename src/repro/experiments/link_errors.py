@@ -16,7 +16,7 @@ printed alongside, making the go-back-N penalty visible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 from repro import units
 from repro.runner import Cell, execute
@@ -95,45 +95,15 @@ def loss_cell(
 _CELL_FN = "repro.experiments.link_errors:loss_cell"
 
 
-def _cell_kwargs(
-    loss_rate: float,
-    duration_ns: Optional[int],
-    rto_ns: int,
-    seed: int,
-) -> Dict[str, Any]:
-    duration_ns = duration_ns or scale.pick(units.ms(10), units.ms(30), units.ms(2))
-    return {
-        "loss_rate": loss_rate,
-        "duration_ns": duration_ns,
-        "rto_ns": rto_ns,
-        "seed": seed,
-    }
-
-
-def run_loss_point(
-    loss_rate: float,
-    duration_ns: Optional[int] = None,
-    rto_ns: int = units.ms(1),
-    seed: int = 97,
-) -> LossSweepPoint:
-    """One greedy flow through a lossy access link."""
-    kwargs = _cell_kwargs(loss_rate, duration_ns, rto_ns, seed)
-    (value,) = execute([Cell(_CELL_FN, kwargs)])
-    return LossSweepPoint(**value)
-
-
-def run_loss_sweep(
-    loss_rates: Sequence[float] = (0.0, 1e-4, 1e-3, 0.01, 0.05),
-    **kwargs,
-) -> List[LossSweepPoint]:
+def run_loss_sweep() -> List[LossSweepPoint]:
     """Goodput vs injected loss rate (the §7 sensitivity), fanned out."""
+    kwargs = {
+        "duration_ns": scale.pick(units.ms(10), units.ms(30), units.ms(2)),
+        "rto_ns": units.ms(1),
+        "seed": 97,
+    }
     cells = [
-        Cell(_CELL_FN, _cell_kwargs(
-            rate,
-            kwargs.get("duration_ns"),
-            kwargs.get("rto_ns", units.ms(1)),
-            kwargs.get("seed", 97),
-        ))
-        for rate in loss_rates
+        Cell(_CELL_FN, dict(kwargs, loss_rate=rate))
+        for rate in (0.0, 1e-4, 1e-3, 0.01, 0.05)
     ]
     return [LossSweepPoint(**value) for value in execute(cells)]

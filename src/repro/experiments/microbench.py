@@ -13,7 +13,7 @@ independent executor cell, so the sweep fans out across cores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 from repro import units
 from repro.core.params import DCQCNParams
@@ -99,59 +99,17 @@ def incast_cell(
 _CELL_FN = "repro.experiments.microbench:incast_cell"
 
 
-def _cell_kwargs(
-    degree: int,
-    params: Optional[DCQCNParams],
-    warmup_ns: Optional[int],
-    measure_ns: Optional[int],
-    sample_interval_ns: int,
-    seed: int,
-) -> Dict[str, Any]:
-    if degree < 1:
-        raise ValueError("incast degree must be at least 1")
-    params = params or DCQCNParams.deployed()
-    if warmup_ns is None:
-        warmup_ns = scale.pick(units.ms(20), units.ms(40), units.ms(4))
-    measure_ns = measure_ns or scale.pick(units.ms(10), units.ms(30), units.ms(2))
-    return {
-        "degree": degree,
-        "params": encode_value(params),
-        "warmup_ns": warmup_ns,
-        "measure_ns": measure_ns,
-        "sample_interval_ns": sample_interval_ns,
-        "seed": seed,
-    }
-
-
-def run_incast_utilization(
-    degree: int,
-    params: Optional[DCQCNParams] = None,
-    warmup_ns: Optional[int] = None,
-    measure_ns: Optional[int] = None,
-    sample_interval_ns: int = units.us(10),
-    seed: int = 43,
-) -> IncastUtilizationResult:
-    """One K:1 point of the §6.1 sweep."""
-    kwargs = _cell_kwargs(
-        degree, params, warmup_ns, measure_ns, sample_interval_ns, seed
-    )
-    (value,) = execute([Cell(_CELL_FN, kwargs)])
-    return IncastUtilizationResult(**value)
-
-
-def run_incast_sweep(
-    degrees: Sequence[int] = (2, 4, 8, 16, 19),
-    params: Optional[DCQCNParams] = None,
-    warmup_ns: Optional[int] = None,
-    measure_ns: Optional[int] = None,
-    sample_interval_ns: int = units.us(10),
-    seed: int = 43,
-) -> List[IncastUtilizationResult]:
+def run_incast_sweep() -> List[IncastUtilizationResult]:
     """The §6.1 K:1 sweep (fanned out across workers)."""
+    kwargs = {
+        "params": encode_value(DCQCNParams.deployed()),
+        "warmup_ns": scale.pick(units.ms(20), units.ms(40), units.ms(4)),
+        "measure_ns": scale.pick(units.ms(10), units.ms(30), units.ms(2)),
+        "sample_interval_ns": units.us(10),
+        "seed": 43,
+    }
     cells = [
-        Cell(_CELL_FN, _cell_kwargs(
-            degree, params, warmup_ns, measure_ns, sample_interval_ns, seed
-        ))
-        for degree in degrees
+        Cell(_CELL_FN, dict(kwargs, degree=degree))
+        for degree in scale.pick((2, 4, 8, 16, 19), (2, 4, 8, 16, 19), (2, 4))
     ]
     return [IncastUtilizationResult(**value) for value in execute(cells)]

@@ -12,7 +12,7 @@ window and mitigates (not eliminates) the bias.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro import units
 from repro.core.params import DCQCNParams
@@ -83,48 +83,14 @@ def parking_cell(
 _CELL_FN = "repro.experiments.multibottleneck:parking_cell"
 
 
-def _cell_kwargs(
-    scheme: str,
-    warmup_ns: Optional[int],
-    measure_ns: Optional[int],
-    seed: int,
-) -> Dict[str, Any]:
-    if scheme not in MARKING_SCHEMES:
-        raise ValueError(
-            f"unknown scheme {scheme!r}; choose from {sorted(MARKING_SCHEMES)}"
-        )
-    if warmup_ns is None:
-        warmup_ns = scale.pick(units.ms(25), units.ms(60), units.ms(5))
-    measure_ns = measure_ns or scale.pick(units.ms(15), units.ms(40), units.ms(2))
-    return {
-        "scheme": scheme,
-        "warmup_ns": warmup_ns,
-        "measure_ns": measure_ns,
-        "seed": seed,
-    }
-
-
-def run_parking_lot(
-    scheme: str,
-    warmup_ns: Optional[int] = None,
-    measure_ns: Optional[int] = None,
-    seed: int = 31,
-) -> ParkingLotResult:
-    """One marking scheme on the Figure 20 topology."""
-    kwargs = _cell_kwargs(scheme, warmup_ns, measure_ns, seed)
-    (value,) = execute([Cell(_CELL_FN, kwargs)])
-    return ParkingLotResult(**value)
-
-
-def run_fig20(**kwargs) -> List[ParkingLotResult]:
+def run_fig20() -> List[ParkingLotResult]:
     """Both marking schemes (the Figure 20(b) comparison), fanned out."""
+    kwargs = {
+        "warmup_ns": scale.pick(units.ms(25), units.ms(60), units.ms(5)),
+        "measure_ns": scale.pick(units.ms(15), units.ms(40), units.ms(2)),
+        "seed": 31,
+    }
     cells = [
-        Cell(_CELL_FN, _cell_kwargs(
-            scheme=scheme,
-            warmup_ns=kwargs.get("warmup_ns"),
-            measure_ns=kwargs.get("measure_ns"),
-            seed=kwargs.get("seed", 31),
-        ))
-        for scheme in ("cutoff", "red")
+        Cell(_CELL_FN, dict(kwargs, scheme=scheme)) for scheme in ("cutoff", "red")
     ]
     return [ParkingLotResult(**value) for value in execute(cells)]

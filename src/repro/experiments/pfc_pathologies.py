@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro import units
 from repro.analysis.stats import percentile
@@ -114,25 +114,10 @@ def unfairness_scenario(
     )
 
 
-def run_unfairness(
-    cc: str = "none",
-    repetitions: Optional[int] = None,
-    duration_ns: Optional[int] = None,
-    warmup_ns: Optional[int] = None,
-    params: Optional[DCQCNParams] = None,
-    switch_config: Optional[SwitchConfig] = None,
-    mtu_bytes: int = 1000,
-) -> UnfairnessResult:
+def run_unfairness(cc: str) -> UnfairnessResult:
     """Figure 3 (``cc="none"``) / Figure 8 (``cc="dcqcn"``)."""
-    repetitions = repetitions or scale.pick(4, 10, 2)
-    scenario = unfairness_scenario(
-        cc=cc,
-        duration_ns=duration_ns,
-        warmup_ns=warmup_ns,
-        params=params,
-        switch_config=switch_config,
-        mtu_bytes=mtu_bytes,
-    )
+    repetitions = scale.pick(4, 10, 2)
+    scenario = unfairness_scenario(cc)
     runs = run_scenario(scenario, scale.seeds_for(repetitions))
     result = UnfairnessResult(
         cc=cc, repetitions=repetitions, duration_ms=scenario.duration_ns / 1e6
@@ -212,42 +197,23 @@ def victim_scenario(
     )
 
 
-def run_victim_flow(
-    cc: str = "none",
-    t3_sender_counts: Sequence[int] = (0, 1, 2),
-    repetitions: Optional[int] = None,
-    duration_ns: Optional[int] = None,
-    warmup_ns: Optional[int] = None,
-    params: Optional[DCQCNParams] = None,
-    switch_config: Optional[SwitchConfig] = None,
-    mtu_bytes: int = 1000,
-) -> VictimFlowResult:
+def run_victim_flow(cc: str) -> VictimFlowResult:
     """Figure 4 (``cc="none"``) / Figure 9 (``cc="dcqcn"``).
 
     VS (under T1) sends to VR (under T2); H11-H14 (under T1) and
     0-2 extra senders under T3 incast into R (under T4).
     """
-    repetitions = repetitions or scale.pick(4, 10, 2)
-    duration_ns = duration_ns or scale.pick(units.ms(10), units.ms(30), units.ms(2))
-    if warmup_ns is None:
-        # The victim must climb back from the initial all-at-line-rate
-        # melee at ~0.7 Gbps/ms (additive increase), so it needs a
-        # longer warmup than the symmetric unfairness scenario.
-        warmup_ns = (
-            scale.pick(units.ms(30), units.ms(60), units.ms(3))
-            if cc == "dcqcn"
-            else 0
-        )
+    repetitions = scale.pick(4, 10, 2)
+    duration_ns = scale.pick(units.ms(10), units.ms(30), units.ms(2))
+    # The victim must climb back from the initial all-at-line-rate
+    # melee at ~0.7 Gbps/ms (additive increase), so it needs a
+    # longer warmup than the symmetric unfairness scenario.
+    warmup_ns = (
+        scale.pick(units.ms(30), units.ms(60), units.ms(3)) if cc == "dcqcn" else 0
+    )
+    t3_sender_counts = (0, 1, 2)
     scenarios = {
-        count: victim_scenario(
-            cc=cc,
-            t3_senders=count,
-            duration_ns=duration_ns,
-            warmup_ns=warmup_ns,
-            params=params,
-            switch_config=switch_config,
-            mtu_bytes=mtu_bytes,
-        )
+        count: victim_scenario(cc, count, duration_ns, warmup_ns)
         for count in t3_sender_counts
     }
     seeds = {
@@ -276,59 +242,7 @@ def run_victim_flow(
 # its access link, the §7 pathology the paper's deadwatch/storm-control
 # deployments guard against — so the blast radius is controlled and the
 # recovery metrics (time-to-recover, victim loss) are measured by the
-# fault subsystem itself.
-
-
-@dataclass
-class PauseStormResult:
-    """Feeder/victim damage from a scripted PAUSE storm, per CC variant."""
-
-    repetitions: int
-    duration_ms: float
-    storm_ms: float
-    #: cc -> list of per-run feeder throughputs under storm (bps)
-    feeder_bps: Dict[str, List[float]] = field(default_factory=dict)
-    #: cc -> list of per-run victim throughputs under storm (bps)
-    victim_bps: Dict[str, List[float]] = field(default_factory=dict)
-    #: cc -> list of per-run victim throughputs with no storm (bps)
-    clean_victim_bps: Dict[str, List[float]] = field(default_factory=dict)
-    #: cc -> list of per-run PAUSE frame totals under storm
-    pause_frames: Dict[str, List[int]] = field(default_factory=dict)
-    #: cc -> list of per-run in-storm goodput fractions (fault gauge)
-    goodput_fraction: Dict[str, List[float]] = field(default_factory=dict)
-
-    def victim_loss_pct(self, cc: str) -> float:
-        """Median victim throughput loss vs the storm-free run."""
-        clean = percentile(self.clean_victim_bps[cc], 50)
-        stormy = percentile(self.victim_bps[cc], 50)
-        if clean <= 0:
-            return 0.0
-        return 100.0 * (1.0 - stormy / clean)
-
-    def table(self) -> str:
-        rows = []
-        for cc in sorted(self.victim_bps):
-            rows.append([
-                cc,
-                f"{percentile(self.feeder_bps[cc], 50) / 1e9:.2f}",
-                f"{percentile(self.victim_bps[cc], 50) / 1e9:.2f}",
-                f"{percentile(self.clean_victim_bps[cc], 50) / 1e9:.2f}",
-                f"{self.victim_loss_pct(cc):.1f}%",
-                str(int(percentile(self.pause_frames[cc], 50))),
-                f"{percentile(self.goodput_fraction[cc], 50):.2f}",
-            ])
-        return format_table(
-            [
-                "cc",
-                "feeder Gbps",
-                "victim Gbps",
-                "victim clean Gbps",
-                "victim loss",
-                "PAUSE frames",
-                "storm goodput",
-            ],
-            rows,
-        )
+# fault subsystem itself; :mod:`repro.experiments.chaos` runs it.
 
 
 def pause_storm_scenario(
@@ -402,56 +316,3 @@ def pause_storm_scenario(
         label=label,
         faults=faults,
     )
-
-
-def run_pause_storm(
-    ccs: Sequence[str] = ("none", "dcqcn"),
-    repetitions: Optional[int] = None,
-    duration_ns: Optional[int] = None,
-    warmup_ns: Optional[int] = None,
-    storm_ns: Optional[int] = None,
-    storm_count: int = 1,
-) -> PauseStormResult:
-    """Scripted PAUSE storm, with and without DCQCN.
-
-    Without CC the storm cascades over the trunk and the victim loses
-    throughput it should not; with DCQCN the cascade never forms.  Each
-    CC variant is also run storm-free to give the victim a baseline.
-    """
-    repetitions = repetitions or scale.pick(3, 6, 2)
-    sample = pause_storm_scenario(
-        cc=ccs[0], duration_ns=duration_ns, warmup_ns=warmup_ns,
-        storm_ns=storm_ns, storm_count=storm_count,
-    )
-    result = PauseStormResult(
-        repetitions=repetitions,
-        duration_ms=sample.duration_ns / 1e6,
-        storm_ms=(
-            storm_ns or max((3 * sample.duration_ns) // 4, units.us(100))
-        ) / 1e6,
-    )
-    for cc in ccs:
-        stormy = pause_storm_scenario(
-            cc=cc, duration_ns=duration_ns, warmup_ns=warmup_ns,
-            storm_ns=storm_ns, storm_count=storm_count,
-        )
-        clean = pause_storm_scenario(
-            cc=cc, duration_ns=duration_ns, warmup_ns=warmup_ns,
-            storm_ns=storm_ns, with_storm=False,
-        )
-        seeds = scale.seeds_for(repetitions, base=7000)
-        stormy_runs = run_scenario(stormy, seeds)
-        clean_runs = run_scenario(clean, seeds)
-        result.feeder_bps[cc] = [run.flows_bps["feeder"] for run in stormy_runs]
-        result.victim_bps[cc] = [run.flows_bps["victim"] for run in stormy_runs]
-        result.clean_victim_bps[cc] = [
-            run.flows_bps["victim"] for run in clean_runs
-        ]
-        result.pause_frames[cc] = [
-            int(run.metric("pfc.pause_tx")) for run in stormy_runs
-        ]
-        result.goodput_fraction[cc] = [
-            run.metrics.get("gauges", {}).get("fault.goodput_fraction", 1.0)
-            for run in stormy_runs
-        ]
-    return result

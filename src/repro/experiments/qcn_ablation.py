@@ -23,7 +23,7 @@ cut and recover in phase, overstating the queue oscillation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -89,27 +89,6 @@ def fairness_cell(
 _CELL_FN = "repro.experiments.qcn_ablation:fairness_cell"
 
 
-def _cell_kwargs(
-    scheme: str,
-    n_senders: int,
-    warmup_ns: Optional[int],
-    measure_ns: Optional[int],
-    seed: int,
-) -> Dict[str, Any]:
-    if scheme not in ("none", "qcn", "dcqcn"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if warmup_ns is None:
-        warmup_ns = scale.pick(units.ms(15), units.ms(40), units.ms(4))
-    measure_ns = measure_ns or scale.pick(units.ms(10), units.ms(30), units.ms(2))
-    return {
-        "scheme": scheme,
-        "n_senders": n_senders,
-        "warmup_ns": warmup_ns,
-        "measure_ns": measure_ns,
-        "seed": seed,
-    }
-
-
 def _from_cell(value: Dict[str, Any]) -> SingleSwitchFairnessResult:
     rates = list(value["per_flow_gbps"])
     return SingleSwitchFairnessResult(
@@ -118,19 +97,6 @@ def _from_cell(value: Dict[str, Any]) -> SingleSwitchFairnessResult:
         fairness=jain_fairness(rates),
         total_gbps=sum(rates),
     )
-
-
-def run_single_switch_fairness(
-    scheme: str,
-    n_senders: int = 4,
-    warmup_ns: Optional[int] = None,
-    measure_ns: Optional[int] = None,
-    seed: int = 61,
-) -> SingleSwitchFairnessResult:
-    """N:1 incast with ``scheme`` in {"none", "qcn", "dcqcn"}."""
-    kwargs = _cell_kwargs(scheme, n_senders, warmup_ns, measure_ns, seed)
-    (value,) = execute([Cell(_CELL_FN, kwargs)])
-    return _from_cell(value)
 
 
 def queue_cell(
@@ -186,6 +152,10 @@ def run_ablations() -> Dict[str, Any]:
     8:1 incast queue under each RP timer jitter.
     """
     schemes = ("none", "qcn", "dcqcn")
+    scheme_horizon = {
+        "warmup_ns": scale.pick(units.ms(15), units.ms(40), units.ms(4)),
+        "measure_ns": scale.pick(units.ms(10), units.ms(30), units.ms(2)),
+    }
     pmax_horizon = {
         "warmup_ns": scale.pick(units.ms(25), units.ms(25), units.ms(3)),
         "measure_ns": scale.pick(units.ms(15), units.ms(15), units.ms(2)),
@@ -195,7 +165,7 @@ def run_ablations() -> Dict[str, Any]:
         "measure_ns": scale.pick(units.ms(15), units.ms(15), units.ms(2)),
     }
     cells = [
-        Cell(_CELL_FN, _cell_kwargs(scheme, 4, None, None, seed=61))
+        Cell(_CELL_FN, dict(scheme=scheme, n_senders=4, seed=61, **scheme_horizon))
         for scheme in schemes
     ]
     cells += [

@@ -11,7 +11,7 @@ trace, so results stay JSON-small and cacheable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -64,15 +64,6 @@ def fig11_cell(panel: str, duration_s: float) -> Dict[str, Any]:
 _FIG11_FN = "repro.experiments.sweeps:fig11_cell"
 
 
-def _panel_kwargs(panel: str, duration_s: Optional[float]) -> Dict[str, Any]:
-    if panel not in FIG11_PANELS:
-        raise ValueError(
-            f"unknown panel {panel!r}; choose from {sorted(FIG11_PANELS)}"
-        )
-    duration_s = duration_s or scale.pick(0.08, 0.2, 0.02)
-    return {"panel": panel, "duration_s": duration_s}
-
-
 def _panel_summary(value: Dict[str, Any]) -> PanelSummary:
     return PanelSummary(
         parameter=value["parameter"],
@@ -81,18 +72,14 @@ def _panel_summary(value: Dict[str, Any]) -> PanelSummary:
     )
 
 
-def run_fig11_panel(panel: str, duration_s: float = None) -> PanelSummary:
-    """One Figure 11 panel (convergence vs one parameter)."""
-    (value,) = execute([Cell(_FIG11_FN, _panel_kwargs(panel, duration_s))])
-    return _panel_summary(value)
-
-
-def run_fig11(
-    panels: Optional[Sequence[str]] = None, duration_s: float = None
-) -> Dict[str, PanelSummary]:
+def run_fig11() -> Dict[str, PanelSummary]:
     """All four Figure 11 panels, fanned out across workers."""
-    panels = list(panels or sorted(FIG11_PANELS))
-    cells = [Cell(_FIG11_FN, _panel_kwargs(p, duration_s)) for p in panels]
+    panels = sorted(FIG11_PANELS)
+    duration_s = scale.pick(0.08, 0.2, 0.02)
+    cells = [
+        Cell(_FIG11_FN, {"panel": panel, "duration_s": duration_s})
+        for panel in panels
+    ]
     values = execute(cells)
     return {panel: _panel_summary(v) for panel, v in zip(panels, values)}
 
@@ -169,20 +156,16 @@ class Fig12Result:
         )
 
 
-def run_fig12(
-    degrees=(2, 16),
-    g_values=(1.0 / 16.0, 1.0 / 256.0),
-    duration_s: float = None,
-) -> Fig12Result:
+def run_fig12() -> Fig12Result:
     """Figure 12: queue length/stability for 2:1 and 16:1 incast."""
-    duration_s = duration_s or scale.pick(0.08, 0.2, 0.02)
+    duration_s = scale.pick(0.08, 0.2, 0.02)
     cells = [
         Cell(_FIG12_FN, {
             "degree": degree,
-            "g_values": list(g_values),
+            "g_values": [1.0 / 16.0, 1.0 / 256.0],
             "duration_s": duration_s,
         })
-        for degree in degrees
+        for degree in (2, 16)
     ]
     values = execute(cells)
     return Fig12Result(

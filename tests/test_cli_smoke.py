@@ -19,7 +19,7 @@ import pytest
 
 from repro import runtime
 from repro.cli import main
-from repro.runner import REGISTRY, SCENARIOS, digest
+from repro.runner import REGISTRY, SCENARIOS, digest, executor
 from tests.pins import MANIFEST, REPIN, assert_pinned
 
 RESULTS_ENV = runtime.VARS["results_dir"].env
@@ -46,6 +46,7 @@ def test_experiment_smoke(experiment_id, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(SCALE_ENV, "smoke")
     monkeypatch.setenv(CACHE_ENV, "on")
     monkeypatch.setenv(RESULTS_ENV, str(tmp_path))  # only this id's cells
+    monkeypatch.setattr(executor, "LAST_STATS", None)
     assert main([experiment_id]) == 0
     out = capsys.readouterr().out
     lines = [line for line in out.splitlines() if line.strip()]
@@ -53,10 +54,17 @@ def test_experiment_smoke(experiment_id, tmp_path, monkeypatch, capsys):
     assert lines[0].startswith(f"=== {experiment_id}:")
     assert len(lines) >= 4, f"{experiment_id} printed no table:\n{out}"
     table = out.split("\n", 1)[1].removesuffix("\n")
+    fresh = digest.of_experiment(table)
     assert_pinned(
         f"experiment {experiment_id}",
         MANIFEST["experiments"].get(experiment_id),
-        digest.of_experiment(table),
+        fresh,
+    )
+    # all of an id's cells go through one executor batch
+    batch = executor.LAST_STATS.total if executor.LAST_STATS else 0
+    assert batch == len(fresh["cells"]), (
+        f"{experiment_id}: its last executor batch held {batch} "
+        f"of its {len(fresh['cells'])} cells"
     )
 
 

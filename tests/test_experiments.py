@@ -2,34 +2,42 @@
 
 These use deliberately tiny durations — full-scale runs live in
 ``benchmarks/``; here we verify wiring, result structure and the
-direction of each effect.
+direction of each effect.  A driver takes no knobs, so a shorter run
+calls the module's cell function or Scenario builder directly.
 """
 
+import numpy as np
 import pytest
 
 from repro import runtime, units
+from repro.analysis.stats import jain_fairness, percentile
+from repro.core.params import DCQCNParams
 from repro.experiments.benchmark_traffic import (
     RESULT_HEADERS,
     VARIANTS,
-    run_benchmark_traffic,
+    BenchmarkTrafficResult,
+    traffic_cell,
     variant_setup,
 )
 from repro.experiments.buffer_settings import (
-    run_ecn_before_pfc_check,
+    EcnBeforePfcCheck,
+    ecn_check_cell,
     section4_table,
 )
 from repro.experiments.fluid_validation import (
     FIG13_CONFIGS,
-    run_fluid_vs_sim,
-    run_two_flow_validation,
+    FluidVsSimResult,
+    fluid_vs_sim_cell,
+    two_flow_cell,
 )
-from repro.experiments.latency import run_queue_comparison
-from repro.experiments.microbench import run_incast_utilization
-from repro.experiments.multibottleneck import run_parking_lot
-from repro.experiments.pfc_pathologies import run_unfairness, run_victim_flow
-from repro.experiments.qcn_ablation import run_single_switch_fairness
-from repro.experiments.sweeps import fig11_table, run_fig11_panel, run_fig12
-from repro.runner import format_table, scale
+from repro.experiments.latency import QueueCdfResult, queue_cell
+from repro.experiments.microbench import IncastUtilizationResult, incast_cell
+from repro.experiments.multibottleneck import ParkingLotResult, parking_cell
+from repro.experiments.pfc_pathologies import unfairness_scenario, victim_scenario
+from repro.experiments.qcn_ablation import fairness_cell
+from repro.experiments.sweeps import Fig12Result, GQueueSummary, fig11_cell, fig12_cell
+from repro.runner import format_table, run_scenario, scale
+from repro.runner.scenario import encode_value
 
 
 class TestCommon:
@@ -60,64 +68,81 @@ class TestCommon:
 
 class TestPfcPathologies:
     def test_unfairness_structure(self):
-        result = run_unfairness(
-            "none", repetitions=1, duration_ns=units.ms(3)
+        (run,) = run_scenario(
+            unfairness_scenario("none", duration_ns=units.ms(3)), scale.seeds_for(1)
         )
-        assert set(result.throughputs_bps) == {"H1", "H2", "H3", "H4"}
-        assert "H4" in result.table()
+        assert set(run.flows_bps) == {"H1", "H2", "H3", "H4"}
 
     def test_h4_advantage_without_dcqcn(self):
-        result = run_unfairness("none", repetitions=2, duration_ns=units.ms(4))
-        _, h4_median, _ = result.stats_gbps("H4")
-        others = [result.stats_gbps(h)[1] for h in ("H1", "H2", "H3")]
-        assert h4_median > min(others)
+        runs = run_scenario(
+            unfairness_scenario("none", duration_ns=units.ms(4)), scale.seeds_for(2)
+        )
+
+        def median(host):
+            return percentile([run.flows_bps[host] for run in runs], 50)
+
+        assert median("H4") > min(median(h) for h in ("H1", "H2", "H3"))
 
     def test_victim_flow_structure(self):
-        result = run_victim_flow(
-            "none", t3_sender_counts=(0, 2), repetitions=1,
-            duration_ns=units.ms(3),
-        )
-        assert set(result.victim_bps) == {0, 2}
-        assert result.median_gbps(0) > 0
+        for t3_senders in (0, 2):
+            (run,) = run_scenario(
+                victim_scenario("none", t3_senders, units.ms(3), 0),
+                [2000 + 100 * t3_senders],
+            )
+            assert run.flows_bps["victim"] > 0
+            assert len(run.flows_bps) == 5 + t3_senders
 
 
 class TestFluidValidation:
     def test_fluid_vs_sim_correlate(self):
-        result = run_fluid_vs_sim(
-            duration_ns=units.ms(40), second_start_ns=units.ms(5)
+        value = fluid_vs_sim_cell(
+            duration_ns=units.ms(40),
+            second_start_ns=units.ms(5),
+            params=encode_value(DCQCNParams.deployed()),
+            sample_interval_ns=units.us(500),
+            seed=7,
         )
+        result = FluidVsSimResult(**{k: np.asarray(v) for k, v in value.items()})
         assert result.correlation() > 0.6
         assert result.normalized_rmse() < 0.5
         assert "sim Gbps" in result.table()
 
+    @staticmethod
+    def steady_gap_gbps(config_name, duration_ns):
+        value = two_flow_cell(
+            config_name, duration_ns, units.ms(5), 11, units.us(500), units.gbps(5)
+        )
+        rates = np.asarray(value["rates_bps"])
+        tail = rates[len(rates) // 2 :].mean(axis=0)
+        return abs(tail[0] - tail[1]) / 1e9
+
     def test_all_fig13_configs_run(self):
         for name in FIG13_CONFIGS:
-            result = run_two_flow_validation(name, duration_ns=units.ms(10))
-            assert result.rate_gap_gbps >= 0
+            assert self.steady_gap_gbps(name, units.ms(10)) >= 0
 
     def test_unknown_config_rejected(self):
-        with pytest.raises(ValueError):
-            run_two_flow_validation("bogus")
+        with pytest.raises(KeyError):
+            self.steady_gap_gbps("bogus", units.ms(1))
 
     def test_deployed_beats_strawman(self):
-        strawman = run_two_flow_validation("strawman", duration_ns=units.ms(40))
-        deployed = run_two_flow_validation("deployed", duration_ns=units.ms(40))
-        assert deployed.rate_gap_gbps < strawman.rate_gap_gbps
+        assert self.steady_gap_gbps("deployed", units.ms(40)) < self.steady_gap_gbps(
+            "strawman", units.ms(40)
+        )
 
 
 class TestSweepWrappers:
     def test_fig11_panel(self):
-        result = run_fig11_panel("timer", duration_s=0.02)
-        assert len(result.values) == 5
-        assert "steady" in fig11_table("timer", result)
+        value = fig11_cell("timer", duration_s=0.02)
+        assert value["parameter"]
+        assert len(value["values"]) == len(value["final_diff_gbps"]) == 5
 
     def test_unknown_panel(self):
-        with pytest.raises(ValueError):
-            run_fig11_panel("jitter")
+        with pytest.raises(KeyError):
+            fig11_cell("jitter", duration_s=0.02)
 
     def test_fig12(self):
-        result = run_fig12(degrees=(2,), duration_s=0.02)
-        assert "2:1" in result.table()
+        value = fig12_cell(2, [1.0 / 16.0, 1.0 / 256.0], duration_s=0.02)
+        assert "2:1" in Fig12Result({2: GQueueSummary(**value)}).table()
 
 
 class TestBenchmarkTraffic:
@@ -133,10 +158,14 @@ class TestBenchmarkTraffic:
             variant_setup("tcp")
 
     def test_result_row_matches_headers(self):
-        result = run_benchmark_traffic(
-            "dcqcn", incast_degree=2, n_pairs=4, repetitions=1,
-            warmup_ns=units.ms(1), measure_ns=units.ms(2), hosts_per_tor=2,
+        result = BenchmarkTrafficResult(
+            variant="dcqcn", incast_degree=2, n_pairs=4, repetitions=1, measure_ms=2.0
         )
+        result.add(traffic_cell(
+            "dcqcn", incast_degree=2, n_pairs=4, warmup_ns=units.ms(1),
+            measure_ns=units.ms(2), hosts_per_tor=2, fresh_qp_per_message=False,
+            seed=5034,
+        ))
         assert len(result.row()) == len(RESULT_HEADERS)
         assert result.incast_median_gbps() > 0
         assert result.user_p10_gbps() >= 0
@@ -144,44 +173,39 @@ class TestBenchmarkTraffic:
 
 class TestLatencyAndParkingLot:
     def test_queue_comparison_direction(self):
-        dcqcn = run_queue_comparison(
-            "dcqcn", warmup_ns=units.ms(5), measure_ns=units.ms(5)
-        )
-        dctcp = run_queue_comparison(
-            "dctcp", warmup_ns=units.ms(5), measure_ns=units.ms(5)
+        dcqcn, dctcp = (
+            QueueCdfResult(**queue_cell(
+                protocol, 2, units.ms(5), units.ms(5), units.us(5), 23
+            ))
+            for protocol in ("dcqcn", "dctcp")
         )
         assert dcqcn.percentile_kb(90) < dctcp.percentile_kb(90)
 
     def test_queue_comparison_validates_protocol(self):
         with pytest.raises(ValueError):
-            run_queue_comparison("cubic")
+            queue_cell("cubic", 2, units.ms(1), units.ms(1), units.us(5), 23)
 
     def test_parking_lot_red_helps_f2(self):
-        cutoff = run_parking_lot(
-            "cutoff", warmup_ns=units.ms(10), measure_ns=units.ms(8)
-        )
-        red = run_parking_lot(
-            "red", warmup_ns=units.ms(10), measure_ns=units.ms(8)
+        cutoff, red = (
+            ParkingLotResult(**parking_cell(scheme, units.ms(10), units.ms(8), 31))
+            for scheme in ("cutoff", "red")
         )
         assert red.flow_gbps["f2"] > cutoff.flow_gbps["f2"]
         assert red.two_bottleneck_share > cutoff.two_bottleneck_share
 
     def test_parking_lot_rejects_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            run_parking_lot("blue")
+        with pytest.raises(KeyError):
+            parking_cell("blue", units.ms(1), units.ms(1), 31)
 
 
 class TestMicrobenchAndBuffers:
     def test_incast_utilization(self):
-        result = run_incast_utilization(
-            2, warmup_ns=units.ms(20), measure_ns=units.ms(10)
-        )
+        result = IncastUtilizationResult(**incast_cell(
+            2, encode_value(DCQCNParams.deployed()), units.ms(20), units.ms(10),
+            units.us(10), 43,
+        ))
         assert result.total_goodput_gbps > 36
         assert result.pause_frames == 0
-
-    def test_incast_rejects_degree_zero(self):
-        with pytest.raises(ValueError):
-            run_incast_utilization(0)
 
     def test_section4_table_contains_paper_numbers(self):
         table = section4_table()
@@ -190,11 +214,11 @@ class TestMicrobenchAndBuffers:
         assert "True" in table
 
     def test_ecn_before_pfc_check(self):
-        good = run_ecn_before_pfc_check(
-            misconfigured=False, duration_ns=units.ms(4)
-        )
-        bad = run_ecn_before_pfc_check(
-            misconfigured=True, duration_ns=units.ms(4)
+        good, bad = (
+            EcnBeforePfcCheck(**ecn_check_cell(
+                misconfigured, 8, units.ms(4), units.ms(5), 53
+            ))
+            for misconfigured in (False, True)
         )
         assert good.ecn_first
         assert not bad.ecn_first
@@ -204,21 +228,19 @@ class TestMicrobenchAndBuffers:
 class TestQcnAblation:
     def test_all_schemes_run(self):
         for scheme in ("none", "qcn", "dcqcn"):
-            result = run_single_switch_fairness(
-                scheme, warmup_ns=units.ms(3), measure_ns=units.ms(3)
-            )
-            assert result.total_gbps > 0
-            assert 0 < result.fairness <= 1
+            rates = fairness_cell(scheme, 4, units.ms(3), units.ms(3), 61)[
+                "per_flow_gbps"
+            ]
+            assert sum(rates) > 0
+            assert 0 < jain_fairness(rates) <= 1
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
-            run_single_switch_fairness("timely")
+            fairness_cell("bogus", 4, units.ms(1), units.ms(1), 61)
 
     def test_qcn_arm_is_a_pure_function_of_its_cell(self):
         # the result cache keys a cell by (fn, kwargs): the QCN arm's
         # jittered increase timers must seed from the cell, not the OS
-        from repro.experiments.qcn_ablation import fairness_cell
-
         results = {
             tuple(
                 fairness_cell("qcn", 4, units.ms(2), units.ms(1), seed=0)[

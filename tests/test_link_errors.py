@@ -3,7 +3,7 @@
 import pytest
 
 from repro import units
-from repro.experiments.link_errors import run_loss_point, run_loss_sweep
+from repro.experiments.link_errors import LossSweepPoint, loss_cell
 from repro.sim.nic import NicConfig
 from repro.sim.topology import single_switch
 
@@ -99,20 +99,23 @@ class TestPauseDurationAccounting:
         assert paused > 0
 
 
+def loss_point(loss_rate: float, duration_ns: int) -> LossSweepPoint:
+    """One point of the §7 sweep, at the sweep's RTO and seed."""
+    return LossSweepPoint(**loss_cell(loss_rate, duration_ns, units.ms(1), 97))
+
+
 class TestLossSweepExperiment:
     def test_zero_loss_point_is_clean(self):
-        point = run_loss_point(0.0, duration_ns=units.ms(3))
+        point = loss_point(0.0, units.ms(3))
         assert point.goodput_gbps > 38
         assert point.retransmitted_packets == 0
         assert point.efficiency > 0.95
 
     def test_goodput_decreases_with_loss(self):
-        points = run_loss_sweep(
-            loss_rates=(0.0, 0.02), duration_ns=units.ms(4)
-        )
-        assert points[1].goodput_gbps < points[0].goodput_gbps
-        assert points[1].retransmitted_packets > 0
+        clean, lossy = (loss_point(rate, units.ms(4)) for rate in (0.0, 0.02))
+        assert lossy.goodput_gbps < clean.goodput_gbps
+        assert lossy.retransmitted_packets > 0
 
     def test_gobackn_below_selective_bound(self):
-        point = run_loss_point(0.02, duration_ns=units.ms(4))
+        point = loss_point(0.02, units.ms(4))
         assert point.goodput_gbps < point.ideal_selective_gbps
