@@ -17,11 +17,12 @@ Three checks, all cheap enough for every CI run:
    so it only trips on regressions of kind, not noise: an accidental
    per-host copy of a config object, a queue object per (port,
    priority) built before any packet needs it, a random stream per
-   switch built before any draw, and so on.  Nothing a switch holds
-   grows with the number of hosts beyond its own rack, so the per-host
-   figure does not rise with k (5.4 / 5.0 / 4.7 KB at k = 8 / 16 / 32);
-   the k=32 run is where a per-host table in the core tier would show
-   (14.7 KB/host there).
+   switch built before any draw, a port's fault or pause record or
+   tie-break tuple built before a fault, PAUSE or frame, and so on.
+   Nothing a switch holds grows with the number of hosts beyond its
+   own rack, so the per-host figure does not rise with k (4.2 / 3.7 /
+   3.4 KB at k = 8 / 16 / 32); the k=32 run is where a per-host table
+   in the core tier would show (14.7 KB/host there).
 
 3. **Route state** — the same property as a count that does not drift
    with the box: exact entries plus block routes, summed over every
@@ -49,6 +50,8 @@ SLOTTED = (
     ("repro.sim.host", "Flow"),
     ("repro.sim.host", "Host"),
     ("repro.sim.host", "Message"),
+    ("repro.sim.link", "FaultRecord"),
+    ("repro.sim.link", "PauseRecord"),
     ("repro.sim.link", "Port"),
     ("repro.sim.nic", "HostNic"),
     ("repro.sim.nic", "_RxState"),
@@ -57,11 +60,12 @@ SLOTTED = (
 )
 
 #: tracemalloc bytes per host allowed for a freshly built fat-tree
-#: (measured 5.4 / 5.0 / 4.7 KB/host at k = 8 / 16 / 32 with block
-#: routes; 7.7 / 8.2 / 14.7 with one entry per host in every core,
-#: 45 KB/host before queues were made on first use; 2x headroom,
-#: rounded up)
-PER_HOST_BUDGET_BYTES = 10_000
+#: (measured 4.2 / 3.7 / 3.4 KB/host at k = 8 / 16 / 32 with the
+#: port's fault, pause and tie-break state made on first use; 5.4 /
+#: 5.0 / 4.7 before that, 7.7 / 8.2 / 14.7 with one entry per host in
+#: every core, 45 KB/host before queues were made on first use; ~2x
+#: headroom, rounded)
+PER_HOST_BUDGET_BYTES = 7_000
 
 #: installed route state (exact entries + blocks over all switches)
 #: allowed per host

@@ -1,13 +1,11 @@
-"""Figure rendering: SVG with no dependencies, PNG when matplotlib exists.
+"""Figure rendering: SVG with no dependencies.
 
 ``repro plot`` turns analysis outputs (slowdown CDFs, queue CDFs, grid
-heatmaps) into artifacts under ``results/figures/``.  The container
-this repo targets has no plotting stack, so the primary renderer emits
-SVG by hand — axes, nice ticks, polylines, legends, color ramps are a
-few hundred lines of string assembly and produce byte-deterministic
-output (good for artifact diffing in CI).  When matplotlib *is*
-importable, every chart is additionally rendered as PNG through it;
-its absence is never an error.
+heatmaps) into artifacts under ``results/figures/``.  There is no
+plotting stack to lean on, so the renderer emits SVG by hand — axes,
+nice ticks, polylines, legends, color ramps are a few hundred lines of
+string assembly and produce byte-deterministic output (good for
+artifact diffing in CI).
 
 Two chart shapes cover every figure the ISSUE asks for:
 
@@ -21,12 +19,10 @@ Two chart shapes cover every figure the ISSUE asks for:
 from __future__ import annotations
 
 import math
-from importlib.util import find_spec
 from pathlib import Path
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-#: matplotlib's default category colors, hard-coded so the SVG and PNG
-#: renderings of one chart agree
+#: matplotlib's default category colors
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
 #: viridis-like color-ramp anchors for heatmaps, (fraction, (r, g, b))
@@ -39,11 +35,6 @@ _RAMP = (
 )
 
 Series = Mapping[str, Sequence[Tuple[float, float]]]
-
-
-def matplotlib_available() -> bool:
-    """True when matplotlib can be imported (it is never required)."""
-    return find_spec("matplotlib") is not None
 
 
 def nice_ticks(lo: float, hi: float, target: int = 5) -> List[float]:
@@ -271,42 +262,12 @@ def write_line_chart(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-) -> List[Path]:
-    """Render a line chart to ``<path_base>.svg`` (and ``.png`` when
-    matplotlib is present); returns the written paths."""
-    written = [
-        _write(
-            path_base.with_suffix(".svg"),
-            svg_line_chart(series, title=title, xlabel=xlabel, ylabel=ylabel),
-        )
-    ]
-    if matplotlib_available():
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-
-        fig, ax = plt.subplots(figsize=(6.4, 4.4))
-        for index, (label, pts) in enumerate(series.items()):
-            if not pts:
-                continue
-            pts = sorted(pts)
-            ax.plot(
-                [x for x, _ in pts],
-                [y for _, y in pts],
-                label=label,
-                color=PALETTE[index % len(PALETTE)],
-            )
-        ax.set_title(title)
-        ax.set_xlabel(xlabel)
-        ax.set_ylabel(ylabel)
-        ax.legend()
-        fig.tight_layout()
-        png = path_base.with_suffix(".png")
-        fig.savefig(png)
-        plt.close(fig)
-        written.append(png)
-    return written
+) -> Path:
+    """Render a line chart to ``<path_base>.svg``; returns the path."""
+    return _write(
+        path_base.with_suffix(".svg"),
+        svg_line_chart(series, title=title, xlabel=xlabel, ylabel=ylabel),
+    )
 
 
 def write_heatmap(
@@ -317,44 +278,11 @@ def write_heatmap(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-) -> List[Path]:
-    """Render a heatmap to ``<path_base>.svg`` (and ``.png`` when
-    matplotlib is present); returns the written paths."""
-    written = [
-        _write(
-            path_base.with_suffix(".svg"),
-            svg_heatmap(
-                col_labels,
-                row_labels,
-                grid,
-                title=title,
-                xlabel=xlabel,
-                ylabel=ylabel,
-            ),
-        )
-    ]
-    if matplotlib_available():
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-
-        data = [
-            [float("nan") if v is None else v for v in row] for row in grid
-        ]
-        fig, ax = plt.subplots(
-            figsize=(1.2 + 0.7 * len(col_labels), 1.2 + 0.3 * len(row_labels))
-        )
-        image = ax.imshow(data, aspect="auto", cmap="viridis")
-        ax.set_xticks(range(len(col_labels)), labels=col_labels)
-        ax.set_yticks(range(len(row_labels)), labels=row_labels)
-        ax.set_title(title)
-        ax.set_xlabel(xlabel)
-        ax.set_ylabel(ylabel)
-        fig.colorbar(image, ax=ax)
-        fig.tight_layout()
-        png = path_base.with_suffix(".png")
-        fig.savefig(png)
-        plt.close(fig)
-        written.append(png)
-    return written
+) -> Path:
+    """Render a heatmap to ``<path_base>.svg``; returns the path."""
+    return _write(
+        path_base.with_suffix(".svg"),
+        svg_heatmap(
+            col_labels, row_labels, grid, title=title, xlabel=xlabel, ylabel=ylabel
+        ),
+    )

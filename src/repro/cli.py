@@ -476,11 +476,10 @@ GRID_METRICS = ("mice_p50", "mice_p99", "eleph_p50", "eleph_p99")
 def plot_main(argv: Sequence[str]) -> int:
     """``python -m repro plot [fct|queues|grid|all]`` — render figures.
 
-    Artifacts land under ``results/figures/`` as SVG (always, pure
-    stdlib) and PNG (when matplotlib happens to be installed).  Every
-    underlying experiment runs through the cached executor, so
-    re-plotting a sweep that already ran renders from cache without
-    recomputing a single cell.
+    Artifacts land under ``results/figures/`` as SVG, rendered with the
+    stdlib alone.  Every underlying experiment runs through the cached
+    executor, so re-plotting a sweep that already ran renders from cache
+    without recomputing a single cell.
     """
     parser = argparse.ArgumentParser(
         prog="repro plot",
@@ -529,13 +528,13 @@ def plot_main(argv: Sequence[str]) -> int:
         if not cdfs:
             print("no completed transfers to plot", file=sys.stderr)
             return 3
-        written += write_line_chart(
+        written.append(write_line_chart(
             out_dir / "fct_slowdown_cdf",
             cdfs,
             title="Benchmark traffic: FCT slowdown CDF",
             xlabel="slowdown (FCT / ideal FCT)",
             ylabel="fraction of transfers",
-        )
+        ))
         print(fct.fct_table(summaries))
 
     if "queues" in kinds:
@@ -549,13 +548,13 @@ def plot_main(argv: Sequence[str]) -> int:
             ]
             for result in run_fig19()
         }
-        written += write_line_chart(
+        written.append(write_line_chart(
             out_dir / "queue_cdf",
             series,
             title="Egress queue CDF: DCQCN vs DCTCP (Fig 19)",
             xlabel="queue length (KB)",
             ylabel="fraction of samples",
-        )
+        ))
 
     if "grid" in kinds:
         from repro.experiments.fct_grid import (
@@ -582,7 +581,7 @@ def plot_main(argv: Sequence[str]) -> int:
             ]
             for profile in profiles
         ]
-        written += write_heatmap(
+        written.append(write_heatmap(
             out_dir / f"fct_grid_{args.metric}",
             [str(d) for d in degrees],
             [f"K{k}/{m} P{p:g}" for k, m, p in profiles],
@@ -590,7 +589,7 @@ def plot_main(argv: Sequence[str]) -> int:
             title=f"slowdown {args.metric} over (Kmin, Kmax, Pmax) x incast",
             xlabel="incast degree",
             ylabel="marking profile (Kmin KB / Kmax KB, Pmax)",
-        )
+        ))
         print(grid_table(sweep))
 
     for path in written:

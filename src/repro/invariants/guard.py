@@ -199,10 +199,12 @@ class InvariantGuard:
         #: whether this guard runs the fleet-wide checks (exactly one
         #: shard does, so the merged check count matches serial)
         self._fleet = True
-        #: (port, peer) of every cable with both ends local, resolved at
-        #: the first sweep (cabling and ownership are fixed by then), and
-        #: the local ports counted as checked but not compared
-        self._link_pairs: Optional[List[Tuple[Any, Any]]] = None
+        #: every cable with both ends local as two parallel lists, its
+        #: transmit port and that port's peer, resolved at the first
+        #: sweep (cabling and ownership are fixed by then), and the
+        #: local ports counted as checked but not compared
+        self._link_ports: Optional[List[Any]] = None
+        self._link_peers: List[Any] = []
         self._links_skipped = 0
 
     def restrict(self, local_names, fleet: bool) -> "InvariantGuard":
@@ -362,9 +364,10 @@ class InvariantGuard:
 
     def _check_links(self, net) -> None:
         """Per-cable byte conservation: tx == delivered + lost + in flight."""
-        pairs = self._link_pairs
-        if pairs is None:
-            pairs = self._link_pairs = []
+        ports = self._link_ports
+        peers = self._link_peers
+        if ports is None:
+            ports = self._link_ports = []
             for device in (*net.switches, *(host.nic for host in net.hosts)):
                 if not self._is_local(device.name):
                     continue
@@ -376,9 +379,10 @@ class InvariantGuard:
                         # re-checked at merge time
                         self._links_skipped += 1
                     else:
-                        pairs.append((port, peer))
-        self.checks += len(pairs) + self._links_skipped
-        for port, peer in pairs:
+                        ports.append(port)
+                        peers.append(peer)
+        self.checks += len(ports) + self._links_skipped
+        for port, peer in zip(ports, peers):
             in_flight = port.tx_bytes - port.lost_bytes - peer.rx_bytes
             if in_flight < 0:
                 self.violation(

@@ -3,7 +3,7 @@
 A shard worker builds the full network
 (:func:`repro.runner.scenario.build` with its shard's ``local_names``),
 then :meth:`ShardContext.bind` cuts the cross-shard cables: every *local* transmit port of a boundary
-channel gets a ``remote_sink`` (see :meth:`repro.sim.link.Port._tx_done`)
+channel gets a remote sink (see :meth:`repro.sim.link.Port.set_remote_sink`)
 that diverts the frame — after its normal serialization and byte
 accounting — into this shard's outbox instead of scheduling delivery
 on the local engine.  Every *local* receive port is registered so
@@ -34,7 +34,7 @@ from repro.sim.packet import Packet
 #: wire form of one boundary frame: the Packet scalar fields, in
 #: constructor order (``ingress_index`` is per-hop scratch, reset on
 #: decode)
-PacketTuple = Tuple[int, int, int, int, int, int, int, int, int, int, bool, int]
+PacketTuple = Tuple[int, int, int, int, int, int, int, int, int, int]
 
 #: one routed boundary message:
 #: ``(rx_shard, channel_id, seq, arrival_ns, packet)``
@@ -53,8 +53,6 @@ def encode_packet(pkt: Packet) -> PacketTuple:
         pkt.priority,
         pkt.ecn,
         pkt.msg_id,
-        pkt.pause_priority,
-        pkt.pause,
         pkt.qcn_fb,
     )
 
@@ -131,7 +129,7 @@ class ShardContext:
         for channel in self.plan.channels:
             if channel.tx_shard == self.shard_id:
                 port = devices[channel.tx_dev].ports[channel.tx_port]
-                port.remote_sink = self._make_sink(channel)
+                port.set_remote_sink(self._make_sink(channel))
                 self._tx_ports[channel.channel_id] = port
             if channel.rx_shard == self.shard_id:
                 self._rx_ports[channel.channel_id] = (

@@ -35,6 +35,10 @@ Ports implement the details PFC correctness depends on:
   are lost, nothing new starts) and its rate changed mid-run
   (:meth:`Port.set_rate`, the slow-receiver injector).  Both are
   no-ops for scenarios that never script a fault.
+* **Idle ports cost only their identity** — loss injection, link-down
+  drops and the shard cut live in a :class:`FaultRecord`, PFC counts
+  and pause clocks in a :class:`PauseRecord`, each made at first use;
+  an untouched port holds neither (DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -45,8 +49,50 @@ from typing import Deque, Dict, Optional, Tuple
 
 from repro.engine import EventScheduler
 from repro.sim.device import Device
-from repro.sim.packet import Packet
+from repro.sim.packet import KIND_PAUSE, Packet
 from repro.units import serialization_time_ns
+
+
+class FaultRecord:
+    """One port's loss injection, link-down drops and shard cut.
+
+    Made by the first :meth:`Port.set_error_rate`, the first frame a
+    dark link loses, or :meth:`Port.set_remote_sink`.  A port that
+    never meets one of those holds None, and ``_tx_done`` delivers on
+    a single test.
+    """
+
+    __slots__ = (
+        "error_rate",
+        "rng",
+        "corrupted_frames",
+        "link_down_drops",
+        "remote_sink",
+    )
+
+    def __init__(self) -> None:
+        self.error_rate = 0.0
+        self.rng: Optional[random.Random] = None
+        self.corrupted_frames = 0
+        self.link_down_drops = 0
+        #: cross-shard cut (repro.shard): frames that survive
+        #: serialization go to this sink (which ships them to the
+        #: peer's shard) instead of the local engine
+        self.remote_sink = None
+
+
+class PauseRecord:
+    """One port's PFC history, made at the first PAUSE sent or received."""
+
+    __slots__ = ("tx_frames", "rx_frames", "since", "paused_ns")
+
+    def __init__(self) -> None:
+        self.tx_frames = 0
+        self.rx_frames = 0
+        #: priority -> start of its open PAUSE window
+        self.since: Dict[int, int] = {}
+        #: priority -> ns PAUSEd in closed windows
+        self.paused_ns: Dict[int, int] = {}
 
 
 class Port:
@@ -69,18 +115,9 @@ class Port:
         "tx_packets",
         "rx_bytes",
         "lost_bytes",
-        "tx_pause_frames",
-        "rx_pause_frames",
-        "busy_since",
-        "busy_ns",
-        "error_rate",
-        "_error_rng",
-        "corrupted_frames",
-        "_paused_since",
-        "_paused_ns",
         "link_up",
-        "link_down_drops",
-        "remote_sink",
+        "_fault",
+        "_pause",
     )
 
     def __init__(self, engine: EventScheduler, owner: Device, rate_bps: float, prop_delay_ns: int):
@@ -97,12 +134,12 @@ class Port:
         #: attach_port, hence set before that call.
         self.queued_mask = -1
         self.index = owner.attach_port(self)
-        # tie-break key of every arrival this port causes: it orders
-        # simultaneous arrivals from different senders by the sending
-        # port, not by this engine's sequence counter — the one
-        # tie-break a sharded run can reproduce exactly (see
-        # repro.shard.boundary._inject)
-        self._arrival_tb = (owner.name, self.index)
+        # tie-break key of every arrival this port causes, built when
+        # its first frame finishes serialization: it orders simultaneous
+        # arrivals from different senders by the sending port, not by
+        # this engine's sequence counter — the one tie-break a sharded
+        # run can reproduce exactly (see repro.shard.boundary._inject)
+        self._arrival_tb: Optional[Tuple[str, int]] = None
         self.peer: Optional["Port"] = None
         self.rate_bps = rate_bps
         # Precomputed for the per-packet hot path: ns to serialize one
@@ -122,25 +159,11 @@ class Port:
         # per-link conservation relation the invariant guard checks
         self.rx_bytes = 0
         self.lost_bytes = 0
-        self.tx_pause_frames = 0
-        self.rx_pause_frames = 0
-        self.busy_since = 0
-        self.busy_ns = 0
-        # non-congestion loss injection (off by default)
-        self.error_rate = 0.0
-        self._error_rng: Optional[random.Random] = None
-        self.corrupted_frames = 0
-        # cumulative time each priority spent PAUSEd (prio -> ns);
-        # None until the first PAUSE arrives
-        self._paused_since: Optional[Dict[int, int]] = None
-        self._paused_ns: Optional[Dict[int, int]] = None
         # link fault state (LinkFlap injector)
         self.link_up = True
-        self.link_down_drops = 0
-        # cross-shard cut (repro.shard): when set, frames that survive
-        # serialization are handed to the sink (which ships them to the
-        # peer's shard) instead of being scheduled on the local engine
-        self.remote_sink = None
+        # rare state, None until first use (DESIGN.md §13)
+        self._fault: Optional[FaultRecord] = None
+        self._pause: Optional[PauseRecord] = None
 
     # --- pause state --------------------------------------------------------
 
@@ -149,24 +172,27 @@ class Port:
         return not (self.paused_mask >> priority) & 1
 
     def set_paused(self, priority: int, paused: bool) -> None:
-        """Record a PAUSE/RESUME received from the peer for ``priority``."""
+        """Record a PAUSE/RESUME received from the peer for ``priority``.
+
+        Every PAUSE counts in :attr:`rx_pause_frames`, a refresh of an
+        open window too.
+        """
         bit = 1 << priority
         if paused:
+            record = self._pause_record()
+            record.rx_frames += 1
             if not self.paused_mask & bit:
-                if self._paused_since is None:
-                    self._paused_since = {}
-                    self._paused_ns = {}
-                self._paused_since[priority] = self.engine.now
-            self.paused_mask |= bit
-        else:
-            was_paused = self.paused_mask & bit
+                record.since[priority] = self.engine.now
+                self.paused_mask |= bit
+        elif self.paused_mask & bit:
             self.paused_mask &= ~bit
-            if was_paused:
-                started = self._paused_since.pop(priority, self.engine.now)
-                self._paused_ns[priority] = (
-                    self._paused_ns.get(priority, 0) + self.engine.now - started
-                )
-                self.notify()
+            record = self._pause
+            now = self.engine.now
+            started = record.since.pop(priority, now)
+            record.paused_ns[priority] = (
+                record.paused_ns.get(priority, 0) + now - started
+            )
+            self.notify()
 
     def total_paused_ns(self, priority: int = 0) -> int:
         """Cumulative time ``priority`` has been PAUSEd on this port.
@@ -174,13 +200,30 @@ class Port:
         The PFC-cascade damage metric: a victim flow's throughput loss
         is roughly its bottleneck port's paused fraction.
         """
-        if self._paused_ns is None:
+        record = self._pause
+        if record is None:
             return 0
-        total = self._paused_ns.get(priority, 0)
-        started = self._paused_since.get(priority)
+        total = record.paused_ns.get(priority, 0)
+        started = record.since.get(priority)
         if started is not None:
             total += self.engine.now - started
         return total
+
+    def _pause_record(self) -> PauseRecord:
+        record = self._pause
+        if record is None:
+            record = self._pause = PauseRecord()
+        return record
+
+    @property
+    def tx_pause_frames(self) -> int:
+        """PAUSE frames sent from this port (RESUMEs do not count)."""
+        return 0 if self._pause is None else self._pause.tx_frames
+
+    @property
+    def rx_pause_frames(self) -> int:
+        """PAUSE frames received from the peer."""
+        return 0 if self._pause is None else self._pause.rx_frames
 
     # --- fault hooks --------------------------------------------------------
 
@@ -209,12 +252,52 @@ class Port:
         self.rate_bps = rate_bps
         self._ns_per_byte = 8 * 1_000_000_000 / rate_bps
 
+    def set_error_rate(self, rate: float, seed: Optional[int] = None) -> None:
+        """Drop each transmitted frame with probability ``rate``.
+
+        Models CRC-failing frames on a marginal link (paper §7's
+        non-congestion losses).  Lost frames are silently discarded in
+        flight — the receiver sees a sequence gap and go-back-N takes
+        over.
+        """
+        if not 0.0 <= rate < 1.0:
+            raise ValueError(f"error rate must be in [0, 1), got {rate}")
+        fault = self._fault_record()
+        fault.error_rate = rate
+        fault.rng = random.Random(seed) if rate > 0.0 else None
+
+    def set_remote_sink(self, sink) -> None:
+        """Hand every frame that survives serialization to ``sink``
+        instead of the local engine (the cross-shard cut, repro.shard)."""
+        self._fault_record().remote_sink = sink
+
+    @property
+    def error_rate(self) -> float:
+        """The per-frame loss probability :meth:`set_error_rate` set."""
+        return 0.0 if self._fault is None else self._fault.error_rate
+
+    @property
+    def corrupted_frames(self) -> int:
+        """Frames lost to :meth:`set_error_rate`."""
+        return 0 if self._fault is None else self._fault.corrupted_frames
+
+    @property
+    def link_down_drops(self) -> int:
+        """Frames that finished serialization while the link was down."""
+        return 0 if self._fault is None else self._fault.link_down_drops
+
+    def _fault_record(self) -> FaultRecord:
+        fault = self._fault
+        if fault is None:
+            fault = self._fault = FaultRecord()
+        return fault
+
     # --- transmit path --------------------------------------------------------
 
     def send_control(self, pkt: Packet) -> None:
         """Queue a link-local control frame (PFC); bypasses data and pause."""
-        if pkt.pause:
-            self.tx_pause_frames += 1
+        if pkt.kind == KIND_PAUSE:
+            self._pause_record().tx_frames += 1
         control = self._control_queue
         if control is None:
             control = self._control_queue = deque()
@@ -233,13 +316,11 @@ class Port:
             if pkt is None:
                 return
         self.busy = True
-        engine = self.engine
-        self.busy_since = engine.now
         exact = pkt.size * self._ns_per_byte
         ser = int(exact)
         if exact > ser:
             ser += 1
-        engine.post(ser, self._tx_done, (pkt,))
+        self.engine.post(ser, self._tx_done, (pkt,))
 
     def transmit(self, pkt: Packet) -> None:
         """Start serializing ``pkt`` now, on a port known to be idle.
@@ -250,70 +331,27 @@ class Port:
         switch's idle-egress cut-through is the one caller.
         """
         self.busy = True
-        engine = self.engine
-        self.busy_since = engine.now
         exact = pkt.size * self._ns_per_byte
         ser = int(exact)
         if exact > ser:
             ser += 1
-        engine.post(ser, self._tx_done, (pkt,))
-
-    def set_error_rate(self, rate: float, seed: Optional[int] = None) -> None:
-        """Drop each transmitted frame with probability ``rate``.
-
-        Models CRC-failing frames on a marginal link (paper §7's
-        non-congestion losses).  Lost frames are silently discarded in
-        flight — the receiver sees a sequence gap and go-back-N takes
-        over.
-        """
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"error rate must be in [0, 1), got {rate}")
-        self.error_rate = rate
-        self._error_rng = random.Random(seed) if rate > 0.0 else None
+        self.engine.post(ser, self._tx_done, (pkt,))
 
     def _tx_done(self, pkt: Packet) -> None:
         self.busy = False
-        engine = self.engine
-        now = engine.now
-        self.busy_ns += now - self.busy_since
         self.tx_bytes += pkt.size
         self.tx_packets += 1
         peer = self.peer
         if peer is None:
             raise RuntimeError(f"port on {self.owner.name} is not connected")
-        if not self.link_up:
-            # the cable went dark mid-serialization: the frame is lost
-            self.link_down_drops += 1
-            self.lost_bytes += pkt.size
-            tracer = self.owner.tracer
-            if tracer is not None:
-                tracer.emit(
-                    now,
-                    "pkt.drop",
-                    self.owner.name,
-                    flow=pkt.flow_id,
-                    reason="link_down",
-                    bytes=pkt.size,
-                )
-        elif self._error_rng is not None and self._error_rng.random() < self.error_rate:
-            self.corrupted_frames += 1
-            self.lost_bytes += pkt.size
-            tracer = self.owner.tracer
-            if tracer is not None:
-                tracer.emit(
-                    now,
-                    "pkt.drop",
-                    self.owner.name,
-                    flow=pkt.flow_id,
-                    reason="corrupt",
-                    bytes=pkt.size,
-                )
-        elif self.remote_sink is None:
-            engine.post(
-                self.prop_delay_ns, peer.owner.receive, (pkt, peer), self._arrival_tb
-            )
+        engine = self.engine
+        tb = self._arrival_tb
+        if tb is None:
+            tb = self._arrival_tb = (self.owner.name, self.index)
+        if self._fault is None and self.link_up:
+            engine.post(self.prop_delay_ns, peer.owner.receive, (pkt, peer), tb)
         else:
-            self.remote_sink(pkt)
+            self._deliver_faulted(pkt, peer, tb)
         owner = self.owner
         owner.tx_complete(self, pkt)
         # notify(), inlined: tx_complete may have queued a RESUME here
@@ -330,21 +368,44 @@ class Port:
         else:
             return
         self.busy = True
-        self.busy_since = now
         exact = nxt.size * self._ns_per_byte
         ser = int(exact)
         if exact > ser:
             ser += 1
         engine.post(ser, self._tx_done, (nxt,))
 
-    def utilization(self, window_ns: int) -> float:
-        """Fraction of ``window_ns`` this port spent serializing frames."""
-        if window_ns <= 0:
-            return 0.0
-        busy = self.busy_ns
-        if self.busy:
-            busy += self.engine.now - self.busy_since
-        return busy / window_ns
+    def _deliver_faulted(self, pkt: Packet, peer: "Port", tb: Tuple[str, int]) -> None:
+        """Delivery on a dark link or a port with a fault record.
+
+        The outcomes in order: lost to the dark link, lost to
+        corruption, handed to the shard sink, delivered.
+        """
+        fault = self._fault
+        if not self.link_up:
+            # the cable went dark mid-serialization: the frame is lost
+            fault = self._fault_record()
+            fault.link_down_drops += 1
+            reason = "link_down"
+        elif fault.rng is not None and fault.rng.random() < fault.error_rate:
+            fault.corrupted_frames += 1
+            reason = "corrupt"
+        elif fault.remote_sink is not None:
+            fault.remote_sink(pkt)
+            return
+        else:
+            self.engine.post(self.prop_delay_ns, peer.owner.receive, (pkt, peer), tb)
+            return
+        self.lost_bytes += pkt.size
+        tracer = self.owner.tracer
+        if tracer is not None:
+            tracer.emit(
+                self.engine.now,
+                "pkt.drop",
+                self.owner.name,
+                flow=pkt.flow_id,
+                reason=reason,
+                bytes=pkt.size,
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         peer = self.peer.owner.name if self.peer is not None else "?"

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional
+from types import MappingProxyType
+from typing import Deque, Mapping, Optional
 
 from repro import units
 from repro.core.np import NotificationPoint
@@ -73,6 +74,11 @@ class NicConfig:
     #: the paper's "some flows are simply unable to recover").
     #: ``None`` retries forever.
     max_rto_retries: Optional[int] = None
+
+
+#: the flow tables of a NIC no flow has registered with: one shared,
+#: read-only empty mapping instead of two dicts per idle host
+_NO_FLOWS: Mapping = MappingProxyType({})
 
 
 class _RxState:
@@ -131,8 +137,10 @@ class HostNic(Device):
         super().__init__(engine, device_id, name)
         self.config = config or NicConfig()
         self.host = None  # set by Host.__init__
-        self._tx_flows: Dict[int, Flow] = {}
-        self._rx_states: Dict[int, _RxState] = {}
+        # flow_id -> Flow / _RxState; _NO_FLOWS until the first
+        # register_* call (DESIGN.md §13)
+        self._tx_flows: Mapping[int, Flow] = _NO_FLOWS
+        self._rx_states: Mapping[int, _RxState] = _NO_FLOWS
         # CNPs / ACKs / NACKs waiting for the port; None until the first
         self._control: Optional[Deque[Packet]] = None
         self._kick_at = NEVER
@@ -167,6 +175,8 @@ class HostNic(Device):
 
     def register_tx_flow(self, flow: Flow) -> None:
         """Make this NIC the sender of ``flow``."""
+        if self._tx_flows is _NO_FLOWS:
+            self._tx_flows = {}
         self._tx_flows[flow.flow_id] = flow
 
     def register_rx_flow(
@@ -200,6 +210,8 @@ class HostNic(Device):
                 )
 
             np = NotificationPoint(dcqcn_params.cnp_interval_ns, send_cnp)
+        if self._rx_states is _NO_FLOWS:
+            self._rx_states = {}
         self._rx_states[flow.flow_id] = _RxState(flow, np, echo_ecn)
 
     def rx_state(self, flow_id: int) -> _RxState:
@@ -305,18 +317,15 @@ class HostNic(Device):
                     return
             self._deliver_cnp(pkt)
         elif kind == KIND_PAUSE or kind == KIND_RESUME:
-            if pkt.pause:
-                in_port.rx_pause_frames += 1
+            pause = kind == KIND_PAUSE
             if self.tracer is not None:
                 self.tracer.emit(
                     self.engine.now,
-                    trace_events.PFC_PAUSE_RX
-                    if pkt.pause
-                    else trace_events.PFC_RESUME_RX,
+                    trace_events.PFC_PAUSE_RX if pause else trace_events.PFC_RESUME_RX,
                     self.name,
-                    prio=pkt.pause_priority,
+                    prio=pkt.priority,
                 )
-            in_port.set_paused(pkt.pause_priority, pkt.pause)
+            in_port.set_paused(pkt.priority, pause)
         elif kind == KIND_QCN_FB:
             flow = self._tx_flows[pkt.flow_id]
             flow.on_qcn_feedback(pkt.qcn_fb)

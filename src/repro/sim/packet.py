@@ -84,16 +84,14 @@ class Packet:
         the sequence the receiver expects next; unused otherwise.
     priority:
         PFC priority class (0..7).  CNPs and transport responses travel
-        in a dedicated high priority class per the paper.
+        in a dedicated high priority class per the paper; a PFC
+        PAUSE/RESUME frame carries the class it pauses or resumes.
     ecn:
         ECN codepoint (``ECN_ECT`` on data, possibly ``ECN_CE`` after
         marking).
     msg_id:
         Application message index (for flow-completion bookkeeping);
         ``-1`` when not the last packet of a message.
-    pause_priority / pause:
-        PFC fields: affected priority class and True for PAUSE / False
-        for RESUME.
     qcn_fb:
         Quantized feedback value for QCN frames.
     """
@@ -108,8 +106,6 @@ class Packet:
         "priority",
         "ecn",
         "msg_id",
-        "pause_priority",
-        "pause",
         "qcn_fb",
         "ingress_index",
     )
@@ -125,8 +121,6 @@ class Packet:
         priority: int = 0,
         ecn: int = ECN_NOT_ECT,
         msg_id: int = -1,
-        pause_priority: int = 0,
-        pause: bool = False,
         qcn_fb: int = 0,
     ):
         self.kind = kind
@@ -138,8 +132,6 @@ class Packet:
         self.priority = priority
         self.ecn = ecn
         self.msg_id = msg_id
-        self.pause_priority = pause_priority
-        self.pause = pause
         self.qcn_fb = qcn_fb
         # Per-hop scratch: index of the ingress port at the switch
         # currently buffering the packet (for PFC ingress accounting).
@@ -190,11 +182,11 @@ def cnp_packet(flow_id: int, src: int, dst: int, priority: int) -> Packet:
 
 
 def pause_frame(src_device: int, priority: int, pause: bool) -> Packet:
-    """Build a link-local PFC PAUSE (``pause=True``) or RESUME frame."""
+    """Build a link-local PFC PAUSE (``pause=True``) or RESUME frame
+    for class ``priority``."""
     return Packet(
         KIND_PAUSE if pause else KIND_RESUME,
         src=src_device,
         size=CONTROL_FRAME_BYTES,
-        pause_priority=priority,
-        pause=pause,
+        priority=priority,
     )

@@ -197,13 +197,14 @@ class Switch(Device):
         # pure function of those, the routes and ecmp_salt, so the
         # answer is kept until a route changes
         self._egress_memo: Dict[Tuple[int, int, int], int] = {}
-        # accounting.  The three per-(port, priority) lists are flat:
-        # slot = port_index * num_priorities + priority.  A queue slot
-        # holds None until its first packet (DESIGN.md §13).
+        # accounting.  The two per-(port, priority) ledgers are flat
+        # lists, slot = port_index * num_priorities + priority; the
+        # egress queues are a dict keyed by slot, holding only the
+        # queues that ever held a frame (DESIGN.md §13).
         self.occupied_bytes = 0
         self._ingress_bytes: List[int] = []
         self._egress_bytes: List[int] = []
-        self._egress_queues: List[Optional[Deque[Packet]]] = []
+        self._egress_queues: Dict[int, Deque[Packet]] = {}
         # (ingress port, priority) -> PAUSE outstanding.  Keys are never
         # removed: simultaneous RESUMEs go out in first-PAUSE order.
         self._paused_upstream: Dict[Tuple[int, int], bool] = {}
@@ -239,7 +240,6 @@ class Switch(Device):
         k = self.num_priorities
         self._ingress_bytes.extend([0] * k)
         self._egress_bytes.extend([0] * k)
-        self._egress_queues.extend([None] * k)
         # receive and next_packet keep this port's queued_mask exact
         # from here on, so the port may skip asking when it is zero
         port.queued_mask = 0
@@ -392,20 +392,18 @@ class Switch(Device):
         in_port.rx_bytes += size
         kind = pkt.kind
         if kind == KIND_PAUSE or kind == KIND_RESUME:
-            if pkt.pause:
+            pause = kind == KIND_PAUSE
+            if pause:
                 self.pause_frames_received += 1
-                in_port.rx_pause_frames += 1
             if self.tracer is not None:
                 self.tracer.emit(
                     self.engine.now,
-                    trace_events.PFC_PAUSE_RX
-                    if pkt.pause
-                    else trace_events.PFC_RESUME_RX,
+                    trace_events.PFC_PAUSE_RX if pause else trace_events.PFC_RESUME_RX,
                     self.name,
                     port=in_port.index,
-                    prio=pkt.pause_priority,
+                    prio=pkt.priority,
                 )
-            in_port.set_paused(pkt.pause_priority, pkt.pause)
+            in_port.set_paused(pkt.priority, pause)
             return
         occupied = self.occupied_bytes
         if occupied + size > self.buffer_bytes:
@@ -482,7 +480,7 @@ class Switch(Device):
             or port._control_queue
             or not port.link_up
         ):
-            queue = self._egress_queues[egress_slot]
+            queue = self._egress_queues.get(egress_slot)
             if queue is None:
                 queue = self._egress_queues[egress_slot] = deque()
             queue.append(pkt)

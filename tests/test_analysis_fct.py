@@ -20,7 +20,6 @@ from repro.analysis.fct import (
     summarize_slowdowns,
 )
 from repro.analysis.figures import (
-    matplotlib_available,
     nice_ticks,
     ramp_color,
     svg_heatmap,
@@ -213,8 +212,6 @@ class TestFigures:
             tmp_path / "cdf", {"mice": [(1.0, 0.5), (2.0, 1.0)]}
         )
         heat = write_heatmap(tmp_path / "grid", ["2"], ["r"], [[1.0]])
-        for paths in (chart, heat):
-            assert paths[0].suffix == ".svg" and paths[0].exists()
-            ET.parse(paths[0])
-            # matplotlib is optional: .png only rides along when present
-            assert (len(paths) == 2) == matplotlib_available()
+        for path in (chart, heat):
+            assert path.suffix == ".svg" and path.exists()
+            ET.parse(path)

@@ -29,25 +29,32 @@ class TestMarkingProbabilityVector:
         assert list(got) == [0.0, 0.0, 1.0]
 
 
+def converge(n):
+    return simulate(FluidParams(num_flows=n), duration_s=0.12, dt_s=2e-6)
+
+
+@pytest.fixture(scope="module")
+def two_flows():
+    """The N = 2 run three tests read, integrated once."""
+    return converge(2)
+
+
 class TestFairShareConvergence:
     @pytest.mark.parametrize("n", [2, 4, 8])
-    def test_n_flows_converge_to_c_over_n(self, n):
-        params = FluidParams(num_flows=n)
-        trace = simulate(params, duration_s=0.12, dt_s=2e-6)
+    def test_n_flows_converge_to_c_over_n(self, n, two_flows):
+        trace = two_flows if n == 2 else converge(n)
         final = trace.final_rates_bps()[0]
         assert final == pytest.approx(
             np.full(n, units.gbps(40) / n), rel=0.05
         )
 
-    def test_full_utilization(self):
-        trace = simulate(FluidParams(num_flows=2), duration_s=0.12)
-        assert trace.final_rates_bps().sum() == pytest.approx(
+    def test_full_utilization(self, two_flows):
+        assert two_flows.final_rates_bps().sum() == pytest.approx(
             units.gbps(40), rel=0.02
         )
 
-    def test_queue_settles_above_kmin(self):
-        trace = simulate(FluidParams(num_flows=2), duration_s=0.12)
-        steady = trace.queue_bytes[-20:, 0].mean()
+    def test_queue_settles_above_kmin(self, two_flows):
+        steady = two_flows.queue_bytes[-20:, 0].mean()
         assert units.kb(5) < steady < units.kb(200)
 
     def test_two_flow_convergence_closes_gap(self):

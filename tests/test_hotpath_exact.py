@@ -4,9 +4,10 @@ Each shortcut the hot path takes is checked here against the plain
 version it replaced: ``post`` against ``schedule``, the memoised ECMP
 pick against ``_pick_egress``, the early return of ``should_mark``
 against ``marking_probability`` plus one draw, the idle-egress
-cut-through against the queued path, and the whole path against the
-result digests pinned in ``bench/digests.json``.  Everything else the
-path computes is pinned in ``tests/digests.json``.
+cut-through against the queued path, an inert fault record against
+none, and the whole path against the result digests pinned in
+``bench/digests.json``.  Everything else the path computes is pinned
+in ``tests/digests.json``.
 """
 
 import dataclasses
@@ -215,15 +216,37 @@ def event_keys(log):
     ]
 
 
-def scripted_switch(actions, link_window, force_queued):
+def clear_error_rate(port):
+    """Leaves a fault record that drops nothing."""
+    port.set_error_rate(0.5, seed=1)
+    port.set_error_rate(0.0)
+
+
+def flap_before_traffic(port):
+    port.set_link_up(False)
+    port.set_link_up(True)
+
+
+#: ways to touch a port's fault state without any effect on traffic
+INERT = {
+    "error_rate_cleared": clear_error_rate,
+    "flapped_before_traffic": flap_before_traffic,
+}
+
+
+def scripted_switch(actions, link_window, force_queued=False, inert=None):
     """One switch among recording stubs with ``actions`` on its heap."""
     engine, switch, stubs = make_switch(
         CUT_THROUGH_CONFIG, n_neighbors=PORTS, recording=True
     )
     engine.profiler = log = EventLog(engine)
-    if force_queued:
-        for port in switch.ports:
-            port.set_paused(UNUSED_PRIORITY, True)
+    for port in switch.ports:
+        if force_queued:
+            # the peer paused a class no frame uses; set in the mask, as
+            # set_paused would count a received PAUSE the fast run lacks
+            port.paused_mask |= 1 << UNUSED_PRIORITY
+        if inert is not None:
+            INERT[inert](port)
     seqs = Counter()
     for kind, at, index, *rest in actions:
         port = switch.ports[index]
@@ -252,7 +275,7 @@ def assert_mask_exact_and_no_idle_port_owes_a_frame(switch):
     k = switch.num_priorities
     for port in switch.ports:
         for prio in range(k):
-            queue = switch._egress_queues[port.index * k + prio]
+            queue = switch._egress_queues.get(port.index * k + prio)
             assert bool((port.queued_mask >> prio) & 1) == bool(queue)
         if not port.busy and port.link_up:
             # what Switch.receive relies on to skip the queue
@@ -266,20 +289,21 @@ SWITCH_COUNTERS = (
     "resume_frames_sent", "pause_frames_received", "_paused_count",
 )
 PORT_COUNTERS = (
-    "busy", "busy_since", "busy_ns", "tx_bytes", "tx_packets", "rx_bytes",
-    "lost_bytes", "tx_pause_frames", "rx_pause_frames", "link_up",
-    "link_down_drops", "queued_mask",
+    "busy", "tx_bytes", "tx_packets", "rx_bytes", "lost_bytes",
+    "tx_pause_frames", "rx_pause_frames", "link_up", "link_down_drops",
+    "error_rate", "corrupted_frames", "queued_mask",
 )
 
 
 def state(switch, stubs):
     """Everything the switch, its ports and its neighbours hold."""
+    queues = switch._egress_queues
     return {
         "switch": [getattr(switch, name) for name in SWITCH_COUNTERS],
         "ledgers": (list(switch._ingress_bytes), list(switch._egress_bytes)),
         "queues": [
-            [(pkt.flow_id, pkt.seq) for pkt in queue or ()]
-            for queue in switch._egress_queues
+            [(pkt.flow_id, pkt.seq) for pkt in queues.get(slot, ())]
+            for slot in range(len(switch._egress_bytes))
         ],
         "paused_upstream": dict(switch._paused_upstream),
         "marker": (switch._marker.seen, switch._marker.marked),
@@ -297,26 +321,30 @@ def state(switch, stubs):
     }
 
 
+def assert_lockstep(fast_run, ref_run):
+    """Step both runs together: equal state after every event, equal logs."""
+    fast_engine, fast, fast_stubs, fast_log = fast_run
+    ref_engine, ref, ref_stubs, ref_log = ref_run
+    while fast_engine.step():
+        assert ref_engine.step()
+        assert_mask_exact_and_no_idle_port_owes_a_frame(fast)
+        assert_mask_exact_and_no_idle_port_owes_a_frame(ref)
+        assert state(fast, fast_stubs) == state(ref, ref_stubs)
+    assert not ref_engine.step()
+    assert event_keys(fast_log) == event_keys(ref_log)
+    # the marker drew the same numbers: the streams still agree
+    assert fast._marker._rng.random() == ref._marker._rng.random()
+
+
 class TestCutThroughEqualsQueuedPath:
     @settings(deadline=None, max_examples=60)
     @given(ACTIONS, LINK_WINDOW)
     def test_same_events_and_state_after_every_step(self, actions, link_window):
         actions = HAIRPIN + actions
-        fast_engine, fast, fast_stubs, fast_log = scripted_switch(
-            actions, link_window, force_queued=False
+        assert_lockstep(
+            scripted_switch(actions, link_window),
+            scripted_switch(actions, link_window, force_queued=True),
         )
-        ref_engine, ref, ref_stubs, ref_log = scripted_switch(
-            actions, link_window, force_queued=True
-        )
-        while fast_engine.step():
-            assert ref_engine.step()
-            assert_mask_exact_and_no_idle_port_owes_a_frame(fast)
-            assert_mask_exact_and_no_idle_port_owes_a_frame(ref)
-            assert state(fast, fast_stubs) == state(ref, ref_stubs)
-        assert not ref_engine.step()
-        assert event_keys(fast_log) == event_keys(ref_log)
-        # the marker drew the same numbers: the streams still agree
-        assert fast._marker._rng.random() == ref._marker._rng.random()
 
     def test_the_reference_queues_every_frame_and_the_fast_run_does_not(
         self, monkeypatch
@@ -342,6 +370,34 @@ class TestCutThroughEqualsQueuedPath:
                 assert not direct
             else:
                 assert 0 < len(direct) < switch.forwarded_packets
+
+
+# --- an inert fault record vs none ------------------------------------------
+
+
+#: two frames that finish serialization in the same ns on ports 3 and 2,
+#: posted in that order: only the sending port's tie-break puts port 2's
+#: arrival first
+CROSSING = [("data", 50, 1, 3, 0, 500), ("data", 50, 0, 2, 0, 500)]
+
+
+class TestInertFaultRecordEqualsUntouchedPort:
+    """``_tx_done`` delivers on ``_fault is None and link_up``; a port
+    whose fault record drops nothing takes the rare path to the same
+    post, tie-break included, and a flap before traffic leaves no
+    trace."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(ACTIONS, LINK_WINDOW, st.sampled_from(sorted(INERT)))
+    def test_same_events_and_state_after_every_step(
+        self, actions, link_window, inert
+    ):
+        actions = CROSSING + HAIRPIN + actions
+        touched = scripted_switch(actions, link_window, inert=inert)
+        # a cleared rate leaves a record; a flap that lost no frame, none
+        made = inert == "error_rate_cleared"
+        assert all((port._fault is not None) == made for port in touched[1].ports)
+        assert_lockstep(scripted_switch(actions, link_window), touched)
 
 
 # --- pinned digests -----------------------------------------------------------

@@ -282,16 +282,13 @@ class TestPacketCodec:
             priority=3,
             ecn=1,
             msg_id=2,
-            pause_priority=1,
-            pause=True,
             qcn_fb=5,
         )
         clone = decode_packet(encode_packet(pkt))
-        for name in (
-            "kind", "flow_id", "src", "dst", "size", "seq", "priority",
-            "ecn", "msg_id", "pause_priority", "pause", "qcn_fb",
-        ):
-            assert getattr(clone, name) == getattr(pkt, name), name
+        for name in Packet.__slots__:
+            if name != "ingress_index":  # per-hop scratch, reset on decode
+                assert getattr(clone, name) == getattr(pkt, name), name
+        assert clone.ingress_index == -1
 
 
 class TestBarrierSchedule:

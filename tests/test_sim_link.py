@@ -85,13 +85,6 @@ class TestTiming:
         assert port_a.tx_packets == 2
         assert port_a.tx_bytes == 1500
 
-    def test_utilization(self):
-        engine, a, _, port_a, _ = make_pair()
-        a.push(Packet(KIND_DATA, size=1000))
-        engine.run()
-        engine.run_until(400)
-        assert port_a.utilization(400) == pytest.approx(0.5)
-
 
 class TestPause:
     def test_paused_priority_not_sent(self):
@@ -202,6 +195,7 @@ class TestFaultHooks:
         engine.run()
         assert b.received == []
         assert port_a.link_down_drops == 0  # never started, nothing lost
+        assert port_a._fault is None  # nor was a fault record made
 
     def test_frame_mid_serialization_is_lost(self):
         engine, a, b, port_a, _ = make_pair()
@@ -211,6 +205,8 @@ class TestFaultHooks:
         engine.run()
         assert b.received == []
         assert port_a.link_down_drops == 1
+        assert port_a.lost_bytes == 1000
+        assert port_a._fault is not None
 
     def test_up_restarts_transmission(self):
         engine, a, b, port_a, _ = make_pair()
@@ -272,6 +268,14 @@ class TestControlBypass:
         port_a.send_control(pause_frame(0, 0, pause=False))
         engine.run()
         assert port_a.tx_pause_frames == 1  # RESUME doesn't count
+
+    def test_a_resume_alone_makes_no_pause_record(self):
+        engine, a, _, port_a, _ = make_pair()
+        port_a.send_control(pause_frame(0, 0, pause=False))
+        port_a.set_paused(0, False)
+        engine.run()
+        assert port_a._pause is None
+        assert (port_a.tx_pause_frames, port_a.rx_pause_frames) == (0, 0)
 
 
 class TestValidation:

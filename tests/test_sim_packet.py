@@ -44,14 +44,13 @@ class TestControlFrames:
     def test_pause(self):
         pkt = pause_frame(5, 2, pause=True)
         assert pkt.kind == KIND_PAUSE
-        assert pkt.pause
-        assert pkt.pause_priority == 2
+        assert pkt.priority == 2  # the class it pauses
         assert pkt.src == 5
 
     def test_resume(self):
         pkt = pause_frame(5, 2, pause=False)
         assert pkt.kind == KIND_RESUME
-        assert not pkt.pause
+        assert pkt.priority == 2
 
     def test_repr_is_informative(self):
         text = repr(data_packet(1, 2, 3, 1000, 4, 0))

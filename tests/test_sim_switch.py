@@ -11,7 +11,7 @@ from repro.core.params import DCQCNParams
 from repro.engine import EventScheduler
 from repro.sim.host import Host
 from repro.sim.link import connect
-from repro.sim.nic import HostNic
+from repro.sim.nic import _NO_FLOWS, HostNic
 from repro.sim.packet import (
     CONTROL_PRIORITY,
     ECN_CE,
@@ -434,10 +434,31 @@ class TestPfc:
         assert switch.ports[2].can_send(0)
 
     def test_rx_pause_counter(self):
+        """Each received PAUSE counts once on the switch and once on the
+        port it came in on; a RESUME counts on neither."""
         engine, switch, nics = make_switch()
-        switch.receive(pause_frame(42, 0, pause=True), switch.ports[2])
+        port = switch.ports[2]
+        switch.receive(pause_frame(42, 0, pause=True), port)
         assert switch.pause_frames_received == 1
-        assert switch.ports[2].rx_pause_frames == 1
+        assert port.rx_pause_frames == 1
+        switch.receive(pause_frame(42, 0, pause=False), port)
+        switch.receive(pause_frame(42, 0, pause=True), port)
+        switch.receive(pause_frame(42, 0, pause=True), port)  # a refresh counts
+        assert (switch.pause_frames_received, port.rx_pause_frames) == (3, 3)
+        assert [p.rx_pause_frames for p in switch.ports] == [0, 0, 3]
+        assert [p.tx_pause_frames for p in switch.ports] == [0, 0, 0]
+
+    def test_nic_rx_pause_counter(self):
+        engine, switch, nics = make_switch()
+        out = switch.ports[0]
+        out.send_control(pause_frame(switch.device_id, 0, pause=True))
+        out.send_control(pause_frame(switch.device_id, 0, pause=False))
+        engine.run()
+        assert out.tx_pause_frames == 1
+        assert nics[0].port.rx_pause_frames == 1
+        assert nics[0].port.can_send(0)
+        assert nics[0].port.total_paused_ns(0) > 0
+        assert [nic.port.rx_pause_frames for nic in nics] == [1, 0, 0]
 
     def test_simultaneous_resumes_go_out_in_first_pause_order(self):
         """Two pairs released by one dequeue RESUME in the order they were
@@ -481,25 +502,29 @@ class TestPfc:
         assert len(resume_times) == 1  # one dequeue released both
 
 
+def all_ports(net):
+    return [
+        port
+        for device in (*net.switches, *(host.nic for host in net.hosts))
+        for port in device.ports
+    ]
+
+
 def queue_holders(net):
     """(switch queues, port control queues, NIC control queues) that exist."""
     slots = [
         (switch.name, slot // switch.num_priorities, slot % switch.num_priorities)
         for switch in net.switches
-        for slot, queue in enumerate(switch._egress_queues)
-        if queue is not None
+        for slot in switch._egress_queues
     ]
-    devices = [*net.switches, *(host.nic for host in net.hosts)]
-    port_control = [
-        port for device in devices for port in device.ports
-        if port._control_queue is not None
-    ]
+    port_control = [port for port in all_ports(net) if port._control_queue is not None]
     nic_control = [host.nic for host in net.hosts if host.nic._control is not None]
     return slots, port_control, nic_control
 
 
 class TestAllocateOnFirstUse:
-    """Per-(port, priority) structures exist from first use (DESIGN.md §13)."""
+    """Per-port, per-(port, priority) and per-NIC structures exist from
+    first use (DESIGN.md §13)."""
 
     @pytest.mark.parametrize("shape", ["fat_tree_k8", "fig2_clos"])
     def test_built_fabric_holds_no_queue_object(self, shape):
@@ -514,11 +539,14 @@ class TestAllocateOnFirstUse:
         assert queue_holders(net) == ([], [], [])
         for switch in net.switches:
             k = switch.num_priorities
-            assert len(switch._egress_queues) == len(switch.ports) * k
+            assert switch._egress_queues == {}
             assert switch._egress_bytes == [0] * (len(switch.ports) * k)
             assert switch._ingress_bytes == [0] * (len(switch.ports) * k)
-            for port in switch.ports:
-                assert port._paused_since is None and port._paused_ns is None
+        for port in all_ports(net):
+            assert (port._fault, port._pause, port._arrival_tb) == (None, None, None)
+        for host in net.hosts:
+            assert host.nic._tx_flows is _NO_FLOWS
+            assert host.nic._rx_states is _NO_FLOWS
 
     def test_fabric_smoke_run_allocates_only_the_two_classes_in_use(self):
         from repro.experiments import catalog  # noqa: F401 — registers
@@ -529,9 +557,19 @@ class TestAllocateOnFirstUse:
         _, net = run_scenario_inline(scenario, seed=0)
         slots, _, nic_control = queue_holders(net)
         assert {prio for _, _, prio in slots} == {0, CONTROL_PRIORITY}
-        total = sum(len(switch._egress_queues) for switch in net.switches)
+        total = sum(len(switch._egress_bytes) for switch in net.switches)
         assert 0 < len(slots) < total // 4
         assert nic_control  # receivers sent CNPs / ACKs
+        for port in all_ports(net):
+            assert port._fault is None  # no fault scripted
+            pfc = port.tx_pause_frames or port.rx_pause_frames
+            assert (port._pause is not None) == bool(pfc)
+            assert (port._arrival_tb is not None) == (port.tx_packets > 0)
+        nics = [host.nic for host in net.hosts]
+        for nic in nics:  # a table is made by its first register_* call
+            assert (nic._tx_flows is _NO_FLOWS) == (not nic._tx_flows)
+            assert (nic._rx_states is _NO_FLOWS) == (not nic._rx_states)
+        assert any(nic._tx_flows is _NO_FLOWS for nic in nics)
 
     def test_attach_port_keeps_earlier_slots(self):
         engine, switch, stubs = make_switch(n_neighbors=2, recording=True)
@@ -542,12 +580,11 @@ class TestAllocateOnFirstUse:
         late = StubDevice(engine, 102, "late")
         connect(engine, late, switch, units.gbps(40), 500)
         k = switch.num_priorities
-        assert len(switch._egress_queues) == len(switch._egress_bytes) == 3 * k
-        assert switch._egress_queues[1 * k + 3] is queue
+        assert len(switch._egress_bytes) == len(switch._ingress_bytes) == 3 * k
+        assert switch._egress_queues == {1 * k + 3: queue}
         assert switch.egress_queue_bytes(1, 3) == 2000
         assert switch.ingress_queue_bytes(0, 3) == 2000
         assert switch.egress_queue_bytes(2) == 0
-        assert switch._egress_queues[2 * k : 3 * k] == [None] * k
         engine.run()
         assert [pkt.seq for _, pkt in stubs[1].received] == [0, 1]
         assert switch.occupied_bytes == 0
@@ -558,7 +595,7 @@ class TestAllocateOnFirstUse:
         engine, switch, stubs = make_switch(recording=True)
         a, b, dst = (stub.device_id for stub in stubs)
         out = switch.ports[2]
-        assert out._paused_since is None
+        assert out._pause is None
         # the peer pauses priority 3 on the egress before anything queues
         switch.receive(pause_frame(dst, 3, pause=True), out)
         arrivals = [
@@ -570,8 +607,9 @@ class TestAllocateOnFirstUse:
         for pkt, ingress in arrivals:
             switch.receive(pkt, switch.ports[ingress])
         k = switch.num_priorities
-        made = [s for s, q in enumerate(switch._egress_queues) if q is not None]
-        assert made == [2 * k + 0, 2 * k + 3, 2 * k + CONTROL_PRIORITY]
+        assert list(switch._egress_queues) == [
+            2 * k + 0, 2 * k + 3, 2 * k + CONTROL_PRIORITY
+        ]
         assert switch.egress_queue_bytes(2, 0) == 2000
         assert switch.egress_queue_bytes(2, 3) == 500
         assert switch.egress_queue_bytes(2, CONTROL_PRIORITY) == 64
@@ -599,7 +637,7 @@ class TestAllocateOnFirstUse:
         assert out.total_paused_ns(3) == 2_000
         assert out.total_paused_ns(0) == 0
         assert switch.ports[0].total_paused_ns(0) == 0  # never paused
-        assert switch.ports[0]._paused_since is None
+        assert switch.ports[0]._pause is None
         assert switch.occupied_bytes == 0
         assert switch._egress_bytes == switch._ingress_bytes == [0] * (3 * k)
 
@@ -634,9 +672,9 @@ class TestIdleEgressCutThrough:
         out = switch.ports[1]
         assert [port.queued_mask for port in switch.ports] == [0, 0, 0]
         switch.receive(data_packet(0, src, dst, 1000, 0, 3), switch.ports[0])
-        assert out.busy and out.busy_since == 0
+        assert out.busy
         assert out.queued_mask == 0
-        assert switch._egress_queues == [None] * (3 * switch.num_priorities)
+        assert switch._egress_queues == {}
         # buffered until serialization completes, like a queued frame
         assert switch.egress_queue_bytes(1, 3) == 1000
         assert switch.ingress_queue_bytes(0, 3) == 1000
@@ -646,7 +684,7 @@ class TestIdleEgressCutThrough:
         assert [(at, pkt.seq) for at, pkt in stubs[1].received] == [(700, 0)]
         assert switch.occupied_bytes == 0
         assert switch._egress_bytes == switch._ingress_bytes == [0] * 24
-        assert (out.tx_packets, out.tx_bytes, out.busy_ns) == (1, 1000, 200)
+        assert (out.tx_packets, out.tx_bytes) == (1, 1000)
 
     @pytest.mark.parametrize("cause", ["busy", "paused", "control", "down"])
     def test_an_egress_that_cannot_start_at_once_queues(self, cause):
@@ -699,7 +737,7 @@ class TestIdleEgressCutThrough:
         switch.receive(data_packet(0, src, dst, 64, 0, 0), switch.ports[0])
         assert switch.pause_frames_sent == 1
         assert switch.ports[0].busy and switch.ports[1].busy
-        assert switch._egress_queues == [None] * (2 * switch.num_priorities)
+        assert switch._egress_queues == {}
         engine.run()
         assert log.tx_done() == [(13, 0, KIND_PAUSE), (13, 1, KIND_DATA)]
         assert [(at, pkt.kind) for at, pkt in stubs[0].received] == [(513, KIND_PAUSE)]
