@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI gate: hot simulation objects stay slotted and fabrics stay lean.
 
-Three checks, all cheap enough for every CI run:
+Four checks, all cheap enough for every CI run:
 
 1. **Slots** — the per-packet / per-port / per-flow classes must not
    grow an instance ``__dict__``.  A stray class attribute or a
@@ -18,10 +18,12 @@ Three checks, all cheap enough for every CI run:
    per-host copy of a config object, a queue object per (port,
    priority) built before any packet needs it, a random stream per
    switch built before any draw, a port's fault or pause record or
-   tie-break tuple built before a fault, PAUSE or frame, and so on.
+   tie-break tuple built before a fault, PAUSE or frame, a switch's
+   PFC/ECN ledgers built before its first frame, a config or rate
+   constant per device where one object serves them all, and so on.
    Nothing a switch holds grows with the number of hosts beyond its
-   own rack, so the per-host figure does not rise with k (4.2 / 3.7 /
-   3.4 KB at k = 8 / 16 / 32); the k=32 run is where a per-host table
+   own rack, so the per-host figure does not rise with k (2.9 / 2.7 /
+   2.5 KB at k = 8 / 16 / 32); the k=32 run is where a per-host table
    in the core tier would show (14.7 KB/host there).
 
 3. **Route state** — the same property as a count that does not drift
@@ -30,6 +32,11 @@ Three checks, all cheap enough for every CI run:
    switch, one block per rack per pod agg, one block per pod per
    core: 8 192 + 16 384 at k=32, where one entry per host in every agg
    and core would be 2 236 416).
+
+4. **Ledger slots** — a count too: a freshly built fabric holds 0
+   per-(port, priority) ledger slots over all switches (they are sized
+   by the first frame a switch admits; at k=32 sizing them at build
+   would be 655 360).
 
 Usage (CI runs this at all three sizes in the fabric-smoke job)::
 
@@ -60,12 +67,10 @@ SLOTTED = (
 )
 
 #: tracemalloc bytes per host allowed for a freshly built fat-tree
-#: (measured 4.2 / 3.7 / 3.4 KB/host at k = 8 / 16 / 32 with the
-#: port's fault, pause and tie-break state made on first use; 5.4 /
-#: 5.0 / 4.7 before that, 7.7 / 8.2 / 14.7 with one entry per host in
-#: every core, 45 KB/host before queues were made on first use; ~2x
-#: headroom, rounded)
-PER_HOST_BUDGET_BYTES = 7_000
+#: (measured 2.9 / 2.7 / 2.5 KB/host at k = 8 / 16 / 32 with every
+#: per-port and per-switch structure made at first use; ~2x headroom,
+#: rounded)
+PER_HOST_BUDGET_BYTES = 6_000
 
 #: installed route state (exact entries + blocks over all switches)
 #: allowed per host
@@ -97,7 +102,8 @@ def check_slots() -> list:
 
 
 def measure_fabric(k: int) -> tuple:
-    """(traced bytes, hosts, route entries, route blocks) of a k-ary fat-tree."""
+    """(traced bytes, hosts, route entries, route blocks, ledger slots)
+    of a freshly built k-ary fat-tree."""
     from repro.fabric import build_fabric
 
     tracemalloc.start()
@@ -111,6 +117,10 @@ def measure_fabric(k: int) -> tuple:
         len(fabric.all_hosts()),
         sum(len(switch.routing_table) for switch in switches),
         sum(len(switch.route_blocks()) for switch in switches),
+        sum(
+            len(switch._ingress_bytes) + len(switch._egress_bytes)
+            for switch in switches
+        ),
     )
 
 
@@ -133,7 +143,7 @@ def main(argv=None) -> int:
     if not problems:
         print(f"slots ok: {len(SLOTTED)} hot classes carry no __dict__")
 
-    total, hosts, entries, blocks = measure_fabric(args.k)
+    total, hosts, entries, blocks, ledger_slots = measure_fabric(args.k)
     per_host = total / hosts
     print(
         f"k={args.k} fat-tree: {total / 1e6:.1f} MB traced for {hosts} hosts "
@@ -156,6 +166,10 @@ def main(argv=None) -> int:
             f"{ROUTE_STATE_PER_HOST} per host"
         )
         problems.append("route state")
+    print(f"ledger slots: {ledger_slots} (limit 0 before the first frame)")
+    if ledger_slots:
+        print(f"FAIL a built fabric holds {ledger_slots} ledger slots")
+        problems.append("ledger slots")
     return 1 if problems else 0
 
 

@@ -307,6 +307,8 @@ class InvariantGuard:
 
         An empty switch (two C scans, no frame) can only fail
         ``pfc.losslessness``: it reaches :meth:`check_switch` on new drops.
+        A switch that never admitted a frame holds two empty ledgers,
+        which pass the same scans.
         """
         seen_drops = self._seen_drops
         for switch in self._local_switches(net):

@@ -45,12 +45,20 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from functools import cache
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.engine import EventScheduler
 from repro.sim.device import Device
 from repro.sim.packet import KIND_PAUSE, Packet
 from repro.units import serialization_time_ns
+
+
+@cache
+def ns_per_byte(rate_bps: float) -> float:
+    """ns to serialize one byte at ``rate_bps``: one float per link rate,
+    shared by every port at that rate."""
+    return 8 * 1_000_000_000 / rate_bps
 
 
 class FaultRecord:
@@ -145,7 +153,7 @@ class Port:
         # Precomputed for the per-packet hot path: ns to serialize one
         # byte.  Serialization time rounds up to a whole nanosecond so
         # back-to-back transmissions never overlap.
-        self._ns_per_byte = 8 * 1_000_000_000 / rate_bps
+        self._ns_per_byte = ns_per_byte(rate_bps)
         self.prop_delay_ns = prop_delay_ns
         self.busy = False
         self.paused_mask = 0
@@ -250,7 +258,7 @@ class Port:
         if rate_bps <= 0:
             raise ValueError(f"link rate must be positive, got {rate_bps}")
         self.rate_bps = rate_bps
-        self._ns_per_byte = 8 * 1_000_000_000 / rate_bps
+        self._ns_per_byte = ns_per_byte(rate_bps)
 
     def set_error_rate(self, rate: float, seed: Optional[int] = None) -> None:
         """Drop each transmitted frame with probability ``rate``.

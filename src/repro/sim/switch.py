@@ -111,6 +111,10 @@ class SwitchConfig:
             raise ValueError("egress_dynamic_alpha must be positive")
 
 
+#: the config of every switch built without one; frozen, so shared
+_DEFAULT_CONFIG = SwitchConfig()
+
+
 class Switch(Device):
     """A shared-buffer, PFC-capable, ECN-marking switch."""
 
@@ -161,7 +165,7 @@ class Switch(Device):
         ecmp_salt: int = 0,
     ):
         super().__init__(engine, device_id, name)
-        self.config = config = config or SwitchConfig()
+        self.config = config = config or _DEFAULT_CONFIG
         self.ecmp_salt = ecmp_salt
         profile = config.profile
         if profile.num_priorities <= CONTROL_PRIORITY:
@@ -198,9 +202,10 @@ class Switch(Device):
         # answer is kept until a route changes
         self._egress_memo: Dict[Tuple[int, int, int], int] = {}
         # accounting.  The two per-(port, priority) ledgers are flat
-        # lists, slot = port_index * num_priorities + priority; the
-        # egress queues are a dict keyed by slot, holding only the
-        # queues that ever held a frame (DESIGN.md §13).
+        # lists, slot = port_index * num_priorities + priority, empty
+        # until the first frame reaches admission; the egress queues
+        # are a dict keyed by slot, holding only the queues that ever
+        # held a frame (DESIGN.md §13).
         self.occupied_bytes = 0
         self._ingress_bytes: List[int] = []
         self._egress_bytes: List[int] = []
@@ -237,9 +242,10 @@ class Switch(Device):
 
     def attach_port(self, port: Port) -> int:
         index = super().attach_port(port)
-        k = self.num_priorities
-        self._ingress_bytes.extend([0] * k)
-        self._egress_bytes.extend([0] * k)
+        if self._egress_bytes:  # open: the new port's slots go last
+            k = self.num_priorities
+            self._ingress_bytes.extend([0] * k)
+            self._egress_bytes.extend([0] * k)
         # receive and next_packet keep this port's queued_mask exact
         # from here on, so the port may skip asking when it is zero
         port.queued_mask = 0
@@ -330,14 +336,29 @@ class Switch(Device):
 
     def egress_queue_bytes(self, port_index: int, priority: Optional[int] = None) -> int:
         """Egress queue depth, one priority or the whole port."""
+        ledger = self._egress_bytes
         if priority is None:
             first = self._slot(port_index, 0)
-            return sum(self._egress_bytes[first : first + self.num_priorities])
-        return self._egress_bytes[self._slot(port_index, priority)]
+            return sum(ledger[first : first + self.num_priorities])
+        slot = self._slot(port_index, priority)
+        return ledger[slot] if ledger else 0
 
     def ingress_queue_bytes(self, port_index: int, priority: int) -> int:
         """Bytes buffered that arrived via (port, priority) — PFC counter."""
-        return self._ingress_bytes[self._slot(port_index, priority)]
+        ledger = self._ingress_bytes
+        slot = self._slot(port_index, priority)
+        return ledger[slot] if ledger else 0
+
+    def _open_ledgers(self) -> List[int]:
+        """Size both ledgers for the attached ports; the egress one back.
+
+        Called by :meth:`receive` for the first frame that reaches
+        admission: a switch no frame crosses holds two empty lists.
+        """
+        size = len(self.ports) * self.num_priorities
+        self._ingress_bytes = [0] * size
+        self._egress_bytes = ledger = [0] * size
+        return ledger
 
     def _slot(self, port_index: int, priority: int) -> int:
         """Checked flat index of (port, priority), for the cold accessors.
@@ -421,6 +442,8 @@ class Switch(Device):
         k = self.num_priorities
         egress_slot = egress_index * k + prio
         egress_bytes = self._egress_bytes
+        if not egress_bytes:
+            egress_bytes = self._open_ledgers()
         queued = egress_bytes[egress_slot]
         if self._pfc_off:
             # lossy-mode admission: dynamic per-queue cap (alpha * free)

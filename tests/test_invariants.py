@@ -156,6 +156,7 @@ class TestRuntimeChecks:
 
     def test_doctored_switch_counters_flagged(self):
         net, switch, guard = self._guarded_net()
+        switch._open_ledgers()  # no frame admitted yet: the lists are empty
         switch._ingress_bytes[0] += 500  # corrupt the ingress ledger
         guard.check_switch(switch)
         names = [v.name for v in guard.violations]
@@ -163,6 +164,7 @@ class TestRuntimeChecks:
 
     def test_negative_queue_flagged(self):
         net, switch, guard = self._guarded_net()
+        switch._open_ledgers()
         switch._egress_bytes[0] = -1
         guard.check_switch(switch)
         assert any(v.name == "switch.negative_queue" for v in guard.violations)
@@ -170,6 +172,7 @@ class TestRuntimeChecks:
     def test_corruption_away_from_slot_zero_flagged(self):
         # port 2, priority 3: the flat sum / min must cover every slot
         net, switch, guard = self._guarded_net()
+        switch._open_ledgers()
         slot = 2 * switch.num_priorities + 3
         switch._egress_bytes[slot] = -700
         guard.check_switch(switch)
@@ -213,6 +216,7 @@ class TestRuntimeChecks:
 
     def test_strict_mode_raises_on_first_violation(self):
         net, switch, guard = self._guarded_net(mode="strict")
+        switch._open_ledgers()
         switch._ingress_bytes[0] += 500
         with pytest.raises(InvariantViolation, match="byte_conservation"):
             guard.check_switch(switch)
@@ -322,8 +326,11 @@ def _ledger(draw, n_slots):
 
 @st.composite
 def _switch_state(draw, n_slots):
-    ingress = draw(_ledger(n_slots))
-    egress = draw(_ledger(n_slots))
+    if draw(st.booleans()):  # closed: no frame admitted yet
+        ingress = egress = []
+    else:
+        ingress = draw(_ledger(n_slots))
+        egress = draw(_ledger(n_slots))
     occupied = draw(
         st.sampled_from(
             (0, sum(ingress), sum(egress), -1, 700, _BUFFER, _BUFFER + 1)

@@ -24,7 +24,7 @@ from repro.sim.packet import (
     pause_frame,
 )
 from repro.sim.switch import Switch, SwitchConfig, ecmp_hash
-from tests.test_sim_link import StubDevice
+from tests.test_sim_link import StubDevice, make_pair
 
 
 def make_switch(config=None, n_neighbors=3, recording=False):
@@ -522,31 +522,44 @@ def queue_holders(net):
     return slots, port_control, nic_control
 
 
+def built_net(shape):
+    if shape == "fat_tree_k8":
+        from repro.fabric import build_fabric
+
+        return build_fabric(kind="fat_tree", k=8).net
+    from repro.sim.topology import three_tier_clos
+
+    return three_tier_clos().net
+
+
 class TestAllocateOnFirstUse:
     """Per-port, per-(port, priority) and per-NIC structures exist from
-    first use (DESIGN.md §13)."""
+    first use, and what is equal across devices is one object
+    (DESIGN.md §13)."""
 
     @pytest.mark.parametrize("shape", ["fat_tree_k8", "fig2_clos"])
     def test_built_fabric_holds_no_queue_object(self, shape):
-        if shape == "fat_tree_k8":
-            from repro.fabric import build_fabric
-
-            net = build_fabric(kind="fat_tree", k=8).net
-        else:
-            from repro.sim.topology import three_tier_clos
-
-            net = three_tier_clos().net
+        net = built_net(shape)
         assert queue_holders(net) == ([], [], [])
         for switch in net.switches:
-            k = switch.num_priorities
             assert switch._egress_queues == {}
-            assert switch._egress_bytes == [0] * (len(switch.ports) * k)
-            assert switch._ingress_bytes == [0] * (len(switch.ports) * k)
+            assert switch._egress_bytes == switch._ingress_bytes == []
         for port in all_ports(net):
             assert (port._fault, port._pause, port._arrival_tb) == (None, None, None)
         for host in net.hosts:
             assert host.nic._tx_flows is _NO_FLOWS
             assert host.nic._rx_states is _NO_FLOWS
+
+    @pytest.mark.parametrize("shape", ["fat_tree_k8", "fig2_clos"])
+    def test_built_fabric_shares_default_config_and_rate_constant(self, shape):
+        net = built_net(shape)
+        default = Switch(EventScheduler(), 0, "fresh").config
+        assert all(switch.config is default for switch in net.switches)
+        by_rate = {}
+        for port in all_ports(net):
+            by_rate.setdefault(port.rate_bps, set()).add(id(port._ns_per_byte))
+        assert by_rate
+        assert all(len(ids) == 1 for ids in by_rate.values())
 
     def test_fabric_smoke_run_allocates_only_the_two_classes_in_use(self):
         from repro.experiments import catalog  # noqa: F401 — registers
@@ -560,6 +573,10 @@ class TestAllocateOnFirstUse:
         total = sum(len(switch._egress_bytes) for switch in net.switches)
         assert 0 < len(slots) < total // 4
         assert nic_control  # receivers sent CNPs / ACKs
+        for switch in net.switches:  # ledgers open at the first admission
+            crossed = switch.forwarded_packets or switch.dropped_packets
+            assert bool(switch._egress_bytes) == bool(crossed)
+            assert len(switch._ingress_bytes) == len(switch._egress_bytes)
         for port in all_ports(net):
             assert port._fault is None  # no fault scripted
             pfc = port.tx_pause_frames or port.rx_pause_frames
@@ -588,6 +605,43 @@ class TestAllocateOnFirstUse:
         engine.run()
         assert [pkt.seq for _, pkt in stubs[1].received] == [0, 1]
         assert switch.occupied_bytes == 0
+
+    def test_port_attached_before_the_ledgers_open_gets_its_slots(self):
+        engine, switch, stubs = make_switch(n_neighbors=2, recording=True)
+        late = StubDevice(engine, 102, "late")
+        connect(engine, late, switch, units.gbps(40), 500)
+        switch.set_route(late.device_id, (2,))
+        assert switch._egress_bytes == switch._ingress_bytes == []
+        for port in range(3):
+            assert switch.egress_queue_bytes(port) == 0
+            assert switch.egress_queue_bytes(port, 3) == 0
+            assert switch.ingress_queue_bytes(port, 3) == 0
+        for seq in range(2):
+            pkt = data_packet(0, stubs[0].device_id, late.device_id, 1000, seq, 3)
+            switch.receive(pkt, switch.ports[0])
+        k = switch.num_priorities
+        assert len(switch._egress_bytes) == len(switch._ingress_bytes) == 3 * k
+        assert switch.egress_queue_bytes(2, 3) == 2000
+        assert switch.ingress_queue_bytes(0, 3) == 2000
+        assert switch.egress_queue_bytes(1) == 0
+        engine.run()
+        assert [pkt.seq for _, pkt in late.received] == [0, 1]
+        assert switch._egress_bytes == switch._ingress_bytes == [0] * (3 * k)
+
+    def test_set_rate_and_back_restores_the_shared_constant(self):
+        engine, a, b, port_a, port_b = make_pair()
+        shared = port_b._ns_per_byte
+        assert port_a._ns_per_byte is shared
+        took = []
+        for rate in (units.gbps(40), units.gbps(25), units.gbps(40)):
+            port_a.set_rate(rate)
+            start = engine.now
+            a.push(Packet(KIND_DATA, size=1001))
+            engine.run()
+            took.append(b.received[-1][0] - start)
+        # 200.2 ns and 320.32 ns of serialization round up, plus 500 ns
+        assert took == [701, 821, 701]
+        assert port_a._ns_per_byte is shared
 
     def test_receive_against_a_hand_ledger(self):
         """Two ingress ports, three priorities, one egress: every count,
