@@ -9,9 +9,10 @@ result to the test, which asserts the paper's qualitative claim: who
 wins and by roughly what factor.
 
 Scale: durations are simulated-milliseconds stand-ins for the paper's
-minutes-long testbed runs (see DESIGN.md).  Set ``REPRO_SCALE=full``
-for longer runs and more repetitions, and ``REPRO_RESULTS_DIR`` to
-write the tables somewhere other than ``results/``.
+minutes-long testbed runs (see DESIGN.md).  The verdicts are judged at
+``quick``, the default; ``smoke`` is too short to show them.  Set
+``REPRO_RESULTS_DIR`` to write the tables somewhere other than
+``results/``.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ Usage::
     python -m repro list                 # what can be regenerated
     python -m repro fig03                # Figure 3 (PFC unfairness)
     python -m repro run fig03            # same, explicit form
-    python -m repro fig16 --scale full   # longer runs, more repetitions
+    python -m repro fig16 --scale smoke  # the short runs that pin digests
     python -m repro fig16 --jobs 4       # fan repetitions across 4 cores
     python -m repro sec4                 # §4 buffer-threshold table
 
@@ -779,21 +779,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if experiment_id == "list":
         print(list_experiments())
         return 0
-    if experiment_id not in REGISTRY:
-        # named scenarios run too ('repro run storm --faults plan.json')
-        if experiment_id in SCENARIOS:
-            _export_env(args)
-            return run_scenario_main(experiment_id, args)
+    # named scenarios run too ('repro run storm --faults plan.json')
+    named_scenario = experiment_id not in REGISTRY
+    if named_scenario and experiment_id not in SCENARIOS:
         print(
             f"unknown experiment {experiment_id!r}; try 'list'",
             file=sys.stderr,
         )
         return 2
-    unread = _unread_option(experiment_id, args)
+    unread = None if named_scenario else _unread_option(experiment_id, args)
     if unread is not None:
         print(unread, file=sys.stderr)
         return 2
     _export_env(args)
+    try:
+        # a malformed REPRO_* value ends the command here, whether or
+        # not the target would have read it
+        runtime.current()
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    if named_scenario:
+        return run_scenario_main(experiment_id, args)
     experiment = REGISTRY.get(experiment_id)
     print(f"=== {experiment.id}: {experiment.description} ===")
     print(experiment.run())

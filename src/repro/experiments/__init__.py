@@ -10,6 +10,6 @@ example that needs a smaller run calls a cell function or a
 ``Scenario`` builder.
 
 Durations are scaled relative to the testbed (minutes -> tens of
-simulated milliseconds); set ``REPRO_SCALE=full`` for longer runs and
-more repetitions.
+simulated milliseconds).  ``quick``, the default scale, is each id's
+one verdict horizon; ``smoke`` is the short run that pins its digest.
 """

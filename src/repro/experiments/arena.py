@@ -101,8 +101,8 @@ def _supports_seed_rate(cc: str) -> bool:
 
 def _horizon() -> Tuple[int, int]:
     """(warmup_ns, duration_ns) under the current scale policy."""
-    warmup = scale.pick(units.ms(2), units.ms(4), units.us(500))
-    duration = scale.pick(units.ms(6), units.ms(20), units.ms(2))
+    warmup = scale.pick(units.ms(2), units.us(500))
+    duration = scale.pick(units.ms(6), units.ms(2))
     return warmup, duration
 
 
@@ -416,7 +416,7 @@ def run_arena(
 ) -> ArenaResult:
     """Run the full tournament (fanned out as one sweep)."""
     if seeds is None:
-        seeds = scale.seeds_for(scale.pick(2, 4, 1), base=6000)
+        seeds = scale.seeds_for(scale.pick(2, 1), base=6000)
     guard_mode = runtime.current().invariants
     built = {
         (scenario_id, cc): arena_scenario(scenario_id, cc, guard_mode)

@@ -121,8 +121,8 @@ def run_sec4() -> Tuple[ThresholdPlan, List[EcnBeforePfcCheck]]:
     mechanism fires."""
     kwargs = {
         "incast_degree": 8,
-        "duration_ns": scale.pick(units.ms(8), units.ms(20), units.ms(2)),
-        "warmup_ns": scale.pick(units.ms(5), units.ms(15), units.ms(2)),
+        "duration_ns": scale.pick(units.ms(8), units.ms(2)),
+        "warmup_ns": scale.pick(units.ms(5), units.ms(2)),
         "seed": 53,
     }
     cells = [

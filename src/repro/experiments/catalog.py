@@ -472,7 +472,7 @@ def victim_flow_scenario():
     return victim_scenario(
         "none",
         t3_senders=2,
-        duration_ns=scale.pick(units.ms(10), units.ms(30), units.ms(2)),
+        duration_ns=scale.pick(units.ms(10), units.ms(2)),
         warmup_ns=0,
     )
 

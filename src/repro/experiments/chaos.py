@@ -86,10 +86,10 @@ def chaos_scenario(
 
     if not 0.0 <= intensity <= 1.0:
         raise ValueError(f"intensity must be in [0, 1], got {intensity}")
-    duration_ns = duration_ns or scale.pick(units.ms(10), units.ms(30), units.ms(2))
+    duration_ns = duration_ns or scale.pick(units.ms(10), units.ms(2))
     if warmup_ns is None:
         warmup_ns = (
-            scale.pick(units.ms(15), units.ms(30), units.ms(1))
+            scale.pick(units.ms(15), units.ms(1))
             if cc == "dcqcn"
             else 0
         )
@@ -155,9 +155,7 @@ def chaos_fabric_scenario(
 
     if not 0.0 <= intensity <= 1.0:
         raise ValueError(f"intensity must be in [0, 1], got {intensity}")
-    duration_ns = duration_ns or scale.pick(
-        units.ms(1), units.ms(4), units.us(300)
-    )
+    duration_ns = duration_ns or scale.pick(units.ms(1), units.us(300))
     if warmup_ns is None:
         warmup_ns = units.us(50)
     injectors = []
@@ -265,7 +263,7 @@ def run_chaos() -> Tuple[PauseStormResult, ChaosResult]:
     """
     from repro.experiments.pfc_pathologies import pause_storm_scenario
 
-    repetitions = scale.pick(3, 6, 2)
+    repetitions = scale.pick(3, 2)
     ccs = ("none", "dcqcn")
     intensities = (0.0, 0.25, 0.5, 1.0)
     scenarios: Dict[Any, Scenario] = {}

@@ -129,9 +129,7 @@ def fabric_incast_scenario(
             f"degree {degree} exceeds the {max_senders} sender slots "
             f"outside pod 0"
         )
-    duration_ns = duration_ns or scale.pick(
-        units.ms(1), units.ms(4), units.us(300)
-    )
+    duration_ns = duration_ns or scale.pick(units.ms(1), units.us(300))
     flows = _incast_flows(k, degree, hosts_per_edge)
     flows.extend(_probe_flows(k, start_ns=units.us(20)))
     return Scenario(
@@ -162,11 +160,9 @@ def fabric_benchmark_scenario(
     from repro.traffic.distributions import storage_cluster
 
     host_count = k * k * k // 4
-    n_pairs = n_pairs or scale.pick(16, 48, 6)
-    incast_degree = incast_degree or scale.pick(8, 16, 4)
-    duration_ns = duration_ns or scale.pick(
-        units.ms(1), units.ms(4), units.us(300)
-    )
+    n_pairs = n_pairs or scale.pick(16, 6)
+    incast_degree = incast_degree or scale.pick(8, 4)
+    duration_ns = duration_ns or scale.pick(units.ms(1), units.us(300))
     rng = random.Random(2015)
     distribution = storage_cluster()
     flows = _incast_flows(k, incast_degree, k // 2)
@@ -222,7 +218,7 @@ def thousand_host_scenario(duration_ns: Optional[int] = None) -> Scenario:
         k=16,
         degree=32,
         duration_ns=duration_ns
-        or scale.pick(units.us(600), units.ms(1), units.us(400)),
+        or scale.pick(units.us(600), units.us(400)),
         label="fabric-1024",
     )
     return dataclasses.replace(
@@ -261,8 +257,8 @@ def run_fabric() -> str:
     """Incast-under-DCQCN across fat-tree sizes (one sweep), with
     per-tier PAUSE aggregation and probe slowdowns; returns the
     rendered tables."""
-    ks = scale.pick((4, 8), (4, 8), (4,))
-    repetitions = scale.pick(1, 3, 1)
+    ks = scale.pick((4, 8), (4,))
+    repetitions = scale.pick(1, 1)
     scenarios = {k: fabric_incast_scenario(k=k) for k in ks}
     seeds = {k: scale.seeds_for(repetitions, base=4000 + 31 * k) for k in ks}
     sweep = run_sweep("k", scenarios, seeds)

@@ -113,9 +113,9 @@ def fluid_vs_sim_cell(
 def run_fluid_vs_sim() -> FluidVsSimResult:
     """Figure 10: overlay packet-sim and fluid-model rate ramps."""
     kwargs = {
-        "duration_ns": scale.pick(units.ms(40), units.ms(100), units.ms(10)),
+        "duration_ns": scale.pick(units.ms(40), units.ms(10)),
         # the second sender starts inside even the 10 ms smoke horizon
-        "second_start_ns": scale.pick(units.ms(10), units.ms(10), units.ms(2.5)),
+        "second_start_ns": scale.pick(units.ms(10), units.ms(2.5)),
         "params": encode_value(DCQCNParams.deployed()),
         "sample_interval_ns": units.us(500),
         "seed": 7,
@@ -236,7 +236,7 @@ def run_all_validations() -> Dict[str, TwoFlowFairnessResult]:
     configs must (or must not) repair is injected explicitly.
     """
     kwargs = {
-        "duration_ns": scale.pick(units.ms(60), units.ms(150), units.ms(12)),
+        "duration_ns": scale.pick(units.ms(150), units.ms(12)),
         "second_start_ns": units.ms(5),
         "seed": 11,
         "sample_interval_ns": units.us(500),

@@ -106,8 +106,8 @@ def run_fig19() -> List[QueueCdfResult]:
     """Both arms of Figure 19 (fanned out across workers)."""
     kwargs = {
         "incast_degree": 2,
-        "warmup_ns": scale.pick(units.ms(15), units.ms(40), units.ms(4)),
-        "measure_ns": scale.pick(units.ms(10), units.ms(40), units.ms(2)),
+        "warmup_ns": scale.pick(units.ms(40), units.ms(4)),
+        "measure_ns": scale.pick(units.ms(40), units.ms(2)),
         "sample_interval_ns": units.us(5),
         "seed": 23,
     }

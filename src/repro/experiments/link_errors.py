@@ -98,7 +98,7 @@ _CELL_FN = "repro.experiments.link_errors:loss_cell"
 def run_loss_sweep() -> List[LossSweepPoint]:
     """Goodput vs injected loss rate (the §7 sensitivity), fanned out."""
     kwargs = {
-        "duration_ns": scale.pick(units.ms(10), units.ms(30), units.ms(2)),
+        "duration_ns": scale.pick(units.ms(10), units.ms(2)),
         "rto_ns": units.ms(1),
         "seed": 97,
     }

@@ -86,8 +86,8 @@ _CELL_FN = "repro.experiments.multibottleneck:parking_cell"
 def run_fig20() -> List[ParkingLotResult]:
     """Both marking schemes (the Figure 20(b) comparison), fanned out."""
     kwargs = {
-        "warmup_ns": scale.pick(units.ms(25), units.ms(60), units.ms(5)),
-        "measure_ns": scale.pick(units.ms(15), units.ms(40), units.ms(2)),
+        "warmup_ns": scale.pick(units.ms(60), units.ms(5)),
+        "measure_ns": scale.pick(units.ms(40), units.ms(2)),
         "seed": 31,
     }
     cells = [

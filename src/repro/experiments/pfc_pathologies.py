@@ -84,13 +84,13 @@ def unfairness_scenario(
     mtu_bytes: int = 1000,
 ) -> Scenario:
     """The Figure 3/8 spec: H1..H4 (one per ToR) write to R under T4."""
-    duration_ns = duration_ns or scale.pick(units.ms(10), units.ms(30), units.ms(2))
+    duration_ns = duration_ns or scale.pick(units.ms(10), units.ms(2))
     if warmup_ns is None:
         # DCQCN's additive increase needs ~15 ms to converge after the
         # initial line-rate burst; measure steady state, as the paper's
         # long transfers do.
         warmup_ns = (
-            scale.pick(units.ms(15), units.ms(30), units.ms(3))
+            scale.pick(units.ms(15), units.ms(3))
             if cc == "dcqcn"
             else 0
         )
@@ -116,7 +116,7 @@ def unfairness_scenario(
 
 def run_unfairness(cc: str) -> UnfairnessResult:
     """Figure 3 (``cc="none"``) / Figure 8 (``cc="dcqcn"``)."""
-    repetitions = scale.pick(4, 10, 2)
+    repetitions = scale.pick(4, 2)
     scenario = unfairness_scenario(cc)
     runs = run_scenario(scenario, scale.seeds_for(repetitions))
     result = UnfairnessResult(
@@ -203,13 +203,13 @@ def run_victim_flow(cc: str) -> VictimFlowResult:
     VS (under T1) sends to VR (under T2); H11-H14 (under T1) and
     0-2 extra senders under T3 incast into R (under T4).
     """
-    repetitions = scale.pick(4, 10, 2)
-    duration_ns = scale.pick(units.ms(10), units.ms(30), units.ms(2))
+    repetitions = scale.pick(4, 2)
+    duration_ns = scale.pick(units.ms(30), units.ms(2))
     # The victim must climb back from the initial all-at-line-rate
     # melee at ~0.7 Gbps/ms (additive increase), so it needs a
     # longer warmup than the symmetric unfairness scenario.
     warmup_ns = (
-        scale.pick(units.ms(30), units.ms(60), units.ms(3)) if cc == "dcqcn" else 0
+        scale.pick(units.ms(30), units.ms(3)) if cc == "dcqcn" else 0
     )
     t3_sender_counts = (0, 1, 2)
     scenarios = {
@@ -267,10 +267,10 @@ def pause_storm_scenario(
     """
     from repro.faults import FaultPlan, PauseStorm, WatchdogConfig
 
-    duration_ns = duration_ns or scale.pick(units.ms(10), units.ms(30), units.ms(2))
+    duration_ns = duration_ns or scale.pick(units.ms(10), units.ms(2))
     if warmup_ns is None:
         warmup_ns = (
-            scale.pick(units.ms(15), units.ms(30), units.ms(1))
+            scale.pick(units.ms(15), units.ms(1))
             if cc == "dcqcn"
             else 0
         )

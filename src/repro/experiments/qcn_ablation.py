@@ -153,16 +153,16 @@ def run_ablations() -> Dict[str, Any]:
     """
     schemes = ("none", "qcn", "dcqcn")
     scheme_horizon = {
-        "warmup_ns": scale.pick(units.ms(15), units.ms(40), units.ms(4)),
-        "measure_ns": scale.pick(units.ms(10), units.ms(30), units.ms(2)),
+        "warmup_ns": scale.pick(units.ms(15), units.ms(4)),
+        "measure_ns": scale.pick(units.ms(10), units.ms(2)),
     }
     pmax_horizon = {
-        "warmup_ns": scale.pick(units.ms(25), units.ms(25), units.ms(3)),
-        "measure_ns": scale.pick(units.ms(15), units.ms(15), units.ms(2)),
+        "warmup_ns": scale.pick(units.ms(25), units.ms(3)),
+        "measure_ns": scale.pick(units.ms(15), units.ms(2)),
     }
     jitter_horizon = {
-        "warmup_ns": scale.pick(units.ms(20), units.ms(20), units.ms(3)),
-        "measure_ns": scale.pick(units.ms(15), units.ms(15), units.ms(2)),
+        "warmup_ns": scale.pick(units.ms(20), units.ms(3)),
+        "measure_ns": scale.pick(units.ms(15), units.ms(2)),
     }
     cells = [
         Cell(_CELL_FN, dict(scheme=scheme, n_senders=4, seed=61, **scheme_horizon))

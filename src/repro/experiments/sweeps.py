@@ -75,7 +75,7 @@ def _panel_summary(value: Dict[str, Any]) -> PanelSummary:
 def run_fig11() -> Dict[str, PanelSummary]:
     """All four Figure 11 panels, fanned out across workers."""
     panels = sorted(FIG11_PANELS)
-    duration_s = scale.pick(0.08, 0.2, 0.02)
+    duration_s = scale.pick(0.2, 0.02)
     cells = [
         Cell(_FIG11_FN, {"panel": panel, "duration_s": duration_s})
         for panel in panels
@@ -158,7 +158,7 @@ class Fig12Result:
 
 def run_fig12() -> Fig12Result:
     """Figure 12: queue length/stability for 2:1 and 16:1 incast."""
-    duration_s = scale.pick(0.08, 0.2, 0.02)
+    duration_s = scale.pick(0.08, 0.02)
     cells = [
         Cell(_FIG12_FN, {
             "degree": degree,

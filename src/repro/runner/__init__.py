@@ -2,7 +2,7 @@
 
 The pieces (see DESIGN.md §4):
 
-* :mod:`repro.runner.scale` — run-scale policy (smoke / quick / full)
+* :mod:`repro.runner.scale` — run-scale policy (smoke / quick)
   and the deterministic seed schedule.
 * :mod:`repro.runner.executor` — :class:`Cell` fan-out across worker
   processes, input-order results, serial fallback.

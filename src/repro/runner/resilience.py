@@ -4,7 +4,7 @@ The two policies the hardened executor
 (:func:`repro.runner.executor.execute`) runs under:
 
 * **Run timeouts**: one wall-clock budget per cell, scaled by the run
-  scale (a smoke cell that runs two minutes is hung; a full cell
+  scale (a smoke cell that runs two minutes is hung; a quick cell
   legitimately runs much longer).  ``run_timeout`` in
   :mod:`repro.runtime` overrides it with seconds, or ``off``.
 * **Retry policy**: bounded retry with exponential backoff per failed
@@ -23,7 +23,6 @@ from repro import runtime
 DEFAULT_TIMEOUT_S: Dict[str, float] = {
     "smoke": 120.0,
     "quick": 600.0,
-    "full": 3600.0,
 }
 
 

@@ -6,9 +6,8 @@ Every experiment sizes its repetitions and simulated durations through
 
 * ``smoke`` — milliseconds-long runs, single repetitions; just enough
   to exercise every code path (CLI smoke tests, registry iteration).
-* ``quick`` — the default; small but meaningful runs whose tables show
-  the paper's qualitative effects.
-* ``full``  — longer runs and more repetitions, closest to the paper.
+* ``quick`` — the default, and the one verdict horizon: each figure
+  runs long enough for its table to show the paper's effect.
 """
 
 from __future__ import annotations
@@ -18,21 +17,10 @@ from typing import List
 
 from repro import runtime
 
-_UNSET = object()
 
-
-def pick(quick_value, full_value, smoke_value=_UNSET):
-    """Choose a knob by run scale.
-
-    ``smoke_value`` is optional: call sites that predate the smoke
-    scale (or where quick is already tiny) fall back to ``quick_value``.
-    """
-    active = runtime.current().scale
-    if active == "full":
-        return full_value
-    if active == "smoke" and smoke_value is not _UNSET:
-        return smoke_value
-    return quick_value
+def pick(quick_value, smoke_value):
+    """Choose a knob by run scale."""
+    return smoke_value if runtime.current().scale == "smoke" else quick_value
 
 
 def seeds_for(repetitions: int, base: int = 1000) -> List[int]:

@@ -27,7 +27,7 @@ from typing import (
 from repro.invariants.guard import MODES
 
 #: recognised run scales, smallest first
-SCALES = ("smoke", "quick", "full")
+SCALES = ("smoke", "quick")
 
 
 def _one_of(words: Sequence[str]) -> Tuple[Callable[[str], str], str]:

@@ -50,8 +50,8 @@ class TestDispatch:
         import os
 
         monkeypatch.delenv("REPRO_SCALE", raising=False)
-        assert main(["tab14", "--scale", "full"]) == 0
-        assert os.environ["REPRO_SCALE"] == "full"
+        assert main(["tab14", "--scale", "quick"]) == 0
+        assert os.environ["REPRO_SCALE"] == "quick"
 
 
 class TestBadInputEndsEarly:
@@ -82,6 +82,15 @@ class TestBadInputEndsEarly:
         (line,) = captured.err.splitlines()
         assert where in line and "'fig03'" in line
         assert os.environ["REPRO_SHARDS"] == ""  # a refused command exports nothing
+
+    def test_bad_environment_value(self, capsys, monkeypatch):
+        # tab14 reads no scale, yet a malformed REPRO_* still ends it
+        monkeypatch.setenv("REPRO_SCALE", "full")
+        assert main(["tab14"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "REPRO_SCALE" in line
 
     @pytest.mark.parametrize("value", ["soon", "-3"])
     def test_timeout_is_checked_when_parsed(self, value, capsys):
@@ -164,9 +173,9 @@ class TestSharedOptions:
             "plot": ["plot", "queues", "--out-dir", str(tmp_path)],
         }[command]
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        # a full-scale run would take minutes: finishing at all shows
-        # the flag, not this variable, set the scale the run used
-        monkeypatch.setenv("REPRO_SCALE", "full")
+        # the variable asks for quick; the flag, not the variable,
+        # sets the scale the run uses
+        monkeypatch.setenv("REPRO_SCALE", "quick")
         assert main(argv + ["--scale", "smoke"]) == 0
         assert os.environ["REPRO_SCALE"] == "smoke"
 

@@ -1,6 +1,6 @@
 """Experiment modules: small-scale smoke runs of every paper figure.
 
-These use deliberately tiny durations — full-scale runs live in
+These use deliberately tiny durations — the verdict runs live in
 ``benchmarks/``; here we verify wiring, result structure and the
 direction of each effect.  A driver takes no knobs, so a shorter run
 calls the module's cell function or Scenario builder directly.
@@ -41,15 +41,6 @@ from repro.runner.scenario import encode_value
 
 
 class TestCommon:
-    def test_scale_default(self, monkeypatch):
-        monkeypatch.delenv(runtime.VARS["scale"].env, raising=False)
-        assert runtime.current().scale == "quick"
-        assert scale.pick(1, 2) == 1
-
-    def test_scale_full(self, monkeypatch):
-        monkeypatch.setenv(runtime.VARS["scale"].env, "full")
-        assert scale.pick(1, 2) == 2
-
     def test_scale_invalid(self, monkeypatch):
         monkeypatch.setenv(runtime.VARS["scale"].env, "enormous")
         with pytest.raises(ValueError):

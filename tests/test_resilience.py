@@ -94,8 +94,6 @@ class TestTimeoutPolicy:
         assert resilience.default_timeout_s() == 120.0
         monkeypatch.setenv(runtime.VARS["scale"].env, "quick")
         assert resilience.default_timeout_s() == 600.0
-        monkeypatch.setenv(runtime.VARS["scale"].env, "full")
-        assert resilience.default_timeout_s() == 3600.0
 
     def test_env_override_and_off(self, isolated_results, monkeypatch):
         monkeypatch.setenv(runtime.VARS["run_timeout"].env, "42.5")

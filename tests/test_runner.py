@@ -41,19 +41,28 @@ def isolated_results(tmp_path, monkeypatch):
 
 
 class TestScale:
+    """``scale.pick(quick_value, smoke_value)`` by the ``REPRO_SCALE``
+    in force."""
+
+    def test_scale_default(self, monkeypatch):
+        monkeypatch.delenv(runtime.VARS["scale"].env, raising=False)
+        assert runtime.current().scale == "quick"
+        assert scale.pick(1, 2) == 1
+
+    def test_scale_quick(self, monkeypatch):
+        monkeypatch.setenv(runtime.VARS["scale"].env, "quick")
+        assert scale.pick(1, 2) == 1
+
     def test_smoke_scale(self, monkeypatch):
         monkeypatch.setenv(runtime.VARS["scale"].env, "smoke")
         assert runtime.current().scale == "smoke"
-        assert scale.pick(1, 2, 3) == 3
-
-    def test_smoke_falls_back_to_quick(self, monkeypatch):
-        monkeypatch.setenv(runtime.VARS["scale"].env, "smoke")
-        assert scale.pick(1, 2) == 1
+        assert scale.pick(1, 2) == 2
 
     def test_unknown_scale_rejected(self, monkeypatch):
-        monkeypatch.setenv(runtime.VARS["scale"].env, "enormous")
-        with pytest.raises(ValueError, match="REPRO_SCALE"):
-            scale.pick(1, 2)
+        for value in ("enormous", "full"):
+            monkeypatch.setenv(runtime.VARS["scale"].env, value)
+            with pytest.raises(ValueError, match="REPRO_SCALE"):
+                scale.pick(1, 2)
 
     def test_seeds_are_deterministic_and_distinct(self):
         seeds = scale.seeds_for(10)

@@ -26,7 +26,7 @@ DEFAULTS = RuntimeConfig(
 
 #: field -> ({raw text: parsed value}, [texts that must be refused])
 FORMS = {
-    "scale": ({"smoke": "smoke", "quick": "quick", " FULL ": "full"}, ["enormous"]),
+    "scale": ({"smoke": "smoke", "quick": "quick"}, ["enormous", " FULL "]),
     "jobs": ({"3": 3, " Auto ": os.cpu_count() or 1}, ["0", "-2", "many", "1.5"]),
     "shards": ({"1": 1, " 4 ": 4}, ["0", "-3", "many"]),
     "cache": ({"on": True, " OFF ": False}, ["offf", "0", "maybe"]),
@@ -88,8 +88,10 @@ def test_anything_else_is_refused_naming_the_variable(field, raw, monkeypatch):
 def test_current_is_a_fresh_parse_on_every_call(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", "smoke")
     assert runtime.current().scale == "smoke"
-    monkeypatch.setenv("REPRO_SCALE", "full")
-    assert runtime.current().scale == "full"
+    monkeypatch.setenv("REPRO_SCALE", "quick")
+    assert runtime.current().scale == "quick"
+    monkeypatch.setenv("REPRO_SCALE", "smoke")
+    assert runtime.current().scale == "smoke"
     monkeypatch.delenv("REPRO_SCALE")
     assert runtime.current().scale == "quick"
 
