@@ -5,11 +5,9 @@ from repro.analysis.fct import (
     SlowdownSummary,
     base_rtt_ns,
     bucket_of,
-    fct_table,
     ideal_fct_ns,
     records_from_runs,
     slowdown,
-    slowdown_cdf,
     slowdowns,
     summarize_slowdowns,
 )
@@ -34,11 +32,9 @@ __all__ = [
     "SlowdownSummary",
     "base_rtt_ns",
     "bucket_of",
-    "fct_table",
     "ideal_fct_ns",
     "records_from_runs",
     "slowdown",
-    "slowdown_cdf",
     "slowdowns",
     "summarize_slowdowns",
     "percentile",

@@ -25,14 +25,14 @@ principles so tests can assert recorded FCTs against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.analysis.stats import cdf_points, percentile
+from repro.analysis.stats import percentile
 from repro.telemetry.flowstats import FlowStats
 
 #: flows at or below this size are "mice" (latency-sensitive RPCs);
 #: larger ones are "elephants" (bandwidth-hungry bulk transfers).  The
-#: 100 KB line is the convention of the FCT literature the ISSUE cites.
+#: 100 KB line is the convention of the FCT literature.
 MICE_THRESHOLD_BYTES = 100_000
 
 #: bucket names in presentation order
@@ -144,17 +144,6 @@ class SlowdownSummary:
     p999: float
     mean: float
 
-    def row(self) -> List[str]:
-        return [
-            self.bucket,
-            str(self.count),
-            f"{self.p50:.2f}",
-            f"{self.p95:.2f}",
-            f"{self.p99:.2f}",
-            f"{self.p999:.2f}",
-            f"{self.mean:.2f}",
-        ]
-
 
 def summarize_slowdowns(
     records: Iterable[FlowStats], rtt_ns: float
@@ -177,27 +166,6 @@ def summarize_slowdowns(
             mean=sum(values) / len(values),
         )
     return out
-
-
-def slowdown_cdf(
-    records: Iterable[FlowStats], rtt_ns: float
-) -> Dict[str, List[Tuple[float, float]]]:
-    """Per-bucket slowdown CDFs as (slowdown, fraction) point lists."""
-    rows = completed_transfers(records)
-    return {
-        bucket: cdf_points(values)
-        for bucket in BUCKETS
-        if (values := slowdowns(rows, rtt_ns, bucket))
-    }
-
-
-def fct_table(summaries: Dict[str, SlowdownSummary]) -> str:
-    """Monospace table of per-bucket slowdown percentiles."""
-    from repro.runner.results import format_table
-
-    headers = ["bucket", "n", "p50", "p95", "p99", "p999", "mean"]
-    rows = [summaries[b].row() for b in BUCKETS if b in summaries]
-    return format_table(headers, rows)
 
 
 def records_from_runs(runs: Sequence) -> List[FlowStats]:

@@ -35,13 +35,6 @@ CC arena (see DESIGN.md §11)::
     python -m repro run arena                      # controller league table
     python -m repro run arena --invariants strict  # ... guarded
 
-Figure rendering (see DESIGN.md §12)::
-
-    python -m repro plot                           # every figure family
-    python -m repro plot fct                       # slowdown CDFs
-    python -m repro plot grid --metric eleph_p99   # grid heatmap
-    python -m repro plot queues --out-dir /tmp/f   # Fig 19 queue CDFs
-
 Result digests (see DESIGN.md §7)::
 
     python -m repro digest > tests/digests.json    # re-pin every id and scenario
@@ -466,137 +459,6 @@ def fabric_main(argv: Sequence[str]) -> int:
     return 0
 
 
-#: ``repro plot`` targets; ``all`` renders every one of them
-PLOT_KINDS = ("fct", "queues", "grid")
-
-#: grid heatmap metrics: bucket x percentile of slowdown
-GRID_METRICS = ("mice_p50", "mice_p99", "eleph_p50", "eleph_p99")
-
-
-def plot_main(argv: Sequence[str]) -> int:
-    """``python -m repro plot [fct|queues|grid|all]`` — render figures.
-
-    Artifacts land under ``results/figures/`` as SVG, rendered with the
-    stdlib alone.  Every underlying experiment runs through the cached
-    executor, so re-plotting a sweep that already ran renders from cache
-    without recomputing a single cell.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro plot",
-        description="Render slowdown CDFs, queue CDFs and grid heatmaps.",
-    )
-    parser.add_argument(
-        "kind",
-        nargs="?",
-        default="all",
-        choices=PLOT_KINDS + ("all",),
-        help="which figure family to render (default: all)",
-    )
-    parser.add_argument(
-        "--out-dir",
-        default=None,
-        metavar="DIR",
-        help="figure directory (default: results/figures)",
-    )
-    parser.add_argument(
-        "--metric",
-        choices=GRID_METRICS,
-        default="mice_p99",
-        help="grid heatmap cell value (default: mice_p99)",
-    )
-    _add_shared(parser, "scale", "jobs", "cache")
-    args = parser.parse_args(argv)
-    _export_env(args)
-
-    from pathlib import Path
-
-    from repro.analysis import fct
-    from repro.analysis.figures import write_heatmap, write_line_chart
-    from repro.runner.cache import results_dir
-
-    out_dir = Path(args.out_dir) if args.out_dir else results_dir() / "figures"
-    kinds = PLOT_KINDS if args.kind == "all" else (args.kind,)
-    written = []
-
-    if "fct" in kinds:
-        from repro.experiments.fct_grid import BENCHMARK_HOPS, run_benchmark_fct
-
-        runs, summaries = run_benchmark_fct()
-        records = fct.records_from_runs(runs)
-        rtt = fct.base_rtt_ns(hops=BENCHMARK_HOPS)
-        cdfs = fct.slowdown_cdf(records, rtt)
-        if not cdfs:
-            print("no completed transfers to plot", file=sys.stderr)
-            return 3
-        written.append(write_line_chart(
-            out_dir / "fct_slowdown_cdf",
-            cdfs,
-            title="Benchmark traffic: FCT slowdown CDF",
-            xlabel="slowdown (FCT / ideal FCT)",
-            ylabel="fraction of transfers",
-        ))
-        print(fct.fct_table(summaries))
-
-    if "queues" in kinds:
-        from repro.analysis.stats import cdf_points
-        from repro.experiments.latency import run_fig19
-
-        series = {
-            result.protocol: [
-                (bytes_ / 1e3, frac)
-                for bytes_, frac in cdf_points(result.samples_bytes)
-            ]
-            for result in run_fig19()
-        }
-        written.append(write_line_chart(
-            out_dir / "queue_cdf",
-            series,
-            title="Egress queue CDF: DCQCN vs DCTCP (Fig 19)",
-            xlabel="queue length (KB)",
-            ylabel="fraction of samples",
-        ))
-
-    if "grid" in kinds:
-        from repro.experiments.fct_grid import (
-            grid_table,
-            point_summaries,
-            run_fct_grid,
-        )
-
-        sweep = run_fct_grid()
-        summaries = point_summaries(sweep)
-        bucket = "mice" if args.metric.startswith("mice") else "elephants"
-        quantile = "p50" if args.metric.endswith("p50") else "p99"
-        profiles = sorted({tuple(p.value)[:3] for p in sweep.points})
-        degrees = sorted({tuple(p.value)[3] for p in sweep.points})
-        grid = [
-            [
-                (
-                    getattr(summary[bucket], quantile)
-                    if (summary := summaries.get((*profile, degree)))
-                    and bucket in summary
-                    else None
-                )
-                for degree in degrees
-            ]
-            for profile in profiles
-        ]
-        written.append(write_heatmap(
-            out_dir / f"fct_grid_{args.metric}",
-            [str(d) for d in degrees],
-            [f"K{k}/{m} P{p:g}" for k, m, p in profiles],
-            grid,
-            title=f"slowdown {args.metric} over (Kmin, Kmax, Pmax) x incast",
-            xlabel="incast degree",
-            ylabel="marking profile (Kmin KB / Kmax KB, Pmax)",
-        ))
-        print(grid_table(sweep))
-
-    for path in written:
-        print(f"wrote {path}")
-    return 0
-
-
 def faults_main(argv: Sequence[str]) -> int:
     """``python -m repro faults list|example`` — the injector vocabulary."""
     parser = argparse.ArgumentParser(
@@ -754,7 +616,6 @@ SUBCOMMANDS = {
     "profile": profile_main,
     "scenarios": scenarios_main,
     "faults": faults_main,
-    "plot": plot_main,
     "digest": digest_main,
 }
 

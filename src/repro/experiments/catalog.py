@@ -357,55 +357,13 @@ def arena():
     return run_arena()
 
 
-def _fct_table(result) -> str:
-    from repro.analysis.fct import fct_table
-
-    runs, summaries = result
-    transfers = sum(len(run.flow_stats) for run in runs)
-    return (
-        fct_table(summaries)
-        + f"\n{transfers} flow_stats rows over {len(runs)} repetitions"
-    )
-
-
 @experiment(
-    "fct", "benchmark-traffic FCT slowdown, mice vs elephants", table=_fct_table
+    "fabric", "DCQCN incast across fat-tree sizes (k=4, 8, 16)", table=_own_table
 )
-def fct_benchmark():
-    from repro.experiments.fct_grid import run_benchmark_fct
-
-    return run_benchmark_fct()
-
-
-def _fctgrid_table(sweep) -> str:
-    from repro.experiments.fct_grid import grid_table
-
-    return grid_table(sweep)
-
-
-@experiment(
-    "fctgrid",
-    "(Kmin, Kmax, Pmax) x incast grid, scored on slowdown",
-    table=_fctgrid_table,
-)
-def fctgrid():
-    from repro.experiments.fct_grid import run_fct_grid
-
-    return run_fct_grid()
-
-
-@experiment("fabric", "DCQCN incast across fat-tree sizes (k=4, k=8)")
 def fabric():
     from repro.experiments.fabric_scale import run_fabric
 
     return run_fabric()
-
-
-@experiment("fabric1024", "1024-host fat-tree incast with invariants")
-def fabric1024():
-    from repro.experiments.fabric_scale import run_fabric_1024
-
-    return run_fabric_1024()
 
 
 def _chaos_table(result) -> str:

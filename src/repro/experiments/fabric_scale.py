@@ -9,28 +9,30 @@ with heavy-tailed storage-cluster traffic — all as declarative
 :class:`~repro.runner.scenario.Scenario` objects, so every run is
 cached, parallel and resumable like the rest of the suite.
 
-Scoring follows :mod:`repro.analysis.fct`: probe transfers land in
-``flow_stats`` and are reported as slowdowns over the ideal FCT of an
-idle cross-pod path.
+:func:`run_fabric` (the ``fabric`` id) runs the incast at k = 4, 8
+and 16 and reports, per size, what §6.1 judges an incast by: goodput
+at the receiver, drops and PAUSE frames (received per switch tier),
+plus the guard's violations and the probes' slowdowns over the ideal
+FCT of an idle cross-pod path (:mod:`repro.analysis.fct`).
 """
 
 from __future__ import annotations
 
 import random
-import warnings
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from repro import units
 from repro.analysis import fct
 from repro.runner import scale
 from repro.runner.results import format_table
-from repro.runner.scenario import FlowSpec, Scenario, run_scenario, run_sweep
+from repro.runner.scenario import FlowSpec, Scenario, run_sweep
 
 #: cross-pod fat-tree path: edge, agg, core, agg, edge — five
-#: store-and-forward hops (cf. ``BENCHMARK_HOPS = 3`` on the Clos)
+#: store-and-forward hops
 FABRIC_HOPS = 5
 
-#: probe sizes, matching :mod:`repro.experiments.fct_grid`
+#: probe sizes, one on each side of the mice/elephant line
 MICE_BYTES = 20_000
 ELEPHANT_BYTES = 1_000_000
 
@@ -226,92 +228,115 @@ def thousand_host_scenario(duration_ns: Optional[int] = None) -> Scenario:
     )
 
 
-# --- runners ----------------------------------------------------------------
+# --- the fabric experiment -------------------------------------------------
+
+#: the switch tiers a fat-tree's PAUSE frames are counted at
+TIERS = ("edge", "agg", "core")
+
+FABRIC_HEADERS = [
+    "fabric",
+    "flows",
+    "incast Gbps",
+    "drops",
+    "PAUSE",
+    "edge rx",
+    "agg rx",
+    "core rx",
+    "violations",
+]
 
 
-def _slowdown_rows(
-    runs, hops: int = FABRIC_HOPS
-) -> List[List[str]]:
-    records = fct.records_from_runs(runs)
-    summaries = fct.summarize_slowdowns(records, fct.base_rtt_ns(hops=hops))
-    rows = []
-    for bucket in fct.BUCKETS:
-        summary = summaries.get(bucket)
-        if summary is None:
-            continue
-        rows.append(
-            [
-                bucket,
-                str(summary.count),
-                f"{summary.p50:.2f}",
-                f"{summary.p99:.2f}",
-            ]
-        )
-    return rows
+@dataclass
+class FabricRow:
+    """One fat-tree size's incast run."""
+
+    k: int
+    flows: int
+    #: goodput of the greedy incast flows at their shared receiver
+    incast_gbps: float = 0.0
+    drops: int = 0
+    pause_frames: int = 0
+    #: PAUSE frames received, by switch tier
+    pause_rx: Dict[str, int] = field(default_factory=dict)
+    #: None when the run had no invariant guard armed
+    violations: Optional[int] = None
+    #: probe slowdowns by size bucket
+    slowdowns: Dict[str, fct.SlowdownSummary] = field(default_factory=dict)
+    failures: int = 0
+
+    @property
+    def hosts(self) -> int:
+        return self.k**3 // 4
+
+    def row(self) -> List[str]:
+        name = f"k={self.k} ({self.hosts} hosts)"
+        if self.failures:
+            return [name, "FAILED"] + ["—"] * (len(FABRIC_HEADERS) - 2)
+        return [
+            name,
+            str(self.flows),
+            f"{self.incast_gbps:.2f}",
+            str(self.drops),
+            str(self.pause_frames),
+            *(str(self.pause_rx[tier]) for tier in TIERS),
+            "off" if self.violations is None else str(self.violations),
+        ]
 
 
-FABRIC_HEADERS = ["fabric", "flows", "drops", "PAUSE", "edge rx", "agg rx", "core rx"]
+@dataclass
+class FabricResult:
+    """One :class:`FabricRow` per fat-tree size, by ``k``."""
+
+    rows: Dict[int, FabricRow]
+
+    def table(self) -> str:
+        sections = [
+            format_table(FABRIC_HEADERS, [row.row() for row in self.rows.values()])
+        ]
+        for k, row in self.rows.items():
+            if row.slowdowns:
+                sections.append(
+                    f"-- k={k} probe slowdowns --\n"
+                    + format_table(
+                        ["bucket", "n", "p50", "p99"],
+                        [
+                            [s.bucket, str(s.count), f"{s.p50:.2f}", f"{s.p99:.2f}"]
+                            for s in row.slowdowns.values()
+                        ],
+                    )
+                )
+        return "\n\n".join(sections)
 
 
-def run_fabric() -> str:
-    """Incast-under-DCQCN across fat-tree sizes (one sweep), with
-    per-tier PAUSE aggregation and probe slowdowns; returns the
-    rendered tables."""
-    ks = scale.pick((4, 8), (4,))
-    repetitions = scale.pick(1, 1)
-    scenarios = {k: fabric_incast_scenario(k=k) for k in ks}
-    seeds = {k: scale.seeds_for(repetitions, base=4000 + 31 * k) for k in ks}
+def _fabric_row(k: int, scenario: Scenario, point) -> FabricRow:
+    row = FabricRow(k=k, flows=len(scenario.flows), failures=len(point.failures))
+    if not point.runs:
+        return row
+    (run,) = point.runs
+    row.incast_gbps = sum(
+        run.flows_bps[flow.name] for flow in scenario.flows if flow.greedy
+    ) / 1e9
+    row.drops = int(run.counters["drops"])
+    row.pause_frames = int(run.counters["pause_frames"])
+    row.pause_rx = {tier: int(run.counters[f"pause_rx.{tier}"]) for tier in TIERS}
+    if run.invariant_report:
+        row.violations = int(run.invariant_report["violation_count"])
+    row.slowdowns = fct.summarize_slowdowns(
+        fct.records_from_runs([run]), fct.base_rtt_ns(hops=FABRIC_HOPS)
+    )
+    return row
+
+
+def run_fabric() -> FabricResult:
+    """DCQCN incast across fat-tree sizes, one seed per size, in one
+    sweep; the k=16 cell is the guarded thousand-host run."""
+    ks = scale.pick((4, 8, 16), (4,))
+    scenarios = {
+        k: thousand_host_scenario() if k == 16 else fabric_incast_scenario(k=k)
+        for k in ks
+    }
+    seeds = {k: scale.seeds_for(1, base=4000 + 31 * k) for k in ks}
     sweep = run_sweep("k", scenarios, seeds)
-    if sweep.total_failures():
-        warnings.warn(
-            f"{sweep.total_failures()} of the fabric repetitions failed "
-            "(timeout/crash); sums cover the survivors"
-        )
-    fabric_rows = []
-    slowdown_blocks = []
-    for k in ks:
-        runs = sweep.point(k).runs
-        fabric_rows.append(
-            [
-                f"k={k} ({k * k * k // 4} hosts)",
-                str(len(scenarios[k].flows)),
-                str(int(sum(run.counters["drops"] for run in runs))),
-                str(int(sum(run.counters["pause_frames"] for run in runs))),
-                str(int(sum(run.counters["pause_rx.edge"] for run in runs))),
-                str(int(sum(run.counters["pause_rx.agg"] for run in runs))),
-                str(int(sum(run.counters["pause_rx.core"] for run in runs))),
-            ]
-        )
-        rows = _slowdown_rows(runs)
-        if rows:
-            slowdown_blocks.append(
-                f"-- k={k} probe slowdowns --\n"
-                + format_table(["bucket", "n", "p50", "p99"], rows)
-            )
-    out = format_table(FABRIC_HEADERS, fabric_rows)
-    if slowdown_blocks:
-        out += "\n\n" + "\n\n".join(slowdown_blocks)
-    return out
-
-
-def run_fabric_1024() -> str:
-    """The 1024-host incast: one seed, invariants on, slowdowns out."""
-    scenario = thousand_host_scenario()
-    runs = run_scenario(scenario, [2015])
-    run = runs[0]
-    violations = run.invariant_report.get("violations", [])
-    lines = [
-        f"1024-host fat-tree (k=16), {len(scenario.flows)} flows, "
-        f"{run.duration_ns / 1e6:g} ms horizon",
-        f"drops={int(run.counters['drops'])} "
-        f"pause_frames={int(run.counters['pause_frames'])} "
-        f"pause_rx[edge/agg/core]="
-        f"{int(run.counters['pause_rx.edge'])}/"
-        f"{int(run.counters['pause_rx.agg'])}/"
-        f"{int(run.counters['pause_rx.core'])}",
-        f"invariant violations: {len(violations)}",
-    ]
-    rows = _slowdown_rows(runs)
-    if rows:
-        lines.append(format_table(["bucket", "n", "p50", "p99"], rows))
-    return "\n".join(lines)
+    return FabricResult(
+        rows={k: _fabric_row(k, scenarios[k], sweep.point(k)) for k in ks}
+    )

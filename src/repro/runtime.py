@@ -106,7 +106,7 @@ class RuntimeConfig:
     shards: int
     #: whether ``execute`` consults and fills ``<results_dir>/.cache/``
     cache: bool
-    #: where tables, figures and the result cache go
+    #: where tables and the result cache go
     results_dir: str
     #: per-cell wall-clock budget in seconds; ``"off"`` for none, ``None``
     #: for the per-scale default

@@ -12,9 +12,8 @@ Collection is a cold end-of-run sweep over state the sender already
 keeps (:class:`repro.sim.host.Message` bookkeeping); the per-packet
 hot path pays only the first-byte dict probe.  The table rides inside every
 :class:`~repro.runner.results.RunResult` as plain JSON, so it survives
-the result cache and the process-pool transport byte-identically —
-which is what lets ``repro plot`` build slowdown CDFs from cached
-sweeps without rerunning a single cell.
+the result cache and the process-pool transport byte-identically, so
+a cached cell replays with its FCTs intact.
 
 Slowdown analytics over these rows live in :mod:`repro.analysis.fct`.
 """

@@ -1,6 +1,4 @@
-"""Unit tests for the FCT analytics and the stdlib figure renderer."""
-
-import xml.etree.ElementTree as ET
+"""Unit tests for the FCT analytics."""
 
 import pytest
 
@@ -10,22 +8,12 @@ from repro.analysis.fct import (
     base_rtt_ns,
     bucket_of,
     completed_transfers,
-    fct_table,
     ideal_fct_ns,
     records_from_runs,
     serialization_ns,
     slowdown,
-    slowdown_cdf,
     slowdowns,
     summarize_slowdowns,
-)
-from repro.analysis.figures import (
-    nice_ticks,
-    ramp_color,
-    svg_heatmap,
-    svg_line_chart,
-    write_heatmap,
-    write_line_chart,
 )
 from repro.runner import RunResult
 from repro.telemetry import FlowStats
@@ -136,24 +124,12 @@ class TestSlowdowns:
         assert summaries["mice"].p50 == pytest.approx(2.0, rel=1e-3)
         assert summaries["elephants"].p99 == pytest.approx(3.0, rel=1e-3)
         assert summaries["all"].count == 10
-        table = fct_table(summaries)
-        assert "mice" in table and "elephants" in table
 
     def test_empty_buckets_are_omitted(self):
         rtt = base_rtt_ns()
         rows = [transfer(20_000, 50_000)]
         summaries = summarize_slowdowns(rows, rtt)
         assert set(summaries) == {"all", "mice"}
-
-    def test_cdf_is_monotone_and_ends_at_one(self):
-        rtt = base_rtt_ns()
-        rows = [transfer(20_000, 10_000 + 997 * m, msg=m) for m in range(20)]
-        for points in slowdown_cdf(rows, rtt).values():
-            fractions = [f for _, f in points]
-            assert fractions == sorted(fractions)
-            assert fractions[-1] == pytest.approx(1.0)
-            xs = [x for x, _ in points]
-            assert xs == sorted(xs)
 
     def test_records_from_runs_flattens(self):
         run = RunResult(
@@ -165,53 +141,3 @@ class TestSlowdowns:
         )
         records = records_from_runs([run, run])
         assert len(records) == 4
-
-
-class TestFigures:
-    def test_nice_ticks_cover_range(self):
-        ticks = nice_ticks(0.3, 9.7)
-        assert ticks[0] <= 0.3 and ticks[-1] >= 9.7
-        steps = {round(b - a, 9) for a, b in zip(ticks, ticks[1:])}
-        assert len(steps) == 1  # uniform spacing from the 1-2-5 ladder
-
-    def test_ramp_color_shape(self):
-        for fraction in (0.0, 0.5, 1.0):
-            color = ramp_color(fraction)
-            assert color.startswith("#") and len(color) == 7
-
-    def test_line_chart_is_valid_svg(self):
-        svg = svg_line_chart(
-            {"mice": [(1.0, 0.5), (2.0, 1.0)], "elephants": [(1.5, 1.0)]},
-            title="slowdown CDF",
-            xlabel="slowdown",
-            ylabel="fraction",
-        )
-        root = ET.fromstring(svg)
-        assert root.tag.endswith("svg")
-
-    def test_line_chart_rejects_empty(self):
-        with pytest.raises(ValueError, match="nothing to plot"):
-            svg_line_chart({"mice": []})
-
-    def test_heatmap_is_valid_svg_with_none_cells(self):
-        svg = svg_heatmap(
-            ["2", "8"],
-            ["K5/50 P0.01", "K5/200 P0.1"],
-            [[1.5, None], [2.0, 9.0]],
-            title="grid",
-        )
-        root = ET.fromstring(svg)
-        assert root.tag.endswith("svg")
-
-    def test_heatmap_rejects_ragged_grid(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            svg_heatmap(["a"], ["r1"], [[1.0, 2.0]])
-
-    def test_writers_emit_svg_files(self, tmp_path):
-        chart = write_line_chart(
-            tmp_path / "cdf", {"mice": [(1.0, 0.5), (2.0, 1.0)]}
-        )
-        heat = write_heatmap(tmp_path / "grid", ["2"], ["r"], [[1.0]])
-        for path in (chart, heat):
-            assert path.suffix == ".svg" and path.exists()
-            ET.parse(path)

@@ -146,8 +146,8 @@ class TestSharedOptions:
 
     @pytest.mark.parametrize(
         "argv",
-        [["trace"], ["profile"], ["plot"], ["faults"], ["fabric", "check"], []],
-        ids=["trace", "profile", "plot", "faults", "fabric-check", "experiment"],
+        [["trace"], ["profile"], ["faults"], ["fabric", "check"], []],
+        ids=["trace", "profile", "faults", "fabric-check", "experiment"],
     )
     def test_help_exits_zero(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -156,11 +156,15 @@ class TestSharedOptions:
         assert "usage: repro" in capsys.readouterr().out
 
     def test_bench_subcommand_is_gone(self, capsys):
-        # bench/run.py is the benchmark; 'bench' is just an unknown id now
-        assert main(["bench"]) == 2
-        assert "unknown experiment 'bench'" in capsys.readouterr().err
+        # bench/run.py is the benchmark and the figure renderer is gone;
+        # 'bench' and 'plot' are just unknown ids now
+        for command in ("bench", "plot"):
+            assert main([command]) == 2
+            assert capsys.readouterr().err == (
+                f"unknown experiment {command!r}; try 'list'\n"
+            )
 
-    @pytest.mark.parametrize("command", ["run", "trace", "profile", "plot"])
+    @pytest.mark.parametrize("command", ["run", "trace", "profile"])
     def test_scale_flag_reaches_the_environment(
         self, command, capsys, tmp_path, monkeypatch
     ):
@@ -170,7 +174,6 @@ class TestSharedOptions:
             "run": ["run", "smoke"],
             "trace": ["trace", "smoke", "--out", str(tmp_path / "t.jsonl")],
             "profile": ["profile", "smoke"],
-            "plot": ["plot", "queues", "--out-dir", str(tmp_path)],
         }[command]
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
         # the variable asks for quick; the flag, not the variable,

@@ -116,7 +116,26 @@ class TestRegisteredScenarios:
         from repro.runner import REGISTRY
 
         assert "fabric" in REGISTRY
-        assert "fabric1024" in REGISTRY
+        # the k=16 run is the fabric id's third cell, not an id of its own
+        assert "fabric1024" not in REGISTRY
+
+    def test_failed_fabric_cell_is_a_failed_row(self):
+        from repro.experiments.fabric_scale import (
+            FabricResult,
+            _fabric_row,
+            fabric_incast_scenario,
+        )
+        from repro.runner.results import RunFailure, SweepPoint
+
+        point = SweepPoint(
+            value=4,
+            failures=[RunFailure(error="timeout", message="budget", fn="cell")],
+        )
+        row = _fabric_row(4, fabric_incast_scenario(k=4), point)
+        assert row.failures == 1
+        table = FabricResult(rows={4: row}).table()
+        assert "k=4 (16 hosts)  FAILED" in table
+        assert "probe slowdowns" not in table
 
     def test_benchmark_scenario_deterministic(self):
         """Two constructions draw identical sizes and placements."""
