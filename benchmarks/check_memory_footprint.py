@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI gate: hot simulation objects stay slotted and fabrics stay lean.
 
-Four checks, all cheap enough for every CI run:
+Five checks, all cheap enough for every CI run:
 
 1. **Slots** — the per-packet / per-port / per-flow classes must not
    grow an instance ``__dict__``.  A stray class attribute or a
@@ -38,6 +38,14 @@ Four checks, all cheap enough for every CI run:
    by the first frame a switch admits; at k=32 sizing them at build
    would be 655 360).
 
+5. **Frame size** — a data frame taken from a built flow costs at most
+   80 bytes (``sys.getsizeof``), and two frames of one flow share one
+   header object.  Under PFC the switch buffers hold tens of thousands
+   of frames, so the frame is most of what a run allocates.  What a
+   stream's frames share lives in its header; a frame keeps six slots,
+   one 80-byte allocation class.  One slot more moves it to the next
+   class: 16 bytes more per buffered frame, not 8.
+
 Usage (CI runs this at all three sizes in the fabric-smoke job)::
 
     PYTHONPATH=src python benchmarks/check_memory_footprint.py --k 8
@@ -62,6 +70,7 @@ SLOTTED = (
     ("repro.sim.link", "Port"),
     ("repro.sim.nic", "HostNic"),
     ("repro.sim.nic", "_RxState"),
+    ("repro.sim.packet", "Header"),
     ("repro.sim.packet", "Packet"),
     ("repro.sim.switch", "Switch"),
 )
@@ -75,6 +84,9 @@ PER_HOST_BUDGET_BYTES = 6_000
 #: installed route state (exact entries + blocks over all switches)
 #: allowed per host
 ROUTE_STATE_PER_HOST = 3
+
+#: sys.getsizeof of one data frame: six slots, the 80-byte class
+FRAME_BUDGET_BYTES = 80
 
 
 def check_slots() -> list:
@@ -99,6 +111,17 @@ def check_slots() -> list:
                 f"(unslotted bases: {', '.join(offenders)})"
             )
     return problems
+
+
+def measure_frames() -> tuple:
+    """(bytes of one data frame, whether two frames of a flow share a
+    header), from a flow on a built single-switch network."""
+    from repro.sim.topology import single_switch
+
+    net, _, hosts = single_switch(2, seed=0)
+    flow = net.add_flow(hosts[0], hosts[1], cc="none")
+    first, second = flow.take_packet(0), flow.take_packet(1_000)
+    return sys.getsizeof(first), first.hdr is second.hdr
 
 
 def measure_fabric(k: int) -> tuple:
@@ -170,6 +193,17 @@ def main(argv=None) -> int:
     if ledger_slots:
         print(f"FAIL a built fabric holds {ledger_slots} ledger slots")
         problems.append("ledger slots")
+    frame_bytes, shared = measure_frames()
+    print(
+        f"data frame: {frame_bytes} B (limit {FRAME_BUDGET_BYTES}), "
+        f"header shared across the flow's frames: {shared}"
+    )
+    if frame_bytes > FRAME_BUDGET_BYTES:
+        print(f"FAIL a data frame costs {frame_bytes} B")
+        problems.append("frame size")
+    if not shared:
+        print("FAIL two frames of one flow carry two headers")
+        problems.append("frame header")
     return 1 if problems else 0
 
 

@@ -30,7 +30,13 @@ from repro.cc.dcqcn import RpBackedControl
 from repro.cc.params import FnccParams
 from repro.cc.registry import register_cc, register_switch_feedback
 from repro.core.rp import ReactionPoint
-from repro.sim.packet import CONTROL_PRIORITY, Packet, cnp_packet
+from repro.sim.packet import (
+    CONTROL_FRAME_BYTES,
+    CONTROL_PRIORITY,
+    KIND_CNP,
+    Header,
+    Packet,
+)
 from repro.telemetry import events as trace_events
 
 
@@ -57,29 +63,42 @@ class FnccFeedback:
         self.params = params or FnccParams()
         self._watched = set()
         self._last_cnp_ns: Dict[int, int] = {}
+        #: marked data header -> header of the CNPs to its source (one
+        #: CNP stream per incoming stream)
+        self._headers: Dict[Header, Header] = {}
 
     def watch(self, flow_id: int) -> None:
         self._watched.add(flow_id)
 
     def on_enqueue(self, switch, pkt: Packet, egress_index: int, marked: bool) -> None:
-        if not marked or pkt.flow_id not in self._watched:
+        hdr = pkt.hdr
+        flow_id = hdr.flow_id
+        if not marked or flow_id not in self._watched:
             return
         now = switch.engine.now
-        last = self._last_cnp_ns.get(pkt.flow_id)
+        last = self._last_cnp_ns.get(flow_id)
         if last is not None and now - last < self.params.cnp_interval_ns:
             return
-        self._last_cnp_ns[pkt.flow_id] = now
+        self._last_cnp_ns[flow_id] = now
         switch.cnps_sent += 1
         if switch.tracer is not None:
             switch.tracer.emit(
                 now,
                 trace_events.NP_CNP_TX,
                 switch.name,
-                flow=pkt.flow_id,
+                flow=flow_id,
             )
-        cnp = cnp_packet(
-            pkt.flow_id, switch.device_id, pkt.src, CONTROL_PRIORITY
-        )
+        cnp_hdr = self._headers.get(hdr)
+        if cnp_hdr is None:
+            cnp_hdr = self._headers[hdr] = Header(
+                KIND_CNP,
+                flow_id,
+                switch.device_id,
+                hdr.src,
+                CONTROL_FRAME_BYTES,
+                CONTROL_PRIORITY,
+            )
+        cnp = Packet(cnp_hdr)
         # switch-originated: attribute buffer usage to the ingress the
         # marked packet used (the CNP heads back that way)
         switch._enqueue(cnp, pkt.ingress_index)

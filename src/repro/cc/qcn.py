@@ -42,6 +42,7 @@ from repro.sim.packet import (
     CONTROL_FRAME_BYTES,
     CONTROL_PRIORITY,
     KIND_QCN_FB,
+    Header,
     Packet,
 )
 
@@ -113,6 +114,9 @@ class QcnFeedback:
         self.params = params or QcnCpParams()
         self._countdown: Dict[Tuple[int, int], int] = {}
         self._q_old: Dict[Tuple[int, int], float] = {}
+        #: sampled data header -> header of the feedback frames to its
+        #: source (one feedback stream per incoming stream)
+        self._headers: Dict[Header, Header] = {}
         self.feedback_sent = 0
         # |Fb| spans q_eq * (1 + 2w); used for quantization
         self._fb_max = self.params.q_eq_bytes * (1.0 + 2.0 * self.params.w)
@@ -121,13 +125,14 @@ class QcnFeedback:
         """QCN's CP samples all traffic; nothing per-flow to arm."""
 
     def on_enqueue(self, switch, pkt: Packet, egress_index: int, marked: bool) -> None:
-        key = (egress_index, pkt.priority)
-        remaining = self._countdown.get(key, 0) - pkt.size
+        hdr = pkt.hdr
+        key = (egress_index, hdr.priority)
+        remaining = self._countdown.get(key, 0) - hdr.size
         if remaining > 0:
             self._countdown[key] = remaining
             return
         self._countdown[key] = self.params.sample_interval_bytes
-        q = switch.egress_queue_bytes(egress_index, pkt.priority)
+        q = switch.egress_queue_bytes(egress_index, hdr.priority)
         q_old = self._q_old.get(key, 0.0)
         self._q_old[key] = q
         fb = -((q - self.params.q_eq_bytes) + self.params.w * (q - q_old))
@@ -138,15 +143,17 @@ class QcnFeedback:
             max(1, int(-fb / self._fb_max * QCN_FB_LEVELS)),
         )
         self.feedback_sent += 1
-        feedback = Packet(
-            KIND_QCN_FB,
-            flow_id=pkt.flow_id,
-            src=switch.device_id,
-            dst=pkt.src,
-            size=CONTROL_FRAME_BYTES,
-            priority=CONTROL_PRIORITY,
-            qcn_fb=quantized,
-        )
+        fb_hdr = self._headers.get(hdr)
+        if fb_hdr is None:
+            fb_hdr = self._headers[hdr] = Header(
+                KIND_QCN_FB,
+                hdr.flow_id,
+                switch.device_id,
+                hdr.src,
+                CONTROL_FRAME_BYTES,
+                CONTROL_PRIORITY,
+            )
+        feedback = Packet(fb_hdr, qcn_fb=quantized)
         # switch-originated frame: attribute its buffer usage to the
         # ingress the sampled packet used (it heads back that way)
         switch._enqueue(feedback, pkt.ingress_index)

@@ -33,7 +33,13 @@ from repro.faults.plan import (
 from repro.faults.recovery import RecoveryTracker
 from repro.faults.watchdog import DeadlockWatchdog
 from repro.runner.scale import derive_seed
-from repro.sim.packet import pause_frame
+from repro.sim.packet import (
+    CONTROL_FRAME_BYTES,
+    KIND_PAUSE,
+    KIND_RESUME,
+    Header,
+    Packet,
+)
 from repro.telemetry import events as trace_events
 
 #: component name fault inject/clear events are emitted under
@@ -158,6 +164,9 @@ class _PauseStormRuntime:
         self.injector = injector
         self.emitter = emitter
         self.engine = net.engine
+        fields = (-1, nic.device_id, -1, CONTROL_FRAME_BYTES, injector.priority)
+        self.pause_hdr = Header(KIND_PAUSE, *fields)
+        self.resume_hdr = Header(KIND_RESUME, *fields)
         for start, end in windows:
             self.engine.schedule_at(start, self._start, end)
 
@@ -169,14 +178,10 @@ class _PauseStormRuntime:
         now = self.engine.now
         nic = self.nic
         if now >= end_ns:
-            nic.port.send_control(
-                pause_frame(nic.device_id, self.injector.priority, pause=False)
-            )
+            nic.port.send_control(Packet(self.resume_hdr))
             self.emitter.clear(self.injector.kind, self.injector.host)
             return
-        nic.port.send_control(
-            pause_frame(nic.device_id, self.injector.priority, pause=True)
-        )
+        nic.port.send_control(Packet(self.pause_hdr))
         self.engine.schedule(
             min(self.injector.refresh_ns, end_ns - now), self._tick, end_ns
         )
@@ -214,7 +219,7 @@ class _CnpImpairmentRuntime:
             nic.cnps_dropped += 1
             if nic.tracer is not None:
                 nic.tracer.emit(
-                    now, trace_events.FAULT_CNP_DROP, nic.name, flow=pkt.flow_id
+                    now, trace_events.FAULT_CNP_DROP, nic.name, flow=pkt.hdr.flow_id
                 )
             return True
         delay = injector.delay_ns
@@ -227,7 +232,7 @@ class _CnpImpairmentRuntime:
                     now,
                     trace_events.FAULT_CNP_DELAY,
                     nic.name,
-                    flow=pkt.flow_id,
+                    flow=pkt.hdr.flow_id,
                     delay_ns=delay,
                 )
             self.engine.schedule(delay, nic._deliver_cnp, pkt)

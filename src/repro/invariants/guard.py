@@ -432,7 +432,7 @@ class InvariantGuard:
         self.violation(
             "switch.negative_queue",
             switch.name,
-            f"dequeue of flow {pkt.flow_id} drove a byte count negative "
+            f"dequeue of flow {pkt.hdr.flow_id} drove a byte count negative "
             f"(occupied={switch.occupied_bytes})",
         )
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro import runtime, units
+from repro.fabric import FabricSpec, build_fabric
 from repro.runner.executor import Cell, execute
 from repro.runner.results import RunFailure, RunResult, SweepPoint, SweepResult
 from repro.shard.spec import maybe_run_sharded
@@ -60,7 +61,6 @@ def _config_types() -> Dict[str, type]:
         SlowReceiver,
         WatchdogConfig,
     )
-    from repro.fabric import FabricSpec
     from repro.invariants import InvariantConfig
     from repro.shard.spec import ShardingSpec
     from repro.sim.nic import NicConfig
@@ -348,8 +348,6 @@ def build_scenario_network(scenario: Scenario, seed: int):
         return net, lambda locator: _host_by_name(net, locator), {}
 
     if scenario.topology == "fabric":
-        from repro.fabric import build_fabric
-
         fabric = build_fabric(
             spec=kwargs.pop("spec", None), seed=seed, **kwargs
         )

@@ -29,12 +29,15 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.shard.partition import ShardPlan
-from repro.sim.packet import Packet
+from repro.sim.packet import Header, Packet
 
-#: wire form of one boundary frame: the Packet scalar fields, in
-#: constructor order (``ingress_index`` is per-hop scratch, reset on
-#: decode)
+#: wire form of one boundary frame: ``(kind, flow_id, src, dst, size,
+#: seq, priority, ecn, msg_id, qcn_fb)``, the header and frame scalars
+#: (``ingress_index`` is per-hop scratch, reset on decode)
 PacketTuple = Tuple[int, int, int, int, int, int, int, int, int, int]
+
+#: the header fields of a wire tuple, in ``Header`` constructor order
+HeaderKey = Tuple[int, int, int, int, int, int]
 
 #: one routed boundary message:
 #: ``(rx_shard, channel_id, seq, arrival_ns, packet)``
@@ -43,23 +46,40 @@ BoundaryMessage = Tuple[int, int, int, int, PacketTuple]
 
 def encode_packet(pkt: Packet) -> PacketTuple:
     """Flatten a packet to a picklable tuple of scalars."""
+    hdr = pkt.hdr
     return (
-        pkt.kind,
-        pkt.flow_id,
-        pkt.src,
-        pkt.dst,
-        pkt.size,
+        hdr.kind,
+        hdr.flow_id,
+        hdr.src,
+        hdr.dst,
+        hdr.size,
         pkt.seq,
-        pkt.priority,
+        hdr.priority,
         pkt.ecn,
         pkt.msg_id,
         pkt.qcn_fb,
     )
 
 
-def decode_packet(fields: PacketTuple) -> Packet:
-    """Rebuild a packet on the receiving shard."""
-    return Packet(*fields)
+def decode_packet(
+    fields: PacketTuple, headers: Optional[Dict[HeaderKey, Header]] = None
+) -> Packet:
+    """Rebuild a packet on the receiving shard.
+
+    ``headers`` is the receiving side's header per stream: the frames of
+    one stream share one :class:`Header` here as they did at the sender
+    (the switch's ECMP memo is keyed by it).  :class:`ShardContext`
+    always passes its own; without one (a codec round trip outside a
+    run) the frame gets a header of its own.
+    """
+    kind, flow_id, src, dst, size, seq, priority, ecn, msg_id, qcn_fb = fields
+    key = (kind, flow_id, src, dst, size, priority)
+    if headers is None:
+        return Packet(Header(*key), seq, ecn, msg_id, qcn_fb)
+    hdr = headers.get(key)
+    if hdr is None:
+        hdr = headers[key] = Header(*key)
+    return Packet(hdr, seq, ecn, msg_id, qcn_fb)
 
 
 def barrier_schedule(window_ns: int, warmup_ns: int, horizon_ns: int) -> List[int]:
@@ -113,6 +133,8 @@ class ShardContext:
         self._rx_tbs: Dict[int, Tuple[str, int]] = {}
         #: channel_id -> local transmit Port (boundary accounting)
         self._tx_ports: Dict[int, object] = {}
+        #: one header per stream arriving here (decode_packet)
+        self._headers: Dict[HeaderKey, Header] = {}
         # sync statistics
         self.barriers = 0
         self.messages_sent = 0
@@ -181,6 +203,7 @@ class ShardContext:
           it, since neither worker can see the other's sequence counter.
         """
         engine = self.net.engine
+        headers = self._headers
         for _, channel_id, _, arrival_ns, fields in sorted(
             incoming, key=lambda m: (m[3], m[1], m[2])
         ):
@@ -188,7 +211,7 @@ class ShardContext:
             engine.schedule_at(
                 arrival_ns,
                 rx_port.owner.receive,
-                decode_packet(fields),
+                decode_packet(fields, headers),
                 rx_port,
                 sched_time=arrival_ns - self._rx_props[channel_id],
                 tb=self._rx_tbs[channel_id],

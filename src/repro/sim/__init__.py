@@ -11,6 +11,7 @@ builders (:mod:`repro.sim.topology`) and measurement probes
 
 from repro.engine import EventScheduler, PeriodicTimer
 from repro.sim.packet import (
+    Header,
     Packet,
     ECN_NOT_ECT,
     ECN_ECT,
@@ -40,6 +41,7 @@ from repro.sim.monitor import QueueSampler, RateSampler
 __all__ = [
     "EventScheduler",
     "PeriodicTimer",
+    "Header",
     "Packet",
     "ECN_NOT_ECT",
     "ECN_ECT",

@@ -31,6 +31,7 @@ from repro.sim.packet import (  # noqa: F401 - priorities re-exported
     DATA_PRIORITY,
     ECN_ECT,
     KIND_DATA,
+    Header,
     Packet,
 )
 from repro.telemetry import events as trace_events
@@ -119,11 +120,9 @@ class Flow:
     """
 
     __slots__ = (
-        "flow_id",
         "src",
         "dst",
-        "priority",
-        "mtu_bytes",
+        "hdr",
         "start_ns",
         "cc",
         "_cwnd_source",
@@ -164,11 +163,18 @@ class Flow:
         static_rate_bps: Optional[float] = None,
         cc: Optional["CongestionControl"] = None,
     ):
-        self.flow_id = flow_id
         self.src = src
         self.dst = dst
-        self.priority = priority
-        self.mtu_bytes = mtu_bytes
+        #: the header every data frame of the flow carries, and the one
+        #: place the flow's id, priority and MTU are held
+        self.hdr = Header(
+            KIND_DATA,
+            flow_id,
+            src.nic.device_id,
+            dst.nic.device_id,
+            mtu_bytes,
+            priority,
+        )
         self.start_ns = start_ns
         self.cc = cc
         #: controller with an active congestion window (hot-path cache)
@@ -209,6 +215,20 @@ class Flow:
         self.retransmitted_packets = 0
         self.bytes_delivered = 0  # updated by the receiving NIC
         self.messages_completed = 0
+
+    # --- stream identity, read from the data header ------------------------------
+
+    @property
+    def flow_id(self) -> int:
+        return self.hdr.flow_id
+
+    @property
+    def priority(self) -> int:
+        return self.hdr.priority
+
+    @property
+    def mtu_bytes(self) -> int:
+        return self.hdr.size
 
     # --- rate ------------------------------------------------------------------
 
@@ -255,7 +275,7 @@ class Flow:
             raise ValueError(f"message size must be positive, got {size_bytes}")
         if now_ns is None:
             now_ns = self.src.nic.engine.now
-        packet_count = -(-size_bytes // self.mtu_bytes)  # ceil
+        packet_count = -(-size_bytes // self.hdr.size)  # ceil
         message = Message(
             msg_id=len(self._messages),
             size_bytes=size_bytes,
@@ -316,21 +336,10 @@ class Flow:
         seq = self.next_seq
         boundary = self._boundary_by_seq.get(seq)
         msg_id = boundary.msg_id if boundary is not None else -1
-        mtu = self.mtu_bytes
+        hdr = self.hdr
+        mtu = hdr.size
         nic = self.src.nic
-        # data_packet(), positionally: (kind, flow_id, src, dst, size,
-        # seq, priority, ecn, msg_id)
-        pkt = Packet(
-            KIND_DATA,
-            self.flow_id,
-            nic.device_id,
-            self.dst.nic.device_id,
-            mtu,
-            seq,
-            self.priority,
-            ECN_ECT,
-            msg_id,
-        )
+        pkt = Packet(hdr, seq, ECN_ECT, msg_id)
         self.next_seq = seq + 1
         self.packets_sent += 1
         self.bytes_sent += mtu

@@ -304,7 +304,7 @@ class Port:
 
     def send_control(self, pkt: Packet) -> None:
         """Queue a link-local control frame (PFC); bypasses data and pause."""
-        if pkt.kind == KIND_PAUSE:
+        if pkt.hdr.kind == KIND_PAUSE:
             self._pause_record().tx_frames += 1
         control = self._control_queue
         if control is None:
@@ -324,7 +324,7 @@ class Port:
             if pkt is None:
                 return
         self.busy = True
-        exact = pkt.size * self._ns_per_byte
+        exact = pkt.hdr.size * self._ns_per_byte
         ser = int(exact)
         if exact > ser:
             ser += 1
@@ -339,7 +339,7 @@ class Port:
         switch's idle-egress cut-through is the one caller.
         """
         self.busy = True
-        exact = pkt.size * self._ns_per_byte
+        exact = pkt.hdr.size * self._ns_per_byte
         ser = int(exact)
         if exact > ser:
             ser += 1
@@ -347,7 +347,7 @@ class Port:
 
     def _tx_done(self, pkt: Packet) -> None:
         self.busy = False
-        self.tx_bytes += pkt.size
+        self.tx_bytes += pkt.hdr.size
         self.tx_packets += 1
         peer = self.peer
         if peer is None:
@@ -376,7 +376,7 @@ class Port:
         else:
             return
         self.busy = True
-        exact = nxt.size * self._ns_per_byte
+        exact = nxt.hdr.size * self._ns_per_byte
         ser = int(exact)
         if exact > ser:
             ser += 1
@@ -403,16 +403,17 @@ class Port:
         else:
             self.engine.post(self.prop_delay_ns, peer.owner.receive, (pkt, peer), tb)
             return
-        self.lost_bytes += pkt.size
+        hdr = pkt.hdr
+        self.lost_bytes += hdr.size
         tracer = self.owner.tracer
         if tracer is not None:
             tracer.emit(
                 self.engine.now,
                 "pkt.drop",
                 self.owner.name,
-                flow=pkt.flow_id,
+                flow=hdr.flow_id,
                 reason=reason,
-                bytes=pkt.size,
+                bytes=hdr.size,
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

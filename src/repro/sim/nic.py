@@ -44,6 +44,7 @@ from repro.sim.packet import (
     CONTROL_FRAME_BYTES,
     CONTROL_PRIORITY,
     ECN_CE,
+    ECN_NOT_ECT,
     KIND_ACK,
     KIND_CNP,
     KIND_DATA,
@@ -51,8 +52,8 @@ from repro.sim.packet import (
     KIND_PAUSE,
     KIND_QCN_FB,
     KIND_RESUME,
+    Header,
     Packet,
-    cnp_packet,
 )
 
 
@@ -82,7 +83,8 @@ _NO_FLOWS: Mapping = MappingProxyType({})
 
 
 class _RxState:
-    """Receiver-side per-flow state (expected seq, NP, ack pacing)."""
+    """Receiver-side per-flow state (expected seq, NP, ack pacing) and
+    the headers of the flow's transport responses."""
 
     __slots__ = (
         "flow",
@@ -92,9 +94,18 @@ class _RxState:
         "last_nacked_seq",
         "last_nack_ns",
         "echo_ecn",
+        "ack_hdr",
+        "nack_hdr",
     )
 
-    def __init__(self, flow: Flow, np: Optional[NotificationPoint], echo_ecn: bool):
+    def __init__(
+        self,
+        flow: Flow,
+        np: Optional[NotificationPoint],
+        echo_ecn: bool,
+        ack_hdr: Header,
+        nack_hdr: Header,
+    ):
         self.flow = flow
         self.np = np
         self.expected_seq = 0
@@ -102,6 +113,8 @@ class _RxState:
         self.last_nacked_seq = -1
         self.last_nack_ns = -(1 << 62)
         self.echo_ecn = echo_ecn
+        self.ack_hdr = ack_hdr
+        self.nack_hdr = nack_hdr
 
 
 class HostNic(Device):
@@ -192,9 +205,17 @@ class HostNic(Device):
         by the window-based DCTCP baseline.
         """
         np = None
+        flow_id = flow.flow_id
+        sender_id = flow.src.nic.device_id
         if dcqcn_params is not None:
-            sender_id = flow.src.nic.device_id
-            flow_id = flow.flow_id
+            cnp_hdr = Header(
+                KIND_CNP,
+                flow_id,
+                self.device_id,
+                sender_id,
+                CONTROL_FRAME_BYTES,
+                CONTROL_PRIORITY,
+            )
 
             def send_cnp() -> None:
                 self.cnps_sent += 1
@@ -205,14 +226,32 @@ class HostNic(Device):
                         self.name,
                         flow=flow_id,
                     )
-                self._send_control(
-                    cnp_packet(flow_id, self.device_id, sender_id, CONTROL_PRIORITY)
-                )
+                self._send_control(Packet(cnp_hdr))
 
             np = NotificationPoint(dcqcn_params.cnp_interval_ns, send_cnp)
         if self._rx_states is _NO_FLOWS:
             self._rx_states = {}
-        self._rx_states[flow.flow_id] = _RxState(flow, np, echo_ecn)
+        self._rx_states[flow_id] = _RxState(
+            flow,
+            np,
+            echo_ecn,
+            Header(
+                KIND_ACK,
+                flow_id,
+                self.device_id,
+                sender_id,
+                CONTROL_FRAME_BYTES,
+                CONTROL_PRIORITY,
+            ),
+            Header(
+                KIND_NACK,
+                flow_id,
+                self.device_id,
+                sender_id,
+                CONTROL_FRAME_BYTES,
+                CONTROL_PRIORITY,
+            ),
+        )
 
     def rx_state(self, flow_id: int) -> _RxState:
         """Receiver state for one flow (tests and monitors)."""
@@ -228,13 +267,13 @@ class HostNic(Device):
     def next_packet(self, port: Port) -> Optional[Packet]:
         control = self._control
         paused = port.paused_mask
-        if control and not (paused >> control[0].priority) & 1:
+        if control and not (paused >> control[0].hdr.priority) & 1:
             return control.popleft()
         now = self.engine.now
         best: Optional[Flow] = None
         best_ready = NEVER
         for flow in self._tx_flows.values():
-            if (paused >> flow.priority) & 1:
+            if (paused >> flow.hdr.priority) & 1:
                 continue
             if flow._cwnd_source is not None:
                 ready = flow.ready_time()
@@ -261,10 +300,11 @@ class HostNic(Device):
         return pkt
 
     def tx_complete(self, port: Port, pkt: Packet) -> None:
-        if pkt.kind == KIND_DATA:
-            flow = self._tx_flows.get(pkt.flow_id)
+        hdr = pkt.hdr
+        if hdr.kind == KIND_DATA:
+            flow = self._tx_flows.get(hdr.flow_id)
             if flow is not None and flow.cc is not None:
-                flow.cc.on_bytes_sent(pkt.size)
+                flow.cc.on_bytes_sent(hdr.size)
 
     def _send_control(self, pkt: Packet) -> None:
         control = self._control
@@ -296,12 +336,13 @@ class HostNic(Device):
     # --- receive path -------------------------------------------------------------
 
     def receive(self, pkt: Packet, in_port: Port) -> None:
-        in_port.rx_bytes += pkt.size
-        kind = pkt.kind
+        hdr = pkt.hdr
+        in_port.rx_bytes += hdr.size
+        kind = hdr.kind
         if kind == KIND_DATA:
             self._receive_data(pkt)
         elif kind == KIND_ACK:
-            flow = self._tx_flows[pkt.flow_id]
+            flow = self._tx_flows[hdr.flow_id]
             flow.on_ack(pkt.seq, pkt.msg_id)
             flow.on_transport_feedback(ece=bool(pkt.qcn_fb), acked_seq=pkt.seq)
             if flow._sample_rtt:
@@ -309,7 +350,7 @@ class HostNic(Device):
                 if rtt is not None:
                     flow.cc.on_rtt_sample(rtt)
         elif kind == KIND_NACK:
-            flow = self._tx_flows[pkt.flow_id]
+            flow = self._tx_flows[hdr.flow_id]
             flow.rewind_to(pkt.seq)
         elif kind == KIND_CNP:
             if self.cnp_impairment is not None:
@@ -323,11 +364,11 @@ class HostNic(Device):
                     self.engine.now,
                     trace_events.PFC_PAUSE_RX if pause else trace_events.PFC_RESUME_RX,
                     self.name,
-                    prio=pkt.priority,
+                    prio=hdr.priority,
                 )
-            in_port.set_paused(pkt.priority, pause)
+            in_port.set_paused(hdr.priority, pause)
         elif kind == KIND_QCN_FB:
-            flow = self._tx_flows[pkt.flow_id]
+            flow = self._tx_flows[hdr.flow_id]
             flow.on_qcn_feedback(pkt.qcn_fb)
         else:  # pragma: no cover - defensive
             raise ValueError(f"{self.name}: unexpected packet {pkt!r}")
@@ -335,13 +376,14 @@ class HostNic(Device):
     def _deliver_cnp(self, pkt: Packet) -> None:
         """Hand a CNP to the flow's controller (also the delayed-delivery path)."""
         self.cnps_received += 1
-        flow = self._tx_flows[pkt.flow_id]
+        flow = self._tx_flows[pkt.hdr.flow_id]
         if flow.cc is not None:
             flow.cc.on_cnp()
 
     def _receive_data(self, pkt: Packet) -> None:
         self.data_received += 1
-        rxs = self._rx_states[pkt.flow_id]
+        hdr = pkt.hdr
+        rxs = self._rx_states[hdr.flow_id]
         if rxs.np is not None:
             marked = pkt.ecn == ECN_CE
             fired = rxs.np.on_data_packet(self.engine.now, marked)
@@ -351,13 +393,13 @@ class HostNic(Device):
                     self.engine.now,
                     trace_events.NP_CNP_COALESCED,
                     self.name,
-                    flow=pkt.flow_id,
+                    flow=hdr.flow_id,
                 )
         flow = rxs.flow
         seq = pkt.seq
         if seq == rxs.expected_seq:
             rxs.expected_seq = seq + 1
-            flow.bytes_delivered += pkt.size
+            flow.bytes_delivered += hdr.size
             rxs.unacked_packets += 1
             if rxs.echo_ecn:
                 self._send_ack(rxs, pkt.msg_id, ece=pkt.ecn == ECN_CE)
@@ -377,17 +419,7 @@ class HostNic(Device):
                 rxs.last_nacked_seq = rxs.expected_seq
                 rxs.last_nack_ns = now
                 self.nacks_sent += 1
-                self._send_control(
-                    Packet(
-                        KIND_NACK,
-                        flow_id=flow.flow_id,
-                        src=self.device_id,
-                        dst=flow.src.nic.device_id,
-                        size=CONTROL_FRAME_BYTES,
-                        seq=rxs.expected_seq,
-                        priority=CONTROL_PRIORITY,
-                    )
-                )
+                self._send_control(Packet(rxs.nack_hdr, rxs.expected_seq))
         else:
             # Duplicate after a rewind: re-ACK so the sender's state
             # (and any message-boundary bookkeeping) heals.
@@ -395,21 +427,10 @@ class HostNic(Device):
                 self._send_ack(rxs, pkt.msg_id)
 
     def _send_ack(self, rxs: _RxState, msg_id: int, ece: bool = False) -> None:
-        flow = rxs.flow
         rxs.unacked_packets = 0
         self.acks_sent += 1
         self._send_control(
-            Packet(
-                KIND_ACK,
-                flow_id=flow.flow_id,
-                src=self.device_id,
-                dst=flow.src.nic.device_id,
-                size=CONTROL_FRAME_BYTES,
-                seq=rxs.expected_seq,
-                priority=CONTROL_PRIORITY,
-                msg_id=msg_id,
-                qcn_fb=1 if ece else 0,
-            )
+            Packet(rxs.ack_hdr, rxs.expected_seq, ECN_NOT_ECT, msg_id, 1 if ece else 0)
         )
 
     # --- retransmission timeout ------------------------------------------------------

@@ -4,7 +4,9 @@ One :class:`Packet` class covers every frame the simulator moves:
 RoCEv2 data segments, ACK/NACK transport responses, DCQCN Congestion
 Notification Packets (CNPs), QCN feedback frames, and link-local PFC
 PAUSE/RESUME frames.  A single slotted class keeps the hot allocation
-path cheap and avoids isinstance dispatch in switches.
+path cheap and avoids isinstance dispatch in switches.  What every
+frame of a stream shares (kind, flow, endpoints, size, priority) lives
+in one :class:`Header` per stream; a frame carries only what changes.
 
 ECN is modelled with the three IP codepoints that matter here:
 ``ECN_NOT_ECT`` (feedback frames), ``ECN_ECT`` (ECN-capable data) and
@@ -63,8 +65,15 @@ ROCE_HEADER_BYTES = 82
 CONTROL_FRAME_BYTES = 64
 
 
-class Packet:
-    """A frame in flight.
+class Header:
+    """What every frame of one stream shares, built once per stream.
+
+    Whoever emits a stream owns its header: a :class:`~repro.sim.host.Flow`
+    its data header, a receiving NIC its CNP, ACK and NACK headers, a
+    switch its PAUSE/RESUME headers per priority, a switch-side
+    feedback generator one per incoming stream, a shard boundary one
+    per decoded stream.  A header is never written after it is built, and
+    it hashes by identity: the switch's ECMP memo is keyed by it.
 
     Attributes
     ----------
@@ -79,13 +88,46 @@ class Packet:
         the sender's device id in ``src``.
     size:
         Frame size in bytes, including headers.
-    seq:
-        Data sequence number (packet index within the flow); for NACKs
-        the sequence the receiver expects next; unused otherwise.
     priority:
         PFC priority class (0..7).  CNPs and transport responses travel
         in a dedicated high priority class per the paper; a PFC
         PAUSE/RESUME frame carries the class it pauses or resumes.
+    """
+
+    __slots__ = ("kind", "flow_id", "src", "dst", "size", "priority")
+
+    def __init__(
+        self, kind: int, flow_id: int, src: int, dst: int, size: int, priority: int
+    ):
+        self.kind = kind
+        self.flow_id = flow_id
+        self.src = src
+        self.dst = dst
+        self.size = size
+        self.priority = priority
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"{KIND_NAMES.get(self.kind, self.kind)}, flow={self.flow_id}, "
+            f"{self.src}->{self.dst}, {self.size}B, prio={self.priority}"
+        )
+
+
+class Packet:
+    """A frame in flight: its stream's :class:`Header` plus what changes
+    per frame.
+
+    Six slots keep a buffered frame in one 80-byte allocation class;
+    one slot more would cost 16 bytes per frame, not 8 (DESIGN.md §13).
+
+    Attributes
+    ----------
+    hdr:
+        The stream's shared :class:`Header`.
+    seq:
+        Data sequence number (packet index within the flow); for ACKs
+        and NACKs the sequence the receiver expects next; unused
+        otherwise.
     ecn:
         ECN codepoint (``ECN_ECT`` on data, possibly ``ECN_CE`` after
         marking).
@@ -93,100 +135,42 @@ class Packet:
         Application message index (for flow-completion bookkeeping);
         ``-1`` when not the last packet of a message.
     qcn_fb:
-        Quantized feedback value for QCN frames.
+        Feedback carried back to the sender: the quantized value on a
+        QCN frame, the echoed CE bit (DCTCP's ECE) on an ACK.
+    ingress_index:
+        Per-hop scratch: the ingress port at the switch that last
+        admitted the frame (for PFC ingress accounting); ``-1`` until
+        a switch admits it, and left as it was once it leaves one.
     """
 
-    __slots__ = (
-        "kind",
-        "flow_id",
-        "src",
-        "dst",
-        "size",
-        "seq",
-        "priority",
-        "ecn",
-        "msg_id",
-        "qcn_fb",
-        "ingress_index",
-    )
+    __slots__ = ("hdr", "seq", "ecn", "msg_id", "qcn_fb", "ingress_index")
 
     def __init__(
         self,
-        kind: int,
-        flow_id: int = -1,
-        src: int = -1,
-        dst: int = -1,
-        size: int = CONTROL_FRAME_BYTES,
+        hdr: Header,
         seq: int = 0,
-        priority: int = 0,
         ecn: int = ECN_NOT_ECT,
         msg_id: int = -1,
         qcn_fb: int = 0,
+        flow_id: Optional[int] = None,
+        src: int = -1,
+        dst: int = -1,
+        size: int = CONTROL_FRAME_BYTES,
+        priority: int = 0,
     ):
-        self.kind = kind
-        self.flow_id = flow_id
-        self.src = src
-        self.dst = dst
-        self.size = size
+        if flow_id is not None:
+            # The keyword form from before headers existed,
+            # ``Packet(kind, flow_id=..., src=..., dst=..., size=...,
+            # seq=..., priority=..., ecn=...)``, still used by
+            # bench/probes.py: ``hdr`` is then the kind, and the frame
+            # gets a header of its own.  Nothing in ``repro`` calls it.
+            hdr = Header(hdr, flow_id, src, dst, size, priority)
+        self.hdr = hdr
         self.seq = seq
-        self.priority = priority
         self.ecn = ecn
         self.msg_id = msg_id
         self.qcn_fb = qcn_fb
-        # Per-hop scratch: index of the ingress port at the switch
-        # currently buffering the packet (for PFC ingress accounting).
-        # Overwritten at every hop; -1 while at an end host.
         self.ingress_index = -1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Packet({KIND_NAMES.get(self.kind, self.kind)}, flow={self.flow_id}, "
-            f"{self.src}->{self.dst}, {self.size}B, seq={self.seq}, "
-            f"prio={self.priority}, ecn={self.ecn})"
-        )
-
-
-def data_packet(
-    flow_id: int,
-    src: int,
-    dst: int,
-    size: int,
-    seq: int,
-    priority: int,
-    msg_id: int = -1,
-) -> Packet:
-    """Build an ECN-capable RoCEv2 data segment."""
-    return Packet(
-        KIND_DATA,
-        flow_id=flow_id,
-        src=src,
-        dst=dst,
-        size=size,
-        seq=seq,
-        priority=priority,
-        ecn=ECN_ECT,
-        msg_id=msg_id,
-    )
-
-
-def cnp_packet(flow_id: int, src: int, dst: int, priority: int) -> Packet:
-    """Build a Congestion Notification Packet (NP -> RP, high priority)."""
-    return Packet(
-        KIND_CNP,
-        flow_id=flow_id,
-        src=src,
-        dst=dst,
-        size=CONTROL_FRAME_BYTES,
-        priority=priority,
-    )
-
-
-def pause_frame(src_device: int, priority: int, pause: bool) -> Packet:
-    """Build a link-local PFC PAUSE (``pause=True``) or RESUME frame
-    for class ``priority``."""
-    return Packet(
-        KIND_PAUSE if pause else KIND_RESUME,
-        src=src_device,
-        size=CONTROL_FRAME_BYTES,
-        priority=priority,
-    )
+        return f"Packet({self.hdr!r}, seq={self.seq}, ecn={self.ecn})"

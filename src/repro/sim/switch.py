@@ -45,14 +45,15 @@ from repro.telemetry import events as trace_events
 from repro.sim.device import Device
 from repro.sim.link import Port
 from repro.sim.packet import (
+    CONTROL_FRAME_BYTES,
     CONTROL_PRIORITY,
     ECN_CE,
     ECN_ECT,
     KIND_DATA,
     KIND_PAUSE,
     KIND_RESUME,
+    Header,
     Packet,
-    pause_frame,
 )
 
 
@@ -140,6 +141,7 @@ class Switch(Device):
         "_egress_queues",
         "_paused_upstream",
         "_paused_count",
+        "_pfc_headers",
         "_marker",
         "guard",
         "cc_feedback",
@@ -197,10 +199,10 @@ class Switch(Device):
         # the "default up" route of structured fabric routing (empty
         # tuple: no fallback, unknown destinations are an error)
         self.default_route: Tuple[int, ...] = ()
-        # (flow_id, src, dst) -> egress port index: _pick_egress is a
-        # pure function of those, the routes and ecmp_salt, so the
-        # answer is kept until a route changes
-        self._egress_memo: Dict[Tuple[int, int, int], int] = {}
+        # stream header -> egress port index: _pick_egress is a pure
+        # function of its (flow_id, src, dst), the routes and
+        # ecmp_salt, so the answer is kept until a route changes
+        self._egress_memo: Dict[Header, int] = {}
         # accounting.  The two per-(port, priority) ledgers are flat
         # lists, slot = port_index * num_priorities + priority, empty
         # until the first frame reaches admission; the egress queues
@@ -214,6 +216,9 @@ class Switch(Device):
         # removed: simultaneous RESUMEs go out in first-PAUSE order.
         self._paused_upstream: Dict[Tuple[int, int], bool] = {}
         self._paused_count = 0
+        # priority -> (PAUSE header, RESUME header); None until the
+        # first PAUSE, which most switches never send
+        self._pfc_headers: Optional[Dict[int, Tuple[Header, Header]]] = None
         seed = config.ecn_seed
         if seed is None:
             seed = (device_id * 7919 + 13) & 0x7FFFFFFF
@@ -385,15 +390,16 @@ class Switch(Device):
         return free * self._dyn_factor if free > 0 else 0.0
 
     def _pick_egress(self, pkt: Packet) -> int:
-        # runs on an _egress_memo miss only: once per (flow, switch)
-        choices = self.route_to(pkt.dst)
+        # runs on an _egress_memo miss only: once per (stream, switch)
+        hdr = pkt.hdr
+        choices = self.route_to(hdr.dst)
         if not choices:
             raise LookupError(
-                f"{self.name}: no route to host {pkt.dst} (packet {pkt!r})"
+                f"{self.name}: no route to host {hdr.dst} (packet {pkt!r})"
             )
         if len(choices) == 1:
             return choices[0]
-        h = ecmp_hash(pkt.flow_id, pkt.src, pkt.dst, self.ecmp_salt)
+        h = ecmp_hash(hdr.flow_id, hdr.src, hdr.dst, self.ecmp_salt)
         return choices[h % len(choices)]
 
     # --- datapath ---------------------------------------------------------------
@@ -409,9 +415,10 @@ class Switch(Device):
         :meth:`Port.transmit`: the queue would have been appended to
         and popped inside this call, so no state differs afterwards.
         """
-        size = pkt.size
+        hdr = pkt.hdr
+        size = hdr.size
         in_port.rx_bytes += size
-        kind = pkt.kind
+        kind = hdr.kind
         if kind == KIND_PAUSE or kind == KIND_RESUME:
             pause = kind == KIND_PAUSE
             if pause:
@@ -422,9 +429,9 @@ class Switch(Device):
                     trace_events.PFC_PAUSE_RX if pause else trace_events.PFC_RESUME_RX,
                     self.name,
                     port=in_port.index,
-                    prio=pkt.priority,
+                    prio=hdr.priority,
                 )
-            in_port.set_paused(pkt.priority, pause)
+            in_port.set_paused(hdr.priority, pause)
             return
         occupied = self.occupied_bytes
         if occupied + size > self.buffer_bytes:
@@ -433,12 +440,11 @@ class Switch(Device):
             if self.tracer is not None:
                 self._trace_drop(pkt, "buffer_full")
             return
-        key = (pkt.flow_id, pkt.src, pkt.dst)
         try:
-            egress_index = self._egress_memo[key]
+            egress_index = self._egress_memo[hdr]
         except KeyError:
-            egress_index = self._egress_memo[key] = self._pick_egress(pkt)
-        prio = pkt.priority
+            egress_index = self._egress_memo[hdr] = self._pick_egress(pkt)
+        prio = hdr.priority
         k = self.num_priorities
         egress_slot = egress_index * k + prio
         egress_bytes = self._egress_bytes
@@ -472,7 +478,7 @@ class Switch(Device):
                     self.engine.now,
                     trace_events.CP_ECN_MARK,
                     self.name,
-                    flow=pkt.flow_id,
+                    flow=hdr.flow_id,
                     port=egress_index,
                     prio=prio,
                     queue_bytes=queued,
@@ -524,7 +530,7 @@ class Switch(Device):
         counter is wound back by what :meth:`receive` is about to add.
         """
         in_port = self.ports[ingress_index]
-        in_port.rx_bytes -= pkt.size
+        in_port.rx_bytes -= pkt.hdr.size
         self.receive(pkt, in_port)
 
     def add_cc_feedback(self, generator) -> None:
@@ -544,10 +550,12 @@ class Switch(Device):
 
     def tx_complete(self, port: Port, pkt: Packet) -> None:
         """Free buffer space once the packet has fully left the switch."""
-        if pkt.kind == KIND_PAUSE or pkt.kind == KIND_RESUME:
+        hdr = pkt.hdr
+        kind = hdr.kind
+        if kind == KIND_PAUSE or kind == KIND_RESUME:
             return  # our own control frames are not buffered
-        size = pkt.size
-        prio = pkt.priority
+        size = hdr.size
+        prio = hdr.priority
         self.occupied_bytes = occupied = self.occupied_bytes - size
         k = self.num_priorities
         ledger = self._egress_bytes
@@ -582,9 +590,16 @@ class Switch(Device):
                 port=ingress_index,
                 prio=prio,
             )
-        self.ports[ingress_index].send_control(
-            pause_frame(self.device_id, prio, pause=True)
-        )
+        headers = self._pfc_headers
+        if headers is None:
+            headers = self._pfc_headers = {}
+        pair = headers.get(prio)
+        if pair is None:
+            pair = headers[prio] = (
+                Header(KIND_PAUSE, -1, self.device_id, -1, CONTROL_FRAME_BYTES, prio),
+                Header(KIND_RESUME, -1, self.device_id, -1, CONTROL_FRAME_BYTES, prio),
+            )
+        self.ports[ingress_index].send_control(Packet(pair[0]))
 
     def _maybe_resume(self) -> None:
         """RESUME every paused pair now below threshold (a departure)."""
@@ -607,7 +622,7 @@ class Switch(Device):
                         prio=prio,
                     )
                 self.ports[ingress_index].send_control(
-                    pause_frame(self.device_id, prio, pause=False)
+                    Packet(self._pfc_headers[prio][1])
                 )
 
     # --- telemetry -------------------------------------------------------------
@@ -617,7 +632,7 @@ class Switch(Device):
             self.engine.now,
             trace_events.PKT_DROP,
             self.name,
-            flow=pkt.flow_id,
+            flow=pkt.hdr.flow_id,
             reason=reason,
-            bytes=pkt.size,
+            bytes=pkt.hdr.size,
         )

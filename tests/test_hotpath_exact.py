@@ -27,8 +27,9 @@ from repro.core.params import DCQCNParams
 from repro.engine import EventScheduler
 from repro.runner import Scenario, run_scenario_inline
 from repro.sim.link import Port
-from repro.sim.packet import data_packet, pause_frame
+from repro.sim.packet import ECN_ECT, Packet
 from repro.sim.switch import SwitchConfig
+from tests.frames import data_packet, pause_frame
 from tests.test_sim_switch import EventLog, make_switch
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -118,12 +119,14 @@ class TestEgressMemo:
         self, flow_id, src, dst, salt
     ):
         switch = fanout_switch(salt)
+        hdr = data_packet(flow_id, src, dst, 1000, 0, 0).hdr
 
-        def packet():
-            return data_packet(flow_id, src, dst, 1000, 0, 0)
+        def packet():  # one stream: every frame shares the header
+            return Packet(hdr, 0, ECN_ECT)
 
         for _ in range(2):  # second pass is served from the memo
             assert egress_taken(switch, packet()) == switch._pick_egress(packet())
+        assert list(switch._egress_memo) == [hdr]
         switch.set_default_route((1, 2))
         assert egress_taken(switch, packet()) == switch._pick_egress(packet())
         assert switch._pick_egress(packet()) in (1, 2)
@@ -211,7 +214,7 @@ CUT_THROUGH_CONFIG = SwitchConfig(
 def event_keys(log):
     """``(time, callback __qualname__, flow_id, seq)`` of every event."""
     return [
-        (at, fn.__qualname__, pkt and pkt.flow_id, pkt and pkt.seq)
+        (at, fn.__qualname__, pkt and pkt.hdr.flow_id, pkt and pkt.seq)
         for at, fn, pkt in log.rows
     ]
 
@@ -302,7 +305,7 @@ def state(switch, stubs):
         "switch": [getattr(switch, name) for name in SWITCH_COUNTERS],
         "ledgers": (list(switch._ingress_bytes), list(switch._egress_bytes)),
         "queues": [
-            [(pkt.flow_id, pkt.seq) for pkt in queues.get(slot, ())]
+            [(pkt.hdr.flow_id, pkt.seq) for pkt in queues.get(slot, ())]
             for slot in range(len(switch._egress_bytes))
         ],
         "paused_upstream": dict(switch._paused_upstream),
@@ -315,7 +318,7 @@ def state(switch, stubs):
             for port in switch.ports
         ],
         "received": [
-            [(at, pkt.kind, pkt.flow_id, pkt.seq, pkt.ecn) for at, pkt in stub.received]
+            [(at, pkt.hdr.kind, pkt.hdr.flow_id, pkt.seq, pkt.ecn) for at, pkt in stub.received]
             for stub in stubs
         ],
     }

@@ -416,7 +416,7 @@ class TestInlineDequeueCheck:
         original = Switch.tx_complete
 
         def spy(self, out_port, pkt):
-            if self is switch and out_port is port and pkt.kind == KIND_DATA:
+            if self is switch and out_port is port and pkt.hdr.kind == KIND_DATA:
                 offending.append(net.engine.now)
             original(self, out_port, pkt)
 

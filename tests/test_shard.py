@@ -12,7 +12,8 @@ from repro.runner.scenario import FlowSpec, Scenario
 from repro.shard import ShardingSpec, can_shard, effective_shards
 from repro.shard.boundary import barrier_schedule, decode_packet, encode_packet
 from repro.shard.partition import partition_fabric
-from repro.sim.packet import Packet
+from repro.sim.packet import Header, Packet
+from tests.frames import data_packet, frame
 
 SHARDS_ENV = runtime.VARS["shards"].env
 
@@ -272,7 +273,7 @@ class TestSerialRunsSkipTheShardRuntime:
 
 class TestPacketCodec:
     def test_round_trip(self):
-        pkt = Packet(
+        pkt = frame(
             kind=1,
             flow_id=7,
             src=3,
@@ -284,11 +285,34 @@ class TestPacketCodec:
             msg_id=2,
             qcn_fb=5,
         )
-        clone = decode_packet(encode_packet(pkt))
+        pkt.ingress_index = 4
+        clone = decode_packet(encode_packet(pkt), {})
+        for name in Header.__slots__:
+            assert getattr(clone.hdr, name) == getattr(pkt.hdr, name), name
         for name in Packet.__slots__:
-            if name != "ingress_index":  # per-hop scratch, reset on decode
+            if name not in ("hdr", "ingress_index"):
                 assert getattr(clone, name) == getattr(pkt, name), name
-        assert clone.ingress_index == -1
+        assert clone.ingress_index == -1  # per-hop scratch, reset on decode
+
+    def test_one_stream_decodes_to_one_header(self):
+        headers = {}
+
+        def decoded(flow_id, seq):
+            pkt = data_packet(flow_id, 3, 12, 1000, seq, 0)
+            return decode_packet(encode_packet(pkt), headers)
+
+        first, second, other = decoded(7, 0), decoded(7, 1), decoded(8, 0)
+        assert first.hdr is second.hdr
+        assert (first.seq, second.seq) == (0, 1)
+        assert other.hdr is not first.hdr
+        assert len(headers) == 2
+
+    def test_decode_without_a_header_table(self):
+        pkt = data_packet(7, 3, 12, 1000, 5, 0)
+        first = decode_packet(encode_packet(pkt))
+        second = decode_packet(encode_packet(pkt))
+        assert encode_packet(first) == encode_packet(pkt)
+        assert first.hdr is not second.hdr
 
 
 class TestBarrierSchedule:

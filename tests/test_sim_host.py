@@ -107,7 +107,20 @@ class TestPacing:
         pkt = flow.take_packet(0)
         # 1000 B at 10 Gbps = 800 ns gap (+1 rounding)
         assert flow.next_send_ns == 801
-        assert pkt.size == 1000
+        assert pkt.hdr.size == 1000
+
+    def test_frames_carry_the_flow_header(self):
+        net, a, b = two_hosts()
+        flow = net.add_flow(a, b, cc="none", priority=3, mtu_bytes=1500)
+        flow.set_greedy()
+        first, second = flow.take_packet(0), flow.take_packet(10_000)
+        assert first.hdr is second.hdr is flow.hdr
+        assert (flow.flow_id, flow.priority, flow.mtu_bytes) == (
+            flow.hdr.flow_id,
+            3,
+            1500,
+        )
+        assert (flow.hdr.src, flow.hdr.dst) == (a.nic.device_id, b.nic.device_id)
 
     def test_rate_change_repaces_pending_gap(self):
         net, a, b = two_hosts()

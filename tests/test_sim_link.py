@@ -8,7 +8,8 @@ from repro import units
 from repro.engine import EventScheduler
 from repro.sim.device import Device
 from repro.sim.link import Port, connect
-from repro.sim.packet import Packet, KIND_DATA, pause_frame
+from repro.sim.packet import KIND_DATA, Packet
+from tests.frames import frame, pause_frame
 
 
 class StubDevice(Device):
@@ -25,7 +26,7 @@ class StubDevice(Device):
 
     def next_packet(self, port) -> Optional[Packet]:
         for index, pkt in enumerate(self.outbox):
-            if port.can_send(pkt.priority):
+            if port.can_send(pkt.hdr.priority):
                 return self.outbox.pop(index)
         return None
 
@@ -48,15 +49,15 @@ def make_pair(rate=units.gbps(40), delay=500):
 class TestTiming:
     def test_delivery_time_is_serialization_plus_propagation(self):
         engine, a, b, *_ = make_pair()
-        a.push(Packet(KIND_DATA, size=1000))
+        a.push(frame(KIND_DATA, size=1000))
         engine.run()
         # 1000B @ 40G = 200ns + 500ns propagation
         assert b.received[0][0] == 700
 
     def test_back_to_back_serialization(self):
         engine, a, b, *_ = make_pair()
-        a.push(Packet(KIND_DATA, size=1000))
-        a.push(Packet(KIND_DATA, size=1000))
+        a.push(frame(KIND_DATA, size=1000))
+        a.push(frame(KIND_DATA, size=1000))
         engine.run()
         times = [t for t, _ in b.received]
         assert times == [700, 900]  # second waits for the wire
@@ -65,22 +66,22 @@ class TestTiming:
         """Propagation overlaps with the next serialization."""
         engine, a, b, *_ = make_pair(delay=10_000)
         for _ in range(3):
-            a.push(Packet(KIND_DATA, size=1000))
+            a.push(frame(KIND_DATA, size=1000))
         engine.run()
         times = [t for t, _ in b.received]
         assert times == [10_200, 10_400, 10_600]
 
     def test_tx_complete_fires_at_serialization_end(self):
         engine, a, b, *_ = make_pair()
-        a.push(Packet(KIND_DATA, size=1000))
+        a.push(frame(KIND_DATA, size=1000))
         engine.run_until(200)
         assert len(a.tx_completed) == 1
         assert not b.received  # still propagating
 
     def test_counters(self):
         engine, a, _, port_a, _ = make_pair()
-        a.push(Packet(KIND_DATA, size=1000))
-        a.push(Packet(KIND_DATA, size=500))
+        a.push(frame(KIND_DATA, size=1000))
+        a.push(frame(KIND_DATA, size=500))
         engine.run()
         assert port_a.tx_packets == 2
         assert port_a.tx_bytes == 1500
@@ -90,22 +91,22 @@ class TestPause:
     def test_paused_priority_not_sent(self):
         engine, a, b, port_a, _ = make_pair()
         port_a.set_paused(0, True)
-        a.push(Packet(KIND_DATA, size=1000, priority=0))
+        a.push(frame(KIND_DATA, size=1000, priority=0))
         engine.run()
         assert b.received == []
 
     def test_other_priorities_flow_during_pause(self):
         engine, a, b, port_a, _ = make_pair()
         port_a.set_paused(0, True)
-        a.push(Packet(KIND_DATA, size=1000, priority=0))
-        a.push(Packet(KIND_DATA, size=1000, priority=6))
+        a.push(frame(KIND_DATA, size=1000, priority=0))
+        a.push(frame(KIND_DATA, size=1000, priority=6))
         engine.run()
-        assert [pkt.priority for _, pkt in b.received] == [6]
+        assert [pkt.hdr.priority for _, pkt in b.received] == [6]
 
     def test_resume_restarts_transmission(self):
         engine, a, b, port_a, _ = make_pair()
         port_a.set_paused(0, True)
-        a.push(Packet(KIND_DATA, size=1000))
+        a.push(frame(KIND_DATA, size=1000))
         engine.run()
         port_a.set_paused(0, False)
         engine.run()
@@ -115,7 +116,7 @@ class TestPause:
         """A frame whose serialization began always completes (the
         paper's headroom math depends on this)."""
         engine, a, b, port_a, _ = make_pair()
-        a.push(Packet(KIND_DATA, size=1000))
+        a.push(frame(KIND_DATA, size=1000))
         engine.run_until(100)  # mid-serialization
         port_a.set_paused(0, True)
         engine.run()
@@ -191,7 +192,7 @@ class TestFaultHooks:
     def test_down_link_starts_nothing(self):
         engine, a, b, port_a, _ = make_pair()
         port_a.set_link_up(False)
-        a.push(Packet(KIND_DATA, size=1000))
+        a.push(frame(KIND_DATA, size=1000))
         engine.run()
         assert b.received == []
         assert port_a.link_down_drops == 0  # never started, nothing lost
@@ -199,7 +200,7 @@ class TestFaultHooks:
 
     def test_frame_mid_serialization_is_lost(self):
         engine, a, b, port_a, _ = make_pair()
-        a.push(Packet(KIND_DATA, size=1000))
+        a.push(frame(KIND_DATA, size=1000))
         engine.run_until(100)  # mid-serialization
         port_a.set_link_up(False)
         engine.run()
@@ -211,7 +212,7 @@ class TestFaultHooks:
     def test_up_restarts_transmission(self):
         engine, a, b, port_a, _ = make_pair()
         port_a.set_link_up(False)
-        a.push(Packet(KIND_DATA, size=1000))
+        a.push(frame(KIND_DATA, size=1000))
         engine.run()
         port_a.set_link_up(True)
         engine.run()
@@ -220,14 +221,14 @@ class TestFaultHooks:
     def test_set_link_up_is_idempotent(self):
         engine, a, b, port_a, _ = make_pair()
         port_a.set_link_up(True)  # already up: no-op, no notify loop
-        a.push(Packet(KIND_DATA, size=1000))
+        a.push(frame(KIND_DATA, size=1000))
         engine.run()
         assert len(b.received) == 1
 
     def test_set_rate_applies_to_next_frame(self):
         engine, a, b, port_a, _ = make_pair()  # 40G: 200ns/1000B
-        a.push(Packet(KIND_DATA, size=1000))
-        a.push(Packet(KIND_DATA, size=1000))
+        a.push(frame(KIND_DATA, size=1000))
+        a.push(frame(KIND_DATA, size=1000))
         engine.run_until(100)  # first frame in flight
         port_a.set_rate(units.gbps(20))
         engine.run()
@@ -247,13 +248,13 @@ class TestControlBypass:
     def test_control_frame_jumps_queue(self):
         engine, a, b, port_a, _ = make_pair()
         for _ in range(5):
-            a.push(Packet(KIND_DATA, size=1000))
+            a.push(frame(KIND_DATA, size=1000))
         engine.run_until(100)  # first frame in flight
         port_a.send_control(pause_frame(0, 0, pause=True))
         engine.run()
-        kinds = [pkt.kind for _, pkt in b.received]
+        kinds = [pkt.hdr.kind for _, pkt in b.received]
         # control is second on the wire: right after the inflight frame
-        assert kinds[1] == pause_frame(0, 0, True).kind
+        assert kinds[1] == pause_frame(0, 0, True).hdr.kind
 
     def test_control_ignores_pause(self):
         engine, a, b, port_a, _ = make_pair()
@@ -322,7 +323,7 @@ class TestQueuedMaskContract:
 
         a.next_packet = next_packet
         for seq in range(3):
-            a.push(Packet(KIND_DATA, size=1000, seq=seq))
+            a.push(frame(KIND_DATA, size=1000, seq=seq))
         engine.run()
         assert [pkt.seq for _, pkt in b.received] == [0, 1, 2]
         # the first push finds the port idle; then one question per
@@ -336,8 +337,8 @@ class TestQueuedMaskContract:
         asked = []
         real = a.next_packet
         a.next_packet = lambda port: asked.append(engine.now) or real(port)
-        a.push(Packet(KIND_DATA, size=1000, priority=3))
-        a.push(Packet(KIND_DATA, size=1000, priority=0))
+        a.push(frame(KIND_DATA, size=1000, priority=3))
+        a.push(frame(KIND_DATA, size=1000, priority=0))
         engine.run()
         assert asked == [0, 200]  # asked at 200 although all it holds is paused
-        assert [pkt.priority for _, pkt in b.received] == [3]
+        assert [pkt.hdr.priority for _, pkt in b.received] == [3]

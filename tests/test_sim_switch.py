@@ -19,11 +19,9 @@ from repro.sim.packet import (
     KIND_DATA,
     KIND_PAUSE,
     Packet,
-    cnp_packet,
-    data_packet,
-    pause_frame,
 )
 from repro.sim.switch import Switch, SwitchConfig, ecmp_hash
+from tests.frames import cnp_packet, data_packet, frame, pause_frame
 from tests.test_sim_link import StubDevice, make_pair
 
 
@@ -287,7 +285,7 @@ class TestEcnMarking:
             marking=DCQCNParams.deployed().with_cutoff_marking(0)
         )
         engine, switch, nics = make_switch(config)
-        pkt = Packet(
+        pkt = frame(
             KIND_DATA,
             flow_id=0,
             src=nics[0].device_id,
@@ -297,7 +295,7 @@ class TestEcnMarking:
         )
         # enqueue two, the second sees a non-empty queue
         switch.receive(pkt, switch.ports[0])
-        pkt2 = Packet(
+        pkt2 = frame(
             KIND_DATA,
             flow_id=0,
             src=nics[0].device_id,
@@ -636,7 +634,7 @@ class TestAllocateOnFirstUse:
         for rate in (units.gbps(40), units.gbps(25), units.gbps(40)):
             port_a.set_rate(rate)
             start = engine.now
-            a.push(Packet(KIND_DATA, size=1001))
+            a.push(frame(KIND_DATA, size=1001))
             engine.run()
             took.append(b.received[-1][0] - start)
         # 200.2 ns and 320.32 ns of serialization round up, plus 500 ns
@@ -678,7 +676,7 @@ class TestAllocateOnFirstUse:
 
         engine.run_until(2_000)
         # strict priority: the CNP overtakes the queued data; priority 3 waits
-        sent = [(pkt.priority, pkt.seq) for _, pkt in stubs[2].received]
+        sent = [(pkt.hdr.priority, pkt.seq) for _, pkt in stubs[2].received]
         assert sent == [(0, 0), (CONTROL_PRIORITY, 0), (0, 1)]
         assert switch.egress_queue_bytes(2) == 500
         assert switch.ingress_queue_bytes(1, 3) == 500
@@ -687,7 +685,7 @@ class TestAllocateOnFirstUse:
 
         switch.receive(pause_frame(dst, 3, pause=False), out)
         engine.run()
-        assert [pkt.priority for _, pkt in stubs[2].received][-1] == 3
+        assert [pkt.hdr.priority for _, pkt in stubs[2].received][-1] == 3
         assert out.total_paused_ns(3) == 2_000
         assert out.total_paused_ns(0) == 0
         assert switch.ports[0].total_paused_ns(0) == 0  # never paused
@@ -711,7 +709,7 @@ class EventLog:
     def tx_done(self):
         """``(time, port index, frame kind)`` of every completed frame."""
         return [
-            (at, fn.__self__.index, pkt.kind)
+            (at, fn.__self__.index, pkt.hdr.kind)
             for at, fn, pkt in self.rows
             if fn.__name__ == "_tx_done"
         ]
@@ -759,7 +757,7 @@ class TestIdleEgressCutThrough:
         slot = 1 * switch.num_priorities + 3
         queue = switch._egress_queues[slot]
         if cause in ("busy", "down"):
-            assert [pkt.flow_id for pkt in queue] == [0]
+            assert [pkt.hdr.flow_id for pkt in queue] == [0]
             assert out.queued_mask == 1 << 3
         else:
             # idle and eligible: notify() took it (or the control frame
@@ -769,7 +767,7 @@ class TestIdleEgressCutThrough:
         if cause == "down":
             out.set_link_up(True)
         engine.run()
-        assert [pkt.flow_id for _, pkt in stubs[1].received if pkt.kind == KIND_DATA][
+        assert [pkt.hdr.flow_id for _, pkt in stubs[1].received if pkt.hdr.kind == KIND_DATA][
             -1
         ] == 0
         assert out.queued_mask == 0 and not queue
@@ -794,8 +792,8 @@ class TestIdleEgressCutThrough:
         assert switch._egress_queues == {}
         engine.run()
         assert log.tx_done() == [(13, 0, KIND_PAUSE), (13, 1, KIND_DATA)]
-        assert [(at, pkt.kind) for at, pkt in stubs[0].received] == [(513, KIND_PAUSE)]
-        assert [(at, pkt.kind) for at, pkt in stubs[1].received] == [(513, KIND_DATA)]
+        assert [(at, pkt.hdr.kind) for at, pkt in stubs[0].received] == [(513, KIND_PAUSE)]
+        assert [(at, pkt.hdr.kind) for at, pkt in stubs[1].received] == [(513, KIND_DATA)]
 
     def test_hairpin_frame_waits_behind_the_pause_it_caused(self):
         """Egress == ingress: the PAUSE takes the idle port first, so the
@@ -824,7 +822,7 @@ class TestIdleEgressCutThrough:
         assert switch.egress_queue_bytes(1, CONTROL_PRIORITY) == 64
         assert switch.forwarded_packets == 1
         engine.run()
-        assert [pkt.kind for _, pkt in stubs[1].received] == [cnp.kind]
+        assert [pkt.hdr.kind for _, pkt in stubs[1].received] == [cnp.hdr.kind]
         assert back.rx_bytes == 0 and switch.occupied_bytes == 0
 
     def test_a_dropped_switch_originated_frame_leaves_the_counter_alone(self):
