@@ -43,6 +43,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import runtime, units
 from repro.analysis.stats import jain_fairness
+from repro.experiments.multibottleneck import parking_flows
 from repro.runner import FlowSpec, Scenario, format_table, run_sweep, scale
 from repro.runner.results import SweepResult
 
@@ -192,15 +193,10 @@ def arena_scenario(
         )
 
     if scenario_id == "multibottleneck":
-        greedy = (
-            FlowSpec(name="f1", src="H1", dst="R1", cc=cc),
-            FlowSpec(name="f2", src="H2", dst="R2", cc=cc),
-            FlowSpec(name="f3", src="H3", dst="R2", cc=cc),
-        )
         probes = _probes(cc, "H1", "H2", "R1", warmup_ns, duration_ns)
         return Scenario(
             topology="parking_lot",
-            flows=greedy + probes,
+            flows=parking_flows(cc) + probes,
             warmup_ns=warmup_ns,
             duration_ns=duration_ns,
             label=f"arena/multibottleneck/{cc}",

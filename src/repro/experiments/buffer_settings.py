@@ -9,12 +9,14 @@ the misconfigured static thresholds, PFC fires before ECN.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro import units
 from repro.buffers.thresholds import ThresholdPlan, plan_thresholds
-from repro.runner import Cell, execute, format_table
-from repro.runner import scale
+from repro.core.params import DCQCNParams
+from repro.experiments.microbench import incast_scenario
+from repro.runner import RunResult, Scenario, format_table, run_arms, scale
+from repro.sim.switch import SwitchConfig
 
 
 def section4_table(plan: Optional[ThresholdPlan] = None) -> str:
@@ -55,6 +57,22 @@ class EcnBeforePfcCheck:
     dropped_packets: int
     startup_pause_frames: int
 
+    @classmethod
+    def from_run(cls, misconfigured: bool, run: RunResult) -> "EcnBeforePfcCheck":
+        """What fired on the switch: after warmup (the watch), and before."""
+        return cls(
+            configuration=(
+                "misconfigured (static t_PFC, deep t_ECN)" if misconfigured
+                else "deployed (dynamic t_PFC, Kmin 5KB)"
+            ),
+            marked_packets=int(run.counters["watch.marked"]),
+            pause_frames=int(run.counters["watch.pause_frames"]),
+            dropped_packets=int(run.counters["watch.dropped"]),
+            startup_pause_frames=int(
+                run.counters["pause_frames"] - run.counters["watch.pause_frames"]
+            ),
+        )
+
     @property
     def ecn_first(self) -> bool:
         return (
@@ -64,69 +82,34 @@ class EcnBeforePfcCheck:
         )
 
 
-def ecn_check_cell(
-    misconfigured: bool,
-    incast_degree: int,
-    duration_ns: int,
-    warmup_ns: int,
-    seed: int,
-) -> Dict[str, Any]:
-    """Drive an incast and observe which mechanism fires — worker entry."""
-    from repro.core.params import DCQCNParams
-    from repro.sim.switch import SwitchConfig
-    from repro.sim.topology import single_switch
-
-    if misconfigured:
-        params = DCQCNParams.deployed().with_red_marking(
-            kmin_bytes=units.kb(122), kmax_bytes=units.kb(200), pmax=0.01
-        )
-        config = SwitchConfig(
-            pfc_mode="static",
-            t_pfc_static_bytes=units.kb(24.47),
-            marking=params,
-        )
-        name = "misconfigured (static t_PFC, deep t_ECN)"
-    else:
-        params = DCQCNParams.deployed()
-        config = SwitchConfig(marking=params)
-        name = "deployed (dynamic t_PFC, Kmin 5KB)"
-    net, switch, hosts = single_switch(
-        incast_degree + 1, switch_config=config, seed=seed, dcqcn_params=params
+def sec4_scenario(misconfigured: bool, warmup_ns: int, duration_ns: int) -> Scenario:
+    """The 8:1 incast under the deployed thresholds, or under the
+    Figure 18 mis-setting: static t_PFC = 24.47 KB and a marking
+    threshold 5x higher."""
+    if not misconfigured:
+        return incast_scenario("sec4/deployed", 8, warmup_ns, duration_ns)
+    params = DCQCNParams.deployed().with_red_marking(
+        kmin_bytes=units.kb(122), kmax_bytes=units.kb(200), pmax=0.01
     )
-    receiver = hosts[-1]
-    for sender in hosts[:incast_degree]:
-        flow = net.add_flow(sender, receiver, cc="dcqcn")
-        flow.set_greedy()
-    net.run_for(warmup_ns)
-    startup_pauses = switch.pause_frames_sent
-    marks_before = switch.marked_packets
-    drops_before = switch.dropped_packets
-    net.run_for(duration_ns)
-    return {
-        "configuration": name,
-        "marked_packets": switch.marked_packets - marks_before,
-        "pause_frames": switch.pause_frames_sent - startup_pauses,
-        "dropped_packets": switch.dropped_packets - drops_before,
-        "startup_pause_frames": startup_pauses,
-    }
-
-
-_CELL_FN = "repro.experiments.buffer_settings:ecn_check_cell"
+    config = SwitchConfig(
+        pfc_mode="static", t_pfc_static_bytes=units.kb(24.47), marking=params
+    )
+    return incast_scenario(
+        "sec4/misconfigured", 8, warmup_ns, duration_ns,
+        params=params, switch_config=config,
+    )
 
 
 def run_sec4() -> Tuple[ThresholdPlan, List[EcnBeforePfcCheck]]:
-    """The §4 threshold plan, and an 8:1 incast under the deployed and
-    the misconfigured thresholds (the Figure 18 mis-setting: static
-    t_PFC = 24.47 KB, marking threshold 5x higher), observing which
-    mechanism fires."""
-    kwargs = {
-        "incast_degree": 8,
-        "duration_ns": scale.pick(units.ms(8), units.ms(2)),
-        "warmup_ns": scale.pick(units.ms(5), units.ms(2)),
-        "seed": 53,
-    }
-    cells = [
-        Cell(_CELL_FN, dict(kwargs, misconfigured=misconfigured))
+    """The §4 threshold plan, and the 8:1 incast under the deployed and
+    the misconfigured thresholds, observing which mechanism fires."""
+    warmup_ns = scale.pick(units.ms(5), units.ms(2))
+    duration_ns = scale.pick(units.ms(8), units.ms(2))
+    arms = {
+        misconfigured: (sec4_scenario(misconfigured, warmup_ns, duration_ns), 53)
         for misconfigured in (False, True)
+    }
+    runs = run_arms("sec4", arms)
+    return plan_thresholds(), [
+        EcnBeforePfcCheck.from_run(m, run) for m, run in runs.items()
     ]
-    return plan_thresholds(), [EcnBeforePfcCheck(**v) for v in execute(cells)]

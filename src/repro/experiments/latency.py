@@ -14,12 +14,14 @@ the DCQCN one within a factor ~1.5; see EXPERIMENTS.md.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import List
 
 from repro import units
 from repro.analysis.stats import percentile
-from repro.runner import Cell, execute
-from repro.runner import scale
+from repro.core.params import DCQCNParams
+from repro.experiments.microbench import incast_scenario
+from repro.runner import RunResult, Scenario, run_arms, scale
+from repro.sim.switch import SwitchConfig
 
 #: DCTCP marking threshold for 40 GbE per the DCTCP sizing guideline.
 DCTCP_MARKING_BYTES = units.kb(160)
@@ -32,6 +34,11 @@ class QueueCdfResult:
     protocol: str
     samples_bytes: List[float]
     total_goodput_gbps: float
+
+    @classmethod
+    def from_run(cls, protocol: str, run: RunResult) -> "QueueCdfResult":
+        total_gbps = sum(run.flows_bps.values()) / 1e9
+        return cls(protocol, run.samples["queue_bytes"], total_gbps)
 
     def percentile_kb(self, q: float) -> float:
         return percentile(self.samples_bytes, q) / 1e3
@@ -49,70 +56,27 @@ class QueueCdfResult:
 QUEUE_HEADERS = ["protocol", "q50 KB", "q90 KB", "q99 KB", "goodput Gbps"]
 
 
-def queue_cell(
-    protocol: str,
-    incast_degree: int,
-    warmup_ns: int,
-    measure_ns: int,
-    sample_interval_ns: int,
-    seed: int,
-) -> Dict[str, Any]:
-    """One arm of Figure 19 — the worker-side entry point."""
-    from repro.core.params import DCQCNParams
-    from repro.sim.monitor import QueueSampler
-    from repro.sim.switch import SwitchConfig
-    from repro.sim.topology import single_switch
-
-    if protocol == "dcqcn":
-        marking = DCQCNParams.deployed()
-    else:
-        marking = DCQCNParams.deployed().with_cutoff_marking(DCTCP_MARKING_BYTES)
-    net, switch, hosts = single_switch(
-        incast_degree + 1,
+def fig19_scenario(protocol: str, warmup_ns: int, duration_ns: int) -> Scenario:
+    """One arm of Figure 19: the 2:1 incast of ``protocol`` flows through
+    a switch that marks as that protocol is deployed, its queue sampled
+    every 5 us."""
+    marking = DCQCNParams.deployed()
+    if protocol != "dcqcn":
+        marking = marking.with_cutoff_marking(DCTCP_MARKING_BYTES)
+    return incast_scenario(
+        f"fig19/{protocol}", 2, warmup_ns, duration_ns, cc=protocol,
         switch_config=SwitchConfig(marking=marking),
-        seed=seed,
-        dcqcn_params=DCQCNParams.deployed(),
+        queue_sample_ns=units.us(5),
     )
-    receiver = hosts[-1]
-    flows = []
-    for sender in hosts[:incast_degree]:
-        flow = net.add_flow(sender, receiver, cc=protocol)
-        flow.set_greedy()
-        flows.append(flow)
-
-    net.run_for(warmup_ns)
-    bottleneck_port = switch.port_to(receiver.nic).index
-    sampler = QueueSampler(
-        net.engine,
-        switch,
-        bottleneck_port,
-        interval_ns=sample_interval_ns,
-        stop_ns=net.engine.now + measure_ns,
-    )
-    delivered_before = sum(flow.bytes_delivered for flow in flows)
-    net.run_for(measure_ns)
-    delivered = sum(flow.bytes_delivered for flow in flows) - delivered_before
-    return {
-        "protocol": protocol,
-        "samples_bytes": list(sampler.samples_bytes),
-        "total_goodput_gbps": delivered * 8e9 / measure_ns / 1e9,
-    }
-
-
-_CELL_FN = "repro.experiments.latency:queue_cell"
 
 
 def run_fig19() -> List[QueueCdfResult]:
     """Both arms of Figure 19 (fanned out across workers)."""
-    kwargs = {
-        "incast_degree": 2,
-        "warmup_ns": scale.pick(units.ms(40), units.ms(4)),
-        "measure_ns": scale.pick(units.ms(40), units.ms(2)),
-        "sample_interval_ns": units.us(5),
-        "seed": 23,
-    }
-    cells = [
-        Cell(_CELL_FN, dict(kwargs, protocol=protocol))
+    warmup_ns = scale.pick(units.ms(40), units.ms(4))
+    duration_ns = scale.pick(units.ms(40), units.ms(2))
+    arms = {
+        protocol: (fig19_scenario(protocol, warmup_ns, duration_ns), 23)
         for protocol in ("dcqcn", "dctcp")
-    ]
-    return [QueueCdfResult(**value) for value in execute(cells)]
+    }
+    runs = run_arms("fig19", arms)
+    return [QueueCdfResult.from_run(p, run) for p, run in runs.items()]

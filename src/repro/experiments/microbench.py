@@ -6,20 +6,63 @@ always more than 39 Gbps for K:1 incast, K = 2..19.  The switch
 counter shows that the queue length never exceeds 100 KB."
 
 We reproduce the sweep: for each K, run K greedy DCQCN flows into one
-receiver, then report aggregate goodput and peak queue.  Each K is an
-independent executor cell, so the sweep fans out across cores.
+receiver, then report aggregate goodput and peak queue.  Each K is one
+:func:`incast_scenario`, the incast that Figure 19, §4's threshold
+check and the ablations run too, so the sweep fans out across cores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import List, Optional
 
 from repro import units
+from repro.cc import available_cc
 from repro.core.params import DCQCNParams
-from repro.runner import Cell, execute
-from repro.runner import scale
-from repro.runner.scenario import decode_value, encode_value
+from repro.runner import FlowSpec, RunResult, Scenario, run_arms, scale
+from repro.sim.switch import SwitchConfig
+from repro.telemetry import TelemetrySpec
+
+
+def incast_scenario(
+    label: str,
+    degree: int,
+    warmup_ns: int,
+    duration_ns: int,
+    *,
+    cc: str = "dcqcn",
+    params: Optional[DCQCNParams] = None,
+    switch_config: Optional[SwitchConfig] = None,
+    queue_sample_ns: Optional[int] = None,
+) -> Scenario:
+    """``degree`` greedy ``cc`` senders into one receiver through one
+    switch, the paper's microbenchmark, watched at the receiver's port.
+
+    ``params`` are the network's DCQCN parameters (every flow's and
+    NP's) and ``switch_config`` the switch's marking and PFC; ``None``
+    keeps the deployed defaults (Table 14).  The run's ``watch.*``
+    counters cover the window, and ``queue_sample_ns`` samples the
+    bottleneck queue into ``samples["queue_bytes"]``.
+    """
+    if cc not in available_cc():
+        raise ValueError(f"unknown congestion controller {cc!r}")
+    receiver = str(degree)
+    return Scenario(
+        topology="single_switch",
+        flows=tuple(
+            FlowSpec(name=f"s{i}", src=str(i), dst=receiver, cc=cc)
+            for i in range(degree)
+        ),
+        warmup_ns=warmup_ns,
+        duration_ns=duration_ns,
+        topology_kwargs={
+            "n_hosts": degree + 1,
+            "dcqcn_params": params,
+            "switch_config": switch_config,
+        },
+        label=label,
+        telemetry=TelemetrySpec(queue_sample_ns=queue_sample_ns, watch=receiver),
+    )
 
 
 @dataclass
@@ -31,6 +74,19 @@ class IncastUtilizationResult:
     peak_queue_kb: float
     mean_queue_kb: float
     pause_frames: int
+
+    @classmethod
+    def from_run(cls, degree: int, run: RunResult) -> "IncastUtilizationResult":
+        samples = run.samples["queue_bytes"]
+        return cls(
+            degree=degree,
+            total_goodput_gbps=sum(run.flows_bps.values()) / 1e9,
+            peak_queue_kb=max(samples) / 1e3 if samples else 0.0,
+            mean_queue_kb=(sum(samples) / len(samples) / 1e3) if samples else 0.0,
+            # PAUSE in the line-rate start melee is expected (the paper
+            # relies on PFC there); §6.1 claims the window after warmup
+            pause_frames=int(run.counters["watch.pause_frames"]),
+        )
 
     def row(self) -> List[str]:
         return [
@@ -45,71 +101,21 @@ class IncastUtilizationResult:
 INCAST_HEADERS = ["K", "total Gbps", "peak queue KB", "mean queue KB", "PAUSE"]
 
 
-def incast_cell(
-    degree: int,
-    params: Dict[str, Any],
-    warmup_ns: int,
-    measure_ns: int,
-    sample_interval_ns: int,
-    seed: int,
-) -> Dict[str, Any]:
-    """One K:1 point — the worker-side entry point."""
-    from repro.sim.monitor import QueueSampler
-    from repro.sim.switch import SwitchConfig
-    from repro.sim.topology import single_switch
-
-    dcqcn_params = decode_value(params)
-    net, switch, hosts = single_switch(
-        degree + 1,
-        switch_config=SwitchConfig(marking=dcqcn_params),
-        seed=seed + degree,
-        dcqcn_params=dcqcn_params,
+def sec61_scenario(degree: int, warmup_ns: int, duration_ns: int) -> Scenario:
+    """One K:1 point under the deployed parameters, queue every 10 us."""
+    return incast_scenario(
+        f"sec61/K={degree}", degree, warmup_ns, duration_ns,
+        queue_sample_ns=units.us(10),
     )
-    receiver = hosts[-1]
-    flows = []
-    for sender in hosts[:degree]:
-        flow = net.add_flow(sender, receiver, cc="dcqcn")
-        flow.set_greedy()
-        flows.append(flow)
-    net.run_for(warmup_ns)
-    port_index = switch.port_to(receiver.nic).index
-    sampler = QueueSampler(
-        net.engine,
-        switch,
-        port_index,
-        interval_ns=sample_interval_ns,
-        stop_ns=net.engine.now + measure_ns,
-    )
-    before = sum(flow.bytes_delivered for flow in flows)
-    # PAUSE frames during the line-rate start melee are expected (the
-    # paper relies on PFC there); steady state is what §6.1 claims.
-    pauses_before = switch.pause_frames_sent
-    net.run_for(measure_ns)
-    delivered = sum(flow.bytes_delivered for flow in flows) - before
-    samples = sampler.samples_bytes
-    return {
-        "degree": degree,
-        "total_goodput_gbps": delivered * 8e9 / measure_ns / 1e9,
-        "peak_queue_kb": max(samples) / 1e3 if samples else 0.0,
-        "mean_queue_kb": (sum(samples) / len(samples) / 1e3) if samples else 0.0,
-        "pause_frames": switch.pause_frames_sent - pauses_before,
-    }
-
-
-_CELL_FN = "repro.experiments.microbench:incast_cell"
 
 
 def run_incast_sweep() -> List[IncastUtilizationResult]:
     """The §6.1 K:1 sweep (fanned out across workers)."""
-    kwargs = {
-        "params": encode_value(DCQCNParams.deployed()),
-        "warmup_ns": scale.pick(units.ms(20), units.ms(4)),
-        "measure_ns": scale.pick(units.ms(10), units.ms(2)),
-        "sample_interval_ns": units.us(10),
-        "seed": 43,
-    }
-    cells = [
-        Cell(_CELL_FN, dict(kwargs, degree=degree))
+    warmup_ns = scale.pick(units.ms(20), units.ms(4))
+    duration_ns = scale.pick(units.ms(10), units.ms(2))
+    arms = {
+        degree: (sec61_scenario(degree, warmup_ns, duration_ns), 43 + degree)
         for degree in scale.pick((2, 4, 8, 16, 19), (2, 4))
-    ]
-    return [IncastUtilizationResult(**value) for value in execute(cells)]
+    }
+    runs = run_arms("sec61", arms)
+    return [IncastUtilizationResult.from_run(k, run) for k, run in runs.items()]

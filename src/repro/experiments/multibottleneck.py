@@ -12,12 +12,12 @@ window and mitigates (not eliminates) the bias.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Dict, List, Tuple
 
 from repro import units
 from repro.core.params import DCQCNParams
-from repro.runner import Cell, execute
-from repro.runner import scale
+from repro.runner import FlowSpec, RunResult, Scenario, run_arms, scale
+from repro.sim.switch import SwitchConfig
 
 #: the two marking schemes Figure 20(b) compares
 MARKING_SCHEMES = {
@@ -26,12 +26,26 @@ MARKING_SCHEMES = {
 }
 
 
+def parking_flows(cc: str) -> Tuple[FlowSpec, ...]:
+    """Figure 20(a)'s three greedy flows on the ``parking_lot`` topology
+    (the arena's multibottleneck maze runs them too)."""
+    return (
+        FlowSpec(name="f1", src="H1", dst="R1", cc=cc),
+        FlowSpec(name="f2", src="H2", dst="R2", cc=cc),
+        FlowSpec(name="f3", src="H3", dst="R2", cc=cc),
+    )
+
+
 @dataclass
 class ParkingLotResult:
     """Per-flow steady throughput under one marking scheme."""
 
     scheme: str
     flow_gbps: Dict[str, float]
+
+    @classmethod
+    def from_run(cls, scheme: str, run: RunResult) -> "ParkingLotResult":
+        return cls(scheme, {name: run.throughput_gbps(name) for name in run.flows_bps})
 
     @property
     def two_bottleneck_share(self) -> float:
@@ -51,46 +65,29 @@ class ParkingLotResult:
 PARKING_HEADERS = ["marking", "f1 Gbps", "f2 Gbps", "f3 Gbps", "f2 / max-min"]
 
 
-def parking_cell(
-    scheme: str,
-    warmup_ns: int,
-    measure_ns: int,
-    seed: int,
-) -> Dict[str, Any]:
-    """One marking scheme on the Figure 20 topology — worker entry point."""
-    from repro.sim.switch import SwitchConfig
-    from repro.sim.topology import parking_lot
-
+def fig20_scenario(scheme: str, warmup_ns: int, duration_ns: int) -> Scenario:
+    """DCQCN on the Figure 20 topology, both switches marking by ``scheme``."""
     params = MARKING_SCHEMES[scheme]
-    net, hosts = parking_lot(
-        switch_config=SwitchConfig(marking=params), seed=seed, dcqcn_params=params
+    return Scenario(
+        topology="parking_lot",
+        flows=parking_flows("dcqcn"),
+        warmup_ns=warmup_ns,
+        duration_ns=duration_ns,
+        topology_kwargs={
+            "switch_config": SwitchConfig(marking=params),
+            "dcqcn_params": params,
+        },
+        label=f"fig20/{scheme}",
     )
-    f1 = net.add_flow(hosts["H1"], hosts["R1"], cc="dcqcn")
-    f2 = net.add_flow(hosts["H2"], hosts["R2"], cc="dcqcn")
-    f3 = net.add_flow(hosts["H3"], hosts["R2"], cc="dcqcn")
-    for flow in (f1, f2, f3):
-        flow.set_greedy()
-    net.run_for(warmup_ns)
-    before = [flow.bytes_delivered for flow in (f1, f2, f3)]
-    net.run_for(measure_ns)
-    rates = {
-        name: (flow.bytes_delivered - b) * 8e9 / measure_ns / 1e9
-        for name, flow, b in zip(("f1", "f2", "f3"), (f1, f2, f3), before)
-    }
-    return {"scheme": scheme, "flow_gbps": rates}
-
-
-_CELL_FN = "repro.experiments.multibottleneck:parking_cell"
 
 
 def run_fig20() -> List[ParkingLotResult]:
     """Both marking schemes (the Figure 20(b) comparison), fanned out."""
-    kwargs = {
-        "warmup_ns": scale.pick(units.ms(60), units.ms(5)),
-        "measure_ns": scale.pick(units.ms(40), units.ms(2)),
-        "seed": 31,
+    warmup_ns = scale.pick(units.ms(60), units.ms(5))
+    duration_ns = scale.pick(units.ms(40), units.ms(2))
+    arms = {
+        scheme: (fig20_scenario(scheme, warmup_ns, duration_ns), 31)
+        for scheme in ("cutoff", "red")
     }
-    cells = [
-        Cell(_CELL_FN, dict(kwargs, scheme=scheme)) for scheme in ("cutoff", "red")
-    ]
-    return [ParkingLotResult(**value) for value in execute(cells)]
+    runs = run_arms("fig20", arms)
+    return [ParkingLotResult.from_run(scheme, run) for scheme, run in runs.items()]

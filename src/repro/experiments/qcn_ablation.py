@@ -29,8 +29,10 @@ import numpy as np
 
 from repro import units
 from repro.analysis.stats import jain_fairness, percentile
-from repro.runner import Cell, execute
-from repro.runner import scale
+from repro.core.params import DCQCNParams
+from repro.experiments.microbench import incast_scenario
+from repro.runner import RunResult, Scenario, run_arms, scale
+from repro.sim.switch import SwitchConfig
 
 
 @dataclass
@@ -41,6 +43,11 @@ class SingleSwitchFairnessResult:
     per_flow_gbps: List[float]
     fairness: float
     total_gbps: float
+
+    @classmethod
+    def from_run(cls, scheme: str, run: RunResult) -> "SingleSwitchFairnessResult":
+        rates = [bps / 1e9 for bps in run.flows_bps.values()]
+        return cls(scheme, rates, jain_fairness(rates), sum(rates))
 
     def row(self) -> List[str]:
         return [
@@ -54,93 +61,36 @@ class SingleSwitchFairnessResult:
 
 ABLATION_HEADERS = ["scheme", "total Gbps", "Jain", "min Gbps", "max Gbps"]
 
-
-def fairness_cell(
-    scheme: str,
-    n_senders: int,
-    warmup_ns: int,
-    measure_ns: int,
-    seed: int,
-) -> Dict[str, Any]:
-    """One scheme's incast run — the worker-side entry point."""
-    from repro.core.params import DCQCNParams
-    from repro.sim.topology import single_switch
-
-    # switches mark with, and DCQCN flows run, the deployed defaults;
-    # QCN's increase timers keep the strawman (802.1Qau) pace
-    net, _, hosts = single_switch(n_senders + 1, seed=seed)
-    flow_params = DCQCNParams.strawman() if scheme == "qcn" else None
-    receiver = hosts[-1]
-    flows = []
-    for sender in hosts[:n_senders]:
-        flow = net.add_flow(sender, receiver, cc=scheme, params=flow_params)
-        flow.set_greedy()
-        flows.append(flow)
-    net.run_for(warmup_ns)
-    before = [flow.bytes_delivered for flow in flows]
-    net.run_for(measure_ns)
-    rates = [
-        (flow.bytes_delivered - b) * 8e9 / measure_ns / 1e9
-        for flow, b in zip(flows, before)
-    ]
-    return {"scheme": scheme, "per_flow_gbps": rates}
-
-
-_CELL_FN = "repro.experiments.qcn_ablation:fairness_cell"
-
-
-def _from_cell(value: Dict[str, Any]) -> SingleSwitchFairnessResult:
-    rates = list(value["per_flow_gbps"])
-    return SingleSwitchFairnessResult(
-        scheme=value["scheme"],
-        per_flow_gbps=rates,
-        fairness=jain_fairness(rates),
-        total_gbps=sum(rates),
-    )
-
-
-def queue_cell(
-    overrides: Dict[str, Any],
-    degree: int,
-    seed: int,
-    warmup_ns: int,
-    measure_ns: int,
-) -> Dict[str, Any]:
-    """Bottleneck queue every 10 us after ``warmup_ns`` of a greedy
-    ``degree``:1 DCQCN incast whose switch marks, and whose flows react,
-    with the deployed parameters plus ``overrides`` — the worker-side
-    entry point."""
-    from repro.core.params import DCQCNParams
-    from repro.sim.monitor import QueueSampler
-    from repro.sim.switch import SwitchConfig
-    from repro.sim.topology import single_switch
-
-    params = replace(DCQCNParams.deployed(), **overrides)
-    net, switch, hosts = single_switch(
-        degree + 1,
-        switch_config=SwitchConfig(marking=params),
-        seed=seed,
-        dcqcn_params=params,
-    )
-    receiver = hosts[-1]
-    for sender in hosts[:degree]:
-        flow = net.add_flow(sender, receiver, cc="dcqcn")
-        flow.set_greedy()
-    net.run_for(warmup_ns)
-    sampler = QueueSampler(
-        net.engine, switch, switch.port_to(receiver.nic).index,
-        interval_ns=units.us(10),
-    )
-    net.run_for(measure_ns)
-    return {"samples_bytes": sampler.samples_bytes}
-
-
-_QUEUE_CELL_FN = "repro.experiments.qcn_ablation:queue_cell"
-
+#: the control schemes of the 4:1 incast
+SCHEMES = ("none", "qcn", "dcqcn")
 #: Table 14's Pmax against §6.1's queue bound, on the 16:1 incast
 PMAXES = (0.01, 0.10)
 #: RP rate-increase timer jitter (ns), on the 8:1 incast
 JITTERS_NS = (0, units.us(4))
+
+
+def scheme_scenario(scheme: str, warmup_ns: int, duration_ns: int) -> Scenario:
+    """The 4:1 incast under one scheme: the switch marks with, and DCQCN
+    flows run, the deployed defaults; QCN's increase timers keep the
+    strawman (802.1Qau) pace."""
+    return incast_scenario(
+        f"ablations/{scheme}", 4, warmup_ns, duration_ns, cc=scheme,
+        params=DCQCNParams.strawman() if scheme == "qcn" else None,
+    )
+
+
+def queue_scenario(
+    degree: int, warmup_ns: int, duration_ns: int, **overrides: Any
+) -> Scenario:
+    """A greedy ``degree``:1 DCQCN incast, switch and flows on the deployed
+    parameters plus ``overrides``, its queue sampled every 10 us."""
+    params = replace(DCQCNParams.deployed(), **overrides)
+    label = ",".join(f"{name}={value}" for name, value in overrides.items())
+    return incast_scenario(
+        f"ablations/{label}", degree, warmup_ns, duration_ns,
+        params=params, switch_config=SwitchConfig(marking=params),
+        queue_sample_ns=units.us(10),
+    )
 
 
 def run_ablations() -> Dict[str, Any]:
@@ -151,44 +101,28 @@ def run_ablations() -> Dict[str, Any]:
     Pmax replaced; ``jitter_std_kb``: standard deviation (KB) of the
     8:1 incast queue under each RP timer jitter.
     """
-    schemes = ("none", "qcn", "dcqcn")
-    scheme_horizon = {
-        "warmup_ns": scale.pick(units.ms(15), units.ms(4)),
-        "measure_ns": scale.pick(units.ms(10), units.ms(2)),
-    }
-    pmax_horizon = {
-        "warmup_ns": scale.pick(units.ms(25), units.ms(3)),
-        "measure_ns": scale.pick(units.ms(15), units.ms(2)),
-    }
-    jitter_horizon = {
-        "warmup_ns": scale.pick(units.ms(20), units.ms(3)),
-        "measure_ns": scale.pick(units.ms(15), units.ms(2)),
-    }
-    cells = [
-        Cell(_CELL_FN, dict(scheme=scheme, n_senders=4, seed=61, **scheme_horizon))
-        for scheme in schemes
-    ]
-    cells += [
-        Cell(_QUEUE_CELL_FN, dict(
-            overrides={"pmax": pmax}, degree=16, seed=71, **pmax_horizon
-        ))
-        for pmax in PMAXES
-    ]
-    cells += [
-        Cell(_QUEUE_CELL_FN, dict(
-            overrides={"rate_increase_timer_jitter_ns": jitter},
-            degree=8, seed=73, **jitter_horizon,
-        ))
-        for jitter in JITTERS_NS
-    ]
-    values = iter(execute(cells))  # consumed in the order cells was built
+    ms = units.ms
+    scheme_horizon = (scale.pick(ms(15), ms(4)), scale.pick(ms(10), ms(2)))
+    pmax_horizon = (scale.pick(ms(25), ms(3)), scale.pick(ms(15), ms(2)))
+    jitter_horizon = (scale.pick(ms(20), ms(3)), scale.pick(ms(15), ms(2)))
+    arms = {("scheme", s): (scheme_scenario(s, *scheme_horizon), 61) for s in SCHEMES}
+    for p in PMAXES:
+        arms["pmax", p] = (queue_scenario(16, *pmax_horizon, pmax=p), 71)
+    for j in JITTERS_NS:
+        jitter = {"rate_increase_timer_jitter_ns": j}
+        arms["jitter", j] = (queue_scenario(8, *jitter_horizon, **jitter), 73)
+    runs = run_arms("ablations", arms)
+
+    def queue(*arm) -> List[float]:
+        return runs[arm].samples["queue_bytes"]
+
     return {
-        "schemes": {s: _from_cell(next(values)) for s in schemes},
-        "pmax_q90_kb": {
-            p: percentile(next(values)["samples_bytes"], 90) / 1e3 for p in PMAXES
+        "schemes": {
+            s: SingleSwitchFairnessResult.from_run(s, runs["scheme", s])
+            for s in SCHEMES
         },
+        "pmax_q90_kb": {p: percentile(queue("pmax", p), 90) / 1e3 for p in PMAXES},
         "jitter_std_kb": {
-            j: float(np.std(next(values)["samples_bytes"])) / 1e3
-            for j in JITTERS_NS
+            j: float(np.std(queue("jitter", j))) / 1e3 for j in JITTERS_NS
         },
     }

@@ -47,6 +47,7 @@ from repro.runner.scale import derive_seed, pick, seeds_for
 from repro.runner.scenario import (
     FlowSpec,
     Scenario,
+    run_arms,
     run_scenario,
     run_scenario_cell,
     run_scenario_inline,
@@ -75,6 +76,7 @@ __all__ = [
     "format_table",
     "pick",
     "results_dir",
+    "run_arms",
     "run_scenario",
     "run_scenario_cell",
     "run_scenario_inline",

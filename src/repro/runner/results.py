@@ -97,7 +97,8 @@ class RunResult:
     flows_bps: Dict[str, float] = field(default_factory=dict)
     #: cumulative counters at end of run (PAUSE frames, drops, ...)
     counters: Dict[str, float] = field(default_factory=dict)
-    #: optional time series (queue samples, rate samples, ...)
+    #: time series over the window; only ``TelemetrySpec.watch`` fills
+    #: it, with ``queue_bytes`` when the spec sets ``queue_sample_ns``
     samples: Dict[str, List[float]] = field(default_factory=dict)
     #: metrics registry snapshot ({"counters": ..., "gauges": ...,
     #: "histograms": ...}) under the stable names of

@@ -265,6 +265,11 @@ class Scenario:
                     "sharding must be a ShardingSpec, "
                     f"got {type(self.sharding).__name__}"
                 )
+            if self.telemetry is not None and self.telemetry.watch is not None:
+                raise ValueError(
+                    "a watched port lives in one shard; "
+                    "TelemetrySpec.watch needs a serial run"
+                )
 
     def spec(self) -> Dict[str, Any]:
         """The JSON-serializable form (cache key + worker transport)."""
@@ -377,9 +382,11 @@ def _install_samplers(
     """Install the samplers a :class:`TelemetrySpec` asks for.
 
     Queue samplers watch every egress port of every switch and feed the
-    shared ``switch.queue_bytes`` histogram; the rate sampler watches
-    every flow.  All stop at the scenario horizon (``warmup +
-    duration``) — they must not keep the event loop alive forever.
+    shared ``switch.queue_bytes`` histogram (unless the spec has a
+    ``watch``, whose one port :func:`_arm_watch` samples from the end
+    of warmup); the rate sampler watches every flow.  All stop at the
+    scenario horizon (``warmup + duration``) — they must not keep the
+    event loop alive forever.
 
     ``local_names`` (repro.shard) restricts sampling to one shard's
     devices and to flows delivering there; merged sample histograms are
@@ -395,7 +402,7 @@ def _install_samplers(
         return local_names is None or name in local_names
 
     stop_ns = scenario.warmup_ns + scenario.duration_ns
-    if spec.queue_sample_ns is not None:
+    if spec.queue_sample_ns is not None and spec.watch is None:
         # Only "fabric" scenarios switch to tier aggregation: the Fig 2
         # clos is also fabric-built, but its figures depend on the
         # per-port sample stream staying exactly as before.
@@ -469,6 +476,9 @@ class ScenarioRun:
     message_probes: List[Tuple[str, Any]] = field(default_factory=list)
     #: bytes delivered per flow when measurement began
     before: Dict[str, int] = field(default_factory=dict)
+    #: the armed ``TelemetrySpec.watch``: its switch, that switch's
+    #: ``watch.*`` counts when armed, and the queue sampler (or None)
+    watch: Optional[Tuple[Any, Dict[str, int], Any]] = None
 
     @property
     def horizon_ns(self) -> int:
@@ -479,8 +489,46 @@ class ScenarioRun:
         return self.local_names is None or host.name in self.local_names
 
     def snapshot(self) -> None:
-        """Mark the end of warmup: rates are measured from here."""
+        """Mark the end of warmup: rates are measured, and the
+        ``TelemetrySpec.watch`` port is watched, from here."""
         self.before = {name: flow.bytes_delivered for name, flow in self.flows}
+        spec = self.scenario.telemetry
+        if spec is not None and spec.watch is not None:
+            self.watch = _arm_watch(self, spec)
+
+
+def _watch_counts(switch) -> Dict[str, int]:
+    return {
+        "watch.pause_frames": switch.pause_frames_sent,
+        "watch.marked": switch.marked_packets,
+        "watch.dropped": switch.dropped_packets,
+    }
+
+
+def _arm_watch(run: ScenarioRun, spec: TelemetrySpec):
+    """Watch the switch egress port facing host ``spec.watch`` from now
+    to the horizon."""
+    from repro.sim.switch import Switch
+
+    host = run.resolve(spec.watch)
+    port = host.nic.ports[0].peer if host.nic.ports else None
+    if not isinstance(getattr(port, "owner", None), Switch):
+        raise ValueError(
+            f"watch {spec.watch!r}: host {host.name} faces no switch port"
+        )
+    sampler = None
+    if spec.queue_sample_ns is not None:
+        from repro.sim.monitor import QueueSampler
+
+        sampler = QueueSampler(
+            run.net.engine,
+            port.owner,
+            port.index,
+            interval_ns=spec.queue_sample_ns,
+            stop_ns=run.horizon_ns,
+            tracer=run.telemetry.tracer,
+        )
+    return port.owner, _watch_counts(port.owner), sampler
 
 
 def _closed_loop(size: int, budget: int):
@@ -595,6 +643,12 @@ def collect(run: ScenarioRun) -> RunResult:
     for name, flow in run.message_probes:
         first = next((m for m in flow.messages if m.completed), None)
         counters[f"fct_ns.{name}"] = -1.0 if first is None else float(first.fct_ns())
+    samples: Dict[str, List[float]] = {}
+    if run.watch is not None:
+        switch, armed, sampler = run.watch
+        counters.update((k, v - armed[k]) for k, v in _watch_counts(switch).items())
+        if sampler is not None:
+            samples["queue_bytes"] = list(sampler.samples_bytes)
     rows = collect_flow_stats(net, {flow.flow_id: name for name, flow in run.flows})
     if run.local_names is not None:
         # rows are sender-side bookkeeping, so only the shard that
@@ -610,6 +664,7 @@ def collect(run: ScenarioRun) -> RunResult:
         duration_ns=scenario.duration_ns,
         flows_bps=flows_bps,
         counters=counters,
+        samples=samples,
         metrics=net.metrics_snapshot(),
         invariant_report=invariant_report,
         flow_stats=[row.to_json() for row in rows],
@@ -729,3 +784,26 @@ def run_sweep(
         cursor += count
         result.points.append(point)
     return result
+
+
+def run_arms(
+    name: str, arms: Mapping[Any, Tuple[Scenario, int]]
+) -> Dict[Any, RunResult]:
+    """One repetition of each arm, ``arm -> (scenario, seed)``, fanned
+    out as one :func:`run_sweep`.
+
+    For a driver whose verdict needs every arm: a failed cell raises,
+    naming ``name``, instead of leaving a gap in the table.
+    """
+    sweep = run_sweep(
+        name,
+        {arm: scenario for arm, (scenario, _) in arms.items()},
+        {arm: [seed] for arm, (_, seed) in arms.items()},
+    )
+    failures = [failure for point in sweep.points for failure in point.failures]
+    if failures:
+        raise RuntimeError(
+            f"{name}: {len(failures)} of {len(arms)} cells failed, first "
+            f"with {failures[0].error}: {failures[0].message}"
+        )
+    return {point.value: point.runs[0] for point in sweep.points}

@@ -324,6 +324,3 @@ class Network:
 
     def total_drops(self) -> int:
         return sum(sw.dropped_packets for sw in self.switches)
-
-    def total_marked(self) -> int:
-        return sum(sw.marked_packets for sw in self.switches)

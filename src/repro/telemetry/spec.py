@@ -37,6 +37,14 @@ class TelemetrySpec:
     ``sample.queue`` / ``sample.rate`` events and the
     ``switch.queue_bytes`` histogram (how Figures 12/19 are
     reconstructed from a trace).
+
+    ``watch`` names one host by locator (resolved like
+    ``FlowSpec.dst``).  At the end of warmup the run watches the switch
+    egress port facing that host until the horizon: that switch's PAUSE
+    frames sent, ECN marks and drops over the window land in the
+    ``watch.pause_frames`` / ``watch.marked`` / ``watch.dropped``
+    counters, and with ``queue_sample_ns`` set that one port, not every
+    port from t=0, is sampled into ``RunResult.samples["queue_bytes"]``.
     """
 
     trace: str = "off"  # off | cc | full
@@ -46,6 +54,7 @@ class TelemetrySpec:
     sample_stride: int = 1  # 1-in-N sampling of high-frequency events
     queue_sample_ns: Optional[int] = None
     rate_sample_ns: Optional[int] = None
+    watch: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.trace not in LEVELS:

@@ -6,6 +6,8 @@ direction of each effect.  A driver takes no knobs, so a shorter run
 calls the module's cell function or Scenario builder directly.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,8 @@ from repro.experiments.benchmark_traffic import (
 )
 from repro.experiments.buffer_settings import (
     EcnBeforePfcCheck,
-    ecn_check_cell,
+    run_sec4,
+    sec4_scenario,
     section4_table,
 )
 from repro.experiments.fluid_validation import (
@@ -30,13 +33,25 @@ from repro.experiments.fluid_validation import (
     fluid_vs_sim_cell,
     two_flow_cell,
 )
-from repro.experiments.latency import QueueCdfResult, queue_cell
-from repro.experiments.microbench import IncastUtilizationResult, incast_cell
-from repro.experiments.multibottleneck import ParkingLotResult, parking_cell
+from repro.experiments.latency import QueueCdfResult, fig19_scenario, run_fig19
+from repro.experiments.microbench import (
+    IncastUtilizationResult,
+    run_incast_sweep,
+    sec61_scenario,
+)
+from repro.experiments.multibottleneck import (
+    ParkingLotResult,
+    fig20_scenario,
+    run_fig20,
+)
 from repro.experiments.pfc_pathologies import unfairness_scenario, victim_scenario
-from repro.experiments.qcn_ablation import fairness_cell
+from repro.experiments.qcn_ablation import (
+    SingleSwitchFairnessResult,
+    run_ablations,
+    scheme_scenario,
+)
 from repro.experiments.sweeps import Fig12Result, GQueueSummary, fig11_cell, fig12_cell
-from repro.runner import format_table, run_scenario, scale
+from repro.runner import format_table, run_scenario, run_scenario_inline, scale
 from repro.runner.scenario import encode_value
 
 
@@ -162,11 +177,15 @@ class TestBenchmarkTraffic:
         assert result.user_p10_gbps() >= 0
 
 
+def _run(scenario, seed):
+    return run_scenario_inline(scenario, seed)[0]
+
+
 class TestLatencyAndParkingLot:
     def test_queue_comparison_direction(self):
         dcqcn, dctcp = (
-            QueueCdfResult(**queue_cell(
-                protocol, 2, units.ms(5), units.ms(5), units.us(5), 23
+            QueueCdfResult.from_run(protocol, _run(
+                fig19_scenario(protocol, units.ms(5), units.ms(5)), 23
             ))
             for protocol in ("dcqcn", "dctcp")
         )
@@ -174,11 +193,13 @@ class TestLatencyAndParkingLot:
 
     def test_queue_comparison_validates_protocol(self):
         with pytest.raises(ValueError):
-            queue_cell("cubic", 2, units.ms(1), units.ms(1), units.us(5), 23)
+            fig19_scenario("cubic", units.ms(1), units.ms(1))
 
     def test_parking_lot_red_helps_f2(self):
         cutoff, red = (
-            ParkingLotResult(**parking_cell(scheme, units.ms(10), units.ms(8), 31))
+            ParkingLotResult.from_run(scheme, _run(
+                fig20_scenario(scheme, units.ms(10), units.ms(8)), 31
+            ))
             for scheme in ("cutoff", "red")
         )
         assert red.flow_gbps["f2"] > cutoff.flow_gbps["f2"]
@@ -186,14 +207,13 @@ class TestLatencyAndParkingLot:
 
     def test_parking_lot_rejects_unknown_scheme(self):
         with pytest.raises(KeyError):
-            parking_cell("blue", units.ms(1), units.ms(1), 31)
+            fig20_scenario("blue", units.ms(1), units.ms(1))
 
 
 class TestMicrobenchAndBuffers:
     def test_incast_utilization(self):
-        result = IncastUtilizationResult(**incast_cell(
-            2, encode_value(DCQCNParams.deployed()), units.ms(20), units.ms(10),
-            units.us(10), 43,
+        result = IncastUtilizationResult.from_run(2, _run(
+            sec61_scenario(2, units.ms(20), units.ms(10)), 43 + 2
         ))
         assert result.total_goodput_gbps > 36
         assert result.pause_frames == 0
@@ -206,8 +226,8 @@ class TestMicrobenchAndBuffers:
 
     def test_ecn_before_pfc_check(self):
         good, bad = (
-            EcnBeforePfcCheck(**ecn_check_cell(
-                misconfigured, 8, units.ms(4), units.ms(5), 53
+            EcnBeforePfcCheck.from_run(misconfigured, _run(
+                sec4_scenario(misconfigured, units.ms(5), units.ms(4)), 53
             ))
             for misconfigured in (False, True)
         )
@@ -219,25 +239,93 @@ class TestMicrobenchAndBuffers:
 class TestQcnAblation:
     def test_all_schemes_run(self):
         for scheme in ("none", "qcn", "dcqcn"):
-            rates = fairness_cell(scheme, 4, units.ms(3), units.ms(3), 61)[
-                "per_flow_gbps"
-            ]
+            rates = SingleSwitchFairnessResult.from_run(scheme, _run(
+                scheme_scenario(scheme, units.ms(3), units.ms(3)), 61
+            )).per_flow_gbps
             assert sum(rates) > 0
             assert 0 < jain_fairness(rates) <= 1
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
-            fairness_cell("bogus", 4, units.ms(1), units.ms(1), 61)
+            scheme_scenario("bogus", units.ms(1), units.ms(1))
 
     def test_qcn_arm_is_a_pure_function_of_its_cell(self):
         # the result cache keys a cell by (fn, kwargs): the QCN arm's
         # jittered increase timers must seed from the cell, not the OS
+        scenario = scheme_scenario("qcn", units.ms(2), units.ms(1))
         results = {
-            tuple(
-                fairness_cell("qcn", 4, units.ms(2), units.ms(1), seed=0)[
-                    "per_flow_gbps"
-                ]
-            )
+            tuple(SingleSwitchFairnessResult.from_run(
+                "qcn", _run(scenario, 0)
+            ).per_flow_gbps)
             for _ in range(5)
         }
         assert len(results) == 1
+
+
+#: the drivers of the five ids that build on incast_scenario / parking_flows
+PORTED_DRIVERS = (run_fig19, run_fig20, run_incast_sweep, run_ablations, run_sec4)
+
+#: what the report-mode guard finds in their smoke arms: only the §4
+#: relations, checked at build time, where the paper mis-sets them on purpose
+GUARD_FINDINGS = {
+    # cut-off Kmin 40 000 B >= the dynamic bound 21 756 B, on both switches
+    "fig20/cutoff": {("buffer.ecn_before_pfc", "A"), ("buffer.ecn_before_pfc", "B")},
+    # DCTCP's 160 KB cut-off
+    "fig19/dctcp": {("buffer.ecn_before_pfc", "S1")},
+    # static t_PFC 24.47 KB under Kmin 122 KB / Kmax 200 KB
+    "sec4/misconfigured": {
+        ("buffer.ecn_before_pfc", "S1"),
+        ("buffer.kmax_vs_pfc", "S1"),
+    },
+}
+
+
+class TestPortedIds:
+    @pytest.fixture
+    def smoke_in_process(self, monkeypatch, tmp_path):
+        """Smoke scale, no cache, every cell in this process."""
+        for name, value in (("scale", "smoke"), ("cache", "off"), ("jobs", "1"),
+                            ("results_dir", str(tmp_path))):
+            monkeypatch.setenv(runtime.VARS[name].env, value)
+        return monkeypatch
+
+    def test_the_guard_flags_exactly_the_arms_the_paper_mis_sets(
+        self, smoke_in_process
+    ):
+        from repro.invariants import InvariantConfig
+        from repro.runner import Scenario
+        from repro.runner import scenario as scenario_module
+
+        reports = {}
+
+        def guarded_cell(spec, seed):
+            # the build-time checks fire at t = 0, so 200 us is enough
+            scenario = dataclasses.replace(
+                Scenario.from_spec(spec),
+                warmup_ns=units.us(50),
+                duration_ns=units.us(150),
+                invariants=InvariantConfig(mode="report"),
+            )
+            result = _run(scenario, seed)
+            reports[scenario.label] = result.invariant_report
+            return result.to_json()
+
+        smoke_in_process.setattr(scenario_module, "run_scenario_cell", guarded_cell)
+        for driver in PORTED_DRIVERS:
+            driver()
+        assert len(reports) == 15 and set(GUARD_FINDINGS) <= set(reports)
+        for label, report in reports.items():
+            found = {(v["name"], v["component"]) for v in report["violations"]}
+            assert report["checks"] > 0, label
+            assert found == GUARD_FINDINGS.get(label, set()), label
+
+    @pytest.mark.parametrize("driver", PORTED_DRIVERS)
+    def test_a_failed_cell_fails_its_id(self, driver, smoke_in_process):
+        from repro.runner import scenario as scenario_module
+
+        def broken(spec, seed):
+            raise RuntimeError("cell patched to fail")
+
+        smoke_in_process.setattr(scenario_module, "run_scenario_cell", broken)
+        with pytest.raises(RuntimeError, match="cells failed.*patched to fail"):
+            driver()

@@ -260,6 +260,95 @@ class TestScenarioPhases:
         assert result.flow_stats == []
 
 
+class TestWatch:
+    """``TelemetrySpec.watch``: one switch port, from warmup to horizon."""
+
+    INTERVAL_NS = units.us(10)
+
+    def scenario(self, watch="-1", **telemetry):
+        from repro.sim.switch import SwitchConfig
+        from repro.telemetry import TelemetrySpec
+
+        return Scenario(
+            topology="single_switch",
+            flows=tuple(
+                FlowSpec(name=f"s{i}", src=str(i), dst="-1", cc=cc)
+                for i, cc in enumerate(("none", "none", "dcqcn"))
+            ),
+            warmup_ns=units.us(300),
+            duration_ns=units.us(405),
+            # a static PAUSE threshold, so the window sees PAUSE and marks
+            topology_kwargs={
+                "n_hosts": 4,
+                "switch_config": SwitchConfig(pfc_mode="static"),
+            },
+            telemetry=TelemetrySpec(watch=watch, **telemetry),
+        )
+
+    def run_by_hand(self, scenario):
+        from repro.runner.scenario import build, collect, instrument
+        from repro.telemetry import Telemetry
+
+        run = build(scenario, 3, Telemetry())
+        instrument(run)
+        run.net.run_for(scenario.warmup_ns)
+        run.snapshot()
+        (switch,) = run.net.switches
+        armed = self.counts(switch)
+        run.net.run_for(scenario.duration_ns)
+        return run, switch, armed, collect(run)
+
+    @staticmethod
+    def counts(switch):
+        return switch.pause_frames_sent, switch.marked_packets, switch.dropped_packets
+
+    def test_unset_adds_neither_samples_nor_counters(self):
+        from repro.runner import run_scenario_inline
+
+        result, _ = run_scenario_inline(
+            dataclasses.replace(self.scenario(), telemetry=None), 3
+        )
+        assert result.samples == {}
+        assert not [name for name in result.counters if name.startswith("watch.")]
+        clone = Scenario.from_spec(json.loads(json.dumps(self.scenario().spec())))
+        assert clone.telemetry.watch == "-1"
+
+    def test_samples_span_the_window_only(self):
+        scenario = self.scenario(queue_sample_ns=self.INTERVAL_NS)
+        run, _, _, result = self.run_by_hand(scenario)
+        times = run.watch[2].times_ns
+        assert times[0] == scenario.warmup_ns + self.INTERVAL_NS
+        assert times[-1] <= run.horizon_ns
+        assert len(times) == scenario.duration_ns // self.INTERVAL_NS
+        assert result.samples["queue_bytes"] == run.watch[2].samples_bytes
+        assert max(result.samples["queue_bytes"]) > 0
+
+    def test_counters_are_the_switch_deltas(self):
+        _, switch, armed, result = self.run_by_hand(self.scenario())
+        deltas = [now - then for now, then in zip(self.counts(switch), armed)]
+        assert [
+            result.counters[f"watch.{name}"]
+            for name in ("pause_frames", "marked", "dropped")
+        ] == deltas
+        assert deltas[0] > 0 and deltas[1] > 0
+        assert "queue_bytes" not in result.samples
+
+    def test_a_host_with_no_switch_port_is_named(self):
+        from repro.runner.scenario import build
+        from repro.telemetry import Telemetry
+
+        run = build(self.scenario(watch="lonely"), 3, Telemetry())
+        run.net.new_host("lonely")
+        with pytest.raises(ValueError, match="'lonely'"):
+            run.snapshot()
+
+    def test_a_sharded_watch_is_refused(self):
+        from repro.shard.spec import ShardingSpec
+
+        with pytest.raises(ValueError, match="watch"):
+            dataclasses.replace(self.scenario(), sharding=ShardingSpec(shards=2))
+
+
 class TestResultsSchema:
     def test_sweep_round_trip(self):
         sweep = SweepResult(
