@@ -17,15 +17,62 @@ two-flow microbenchmark:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro import units
 from repro.core.params import DCQCNParams
-from repro.runner import Cell, execute, format_table
-from repro.runner import scale
-from repro.runner.scenario import decode_value, encode_value
+from repro.runner import FlowSpec, RunResult, Scenario, format_table, run_arms, scale
+from repro.sim.switch import SwitchConfig
+from repro.telemetry import TelemetrySpec
+
+#: both figures sample each flow's goodput this often
+RATE_SAMPLE_NS = units.us(500)
+
+
+def two_flow_scenario(
+    label: str,
+    params: DCQCNParams,
+    duration_ns: int,
+    second_start_ns: int,
+    second_initial_rate_bps: Optional[float] = None,
+) -> Scenario:
+    """Two greedy DCQCN senders, ``first`` and ``second``, into one
+    receiver through one switch; ``second`` starts at
+    ``second_start_ns``.  The switch marks with, and both flows run,
+    ``params``; both flows' rates are sampled every 500 us from t = 0."""
+    return Scenario(
+        topology="single_switch",
+        flows=(
+            FlowSpec(name="first", src="0", dst="2", cc="dcqcn"),
+            FlowSpec(
+                name="second",
+                src="1",
+                dst="2",
+                cc="dcqcn",
+                start_ns=second_start_ns,
+                initial_rate_bps=second_initial_rate_bps,
+            ),
+        ),
+        duration_ns=duration_ns,
+        topology_kwargs={
+            "n_hosts": 3,
+            "switch_config": SwitchConfig(marking=params),
+            "dcqcn_params": params,
+        },
+        label=label,
+        telemetry=TelemetrySpec(rate_sample_ns=RATE_SAMPLE_NS),
+    )
+
+
+def _series(run: RunResult, flow: str) -> np.ndarray:
+    return np.asarray(run.samples[f"rate_bps.{flow}"])
+
+
+def _sample_times_s(count: int) -> np.ndarray:
+    """When a :func:`two_flow_scenario` run took its ``count`` samples."""
+    return np.arange(1, count + 1) * RATE_SAMPLE_NS / 1e9
 
 
 @dataclass
@@ -35,6 +82,26 @@ class FluidVsSimResult:
     times_s: np.ndarray
     sim_rate_bps: np.ndarray
     fluid_rate_bps: np.ndarray
+
+    @classmethod
+    def from_run(cls, scenario: Scenario, run: RunResult) -> "FluidVsSimResult":
+        """``run``'s second-sender series against the fluid model of the
+        same ``scenario``, integrated here at dt = 2 us."""
+        from repro.fluid.model import FluidParams, simulate
+
+        sim_rates = _series(run, "second")
+        sim_times = _sample_times_s(len(sim_rates))
+        fluid_params = FluidParams.from_dcqcn(
+            scenario.topology_kwargs["dcqcn_params"], num_flows=2
+        )
+        trace = simulate(
+            fluid_params,
+            duration_s=scenario.duration_ns / 1e9,
+            dt_s=2e-6,
+            start_times_s=np.array([0.0, scenario.flows[1].start_ns / 1e9]),
+        )
+        fluid_rates = np.interp(sim_times, trace.times_s, trace.rc_bps[:, 0, 1])
+        return cls(sim_times, sim_rates, fluid_rates)
 
     def normalized_rmse(self) -> float:
         """RMSE between the traces, normalized by the line-rate scale."""
@@ -63,71 +130,23 @@ class FluidVsSimResult:
         return format_table(["t (ms)", "sim Gbps", "fluid Gbps"], rows)
 
 
-def fluid_vs_sim_cell(
-    duration_ns: int,
-    second_start_ns: int,
-    params: Dict[str, Any],
-    sample_interval_ns: int,
-    seed: int,
-) -> Dict[str, Any]:
-    """Figure 10's packet-sim + fluid-model pair — worker entry point."""
-    from repro.fluid.model import FluidParams, simulate
-    from repro.sim.monitor import RateSampler
-    from repro.sim.switch import SwitchConfig
-    from repro.sim.topology import single_switch
-
-    dcqcn_params = decode_value(params)
-    net, _, hosts = single_switch(
-        3,
-        seed=seed,
-        switch_config=SwitchConfig(marking=dcqcn_params),
-        dcqcn_params=dcqcn_params,
+def fig10_scenario(duration_ns: int, second_start_ns: int) -> Scenario:
+    """Figure 10's packet half: the two-flow ramp under the deployed
+    parameters."""
+    return two_flow_scenario(
+        "fig10", DCQCNParams.deployed(), duration_ns, second_start_ns
     )
-    receiver = hosts[2]
-    first = net.add_flow(hosts[0], receiver, cc="dcqcn")
-    second = net.add_flow(hosts[1], receiver, cc="dcqcn", start_ns=second_start_ns)
-    first.set_greedy()
-    second.set_greedy()
-    sampler = RateSampler(
-        net.engine, [first, second], sample_interval_ns, stop_ns=duration_ns
-    )
-    net.run_for(duration_ns)
-    sim_times = np.asarray(sampler.times_ns) / 1e9
-    sim_rates = np.asarray(sampler.series(second))
-
-    fluid_params = FluidParams.from_dcqcn(dcqcn_params, num_flows=2)
-    trace = simulate(
-        fluid_params,
-        duration_s=duration_ns / 1e9,
-        dt_s=2e-6,
-        start_times_s=np.array([0.0, second_start_ns / 1e9]),
-    )
-    fluid_rates = np.interp(sim_times, trace.times_s, trace.rc_bps[:, 0, 1])
-    return {
-        "times_s": sim_times.tolist(),
-        "sim_rate_bps": sim_rates.tolist(),
-        "fluid_rate_bps": fluid_rates.tolist(),
-    }
 
 
 def run_fluid_vs_sim() -> FluidVsSimResult:
     """Figure 10: overlay packet-sim and fluid-model rate ramps."""
-    kwargs = {
-        "duration_ns": scale.pick(units.ms(40), units.ms(10)),
+    scenario = fig10_scenario(
+        scale.pick(units.ms(40), units.ms(10)),
         # the second sender starts inside even the 10 ms smoke horizon
-        "second_start_ns": scale.pick(units.ms(10), units.ms(2.5)),
-        "params": encode_value(DCQCNParams.deployed()),
-        "sample_interval_ns": units.us(500),
-        "seed": 7,
-    }
-    (value,) = execute(
-        [Cell("repro.experiments.fluid_validation:fluid_vs_sim_cell", kwargs)]
+        scale.pick(units.ms(10), units.ms(2.5)),
     )
-    return FluidVsSimResult(
-        times_s=np.asarray(value["times_s"]),
-        sim_rate_bps=np.asarray(value["sim_rate_bps"]),
-        fluid_rate_bps=np.asarray(value["fluid_rate_bps"]),
-    )
+    runs = run_arms("fig10", {"sim": (scenario, 7)})
+    return FluidVsSimResult.from_run(scenario, runs["sim"])
 
 
 #: Figure 13's four configurations.
@@ -165,88 +184,46 @@ class TwoFlowFairnessResult:
     times_s: np.ndarray = field(repr=False, default=None)
     rates_bps: np.ndarray = field(repr=False, default=None)  # (samples, 2)
 
-
-def two_flow_cell(
-    config_name: str,
-    duration_ns: int,
-    second_start_ns: int,
-    seed: int,
-    sample_interval_ns: int,
-    second_initial_rate_bps: Optional[float],
-) -> Dict[str, Any]:
-    """One Figure 13 panel — the worker-side entry point."""
-    from repro.sim.monitor import RateSampler
-    from repro.sim.switch import SwitchConfig
-    from repro.sim.topology import single_switch
-
-    params = FIG13_CONFIGS[config_name]
-    net, _, hosts = single_switch(
-        3, seed=seed, switch_config=SwitchConfig(marking=params), dcqcn_params=params
-    )
-    receiver = hosts[2]
-    first = net.add_flow(hosts[0], receiver, cc="dcqcn")
-    second = net.add_flow(
-        hosts[1],
-        receiver,
-        cc="dcqcn",
-        start_ns=second_start_ns,
-        initial_rate_bps=second_initial_rate_bps,
-    )
-    first.set_greedy()
-    second.set_greedy()
-    sampler = RateSampler(
-        net.engine, [first, second], sample_interval_ns, stop_ns=duration_ns
-    )
-    net.run_for(duration_ns)
-    rates = np.stack(
-        [np.asarray(sampler.series(first)), np.asarray(sampler.series(second))],
-        axis=1,
-    )
-    times = np.asarray(sampler.times_ns) / 1e9
-    return {"times_s": times.tolist(), "rates_bps": rates.tolist()}
+    @classmethod
+    def from_run(cls, config: str, run: RunResult) -> "TwoFlowFairnessResult":
+        rates = np.stack([_series(run, "first"), _series(run, "second")], axis=1)
+        # steady state: trailing half of the run
+        tail = rates[len(rates) // 2 :]
+        means = tail.mean(axis=0)
+        stds = tail.std(axis=0)
+        return cls(
+            config=config,
+            mean_rate_gbps=(means[0] / 1e9, means[1] / 1e9),
+            rate_gap_gbps=abs(means[0] - means[1]) / 1e9,
+            rate_std_gbps=(stds[0] / 1e9, stds[1] / 1e9),
+            times_s=_sample_times_s(len(rates)),
+            rates_bps=rates,
+        )
 
 
-_TWO_FLOW_FN = "repro.experiments.fluid_validation:two_flow_cell"
-
-
-def _two_flow_result(config: str, value: Dict[str, Any]) -> TwoFlowFairnessResult:
-    times = np.asarray(value["times_s"])
-    rates = np.asarray(value["rates_bps"])
-    # steady state: trailing half of the run
-    tail = rates[len(rates) // 2 :]
-    means = tail.mean(axis=0)
-    stds = tail.std(axis=0)
-    return TwoFlowFairnessResult(
-        config=config,
-        mean_rate_gbps=(means[0] / 1e9, means[1] / 1e9),
-        rate_gap_gbps=abs(means[0] - means[1]) / 1e9,
-        rate_std_gbps=(stds[0] / 1e9, stds[1] / 1e9),
-        times_s=times,
-        rates_bps=rates,
-    )
-
-
-def run_all_validations() -> Dict[str, TwoFlowFairnessResult]:
-    """All four Figure 13 panels (fanned out across workers): two
-    staggered greedy flows on one switch under each configuration.
+def fig13_scenario(config: str, duration_ns: int) -> Scenario:
+    """One Figure 13 panel: the two-flow microbenchmark under
+    ``FIG13_CONFIGS[config]``, the second flow entering at 5 ms.
 
     The second flow is seeded at 5 Gbps (the §5.2 convergence setup):
     the testbed's unfairness is seeded by hardware noise that a
     deterministic simulator does not have, so the asymmetry the
     configs must (or must not) repair is injected explicitly.
     """
-    kwargs = {
-        "duration_ns": scale.pick(units.ms(150), units.ms(12)),
-        "second_start_ns": units.ms(5),
-        "seed": 11,
-        "sample_interval_ns": units.us(500),
-        "second_initial_rate_bps": units.gbps(5),
-    }
-    cells = [
-        Cell(_TWO_FLOW_FN, dict(kwargs, config_name=name)) for name in FIG13_CONFIGS
-    ]
-    values = execute(cells)
+    return two_flow_scenario(
+        f"fig13/{config}",
+        FIG13_CONFIGS[config],
+        duration_ns,
+        units.ms(5),
+        second_initial_rate_bps=units.gbps(5),
+    )
+
+
+def run_all_validations() -> Dict[str, TwoFlowFairnessResult]:
+    """All four Figure 13 panels, fanned out across workers."""
+    duration_ns = scale.pick(units.ms(150), units.ms(12))
+    arms = {name: (fig13_scenario(name, duration_ns), 11) for name in FIG13_CONFIGS}
+    runs = run_arms("fig13", arms)
     return {
-        name: _two_flow_result(name, value)
-        for name, value in zip(FIG13_CONFIGS, values)
+        name: TwoFlowFairnessResult.from_run(name, run) for name, run in runs.items()
     }

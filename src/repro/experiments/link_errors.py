@@ -7,8 +7,9 @@ frame forces the sender to rewind and retransmit everything in flight,
 so goodput collapses at loss rates that would barely dent a SACK-style
 transport.
 
-This experiment injects a per-frame error probability on the host's
-access link and measures goodput versus loss rate.  An idealized
+This experiment injects a per-frame error probability on the
+receiver's access link (an :class:`~repro.faults.ErrorBurst` that
+spans the run) and measures goodput versus loss rate.  An idealized
 "selective repeat" upper bound (goodput = line rate x (1 - p)) is
 printed alongside, making the go-back-N penalty visible.
 """
@@ -16,11 +17,16 @@ printed alongside, making the go-back-N penalty visible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import List
 
 from repro import units
-from repro.runner import Cell, execute
-from repro.runner import scale
+from repro.faults import ErrorBurst, FaultPlan
+from repro.runner import FlowSpec, RunResult, Scenario, run_arms, scale
+from repro.sim.network import DEFAULT_LINK_RATE_BPS
+from repro.sim.nic import NicConfig
+
+#: the injected per-frame loss rates of the sweep
+LOSS_RATES = (0.0, 1e-4, 1e-3, 0.01, 0.05)
 
 
 @dataclass
@@ -29,14 +35,29 @@ class LossSweepPoint:
 
     loss_rate: float
     goodput_gbps: float
-    ideal_selective_gbps: float
+    line_rate_bps: float
     retransmitted_packets: int
     rto_fires: int
+
+    @classmethod
+    def from_run(cls, loss_rate: float, run: RunResult) -> "LossSweepPoint":
+        return cls(
+            loss_rate=loss_rate,
+            goodput_gbps=run.throughput_gbps("sender"),
+            line_rate_bps=DEFAULT_LINK_RATE_BPS,
+            retransmitted_packets=int(run.metric("flow.retransmits")),
+            rto_fires=int(run.metric("nic.rto_fires")),
+        )
+
+    @property
+    def ideal_selective_gbps(self) -> float:
+        """A selective-repeat transport resends only the lost frames."""
+        return self.line_rate_bps * (1.0 - self.loss_rate) / 1e9
 
     @property
     def efficiency(self) -> float:
         """Goodput relative to the loss-free ideal."""
-        return self.goodput_gbps / 40.0
+        return self.goodput_gbps * 1e9 / self.line_rate_bps
 
     def row(self) -> List[str]:
         return [
@@ -57,53 +78,26 @@ LOSS_HEADERS = [
 ]
 
 
-def loss_cell(
-    loss_rate: float,
-    duration_ns: int,
-    rto_ns: int,
-    seed: int,
-) -> Dict[str, Any]:
-    """One greedy flow through a lossy access link — worker entry point."""
-    from repro.runner.scale import derive_seed
-    from repro.sim.nic import NicConfig
-    from repro.sim.topology import single_switch
-
-    net, switch, hosts = single_switch(
-        3, seed=seed, nic_config=NicConfig(rto_ns=rto_ns)
+def sec7_scenario(loss_rate: float, duration_ns: int) -> Scenario:
+    """One greedy DCQCN flow whose switch->receiver hop drops each frame
+    with probability ``loss_rate`` (data direction only; ACKs and NACKs
+    ride the clean reverse hop), under a 1 ms RTO."""
+    faults = None
+    if loss_rate > 0:
+        faults = FaultPlan((ErrorBurst("S1", "2", loss_rate, 0, duration_ns),))
+    return Scenario(
+        topology="single_switch",
+        flows=(FlowSpec(name="sender", src="0", dst="2", cc="dcqcn"),),
+        duration_ns=duration_ns,
+        topology_kwargs={"n_hosts": 3, "nic_config": NicConfig(rto_ns=units.ms(1))},
+        label=f"sec7/loss={loss_rate}",
+        faults=faults,
     )
-    sender, receiver = hosts[0], hosts[2]
-    # corrupt frames on the switch->receiver hop (data direction only;
-    # ACKs/NACKs ride the clean reverse hop).  The error RNG gets its
-    # own derived stream so it can never alias another consumer of the
-    # run seed (the old ``seed + 1`` collided with the next base seed).
-    switch.port_to(receiver.nic).set_error_rate(
-        loss_rate, seed=derive_seed(seed, "link_errors.access_link")
-    )
-    flow = net.add_flow(sender, receiver, cc="dcqcn")
-    flow.set_greedy()
-    net.run_for(duration_ns)
-    goodput = flow.bytes_delivered * 8e9 / duration_ns / 1e9
-    return {
-        "loss_rate": loss_rate,
-        "goodput_gbps": goodput,
-        "ideal_selective_gbps": 40.0 * (1.0 - loss_rate),
-        "retransmitted_packets": flow.retransmitted_packets,
-        "rto_fires": sender.nic.rto_fires,
-    }
-
-
-_CELL_FN = "repro.experiments.link_errors:loss_cell"
 
 
 def run_loss_sweep() -> List[LossSweepPoint]:
     """Goodput vs injected loss rate (the §7 sensitivity), fanned out."""
-    kwargs = {
-        "duration_ns": scale.pick(units.ms(10), units.ms(2)),
-        "rto_ns": units.ms(1),
-        "seed": 97,
-    }
-    cells = [
-        Cell(_CELL_FN, dict(kwargs, loss_rate=rate))
-        for rate in (0.0, 1e-4, 1e-3, 0.01, 0.05)
-    ]
-    return [LossSweepPoint(**value) for value in execute(cells)]
+    duration_ns = scale.pick(units.ms(10), units.ms(2))
+    arms = {rate: (sec7_scenario(rate, duration_ns), 97) for rate in LOSS_RATES}
+    runs = run_arms("sec7", arms)
+    return [LossSweepPoint.from_run(rate, run) for rate, run in runs.items()]

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro import units
-from repro.cc import available_cc
 from repro.core.params import DCQCNParams
 from repro.runner import FlowSpec, RunResult, Scenario, run_arms, scale
 from repro.sim.switch import SwitchConfig
@@ -44,8 +43,6 @@ def incast_scenario(
     counters cover the window, and ``queue_sample_ns`` samples the
     bottleneck queue into ``samples["queue_bytes"]``.
     """
-    if cc not in available_cc():
-        raise ValueError(f"unknown congestion controller {cc!r}")
     receiver = str(degree)
     return Scenario(
         topology="single_switch",

@@ -97,8 +97,10 @@ class RunResult:
     flows_bps: Dict[str, float] = field(default_factory=dict)
     #: cumulative counters at end of run (PAUSE frames, drops, ...)
     counters: Dict[str, float] = field(default_factory=dict)
-    #: time series over the window; only ``TelemetrySpec.watch`` fills
-    #: it, with ``queue_bytes`` when the spec sets ``queue_sample_ns``
+    #: time series a :class:`~repro.telemetry.TelemetrySpec` asks for:
+    #: ``queue_bytes``, the ``watch`` port over the window when the spec
+    #: sets ``queue_sample_ns``; and ``rate_bps.<flow name>``, each
+    #: flow's goodput over every ``rate_sample_ns`` interval from t = 0
     samples: Dict[str, List[float]] = field(default_factory=dict)
     #: metrics registry snapshot ({"counters": ..., "gauges": ...,
     #: "histograms": ...}) under the stable names of

@@ -165,6 +165,13 @@ class FlowSpec:
     message_count: int = 1
 
     def __post_init__(self) -> None:
+        from repro.cc import available_cc
+
+        if self.cc not in available_cc():
+            raise ValueError(
+                f"flow {self.name!r}: unknown congestion controller {self.cc!r}; "
+                f"choose from {available_cc()}"
+            )
         if self.cc_params is not None:
             for key, value in self.cc_params.items():
                 if not isinstance(key, str):
@@ -265,10 +272,16 @@ class Scenario:
                     "sharding must be a ShardingSpec, "
                     f"got {type(self.sharding).__name__}"
                 )
-            if self.telemetry is not None and self.telemetry.watch is not None:
+            telemetry = self.telemetry
+            if telemetry is not None and telemetry.watch is not None:
                 raise ValueError(
                     "a watched port lives in one shard; "
                     "TelemetrySpec.watch needs a serial run"
+                )
+            if telemetry is not None and telemetry.rate_sample_ns is not None:
+                raise ValueError(
+                    "a flow's rate series is sampled where it is delivered; "
+                    "TelemetrySpec.rate_sample_ns needs a serial run"
                 )
 
     def spec(self) -> Dict[str, Any]:
@@ -378,24 +391,26 @@ def build_scenario_network(scenario: Scenario, seed: int):
 
 def _install_samplers(
     net, scenario: Scenario, telemetry: Telemetry, local_names=None
-) -> None:
-    """Install the samplers a :class:`TelemetrySpec` asks for.
+):
+    """Install the samplers a :class:`TelemetrySpec` asks for; returns
+    the flows' :class:`~repro.sim.monitor.RateSampler`, or ``None``.
 
     Queue samplers watch every egress port of every switch and feed the
     shared ``switch.queue_bytes`` histogram (unless the spec has a
     ``watch``, whose one port :func:`_arm_watch` samples from the end
-    of warmup); the rate sampler watches every flow.  All stop at the
-    scenario horizon (``warmup + duration``) — they must not keep the
-    event loop alive forever.
+    of warmup); the rate sampler watches every flow, from t = 0.  All
+    stop at the scenario horizon (``warmup + duration``) — they must
+    not keep the event loop alive forever.
 
-    ``local_names`` (repro.shard) restricts sampling to one shard's
-    devices and to flows delivering there; merged sample histograms are
-    per-shard aggregates, not the serial global aggregate (see
-    DESIGN.md §14 for this documented divergence).
+    ``local_names`` (repro.shard) restricts queue sampling to one
+    shard's devices; merged sample histograms are per-shard aggregates,
+    not the serial global aggregate (see DESIGN.md §14 for this
+    documented divergence).  A rate series never reaches a shard: a
+    scenario that asks for one runs serial.
     """
     spec = scenario.telemetry
     if spec is None:
-        return
+        return None
     from repro.sim.monitor import QueueSampler, RateSampler, TierQueueSampler
 
     def local(name: str) -> bool:
@@ -439,18 +454,15 @@ def _install_samplers(
                         tracer=telemetry.tracer,
                         histogram=histogram,
                     )
-    if spec.rate_sample_ns is not None:
-        # goodput accrues at the destination NIC, so a flow is sampled
-        # in its destination's shard
-        flows = [f for f in net.flows if local(f.dst.name)]
-        if flows:
-            RateSampler(
-                net.engine,
-                flows,
-                interval_ns=spec.rate_sample_ns,
-                stop_ns=stop_ns,
-                tracer=telemetry.tracer,
-            )
+    if spec.rate_sample_ns is None:
+        return None
+    return RateSampler(
+        net.engine,
+        net.flows,
+        interval_ns=spec.rate_sample_ns,
+        stop_ns=stop_ns,
+        tracer=telemetry.tracer,
+    )
 
 
 @dataclass
@@ -479,6 +491,8 @@ class ScenarioRun:
     #: the armed ``TelemetrySpec.watch``: its switch, that switch's
     #: ``watch.*`` counts when armed, and the queue sampler (or None)
     watch: Optional[Tuple[Any, Dict[str, int], Any]] = None
+    #: the ``TelemetrySpec.rate_sample_ns`` sampler of every flow
+    rate_sampler: Optional[Any] = None
 
     @property
     def horizon_ns(self) -> int:
@@ -606,7 +620,9 @@ def instrument(run: ScenarioRun, profiler=None) -> None:
     scenario = run.scenario
     if profiler is not None:
         profiler.install(run.net.engine)
-    _install_samplers(run.net, scenario, run.telemetry, local_names=run.local_names)
+    run.rate_sampler = _install_samplers(
+        run.net, scenario, run.telemetry, local_names=run.local_names
+    )
     if scenario.faults is not None:
         from repro.faults import install_plan
 
@@ -649,6 +665,9 @@ def collect(run: ScenarioRun) -> RunResult:
         counters.update((k, v - armed[k]) for k, v in _watch_counts(switch).items())
         if sampler is not None:
             samples["queue_bytes"] = list(sampler.samples_bytes)
+    if run.rate_sampler is not None:
+        for name, flow in run.flows:
+            samples[f"rate_bps.{name}"] = list(run.rate_sampler.series(flow))
     rows = collect_flow_stats(net, {flow.flow_id: name for name, flow in run.flows})
     if run.local_names is not None:
         # rows are sender-side bookkeeping, so only the shard that

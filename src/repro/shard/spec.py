@@ -108,17 +108,20 @@ def serial_reason(scenario) -> Optional[str]:
     Only ``fabric`` topologies have the pod structure the partitioner
     needs; the deadlock watchdog walks a global wait-for graph no
     single shard can see, so a plan that asks for one needs the serial
-    run to get its scans at all, as does a ``TelemetrySpec.watch``
-    port; and a daemonic process (a process-pool worker) may not spawn
-    children.  ``repro run --shards N`` prints the reason, every other
-    caller just stays serial.
+    run to get its scans at all, as do a ``TelemetrySpec.watch`` port
+    and a ``rate_sample_ns`` series; and a daemonic process (a
+    process-pool worker) may not spawn children.  ``repro run --shards
+    N`` prints the reason, every other caller just stays serial.
     """
     if scenario.topology != "fabric":
         return f"{scenario.topology!r} topology runs serial"
     if scenario.faults is not None and scenario.faults.watchdog is not None:
         return "the deadlock watchdog needs the whole wait-for graph"
-    if scenario.telemetry is not None and scenario.telemetry.watch is not None:
+    telemetry = scenario.telemetry
+    if telemetry is not None and telemetry.watch is not None:
         return "a watched port lives in one shard"
+    if telemetry is not None and telemetry.rate_sample_ns is not None:
+        return "a flow's rate series is sampled where it is delivered"
     if multiprocessing.current_process().daemon:
         return "a daemonic process cannot spawn shard workers"
     return None

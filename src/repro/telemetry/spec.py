@@ -36,7 +36,8 @@ class TelemetrySpec:
     samplers on every switch port / flow of a scenario run, feeding
     ``sample.queue`` / ``sample.rate`` events and the
     ``switch.queue_bytes`` histogram (how Figures 12/19 are
-    reconstructed from a trace).
+    reconstructed from a trace); each flow's rate series also lands in
+    ``RunResult.samples["rate_bps.<flow name>"]`` (Figures 10/13).
 
     ``watch`` names one host by locator (resolved like
     ``FlowSpec.dst``).  At the end of warmup the run watches the switch

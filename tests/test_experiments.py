@@ -8,12 +8,10 @@ calls the module's cell function or Scenario builder directly.
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro import runtime, units
 from repro.analysis.stats import jain_fairness, percentile
-from repro.core.params import DCQCNParams
 from repro.experiments.benchmark_traffic import (
     RESULT_HEADERS,
     VARIANTS,
@@ -30,10 +28,14 @@ from repro.experiments.buffer_settings import (
 from repro.experiments.fluid_validation import (
     FIG13_CONFIGS,
     FluidVsSimResult,
-    fluid_vs_sim_cell,
-    two_flow_cell,
+    TwoFlowFairnessResult,
+    fig10_scenario,
+    fig13_scenario,
+    run_all_validations,
+    run_fluid_vs_sim,
 )
 from repro.experiments.latency import QueueCdfResult, fig19_scenario, run_fig19
+from repro.experiments.link_errors import run_loss_sweep
 from repro.experiments.microbench import (
     IncastUtilizationResult,
     run_incast_sweep,
@@ -52,7 +54,6 @@ from repro.experiments.qcn_ablation import (
 )
 from repro.experiments.sweeps import Fig12Result, GQueueSummary, fig11_cell, fig12_cell
 from repro.runner import format_table, run_scenario, run_scenario_inline, scale
-from repro.runner.scenario import encode_value
 
 
 class TestCommon:
@@ -101,26 +102,16 @@ class TestPfcPathologies:
 
 class TestFluidValidation:
     def test_fluid_vs_sim_correlate(self):
-        value = fluid_vs_sim_cell(
-            duration_ns=units.ms(40),
-            second_start_ns=units.ms(5),
-            params=encode_value(DCQCNParams.deployed()),
-            sample_interval_ns=units.us(500),
-            seed=7,
-        )
-        result = FluidVsSimResult(**{k: np.asarray(v) for k, v in value.items()})
+        scenario = fig10_scenario(units.ms(40), units.ms(5))
+        result = FluidVsSimResult.from_run(scenario, _run(scenario, 7))
         assert result.correlation() > 0.6
         assert result.normalized_rmse() < 0.5
         assert "sim Gbps" in result.table()
 
     @staticmethod
     def steady_gap_gbps(config_name, duration_ns):
-        value = two_flow_cell(
-            config_name, duration_ns, units.ms(5), 11, units.us(500), units.gbps(5)
-        )
-        rates = np.asarray(value["rates_bps"])
-        tail = rates[len(rates) // 2 :].mean(axis=0)
-        return abs(tail[0] - tail[1]) / 1e9
+        run = _run(fig13_scenario(config_name, duration_ns), 11)
+        return TwoFlowFairnessResult.from_run(config_name, run).rate_gap_gbps
 
     def test_all_fig13_configs_run(self):
         for name in FIG13_CONFIGS:
@@ -262,8 +253,11 @@ class TestQcnAblation:
         assert len(results) == 1
 
 
-#: the drivers of the five ids that build on incast_scenario / parking_flows
-PORTED_DRIVERS = (run_fig19, run_fig20, run_incast_sweep, run_ablations, run_sec4)
+#: the drivers of the eight ids whose cells are Scenarios run through run_arms
+PORTED_DRIVERS = (
+    run_fig19, run_fig20, run_incast_sweep, run_ablations, run_sec4,
+    run_loss_sweep, run_fluid_vs_sim, run_all_validations,
+)
 
 #: what the report-mode guard finds in their smoke arms: only the §4
 #: relations, checked at build time, where the paper mis-sets them on purpose
@@ -272,6 +266,9 @@ GUARD_FINDINGS = {
     "fig20/cutoff": {("buffer.ecn_before_pfc", "A"), ("buffer.ecn_before_pfc", "B")},
     # DCTCP's 160 KB cut-off
     "fig19/dctcp": {("buffer.ecn_before_pfc", "S1")},
+    # the 40 KB cut-off of Figure 13's two strawman-marking panels
+    "fig13/strawman": {("buffer.ecn_before_pfc", "S1")},
+    "fig13/fast_timer_cutoff": {("buffer.ecn_before_pfc", "S1")},
     # static t_PFC 24.47 KB under Kmin 122 KB / Kmax 200 KB
     "sec4/misconfigured": {
         ("buffer.ecn_before_pfc", "S1"),
@@ -313,7 +310,7 @@ class TestPortedIds:
         smoke_in_process.setattr(scenario_module, "run_scenario_cell", guarded_cell)
         for driver in PORTED_DRIVERS:
             driver()
-        assert len(reports) == 15 and set(GUARD_FINDINGS) <= set(reports)
+        assert len(reports) == 25 and set(GUARD_FINDINGS) <= set(reports)
         for label, report in reports.items():
             found = {(v["name"], v["component"]) for v in report["violations"]}
             assert report["checks"] > 0, label

@@ -3,7 +3,8 @@
 import pytest
 
 from repro import units
-from repro.experiments.link_errors import LossSweepPoint, loss_cell
+from repro.experiments.link_errors import LossSweepPoint, sec7_scenario
+from repro.runner import run_scenario_inline
 from repro.sim.nic import NicConfig
 from repro.sim.topology import single_switch
 
@@ -100,8 +101,9 @@ class TestPauseDurationAccounting:
 
 
 def loss_point(loss_rate: float, duration_ns: int) -> LossSweepPoint:
-    """One point of the §7 sweep, at the sweep's RTO and seed."""
-    return LossSweepPoint(**loss_cell(loss_rate, duration_ns, units.ms(1), 97))
+    """One point of the §7 sweep, at the sweep's seed."""
+    result, _ = run_scenario_inline(sec7_scenario(loss_rate, duration_ns), 97)
+    return LossSweepPoint.from_run(loss_rate, result)
 
 
 class TestLossSweepExperiment:

@@ -188,6 +188,27 @@ class TestScenario:
                 flows=(FlowSpec("f", "0", "1"), FlowSpec("f", "1", "2")),
             )
 
+    def test_an_unknown_controller_fails_before_any_cell_runs(
+        self, isolated_results, monkeypatch
+    ):
+        from repro.runner import run_sweep
+        from repro.runner import scenario as scenario_module
+
+        ran = []
+        monkeypatch.setattr(
+            scenario_module, "run_scenario_cell", lambda spec, seed: ran.append(seed)
+        )
+        with pytest.raises(ValueError, match="'bogus'"):
+            run_sweep("cc", {"bogus": Scenario(
+                topology="single_switch",
+                flows=(FlowSpec("f", "0", "1", cc="bogus"),),
+            )}, [0])
+        assert ran == []
+        spec = self.scenario().spec()
+        spec["flows"][0]["cc"] = "bogus"
+        with pytest.raises(ValueError, match="'bogus'"):
+            Scenario.from_spec(spec)
+
     def test_run_scenario_returns_run_results(self, isolated_results):
         runs = run_scenario(self.scenario(), seeds=[1, 2])
         assert [run.seed for run in runs] == [1, 2]
@@ -347,6 +368,71 @@ class TestWatch:
 
         with pytest.raises(ValueError, match="watch"):
             dataclasses.replace(self.scenario(), sharding=ShardingSpec(shards=2))
+
+
+class TestRateSamples:
+    """``TelemetrySpec.rate_sample_ns``: every flow's goodput series, in
+    ``RunResult.samples["rate_bps.<name>"]``."""
+
+    INTERVAL_NS = units.us(100)
+
+    def scenario(self, **fields):
+        from repro.telemetry import TelemetrySpec
+
+        return Scenario(
+            topology="single_switch",
+            flows=(
+                FlowSpec(name="a", src="0", dst="2", cc="dcqcn"),
+                FlowSpec(name="b", src="1", dst="2", cc="dcqcn", start_ns=units.us(300)),
+            ),
+            duration_ns=units.ms(1),
+            topology_kwargs={"n_hosts": 3},
+            telemetry=TelemetrySpec(rate_sample_ns=self.INTERVAL_NS),
+            **fields,
+        )
+
+    def test_series_equal_a_hand_built_sampler_on_the_same_run(self):
+        from repro.runner import run_scenario_inline
+        from repro.runner.scenario import build, collect, instrument
+        from repro.sim.monitor import RateSampler
+        from repro.telemetry import Telemetry
+
+        scenario = self.scenario()
+        run = build(scenario, 3, Telemetry())
+        instrument(run)
+        by_hand = RateSampler(
+            run.net.engine, run.net.flows, self.INTERVAL_NS, stop_ns=run.horizon_ns
+        )
+        run.snapshot()
+        run.net.run_for(scenario.duration_ns)
+        result = collect(run)
+        assert set(result.samples) == {"rate_bps.a", "rate_bps.b"}
+        for name, flow in run.flows:
+            assert result.samples[f"rate_bps.{name}"] == by_hand.series(flow)
+        assert len(by_hand.times_ns) == scenario.duration_ns // self.INTERVAL_NS
+        late = result.samples["rate_bps.b"]
+        assert late[0] == 0 and max(late) > 0
+        inline, _ = run_scenario_inline(scenario, 3)
+        assert inline.samples == result.samples
+
+    def test_a_sharded_rate_series_is_refused(self):
+        from repro.shard.spec import ShardingSpec
+
+        with pytest.raises(ValueError, match="rate_sample_ns"):
+            self.scenario(sharding=ShardingSpec(shards=2))
+
+    def test_an_ambient_shard_count_stays_serial(self):
+        from repro.experiments.fabric_scale import fabric_incast_scenario
+        from repro.shard.spec import maybe_run_sharded, serial_reason
+        from repro.telemetry import TelemetrySpec
+
+        fabric = fabric_incast_scenario(k=4, duration_ns=units.us(300))
+        assert serial_reason(fabric) is None
+        sampled = dataclasses.replace(
+            fabric, telemetry=TelemetrySpec(rate_sample_ns=self.INTERVAL_NS)
+        )
+        assert "rate series" in serial_reason(sampled)
+        assert maybe_run_sharded(sampled, 0, ambient_shards=2) is None
 
 
 class TestResultsSchema:
