@@ -20,16 +20,16 @@ def test_fig18_four_configurations():
     # this arm.  The paper's other half, "this leads to poor
     # performance" of the user traffic, is recorded as not reproduced
     # (EXPERIMENTS.md, Fig 18 row): over 7 seeds the paired DCQCN minus
-    # no-PFC user p10 has median +0.03 Gbps, a coin flip, because our
+    # no-PFC user p10 has median -0.03 Gbps, a coin flip, because our
     # go-back-N retries forever (note 7).
     assert sum(no_pfc.dropped_packets) > 0
     assert sum(dcqcn.dropped_packets) == 0
     assert sum(none.dropped_packets) == 0
-    # fragile: holds at the 7-seed median but fails on 3 of 7 seeds
+    # fragile: fails on 2 of 7 seeds and at the 7-seed median (note 7)
     assert no_pfc.incast_p10_gbps() <= dcqcn.incast_p10_gbps()
 
     # misconfigured thresholds: PFC fires before ECN (PAUSE traffic is
     # back) and performance sits below properly configured DCQCN
-    # (fragile: fails on 1 of 7 seeds)
+    # (fragile: fails on 4 of 7 seeds and at the 7-seed median, note 7)
     assert misconf.incast_p10_gbps() <= dcqcn.incast_p10_gbps()
     assert misconf.total_spine_pauses() > dcqcn.total_spine_pauses()

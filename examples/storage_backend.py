@@ -15,7 +15,11 @@ import argparse
 
 from repro import units
 from repro.analysis.stats import summarize
-from repro.experiments.benchmark_traffic import traffic_cell
+from repro.experiments.benchmark_traffic import (
+    BenchmarkTrafficResult,
+    traffic_scenario,
+)
+from repro.runner import run_scenario
 
 
 def main() -> None:
@@ -31,26 +35,30 @@ def main() -> None:
 
     for variant, label in (("none", "PFC only"), ("dcqcn", "DCQCN")):
         # DCQCN flows start at line rate and need a few ms to settle
-        result = traffic_cell(
+        seed = 5000 + 17 * args.degree
+        scenario = traffic_scenario(
             variant,
             incast_degree=args.degree,
             n_pairs=args.pairs,
             warmup_ns=units.ms(8 if variant == "dcqcn" else 2),
             measure_ns=units.ms(8),
-            hosts_per_tor=5,
-            fresh_qp_per_message=False,
-            seed=5000 + 17 * args.degree,
+            fresh_qp=False,
+            seed=seed,
         )
-        user = summarize(result["user_bps"])
-        rebuild = summarize(result["incast_bps"])
+        (run,) = run_scenario(scenario, [seed])
+        result = BenchmarkTrafficResult.from_run(
+            variant, args.degree, args.pairs, run
+        )
+        user = summarize(result.user_bps)
+        rebuild = summarize(result.incast_bps)
         print(f"=== {label} ===")
         print(f"  user pairs     : median {user.median / 1e9:5.2f} Gbps, "
               f"p10 {user.p10 / 1e9:5.2f} Gbps")
         print(f"  rebuild senders: median {rebuild.median / 1e9:5.2f} Gbps, "
               f"p10 {rebuild.p10 / 1e9:5.2f} Gbps "
               f"(ideal fair share {40 / args.degree:.2f})")
-        print(f"  PAUSE frames at spines: {result['spine_pause_frames']}")
-        print(f"  packets dropped: {result['dropped_packets']}\n")
+        print(f"  PAUSE frames at spines: {result.total_spine_pauses()}")
+        print(f"  packets dropped: {sum(result.dropped_packets)}\n")
 
     print("DCQCN keeps the rebuild fair and the user traffic unharmed —\n"
           "the PAUSE storm (and the head-of-line blocking it causes) is gone.")

@@ -15,8 +15,8 @@ The package provides:
   t_PFC, t_ECN).
 * :mod:`repro.cc` — every congestion controller behind one interface:
   DCQCN and the DCTCP, QCN, TIMELY-like and FNCC-style comparison points.
-* :mod:`repro.traffic` — synthetic datacenter workloads (user traffic
-  + incast disk-rebuild events).
+* :mod:`repro.traffic` — flow-size distributions for a scenario's
+  message streams (``FlowSpec.message_sizes``).
 * :mod:`repro.hoststack` — the TCP vs RDMA host-overhead model behind
   the paper's motivation figure.
 * :mod:`repro.experiments` — one entry point per paper table/figure.

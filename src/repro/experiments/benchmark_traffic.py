@@ -17,22 +17,25 @@ Metrics follow the paper: median and 10th-percentile goodput of user
 pairs and of incast senders, plus the number of PAUSE frames received
 at the spine switches (Figure 15).
 
-Every (configuration, repetition) is one executor cell, and the
-figure-level drivers flatten *all* their cells into a single
-:func:`repro.runner.execute` call, so an entire figure fans out across
-cores at once.
+Every configuration is one :class:`~repro.runner.Scenario`
+(:func:`traffic_scenario`), and each figure sends all of its
+configurations through one :func:`~repro.runner.run_arms` call, so an
+entire figure fans out across cores at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+import random
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from repro import units
 from repro.analysis.stats import percentile
 from repro.core.params import DCQCNParams
-from repro.runner import Cell, execute, format_table
+from repro.experiments.fct_grid import STREAM
+from repro.runner import FlowSpec, RunResult, Scenario, format_table, run_arms
 from repro.runner import scale
+from repro.runner.scale import derive_seed
 from repro.sim.switch import SwitchConfig
 
 VARIANTS = ("none", "dcqcn", "dcqcn_no_pfc", "dcqcn_misconfigured")
@@ -68,19 +71,28 @@ class BenchmarkTrafficResult:
     variant: str
     incast_degree: int
     n_pairs: int
-    repetitions: int
-    measure_ms: float
-    user_bps: List[float] = field(default_factory=list)
-    incast_bps: List[float] = field(default_factory=list)
-    spine_pause_frames: List[int] = field(default_factory=list)
-    dropped_packets: List[int] = field(default_factory=list)
+    user_bps: List[float]
+    incast_bps: List[float]
+    #: one entry per run, counted over the whole run (warmup included)
+    spine_pause_frames: List[int]
+    dropped_packets: List[int]
 
-    def add(self, value: Dict[str, Any]) -> None:
-        """Fold in one repetition, as :func:`traffic_cell` returned it."""
-        self.user_bps.extend(value["user_bps"])
-        self.incast_bps.extend(value["incast_bps"])
-        self.spine_pause_frames.append(value["spine_pause_frames"])
-        self.dropped_packets.append(value["dropped_packets"])
+    @classmethod
+    def from_run(
+        cls, variant: str, incast_degree: int, n_pairs: int, run: RunResult
+    ) -> "BenchmarkTrafficResult":
+        """Read one :func:`traffic_scenario` run: goodput over its
+        measurement window, spine PAUSE and drops over the whole run
+        (the no-PFC variant's losses cluster around transfer starts)."""
+        return cls(
+            variant=variant,
+            incast_degree=incast_degree,
+            n_pairs=n_pairs,
+            user_bps=[run.flows_bps[f"user{p}"] for p in range(n_pairs)],
+            incast_bps=[run.flows_bps[f"incast{k}"] for k in range(incast_degree)],
+            spine_pause_frames=[int(run.counters["spine_rx_pause"])],
+            dropped_packets=[int(run.counters["drops"])],
+        )
 
     def user_median_gbps(self) -> float:
         return percentile(self.user_bps, 50) / 1e9
@@ -124,87 +136,70 @@ RESULT_HEADERS = [
 ]
 
 
-def traffic_cell(
+def traffic_scenario(
     variant: str,
     incast_degree: int,
     n_pairs: int,
     warmup_ns: int,
     measure_ns: int,
-    hosts_per_tor: int,
-    fresh_qp_per_message: bool,
+    fresh_qp: bool,
     seed: int,
-) -> Dict[str, Any]:
-    """One (configuration, repetition) — the worker-side entry point.
+) -> Scenario:
+    """One benchmark-traffic configuration on the Clos testbed.
 
-    Each repetition rebuilds the Clos fabric with a fresh seed (new
-    ECMP placement, new random pairs and incast participants), runs
-    ``warmup + measure`` of simulated time and accounts goodput over
-    the measurement window only.
+    ``seed`` draws the placement: a receiver and ``incast_degree``
+    senders of greedy disk-rebuild flows (``incast<k>``), then
+    ``n_pairs`` user pairs (``user<p>``) among the other hosts, each a
+    closed-loop stream of storage-cluster transfers, fresh queue pairs
+    when ``fresh_qp``.  Goodput is measured over the ``measure_ns``
+    after ``warmup_ns``.
     """
-    from repro.sim.topology import three_tier_clos
-    from repro.traffic.distributions import storage_cluster
-    from repro.traffic.workload import (
-        IncastWorkload,
-        UserTrafficWorkload,
-        pick_incast_participants,
-    )
-
+    if incast_degree < 1:
+        raise ValueError("a disk rebuild needs at least one sender")
     cc, switch_config = variant_setup(variant)
-    spec = three_tier_clos(
-        hosts_per_tor=hosts_per_tor, seed=seed, switch_config=switch_config
+    # the testbed's 4 ToRs of 5 hosts each, tor-major
+    hosts = [f"{tor}:{index}" for tor in range(4) for index in range(5)]
+    rng = random.Random(derive_seed(seed, "placement"))
+    receiver, *senders = rng.sample(hosts, incast_degree + 1)
+    flows = [
+        FlowSpec(name=f"incast{k}", src=sender, dst=receiver, cc=cc)
+        for k, sender in enumerate(senders)
+    ]
+    eligible = [host for host in hosts if host != receiver]
+    for p in range(n_pairs):
+        src = rng.choice(eligible)
+        dst = rng.choice([host for host in eligible if host != src])
+        flows.append(FlowSpec(
+            name=f"user{p}",
+            src=src,
+            dst=dst,
+            cc=cc,
+            greedy=False,
+            message_sizes="storage_cluster",
+            message_count=STREAM,
+            fresh_qp=fresh_qp,
+        ))
+    return Scenario(
+        topology="three_tier_clos",
+        flows=tuple(flows),
+        warmup_ns=warmup_ns,
+        duration_ns=measure_ns,
+        topology_kwargs={"switch_config": switch_config},
+        label=f"traffic/{variant}/{incast_degree}:1/{n_pairs}pairs",
     )
-    hosts = spec.all_hosts()
-    receiver, senders = pick_incast_participants(
-        hosts, incast_degree, spec.net.rng
-    )
-    incast = IncastWorkload(spec.net, receiver, senders, cc=cc)
-    users = UserTrafficWorkload(
-        spec.net,
-        hosts,
-        n_pairs,
-        distribution=storage_cluster(),
-        cc=cc,
-        seed=seed + 1,
-        exclude=[receiver],
-        fresh_qp_per_message=fresh_qp_per_message,
-    )
-    users.start()
-    spec.net.run_for(warmup_ns)
-    user_before = [pair.flow.bytes_delivered for pair in users.pairs]
-    incast_before = [flow.bytes_delivered for flow in incast.flows]
-    pauses_before = spec.spine_pause_frames()
-    spec.net.run_for(measure_ns)
-    return {
-        "user_bps": [
-            (pair.flow.bytes_delivered - before) * 8e9 / measure_ns
-            for pair, before in zip(users.pairs, user_before)
-        ],
-        "incast_bps": [
-            (flow.bytes_delivered - before) * 8e9 / measure_ns
-            for flow, before in zip(incast.flows, incast_before)
-        ],
-        "spine_pause_frames": spec.spine_pause_frames() - pauses_before,
-        # drops are reported for the whole run (warmup included): the
-        # no-PFC variant's losses cluster around transfer starts
-        "dropped_packets": spec.net.total_drops(),
-    }
 
-
-_CELL_FN = "repro.experiments.benchmark_traffic:traffic_cell"
 
 #: user pairs, unless a figure varies them
 N_PAIRS = 20
 
 
 def _run(
-    configs: Sequence[Tuple[str, int, int]], fresh_qp_per_message: bool = False
+    name: str, configs: Sequence[Tuple[str, int, int]], fresh_qp: bool = False
 ) -> List[BenchmarkTrafficResult]:
-    """One result per ``(variant, incast degree, #pairs)``, with every
-    repetition of every configuration in ONE executor fan-out."""
-    repetitions = scale.pick(1, 1)
+    """One result per ``(variant, incast degree, #pairs)``, every
+    configuration in ONE :func:`run_arms` fan-out."""
     measure_ns = scale.pick(units.ms(8), units.ms(2))
-    results: List[BenchmarkTrafficResult] = []
-    cells: List[Cell] = []
+    arms = {}
     for variant, incast_degree, n_pairs in configs:
         cc, _ = variant_setup(variant)
         warmup_ns = (
@@ -212,45 +207,31 @@ def _run(
             if cc == "dcqcn"
             else units.ms(2)
         )
-        results.append(BenchmarkTrafficResult(
-            variant=variant,
-            incast_degree=incast_degree,
-            n_pairs=n_pairs,
-            repetitions=repetitions,
-            measure_ms=measure_ns / 1e6,
-        ))
-        cells += [
-            Cell(_CELL_FN, {
-                "variant": variant,
-                "incast_degree": incast_degree,
-                "n_pairs": n_pairs,
-                "warmup_ns": warmup_ns,
-                "measure_ns": measure_ns,
-                "hosts_per_tor": 5,
-                "fresh_qp_per_message": fresh_qp_per_message,
-                "seed": seed,
-            })
-            for seed in scale.seeds_for(repetitions, base=5000 + incast_degree * 17)
-        ]
-    values = iter(execute(cells))
-    for result in results:
-        for _ in range(repetitions):
-            result.add(next(values))
-    return results
+        seed = 5000 + incast_degree * 17
+        arms[variant, incast_degree, n_pairs] = (
+            traffic_scenario(
+                variant, incast_degree, n_pairs, warmup_ns, measure_ns, fresh_qp, seed
+            ),
+            seed,
+        )
+    runs = run_arms(name, arms)
+    return [
+        BenchmarkTrafficResult.from_run(*config, runs[config]) for config in configs
+    ]
 
 
 def run_fig15() -> Dict[str, BenchmarkTrafficResult]:
     """Figure 15: PAUSE frames at the spines under 10:1 incast, without
     and with DCQCN."""
     variants = ("none", "dcqcn")
-    return dict(zip(variants, _run([(v, 10, N_PAIRS) for v in variants])))
+    return dict(zip(variants, _run("fig15", [(v, 10, N_PAIRS) for v in variants])))
 
 
 def run_fig16() -> Dict[str, Dict[int, BenchmarkTrafficResult]]:
     """Figure 16: user/incast throughput vs incast degree."""
     variants = ("none", "dcqcn")
     degrees = scale.pick((2, 6, 10), (2, 6))
-    results = iter(_run([(v, d, N_PAIRS) for v in variants for d in degrees]))
+    results = iter(_run("fig16", [(v, d, N_PAIRS) for v in variants for d in degrees]))
     return {
         variant: {degree: next(results) for degree in degrees}
         for variant in variants
@@ -272,7 +253,7 @@ def run_fig17() -> Dict[str, BenchmarkTrafficResult]:
     under 10:1 incast; the paper shows the CDFs match, i.e. DCQCN
     carries 16x the user load at the same per-pair performance.
     """
-    none_result, dcqcn_result = _run([("none", 10, 5), ("dcqcn", 10, 80)])
+    none_result, dcqcn_result = _run("fig17", [("none", 10, 5), ("dcqcn", 10, 80)])
     return {"none_5pairs": none_result, "dcqcn_80pairs": dcqcn_result}
 
 
@@ -286,4 +267,4 @@ def run_fig18() -> Dict[str, BenchmarkTrafficResult]:
     PFC".
     """
     configs = [(variant, 8, N_PAIRS) for variant in VARIANTS]
-    return dict(zip(VARIANTS, _run(configs, fresh_qp_per_message=True)))
+    return dict(zip(VARIANTS, _run("fig18", configs, fresh_qp=True)))

@@ -189,6 +189,9 @@ class TwoFlowFairnessResult:
         rates = np.stack([_series(run, "first"), _series(run, "second")], axis=1)
         # steady state: trailing half of the run
         tail = rates[len(rates) // 2 :]
+        if not len(tail):
+            raise ValueError(f"{run.label}: no rate sample to judge; the run "
+                             f"ended before its first {RATE_SAMPLE_NS} ns sample")
         means = tail.mean(axis=0)
         stds = tail.std(axis=0)
         return cls(

@@ -34,6 +34,8 @@ topology:
 from __future__ import annotations
 
 import dataclasses
+import functools
+import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -41,6 +43,7 @@ from repro import runtime, units
 from repro.fabric import FabricSpec, build_fabric
 from repro.runner.executor import Cell, execute
 from repro.runner.results import RunFailure, RunResult, SweepPoint, SweepResult
+from repro.runner.scale import derive_seed
 from repro.shard.spec import maybe_run_sharded
 from repro.telemetry import Telemetry, TelemetrySpec
 from repro.telemetry.flowstats import collect_flow_stats
@@ -149,6 +152,11 @@ class FlowSpec:
     closed-loop stream: each completion immediately queues the next
     transfer, back to back, the paper's Fig 16 benchmark-traffic shape;
     every transfer lands as its own row in ``RunResult.flow_stats``.
+    ``message_sizes`` instead names a distribution in
+    :mod:`repro.traffic.distributions`, and each transfer draws its size
+    from the flow's own stream, ``derive_seed(seed, "sizes.<name>")``.
+    ``fresh_qp`` runs each next transfer as a new queue pair, which
+    forgets its congestion state and starts at line rate (paper §3.1).
     """
 
     name: str
@@ -163,6 +171,8 @@ class FlowSpec:
     message_bytes: Optional[int] = None
     message_start_ns: int = 0
     message_count: int = 1
+    message_sizes: Optional[str] = None
+    fresh_qp: bool = False
 
     def __post_init__(self) -> None:
         from repro.cc import available_cc
@@ -181,20 +191,33 @@ class FlowSpec:
                         f"cc_params[{key!r}] must be a scalar, "
                         f"got {type(value).__name__}"
                     )
-        if self.message_bytes is not None:
-            if self.message_bytes <= 0:
-                raise ValueError("message_bytes must be positive")
-            if self.greedy:
+        if self.message_bytes is not None and self.message_bytes <= 0:
+            raise ValueError("message_bytes must be positive")
+        if self.message_sizes is not None:
+            from repro.traffic.distributions import DISTRIBUTIONS
+
+            if self.message_sizes not in DISTRIBUTIONS:
                 raise ValueError(
-                    "a message probe cannot also be greedy; "
-                    "set greedy=False"
+                    f"flow {self.name!r}: unknown message_sizes "
+                    f"{self.message_sizes!r}; choose from {sorted(DISTRIBUTIONS)}"
                 )
+            if self.message_bytes is not None:
+                raise ValueError("message_sizes draws every size; drop message_bytes")
+        if self._sends_messages and self.greedy:
+            raise ValueError("a message probe cannot also be greedy; set greedy=False")
         if self.message_start_ns < 0:
             raise ValueError("message_start_ns must be >= 0")
         if self.message_count < 1:
             raise ValueError("message_count must be >= 1")
-        if self.message_count > 1 and self.message_bytes is None:
-            raise ValueError("message_count needs message_bytes")
+        if self.message_count > 1 and not self._sends_messages:
+            raise ValueError("message_count needs message_bytes or message_sizes")
+        if self.fresh_qp and self.message_count == 1:
+            raise ValueError("fresh_qp restarts the transfers of a stream; "
+                             "set message_count > 1")
+
+    @property
+    def _sends_messages(self) -> bool:
+        return self.message_bytes is not None or self.message_sizes is not None
 
 
 #: topology name -> builder; extended via :func:`register_topology`
@@ -545,15 +568,28 @@ def _arm_watch(run: ScenarioRun, spec: TelemetrySpec):
     return port.owner, _watch_counts(port.owner), sampler
 
 
-def _closed_loop(size: int, budget: int):
-    """An ``on_message_complete`` callback that queues the next transfer
-    the instant one completes, until ``budget`` transfers are done."""
+def _closed_loop(next_size: Callable[[], int], budget: int, fresh_qp: bool):
+    """An ``on_message_complete`` callback that queues the next transfer,
+    of ``next_size()`` bytes, the instant one completes, until ``budget``
+    transfers are done; with ``fresh_qp`` on a new queue pair."""
 
     def next_message(done_flow, _message) -> None:
         if done_flow.messages_completed < budget:
-            done_flow.send_message(size)
+            if fresh_qp and done_flow.cc is not None:
+                done_flow.cc.reset_to_line_rate()
+            done_flow.send_message(next_size())
 
     return next_message
+
+
+def _message_sizes(run: ScenarioRun, flow_spec: FlowSpec) -> Callable[[], int]:
+    """The size of each next transfer of a message flow."""
+    if flow_spec.message_sizes is None:
+        return lambda: flow_spec.message_bytes
+    from repro.traffic.distributions import DISTRIBUTIONS
+
+    rng = random.Random(derive_seed(run.seed, f"sizes.{flow_spec.name}"))
+    return functools.partial(DISTRIBUTIONS[flow_spec.message_sizes]().sample, rng)
 
 
 def _open_flow(run: ScenarioRun, flow_spec: FlowSpec) -> None:
@@ -574,13 +610,14 @@ def _open_flow(run: ScenarioRun, flow_spec: FlowSpec) -> None:
         return
     if flow_spec.greedy:
         flow.set_greedy()
-    elif flow_spec.message_bytes is not None:
+    elif flow_spec._sends_messages:
+        next_size = _message_sizes(run, flow_spec)
         run.net.engine.schedule_at(
-            flow_spec.message_start_ns, flow.send_message, flow_spec.message_bytes
+            flow_spec.message_start_ns, flow.send_message, next_size()
         )
         if flow_spec.message_count > 1:
             flow.on_message_complete = _closed_loop(
-                flow_spec.message_bytes, flow_spec.message_count
+                next_size, flow_spec.message_count, flow_spec.fresh_qp
             )
         run.message_probes.append((flow_spec.name, flow))
 

@@ -3,11 +3,10 @@
 The paper could not replay its production trace either; it extracted
 "salient characteristics... such as flow size distribution" and
 generated matching synthetic traffic.  This package does the same:
-
-* :mod:`repro.traffic.distributions` — inverse-CDF flow-size
-  distributions (a storage-backend mix plus the classic DCTCP ones).
-* :mod:`repro.traffic.workload` — closed-loop user-pair traffic and
-  incast (disk-rebuild) events on a simulated network.
+:mod:`repro.traffic.distributions` holds inverse-CDF flow-size
+distributions (a storage-backend mix plus the classic DCTCP ones),
+which a scenario's message streams draw from by name
+(``FlowSpec.message_sizes``).
 """
 
 from repro.traffic.distributions import (
@@ -16,18 +15,10 @@ from repro.traffic.distributions import (
     web_search,
     data_mining,
 )
-from repro.traffic.workload import (
-    UserPair,
-    UserTrafficWorkload,
-    IncastWorkload,
-)
 
 __all__ = [
     "FlowSizeDistribution",
     "storage_cluster",
     "web_search",
     "data_mining",
-    "UserPair",
-    "UserTrafficWorkload",
-    "IncastWorkload",
 ]

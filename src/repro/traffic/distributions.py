@@ -136,3 +136,7 @@ def data_mining() -> FlowSizeDistribution:
             (units.mb(100), 1.0),
         ],
     )
+
+
+#: name -> distribution, as ``FlowSpec.message_sizes`` names them
+DISTRIBUTIONS = {f.__name__: f for f in (storage_cluster, web_search, data_mining)}

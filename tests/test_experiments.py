@@ -16,7 +16,11 @@ from repro.experiments.benchmark_traffic import (
     RESULT_HEADERS,
     VARIANTS,
     BenchmarkTrafficResult,
-    traffic_cell,
+    run_fig15,
+    run_fig16,
+    run_fig17,
+    run_fig18,
+    traffic_scenario,
     variant_setup,
 )
 from repro.experiments.buffer_settings import (
@@ -121,6 +125,11 @@ class TestFluidValidation:
         with pytest.raises(KeyError):
             self.steady_gap_gbps("bogus", units.ms(1))
 
+    def test_a_run_without_a_rate_sample_is_refused(self):
+        # 200 us ends before the first 500 us sample
+        with pytest.raises(ValueError, match="fig13/deployed: no rate sample"):
+            self.steady_gap_gbps("deployed", units.us(200))
+
     def test_deployed_beats_strawman(self):
         assert self.steady_gap_gbps("deployed", units.ms(40)) < self.steady_gap_gbps(
             "strawman", units.ms(40)
@@ -155,14 +164,12 @@ class TestBenchmarkTraffic:
             variant_setup("tcp")
 
     def test_result_row_matches_headers(self):
-        result = BenchmarkTrafficResult(
-            variant="dcqcn", incast_degree=2, n_pairs=4, repetitions=1, measure_ms=2.0
+        scenario = traffic_scenario(
+            "dcqcn", 2, 4, units.ms(1), units.ms(2), fresh_qp=False, seed=5034
         )
-        result.add(traffic_cell(
-            "dcqcn", incast_degree=2, n_pairs=4, warmup_ns=units.ms(1),
-            measure_ns=units.ms(2), hosts_per_tor=2, fresh_qp_per_message=False,
-            seed=5034,
-        ))
+        result = BenchmarkTrafficResult.from_run(
+            "dcqcn", 2, 4, _run(scenario, 5034)
+        )
         assert len(result.row()) == len(RESULT_HEADERS)
         assert result.incast_median_gbps() > 0
         assert result.user_p10_gbps() >= 0
@@ -253,10 +260,11 @@ class TestQcnAblation:
         assert len(results) == 1
 
 
-#: the drivers of the eight ids whose cells are Scenarios run through run_arms
+#: the drivers of the twelve ids whose cells are Scenarios run through run_arms
 PORTED_DRIVERS = (
     run_fig19, run_fig20, run_incast_sweep, run_ablations, run_sec4,
     run_loss_sweep, run_fluid_vs_sim, run_all_validations,
+    run_fig15, run_fig16, run_fig17, run_fig18,
 )
 
 #: what the report-mode guard finds in their smoke arms: only the §4
@@ -273,6 +281,12 @@ GUARD_FINDINGS = {
     "sec4/misconfigured": {
         ("buffer.ecn_before_pfc", "S1"),
         ("buffer.kmax_vs_pfc", "S1"),
+    },
+    # the same static t_PFC and Kmin / Kmax in Figure 18, on all ten switches
+    "traffic/dcqcn_misconfigured/8:1/20pairs": {
+        (name, switch)
+        for name in ("buffer.ecn_before_pfc", "buffer.kmax_vs_pfc")
+        for switch in ("T1", "T2", "T3", "T4", "L1", "L2", "L3", "L4", "S1", "S2")
     },
 }
 
@@ -296,11 +310,15 @@ class TestPortedIds:
         reports = {}
 
         def guarded_cell(spec, seed):
-            # the build-time checks fire at t = 0, so 200 us is enough
+            # the build-time checks fire at t = 0, so 200 us is enough;
+            # a run that samples rates runs for the two samples its
+            # verdict reads
+            scenario = Scenario.from_spec(spec)
+            sample_ns = getattr(scenario.telemetry, "rate_sample_ns", None) or 0
             scenario = dataclasses.replace(
-                Scenario.from_spec(spec),
+                scenario,
                 warmup_ns=units.us(50),
-                duration_ns=units.us(150),
+                duration_ns=max(units.us(150), 2 * sample_ns - units.us(50)),
                 invariants=InvariantConfig(mode="report"),
             )
             result = _run(scenario, seed)
@@ -310,7 +328,7 @@ class TestPortedIds:
         smoke_in_process.setattr(scenario_module, "run_scenario_cell", guarded_cell)
         for driver in PORTED_DRIVERS:
             driver()
-        assert len(reports) == 25 and set(GUARD_FINDINGS) <= set(reports)
+        assert len(reports) == 37 and set(GUARD_FINDINGS) <= set(reports)
         for label, report in reports.items():
             found = {(v["name"], v["component"]) for v in report["violations"]}
             assert report["checks"] > 0, label

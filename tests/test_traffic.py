@@ -1,4 +1,6 @@
-"""Flow-size distributions and workload generators."""
+"""Flow-size distributions, and the workloads scenarios build from them:
+closed-loop message streams (``FlowSpec.message_sizes`` / ``fresh_qp``)
+and the benchmark traffic's user pairs and disk-rebuild incast."""
 
 import random
 
@@ -6,17 +8,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro import units
-from repro.sim.topology import single_switch, three_tier_clos
+from repro.analysis.stats import percentile
+from repro.experiments.benchmark_traffic import traffic_scenario
+from repro.experiments.fct_grid import STREAM
+from repro.runner import FlowSpec, Scenario
+from repro.runner.scale import derive_seed
+from repro.runner.scenario import run_scenario_inline
 from repro.traffic.distributions import (
     FlowSizeDistribution,
     data_mining,
     storage_cluster,
     web_search,
-)
-from repro.traffic.workload import (
-    IncastWorkload,
-    UserTrafficWorkload,
-    pick_incast_participants,
 )
 
 
@@ -82,114 +84,156 @@ class TestQuantiles:
             assert dist.quantile(0.5) > 0
 
 
-class TestUserTrafficWorkload:
-    def test_closed_loop_progresses(self):
-        net, _, hosts = single_switch(6, seed=3)
-        workload = UserTrafficWorkload(net, hosts, n_pairs=4, seed=1)
-        workload.start()
-        net.run_for(units.ms(5))
-        completed = sum(p.flow.messages_completed for p in workload.pairs)
-        assert completed > 0
-        # the loop keeps refilling: at most one message gap per pair
-        for pair in workload.pairs:
-            assert len(pair.flow.messages) >= pair.flow.messages_completed
+def _stream(name, src, dst, **kwargs):
+    return FlowSpec(
+        name=name, src=src, dst=dst, greedy=False,
+        message_sizes="storage_cluster", message_count=STREAM, **kwargs,
+    )
 
-    def test_start_twice_rejected(self):
-        net, _, hosts = single_switch(4, seed=3)
-        workload = UserTrafficWorkload(net, hosts, n_pairs=2, seed=1)
-        workload.start()
-        with pytest.raises(RuntimeError):
-            workload.start()
+
+def _streams(cc="none", fresh_qp=False, duration_ns=units.ms(5)):
+    """Two closed-loop storage-cluster streams through one switch."""
+    return Scenario(
+        topology="single_switch",
+        flows=(
+            _stream("user0", "0", "1", cc=cc, fresh_qp=fresh_qp),
+            _stream("user1", "2", "3", cc=cc, fresh_qp=fresh_qp),
+        ),
+        duration_ns=duration_ns,
+        topology_kwargs={"n_hosts": 4},
+    )
+
+
+@pytest.fixture(scope="module")
+def streams_run():
+    return run_scenario_inline(_streams(), seed=3)[0]
+
+
+def _rows(run, flow):
+    return sorted(
+        (row for row in run.flow_stats if row["flow"] == flow),
+        key=lambda row: row["msg"],
+    )
+
+
+def _placements(seeds=range(5), degree=4, n_pairs=20):
+    for seed in seeds:
+        scenario = traffic_scenario(
+            "dcqcn", degree, n_pairs, units.ms(1), units.ms(1), False, seed
+        )
+        incast = [f for f in scenario.flows if f.name.startswith("incast")]
+        users = [f for f in scenario.flows if f.name.startswith("user")]
+        yield incast, users
+
+
+class TestUserTrafficWorkload:
+    """User pairs: closed-loop ``message_sizes`` streams, and where
+    :func:`traffic_scenario` places them."""
+
+    def test_closed_loop_progresses(self, streams_run):
+        for flow in ("user0", "user1"):
+            rows = _rows(streams_run, flow)
+            completed = [row for row in rows if row["fct_ns"] is not None]
+            assert completed
+            # the loop keeps refilling: at most the last transfer is open
+            assert rows[: len(completed)] == completed
+            assert len(rows) - len(completed) <= 1
+
+    def test_sizes_follow_the_per_flow_draws_in_order(self, streams_run):
+        for flow in ("user0", "user1"):
+            rng = random.Random(derive_seed(3, f"sizes.{flow}"))
+            sizes = [row["size_bytes"] for row in _rows(streams_run, flow)]
+            assert sizes == [storage_cluster().sample(rng) for _ in sizes]
+
+    def test_fresh_qp_resets_once_per_completed_transfer(self, monkeypatch):
+        from repro.cc.dcqcn import DcqcnControl
+
+        resets = []
+        reset = DcqcnControl.reset_to_line_rate
+        monkeypatch.setattr(
+            DcqcnControl, "reset_to_line_rate",
+            lambda control: resets.append(control) or reset(control),
+        )
+        for fresh_qp in (False, True):
+            resets.clear()
+            run = run_scenario_inline(
+                _streams("dcqcn", fresh_qp, units.ms(3)), seed=3
+            )[0]
+            completed = sum(row["fct_ns"] is not None for row in run.flow_stats)
+            assert completed > 1
+            assert len(resets) == (completed if fresh_qp else 0)
 
     def test_excluded_hosts_not_used(self):
-        net, _, hosts = single_switch(6, seed=3)
-        banned = hosts[0]
-        workload = UserTrafficWorkload(
-            net, hosts, n_pairs=8, seed=2, exclude=[banned]
-        )
-        for pair in workload.pairs:
-            assert pair.src is not banned
-            assert pair.dst is not banned
+        # the incast receiver is never in a user pair
+        for incast, users in _placements():
+            receiver = incast[0].dst
+            assert all(receiver not in (f.src, f.dst) for f in users)
 
     def test_pairs_never_self_directed(self):
-        net, _, hosts = single_switch(6, seed=3)
-        workload = UserTrafficWorkload(net, hosts, n_pairs=20, seed=5)
-        assert all(p.src is not p.dst for p in workload.pairs)
+        for _, users in _placements(n_pairs=40):
+            assert all(f.src != f.dst for f in users)
 
-    def test_throughput_metrics(self):
-        net, _, hosts = single_switch(4, seed=3)
-        workload = UserTrafficWorkload(net, hosts, n_pairs=2, seed=1)
-        workload.start()
-        net.run_for(units.ms(5))
-        rates = workload.pair_throughputs_bps(units.ms(5))
-        assert len(rates) == 2
-        assert all(rate > 0 for rate in rates)
-        assert workload.completed_message_throughputs_bps()
+    def test_throughput_metrics(self, streams_run):
+        assert set(streams_run.flows_bps) == {"user0", "user1"}
+        assert all(rate > 0 for rate in streams_run.flows_bps.values())
 
     def test_validation(self):
-        net, _, hosts = single_switch(4, seed=3)
-        with pytest.raises(ValueError):
-            UserTrafficWorkload(net, hosts, n_pairs=0)
-        with pytest.raises(ValueError):
-            UserTrafficWorkload(net, hosts[:1], n_pairs=1)
+        def stream(**kwargs):
+            return FlowSpec(name="u", src="0", dst="1", **kwargs)
+
+        with pytest.raises(ValueError, match="unknown message_sizes"):
+            stream(greedy=False, message_sizes="pareto")
+        with pytest.raises(ValueError, match="drop message_bytes"):
+            stream(greedy=False, message_sizes="web_search", message_bytes=1000)
+        with pytest.raises(ValueError, match="greedy"):
+            stream(message_sizes="web_search")
+        with pytest.raises(ValueError, match="fresh_qp"):
+            stream(greedy=False, message_bytes=1000, fresh_qp=True)
+        with pytest.raises(ValueError, match="fresh_qp"):
+            stream(fresh_qp=True)
+        # one drawn transfer is a probe, not a stream, and needs no budget
+        assert stream(greedy=False, message_sizes="web_search").message_count == 1
 
 
 class TestIncastWorkload:
+    """The disk-rebuild incast :func:`traffic_scenario` draws."""
+
     def test_all_senders_stream(self):
-        net, _, hosts = single_switch(5, seed=3)
-        incast = IncastWorkload(net, hosts[-1], hosts[:4])
-        net.run_for(units.ms(5))
-        rates = incast.sender_throughputs_bps(units.ms(5))
-        assert incast.degree == 4
+        scenario = traffic_scenario(
+            "none", 4, 2, units.ms(1), units.ms(2), False, seed=3
+        )
+        run = run_scenario_inline(scenario, seed=3)[0]
+        rates = [run.flows_bps[f"incast{k}"] for k in range(4)]
         assert all(rate > units.gbps(1) for rate in rates)
 
     def test_receiver_cannot_send_to_itself(self):
-        net, _, hosts = single_switch(4, seed=3)
-        with pytest.raises(ValueError):
-            IncastWorkload(net, hosts[0], hosts[:2])
+        for incast, _ in _placements():
+            assert len({f.dst for f in incast}) == 1
+            assert all(f.src != f.dst for f in incast)
 
     def test_needs_senders(self):
-        net, _, hosts = single_switch(4, seed=3)
         with pytest.raises(ValueError):
-            IncastWorkload(net, hosts[0], [])
+            traffic_scenario("dcqcn", 0, 4, units.ms(1), units.ms(1), False, 0)
 
     def test_pick_participants(self):
-        net, _, hosts = single_switch(6, seed=3)
-        receiver, senders = pick_incast_participants(hosts, 3, random.Random(1))
-        assert receiver not in senders
-        assert len(set(senders)) == 3
+        for incast, _ in _placements(degree=6):
+            assert len(incast) == 6
+            assert len({f.src for f in incast}) == 6
 
     def test_pick_participants_bounds(self):
-        net, _, hosts = single_switch(3, seed=3)
+        # 20 hosts on the Clos: a 20:1 incast needs 21
         with pytest.raises(ValueError):
-            pick_incast_participants(hosts, 3, random.Random(1))
+            traffic_scenario("dcqcn", 20, 4, units.ms(1), units.ms(1), False, 0)
 
 
 class TestFctMetrics:
-    def test_fcts_collected(self):
-        net, _, hosts = single_switch(4, seed=3)
-        workload = UserTrafficWorkload(net, hosts, n_pairs=2, seed=1)
-        workload.start()
-        net.run_for(units.ms(5))
-        fcts = workload.message_fcts_ns()
-        assert fcts
-        assert all(fct > 0 for fct in fcts)
+    def test_fcts_collected(self, streams_run):
+        fcts = [row["fct_ns"] for row in streams_run.flow_stats]
+        assert any(fct is not None for fct in fcts)
+        assert all(fct > 0 for fct in fcts if fct is not None)
 
-    def test_since_filter(self):
-        net, _, hosts = single_switch(4, seed=3)
-        workload = UserTrafficWorkload(net, hosts, n_pairs=2, seed=1)
-        workload.start()
-        net.run_for(units.ms(5))
-        late_only = workload.message_fcts_ns(since_ns=units.ms(4))
-        assert len(late_only) <= len(workload.message_fcts_ns())
-
-    def test_fct_p90_reasonable(self):
-        from repro.analysis.stats import percentile
-
-        net, _, hosts = single_switch(4, seed=3)
-        workload = UserTrafficWorkload(net, hosts, n_pairs=2, seed=1)
-        workload.start()
-        net.run_for(units.ms(8))
-        fcts = workload.message_fcts_ns()
-        # messages up to 16 MB at >= fair share finish within the run
-        assert percentile(fcts, 90) < units.ms(8)
+    def test_fct_p90_reasonable(self, streams_run):
+        fcts = [row["fct_ns"] for row in streams_run.flow_stats
+                if row["fct_ns"] is not None]
+        # transfers up to 16 MB at >= fair share finish within the run
+        assert percentile(fcts, 90) < streams_run.duration_ns
