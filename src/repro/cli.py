@@ -26,14 +26,13 @@ Fault injection (see DESIGN.md §9)::
 
 Hardened execution (see DESIGN.md §10)::
 
-    python -m repro run chaos-mid --invariants strict  # abort on 1st violation
+    python -m repro run chaos-mid --invariants report  # collect, don't abort
     python -m repro fig16 --timeout 300            # per-cell budget (s)
     python -m repro fig16                          # again: only the missing cells
 
 CC arena (see DESIGN.md §11)::
 
     python -m repro run arena                      # controller league table
-    python -m repro run arena --invariants strict  # ... guarded
 
 Result digests (see DESIGN.md §7)::
 
@@ -112,8 +111,8 @@ _SHARED_OPTIONS = {
     ),
     "invariants": dict(
         choices=MODES,
-        help="run under the invariant guard ('strict' aborts on the "
-        "first violation, 'report' collects them)",
+        help="overlay a guard mode on a named scenario ('strict' aborts "
+        "on the first violation, 'report' collects them)",
     ),
     "seed": dict(type=int, default=0, help="simulation seed"),
     "faults": dict(
@@ -123,13 +122,9 @@ _SHARED_OPTIONS = {
     ),
 }
 
-#: registry experiments that read ``invariants`` (they arm the guard
-#: themselves); named scenarios get the mode overlaid by
-#: :func:`_prepare_scenario`, every other experiment would drop it
-_READS_INVARIANTS = frozenset({"arena"})
-
-#: options only a named scenario reads (:func:`run_scenario_main`)
-_SCENARIO_ONLY = ("faults", "shards", "seed")
+#: options only a named scenario reads (:func:`run_scenario_main`); an
+#: experiment's cells carry their own guard modes in their scenarios
+_SCENARIO_ONLY = ("faults", "shards", "seed", "invariants")
 
 
 def _add_shared(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -157,12 +152,6 @@ def _unread_option(experiment_id: str, args: argparse.Namespace) -> Optional[str
                 f"--{name} applies to named scenarios (see 'scenarios'), "
                 f"not to experiment {experiment_id!r}"
             )
-    if args.invariants is not None and experiment_id not in _READS_INVARIANTS:
-        return (
-            "--invariants applies to named scenarios and to "
-            f"{', '.join(sorted(_READS_INVARIANTS))}, not to experiment "
-            f"{experiment_id!r}"
-        )
     return None
 
 
@@ -512,7 +501,7 @@ def digest_main(argv: Sequence[str]) -> int:
 
     Every registered id runs at smoke scale with the cache on, each in
     its own fresh results directory, so the cells it leaves there are
-    its own; then every named scenario runs once, strict, at seed 0.
+    its own; then every named scenario runs once, as defined, at seed 0.
     Prints the manifest as JSON (see :mod:`repro.runner.digest`).
     """
     parser = argparse.ArgumentParser(
@@ -528,11 +517,9 @@ def digest_main(argv: Sequence[str]) -> int:
 
     from repro.runner import digest
 
-    # the one configuration the manifest is taken at; the arena would
-    # arm its cells from an ambient guard mode
+    # the one configuration the manifest is taken at
     os.environ[runtime.VARS["scale"].env] = "smoke"
     os.environ[runtime.VARS["cache"].env] = "on"
-    os.environ.pop(runtime.VARS["invariants"].env, None)
     manifest: dict = {"experiments": {}, "scenarios": {}}
     with tempfile.TemporaryDirectory() as root:
         for experiment in REGISTRY:

@@ -29,11 +29,11 @@ controller as the greedy flows:
 Each (controller, scenario) cell is scored on Jain fairness across
 the greedy flows, the probe-stream FCT and its slowdown tail
 (p50/p99 of FCT over ideal-FCT), the recovery FCT, PAUSE frames and
-drops, under the invariant guard when ``runtime.current().invariants``
-names a mode (report / strict).  The league table ranks controllers
-per metric per scenario and sorts by mean rank.  Scores are
-*simulation* outcomes under this repo's models — a small-league
-benchmark harness, not a verdict on the protocols.
+drops, every cell under the strict invariant guard (a breach fails
+the cell).  The league table ranks controllers per metric per scenario
+and sorts by mean rank.  Scores are *simulation* outcomes under this
+repo's models — a small-league benchmark harness, not a verdict on the
+protocols.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro import runtime, units
+from repro import units
 from repro.analysis.stats import jain_fairness
 from repro.experiments.multibottleneck import parking_flows
 from repro.runner import FlowSpec, Scenario, format_table, run_sweep, scale
@@ -146,20 +146,9 @@ def _probes(
     )
 
 
-def arena_scenario(
-    scenario_id: str, cc: str, guard_mode: Optional[str] = None
-) -> Scenario:
-    """Build one maze for one controller (same seed ⇒ same conditions).
-
-    ``guard_mode`` arms the invariant guard (``None``: unguarded).
-    """
+def arena_scenario(scenario_id: str, cc: str) -> Scenario:
+    """Build one maze for one controller (same seed ⇒ same conditions)."""
     warmup_ns, duration_ns = _horizon()
-    invariants = None
-    if guard_mode is not None:
-        from repro.invariants import InvariantConfig
-
-        invariants = InvariantConfig(mode=guard_mode)
-
     if scenario_id == "incast":
         greedy = tuple(
             FlowSpec(name=f"s{i}", src=str(i), dst="7", cc=cc)
@@ -173,7 +162,6 @@ def arena_scenario(
             warmup_ns=warmup_ns,
             duration_ns=duration_ns,
             label=f"arena/incast/{cc}",
-            invariants=invariants,
         )
 
     if scenario_id == "victim":
@@ -189,7 +177,6 @@ def arena_scenario(
             warmup_ns=warmup_ns,
             duration_ns=duration_ns,
             label=f"arena/victim/{cc}",
-            invariants=invariants,
         )
 
     if scenario_id == "multibottleneck":
@@ -200,7 +187,6 @@ def arena_scenario(
             warmup_ns=warmup_ns,
             duration_ns=duration_ns,
             label=f"arena/multibottleneck/{cc}",
-            invariants=invariants,
         )
 
     raise ValueError(
@@ -256,8 +242,6 @@ class ArenaResult:
     scores: Dict[Tuple[str, str], ArenaScore] = field(default_factory=dict)
     controllers: Tuple[str, ...] = ARENA_CONTROLLERS
     scenarios: Tuple[str, ...] = ARENA_SCENARIOS
-    #: invariant-guard mode every cell ran under (None: no guard armed)
-    guard_mode: Optional[str] = None
 
     def score(self, scenario: str, cc: str) -> ArenaScore:
         return self.scores[(scenario, cc)]
@@ -329,7 +313,8 @@ class ArenaResult:
             + format_table(["#", "cc", "mean rank"], standing_rows)
         )
         sections.append(
-            f"invariants[{self.guard_mode or 'off'}]: "
+            # every maze runs under the Scenario default, the strict guard
+            "invariants[strict]: "
             f"{self.total_violations():.0f} violations, "
             f"{self.total_failures()} failed cells"
         )
@@ -413,9 +398,8 @@ def run_arena(
     """Run the full tournament (fanned out as one sweep)."""
     if seeds is None:
         seeds = scale.seeds_for(scale.pick(2, 1), base=6000)
-    guard_mode = runtime.current().invariants
     built = {
-        (scenario_id, cc): arena_scenario(scenario_id, cc, guard_mode)
+        (scenario_id, cc): arena_scenario(scenario_id, cc)
         for scenario_id in scenarios
         for cc in controllers
     }
@@ -423,7 +407,6 @@ def run_arena(
     result = ArenaResult(
         controllers=tuple(controllers),
         scenarios=tuple(scenarios),
-        guard_mode=guard_mode,
     )
     for point in sweep.points:
         scenario_id, cc = point.value

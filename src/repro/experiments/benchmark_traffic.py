@@ -33,6 +33,7 @@ from repro import units
 from repro.analysis.stats import percentile
 from repro.core.params import DCQCNParams
 from repro.experiments.fct_grid import STREAM
+from repro.invariants import InvariantConfig
 from repro.runner import FlowSpec, RunResult, Scenario, format_table, run_arms
 from repro.runner import scale
 from repro.runner.scale import derive_seed
@@ -152,7 +153,7 @@ def traffic_scenario(
     ``n_pairs`` user pairs (``user<p>``) among the other hosts, each a
     closed-loop stream of storage-cluster transfers, fresh queue pairs
     when ``fresh_qp``.  Goodput is measured over the ``measure_ns``
-    after ``warmup_ns``.
+    after ``warmup_ns``.  The guard reports ``dcqcn_misconfigured``.
     """
     if incast_degree < 1:
         raise ValueError("a disk rebuild needs at least one sender")
@@ -186,6 +187,9 @@ def traffic_scenario(
         duration_ns=measure_ns,
         topology_kwargs={"switch_config": switch_config},
         label=f"traffic/{variant}/{incast_degree}:1/{n_pairs}pairs",
+        invariants=InvariantConfig(
+            mode="report" if variant == "dcqcn_misconfigured" else "strict"
+        ),
     )
 
 

@@ -8,6 +8,7 @@ the misconfigured static thresholds, PFC fires before ECN.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -15,6 +16,7 @@ from repro import units
 from repro.buffers.thresholds import ThresholdPlan, plan_thresholds
 from repro.core.params import DCQCNParams
 from repro.experiments.microbench import incast_scenario
+from repro.invariants import InvariantConfig
 from repro.runner import RunResult, Scenario, format_table, run_arms, scale
 from repro.sim.switch import SwitchConfig
 
@@ -85,7 +87,7 @@ class EcnBeforePfcCheck:
 def sec4_scenario(misconfigured: bool, warmup_ns: int, duration_ns: int) -> Scenario:
     """The 8:1 incast under the deployed thresholds, or under the
     Figure 18 mis-setting: static t_PFC = 24.47 KB and a marking
-    threshold 5x higher."""
+    threshold 5x higher, which the guard reports."""
     if not misconfigured:
         return incast_scenario("sec4/deployed", 8, warmup_ns, duration_ns)
     params = DCQCNParams.deployed().with_red_marking(
@@ -94,10 +96,11 @@ def sec4_scenario(misconfigured: bool, warmup_ns: int, duration_ns: int) -> Scen
     config = SwitchConfig(
         pfc_mode="static", t_pfc_static_bytes=units.kb(24.47), marking=params
     )
-    return incast_scenario(
+    scenario = incast_scenario(
         "sec4/misconfigured", 8, warmup_ns, duration_ns,
         params=params, switch_config=config,
     )
+    return dataclasses.replace(scenario, invariants=InvariantConfig(mode="report"))
 
 
 def run_sec4() -> Tuple[ThresholdPlan, List[EcnBeforePfcCheck]]:

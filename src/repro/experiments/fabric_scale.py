@@ -212,19 +212,12 @@ def thousand_host_scenario(duration_ns: Optional[int] = None) -> Scenario:
     executor timeout with invariants clean, not that it converges; the
     incast and both probes still complete transfers inside it.
     """
-    import dataclasses
-
-    from repro.invariants import InvariantConfig
-
-    scenario = fabric_incast_scenario(
+    return fabric_incast_scenario(
         k=16,
         degree=32,
         duration_ns=duration_ns
         or scale.pick(units.us(600), units.us(400)),
         label="fabric-1024",
-    )
-    return dataclasses.replace(
-        scenario, invariants=InvariantConfig(mode="report")
     )
 
 
@@ -258,8 +251,7 @@ class FabricRow:
     pause_frames: int = 0
     #: PAUSE frames received, by switch tier
     pause_rx: Dict[str, int] = field(default_factory=dict)
-    #: None when the run had no invariant guard armed
-    violations: Optional[int] = None
+    violations: int = 0
     #: probe slowdowns by size bucket
     slowdowns: Dict[str, fct.SlowdownSummary] = field(default_factory=dict)
     failures: int = 0
@@ -279,7 +271,7 @@ class FabricRow:
             str(self.drops),
             str(self.pause_frames),
             *(str(self.pause_rx[tier]) for tier in TIERS),
-            "off" if self.violations is None else str(self.violations),
+            str(self.violations),
         ]
 
 
@@ -319,8 +311,7 @@ def _fabric_row(k: int, scenario: Scenario, point) -> FabricRow:
     row.drops = int(run.counters["drops"])
     row.pause_frames = int(run.counters["pause_frames"])
     row.pause_rx = {tier: int(run.counters[f"pause_rx.{tier}"]) for tier in TIERS}
-    if run.invariant_report:
-        row.violations = int(run.invariant_report["violation_count"])
+    row.violations = int(run.invariant_report["violation_count"])
     row.slowdowns = fct.summarize_slowdowns(
         fct.records_from_runs([run]), fct.base_rtt_ns(hops=FABRIC_HOPS)
     )
@@ -329,7 +320,7 @@ def _fabric_row(k: int, scenario: Scenario, point) -> FabricRow:
 
 def run_fabric() -> FabricResult:
     """DCQCN incast across fat-tree sizes, one seed per size, in one
-    sweep; the k=16 cell is the guarded thousand-host run."""
+    sweep; the k=16 cell is the thousand-host run."""
     ks = scale.pick((4, 8, 16), (4,))
     scenarios = {
         k: thousand_host_scenario() if k == 16 else fabric_incast_scenario(k=k)

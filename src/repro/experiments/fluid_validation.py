@@ -16,14 +16,18 @@ two-flow microbenchmark:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro import units
 from repro.core.params import DCQCNParams
-from repro.runner import FlowSpec, RunResult, Scenario, format_table, run_arms, scale
+from repro.invariants import InvariantConfig
+from repro.runner import Cell, FlowSpec, RunResult, Scenario, execute, format_table
+from repro.runner import run_arms, scale, scenario_cells
+from repro.runner.scenario import raise_failures
 from repro.sim.switch import SwitchConfig
 from repro.telemetry import TelemetrySpec
 
@@ -84,24 +88,15 @@ class FluidVsSimResult:
     fluid_rate_bps: np.ndarray
 
     @classmethod
-    def from_run(cls, scenario: Scenario, run: RunResult) -> "FluidVsSimResult":
-        """``run``'s second-sender series against the fluid model of the
-        same ``scenario``, integrated here at dt = 2 us."""
-        from repro.fluid.model import FluidParams, simulate
-
+    def from_run(cls, run: RunResult, fluid_rates: List[float]) -> "FluidVsSimResult":
+        """``run``'s second-sender series against :func:`fluid_cell`'s,
+        sample for sample."""
         sim_rates = _series(run, "second")
-        sim_times = _sample_times_s(len(sim_rates))
-        fluid_params = FluidParams.from_dcqcn(
-            scenario.topology_kwargs["dcqcn_params"], num_flows=2
+        return cls(
+            _sample_times_s(len(sim_rates)),
+            sim_rates,
+            np.asarray(fluid_rates[: len(sim_rates)]),
         )
-        trace = simulate(
-            fluid_params,
-            duration_s=scenario.duration_ns / 1e9,
-            dt_s=2e-6,
-            start_times_s=np.array([0.0, scenario.flows[1].start_ns / 1e9]),
-        )
-        fluid_rates = np.interp(sim_times, trace.times_s, trace.rc_bps[:, 0, 1])
-        return cls(sim_times, sim_rates, fluid_rates)
 
     def normalized_rmse(self) -> float:
         """RMSE between the traces, normalized by the line-rate scale."""
@@ -138,15 +133,39 @@ def fig10_scenario(duration_ns: int, second_start_ns: int) -> Scenario:
     )
 
 
+def fluid_cell(spec: Mapping[str, Any]) -> List[float]:
+    """Figure 10's fluid half as an executor cell: the second sender's
+    rate under the fluid model of the :func:`two_flow_scenario` ``spec``,
+    integrated at dt = 2 us, at every time its rate sampler samples."""
+    from repro.fluid.model import FluidParams, simulate
+
+    scenario = Scenario.from_spec(spec)
+    fluid_params = FluidParams.from_dcqcn(
+        scenario.topology_kwargs["dcqcn_params"], num_flows=2
+    )
+    trace = simulate(
+        fluid_params,
+        duration_s=scenario.duration_ns / 1e9,
+        dt_s=2e-6,
+        start_times_s=np.array([0.0, scenario.flows[1].start_ns / 1e9]),
+    )
+    times_s = _sample_times_s(scenario.duration_ns // RATE_SAMPLE_NS)
+    return np.interp(times_s, trace.times_s, trace.rc_bps[:, 0, 1]).tolist()
+
+
 def run_fluid_vs_sim() -> FluidVsSimResult:
-    """Figure 10: overlay packet-sim and fluid-model rate ramps."""
+    """Figure 10: overlay packet-sim and fluid-model rate ramps, both
+    halves cells of one batch."""
     scenario = fig10_scenario(
         scale.pick(units.ms(40), units.ms(10)),
         # the second sender starts inside even the 10 ms smoke horizon
         scale.pick(units.ms(10), units.ms(2.5)),
     )
-    runs = run_arms("fig10", {"sim": (scenario, 7)})
-    return FluidVsSimResult.from_run(scenario, runs["sim"])
+    (sim,) = scenario_cells(scenario, [7])
+    cells = [sim, Cell(f"{__name__}:fluid_cell", {"spec": sim.kwargs["spec"]})]
+    run, fluid_rates = execute(cells, collect_failures=True)
+    raise_failures("fig10", [run, fluid_rates])
+    return FluidVsSimResult.from_run(RunResult.from_json(run), fluid_rates)
 
 
 #: Figure 13's four configurations.
@@ -211,15 +230,19 @@ def fig13_scenario(config: str, duration_ns: int) -> Scenario:
     The second flow is seeded at 5 Gbps (the §5.2 convergence setup):
     the testbed's unfairness is seeded by hardware noise that a
     deterministic simulator does not have, so the asymmetry the
-    configs must (or must not) repair is injected explicitly.
+    configs must (or must not) repair is injected explicitly.  The two
+    40 KB cut-off panels break §4's ECN-before-PFC on purpose, so the
+    guard reports them.
     """
-    return two_flow_scenario(
+    scenario = two_flow_scenario(
         f"fig13/{config}",
         FIG13_CONFIGS[config],
         duration_ns,
         units.ms(5),
         second_initial_rate_bps=units.gbps(5),
     )
+    mode = "report" if config in ("strawman", "fast_timer_cutoff") else "strict"
+    return dataclasses.replace(scenario, invariants=InvariantConfig(mode=mode))
 
 
 def run_all_validations() -> Dict[str, TwoFlowFairnessResult]:

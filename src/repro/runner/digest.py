@@ -5,9 +5,9 @@ The manifest holds, at ``--scale smoke``,
 * per registered experiment id, the sha256 of the table
   ``python -m repro <id>`` prints and one sha256 per cell the run left
   in its own (fresh) result cache, keyed ``fn#sha256(kwargs)[:12]``;
-* per named scenario, the sha256 of its ``RunResult`` under the strict
-  invariant guard at seed 0 (so ``invariant_report.checks`` is pinned
-  too).
+* per named scenario, the sha256 of its ``RunResult`` at seed 0, run
+  as it is defined (under its invariant guard, so
+  ``invariant_report.checks`` is pinned too).
 
 Values are hashed in one canonical JSON form: sorted keys, compact
 separators, every float written as ``float(f"{x:.12g}")``.  Twelve
@@ -22,13 +22,11 @@ scenario test check against it with the same ones.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from typing import Any, Dict
 
 import repro.experiments.catalog  # noqa: F401  (populates the registries)
-from repro.invariants import InvariantConfig
 from repro.runner import cache
 from repro.runner.registry import SCENARIOS
 from repro.runner.results import RunResult
@@ -71,11 +69,6 @@ def of_experiment(table: str) -> Dict[str, Any]:
 
 
 def scenario_result(scenario_id: str) -> RunResult:
-    """A named scenario run once at seed 0 under the strict guard (the
-    first violation raises)."""
-    scenario = dataclasses.replace(
-        SCENARIOS.get(scenario_id).compute(),
-        invariants=InvariantConfig(mode="strict"),
-    )
-    result, _ = run_scenario_inline(scenario, seed=0)
+    """A named scenario run once at seed 0, as it is defined."""
+    result, _ = run_scenario_inline(SCENARIOS.get(scenario_id).compute(), seed=0)
     return result

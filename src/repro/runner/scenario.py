@@ -41,6 +41,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import runtime, units
 from repro.fabric import FabricSpec, build_fabric
+from repro.invariants import InvariantConfig, InvariantGuard
 from repro.runner.executor import Cell, execute
 from repro.runner.results import RunFailure, RunResult, SweepPoint, SweepResult
 from repro.runner.scale import derive_seed
@@ -64,7 +65,6 @@ def _config_types() -> Dict[str, type]:
         SlowReceiver,
         WatchdogConfig,
     )
-    from repro.invariants import InvariantConfig
     from repro.shard.spec import ShardingSpec
     from repro.sim.nic import NicConfig
     from repro.sim.switch import SwitchConfig
@@ -247,11 +247,11 @@ class Scenario:
     #: network is built, so the plan is part of the cell spec — and
     #: therefore of the result-cache content hash
     faults: Optional[Any] = None
-    #: optional invariant-guard request (an
-    #: :class:`~repro.invariants.InvariantConfig`); part of the cell
-    #: spec for the same cache-correctness reason as ``faults`` — a
-    #: strict-mode run and an unguarded run are different cells
-    invariants: Optional[Any] = None
+    #: the invariant guard (an :class:`~repro.invariants.InvariantConfig`):
+    #: strict unless the scenario says otherwise, ``None`` runs unguarded.
+    #: Part of the cell spec for the same cache-correctness reason as
+    #: ``faults``: a strict run and an unguarded run are different cells
+    invariants: Optional[InvariantConfig] = InvariantConfig(mode="strict")
     #: optional sharded-execution request (a
     #: :class:`~repro.shard.ShardingSpec`); only meaningful on
     #: ``fabric`` topologies — elsewhere the scenario runs serial.
@@ -279,14 +279,11 @@ class Scenario:
                 raise TypeError(
                     f"faults must be a FaultPlan, got {type(self.faults).__name__}"
                 )
-        if self.invariants is not None:
-            from repro.invariants import InvariantConfig
-
-            if not isinstance(self.invariants, InvariantConfig):
-                raise TypeError(
-                    "invariants must be an InvariantConfig, "
-                    f"got {type(self.invariants).__name__}"
-                )
+        if not isinstance(self.invariants, (InvariantConfig, type(None))):
+            raise TypeError(
+                "invariants must be an InvariantConfig, "
+                f"got {type(self.invariants).__name__}"
+            )
         if self.sharding is not None:
             from repro.shard.spec import ShardingSpec
 
@@ -337,7 +334,10 @@ class Scenario:
             flows=tuple(FlowSpec(**flow) for flow in data["flows"]),
             telemetry=decode_value(data.get("telemetry")),
             faults=decode_value(data.get("faults")),
-            invariants=decode_value(data.get("invariants")),
+            # a missing key is the default guard; an explicit null is None
+            invariants=decode_value(
+                data.get("invariants", encode_value(cls.invariants))
+            ),
             sharding=decode_value(data.get("sharding")),
         )
 
@@ -638,8 +638,6 @@ def build(
     net.attach_telemetry(telemetry)
     run = ScenarioRun(scenario, seed, net, resolve, probes, telemetry, local_names)
     if scenario.invariants is not None:
-        from repro.invariants import InvariantGuard
-
         # Before flows are added: add_flow propagates the guard to each
         # RP, and install() rejects mis-tuned buffer configs up front.
         run.guard = InvariantGuard(scenario.invariants, telemetry=telemetry)
@@ -856,10 +854,19 @@ def run_arms(
         {arm: scenario for arm, (scenario, _) in arms.items()},
         {arm: [seed] for arm, (_, seed) in arms.items()},
     )
-    failures = [failure for point in sweep.points for failure in point.failures]
+    outcomes = {
+        point.value: (point.failures or point.runs)[0] for point in sweep.points
+    }
+    raise_failures(name, list(outcomes.values()))
+    return outcomes
+
+
+def raise_failures(name: str, values: Sequence[Any]) -> None:
+    """Raise, naming ``name``, if any of one batch's ``values`` is a
+    :class:`RunFailure`, so a verdict never reads a gap."""
+    failures = [value for value in values if isinstance(value, RunFailure)]
     if failures:
         raise RuntimeError(
-            f"{name}: {len(failures)} of {len(arms)} cells failed, first "
+            f"{name}: {len(failures)} of {len(values)} cells failed, first "
             f"with {failures[0].error}: {failures[0].message}"
         )
-    return {point.value: point.runs[0] for point in sweep.points}

@@ -2,7 +2,7 @@
 
 :data:`VARS` is the one table of what can be set from outside a run
 (field, variable, CLI flag, default, parser).  :func:`current` parses
-all of it on every call (seven dict lookups, reached per cell and per
+all of it on every call (six dict lookups, reached per cell and per
 experiment build, never per packet), so there is nothing to reset
 between tests and a forked pool or shard child sees what its parent
 exported.  The environment is only the transport: ``repro.cli``
@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
 )
-
-from repro.invariants.guard import MODES
 
 #: recognised run scales, smallest first
 SCALES = ("smoke", "quick")
@@ -87,7 +85,6 @@ VARS: Dict[str, Var] = {
     "run_timeout": Var(
         "REPRO_RUN_TIMEOUT", "--timeout", None, _budget, "positive seconds or 'off'"
     ),
-    "invariants": Var("REPRO_INVARIANTS", "--invariants", None, *_one_of(MODES)),
 }
 
 
@@ -111,8 +108,6 @@ class RuntimeConfig:
     #: per-cell wall-clock budget in seconds; ``"off"`` for none, ``None``
     #: for the per-scale default
     run_timeout: Union[float, str, None]
-    #: guard mode for the experiments that arm the guard themselves
-    invariants: Optional[str]
 
     @classmethod
     def from_env(cls, environ: Mapping[str, str] = os.environ) -> "RuntimeConfig":

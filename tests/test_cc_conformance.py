@@ -298,7 +298,6 @@ class TestFlowSpecExtensions:
 class TestArena:
     def test_arena_smoke(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "smoke")
-        monkeypatch.delenv("REPRO_INVARIANTS", raising=False)
         from repro.experiments.arena import run_arena
 
         result = run_arena(
@@ -308,8 +307,6 @@ class TestArena:
         )
         table = result.table()
         assert "incast" in table and "league standings" in table
-        # no guard was armed, so the footer must not claim a clean check
-        assert "invariants[off]: 0 violations" in table
         score = result.score("incast", "dcqcn")
         assert 0.0 < score.fairness <= 1.0
         assert result.total_failures() == 0
@@ -317,13 +314,14 @@ class TestArena:
     def test_arena_footer_names_the_armed_guard(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SCALE", "smoke")
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_INVARIANTS", "report")
-        from repro.experiments.arena import run_arena
+        from repro.experiments.arena import arena_scenario, run_arena
 
+        # every maze is guarded strict, as the footer says
+        assert arena_scenario("incast", "dcqcn").invariants.mode == "strict"
         result = run_arena(
             controllers=("dcqcn",), scenarios=("incast",), seeds=[6001]
         )
-        assert "invariants[report]: 0 violations" in result.table()
+        assert "invariants[strict]: 0 violations, 0 failed cells" in result.table()
 
     def test_arena_scenarios_build_for_every_controller(self):
         from repro.experiments.arena import (

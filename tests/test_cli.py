@@ -64,10 +64,7 @@ class TestBadInputEndsEarly:
             (["--faults", "/nonexistent.json"], "--faults applies to named scenarios"),
             (["--shards", "2"], "--shards applies to named scenarios"),
             (["--seed", "3"], "--seed applies to named scenarios"),
-            (
-                ["--invariants", "strict"],
-                "--invariants applies to named scenarios and to arena",
-            ),
+            (["--invariants", "strict"], "--invariants applies to named scenarios"),
         ],
     )
     def test_option_the_experiment_does_not_read(
@@ -138,6 +135,18 @@ class TestFaultCommands:
         plan_file.write_text('{"injectors": [{"kind": "gremlin"}]}')
         assert main(["run", "storm", "--faults", str(plan_file)]) == 2
         assert "bad fault plan" in capsys.readouterr().err
+
+    def test_only_a_named_scenario_takes_an_invariants_overlay(
+        self, capsys, monkeypatch
+    ):
+        # an experiment's scenarios carry their own guard modes
+        monkeypatch.setenv("REPRO_SCALE", "smoke")
+        assert main(["arena", "--invariants", "report"]) == 2
+        assert "--invariants applies to named scenarios" in capsys.readouterr().err
+        assert main(["run", "storm", "--invariants", "report"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith(
+            "invariants[report]:"
+        )
 
 
 class TestSharedOptions:
@@ -234,8 +243,8 @@ class TestShardedRunLines:
         argv = ["run", "fabric-smoke", "--faults", str(plan_file)]
         assert main(argv) == 0
         serial = capsys.readouterr().out
-        # the line only a result carrying the watchdog's findings prints
-        assert serial.splitlines()[-1].startswith("invariants[-]:")
+        # the guard's line, which the sharded run keeps last too
+        assert serial.splitlines()[-1].startswith("invariants[strict]:")
         assert main(argv + ["--shards", "2"]) == 0
         assert capsys.readouterr().out.splitlines() == serial.splitlines()[:-2] + [
             "sharding skipped (the deadlock watchdog needs the whole "

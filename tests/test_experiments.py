@@ -10,6 +10,7 @@ import dataclasses
 
 import pytest
 
+import repro.experiments.catalog  # noqa: F401  (populates REGISTRY)
 from repro import runtime, units
 from repro.analysis.stats import jain_fairness, percentile
 from repro.experiments.benchmark_traffic import (
@@ -35,6 +36,7 @@ from repro.experiments.fluid_validation import (
     TwoFlowFairnessResult,
     fig10_scenario,
     fig13_scenario,
+    fluid_cell,
     run_all_validations,
     run_fluid_vs_sim,
 )
@@ -57,7 +59,9 @@ from repro.experiments.qcn_ablation import (
     scheme_scenario,
 )
 from repro.experiments.sweeps import Fig12Result, GQueueSummary, fig11_cell, fig12_cell
-from repro.runner import format_table, run_scenario, run_scenario_inline, scale
+from repro.runner import (
+    REGISTRY, format_table, run_scenario, run_scenario_inline, scale,
+)
 
 
 class TestCommon:
@@ -107,7 +111,8 @@ class TestPfcPathologies:
 class TestFluidValidation:
     def test_fluid_vs_sim_correlate(self):
         scenario = fig10_scenario(units.ms(40), units.ms(5))
-        result = FluidVsSimResult.from_run(scenario, _run(scenario, 7))
+        run, fluid_rates = _run(scenario, 7), fluid_cell(scenario.spec())
+        result = FluidVsSimResult.from_run(run, fluid_rates)
         assert result.correlation() > 0.6
         assert result.normalized_rmse() < 0.5
         assert "sim Gbps" in result.table()
@@ -124,6 +129,23 @@ class TestFluidValidation:
     def test_unknown_config_rejected(self):
         with pytest.raises(KeyError):
             self.steady_gap_gbps("bogus", units.ms(1))
+
+    def test_a_cached_fig10_integrates_no_fluid_model(self, monkeypatch, tmp_path):
+        from repro.fluid import model
+
+        for name, value in (("scale", "smoke"), ("cache", "on"), ("jobs", "1"),
+                            ("results_dir", str(tmp_path))):
+            monkeypatch.setenv(runtime.VARS[name].env, value)
+        fig10 = REGISTRY.get("fig10")
+        first = fig10.compute()
+        calls = []
+        simulate = model.simulate
+        monkeypatch.setattr(
+            model, "simulate", lambda *a, **k: calls.append(a) or simulate(*a, **k)
+        )
+        again = fig10.compute()
+        assert calls == []
+        assert fig10.table(again) == fig10.table(first)
 
     def test_a_run_without_a_rate_sample_is_refused(self):
         # 200 us ends before the first 500 us sample
@@ -267,8 +289,15 @@ PORTED_DRIVERS = (
     run_fig15, run_fig16, run_fig17, run_fig18,
 )
 
-#: what the report-mode guard finds in their smoke arms: only the §4
-#: relations, checked at build time, where the paper mis-sets them on purpose
+#: every id whose cells are simulated: all but the analytic fig01 and
+#: tab14 and the fluid-only fig11 and fig12
+SIMULATED_IDS = [
+    id_ for id_ in REGISTRY.ids() if id_ not in ("fig01", "fig11", "fig12", "tab14")
+]
+
+#: what the guard finds in the smoke cells of the arms that declare
+#: report mode: only the §4 relations, checked at build time, where the
+#: paper mis-sets them on purpose.  Every other cell runs strict.
 GUARD_FINDINGS = {
     # cut-off Kmin 40 000 B >= the dynamic bound 21 756 B, on both switches
     "fig20/cutoff": {("buffer.ecn_before_pfc", "A"), ("buffer.ecn_before_pfc", "B")},
@@ -303,35 +332,41 @@ class TestPortedIds:
     def test_the_guard_flags_exactly_the_arms_the_paper_mis_sets(
         self, smoke_in_process
     ):
-        from repro.invariants import InvariantConfig
-        from repro.runner import Scenario
+        from repro.runner import Scenario, executor
         from repro.runner import scenario as scenario_module
 
         reports = {}
 
-        def guarded_cell(spec, seed):
-            # the build-time checks fire at t = 0, so 200 us is enough;
-            # a run that samples rates runs for the two samples its
-            # verdict reads
+        def shortened_cell(spec, seed):
+            # each cell under its own guard mode; the build-time checks
+            # fire at t = 0, so 200 us is enough, and a run that samples
+            # rates runs for the two samples its verdict reads
             scenario = Scenario.from_spec(spec)
             sample_ns = getattr(scenario.telemetry, "rate_sample_ns", None) or 0
             scenario = dataclasses.replace(
                 scenario,
                 warmup_ns=units.us(50),
                 duration_ns=max(units.us(150), 2 * sample_ns - units.us(50)),
-                invariants=InvariantConfig(mode="report"),
             )
-            result = _run(scenario, seed)
-            reports[scenario.label] = result.invariant_report
+            result = _run(scenario, seed)  # a strict cell raises on a violation
+            reports[scenario.label, seed] = result.invariant_report
             return result.to_json()
 
-        smoke_in_process.setattr(scenario_module, "run_scenario_cell", guarded_cell)
-        for driver in PORTED_DRIVERS:
-            driver()
-        assert len(reports) == 37 and set(GUARD_FINDINGS) <= set(reports)
-        for label, report in reports.items():
+        smoke_in_process.setattr(scenario_module, "run_scenario_cell", shortened_cell)
+        assert len(SIMULATED_IDS) == 19
+        for id_ in SIMULATED_IDS:
+            REGISTRY.get(id_).compute()
+            # a strict cell that raised is a failed cell; a sweep keeps it
+            assert executor.LAST_STATS.failed == 0, id_
+        assert len(reports) == 85  # every simulated cell at smoke
+        labels = {label for label, _ in reports}
+        assert set(GUARD_FINDINGS) <= labels
+        for (label, seed), report in reports.items():
             found = {(v["name"], v["component"]) for v in report["violations"]}
             assert report["checks"] > 0, label
+            assert report["mode"] == (
+                "report" if label in GUARD_FINDINGS else "strict"
+            ), label
             assert found == GUARD_FINDINGS.get(label, set()), label
 
     @pytest.mark.parametrize("driver", PORTED_DRIVERS)

@@ -440,7 +440,7 @@ def test_switch_feedback_conserves_every_link(cc, monkeypatch):
     from repro.experiments.arena import arena_scenario
 
     monkeypatch.setenv("REPRO_SCALE", "smoke")
-    scenario = arena_scenario("incast", cc, guard_mode="strict")
+    scenario = arena_scenario("incast", cc)
     result, net = run_scenario_inline(scenario, 0)  # strict: a violation raises
     (switch,) = net.switches
     originated = switch.cnps_sent + sum(

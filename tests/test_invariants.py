@@ -1,7 +1,9 @@
 """The invariant guard layer (repro.invariants) and its scenario wiring."""
 
 import dataclasses
+import json
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,6 +74,47 @@ class TestConfig:
         again = pickle.loads(pickle.dumps(exc))
         assert (again.name, again.component, again.t_ns) == ("rp.bounds", "rp-1", 42)
         assert "alpha out of range" in str(again)
+
+
+#: the frozen bench scenarios; run unguarded but for the guarded one
+BENCH_WORKLOADS = sorted(Path(__file__).parents[1].glob("bench/workloads/*.json"))
+FROZEN_GUARDS = {"fabric_1024_guarded": InvariantConfig(mode="report")}
+
+
+class TestScenarioDefault:
+    """The guard is on, strict, unless a scenario says otherwise."""
+
+    @staticmethod
+    def unspecified():
+        return Scenario(
+            topology="single_switch", flows=(FlowSpec(name="f0", src="0", dst="1"),)
+        )
+
+    def test_an_omitted_field_is_strict(self):
+        assert self.unspecified().invariants == InvariantConfig(mode="strict")
+
+    def test_a_missing_spec_key_is_strict(self):
+        spec = self.unspecified().spec()
+        del spec["invariants"]
+        assert Scenario.from_spec(spec).invariants == InvariantConfig(mode="strict")
+
+    def test_an_explicit_none_round_trips_unguarded(self):
+        scenario = dataclasses.replace(self.unspecified(), invariants=None)
+        spec = json.loads(json.dumps(scenario.spec()))
+        assert spec["invariants"] is None
+        assert Scenario.from_spec(spec) == scenario
+
+    @pytest.mark.parametrize("path", BENCH_WORKLOADS, ids=lambda path: path.stem)
+    def test_a_bench_workload_decodes_to_its_frozen_guard(self, path):
+        workload = json.loads(path.read_text())
+        specs = [p["scenario"] for p in workload.get("points", [])] or [
+            workload["scenario"]
+        ]
+        for spec in specs:
+            assert "invariants" in spec  # explicit, so the default moves nothing
+            scenario = Scenario.from_spec(spec)
+            assert scenario.invariants == FROZEN_GUARDS.get(path.stem)
+            assert scenario.spec()["invariants"] == spec["invariants"]
 
 
 class TestBuildTimeThresholds:

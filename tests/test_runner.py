@@ -287,6 +287,7 @@ class TestWatch:
     INTERVAL_NS = units.us(10)
 
     def scenario(self, watch="-1", **telemetry):
+        from repro.invariants import InvariantConfig
         from repro.sim.switch import SwitchConfig
         from repro.telemetry import TelemetrySpec
 
@@ -298,12 +299,14 @@ class TestWatch:
             ),
             warmup_ns=units.us(300),
             duration_ns=units.us(405),
-            # a static PAUSE threshold, so the window sees PAUSE and marks
+            # a static PAUSE threshold, so the window sees PAUSE and marks;
+            # it breaks §4's ECN-before-PFC on purpose, so the guard reports
             topology_kwargs={
                 "n_hosts": 4,
                 "switch_config": SwitchConfig(pfc_mode="static"),
             },
             telemetry=TelemetrySpec(watch=watch, **telemetry),
+            invariants=InvariantConfig(mode="report"),
         )
 
     def run_by_hand(self, scenario):

@@ -21,7 +21,6 @@ DEFAULTS = RuntimeConfig(
     cache=True,
     results_dir="results",
     run_timeout=None,
-    invariants=None,
 )
 
 #: field -> ({raw text: parsed value}, [texts that must be refused])
@@ -36,7 +35,6 @@ FORMS = {
         {"42.5": 42.5, "1E3": 1000.0, " Off ": "off"},
         ["soon", "-3", "0", "nan", "none"],
     ),
-    "invariants": ({"report": "report", " STRICT ": "strict"}, ["paranoid", "on"]),
 }
 
 
@@ -45,10 +43,10 @@ def config_cell(tag):
     return dataclasses.asdict(runtime.current())
 
 
-def test_the_table_and_the_dataclass_name_the_same_seven_fields():
+def test_the_table_and_the_dataclass_name_the_same_six_fields():
     assert [f.name for f in dataclasses.fields(RuntimeConfig)] == list(VARS)
     assert list(VARS) == list(FORMS)
-    assert len({var.env for var in VARS.values()}) == 7
+    assert len({var.env for var in VARS.values()}) == 6
 
 
 def test_an_empty_environment_gives_the_documented_defaults():
@@ -103,12 +101,12 @@ def test_exported_options_come_back_here_and_in_a_pool_child(monkeypatch, tmp_pa
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
     args = build_parser().parse_args(
         ["arena", "--scale", "smoke", "--jobs", "2", "--no-cache",
-         "--timeout", "300", "--invariants", "report", "--shards", "3"]
+         "--timeout", "300", "--shards", "3"]
     )
     _export_env(args)
     expected = RuntimeConfig(
         scale="smoke", jobs=2, shards=3, cache=False,
-        results_dir=str(tmp_path), run_timeout=300.0, invariants="report",
+        results_dir=str(tmp_path), run_timeout=300.0,
     )
     assert runtime.current() == expected
     cells = [Cell(f"{HERE}:config_cell", {"tag": tag}) for tag in (0, 1)]
