@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI gate: hot simulation objects stay slotted and fabrics stay lean.
 
-Five checks, all cheap enough for every CI run:
+Six checks, all cheap enough for every CI run:
 
 1. **Slots** — the per-packet / per-port / per-flow classes must not
    grow an instance ``__dict__``.  A stray class attribute or a
@@ -46,6 +46,17 @@ Five checks, all cheap enough for every CI run:
    one 80-byte allocation class.  One slot more moves it to the next
    class: 16 bytes more per buffered frame, not 8.
 
+6. **Compile peak** — every ``repro`` module that a fresh interpreter
+   loads for ``from repro.runner import Scenario, run_scenario_inline,
+   run_sweep`` compiles under a 1.5 MB tracemalloc peak.  A run started
+   without ``.pyc`` files (``PYTHONDONTWRITEBYTECODE=1``, a fresh
+   checkout) compiles each from source, and the largest one sets the
+   process's memory high-water before the first packet: an 872-line
+   ``runner/scenario.py`` peaked at 2.0 MB, and the split into
+   ``runner/spec.py`` + ``runner/scenario.py`` leaves ``sim/switch.py``
+   and ``telemetry/metrics.py`` largest, at 1.3 MB.  The check does not
+   depend on ``--k``.
+
 Usage (CI runs this at all three sizes in the fabric-smoke job)::
 
     PYTHONPATH=src python benchmarks/check_memory_footprint.py --k 8
@@ -56,8 +67,10 @@ Usage (CI runs this at all three sizes in the fabric-smoke job)::
 from __future__ import annotations
 
 import argparse
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 #: (module, class) pairs that must not carry an instance __dict__
 SLOTTED = (
@@ -87,6 +100,12 @@ ROUTE_STATE_PER_HOST = 3
 
 #: sys.getsizeof of one data frame: six slots, the 80-byte class
 FRAME_BUDGET_BYTES = 80
+
+#: tracemalloc peak allowed for compiling one module of the run path
+COMPILE_PEAK_BUDGET_BYTES = 1_500_000
+
+#: the import whose ``repro`` modules the compile-peak check measures
+RUN_PATH_IMPORT = "from repro.runner import Scenario, run_scenario_inline, run_sweep"
 
 
 def check_slots() -> list:
@@ -147,6 +166,28 @@ def measure_fabric(k: int) -> tuple:
     )
 
 
+def measure_compile_peaks() -> list:
+    """``(traced compile peak, path)`` of every ``repro`` module a fresh
+    interpreter loads for :data:`RUN_PATH_IMPORT`, largest first."""
+    listing = (
+        f"{RUN_PATH_IMPORT}\nimport sys\n"
+        "for name, module in sys.modules.items():\n"
+        "    if name.partition('.')[0] == 'repro':\n"
+        "        print(module.__file__)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", listing], capture_output=True, text=True, check=True
+    )
+    peaks = []
+    for path in done.stdout.splitlines():
+        source = Path(path).read_text()
+        tracemalloc.start()
+        compile(source, path, "exec")
+        peaks.append((tracemalloc.get_traced_memory()[1], path))
+        tracemalloc.stop()
+    return sorted(peaks, reverse=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -204,6 +245,16 @@ def main(argv=None) -> int:
     if not shared:
         print("FAIL two frames of one flow carry two headers")
         problems.append("frame header")
+    peaks = measure_compile_peaks()
+    peak, path = peaks[0]
+    print(
+        f"compile peak: {peak / 1e6:.2f} MB for {path} (largest of "
+        f"{len(peaks)} run-path modules, limit "
+        f"{COMPILE_PEAK_BUDGET_BYTES / 1e6:.1f} MB)"
+    )
+    if peak > COMPILE_PEAK_BUDGET_BYTES:
+        print(f"FAIL compiling {path} peaks at {peak} B traced")
+        problems.append("compile peak")
     return 1 if problems else 0
 
 

@@ -14,7 +14,7 @@ implements one :class:`~repro.cc.base.CongestionControl` interface:
 
 Controllers are looked up by name through :func:`create_cc`;
 :meth:`repro.sim.network.Network.add_flow` accepts any registered name
-for its ``cc`` argument, and :class:`repro.runner.scenario.FlowSpec`
+for its ``cc`` argument, and :class:`repro.runner.spec.FlowSpec`
 carries the same name (plus scalar ``cc_params`` overrides) in its
 serialized spec.  Controllers that need switch-side feedback
 generation (QCN frames, FNCC fast CNPs) declare it via

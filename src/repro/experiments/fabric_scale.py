@@ -6,7 +6,7 @@ are about *large-scale* fabrics.  These scenarios put the protocol on
 k=8 (128 hosts) for the CI strict-invariant gate, a k=16 (1024 hosts)
 incast for the thousand-host headline, and a fabric-wide benchmark
 with heavy-tailed storage-cluster traffic — all as declarative
-:class:`~repro.runner.scenario.Scenario` objects, so every run is
+:class:`~repro.runner.spec.Scenario` objects, so every run is
 cached, parallel and resumable like the rest of the suite.
 
 :func:`run_fabric` (the ``fabric`` id) runs the incast at k = 4, 8
@@ -26,7 +26,8 @@ from repro import units
 from repro.analysis import fct
 from repro.runner import scale
 from repro.runner.results import format_table
-from repro.runner.scenario import FlowSpec, Scenario, run_sweep
+from repro.runner.scenario import run_sweep
+from repro.runner.spec import FlowSpec, Scenario
 
 #: cross-pod fat-tree path: edge, agg, core, agg, edge — five
 #: store-and-forward hops

@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro import units
 from repro.runner import scale
-from repro.runner.scenario import FlowSpec, Scenario
+from repro.runner.spec import FlowSpec, Scenario
 
 #: the transfer size of every fourth user pair: a 1 MB extent
 ELEPHANT_BYTES = 1_000_000

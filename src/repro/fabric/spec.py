@@ -22,8 +22,8 @@ rates are expressed per tier boundary (``host_rate_bps``,
 testbed default.
 
 Because the spec is a plain dataclass of scalars it round-trips
-through :func:`repro.runner.scenario.encode_value` — a
-:class:`~repro.runner.scenario.Scenario` names a fabric by value, so
+through :func:`repro.runner.spec.encode_value` — a
+:class:`~repro.runner.spec.Scenario` names a fabric by value, so
 fabric cells stay content-hash cacheable and worker-shippable.
 """
 

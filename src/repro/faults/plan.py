@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` is a pure description of the faults one run
 suffers — a tuple of timed *injectors* plus an optional
-:class:`WatchdogConfig`.  Like a :class:`~repro.runner.scenario.Scenario`
+:class:`WatchdogConfig`.  Like a :class:`~repro.runner.spec.Scenario`
 (which carries a plan in its ``faults`` field), a plan is frozen,
 JSON-serializable and free of simulator state, so it participates in
 the result-cache content hash and ships to worker processes unchanged.

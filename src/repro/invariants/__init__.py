@@ -7,7 +7,7 @@ and the flow rates inside their algebraic bounds (§3.1).  This package
 turns those properties into declarative, always-cheap runtime checks:
 
 * :class:`InvariantConfig` — the JSON-serializable request a
-  :class:`~repro.runner.scenario.Scenario` carries in its
+  :class:`~repro.runner.spec.Scenario` carries in its
   ``invariants`` field (so guarded and unguarded runs hash to
   different cache keys, exactly like fault plans).
 * :class:`InvariantGuard` — the runtime: build-time configuration

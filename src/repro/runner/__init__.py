@@ -11,8 +11,10 @@ The pieces (see DESIGN.md §4):
   pick up where it stopped.
 * :mod:`repro.runner.resilience` — execution hardening policy: run
   timeouts and bounded retry.
-* :mod:`repro.runner.scenario` — declarative :class:`Scenario` /
-  :class:`FlowSpec` specs and the generic scenario cell.
+* :mod:`repro.runner.spec` — declarative :class:`Scenario` /
+  :class:`FlowSpec` specs and their JSON form.
+* :mod:`repro.runner.scenario` — one run of a scenario and the generic
+  scenario cell.
 * :mod:`repro.runner.results` — JSON-serializable :class:`RunResult`
   / :class:`SweepResult` schema and table rendering.
 * :mod:`repro.runner.registry` — the :data:`REGISTRY` of experiments
@@ -45,8 +47,6 @@ from repro.runner.results import (
 )
 from repro.runner.scale import derive_seed, pick, seeds_for
 from repro.runner.scenario import (
-    FlowSpec,
-    Scenario,
     run_arms,
     run_scenario,
     run_scenario_cell,
@@ -54,6 +54,7 @@ from repro.runner.scenario import (
     run_sweep,
     scenario_cells,
 )
+from repro.runner.spec import FlowSpec, Scenario
 
 __all__ = [
     "Cell",

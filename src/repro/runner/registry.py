@@ -10,7 +10,7 @@ smoke tests iterate :data:`REGISTRY` instead of naming commands by hand.
 
 :data:`SCENARIOS` is a second instance of the same :class:`Registry`,
 holding *named scenarios*: there ``compute()`` builds a declarative
-:class:`~repro.runner.scenario.Scenario` for the telemetry commands
+:class:`~repro.runner.spec.Scenario` for the telemetry commands
 (``python -m repro trace <name>`` / ``profile <name>``).  Factories,
 not instances, so a scenario may consult the scale policy at build
 time.

@@ -1,6 +1,6 @@
 """repro.shard — sharded parallel simulation with conservative sync.
 
-One fabric :class:`~repro.runner.scenario.Scenario` is partitioned
+One fabric :class:`~repro.runner.spec.Scenario` is partitioned
 into pod-aligned shards (:mod:`repro.shard.partition`), each driven by
 its own worker process (:mod:`repro.shard.worker`) in lockstep
 windows bounded by the pod↔core propagation delay — the conservative

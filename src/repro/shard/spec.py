@@ -1,6 +1,6 @@
 """Declarative sharding request (:class:`ShardingSpec`).
 
-A :class:`~repro.runner.scenario.Scenario` carries one in its
+A :class:`~repro.runner.spec.Scenario` carries one in its
 ``sharding`` field; like ``faults`` and ``invariants`` it is frozen and
 JSON-serializable, so a sharded scenario participates in the result
 cache and ships to worker processes unchanged.  ``shards=1`` (the

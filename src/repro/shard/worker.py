@@ -36,7 +36,8 @@ import traceback
 def shard_worker_main(conn, spec, seed, plan, shard_id, window_ns) -> None:
     """Run one shard to completion and report over ``conn``."""
     try:
-        from repro.runner.scenario import Scenario, build, collect, instrument
+        from repro.runner.scenario import build, collect, instrument
+        from repro.runner.spec import Scenario
         from repro.shard.boundary import ShardContext
         from repro.telemetry import Telemetry
 

@@ -36,7 +36,6 @@ from repro.sim.topology import (
     three_tier_clos,
     ClosSpec,
 )
-from repro.sim.monitor import QueueSampler, RateSampler
 
 __all__ = [
     "EventScheduler",
@@ -67,6 +66,4 @@ __all__ = [
     "parking_lot",
     "three_tier_clos",
     "ClosSpec",
-    "QueueSampler",
-    "RateSampler",
 ]

@@ -18,7 +18,7 @@ DESIGN.md §8):
 * :mod:`repro.telemetry.profiler` — :class:`SchedulerProfiler`
   attributes wall-clock time to event-callback sites.
 * :mod:`repro.telemetry.spec` — :class:`TelemetrySpec` (declarative,
-  rides inside a :class:`~repro.runner.scenario.Scenario`) and the
+  rides inside a :class:`~repro.runner.spec.Scenario`) and the
   runtime :class:`Telemetry` bundle.
 * :mod:`repro.telemetry.lint` — JSONL schema lint for CI.
 """

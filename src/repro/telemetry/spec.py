@@ -1,7 +1,7 @@
 """Declarative telemetry configuration and the runtime bundle.
 
 :class:`TelemetrySpec` is the JSON-serializable description a
-:class:`~repro.runner.scenario.Scenario` carries (trace level, sink
+:class:`~repro.runner.spec.Scenario` carries (trace level, sink
 kind, sampling); :class:`Telemetry` is the live object a
 :class:`~repro.sim.network.Network` is attached to — a tracer (or
 ``None`` when tracing is off) plus a metrics registry.

@@ -40,21 +40,6 @@ def seconds(value: float) -> int:
     return int(round(value * NS_PER_SEC))
 
 
-def to_seconds(time_ns: int) -> float:
-    """Convert an integer-nanosecond timestamp back to float seconds."""
-    return time_ns / NS_PER_SEC
-
-
-def to_us(time_ns: int) -> float:
-    """Convert an integer-nanosecond timestamp back to float microseconds."""
-    return time_ns / NS_PER_US
-
-
-def to_ms(time_ns: int) -> float:
-    """Convert an integer-nanosecond timestamp back to float milliseconds."""
-    return time_ns / NS_PER_MS
-
-
 # --- data sizes -> bytes (decimal) ---------------------------------------
 
 
@@ -66,16 +51,6 @@ def kb(value: float) -> int:
 def mb(value: float) -> int:
     """Megabytes (decimal, 1 MB = 1e6 B) expressed in bytes."""
     return int(round(value * 1_000_000))
-
-
-def gb(value: float) -> int:
-    """Gigabytes (decimal, 1 GB = 1e9 B) expressed in bytes."""
-    return int(round(value * 1_000_000_000))
-
-
-def to_kb(size_bytes: float) -> float:
-    """Bytes expressed in decimal kilobytes."""
-    return size_bytes / 1_000
 
 
 # --- data rates -> bits per second ---------------------------------------
@@ -96,11 +71,6 @@ def gbps(value: float) -> float:
     return value * 1e9
 
 
-def to_gbps(rate_bps: float) -> float:
-    """Bits per second expressed in gigabits per second."""
-    return rate_bps / 1e9
-
-
 def serialization_time_ns(size_bytes: int, rate_bps: float) -> int:
     """Time to clock ``size_bytes`` onto a link running at ``rate_bps``.
 
@@ -115,8 +85,3 @@ def serialization_time_ns(size_bytes: int, rate_bps: float) -> int:
     if exact > whole:
         whole += 1
     return whole
-
-
-def bytes_per_ns(rate_bps: float) -> float:
-    """Bytes transferred per nanosecond at ``rate_bps``."""
-    return rate_bps / (8 * NS_PER_SEC)

@@ -4,7 +4,7 @@ import pytest
 
 from repro import units
 from repro.fabric import Fabric, FabricSpec, TIERS, build_fabric
-from repro.runner.scenario import decode_value, encode_value
+from repro.runner.spec import decode_value, encode_value
 
 
 class TestFabricSpec:

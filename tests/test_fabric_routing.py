@@ -225,7 +225,8 @@ class TestFailedLinks:
         """A flapped agg-core link must not blackhole the fabric: the
         probe transfer still completes once go-back-N recovers."""
         from repro.faults.plan import FaultPlan, LinkFlap
-        from repro.runner.scenario import FlowSpec, Scenario, run_scenario_inline
+        from repro.runner.scenario import run_scenario_inline
+        from repro.runner.spec import FlowSpec, Scenario
 
         scenario = Scenario(
             topology="fabric",
@@ -262,7 +263,8 @@ class TestFailedLinks:
         flow pinned to the dark agg stalls — but go-back-N must bring
         it home once the links return, with no permanent blackhole."""
         from repro.faults.plan import FaultPlan, LinkFlap
-        from repro.runner.scenario import FlowSpec, Scenario, run_scenario_inline
+        from repro.runner.scenario import run_scenario_inline
+        from repro.runner.spec import FlowSpec, Scenario
 
         flaps = tuple(
             LinkFlap(

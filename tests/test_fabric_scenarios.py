@@ -1,12 +1,8 @@
 """Fabric scenarios end to end: runner integration, scale, determinism."""
 
 from repro import units
-from repro.runner.scenario import (
-    FlowSpec,
-    Scenario,
-    run_scenario,
-    run_scenario_inline,
-)
+from repro.runner.scenario import run_scenario, run_scenario_inline
+from repro.runner.spec import FlowSpec, Scenario
 
 
 def small_fabric_scenario(**overrides):

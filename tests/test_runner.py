@@ -4,6 +4,8 @@ import dataclasses
 import inspect
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -24,7 +26,7 @@ from repro.runner import (
     run_scenario,
 )
 from repro.runner import cache, executor, scale
-from repro.runner.scenario import decode_value, encode_value
+from repro.runner.spec import decode_value, encode_value
 
 #: a cheap, importable, pure cell function for executor plumbing tests
 SEEDS_FN = "repro.runner.scale:seeds_for"
@@ -436,6 +438,56 @@ class TestRateSamples:
         )
         assert "rate series" in serial_reason(sampled)
         assert maybe_run_sharded(sampled, 0, ambient_shards=2) is None
+
+
+#: one interpreter: the runner import, a run without telemetry, then a
+#: run that samples rates; prints which telemetry-only modules each
+#: step had loaded and the sampled series' names
+RUN_IMPORTS = """
+import dataclasses, json, sys
+from repro import units
+from repro.runner import FlowSpec, Scenario, run_scenario_inline, run_sweep
+from repro.telemetry import TelemetrySpec
+
+LAZY = ("repro.sim.monitor", "repro.runner.samplers")
+loaded = lambda: [name for name in LAZY if name in sys.modules]
+scenario = Scenario(
+    topology="single_switch",
+    flows=(FlowSpec(name="a", src="0", dst="1", cc="dcqcn"),),
+    duration_ns=units.us(300),
+    topology_kwargs={"n_hosts": 2},
+)
+steps = {"import": loaded()}
+plain, _ = run_scenario_inline(scenario, 0)
+steps["plain"] = loaded()
+scenario = dataclasses.replace(
+    scenario, telemetry=TelemetrySpec(rate_sample_ns=units.us(100))
+)
+sampled, _ = run_scenario_inline(scenario, 0)
+steps["sampled"] = loaded()
+steps["samples"] = {name: len(s) for name, s in sampled.samples.items()}
+steps["plain_samples"] = sorted(plain.samples)
+print(json.dumps(steps))
+"""
+
+
+class TestRunImports:
+    """A run compiles the telemetry sampler wiring only when its
+    scenario asks for telemetry."""
+
+    def test_only_a_sampled_run_loads_the_samplers(self):
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        done = subprocess.run(
+            [sys.executable, "-c", RUN_IMPORTS],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        steps = json.loads(done.stdout.splitlines()[-1])
+        assert steps["import"] == steps["plain"] == []
+        assert steps["plain_samples"] == []
+        assert steps["sampled"] == ["repro.sim.monitor", "repro.runner.samplers"]
+        assert steps["samples"] == {"rate_bps.a": 3}
 
 
 class TestResultsSchema:

@@ -8,7 +8,7 @@ import pytest
 
 from repro import runtime, units
 from repro.fabric import build_fabric
-from repro.runner.scenario import FlowSpec, Scenario
+from repro.runner.spec import FlowSpec, Scenario
 from repro.shard import ShardingSpec, can_shard, effective_shards
 from repro.shard.boundary import barrier_schedule, decode_packet, encode_packet
 from repro.shard.partition import partition_fabric

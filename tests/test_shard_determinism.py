@@ -19,8 +19,8 @@ from repro.experiments.fabric_scale import (
 )
 from repro.faults.plan import ErrorBurst, FaultPlan, LinkFlap
 from repro.invariants import InvariantConfig
-from repro.runner.scenario import FlowSpec, Scenario, run_scenario
-from repro.runner.scenario import run_scenario_inline
+from repro.runner.scenario import run_scenario, run_scenario_inline
+from repro.runner.spec import FlowSpec, Scenario
 from repro.shard import ShardingSpec
 
 SHARDS_ENV = runtime.VARS["shards"].env

@@ -29,7 +29,8 @@ from repro.experiments.fabric_scale import fabric_incast_scenario
 from repro.faults.plan import FaultPlan, WatchdogConfig
 from repro.invariants import InvariantConfig, InvariantViolation
 from repro.runner import cache
-from repro.runner.scenario import Scenario, run_scenario_inline
+from repro.runner.scenario import run_scenario_inline
+from repro.runner.spec import Scenario
 from repro.shard import ShardingSpec, can_shard
 from repro.shard import runner as shard_runner
 from repro.shard.supervise import ShardRunError

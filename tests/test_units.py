@@ -19,15 +19,6 @@ class TestTimeConversions:
     def test_ns_rounds(self):
         assert units.ns(1.6) == 2
 
-    def test_roundtrip_to_seconds(self):
-        assert units.to_seconds(units.seconds(3)) == 3.0
-
-    def test_roundtrip_to_us(self):
-        assert units.to_us(units.us(55)) == 55.0
-
-    def test_roundtrip_to_ms(self):
-        assert units.to_ms(units.ms(7)) == 7.0
-
     @given(st.integers(min_value=0, max_value=10**9))
     def test_us_monotone(self, value):
         assert units.us(value + 1) > units.us(value)
@@ -42,14 +33,8 @@ class TestSizeConversions:
     def test_mb(self):
         assert units.mb(12) == 12_000_000
 
-    def test_gb(self):
-        assert units.gb(1) == 10**9
-
     def test_fractional_kb(self):
         assert units.kb(22.4) == 22_400
-
-    def test_to_kb(self):
-        assert units.to_kb(5_000) == 5.0
 
 
 class TestRates:
@@ -58,13 +43,6 @@ class TestRates:
 
     def test_mbps(self):
         assert units.mbps(40) == 40e6
-
-    def test_to_gbps(self):
-        assert units.to_gbps(40e9) == 40.0
-
-    def test_bytes_per_ns(self):
-        # 40 Gbps = 5 bytes per ns
-        assert units.bytes_per_ns(units.gbps(40)) == pytest.approx(5.0)
 
 
 class TestSerializationTime:
