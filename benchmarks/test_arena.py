@@ -4,8 +4,8 @@ from conftest import figure
 
 
 def test_arena_dcqcn_leads_the_league():
+    # a failed or violating cell fails the id inside figure()
     result = figure("arena")
-    assert result.total_failures() == 0
     # first in the standings, by a clear margin (mean rank 1.20 against
     # the next best's 2.73 at quick)
     (leader, leader_rank), (_, next_rank) = result.standings()[:2]

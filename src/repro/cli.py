@@ -9,13 +9,15 @@ Usage::
     python -m repro fig16 --jobs 4       # fan repetitions across 4 cores
     python -m repro sec4                 # §4 buffer-threshold table
 
-Telemetry commands (see DESIGN.md §8)::
+Telemetry commands (see DESIGN.md §8) run one named scenario, or any
+arm of an id by name, ``<id>/<arm>``, at the arm's first seed::
 
     python -m repro scenarios                      # named scenarios
     python -m repro trace smoke                    # JSONL trace on stdout
     python -m repro trace smoke --out t.jsonl      # ... or to a file
-    python -m repro trace victim --level cc        # control-plane only
-    python -m repro profile unfairness             # hotspot table
+    python -m repro trace fig04/2 --level cc       # Fig 4, 2 T3 senders
+    python -m repro profile fig03/none             # hotspot table
+    python -m repro run chaos/storm/dcqcn          # one arm's table
 
 Fault injection (see DESIGN.md §9)::
 
@@ -26,7 +28,7 @@ Fault injection (see DESIGN.md §9)::
 
 Hardened execution (see DESIGN.md §10)::
 
-    python -m repro run chaos-mid --invariants report  # collect, don't abort
+    python -m repro run chaos/0.5 --invariants report  # collect, don't abort
     python -m repro fig16 --timeout 300            # per-cell budget (s)
     python -m repro fig16                          # again: only the missing cells
 
@@ -60,6 +62,7 @@ import repro.experiments.catalog  # noqa: F401  (populates REGISTRY)
 from repro import runtime
 from repro.invariants import MODES, InvariantConfig, InvariantViolation
 from repro.runner import REGISTRY, SCENARIOS, format_table
+from repro.runner.registry import resolve
 from repro.shard import can_shard, effective_shards, serial_reason
 
 
@@ -122,8 +125,8 @@ _SHARED_OPTIONS = {
     ),
 }
 
-#: options only a named scenario reads (:func:`run_scenario_main`); an
-#: experiment's cells carry their own guard modes in their scenarios
+#: options only a named scenario or an arm reads (:func:`run_scenario_main`);
+#: an experiment's cells carry their own guard modes in their scenarios
 _SCENARIO_ONLY = ("faults", "shards", "seed", "invariants")
 
 
@@ -149,8 +152,9 @@ def _unread_option(experiment_id: str, args: argparse.Namespace) -> Optional[str
     for name in _SCENARIO_ONLY:
         if getattr(args, name) is not None:
             return (
-                f"--{name} applies to named scenarios (see 'scenarios'), "
-                f"not to experiment {experiment_id!r}"
+                f"--{name} applies to named scenarios (see 'scenarios') and "
+                f"to arms ({experiment_id}/<arm>), not to experiment "
+                f"{experiment_id!r}"
             )
     return None
 
@@ -162,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        help="experiment id (e.g. fig16, sec4), 'run <id>', or 'list'",
+        help="experiment id (e.g. fig16, sec4), 'run <id>', 'run <id>/<arm>', "
+        "or 'list'",
     )
     parser.add_argument(
         "extra",
@@ -176,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run_timeout",
     )
     # None = not given: main() refuses --seed on a target that would
-    # drop it, and a named scenario still runs seed 0
+    # drop it, and a named scenario or an arm runs its own first seed
     parser.set_defaults(seed=None)
     return parser
 
@@ -190,35 +195,35 @@ def scenarios_main(argv: Sequence[str]) -> int:
     """``python -m repro scenarios`` — the named-scenario table."""
     rows = [[sc.id, sc.description] for sc in SCENARIOS]
     print(format_table(["scenario", "description"], rows))
+    print("\nany arm of an experiment runs too, as <id>/<arm> (an unknown "
+          "arm lists the id's arms)")
     return 0
 
 
 def _telemetry_parser(prog: str, description: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument(
-        "scenario", help="named scenario (see 'python -m repro scenarios')"
+        "scenario",
+        help="named scenario (see 'python -m repro scenarios') or <id>/<arm>",
     )
     _add_shared(parser, "seed", "scale", "faults", "invariants")
+    parser.set_defaults(seed=None)
     return parser
 
 
-def _prepare_scenario(
-    scenario_id: str,
-    faults: Optional[str] = None,
-    invariants: Optional[str] = None,
-):
-    """Build a named scenario and overlay ``--faults`` / ``--invariants``.
+def _prepare_scenario(target: str, seed: Optional[int], faults=None, invariants=None):
+    """``(scenario, seed)`` of a named scenario or an ``<id>/<arm>``, with
+    ``--faults`` / ``--invariants`` overlaid; ``seed`` defaults to the
+    target's first.
 
-    Prints the reason and returns None when the id is unknown or the
-    plan file does not load.
+    Prints the reason and returns None when the target is unknown or
+    the plan file does not load.
     """
-    if scenario_id not in SCENARIOS:
-        print(
-            f"unknown scenario {scenario_id!r}; try 'scenarios'",
-            file=sys.stderr,
-        )
+    try:
+        scenario, seeds = resolve(target)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
         return None
-    scenario = SCENARIOS.get(scenario_id).compute()
     if faults is not None:
         import json
 
@@ -235,7 +240,7 @@ def _prepare_scenario(
         scenario = dataclasses.replace(
             scenario, invariants=InvariantConfig(mode=invariants)
         )
-    return scenario
+    return scenario, seeds[0] if seed is None else seed
 
 
 def _run_inline(scenario, seed: int, **instruments):
@@ -251,7 +256,7 @@ def _run_inline(scenario, seed: int, **instruments):
 
 
 def trace_main(argv: Sequence[str]) -> int:
-    """``python -m repro trace <scenario>`` — run once, emit the trace.
+    """``python -m repro trace <scenario|id/arm>`` — run once, emit the trace.
 
     Without ``--out`` the JSONL stream goes to stdout (pipe it to
     ``jq``/``repro.analysis.trace``); a per-type summary goes to
@@ -290,9 +295,10 @@ def trace_main(argv: Sequence[str]) -> int:
     )
     args = parser.parse_args(argv)
     _export_env(args)
-    scenario = _prepare_scenario(args.scenario, args.faults, args.invariants)
-    if scenario is None:
+    prepared = _prepare_scenario(args.scenario, args.seed, args.faults, args.invariants)
+    if prepared is None:
         return 2
+    scenario, seed = prepared
 
     import json
 
@@ -307,9 +313,9 @@ def trace_main(argv: Sequence[str]) -> int:
         rate_sample_ns=args.rate_sample_ns,
     )
     scenario = dataclasses.replace(scenario, telemetry=spec)
-    telemetry = Telemetry.from_spec(spec, seed=args.seed)
+    telemetry = Telemetry.from_spec(spec, seed=seed)
     try:
-        result = _run_inline(scenario, args.seed, telemetry=telemetry)
+        result = _run_inline(scenario, seed, telemetry=telemetry)
     finally:
         telemetry.close()
     if result is None:
@@ -331,7 +337,7 @@ def trace_main(argv: Sequence[str]) -> int:
 
 
 def profile_main(argv: Sequence[str]) -> int:
-    """``python -m repro profile <scenario>`` — per-site hotspot table."""
+    """``python -m repro profile <scenario|id/arm>`` — per-site hotspot table."""
     parser = _telemetry_parser(
         "repro profile",
         "Run one scenario repetition under the scheduler profiler.",
@@ -341,14 +347,15 @@ def profile_main(argv: Sequence[str]) -> int:
     )
     args = parser.parse_args(argv)
     _export_env(args)
-    scenario = _prepare_scenario(args.scenario, args.faults, args.invariants)
-    if scenario is None:
+    prepared = _prepare_scenario(args.scenario, args.seed, args.faults, args.invariants)
+    if prepared is None:
         return 2
+    scenario, seed = prepared
 
     from repro.telemetry import SchedulerProfiler
 
     profiler = SchedulerProfiler()
-    result = _run_inline(scenario, args.seed, profiler=profiler)
+    result = _run_inline(scenario, seed, profiler=profiler)
     if result is None:
         return 3
     print(f"=== profile: {scenario.label or args.scenario} ===")
@@ -538,15 +545,16 @@ def digest_main(argv: Sequence[str]) -> int:
 
 
 def run_scenario_main(scenario_id: str, args) -> int:
-    """``python -m repro run <scenario>`` — one inline scenario repetition.
+    """``python -m repro run <scenario|id/arm>`` — one inline repetition.
 
-    Named scenarios (``python -m repro scenarios``) run through the same
-    path the telemetry commands use, so ``--faults`` overlays a plan and
-    the result table includes the fault/watchdog counters.
+    Named scenarios (``python -m repro scenarios``) and arms run through
+    the same path the telemetry commands use, so ``--faults`` overlays a
+    plan and the result table includes the fault/watchdog counters.
     """
-    scenario = _prepare_scenario(scenario_id, args.faults, args.invariants)
-    if scenario is None:
+    prepared = _prepare_scenario(scenario_id, args.seed, args.faults, args.invariants)
+    if prepared is None:
         return 2
+    scenario, seed = prepared
 
     # the shard runtime is imported only by a run that will use it
     shard_runner = None
@@ -555,7 +563,7 @@ def run_scenario_main(scenario_id: str, args) -> int:
         from repro.shard import runner as shard_runner
 
         shard_runner.LAST_STATS = None
-    result = _run_inline(scenario, args.seed or 0)
+    result = _run_inline(scenario, seed)
     if result is None:
         return 3
     print(f"=== scenario {scenario_id}: {scenario.label or scenario_id} ===")
@@ -627,9 +635,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if experiment_id == "list":
         print(list_experiments())
         return 0
-    # named scenarios run too ('repro run storm --faults plan.json')
+    # named scenarios and arms run too ('repro run storm --faults plan.json')
     named_scenario = experiment_id not in REGISTRY
-    if named_scenario and experiment_id not in SCENARIOS:
+    if named_scenario and "/" not in experiment_id and experiment_id not in SCENARIOS:
         print(
             f"unknown experiment {experiment_id!r}; try 'list'",
             file=sys.stderr,

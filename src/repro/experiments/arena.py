@@ -30,7 +30,7 @@ Each (controller, scenario) cell is scored on Jain fairness across
 the greedy flows, the probe-stream FCT and its slowdown tail
 (p50/p99 of FCT over ideal-FCT), the recovery FCT, PAUSE frames and
 drops, every cell under the strict invariant guard (a breach fails
-the cell).  The league table ranks controllers per metric per scenario
+the cell, and so the id).  The league table ranks controllers per metric per scenario
 and sorts by mean rank.  Scores are *simulation* outcomes under this
 repo's models — a small-league benchmark harness, not a verdict on the
 protocols.
@@ -39,13 +39,12 @@ protocols.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro import units
 from repro.analysis.stats import jain_fairness
 from repro.experiments.multibottleneck import parking_flows
-from repro.runner import FlowSpec, Scenario, format_table, run_sweep, scale
-from repro.runner.results import SweepResult
+from repro.runner import FlowSpec, RunResult, Scenario, format_table, scale
 
 #: every controller the tournament covers (the full registry minus
 #: ``"none"``, which has no control law to score)
@@ -81,7 +80,6 @@ LEAGUE_HEADERS = [
     "recovery ms",
     "pause",
     "drops",
-    "inv",
 ]
 
 
@@ -208,8 +206,6 @@ class ArenaScore:
     recovery_ns: float  # inf when the probe missed the horizon
     pause_frames: float
     drops: float
-    violations: float
-    failures: int = 0
 
     @staticmethod
     def _ms(value_ns: float) -> str:
@@ -220,8 +216,6 @@ class ArenaScore:
         return "—" if value == float("inf") else f"{value:.2f}"
 
     def row(self) -> List[str]:
-        if self.failures:
-            return [self.cc, "FAILED"] + ["—"] * (len(LEAGUE_HEADERS) - 2)
         return [
             self.cc,
             f"{self.fairness:.3f}",
@@ -231,7 +225,6 @@ class ArenaScore:
             self._ms(self.recovery_ns),
             f"{self.pause_frames:.0f}",
             f"{self.drops:.0f}",
-            f"{self.violations:.0f}",
         ]
 
 
@@ -245,12 +238,6 @@ class ArenaResult:
 
     def score(self, scenario: str, cc: str) -> ArenaScore:
         return self.scores[(scenario, cc)]
-
-    def total_violations(self) -> float:
-        return sum(score.violations for score in self.scores.values())
-
-    def total_failures(self) -> int:
-        return sum(score.failures for score in self.scores.values())
 
     # --- ranking ---------------------------------------------------------
 
@@ -312,12 +299,6 @@ class ArenaResult:
             f"{len(self.scenarios)} scenarios × 5 metrics) --\n"
             + format_table(["#", "cc", "mean rank"], standing_rows)
         )
-        sections.append(
-            # every maze runs under the Scenario default, the strict guard
-            "invariants[strict]: "
-            f"{self.total_violations():.0f} violations, "
-            f"{self.total_failures()} failed cells"
-        )
         return "\n\n".join(sections)
 
 
@@ -326,15 +307,15 @@ def _greedy_names(scenario: Scenario) -> List[str]:
 
 
 def _aggregate(
-    cc: str, scenario_id: str, scenario: Scenario, point
+    cc: str, scenario_id: str, scenario: Scenario, runs: Sequence[RunResult]
 ) -> ArenaScore:
-    """Fold one sweep point's runs into a score (means across seeds)."""
+    """Fold one cell's runs into a score (means across seeds)."""
 
     from repro.analysis import fct as fct_mod
     from repro.analysis.stats import percentile
 
     def mean(values: Sequence[float]) -> float:
-        return sum(values) / len(values) if values else float("inf")
+        return sum(values) / len(values)
 
     def probe_records(run, name: str):
         return [r for r in run.flow_stats_records() if r.flow == name]
@@ -347,21 +328,6 @@ def _aggregate(
         return float("inf")
 
     greedy = _greedy_names(scenario)
-    runs = point.runs
-    if not runs:
-        return ArenaScore(
-            cc=cc,
-            scenario=scenario_id,
-            fairness=0.0,
-            fct_ns=float("inf"),
-            slow_p50=float("inf"),
-            slow_p99=float("inf"),
-            recovery_ns=float("inf"),
-            pause_frames=float("inf"),
-            drops=float("inf"),
-            violations=float("inf"),
-            failures=len(point.failures),
-        )
     rtt = fct_mod.base_rtt_ns(hops=ARENA_HOPS[scenario_id])
     stream = [r for run in runs for r in probe_records(run, "fct_probe")]
     slow = fct_mod.slowdowns(stream, rtt)
@@ -380,37 +346,28 @@ def _aggregate(
         recovery_ns=mean([probe_ns(run, "recovery_probe") for run in runs]),
         pause_frames=mean([run.counters.get("pause_frames", 0.0) for run in runs]),
         drops=mean([run.counters.get("drops", 0.0) for run in runs]),
-        violations=mean(
-            [
-                float(run.invariant_report.get("violation_count", 0))
-                for run in runs
-            ]
-        ),
-        failures=len(point.failures),
     )
 
 
-def run_arena(
-    controllers: Sequence[str] = ARENA_CONTROLLERS,
-    scenarios: Sequence[str] = ARENA_SCENARIOS,
-    seeds: Optional[Sequence[int]] = None,
-) -> ArenaResult:
-    """Run the full tournament (fanned out as one sweep)."""
-    if seeds is None:
-        seeds = scale.seeds_for(scale.pick(2, 1), base=6000)
-    built = {
-        (scenario_id, cc): arena_scenario(scenario_id, cc)
-        for scenario_id in scenarios
-        for cc in controllers
+def arena_arms():
+    """Every maze for every controller, arm ``(maze, cc)``; the same
+    seeds everywhere, so every cell runs under identical conditions."""
+    seeds = scale.seeds_for(scale.pick(2, 1), base=6000)
+    return {
+        (scenario_id, cc): (arena_scenario(scenario_id, cc), seeds)
+        for scenario_id in ARENA_SCENARIOS
+        for cc in ARENA_CONTROLLERS
     }
-    sweep: SweepResult = run_sweep("arena", built, seeds)
+
+
+def arena_result(runs: Mapping[Tuple[str, str], List[RunResult]]) -> ArenaResult:
+    """The tournament over whichever ``(maze, cc)`` arms ran."""
     result = ArenaResult(
-        controllers=tuple(controllers),
-        scenarios=tuple(scenarios),
+        controllers=tuple(dict.fromkeys(cc for _, cc in runs)),
+        scenarios=tuple(dict.fromkeys(scenario_id for scenario_id, _ in runs)),
     )
-    for point in sweep.points:
-        scenario_id, cc = point.value
-        result.scores[(scenario_id, cc)] = _aggregate(
-            cc, scenario_id, built[(scenario_id, cc)], point
+    for (scenario_id, cc), cell_runs in runs.items():
+        result.scores[scenario_id, cc] = _aggregate(
+            cc, scenario_id, arena_scenario(scenario_id, cc), cell_runs
         )
     return result

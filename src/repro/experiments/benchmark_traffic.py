@@ -18,9 +18,8 @@ pairs and of incast senders, plus the number of PAUSE frames received
 at the spine switches (Figure 15).
 
 Every configuration is one :class:`~repro.runner.Scenario`
-(:func:`traffic_scenario`), and each figure sends all of its
-configurations through one :func:`~repro.runner.run_arms` call, so an
-entire figure fans out across cores at once.
+(:func:`traffic_scenario`), one arm of its figure (:func:`traffic_arms`),
+so an entire figure fans out across cores at once.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ from repro.analysis.stats import percentile
 from repro.core.params import DCQCNParams
 from repro.experiments.fct_grid import STREAM
 from repro.invariants import InvariantConfig
-from repro.runner import FlowSpec, RunResult, Scenario, format_table, run_arms
-from repro.runner import scale
+from repro.runner import FlowSpec, RunResult, Scenario, format_table, scale
 from repro.runner.scale import derive_seed
 from repro.sim.switch import SwitchConfig
 
@@ -197,11 +195,10 @@ def traffic_scenario(
 N_PAIRS = 20
 
 
-def _run(
-    name: str, configs: Sequence[Tuple[str, int, int]], fresh_qp: bool = False
-) -> List[BenchmarkTrafficResult]:
-    """One result per ``(variant, incast degree, #pairs)``, every
-    configuration in ONE :func:`run_arms` fan-out."""
+def traffic_arms(
+    configs: Sequence[Tuple[str, int, int]], fresh_qp: bool = False
+) -> Dict[Tuple[str, int, int], Tuple[Scenario, List[int]]]:
+    """One arm per ``(variant, incast degree, #pairs)`` of ``configs``."""
     measure_ns = scale.pick(units.ms(8), units.ms(2))
     arms = {}
     for variant, incast_degree, n_pairs in configs:
@@ -216,30 +213,42 @@ def _run(
             traffic_scenario(
                 variant, incast_degree, n_pairs, warmup_ns, measure_ns, fresh_qp, seed
             ),
-            seed,
+            [seed],
         )
-    runs = run_arms(name, arms)
-    return [
-        BenchmarkTrafficResult.from_run(*config, runs[config]) for config in configs
-    ]
+    return arms
 
 
-def run_fig15() -> Dict[str, BenchmarkTrafficResult]:
+def traffic_results(
+    runs: Dict[Tuple[str, int, int], List[RunResult]]
+) -> Dict[Tuple[str, int, int], BenchmarkTrafficResult]:
+    return {
+        config: BenchmarkTrafficResult.from_run(*config, run)
+        for config, (run,) in runs.items()
+    }
+
+
+def by_variant(runs) -> Dict[str, BenchmarkTrafficResult]:
+    """Figures 15 and 18: one result per variant."""
+    return {variant: r for (variant, _, _), r in traffic_results(runs).items()}
+
+
+def fig15_arms():
     """Figure 15: PAUSE frames at the spines under 10:1 incast, without
     and with DCQCN."""
-    variants = ("none", "dcqcn")
-    return dict(zip(variants, _run("fig15", [(v, 10, N_PAIRS) for v in variants])))
+    return traffic_arms([(v, 10, N_PAIRS) for v in ("none", "dcqcn")])
 
 
-def run_fig16() -> Dict[str, Dict[int, BenchmarkTrafficResult]]:
+def fig16_arms():
     """Figure 16: user/incast throughput vs incast degree."""
-    variants = ("none", "dcqcn")
     degrees = scale.pick((2, 6, 10), (2, 6))
-    results = iter(_run("fig16", [(v, d, N_PAIRS) for v in variants for d in degrees]))
-    return {
-        variant: {degree: next(results) for degree in degrees}
-        for variant in variants
-    }
+    return traffic_arms([(v, d, N_PAIRS) for v in ("none", "dcqcn") for d in degrees])
+
+
+def fig16_result(runs) -> Dict[str, Dict[int, BenchmarkTrafficResult]]:
+    results: Dict[str, Dict[int, BenchmarkTrafficResult]] = {}
+    for (variant, degree, _), result in traffic_results(runs).items():
+        results.setdefault(variant, {})[degree] = result
+    return results
 
 
 def fig16_table(results: Dict[str, Dict[int, BenchmarkTrafficResult]]) -> str:
@@ -250,18 +259,24 @@ def fig16_table(results: Dict[str, Dict[int, BenchmarkTrafficResult]]) -> str:
     return format_table(RESULT_HEADERS, rows)
 
 
-def run_fig17() -> Dict[str, BenchmarkTrafficResult]:
+def fig17_arms():
     """Figure 17: "16x more user traffic".
 
     5 pairs without DCQCN vs 16x as many (80) pairs with DCQCN, both
     under 10:1 incast; the paper shows the CDFs match, i.e. DCQCN
     carries 16x the user load at the same per-pair performance.
     """
-    none_result, dcqcn_result = _run("fig17", [("none", 10, 5), ("dcqcn", 10, 80)])
-    return {"none_5pairs": none_result, "dcqcn_80pairs": dcqcn_result}
+    return traffic_arms([("none", 10, 5), ("dcqcn", 10, 80)])
 
 
-def run_fig18() -> Dict[str, BenchmarkTrafficResult]:
+def fig17_result(runs) -> Dict[str, BenchmarkTrafficResult]:
+    return {
+        f"{variant}_{pairs}pairs": result
+        for (variant, _, pairs), result in traffic_results(runs).items()
+    }
+
+
+def fig18_arms():
     """Figure 18: why PFC and correct thresholds are both needed.
 
     Under 8:1 incast, user transfers run as fresh queue pairs
@@ -270,5 +285,4 @@ def run_fig18() -> Dict[str, BenchmarkTrafficResult]:
     tails — exactly the paper's "DCQCN does not obviate the need for
     PFC".
     """
-    configs = [(variant, 8, N_PAIRS) for variant in VARIANTS]
-    return dict(zip(VARIANTS, _run("fig18", configs, fresh_qp=True)))
+    return traffic_arms([(variant, 8, N_PAIRS) for variant in VARIANTS], fresh_qp=True)

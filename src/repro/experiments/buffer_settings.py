@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import units
 from repro.buffers.thresholds import ThresholdPlan, plan_thresholds
 from repro.core.params import DCQCNParams
 from repro.experiments.microbench import incast_scenario
 from repro.invariants import InvariantConfig
-from repro.runner import RunResult, Scenario, format_table, run_arms, scale
+from repro.runner import RunResult, Scenario, format_table, scale
 from repro.sim.switch import SwitchConfig
 
 
@@ -103,16 +103,22 @@ def sec4_scenario(misconfigured: bool, warmup_ns: int, duration_ns: int) -> Scen
     return dataclasses.replace(scenario, invariants=InvariantConfig(mode="report"))
 
 
-def run_sec4() -> Tuple[ThresholdPlan, List[EcnBeforePfcCheck]]:
-    """The §4 threshold plan, and the 8:1 incast under the deployed and
-    the misconfigured thresholds, observing which mechanism fires."""
+def sec4_arms():
+    """The 8:1 incast under the deployed and the misconfigured
+    thresholds, arms ``deployed`` and ``misconfigured``."""
     warmup_ns = scale.pick(units.ms(5), units.ms(2))
     duration_ns = scale.pick(units.ms(8), units.ms(2))
-    arms = {
-        misconfigured: (sec4_scenario(misconfigured, warmup_ns, duration_ns), 53)
-        for misconfigured in (False, True)
+    return {
+        name: (sec4_scenario(name == "misconfigured", warmup_ns, duration_ns), [53])
+        for name in ("deployed", "misconfigured")
     }
-    runs = run_arms("sec4", arms)
+
+
+def sec4_result(
+    runs: Dict[str, List[RunResult]]
+) -> Tuple[ThresholdPlan, List[EcnBeforePfcCheck]]:
+    """The §4 threshold plan, and which mechanism fired in each arm."""
     return plan_thresholds(), [
-        EcnBeforePfcCheck.from_run(m, run) for m, run in runs.items()
+        EcnBeforePfcCheck.from_run(name == "misconfigured", run)
+        for name, (run,) in runs.items()
     ]

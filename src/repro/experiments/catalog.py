@@ -3,19 +3,35 @@
 Importing this module populates :data:`repro.runner.REGISTRY` with one
 entry per paper artifact, plus :data:`repro.runner.SCENARIOS` with the
 named scenarios the telemetry commands (``python -m repro trace`` /
-``profile``) operate on.  Each artifact is defined once: the decorated
-``compute()`` returns the result object and its ``table`` renders it.
-``python -m repro <id>`` prints ``table(compute())``; the figure test
-in ``benchmarks/`` makes the same two calls and asserts on the result.
-Heavyweight imports stay inside the functions so ``python -m repro
-list`` stays fast.
+``profile``) operate on.  Each artifact is defined once: a simulated id
+registers its ``arms`` and the reduce of their runs
+(:class:`repro.runner.Entry`), the others the function that computes
+their result, and ``table`` renders it.  ``python -m repro <id>`` prints
+``table(compute())``; the figure test in ``benchmarks/`` makes the same
+two calls and asserts on the result.  Heavyweight imports stay inside
+the functions so ``python -m repro list`` stays fast.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
+
 from repro.runner import experiment
 from repro.runner.registry import scenario
 from repro.runner.results import format_table
+
+
+def _lazy(path: str, *args):
+    """``repro.experiments.<module>.<function>`` (``path`` is
+    ``"module:function"``) with ``args`` first, imported when called:
+    the ``arms`` factory or the reduce of a simulated id."""
+    module, function = path.split(":")
+
+    def call(*more):
+        fn = getattr(import_module(f"repro.experiments.{module}"), function)
+        return fn(*args, *more)
+
+    return call
 
 
 def _own_table(result) -> str:
@@ -73,32 +89,22 @@ def _unfairness_table(result) -> str:
     return result.table() + f"\nPAUSE frames per run: {result.pause_frames}"
 
 
-@experiment("fig03", "PFC parking-lot unfairness", table=_unfairness_table)
-def fig03():
-    from repro.experiments.pfc_pathologies import run_unfairness
-
-    return run_unfairness("none")
-
-
-@experiment("fig04", "PFC victim flow", table=_own_table)
-def fig04():
-    from repro.experiments.pfc_pathologies import run_victim_flow
-
-    return run_victim_flow("none")
-
-
-@experiment("fig08", "DCQCN fixes the unfairness", table=_unfairness_table)
-def fig08():
-    from repro.experiments.pfc_pathologies import run_unfairness
-
-    return run_unfairness("dcqcn")
-
-
-@experiment("fig09", "DCQCN rescues the victim", table=_own_table)
-def fig09():
-    from repro.experiments.pfc_pathologies import run_victim_flow
-
-    return run_victim_flow("dcqcn")
+experiment(
+    "fig03", "PFC parking-lot unfairness", table=_unfairness_table,
+    arms=_lazy("pfc_pathologies:unfairness_arms", "none"),
+)(_lazy("pfc_pathologies:unfairness_result"))
+experiment(
+    "fig04", "PFC victim flow", table=_own_table,
+    arms=_lazy("pfc_pathologies:victim_arms", "none"),
+)(_lazy("pfc_pathologies:victim_flow_result"))
+experiment(
+    "fig08", "DCQCN fixes the unfairness", table=_unfairness_table,
+    arms=_lazy("pfc_pathologies:unfairness_arms", "dcqcn"),
+)(_lazy("pfc_pathologies:unfairness_result"))
+experiment(
+    "fig09", "DCQCN rescues the victim", table=_own_table,
+    arms=_lazy("pfc_pathologies:victim_arms", "dcqcn"),
+)(_lazy("pfc_pathologies:victim_flow_result"))
 
 
 def _fig10_table(result) -> str:
@@ -155,11 +161,10 @@ def _fig13_table(results) -> str:
     )
 
 
-@experiment("fig13", "parameter validation on the simulator", table=_fig13_table)
-def fig13():
-    from repro.experiments.fluid_validation import run_all_validations
-
-    return run_all_validations()
+experiment(
+    "fig13", "parameter validation on the simulator", table=_fig13_table,
+    arms=_lazy("fluid_validation:fig13_arms"),
+)(_lazy("fluid_validation:fig13_result"))
 
 
 def _tab14_table(params) -> str:
@@ -192,11 +197,10 @@ def _traffic_table(results) -> str:
     return format_table(RESULT_HEADERS, [r.row() for r in results.values()])
 
 
-@experiment("fig15", "PAUSE frames at the spines", table=_traffic_table)
-def fig15():
-    from repro.experiments.benchmark_traffic import run_fig15
-
-    return run_fig15()
+experiment(
+    "fig15", "PAUSE frames at the spines", table=_traffic_table,
+    arms=_lazy("benchmark_traffic:fig15_arms"),
+)(_lazy("benchmark_traffic:by_variant"))
 
 
 def _fig16_table(results) -> str:
@@ -205,25 +209,22 @@ def _fig16_table(results) -> str:
     return fig16_table(results)
 
 
-@experiment("fig16", "benchmark traffic vs incast degree", table=_fig16_table)
-def fig16():
-    from repro.experiments.benchmark_traffic import run_fig16
-
-    return run_fig16()
-
-
-@experiment("fig17", "16x user load comparison", table=_traffic_table)
-def fig17():
-    from repro.experiments.benchmark_traffic import run_fig17
-
-    return run_fig17()
+experiment(
+    "fig16", "benchmark traffic vs incast degree", table=_fig16_table,
+    arms=_lazy("benchmark_traffic:fig16_arms"),
+)(_lazy("benchmark_traffic:fig16_result"))
 
 
-@experiment("fig18", "need for PFC and correct thresholds", table=_traffic_table)
-def fig18():
-    from repro.experiments.benchmark_traffic import run_fig18
+experiment(
+    "fig17", "16x user load comparison", table=_traffic_table,
+    arms=_lazy("benchmark_traffic:fig17_arms"),
+)(_lazy("benchmark_traffic:fig17_result"))
 
-    return run_fig18()
+
+experiment(
+    "fig18", "need for PFC and correct thresholds", table=_traffic_table,
+    arms=_lazy("benchmark_traffic:fig18_arms"),
+)(_lazy("benchmark_traffic:by_variant"))
 
 
 def _fig19_table(results) -> str:
@@ -232,11 +233,10 @@ def _fig19_table(results) -> str:
     return format_table(QUEUE_HEADERS, [r.row() for r in results])
 
 
-@experiment("fig19", "queue length: DCQCN vs DCTCP", table=_fig19_table)
-def fig19():
-    from repro.experiments.latency import run_fig19
-
-    return run_fig19()
+experiment(
+    "fig19", "queue length: DCQCN vs DCTCP", table=_fig19_table,
+    arms=_lazy("latency:fig19_arms"),
+)(_lazy("latency:fig19_result"))
 
 
 def _fig20_table(results) -> str:
@@ -245,11 +245,10 @@ def _fig20_table(results) -> str:
     return format_table(PARKING_HEADERS, [r.row() for r in results])
 
 
-@experiment("fig20", "multi-bottleneck marking comparison", table=_fig20_table)
-def fig20():
-    from repro.experiments.multibottleneck import run_fig20
-
-    return run_fig20()
+experiment(
+    "fig20", "multi-bottleneck marking comparison", table=_fig20_table,
+    arms=_lazy("multibottleneck:fig20_arms"),
+)(_lazy("multibottleneck:fig20_result"))
 
 
 def _sec4_table(result) -> str:
@@ -277,13 +276,10 @@ def _sec4_table(result) -> str:
     )
 
 
-@experiment(
-    "sec4", "buffer thresholds, and ECN firing before PFC", table=_sec4_table
-)
-def sec4():
-    from repro.experiments.buffer_settings import run_sec4
-
-    return run_sec4()
+experiment(
+    "sec4", "buffer thresholds, and ECN firing before PFC", table=_sec4_table,
+    arms=_lazy("buffer_settings:sec4_arms"),
+)(_lazy("buffer_settings:sec4_result"))
 
 
 def _sec61_table(results) -> str:
@@ -292,11 +288,10 @@ def _sec61_table(results) -> str:
     return format_table(INCAST_HEADERS, [r.row() for r in results])
 
 
-@experiment("sec61", "K:1 incast utilization sweep", table=_sec61_table)
-def sec61():
-    from repro.experiments.microbench import run_incast_sweep
-
-    return run_incast_sweep()
+experiment(
+    "sec61", "K:1 incast utilization sweep", table=_sec61_table,
+    arms=_lazy("microbench:sec61_arms"),
+)(_lazy("microbench:sec61_result"))
 
 
 def _sec7_table(results) -> str:
@@ -305,11 +300,10 @@ def _sec7_table(results) -> str:
     return format_table(LOSS_HEADERS, [r.row() for r in results])
 
 
-@experiment("sec7", "non-congestion loss sensitivity", table=_sec7_table)
-def sec7():
-    from repro.experiments.link_errors import run_loss_sweep
-
-    return run_loss_sweep()
+experiment(
+    "sec7", "non-congestion loss sensitivity", table=_sec7_table,
+    arms=_lazy("link_errors:sec7_arms"),
+)(_lazy("link_errors:sec7_result"))
 
 
 def _ablations_table(result) -> str:
@@ -336,34 +330,23 @@ def _ablations_table(result) -> str:
     )
 
 
-@experiment(
+experiment(
     "ablations", "design-choice ablations: QCN, Pmax, RP timer jitter",
-    table=_ablations_table,
-)
-def ablations():
-    from repro.experiments.qcn_ablation import run_ablations
-
-    return run_ablations()
+    table=_ablations_table, arms=_lazy("qcn_ablation:ablations_arms"),
+)(_lazy("qcn_ablation:ablations_result"))
 
 
-@experiment(
+experiment(
     "arena",
     "CC tournament: every controller x {incast, victim, multibottleneck}",
-    table=_own_table,
-)
-def arena():
-    from repro.experiments.arena import run_arena
-
-    return run_arena()
+    table=_own_table, arms=_lazy("arena:arena_arms"),
+)(_lazy("arena:arena_result"))
 
 
-@experiment(
-    "fabric", "DCQCN incast across fat-tree sizes (k=4, 8, 16)", table=_own_table
-)
-def fabric():
-    from repro.experiments.fabric_scale import run_fabric
-
-    return run_fabric()
+experiment(
+    "fabric", "DCQCN incast across fat-tree sizes (k=4, 8, 16)",
+    table=_own_table, arms=_lazy("fabric_scale:fabric_arms"),
+)(_lazy("fabric_scale:fabric_result"))
 
 
 def _chaos_table(result) -> str:
@@ -376,20 +359,19 @@ def _chaos_table(result) -> str:
     )
 
 
-@experiment(
-    "chaos",
-    "scripted fault injection: PAUSE storms, flaps, recovery",
-    table=_chaos_table,
-)
-def chaos():
-    from repro.experiments.chaos import run_chaos
-
-    return run_chaos()
+experiment(
+    "chaos", "scripted fault injection: PAUSE storms, flaps, recovery",
+    table=_chaos_table, arms=_lazy("chaos:chaos_arms"),
+)(_lazy("chaos:chaos_result"))
 
 
 # --- named scenarios (python -m repro trace/profile <id>) ------------------
+#
+# An arm of an id runs by name (``trace fig04/2``); a named scenario is
+# one that restates no arm, and each says why it is kept.
 
 
+# CI's trace, profile and shard-skip target
 @scenario("smoke", "2-to-1 DCQCN incast on one switch (2 ms)")
 def smoke_scenario():
     from repro import units
@@ -407,56 +389,15 @@ def smoke_scenario():
     )
 
 
-@scenario("unfairness", "Figure 3: PFC parking-lot unfairness, no CC")
-def unfairness_pfc_scenario():
-    from repro.experiments.pfc_pathologies import unfairness_scenario
-
-    return unfairness_scenario("none")
-
-
-@scenario("unfairness-dcqcn", "Figure 8: the unfairness scenario with DCQCN")
-def unfairness_dcqcn_scenario():
-    from repro.experiments.pfc_pathologies import unfairness_scenario
-
-    return unfairness_scenario("dcqcn")
-
-
-@scenario("victim", "Figure 4: PFC victim flow (2 extra T3 senders)")
-def victim_flow_scenario():
-    from repro import units
-    from repro.experiments.pfc_pathologies import victim_scenario
-    from repro.runner import scale
-
-    return victim_scenario(
-        "none",
-        t3_senders=2,
-        duration_ns=scale.pick(units.ms(10), units.ms(2)),
-        warmup_ns=0,
-    )
-
-
+# the canvas for ``--faults plan.json``: no arm runs the storm unfaulted
 @scenario("storm", "dumbbell feeder+victim, no built-in faults (use --faults)")
 def storm_scenario():
     from repro.experiments.pfc_pathologies import pause_storm_scenario
 
-    # no plan baked in: this is the canvas for ``--faults plan.json``
     return pause_storm_scenario("none", with_storm=False)
 
 
-@scenario("storm-dcqcn", "the storm scenario with a scripted PAUSE storm + DCQCN")
-def storm_dcqcn_scenario():
-    from repro.experiments.pfc_pathologies import pause_storm_scenario
-
-    return pause_storm_scenario("dcqcn")
-
-
-@scenario("chaos-mid", "mid-intensity storm+flap chaos run (the CI invariant gate)")
-def chaos_named_scenario():
-    from repro.experiments.chaos import chaos_scenario
-
-    return chaos_scenario(0.5)
-
-
+# no id runs the fabric chaos maze yet; the sharded determinism tests do
 @scenario(
     "chaos-shard",
     "k=4 fat-tree incast under storm + boundary faults (shardable)",
@@ -467,6 +408,7 @@ def chaos_shard_scenario():
     return chaos_fabric_scenario(0.5)
 
 
+# the Fig 16 traffic with its default knobs, which no fig16 arm uses
 @scenario("benchmark", "Fig 16 benchmark traffic: user message streams + incast")
 def benchmark_named_scenario():
     from repro.experiments.fct_grid import benchmark_scenario
@@ -474,13 +416,7 @@ def benchmark_named_scenario():
     return benchmark_scenario()
 
 
-@scenario("fabric-smoke", "k=4 fat-tree (16 hosts): incast + probes")
-def fabric_smoke_scenario():
-    from repro.experiments.fabric_scale import fabric_incast_scenario
-
-    return fabric_incast_scenario(k=4)
-
-
+# the smoke scale's only pin of k=8: fabric runs k=4 alone at smoke
 @scenario("fabric-k8", "k=8 fat-tree (128 hosts): incast + probes")
 def fabric_k8_scenario():
     from repro.experiments.fabric_scale import fabric_incast_scenario
@@ -488,6 +424,7 @@ def fabric_k8_scenario():
     return fabric_incast_scenario(k=8)
 
 
+# no id runs fabric-wide benchmark traffic
 @scenario("fabric-bench", "k=8 fat-tree benchmark: heavy-tailed streams + incast")
 def fabric_bench_scenario():
     from repro.experiments.fabric_scale import fabric_benchmark_scenario
@@ -495,6 +432,7 @@ def fabric_bench_scenario():
     return fabric_benchmark_scenario()
 
 
+# the smoke scale's only pin of k=16: fabric runs k=4 alone at smoke
 @scenario("fabric-1024", "k=16 fat-tree (1024 hosts): 32:1 incast, invariants on")
 def fabric_1024_scenario():
     from repro.experiments.fabric_scale import thousand_host_scenario

@@ -16,14 +16,12 @@ flaps stall flows; they must never read as cyclic buffer waits).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro import units
 from repro.analysis.stats import percentile
-from repro.runner import FlowSpec, Scenario, format_table, run_sweep
-from repro.runner import scale
+from repro.runner import FlowSpec, RunResult, Scenario, format_table, scale
 
 CHAOS_HEADERS = [
     "intensity",
@@ -61,9 +59,6 @@ class ChaosPoint:
 class ChaosResult:
     """One :class:`ChaosPoint` per swept intensity."""
 
-    cc: str
-    repetitions: int
-    duration_ms: float
     points: List[ChaosPoint] = field(default_factory=list)
 
     def table(self) -> str:
@@ -205,8 +200,6 @@ def chaos_fabric_scenario(
 class PauseStormResult:
     """Feeder/victim damage from a scripted PAUSE storm, per CC variant."""
 
-    repetitions: int
-    duration_ms: float
     #: cc -> list of per-run feeder throughputs under storm (bps)
     feeder_bps: Dict[str, List[float]] = field(default_factory=dict)
     #: cc -> list of per-run victim throughputs under storm (bps)
@@ -252,47 +245,43 @@ class PauseStormResult:
         )
 
 
-def run_chaos() -> Tuple[PauseStormResult, ChaosResult]:
-    """The scripted PAUSE storm, with and without DCQCN, and the fault
-    intensity sweep under DCQCN, as one sweep of every cell.
+#: the CC variants of the scripted storm, and the swept fault intensities
+STORM_CCS = ("none", "dcqcn")
+INTENSITIES = (0.0, 0.25, 0.5, 1.0)
 
-    Without CC the storm cascades over the trunk and the victim loses
-    throughput it should not; with DCQCN the cascade never forms.  Each
-    CC variant is also run storm-free to give the victim a baseline.
-    The intensity sweep reports the resilience metrics.
-    """
+
+def chaos_arms():
+    """The scripted PAUSE storm, with and without DCQCN, each also run
+    storm-free to give the victim a baseline: arms ``("storm", cc)``
+    and ``("clean", cc)``; and the fault intensity sweep under DCQCN,
+    one arm per intensity."""
     from repro.experiments.pfc_pathologies import pause_storm_scenario
 
     repetitions = scale.pick(3, 2)
-    ccs = ("none", "dcqcn")
-    intensities = (0.0, 0.25, 0.5, 1.0)
-    scenarios: Dict[Any, Scenario] = {}
-    seeds: Dict[Any, List[int]] = {}
-    for cc in ccs:
+    seeds = scale.seeds_for(repetitions, base=7000)
+    arms: Dict[Any, Tuple[Scenario, List[int]]] = {}
+    for cc in STORM_CCS:
         for arm, with_storm in (("storm", True), ("clean", False)):
-            scenarios[arm, cc] = pause_storm_scenario(cc, with_storm=with_storm)
-            seeds[arm, cc] = scale.seeds_for(repetitions, base=7000)
-    for intensity in intensities:
-        scenarios[intensity] = chaos_scenario(intensity)
-        seeds[intensity] = scale.seeds_for(repetitions, base=9000)
-    sweep = run_sweep("chaos", scenarios, seeds)
-    if sweep.total_failures():
-        warnings.warn(
-            f"{sweep.total_failures()} of the chaos repetitions failed "
-            "(timeout/crash); summaries cover the survivors"
-        )
+            arms[arm, cc] = (pause_storm_scenario(cc, with_storm=with_storm), seeds)
+    sweep_seeds = scale.seeds_for(repetitions, base=9000)
+    for intensity in INTENSITIES:
+        arms[intensity] = (chaos_scenario(intensity), sweep_seeds)
+    return arms
 
-    storm = PauseStormResult(
-        repetitions=repetitions,
-        duration_ms=scenarios["storm", ccs[0]].duration_ns / 1e6,
-    )
-    for cc in ccs:
-        stormy_runs = sweep.point(("storm", cc)).runs
-        clean_runs = sweep.point(("clean", cc)).runs
+
+def chaos_result(
+    runs: Mapping[Any, List[RunResult]]
+) -> Tuple[PauseStormResult, ChaosResult]:
+    """Without CC the storm cascades over the trunk and the victim loses
+    throughput it should not; with DCQCN the cascade never forms.  The
+    intensity sweep reports the resilience metrics."""
+    storm = PauseStormResult()
+    for cc in STORM_CCS:
+        stormy_runs = runs["storm", cc]
         storm.feeder_bps[cc] = [run.flows_bps["feeder"] for run in stormy_runs]
         storm.victim_bps[cc] = [run.flows_bps["victim"] for run in stormy_runs]
         storm.clean_victim_bps[cc] = [
-            run.flows_bps["victim"] for run in clean_runs
+            run.flows_bps["victim"] for run in runs["clean", cc]
         ]
         storm.pause_frames[cc] = [
             int(run.metric("pfc.pause_tx")) for run in stormy_runs
@@ -302,16 +291,12 @@ def run_chaos() -> Tuple[PauseStormResult, ChaosResult]:
             for run in stormy_runs
         ]
 
-    result = ChaosResult(
-        cc="dcqcn",
-        repetitions=repetitions,
-        duration_ms=scenarios[intensities[0]].duration_ns / 1e6,
-    )
-    for intensity in intensities:
-        point = sweep.point(intensity)
+    result = ChaosResult()
+    for intensity in INTENSITIES:
+        point = runs[intensity]
         gauges: Dict[str, float] = {}
         cycles = 0
-        for run in point.runs:
+        for run in point:
             for name in (
                 "fault.goodput_fraction",
                 "fault.victim_loss_fraction",
@@ -320,14 +305,14 @@ def run_chaos() -> Tuple[PauseStormResult, ChaosResult]:
                 value = run.metrics.get("gauges", {}).get(name)
                 if value is not None:
                     gauges.setdefault(name, 0.0)
-                    gauges[name] += value / len(point.runs)
+                    gauges[name] += value / len(point)
             cycles += int(run.metrics.get("counters", {}).get(
                 "watchdog.cycles", 0
             ))
-        samples = point.flow_samples("victim")
         result.points.append(ChaosPoint(
-            intensity=point.value,
-            victim_gbps=percentile(samples, 50) / 1e9 if samples else float("nan"),
+            intensity=intensity,
+            victim_gbps=percentile([run.flows_bps["victim"] for run in point], 50)
+            / 1e9,
             goodput_fraction=gauges.get("fault.goodput_fraction", 1.0),
             victim_loss_fraction=gauges.get("fault.victim_loss_fraction", 0.0),
             max_recovery_us=gauges.get("fault.max_recovery_ns", 0.0) / 1e3,

@@ -9,10 +9,10 @@ with heavy-tailed storage-cluster traffic — all as declarative
 :class:`~repro.runner.spec.Scenario` objects, so every run is
 cached, parallel and resumable like the rest of the suite.
 
-:func:`run_fabric` (the ``fabric`` id) runs the incast at k = 4, 8
-and 16 and reports, per size, what §6.1 judges an incast by: goodput
-at the receiver, drops and PAUSE frames (received per switch tier),
-plus the guard's violations and the probes' slowdowns over the ideal
+:func:`fabric_arms` (the ``fabric`` id) runs the incast at k = 4, 8
+and 16, and :func:`fabric_result` reports, per size, what §6.1 judges
+an incast by: goodput at the receiver, drops and PAUSE frames
+(received per switch tier), plus the probes' slowdowns over the ideal
 FCT of an idle cross-pod path (:mod:`repro.analysis.fct`).
 """
 
@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro import units
 from repro.analysis import fct
 from repro.runner import scale
-from repro.runner.results import format_table
-from repro.runner.scenario import run_sweep
+from repro.runner.results import RunResult, format_table
 from repro.runner.spec import FlowSpec, Scenario
 
 #: cross-pod fat-tree path: edge, agg, core, agg, edge — five
@@ -236,7 +235,6 @@ FABRIC_HEADERS = [
     "edge rx",
     "agg rx",
     "core rx",
-    "violations",
 ]
 
 
@@ -252,27 +250,21 @@ class FabricRow:
     pause_frames: int = 0
     #: PAUSE frames received, by switch tier
     pause_rx: Dict[str, int] = field(default_factory=dict)
-    violations: int = 0
     #: probe slowdowns by size bucket
     slowdowns: Dict[str, fct.SlowdownSummary] = field(default_factory=dict)
-    failures: int = 0
 
     @property
     def hosts(self) -> int:
         return self.k**3 // 4
 
     def row(self) -> List[str]:
-        name = f"k={self.k} ({self.hosts} hosts)"
-        if self.failures:
-            return [name, "FAILED"] + ["—"] * (len(FABRIC_HEADERS) - 2)
         return [
-            name,
+            f"k={self.k} ({self.hosts} hosts)",
             str(self.flows),
             f"{self.incast_gbps:.2f}",
             str(self.drops),
             str(self.pause_frames),
             *(str(self.pause_rx[tier]) for tier in TIERS),
-            str(self.violations),
         ]
 
 
@@ -301,34 +293,36 @@ class FabricResult:
         return "\n\n".join(sections)
 
 
-def _fabric_row(k: int, scenario: Scenario, point) -> FabricRow:
-    row = FabricRow(k=k, flows=len(scenario.flows), failures=len(point.failures))
-    if not point.runs:
-        return row
-    (run,) = point.runs
-    row.incast_gbps = sum(
-        run.flows_bps[flow.name] for flow in scenario.flows if flow.greedy
-    ) / 1e9
-    row.drops = int(run.counters["drops"])
-    row.pause_frames = int(run.counters["pause_frames"])
-    row.pause_rx = {tier: int(run.counters[f"pause_rx.{tier}"]) for tier in TIERS}
-    row.violations = int(run.invariant_report["violation_count"])
-    row.slowdowns = fct.summarize_slowdowns(
-        fct.records_from_runs([run]), fct.base_rtt_ns(hops=FABRIC_HOPS)
+def _fabric_row(k: int, scenario: Scenario, run: RunResult) -> FabricRow:
+    return FabricRow(
+        k=k,
+        flows=len(scenario.flows),
+        incast_gbps=sum(
+            run.flows_bps[flow.name] for flow in scenario.flows if flow.greedy
+        ) / 1e9,
+        drops=int(run.counters["drops"]),
+        pause_frames=int(run.counters["pause_frames"]),
+        pause_rx={tier: int(run.counters[f"pause_rx.{tier}"]) for tier in TIERS},
+        slowdowns=fct.summarize_slowdowns(
+            fct.records_from_runs([run]), fct.base_rtt_ns(hops=FABRIC_HOPS)
+        ),
     )
-    return row
 
 
-def run_fabric() -> FabricResult:
-    """DCQCN incast across fat-tree sizes, one seed per size, in one
-    sweep; the k=16 cell is the thousand-host run."""
-    ks = scale.pick((4, 8, 16), (4,))
-    scenarios = {
-        k: thousand_host_scenario() if k == 16 else fabric_incast_scenario(k=k)
-        for k in ks
+def fabric_arms():
+    """DCQCN incast across fat-tree sizes, one seed per size, arm ``k``;
+    the k=16 arm is the thousand-host run."""
+    return {
+        k: (
+            thousand_host_scenario() if k == 16 else fabric_incast_scenario(k=k),
+            scale.seeds_for(1, base=4000 + 31 * k),
+        )
+        for k in scale.pick((4, 8, 16), (4,))
     }
-    seeds = {k: scale.seeds_for(1, base=4000 + 31 * k) for k in ks}
-    sweep = run_sweep("k", scenarios, seeds)
+
+
+def fabric_result(runs: Mapping[int, List[RunResult]]) -> FabricResult:
+    arms = fabric_arms()
     return FabricResult(
-        rows={k: _fabric_row(k, scenarios[k], sweep.point(k)) for k in ks}
+        rows={k: _fabric_row(k, arms[k][0], run) for k, (run,) in runs.items()}
     )

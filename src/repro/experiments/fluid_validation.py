@@ -25,9 +25,8 @@ import numpy as np
 from repro import units
 from repro.core.params import DCQCNParams
 from repro.invariants import InvariantConfig
-from repro.runner import Cell, FlowSpec, RunResult, Scenario, execute, format_table
-from repro.runner import run_arms, scale, scenario_cells
-from repro.runner.scenario import raise_failures
+from repro.runner import Cell, FlowSpec, RunFailure, RunResult, Scenario, execute
+from repro.runner import format_table, scale, scenario_cells
 from repro.sim.switch import SwitchConfig
 from repro.telemetry import TelemetrySpec
 
@@ -164,7 +163,9 @@ def run_fluid_vs_sim() -> FluidVsSimResult:
     (sim,) = scenario_cells(scenario, [7])
     cells = [sim, Cell(f"{__name__}:fluid_cell", {"spec": sim.kwargs["spec"]})]
     run, fluid_rates = execute(cells, collect_failures=True)
-    raise_failures("fig10", [run, fluid_rates])
+    for half, value in (("sim", run), ("fluid", fluid_rates)):
+        if isinstance(value, RunFailure):  # the failure policy of run_arms
+            raise RuntimeError(f"fig10/{half}: {value.error}: {value.message}")
     return FluidVsSimResult.from_run(RunResult.from_json(run), fluid_rates)
 
 
@@ -245,11 +246,15 @@ def fig13_scenario(config: str, duration_ns: int) -> Scenario:
     return dataclasses.replace(scenario, invariants=InvariantConfig(mode=mode))
 
 
-def run_all_validations() -> Dict[str, TwoFlowFairnessResult]:
-    """All four Figure 13 panels, fanned out across workers."""
+def fig13_arms():
+    """All four Figure 13 panels, by configuration."""
     duration_ns = scale.pick(units.ms(150), units.ms(12))
-    arms = {name: (fig13_scenario(name, duration_ns), 11) for name in FIG13_CONFIGS}
-    runs = run_arms("fig13", arms)
+    return {name: (fig13_scenario(name, duration_ns), [11]) for name in FIG13_CONFIGS}
+
+
+def fig13_result(
+    runs: Dict[str, List[RunResult]]
+) -> Dict[str, TwoFlowFairnessResult]:
     return {
-        name: TwoFlowFairnessResult.from_run(name, run) for name, run in runs.items()
+        name: TwoFlowFairnessResult.from_run(name, run) for name, (run,) in runs.items()
     }

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from repro import units
 from repro.analysis.stats import percentile
 from repro.core.params import DCQCNParams
 from repro.experiments.microbench import incast_scenario
 from repro.invariants import InvariantConfig
-from repro.runner import RunResult, Scenario, run_arms, scale
+from repro.runner import RunResult, Scenario, scale
 from repro.sim.switch import SwitchConfig
 
 #: DCTCP marking threshold for 40 GbE per the DCTCP sizing guideline.
@@ -76,13 +76,15 @@ def fig19_scenario(protocol: str, warmup_ns: int, duration_ns: int) -> Scenario:
     return dataclasses.replace(scenario, invariants=InvariantConfig(mode="report"))
 
 
-def run_fig19() -> List[QueueCdfResult]:
-    """Both arms of Figure 19 (fanned out across workers)."""
+def fig19_arms():
+    """Both arms of Figure 19, by protocol."""
     warmup_ns = scale.pick(units.ms(40), units.ms(4))
     duration_ns = scale.pick(units.ms(40), units.ms(2))
-    arms = {
-        protocol: (fig19_scenario(protocol, warmup_ns, duration_ns), 23)
+    return {
+        protocol: (fig19_scenario(protocol, warmup_ns, duration_ns), [23])
         for protocol in ("dcqcn", "dctcp")
     }
-    runs = run_arms("fig19", arms)
-    return [QueueCdfResult.from_run(p, run) for p, run in runs.items()]
+
+
+def fig19_result(runs: Dict[str, List[RunResult]]) -> List[QueueCdfResult]:
+    return [QueueCdfResult.from_run(p, run) for p, (run,) in runs.items()]

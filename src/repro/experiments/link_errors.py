@@ -17,11 +17,11 @@ printed alongside, making the go-back-N penalty visible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from repro import units
 from repro.faults import ErrorBurst, FaultPlan
-from repro.runner import FlowSpec, RunResult, Scenario, run_arms, scale
+from repro.runner import FlowSpec, RunResult, Scenario, scale
 from repro.sim.network import DEFAULT_LINK_RATE_BPS
 from repro.sim.nic import NicConfig
 
@@ -95,9 +95,11 @@ def sec7_scenario(loss_rate: float, duration_ns: int) -> Scenario:
     )
 
 
-def run_loss_sweep() -> List[LossSweepPoint]:
-    """Goodput vs injected loss rate (the §7 sensitivity), fanned out."""
+def sec7_arms():
+    """Goodput vs injected loss rate (the §7 sensitivity), by rate."""
     duration_ns = scale.pick(units.ms(10), units.ms(2))
-    arms = {rate: (sec7_scenario(rate, duration_ns), 97) for rate in LOSS_RATES}
-    runs = run_arms("sec7", arms)
-    return [LossSweepPoint.from_run(rate, run) for rate, run in runs.items()]
+    return {rate: (sec7_scenario(rate, duration_ns), [97]) for rate in LOSS_RATES}
+
+
+def sec7_result(runs: Dict[float, List[RunResult]]) -> List[LossSweepPoint]:
+    return [LossSweepPoint.from_run(rate, run) for rate, (run,) in runs.items()]

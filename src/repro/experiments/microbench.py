@@ -14,11 +14,11 @@ check and the ablations run too, so the sweep fans out across cores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro import units
 from repro.core.params import DCQCNParams
-from repro.runner import FlowSpec, RunResult, Scenario, run_arms, scale
+from repro.runner import FlowSpec, RunResult, Scenario, scale
 from repro.sim.switch import SwitchConfig
 from repro.telemetry import TelemetrySpec
 
@@ -106,13 +106,15 @@ def sec61_scenario(degree: int, warmup_ns: int, duration_ns: int) -> Scenario:
     )
 
 
-def run_incast_sweep() -> List[IncastUtilizationResult]:
-    """The §6.1 K:1 sweep (fanned out across workers)."""
+def sec61_arms():
+    """The §6.1 K:1 sweep, by K."""
     warmup_ns = scale.pick(units.ms(20), units.ms(4))
     duration_ns = scale.pick(units.ms(10), units.ms(2))
-    arms = {
-        degree: (sec61_scenario(degree, warmup_ns, duration_ns), 43 + degree)
+    return {
+        degree: (sec61_scenario(degree, warmup_ns, duration_ns), [43 + degree])
         for degree in scale.pick((2, 4, 8, 16, 19), (2, 4))
     }
-    runs = run_arms("sec61", arms)
-    return [IncastUtilizationResult.from_run(k, run) for k, run in runs.items()]
+
+
+def sec61_result(runs: Dict[int, List[RunResult]]) -> List[IncastUtilizationResult]:
+    return [IncastUtilizationResult.from_run(k, run) for k, (run,) in runs.items()]

@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 from repro import units
 from repro.core.params import DCQCNParams
 from repro.invariants import InvariantConfig
-from repro.runner import FlowSpec, RunResult, Scenario, run_arms, scale
+from repro.runner import FlowSpec, RunResult, Scenario, scale
 from repro.sim.switch import SwitchConfig
 
 #: the two marking schemes Figure 20(b) compares
@@ -85,13 +85,15 @@ def fig20_scenario(scheme: str, warmup_ns: int, duration_ns: int) -> Scenario:
     )
 
 
-def run_fig20() -> List[ParkingLotResult]:
-    """Both marking schemes (the Figure 20(b) comparison), fanned out."""
+def fig20_arms():
+    """Both marking schemes (the Figure 20(b) comparison), by scheme."""
     warmup_ns = scale.pick(units.ms(60), units.ms(5))
     duration_ns = scale.pick(units.ms(40), units.ms(2))
-    arms = {
-        scheme: (fig20_scenario(scheme, warmup_ns, duration_ns), 31)
+    return {
+        scheme: (fig20_scenario(scheme, warmup_ns, duration_ns), [31])
         for scheme in ("cutoff", "red")
     }
-    runs = run_arms("fig20", arms)
-    return [ParkingLotResult.from_run(scheme, run) for scheme, run in runs.items()]
+
+
+def fig20_result(runs: Dict[str, List[RunResult]]) -> List[ParkingLotResult]:
+    return [ParkingLotResult.from_run(scheme, run) for scheme, (run,) in runs.items()]

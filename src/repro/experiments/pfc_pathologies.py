@@ -25,21 +25,13 @@ cores (``REPRO_JOBS``) and hit the result cache on repeat runs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro import units
 from repro.analysis.stats import percentile
 from repro.core.params import DCQCNParams
-from repro.runner import (
-    FlowSpec,
-    Scenario,
-    format_table,
-    run_scenario,
-    run_sweep,
-    scale,
-)
+from repro.runner import FlowSpec, RunResult, Scenario, format_table, scale
 from repro.sim.switch import SwitchConfig
 
 #: the four competing writers of the unfairness scenario
@@ -50,9 +42,6 @@ UNFAIRNESS_HOSTS = ("H1", "H2", "H3", "H4")
 class UnfairnessResult:
     """Per-host throughput distribution across repetitions (Figs 3/8)."""
 
-    cc: str
-    repetitions: int
-    duration_ms: float
     #: host name -> list of per-run mean throughputs (bps)
     throughputs_bps: Dict[str, List[float]] = field(default_factory=dict)
     pause_frames: List[int] = field(default_factory=list)
@@ -114,30 +103,26 @@ def unfairness_scenario(
     )
 
 
-def run_unfairness(cc: str) -> UnfairnessResult:
-    """Figure 3 (``cc="none"``) / Figure 8 (``cc="dcqcn"``)."""
-    repetitions = scale.pick(4, 2)
-    scenario = unfairness_scenario(cc)
-    runs = run_scenario(scenario, scale.seeds_for(repetitions))
-    result = UnfairnessResult(
-        cc=cc, repetitions=repetitions, duration_ms=scenario.duration_ns / 1e6
+def unfairness_arms(cc: str):
+    """Figure 3 (``cc="none"``) / Figure 8 (``cc="dcqcn"``): one arm,
+    ``cc``, over the repetitions."""
+    return {cc: (unfairness_scenario(cc), scale.seeds_for(scale.pick(4, 2)))}
+
+
+def unfairness_result(runs: Mapping[str, List[RunResult]]) -> UnfairnessResult:
+    (runs,) = runs.values()
+    return UnfairnessResult(
+        throughputs_bps={
+            name: [run.flows_bps[name] for run in runs] for name in UNFAIRNESS_HOSTS
+        },
+        pause_frames=[int(run.metric("pfc.pause_tx")) for run in runs],
     )
-    for name in UNFAIRNESS_HOSTS:
-        result.throughputs_bps[name] = []
-    for run in runs:
-        for name in UNFAIRNESS_HOSTS:
-            result.throughputs_bps[name].append(run.flows_bps[name])
-        result.pause_frames.append(int(run.metric("pfc.pause_tx")))
-    return result
 
 
 @dataclass
 class VictimFlowResult:
     """Victim throughput vs number of extra senders under T3 (Figs 4/9)."""
 
-    cc: str
-    repetitions: int
-    duration_ms: float
     #: senders under T3 -> per-run victim throughput (bps)
     victim_bps: Dict[int, List[float]] = field(default_factory=dict)
 
@@ -145,12 +130,7 @@ class VictimFlowResult:
         return percentile(self.victim_bps[t3_senders], 50) / 1e9
 
     def table(self) -> str:
-        # a point whose every repetition failed (timeout/crash) has no
-        # samples to summarize — print n/a rather than crash the table
-        rows = [
-            [n, f"{self.median_gbps(n):.2f}" if self.victim_bps[n] else "n/a"]
-            for n in sorted(self.victim_bps)
-        ]
+        rows = [[n, f"{self.median_gbps(n):.2f}"] for n in sorted(self.victim_bps)]
         return format_table(
             ["senders under T3", "victim median Gbps"], rows
         )
@@ -197,11 +177,12 @@ def victim_scenario(
     )
 
 
-def run_victim_flow(cc: str) -> VictimFlowResult:
-    """Figure 4 (``cc="none"``) / Figure 9 (``cc="dcqcn"``).
+def victim_arms(cc: str):
+    """Figure 4 (``cc="none"``) / Figure 9 (``cc="dcqcn"``): one arm per
+    0-2 extra senders under T3.
 
-    VS (under T1) sends to VR (under T2); H11-H14 (under T1) and
-    0-2 extra senders under T3 incast into R (under T4).
+    VS (under T1) sends to VR (under T2); H11-H14 (under T1) and the
+    T3 senders incast into R (under T4).
     """
     repetitions = scale.pick(4, 2)
     duration_ns = scale.pick(units.ms(30), units.ms(2))
@@ -211,27 +192,22 @@ def run_victim_flow(cc: str) -> VictimFlowResult:
     warmup_ns = (
         scale.pick(units.ms(30), units.ms(3)) if cc == "dcqcn" else 0
     )
-    t3_sender_counts = (0, 1, 2)
-    scenarios = {
-        count: victim_scenario(cc, count, duration_ns, warmup_ns)
-        for count in t3_sender_counts
-    }
-    seeds = {
-        count: scale.seeds_for(repetitions, base=2000 + 100 * count)
-        for count in t3_sender_counts
-    }
-    sweep = run_sweep("t3_senders", scenarios, seeds)
-    if sweep.total_failures():
-        warnings.warn(
-            f"{sweep.total_failures()} of the victim-flow repetitions "
-            "failed (timeout/crash); medians cover the survivors"
+    return {
+        count: (
+            victim_scenario(cc, count, duration_ns, warmup_ns),
+            scale.seeds_for(repetitions, base=2000 + 100 * count),
         )
-    result = VictimFlowResult(
-        cc=cc, repetitions=repetitions, duration_ms=duration_ns / 1e6
+        for count in (0, 1, 2)
+    }
+
+
+def victim_flow_result(runs: Mapping[int, List[RunResult]]) -> VictimFlowResult:
+    return VictimFlowResult(
+        victim_bps={
+            count: [run.flows_bps["victim"] for run in point]
+            for count, point in runs.items()
+        }
     )
-    for point in sweep.points:
-        result.victim_bps[point.value] = point.flow_samples("victim")
-    return result
 
 
 # --- scripted pause storms (repro.faults migration) -------------------------

@@ -23,7 +23,7 @@ cut and recover in phase, overstating the queue oscillation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Mapping
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from repro import units
 from repro.analysis.stats import jain_fairness, percentile
 from repro.core.params import DCQCNParams
 from repro.experiments.microbench import incast_scenario
-from repro.runner import RunResult, Scenario, run_arms, scale
+from repro.runner import RunResult, Scenario, scale
 from repro.sim.switch import SwitchConfig
 
 
@@ -93,32 +93,38 @@ def queue_scenario(
     )
 
 
-def run_ablations() -> Dict[str, Any]:
-    """The three ablations as one fan-out of seven cells.
-
-    ``schemes``: the 4:1 single-switch incast under each scheme;
-    ``pmax_q90_kb``: q90 (KB) of the 16:1 incast queue with Table 14's
-    Pmax replaced; ``jitter_std_kb``: standard deviation (KB) of the
-    8:1 incast queue under each RP timer jitter.
-    """
+def ablations_arms():
+    """The three ablations, seven arms of one seed each: the 4:1
+    single-switch incast under each scheme, ``("scheme", s)``; the 16:1
+    incast with Table 14's Pmax replaced, ``("pmax", p)``; and the 8:1
+    incast under each RP timer jitter, ``("jitter", j)``."""
     ms = units.ms
     scheme_horizon = (scale.pick(ms(15), ms(4)), scale.pick(ms(10), ms(2)))
     pmax_horizon = (scale.pick(ms(25), ms(3)), scale.pick(ms(15), ms(2)))
     jitter_horizon = (scale.pick(ms(20), ms(3)), scale.pick(ms(15), ms(2)))
-    arms = {("scheme", s): (scheme_scenario(s, *scheme_horizon), 61) for s in SCHEMES}
+    arms = {
+        ("scheme", s): (scheme_scenario(s, *scheme_horizon), [61]) for s in SCHEMES
+    }
     for p in PMAXES:
-        arms["pmax", p] = (queue_scenario(16, *pmax_horizon, pmax=p), 71)
+        arms["pmax", p] = (queue_scenario(16, *pmax_horizon, pmax=p), [71])
     for j in JITTERS_NS:
         jitter = {"rate_increase_timer_jitter_ns": j}
-        arms["jitter", j] = (queue_scenario(8, *jitter_horizon, **jitter), 73)
-    runs = run_arms("ablations", arms)
+        arms["jitter", j] = (queue_scenario(8, *jitter_horizon, **jitter), [73])
+    return arms
+
+
+def ablations_result(runs: Mapping[Any, List[RunResult]]) -> Dict[str, Any]:
+    """``schemes``: each scheme's fairness; ``pmax_q90_kb``: q90 (KB) of
+    the 16:1 queue per Pmax; ``jitter_std_kb``: standard deviation (KB)
+    of the 8:1 queue per jitter."""
 
     def queue(*arm) -> List[float]:
-        return runs[arm].samples["queue_bytes"]
+        (run,) = runs[arm]
+        return run.samples["queue_bytes"]
 
     return {
         "schemes": {
-            s: SingleSwitchFairnessResult.from_run(s, runs["scheme", s])
+            s: SingleSwitchFairnessResult.from_run(s, runs["scheme", s][0])
             for s in SCHEMES
         },
         "pmax_q90_kb": {p: percentile(queue("pmax", p), 90) / 1e3 for p in PMAXES},

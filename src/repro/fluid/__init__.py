@@ -22,7 +22,6 @@ from repro.fluid.sweep import (
     sweep_pmax,
     sweep_g_queue,
 )
-from repro.fluid.dctcp import DctcpFluidParams, simulate_dctcp
 
 __all__ = [
     "FluidParams",
@@ -38,6 +37,4 @@ __all__ = [
     "sweep_kmax",
     "sweep_pmax",
     "sweep_g_queue",
-    "DctcpFluidParams",
-    "simulate_dctcp",
 ]

@@ -15,10 +15,10 @@ The pieces (see DESIGN.md §4):
   :class:`FlowSpec` specs and their JSON form.
 * :mod:`repro.runner.scenario` — one run of a scenario and the generic
   scenario cell.
-* :mod:`repro.runner.results` — JSON-serializable :class:`RunResult`
-  / :class:`SweepResult` schema and table rendering.
+* :mod:`repro.runner.results` — the JSON-serializable
+  :class:`RunResult` schema and table rendering.
 * :mod:`repro.runner.registry` — the :data:`REGISTRY` of experiments
-  behind ``python -m repro``.
+  (each simulated id a set of named arms) behind ``python -m repro``.
 
 Serial (``jobs=1``) and parallel (``jobs=N``) execution are
 bit-identical: cells are pure functions of (spec, seed), results are
@@ -41,8 +41,6 @@ from repro.runner.resilience import RetryPolicy, default_timeout_s
 from repro.runner.results import (
     RunFailure,
     RunResult,
-    SweepPoint,
-    SweepResult,
     format_table,
 )
 from repro.runner.scale import derive_seed, pick, seeds_for
@@ -68,8 +66,6 @@ __all__ = [
     "RunResult",
     "SCENARIOS",
     "Scenario",
-    "SweepPoint",
-    "SweepResult",
     "default_timeout_s",
     "derive_seed",
     "execute",

@@ -2,11 +2,20 @@
 
 Every reproducible figure/table registers itself via the
 :func:`experiment` decorator, as one definition in two parts: the
-decorated zero-argument ``compute()`` returns the result object, and
-``table(result)`` renders the text.  ``python -m repro <id>`` prints
-``table(compute())``; the ``benchmarks/`` figure tests make the same
-two calls and assert on the result.  ``python -m repro list`` and the
-smoke tests iterate :data:`REGISTRY` instead of naming commands by hand.
+decorated function computes the result object, and ``table(result)``
+renders the text.  ``python -m repro <id>`` prints
+``table(entry.compute())``; the ``benchmarks/`` figure tests make the
+same two calls and assert on the result.  ``python -m repro list`` and
+the smoke tests iterate :data:`REGISTRY` instead of naming commands by
+hand.
+
+A simulated id also registers its *arms*: a zero-argument factory
+``() -> {arm: (Scenario, seeds)}``, called at compute time (so it
+reads the scale policy then, and its imports stay lazy).  For such an
+entry the decorated function is the ``reduce({arm: [RunResult]})``
+and ``compute()`` is ``reduce(run_arms(id, arms()))``: every cell of
+the id in one batch, and a failed cell fails the id.  Any arm also
+runs by name, ``<id>/<arm>`` (:func:`resolve`).
 
 :data:`SCENARIOS` is a second instance of the same :class:`Registry`,
 holding *named scenarios*: there ``compute()`` builds a declarative
@@ -19,7 +28,16 @@ time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+
+#: ``() -> {arm: (Scenario, seeds)}``
+ArmsFactory = Callable[[], Dict[Any, Tuple[Any, List[int]]]]
+
+
+def arm_name(key: Any) -> str:
+    """How an arm key is written after ``<id>/``: ``("storm", "dcqcn")``
+    is ``storm/dcqcn``, ``0.5`` is ``0.5``."""
+    return "/".join(map(str, key)) if isinstance(key, tuple) else str(key)
 
 
 @dataclass(frozen=True)
@@ -28,10 +46,30 @@ class Entry:
 
     id: str
     description: str
-    compute: Callable[[], Any]
+    #: ``compute()`` itself, or with ``arms`` the reduce over their runs
+    fn: Callable[..., Any]
     #: result -> text; the default prints a compute() that already
     #: returns its text
     table: Callable[[Any], str] = str
+    arms: Optional[ArmsFactory] = None
+
+    def compute(self) -> Any:
+        if self.arms is None:
+            return self.fn()
+        from repro.runner.scenario import run_arms
+
+        return self.fn(run_arms(self.id, self.arms()))
+
+    def arm(self, name: str) -> Tuple[Any, List[int]]:
+        """``(Scenario, seeds)`` of the arm written ``name``."""
+        arms = {} if self.arms is None else self.arms()
+        for key, arm in arms.items():
+            if arm_name(key) == name:
+                return arm
+        raise KeyError(
+            f"unknown arm {name!r} of {self.id!r}; known: "
+            f"{', '.join(map(arm_name, arms)) or 'none'}"
+        )
 
     def run(self) -> str:
         """The text ``python -m repro <id>`` prints."""
@@ -46,15 +84,19 @@ class Registry:
         self._entries: Dict[str, Entry] = {}
 
     def register(
-        self, entry_id: str, description: str, table: Callable[[Any], str] = str
+        self,
+        entry_id: str,
+        description: str,
+        table: Callable[[Any], str] = str,
+        arms: Optional[ArmsFactory] = None,
     ):
-        """Decorator registering a zero-argument ``compute`` under ``id``."""
+        """Decorator registering ``fn`` (see :class:`Entry`) under ``id``."""
 
-        def decorate(compute: Callable[[], Any]) -> Callable[[], Any]:
+        def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
             if entry_id in self._entries:
                 raise ValueError(f"duplicate {self.kind} id {entry_id!r}")
-            self._entries[entry_id] = Entry(entry_id, description, compute, table)
-            return compute
+            self._entries[entry_id] = Entry(entry_id, description, fn, table, arms)
+            return fn
 
         return decorate
 
@@ -91,3 +133,12 @@ SCENARIOS = Registry("scenario")
 
 #: decorator shorthand: ``@scenario("smoke", "2-to-1 incast ...")``
 scenario = SCENARIOS.register
+
+
+def resolve(target: str) -> Tuple[Any, List[int]]:
+    """``(Scenario, seeds)`` of ``<id>/<arm>``, or of a named scenario,
+    which runs at seed 0.  A ``KeyError`` lists what ``target`` could be."""
+    experiment_id, slash, arm = target.partition("/")
+    if slash:
+        return REGISTRY.get(experiment_id).arm(arm)
+    return SCENARIOS.get(target).compute(), [0]

@@ -2,10 +2,11 @@
 
 :class:`RunResult` is the outcome of one simulation cell (one seed of
 one scenario): per-flow mean throughput over the measurement window
-plus whatever counters/samples the cell recorded.  :class:`SweepResult`
-groups runs along one swept parameter.  Both round-trip through JSON,
-which is what makes the result cache and the process-pool transport
-exact: a cached table is byte-identical to a freshly computed one.
+plus whatever counters/samples the cell recorded; it round-trips
+through JSON, which is what makes the result cache and the
+process-pool transport exact: a cached table is byte-identical to a
+freshly computed one.  :class:`SweepResult` groups runs along one
+swept parameter.
 """
 
 from __future__ import annotations
@@ -201,10 +202,6 @@ class SweepPoint:
     #: a complete point has ``len(runs) + len(failures)`` repetitions
     failures: List[RunFailure] = field(default_factory=list)
 
-    def flow_samples(self, flow: str) -> List[float]:
-        """One throughput sample per repetition for ``flow`` (bps)."""
-        return [run.flows_bps[flow] for run in self.runs]
-
 
 @dataclass
 class SweepResult:
@@ -212,56 +209,3 @@ class SweepResult:
 
     parameter: str
     points: List[SweepPoint] = field(default_factory=list)
-
-    @property
-    def values(self) -> List[Any]:
-        return [point.value for point in self.points]
-
-    def point(self, value: Any) -> SweepPoint:
-        for candidate in self.points:
-            if candidate.value == value:
-                return candidate
-        raise KeyError(f"no sweep point with value {value!r}")
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "parameter": self.parameter,
-            "points": [
-                {
-                    "value": p.value,
-                    "runs": [r.to_json() for r in p.runs],
-                    "failures": [f.to_json() for f in p.failures],
-                }
-                for p in self.points
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "SweepResult":
-        return cls(
-            parameter=data["parameter"],
-            points=[
-                SweepPoint(
-                    value=p["value"],
-                    runs=[RunResult.from_json(r) for r in p["runs"]],
-                    failures=[
-                        RunFailure.from_json(f) for f in p.get("failures", [])
-                    ],
-                )
-                for p in data["points"]
-            ],
-        )
-
-    def total_failures(self) -> int:
-        """Failed repetitions across every point."""
-        return sum(len(point.failures) for point in self.points)
-
-    def table(self, flow: str) -> str:
-        """Default rendering: median throughput of ``flow`` per point."""
-        from repro.analysis.stats import percentile
-
-        rows = [
-            [point.value, f"{percentile(point.flow_samples(flow), 50) / 1e9:.2f}"]
-            for point in self.points
-        ]
-        return format_table([self.parameter, f"{flow} median Gbps"], rows)

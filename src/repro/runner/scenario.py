@@ -18,6 +18,7 @@ from repro import runtime
 from repro.fabric import build_fabric
 from repro.invariants import InvariantGuard
 from repro.runner.executor import Cell, execute
+from repro.runner.registry import arm_name
 from repro.runner.results import RunFailure, RunResult, SweepPoint, SweepResult
 from repro.runner.scale import derive_seed
 from repro.runner.spec import FlowSpec, Scenario
@@ -422,32 +423,25 @@ def run_sweep(
 
 
 def run_arms(
-    name: str, arms: Mapping[Any, Tuple[Scenario, int]]
-) -> Dict[Any, RunResult]:
-    """One repetition of each arm, ``arm -> (scenario, seed)``, fanned
-    out as one :func:`run_sweep`.
+    name: str, arms: Mapping[Any, Tuple[Scenario, Sequence[int]]]
+) -> Dict[Any, List[RunResult]]:
+    """Every repetition of every arm, ``arm -> (scenario, seeds)``,
+    fanned out as one :func:`run_sweep`; ``arm -> [RunResult]``.
 
-    For a driver whose verdict needs every arm: a failed cell raises,
-    naming ``name``, instead of leaving a gap in the table.
+    The one failure policy of an id's verdict: a failed cell raises,
+    naming ``<name>/<arm>``, instead of leaving a gap in the table.
     """
     sweep = run_sweep(
         name,
         {arm: scenario for arm, (scenario, _) in arms.items()},
-        {arm: [seed] for arm, (_, seed) in arms.items()},
+        {arm: seeds for arm, (_, seeds) in arms.items()},
     )
-    outcomes = {
-        point.value: (point.failures or point.runs)[0] for point in sweep.points
-    }
-    raise_failures(name, list(outcomes.values()))
-    return outcomes
-
-
-def raise_failures(name: str, values: Sequence[Any]) -> None:
-    """Raise, naming ``name``, if any of one batch's ``values`` is a
-    :class:`RunFailure`, so a verdict never reads a gap."""
-    failures = [value for value in values if isinstance(value, RunFailure)]
-    if failures:
-        raise RuntimeError(
-            f"{name}: {len(failures)} of {len(values)} cells failed, first "
-            f"with {failures[0].error}: {failures[0].message}"
-        )
+    for point in sweep.points:
+        if point.failures:
+            first = point.failures[0]
+            raise RuntimeError(
+                f"{name}/{arm_name(point.value)}: {len(point.failures)} of "
+                f"{len(point.failures) + len(point.runs)} cells failed, first "
+                f"with {first.error}: {first.message}"
+            )
+    return {point.value: point.runs for point in sweep.points}

@@ -8,9 +8,7 @@ studies publish and reuse flow-size distributions.
 :func:`storage_cluster` is our stand-in for the paper's one-day trace
 of a cloud-storage backend cluster (~48 machines, >1 million flows):
 dominated by small metadata/control transfers with a heavy tail of
-multi-megabyte chunk reads/writes.  :func:`web_search` and
-:func:`data_mining` are the classic DCTCP/VL2 distributions, included
-for sensitivity studies.
+multi-megabyte chunk reads/writes.
 """
 
 from __future__ import annotations
@@ -99,44 +97,5 @@ def storage_cluster() -> FlowSizeDistribution:
     )
 
 
-def web_search() -> FlowSizeDistribution:
-    """The DCTCP paper's web-search workload (query/response heavy)."""
-    return FlowSizeDistribution(
-        "web_search",
-        [
-            (units.kb(6), 0.15),
-            (units.kb(13), 0.3),
-            (units.kb(19), 0.4),
-            (units.kb(33), 0.53),
-            (units.kb(53), 0.6),
-            (units.kb(133), 0.7),
-            (units.kb(667), 0.8),
-            (units.mb(1.333), 0.9),
-            (units.mb(6.667), 0.97),
-            (units.mb(20), 1.0),
-        ],
-    )
-
-
-def data_mining() -> FlowSizeDistribution:
-    """The VL2 data-mining workload (most bytes in elephant flows)."""
-    return FlowSizeDistribution(
-        "data_mining",
-        [
-            (units.kb(0.1), 0.1),
-            (units.kb(0.18), 0.2),
-            (units.kb(0.25), 0.3),
-            (units.kb(0.57), 0.4),
-            (units.kb(1.6), 0.5),
-            (units.kb(4), 0.6),
-            (units.kb(20), 0.7),
-            (units.kb(100), 0.8),
-            (units.mb(1), 0.9),
-            (units.mb(10), 0.95),
-            (units.mb(100), 1.0),
-        ],
-    )
-
-
 #: name -> distribution, as ``FlowSpec.message_sizes`` names them
-DISTRIBUTIONS = {f.__name__: f for f in (storage_cluster, web_search, data_mining)}
+DISTRIBUTIONS = {f.__name__: f for f in (storage_cluster,)}

@@ -298,30 +298,17 @@ class TestFlowSpecExtensions:
 class TestArena:
     def test_arena_smoke(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "smoke")
-        from repro.experiments.arena import run_arena
+        from repro.experiments.arena import arena_result, arena_scenario
+        from repro.runner import run_arms
 
-        result = run_arena(
-            controllers=("dcqcn", "dctcp"),
-            scenarios=("incast",),
-            seeds=[6001],
-        )
+        result = arena_result(run_arms("arena", {
+            ("incast", cc): (arena_scenario("incast", cc), [6001])
+            for cc in ("dcqcn", "dctcp")
+        }))
         table = result.table()
         assert "incast" in table and "league standings" in table
         score = result.score("incast", "dcqcn")
         assert 0.0 < score.fairness <= 1.0
-        assert result.total_failures() == 0
-
-    def test_arena_footer_names_the_armed_guard(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_SCALE", "smoke")
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        from repro.experiments.arena import arena_scenario, run_arena
-
-        # every maze is guarded strict, as the footer says
-        assert arena_scenario("incast", "dcqcn").invariants.mode == "strict"
-        result = run_arena(
-            controllers=("dcqcn",), scenarios=("incast",), seeds=[6001]
-        )
-        assert "invariants[strict]: 0 violations, 0 failed cells" in result.table()
 
     def test_arena_scenarios_build_for_every_controller(self):
         from repro.experiments.arena import (
@@ -335,3 +322,5 @@ class TestArena:
                 scenario = arena_scenario(scenario_id, cc)
                 # serializable: the sweep ships these to workers
                 assert Scenario.from_spec(scenario.spec()) == scenario
+                # every maze is guarded strict: a breach fails the id
+                assert scenario.invariants.mode == "strict"

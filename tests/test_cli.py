@@ -216,11 +216,11 @@ class TestShardedRunLines:
                 os.kill(os.getpid(), signal.SIGKILL)
             real_main(conn, spec, seed, plan, shard_id, window_ns)
 
-        assert main(["run", "fabric-smoke"]) == 0
+        assert main(["run", "fabric/4"]) == 0
         serial = capsys.readouterr().out
         assert "resilience:" not in serial and "sharded:" not in serial
         monkeypatch.setattr(shard_runner, "shard_worker_main", killed_main)
-        assert main(["run", "fabric-smoke", "--shards", "2"]) == 0
+        assert main(["run", "fabric/4", "--shards", "2"]) == 0
         lines = capsys.readouterr().out.splitlines()
         (line,) = [ln for ln in lines if ln.startswith("resilience:")]
         assert line.startswith(
@@ -240,7 +240,7 @@ class TestShardedRunLines:
         plan_file.write_text(
             json.dumps(FaultPlan(watchdog=WatchdogConfig()).to_json())
         )
-        argv = ["run", "fabric-smoke", "--faults", str(plan_file)]
+        argv = ["run", "fabric/4", "--faults", str(plan_file)]
         assert main(argv) == 0
         serial = capsys.readouterr().out
         # the guard's line, which the sharded run keeps last too

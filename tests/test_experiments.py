@@ -2,8 +2,8 @@
 
 These use deliberately tiny durations — the verdict runs live in
 ``benchmarks/``; here we verify wiring, result structure and the
-direction of each effect.  A driver takes no knobs, so a shorter run
-calls the module's cell function or Scenario builder directly.
+direction of each effect.  An id's arms take no knobs, so a shorter
+run calls the module's cell function or Scenario builder directly.
 """
 
 import dataclasses
@@ -17,16 +17,11 @@ from repro.experiments.benchmark_traffic import (
     RESULT_HEADERS,
     VARIANTS,
     BenchmarkTrafficResult,
-    run_fig15,
-    run_fig16,
-    run_fig17,
-    run_fig18,
     traffic_scenario,
     variant_setup,
 )
 from repro.experiments.buffer_settings import (
     EcnBeforePfcCheck,
-    run_sec4,
     sec4_scenario,
     section4_table,
 )
@@ -37,31 +32,17 @@ from repro.experiments.fluid_validation import (
     fig10_scenario,
     fig13_scenario,
     fluid_cell,
-    run_all_validations,
-    run_fluid_vs_sim,
 )
-from repro.experiments.latency import QueueCdfResult, fig19_scenario, run_fig19
-from repro.experiments.link_errors import run_loss_sweep
-from repro.experiments.microbench import (
-    IncastUtilizationResult,
-    run_incast_sweep,
-    sec61_scenario,
-)
-from repro.experiments.multibottleneck import (
-    ParkingLotResult,
-    fig20_scenario,
-    run_fig20,
-)
+from repro.experiments.latency import QueueCdfResult, fig19_scenario
+from repro.experiments.microbench import IncastUtilizationResult, sec61_scenario
+from repro.experiments.multibottleneck import ParkingLotResult, fig20_scenario
 from repro.experiments.pfc_pathologies import unfairness_scenario, victim_scenario
-from repro.experiments.qcn_ablation import (
-    SingleSwitchFairnessResult,
-    run_ablations,
-    scheme_scenario,
-)
+from repro.experiments.qcn_ablation import SingleSwitchFairnessResult, scheme_scenario
 from repro.experiments.sweeps import Fig12Result, GQueueSummary, fig11_cell, fig12_cell
 from repro.runner import (
     REGISTRY, format_table, run_scenario, run_scenario_inline, scale,
 )
+from repro.runner.registry import arm_name, resolve
 
 
 class TestCommon:
@@ -282,13 +263,6 @@ class TestQcnAblation:
         assert len(results) == 1
 
 
-#: the drivers of the twelve ids whose cells are Scenarios run through run_arms
-PORTED_DRIVERS = (
-    run_fig19, run_fig20, run_incast_sweep, run_ablations, run_sec4,
-    run_loss_sweep, run_fluid_vs_sim, run_all_validations,
-    run_fig15, run_fig16, run_fig17, run_fig18,
-)
-
 #: every id whose cells are simulated: all but the analytic fig01 and
 #: tab14 and the fluid-only fig11 and fig12
 SIMULATED_IDS = [
@@ -355,8 +329,7 @@ class TestPortedIds:
         smoke_in_process.setattr(scenario_module, "run_scenario_cell", shortened_cell)
         assert len(SIMULATED_IDS) == 19
         for id_ in SIMULATED_IDS:
-            REGISTRY.get(id_).compute()
-            # a strict cell that raised is a failed cell; a sweep keeps it
+            REGISTRY.get(id_).compute()  # a failed cell raises here
             assert executor.LAST_STATS.failed == 0, id_
         assert len(reports) == 85  # every simulated cell at smoke
         labels = {label for label, _ in reports}
@@ -369,13 +342,63 @@ class TestPortedIds:
             ), label
             assert found == GUARD_FINDINGS.get(label, set()), label
 
-    @pytest.mark.parametrize("driver", PORTED_DRIVERS)
-    def test_a_failed_cell_fails_its_id(self, driver, smoke_in_process):
+    @pytest.mark.parametrize("experiment_id", SIMULATED_IDS)
+    def test_a_failed_cell_fails_its_id(self, experiment_id, smoke_in_process):
         from repro.runner import scenario as scenario_module
 
         def broken(spec, seed):
             raise RuntimeError("cell patched to fail")
 
         smoke_in_process.setattr(scenario_module, "run_scenario_cell", broken)
-        with pytest.raises(RuntimeError, match="cells failed.*patched to fail"):
-            driver()
+        entry = REGISTRY.get(experiment_id)
+        # the first arm fails first; fig10's packet half is its "sim"
+        first = "sim" if entry.arms is None else arm_name(next(iter(entry.arms())))
+        with pytest.raises(
+            RuntimeError, match=f"^{experiment_id}/{first}: .*patched to fail"
+        ):
+            entry.compute()
+
+
+class TestArmsByName:
+    """``<id>/<arm>`` names exactly what the id's run hands the executor."""
+
+    @pytest.mark.parametrize("scale_name", ["smoke", "quick"])
+    def test_every_arm_resolves_to_the_cells_its_id_runs(
+        self, scale_name, monkeypatch, tmp_path
+    ):
+        from repro.runner import scenario as scenario_module
+
+        for name, value in (("scale", scale_name), ("cache", "off"),
+                            ("results_dir", str(tmp_path))):
+            monkeypatch.setenv(runtime.VARS[name].env, value)
+        handed = []
+
+        class Handed(Exception):
+            pass
+
+        def record(cells, **_):
+            handed.extend(cells)
+            raise Handed  # nothing runs: only the batch is compared
+
+        monkeypatch.setattr(scenario_module, "execute", record)
+        for entry in REGISTRY:
+            if entry.arms is None:
+                continue
+            names = [arm_name(key) for key in entry.arms()]
+            assert len(set(names)) == len(names), entry.id
+            handed.clear()
+            with pytest.raises(Handed):
+                entry.compute()
+            by_name = []
+            for name in names:
+                scenario, seeds = resolve(f"{entry.id}/{name}")
+                by_name += [(scenario.spec(), seed) for seed in seeds]
+            assert [
+                (cell.kwargs["spec"], cell.kwargs["seed"]) for cell in handed
+            ] == by_name, entry.id
+
+    def test_an_unknown_arm_lists_the_arms(self):
+        with pytest.raises(KeyError, match="known: 0, 1, 2"):
+            resolve("fig04/3")
+        with pytest.raises(KeyError, match="unknown experiment 'nope'"):
+            resolve("nope/1")

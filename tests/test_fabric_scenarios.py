@@ -99,10 +99,10 @@ class TestFabricScenario:
 class TestRegisteredScenarios:
     def test_named_fabric_scenarios_build(self):
         from repro.experiments import catalog  # noqa: F401 — registers
-        from repro.runner.registry import SCENARIOS
+        from repro.runner.registry import resolve
 
-        for name in ("fabric-smoke", "fabric-k8", "fabric-bench", "fabric-1024"):
-            scenario = SCENARIOS.get(name).compute()
+        for name in ("fabric/4", "fabric-k8", "fabric-bench", "fabric-1024"):
+            scenario, _ = resolve(name)
             assert scenario.topology == "fabric"
             names = [flow.name for flow in scenario.flows]
             assert len(set(names)) == len(names)
@@ -114,24 +114,6 @@ class TestRegisteredScenarios:
         assert "fabric" in REGISTRY
         # the k=16 run is the fabric id's third cell, not an id of its own
         assert "fabric1024" not in REGISTRY
-
-    def test_failed_fabric_cell_is_a_failed_row(self):
-        from repro.experiments.fabric_scale import (
-            FabricResult,
-            _fabric_row,
-            fabric_incast_scenario,
-        )
-        from repro.runner.results import RunFailure, SweepPoint
-
-        point = SweepPoint(
-            value=4,
-            failures=[RunFailure(error="timeout", message="budget", fn="cell")],
-        )
-        row = _fabric_row(4, fabric_incast_scenario(k=4), point)
-        assert row.failures == 1
-        table = FabricResult(rows={4: row}).table()
-        assert "k=4 (16 hosts)  FAILED" in table
-        assert "probe slowdowns" not in table
 
     def test_benchmark_scenario_deterministic(self):
         """Two constructions draw identical sizes and placements."""

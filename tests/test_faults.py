@@ -322,19 +322,23 @@ class TestWatchdog:
     def test_no_false_positives_across_the_catalog(
         self, isolated_results, monkeypatch
     ):
-        """Armed on every named scenario, the watchdog must stay silent."""
+        """Armed on every named scenario, and on the arms that named
+        scenarios once restated, the watchdog must stay silent."""
         import repro.experiments.catalog  # noqa: F401  (populates SCENARIOS)
         from repro.runner import SCENARIOS
+        from repro.runner.registry import resolve
 
         monkeypatch.setenv(runtime.VARS["scale"].env, "smoke")
         guard = FaultPlan(watchdog=WatchdogConfig())
-        for entry in SCENARIOS:
-            sc = dataclasses.replace(entry.compute(), faults=guard)
+        arms = ["fig03/none", "fig08/dcqcn", "fig04/2", "chaos/storm/dcqcn",
+                "chaos/0.5", "fabric/4"]
+        for name in SCENARIOS.ids() + arms:
+            sc = dataclasses.replace(resolve(name)[0], faults=guard)
             res, _ = run_scenario_inline(sc, 0)
             counters = res.metrics["counters"]
-            assert counters.get("watchdog.cycles", 0) == 0, entry.id
-            assert counters.get("watchdog.stalls", 0) == 0, entry.id
-            assert counters.get("watchdog.scans", 0) >= 1, entry.id
+            assert counters.get("watchdog.cycles", 0) == 0, name
+            assert counters.get("watchdog.stalls", 0) == 0, name
+            assert counters.get("watchdog.scans", 0) >= 1, name
 
 
 class TestDeterminism:

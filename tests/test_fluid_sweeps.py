@@ -1,10 +1,9 @@
-"""Parameter sweeps (§5.2) and the DCTCP fluid baseline."""
+"""Parameter sweeps (§5.2)."""
 
 import numpy as np
 import pytest
 
 from repro import units
-from repro.fluid.dctcp import DctcpFluidParams, simulate_dctcp
 from repro.fluid.sweep import (
     convergence_metric,
     sweep_byte_counter,
@@ -81,33 +80,3 @@ class TestGQueueSweep:
         small = sweep_g_queue(g_values=(1 / 256,), incast_degree=2, duration_s=0.05)
         large = sweep_g_queue(g_values=(1 / 256,), incast_degree=16, duration_s=0.05)
         assert large.steady_queue_kb()[0] > small.steady_queue_kb()[0]
-
-
-class TestDctcpFluid:
-    def test_queue_rides_at_marking_threshold(self):
-        """DCTCP holds the queue near K — the Figure 19 contrast."""
-        params = DctcpFluidParams()
-        trace = simulate_dctcp(params, duration_s=0.08)
-        steady = trace.steady_queue_bytes()
-        assert steady.mean() == pytest.approx(
-            params.marking_threshold_bytes, rel=0.3
-        )
-
-    def test_queue_scales_with_threshold(self):
-        low = simulate_dctcp(
-            DctcpFluidParams(marking_threshold_bytes=units.kb(40)), duration_s=0.05
-        )
-        high = simulate_dctcp(
-            DctcpFluidParams(marking_threshold_bytes=units.kb(160)), duration_s=0.05
-        )
-        assert high.steady_queue_bytes().mean() > low.steady_queue_bytes().mean()
-
-    def test_window_positive(self):
-        trace = simulate_dctcp(DctcpFluidParams(), duration_s=0.02)
-        assert np.all(trace.window_pkts >= 1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DctcpFluidParams(num_flows=0)
-        with pytest.raises(ValueError):
-            simulate_dctcp(DctcpFluidParams(), duration_s=-1)

@@ -530,8 +530,7 @@ class TestScenarioIntegration:
             topology_kwargs={"n_hosts": 3, "switch_config": mistuned},
         )
         sweep = run_sweep("x", {0: scenario}, seeds=[0], jobs=1)
-        assert sweep.total_failures() == 1
-        failure = sweep.points[0].failures[0]
+        (failure,) = sweep.points[0].failures
         assert failure.error == "invariant"
         assert "kmax_vs_pfc" in failure.message
         assert failure.attempts == 1  # invariant failures never retry

@@ -20,8 +20,6 @@ from repro.runner import (
     Registry,
     RunResult,
     Scenario,
-    SweepPoint,
-    SweepResult,
     execute,
     run_scenario,
 )
@@ -488,30 +486,6 @@ class TestRunImports:
         assert steps["plain_samples"] == []
         assert steps["sampled"] == ["repro.sim.monitor", "repro.runner.samplers"]
         assert steps["samples"] == {"rate_bps.a": 3}
-
-
-class TestResultsSchema:
-    def test_sweep_round_trip(self):
-        sweep = SweepResult(
-            parameter="k",
-            points=[
-                SweepPoint(
-                    value=2,
-                    runs=[
-                        RunResult(
-                            label="x", seed=1, warmup_ns=0, duration_ns=10,
-                            flows_bps={"f": 1e9},
-                        )
-                    ],
-                )
-            ],
-        )
-        rebuilt = SweepResult.from_json(json.loads(json.dumps(sweep.to_json())))
-        assert rebuilt == sweep
-        assert rebuilt.values == [2]
-        assert rebuilt.point(2).flow_samples("f") == [1e9]
-        with pytest.raises(KeyError):
-            rebuilt.point(3)
 
 
 class TestRegistry:

@@ -230,9 +230,9 @@ SHARD_RUNTIME = [
 SERIAL_RUNS = """
 from repro.experiments import catalog  # registers the named scenarios
 from repro.runner import run_scenario_inline
-from repro.runner.registry import SCENARIOS
-for name in ("victim", "fabric-smoke"):  # the Fig 2 Clos, a k=4 fat-tree
-    result, net = run_scenario_inline(SCENARIOS.get(name).compute(), 0)
+from repro.runner.registry import resolve
+for name in ("fig04/2", "fabric/4"):  # the Fig 2 Clos, a k=4 fat-tree
+    result, net = run_scenario_inline(resolve(name)[0], 0)
     print(name, "serial" if net is not None else "sharded")
 """
 
@@ -257,7 +257,7 @@ class TestSerialRunsSkipTheShardRuntime:
 
     def test_serial_clos_and_fabric_runs(self):
         out, modules = self.imported("-c", SERIAL_RUNS)
-        assert out.split() == ["victim", "serial", "fabric-smoke", "serial"]
+        assert out.split() == ["fig04/2", "serial", "fabric/4", "serial"]
         assert modules == ["repro.shard", "repro.shard.spec"]
 
     def test_help(self):
@@ -267,7 +267,7 @@ class TestSerialRunsSkipTheShardRuntime:
 
     def test_the_variable_still_shards_the_fabric_run(self):
         out, modules = self.imported("-c", SERIAL_RUNS, shards="2")
-        assert out.split() == ["victim", "serial", "fabric-smoke", "sharded"]
+        assert out.split() == ["fig04/2", "serial", "fabric/4", "sharded"]
         assert set(SHARD_RUNTIME) <= set(modules)
 
 

@@ -135,7 +135,7 @@ class TestSlots:
 # --- one header per stream, end to end ------------------------------------------
 
 
-#: the one seed ``run_arena`` runs each cell at under smoke
+#: the one seed ``arena_arms`` gives each cell under smoke
 ARENA_SEED = 6000
 
 

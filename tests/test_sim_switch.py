@@ -562,9 +562,9 @@ class TestAllocateOnFirstUse:
     def test_fabric_smoke_run_allocates_only_the_two_classes_in_use(self):
         from repro.experiments import catalog  # noqa: F401 — registers
         from repro.runner import run_scenario_inline
-        from repro.runner.registry import SCENARIOS
+        from repro.runner.registry import resolve
 
-        scenario = SCENARIOS.get("fabric-smoke").compute()
+        scenario, _ = resolve("fabric/4")
         _, net = run_scenario_inline(scenario, seed=0)
         slots, _, nic_control = queue_holders(net)
         assert {prio for _, _, prio in slots} == {0, CONTROL_PRIORITY}

@@ -371,7 +371,7 @@ class TestCli:
 
         assert main(["scenarios"]) == 0
         out = capsys.readouterr().out
-        for name in ("smoke", "unfairness", "victim"):
+        for name in ("smoke", "storm", "fabric-k8"):
             assert name in out
 
     def test_trace_to_file(self, isolated_results, tmp_path, capsys, monkeypatch):

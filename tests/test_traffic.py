@@ -15,10 +15,9 @@ from repro.runner import FlowSpec, Scenario
 from repro.runner.scale import derive_seed
 from repro.runner.scenario import run_scenario_inline
 from repro.traffic.distributions import (
+    DISTRIBUTIONS,
     FlowSizeDistribution,
-    data_mining,
     storage_cluster,
-    web_search,
 )
 
 
@@ -61,7 +60,7 @@ class TestQuantiles:
         st.floats(min_value=0, max_value=1),
     )
     def test_quantile_monotone(self, u1, u2):
-        dist = web_search()
+        dist = storage_cluster()
         if u1 > u2:
             u1, u2 = u2, u1
         assert dist.quantile(u1) <= dist.quantile(u2)
@@ -80,8 +79,8 @@ class TestQuantiles:
         assert mean > dist.quantile(0.5)
 
     def test_all_builtin_distributions_load(self):
-        for dist in (storage_cluster(), web_search(), data_mining()):
-            assert dist.quantile(0.5) > 0
+        for make in DISTRIBUTIONS.values():
+            assert make().quantile(0.5) > 0
 
 
 def _stream(name, src, dst, **kwargs):
@@ -184,15 +183,15 @@ class TestUserTrafficWorkload:
         with pytest.raises(ValueError, match="unknown message_sizes"):
             stream(greedy=False, message_sizes="pareto")
         with pytest.raises(ValueError, match="drop message_bytes"):
-            stream(greedy=False, message_sizes="web_search", message_bytes=1000)
+            stream(greedy=False, message_sizes="storage_cluster", message_bytes=1000)
         with pytest.raises(ValueError, match="greedy"):
-            stream(message_sizes="web_search")
+            stream(message_sizes="storage_cluster")
         with pytest.raises(ValueError, match="fresh_qp"):
             stream(greedy=False, message_bytes=1000, fresh_qp=True)
         with pytest.raises(ValueError, match="fresh_qp"):
             stream(fresh_qp=True)
         # one drawn transfer is a probe, not a stream, and needs no budget
-        assert stream(greedy=False, message_sizes="web_search").message_count == 1
+        assert stream(greedy=False, message_sizes="storage_cluster").message_count == 1
 
 
 class TestIncastWorkload:
