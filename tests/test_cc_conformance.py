@@ -310,6 +310,30 @@ class TestArena:
         score = result.score("incast", "dcqcn")
         assert 0.0 < score.fairness <= 1.0
 
+    def test_arena_footer_names_the_armed_guard(self, monkeypatch, tmp_path):
+        # the table carries no violations footer: a strict breach in any
+        # cell fails the id instead, naming the arm and the breach
+        for name, value in (("REPRO_SCALE", "smoke"), ("REPRO_CACHE", "off"),
+                            ("REPRO_JOBS", "1"), ("REPRO_RESULTS_DIR", str(tmp_path))):
+            monkeypatch.setenv(name, value)
+        import repro.experiments.catalog  # noqa: F401  (populates REGISTRY)
+        from repro.invariants.guard import InvariantViolation
+        from repro.runner import REGISTRY, Scenario
+        from repro.runner import scenario as scenario_module
+        from repro.runner.registry import arm_name
+
+        def breached(spec, seed):
+            assert Scenario.from_spec(spec).invariants.mode == "strict"
+            raise InvariantViolation("pfc_lossless", "sw0", 0, "drop under PFC")
+
+        monkeypatch.setattr(scenario_module, "run_scenario_cell", breached)
+        entry = REGISTRY.get("arena")
+        first = arm_name(next(iter(entry.arms())))
+        with pytest.raises(
+            RuntimeError, match=rf"^arena/{first}: .*\[pfc_lossless\] sw0"
+        ):
+            entry.compute()
+
     def test_arena_scenarios_build_for_every_controller(self):
         from repro.experiments.arena import (
             ARENA_CONTROLLERS,
