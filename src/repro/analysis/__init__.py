@@ -1,4 +1,4 @@
-"""Statistics and trace-analysis helpers used by experiments and benchmarks."""
+"""Statistics helpers used by experiments and benchmarks."""
 
 from repro.analysis.fct import (
     MICE_THRESHOLD_BYTES,
@@ -13,18 +13,9 @@ from repro.analysis.fct import (
 )
 from repro.analysis.stats import (
     percentile,
-    cdf_points,
     jain_fairness,
     summarize,
     Summary,
-)
-from repro.analysis.trace import (
-    event_counts,
-    pause_counts,
-    queue_cdf,
-    rate_cut_timeline,
-    rate_timeline,
-    read_events,
 )
 
 __all__ = [
@@ -38,14 +29,7 @@ __all__ = [
     "slowdowns",
     "summarize_slowdowns",
     "percentile",
-    "cdf_points",
     "jain_fairness",
     "summarize",
     "Summary",
-    "event_counts",
-    "pause_counts",
-    "queue_cdf",
-    "rate_cut_timeline",
-    "rate_timeline",
-    "read_events",
 ]

@@ -47,14 +47,10 @@ def serialization_ns(size_bytes: int, rate_bps: float) -> float:
     return size_bytes * 8e9 / rate_bps
 
 
-def base_rtt_ns(
-    hops: int = 1,
-    prop_delay_ns: int = 500,
-    mtu_bytes: int = 1000,
-    line_rate_bps: float = 40e9,
-    control_bytes: int = 64,
-) -> float:
-    """Fixed per-transfer overhead on an idle path through ``hops`` switches.
+def base_rtt_ns(hops: int = 1) -> float:
+    """Fixed per-transfer overhead on an idle path through ``hops`` switches
+    of 40 Gbps links with 500 ns propagation, 1000-byte MTUs and 64-byte
+    control frames.
 
     The simulator is store-and-forward: each switch on the data path
     re-serializes the last packet (one MTU) before the final byte can
@@ -70,9 +66,9 @@ def base_rtt_ns(
     """
     links = hops + 1
     return (
-        hops * serialization_ns(mtu_bytes, line_rate_bps)
-        + 2 * links * prop_delay_ns
-        + links * serialization_ns(control_bytes, line_rate_bps)
+        hops * serialization_ns(1000, 40e9)
+        + 2 * links * 500
+        + links * serialization_ns(64, 40e9)
     )
 
 

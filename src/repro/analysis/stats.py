@@ -1,6 +1,6 @@
 """Small, dependency-light statistics used across the experiments.
 
-The paper reports medians, 10th percentiles ("the tail end"), CDFs and
+The paper reports medians, 10th percentiles ("the tail end") and
 fairness; these helpers centralize those computations so every
 benchmark reports them identically.
 """
@@ -8,7 +8,7 @@ benchmark reports them identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -32,15 +32,6 @@ def percentile(values: Sequence[float], q: float) -> float:
         # skip interpolation: avoids float wiggle on equal neighbours
         return float(data[low])
     return data[low] * (1.0 - frac) + data[high] * frac
-
-
-def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
-    """Empirical CDF as (value, fraction <= value) pairs."""
-    data = sorted(values)
-    n = len(data)
-    if n == 0:
-        return []
-    return [(value, (index + 1) / n) for index, value in enumerate(data)]
 
 
 def jain_fairness(values: Sequence[float]) -> float:

@@ -186,17 +186,13 @@ class ThresholdPlan:
         return self.kmin_bytes >= self.profile.mtu_bytes
 
 
-def plan_thresholds(
-    profile: SwitchProfile = SwitchProfile(),
-    beta: float = 8.0,
-    kmin_bytes: int = units.kb(5),
-) -> ThresholdPlan:
-    """Compute every §4 quantity for a switch profile.
+def plan_thresholds(kmin_bytes: int = units.kb(5)) -> ThresholdPlan:
+    """Compute every §4 quantity for the paper's switch at beta = 8.
 
-    With the defaults this reproduces the paper's numbers:
-    t_PFC <= 24.47 KB, static t_ECN bound 0.76 KB (infeasible),
-    dynamic t_ECN bound 21.75 KB at beta = 8.
+    This reproduces the paper's numbers: t_PFC <= 24.47 KB, static
+    t_ECN bound 0.76 KB (infeasible), dynamic t_ECN bound 21.75 KB.
     """
+    profile, beta = SwitchProfile(), 8.0
     return ThresholdPlan(
         profile=profile,
         beta=beta,

@@ -23,7 +23,7 @@ CNP-conservation invariant sums these alongside NIC-generated ones.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.cc.base import CcContext
 from repro.cc.dcqcn import RpBackedControl
@@ -58,9 +58,9 @@ class FnccFeedback:
 
     kind = "fncc"
 
-    def __init__(self, switch, params: Optional[FnccParams] = None):
+    def __init__(self, switch):
         self.switch = switch
-        self.params = params or FnccParams()
+        self.params = FnccParams()
         self._watched = set()
         self._last_cnp_ns: Dict[int, int] = {}
         #: marked data header -> header of the CNPs to its source (one

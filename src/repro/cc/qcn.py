@@ -31,7 +31,7 @@ Two halves, both in this module:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.cc.base import CcContext
 from repro.cc.dcqcn import RpBackedControl
@@ -109,9 +109,9 @@ class QcnFeedback:
 
     kind = "qcn"
 
-    def __init__(self, switch, params: Optional[QcnCpParams] = None):
+    def __init__(self, switch):
         self.switch = switch
-        self.params = params or QcnCpParams()
+        self.params = QcnCpParams()
         self._countdown: Dict[Tuple[int, int], int] = {}
         self._q_old: Dict[Tuple[int, int], float] = {}
         #: sampled data header -> header of the feedback frames to its

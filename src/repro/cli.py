@@ -259,9 +259,8 @@ def trace_main(argv: Sequence[str]) -> int:
     """``python -m repro trace <scenario|id/arm>`` — run once, emit the trace.
 
     Without ``--out`` the JSONL stream goes to stdout (pipe it to
-    ``jq``/``repro.analysis.trace``); a per-type summary goes to
-    stderr.  With ``--out`` the stream goes to the file and the summary
-    to stdout.
+    ``jq``); a per-type summary goes to stderr.  With ``--out`` the
+    stream goes to the file and the summary to stdout.
     """
     parser = _telemetry_parser(
         "repro trace", "Run one scenario repetition with tracing on."
@@ -313,7 +312,11 @@ def trace_main(argv: Sequence[str]) -> int:
         rate_sample_ns=args.rate_sample_ns,
     )
     scenario = dataclasses.replace(scenario, telemetry=spec)
-    telemetry = Telemetry.from_spec(spec, seed=seed)
+    try:
+        telemetry = Telemetry.from_spec(spec, seed=seed)
+    except OSError as exc:
+        print(f"cannot write trace to {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     try:
         result = _run_inline(scenario, seed, telemetry=telemetry)
     finally:
@@ -321,12 +324,10 @@ def trace_main(argv: Sequence[str]) -> int:
     if result is None:
         return 3
 
-    counts = sorted(telemetry.trace_counts().items())
-    summary_rows = [[etype, count] for etype, count in counts]
-    summary = format_table(["event type", "count"], summary_rows)
-    total = sum(count for _, count in counts)
+    counts = telemetry.trace_counts()
+    summary = format_table(["event type", "count"], sorted(counts.items()))
     if args.out:
-        print(f"wrote {total} events to {args.out}")
+        print(f"wrote {sum(counts.values())} events to {args.out}")
         print(summary)
         print(result.table())
     else:

@@ -65,13 +65,8 @@ class ChaosResult:
         return format_table(CHAOS_HEADERS, [p.row() for p in self.points])
 
 
-def chaos_scenario(
-    intensity: float,
-    cc: str = "dcqcn",
-    duration_ns: Optional[int] = None,
-    warmup_ns: Optional[int] = None,
-) -> Scenario:
-    """Feeder/victim dumbbell under a storm + flap plan.
+def chaos_scenario(intensity: float) -> Scenario:
+    """Feeder/victim DCQCN dumbbell under a storm + flap plan.
 
     ``intensity`` in [0, 1] scales both fault durations: at 0 the plan
     is empty (clean baseline); at 1 the PAUSE storm covers ~40% of the
@@ -81,13 +76,8 @@ def chaos_scenario(
 
     if not 0.0 <= intensity <= 1.0:
         raise ValueError(f"intensity must be in [0, 1], got {intensity}")
-    duration_ns = duration_ns or scale.pick(units.ms(10), units.ms(2))
-    if warmup_ns is None:
-        warmup_ns = (
-            scale.pick(units.ms(15), units.ms(1))
-            if cc == "dcqcn"
-            else 0
-        )
+    duration_ns = scale.pick(units.ms(10), units.ms(2))
+    warmup_ns = scale.pick(units.ms(15), units.ms(1))
     injectors = []
     if intensity > 0.0:
         storm_ns = int(duration_ns * 0.4 * intensity)
@@ -114,27 +104,23 @@ def chaos_scenario(
         topology="dumbbell",
         topology_kwargs={"n_left": 2, "n_right": 2},
         flows=(
-            FlowSpec(name="feeder", src="L1", dst="R1", cc=cc),
-            FlowSpec(name="victim", src="L2", dst="R2", cc=cc),
+            FlowSpec(name="feeder", src="L1", dst="R1", cc="dcqcn"),
+            FlowSpec(name="victim", src="L2", dst="R2", cc="dcqcn"),
         ),
         warmup_ns=warmup_ns,
         duration_ns=duration_ns,
-        label=f"chaos/{cc}/{intensity:.2f}",
+        label=f"chaos/dcqcn/{intensity:.2f}",
         faults=faults,
     )
 
 
 def chaos_fabric_scenario(
-    intensity: float = 1.0,
-    cc: str = "dcqcn",
-    k: int = 4,
-    duration_ns: Optional[int] = None,
-    warmup_ns: Optional[int] = None,
+    intensity: float = 1.0, duration_ns: Optional[int] = None
 ) -> Scenario:
     """The fabric-scale chaos maze: incast under storm + boundary faults.
 
     The :func:`~repro.experiments.fabric_scale.fabric_incast_scenario`
-    traffic on a ``k``-ary fat-tree, overlaid with the dumbbell chaos
+    traffic on a k=4 fat-tree, overlaid with the dumbbell chaos
     plan's fault vocabulary aimed at the topology's weak points: a
     PAUSE storm at the incast destination NIC (the paper's
     storm-at-the-root pathology), a flap of a pod↔core trunk and an
@@ -151,8 +137,7 @@ def chaos_fabric_scenario(
     if not 0.0 <= intensity <= 1.0:
         raise ValueError(f"intensity must be in [0, 1], got {intensity}")
     duration_ns = duration_ns or scale.pick(units.ms(1), units.us(300))
-    if warmup_ns is None:
-        warmup_ns = units.us(50)
+    warmup_ns = units.us(50)
     injectors = []
     if intensity > 0.0:
         storm_ns = int(duration_ns * 0.4 * intensity)
@@ -173,8 +158,8 @@ def chaos_fabric_scenario(
             ))
         if burst_ns > 0:
             injectors.append(ErrorBurst(
-                a=f"p{k - 1}a1",
-                b=f"c{k - 1}",
+                a="p3a1",
+                b="c3",
                 rate=0.02,
                 start_ns=warmup_ns + duration_ns // 3,
                 duration_ns=burst_ns,
@@ -189,9 +174,9 @@ def chaos_fabric_scenario(
         recovery_sample_ns=duration_ns // 12,
     ) if injectors else None
     base = fabric_incast_scenario(
-        k=k,
+        k=4,
         duration_ns=duration_ns,
-        label=f"chaos-fabric/{cc}/k{k}/{intensity:.2f}",
+        label=f"chaos-fabric/dcqcn/k4/{intensity:.2f}",
     )
     return dataclasses.replace(base, warmup_ns=warmup_ns, faults=faults)
 

@@ -40,12 +40,7 @@ ELEPHANT_BYTES = 1_000_000
 STREAM = 1 << 20
 
 
-def _incast_flows(
-    spec_k: int,
-    degree: int,
-    hosts_per_edge: int,
-    message_start_ns: int = 0,
-) -> List[FlowSpec]:
+def _incast_flows(spec_k: int, degree: int, hosts_per_edge: int) -> List[FlowSpec]:
     """``degree`` greedy DCQCN flows converging on host ``0:0:0``.
 
     Senders are spread round-robin over the *other* pods first, then
@@ -69,7 +64,6 @@ def _incast_flows(
                 src=f"{pod}:{edge}:{slot}",
                 dst="0:0:0",
                 cc="dcqcn",
-                start_ns=message_start_ns,
             )
         )
     return flows

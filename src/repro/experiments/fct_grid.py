@@ -26,7 +26,6 @@ STREAM = 1 << 20
 def benchmark_scenario(
     n_pairs: Optional[int] = None,
     incast_degree: Optional[int] = None,
-    hosts_per_tor: int = 5,
     duration_ns: Optional[int] = None,
 ) -> Scenario:
     """Fig 16 benchmark traffic as a declarative scenario.
@@ -37,7 +36,8 @@ def benchmark_scenario(
     the mice/elephants split never hinges on a lucky draw), the rest
     draw metadata/object-IO sizes (deterministically, seed 2015) from
     the storage-cluster distribution; ``incast_degree`` greedy bulk
-    flows model the disk rebuild, converging on host ``0:0``.
+    flows model the disk rebuild, converging on host ``0:0``, on a
+    Clos of five hosts per ToR.
     Everything runs DCQCN with deployed parameters; every user
     transfer lands as one ``flow_stats`` row.
     """
@@ -46,6 +46,7 @@ def benchmark_scenario(
     n_pairs = n_pairs or scale.pick(8, 4)
     incast_degree = incast_degree or scale.pick(4, 2)
     duration_ns = duration_ns or scale.pick(units.ms(4), units.ms(1))
+    hosts_per_tor = 5
     rng = random.Random(2015)
     distribution = storage_cluster()
     flows = [

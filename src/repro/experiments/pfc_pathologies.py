@@ -30,9 +30,7 @@ from typing import Dict, List, Mapping, Optional
 
 from repro import units
 from repro.analysis.stats import percentile
-from repro.core.params import DCQCNParams
 from repro.runner import FlowSpec, RunResult, Scenario, format_table, scale
-from repro.sim.switch import SwitchConfig
 
 #: the four competing writers of the unfairness scenario
 UNFAIRNESS_HOSTS = ("H1", "H2", "H3", "H4")
@@ -64,33 +62,15 @@ class UnfairnessResult:
         )
 
 
-def unfairness_scenario(
-    cc: str = "none",
-    duration_ns: Optional[int] = None,
-    warmup_ns: Optional[int] = None,
-    params: Optional[DCQCNParams] = None,
-    switch_config: Optional[SwitchConfig] = None,
-    mtu_bytes: int = 1000,
-) -> Scenario:
+def unfairness_scenario(cc: str, duration_ns: Optional[int] = None) -> Scenario:
     """The Figure 3/8 spec: H1..H4 (one per ToR) write to R under T4."""
     duration_ns = duration_ns or scale.pick(units.ms(10), units.ms(2))
-    if warmup_ns is None:
-        # DCQCN's additive increase needs ~15 ms to converge after the
-        # initial line-rate burst; measure steady state, as the paper's
-        # long transfers do.
-        warmup_ns = (
-            scale.pick(units.ms(15), units.ms(3))
-            if cc == "dcqcn"
-            else 0
-        )
-    topology_kwargs: dict = {"hosts_per_tor": 2}
-    if params is not None:
-        topology_kwargs["dcqcn_params"] = params
-    if switch_config is not None:
-        topology_kwargs["switch_config"] = switch_config
+    # DCQCN's additive increase needs ~15 ms to converge after the
+    # initial line-rate burst; measure steady state, as the paper's
+    # long transfers do.
+    warmup_ns = scale.pick(units.ms(15), units.ms(3)) if cc == "dcqcn" else 0
     flows = tuple(
-        FlowSpec(name=f"H{tor + 1}", src=f"{tor}:0", dst="3:1", cc=cc,
-                 mtu_bytes=mtu_bytes)
+        FlowSpec(name=f"H{tor + 1}", src=f"{tor}:0", dst="3:1", cc=cc)
         for tor in range(4)
     )
     return Scenario(
@@ -98,7 +78,7 @@ def unfairness_scenario(
         flows=flows,
         warmup_ns=warmup_ns,
         duration_ns=duration_ns,
-        topology_kwargs=topology_kwargs,
+        topology_kwargs={"hosts_per_tor": 2},
         label=f"unfairness/{cc}",
     )
 
@@ -137,13 +117,7 @@ class VictimFlowResult:
 
 
 def victim_scenario(
-    cc: str,
-    t3_senders: int,
-    duration_ns: int,
-    warmup_ns: int,
-    params: Optional[DCQCNParams] = None,
-    switch_config: Optional[SwitchConfig] = None,
-    mtu_bytes: int = 1000,
+    cc: str, t3_senders: int, duration_ns: int, warmup_ns: int
 ) -> Scenario:
     """The Figure 4/9 spec at one T3 sender count.
 
@@ -151,28 +125,20 @@ def victim_scenario(
     R (under T4); the victim VS (under T1) sends to VR (under T2).
     """
     incast = [
-        FlowSpec(name=f"H1{i + 1}", src=f"0:{i}", dst="3:0", cc=cc,
-                 mtu_bytes=mtu_bytes)
+        FlowSpec(name=f"H1{i + 1}", src=f"0:{i}", dst="3:0", cc=cc)
         for i in range(4)
     ]
     incast += [
-        FlowSpec(name=f"H3{i + 1}", src=f"2:{i}", dst="3:0", cc=cc,
-                 mtu_bytes=mtu_bytes)
+        FlowSpec(name=f"H3{i + 1}", src=f"2:{i}", dst="3:0", cc=cc)
         for i in range(t3_senders)
     ]
-    victim = FlowSpec(name="victim", src="0:4", dst="1:0", cc=cc,
-                      mtu_bytes=mtu_bytes)
-    topology_kwargs: dict = {"hosts_per_tor": 5}
-    if params is not None:
-        topology_kwargs["dcqcn_params"] = params
-    if switch_config is not None:
-        topology_kwargs["switch_config"] = switch_config
+    victim = FlowSpec(name="victim", src="0:4", dst="1:0", cc=cc)
     return Scenario(
         topology="three_tier_clos",
         flows=tuple(incast) + (victim,),
         warmup_ns=warmup_ns,
         duration_ns=duration_ns,
-        topology_kwargs=topology_kwargs,
+        topology_kwargs={"hosts_per_tor": 5},
         label=f"victim/{cc}/{t3_senders}",
     )
 
@@ -222,13 +188,10 @@ def victim_flow_result(runs: Mapping[int, List[RunResult]]) -> VictimFlowResult:
 
 
 def pause_storm_scenario(
-    cc: str = "none",
+    cc: str,
     duration_ns: Optional[int] = None,
     warmup_ns: Optional[int] = None,
-    storm_ns: Optional[int] = None,
-    storm_count: int = 1,
     with_storm: bool = True,
-    switch_config: Optional[SwitchConfig] = None,
 ) -> Scenario:
     """Dumbbell feeder+victim spec with a scripted PAUSE storm on R1.
 
@@ -253,36 +216,27 @@ def pause_storm_scenario(
     # PFC is lossless, so a storm only *delays* frames; damage survives
     # into the mean only if the storm outlasts the catch-up headroom
     # after it (each access link has 2x a flow's trunk share).  The
-    # default storm runs from 25% of the window to the end: long enough
-    # for the cascade to reach the victim's sender and nothing left to
-    # catch up in.
-    storm_ns = storm_ns or max((3 * duration_ns) // 4, units.us(100))
+    # storm runs from 25% of the window to the end: long enough for the
+    # cascade to reach the victim's sender and nothing left to catch up
+    # in.
+    storm_ns = max((3 * duration_ns) // 4, units.us(100))
     faults = None
     label = f"pause_storm/{cc}/clean"
     if with_storm:
-        # repeats (if storm_count > 1) ride a half-window cooldown so
-        # the recovery tracker can watch each one heal
-        period_ns = storm_ns + max(duration_ns // 2, units.us(100))
         faults = FaultPlan(
             injectors=(
                 PauseStorm(
                     host="R1",
                     start_ns=warmup_ns + duration_ns // 4,
                     duration_ns=storm_ns,
-                    period_ns=period_ns if storm_count > 1 else 0,
-                    count=storm_count,
                 ),
             ),
             watchdog=WatchdogConfig(),
         )
-        label = f"pause_storm/{cc}/storm{storm_count}"
+        label = f"pause_storm/{cc}/storm1"
     return Scenario(
         topology="dumbbell",
-        topology_kwargs={
-            "n_left": 2,
-            "n_right": 2,
-            **({"switch_config": switch_config} if switch_config else {}),
-        },
+        topology_kwargs={"n_left": 2, "n_right": 2},
         flows=(
             FlowSpec(name="feeder", src="L1", dst="R1", cc=cc),
             FlowSpec(name="victim", src="L2", dst="R2", cc=cc),

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.params import DCQCNParams
 from repro.fabric.spec import TIERS, FabricSpec
@@ -82,9 +82,6 @@ class Fabric:
     def host_in_pod(self, pod: int, edge: int, host_index: int) -> Host:
         return self.hosts[pod * self.spec.edges_per_pod + edge][host_index]
 
-    def pod_of_edge(self, edge_index: int) -> int:
-        return edge_index // self.spec.edges_per_pod
-
     # --- per-tier aggregation (telemetry) ----------------------------------
 
     def tier_pause_rx(self, tier: str) -> int:
@@ -98,9 +95,6 @@ class Fabric:
     def tier_pause_tx(self, tier: str) -> int:
         """PAUSE frames sent by all switches of ``tier``."""
         return sum(switch.pause_frames_sent for switch in self.tiers()[tier])
-
-    def tier_drops(self, tier: str) -> int:
-        return sum(switch.dropped_packets for switch in self.tiers()[tier])
 
     def pause_probes(self) -> Dict[str, "callable"]:
         """End-of-run counter probes: per-tier PAUSE rx/tx aggregates.

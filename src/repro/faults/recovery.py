@@ -7,11 +7,11 @@ numbers folded into every fault-bearing :class:`RunResult`:
 
 * **time-to-recover** — at the end of each merged fault window every
   flow with an established baseline enters a recovering state; the
-  first later sample whose goodput reaches ``recover_fraction`` of the
-  baseline closes it (``fault.recovered`` event, ``fault.recoveries``
-  counter, ``fault.max_recovery_ns`` / ``fault.mean_recovery_ns``
-  gauges).  Flows a fault never touched recover within one sample
-  period, so the *max* is the honest damage number.
+  first later sample whose goodput reaches 90 % of the baseline closes
+  it (``fault.recovered`` event, ``fault.recoveries`` counter,
+  ``fault.max_recovery_ns`` / ``fault.mean_recovery_ns`` gauges).
+  Flows a fault never touched recover within one sample period, so
+  the *max* is the honest damage number.
 * **goodput under faults** — bytes delivered inside fault windows over
   the baseline-predicted bytes (``fault.goodput_fraction``).
 * **victim-flow loss** — the worst per-flow throughput deficit inside
@@ -27,6 +27,12 @@ from repro.telemetry import events as trace_events
 
 #: component name recovery events are emitted under
 _COMPONENT = "faults"
+
+#: a flow has recovered once a sample reaches this fraction of its baseline
+_RECOVER_FRACTION = 0.9
+
+#: weight of each new sample in a flow's EWMA baseline
+_BASELINE_ALPHA = 0.2
 
 
 def fold_recovery_gauges(
@@ -72,8 +78,6 @@ class RecoveryTracker:
         sample_ns: int,
         telemetry,
         stop_ns: int,
-        recover_fraction: float = 0.9,
-        baseline_alpha: float = 0.2,
     ):
         if sample_ns <= 0:
             raise ValueError(f"sample_ns must be positive, got {sample_ns}")
@@ -83,8 +87,6 @@ class RecoveryTracker:
         self.tracer = telemetry.tracer
         self.metrics = telemetry.metrics
         self.stop_ns = stop_ns
-        self.recover_fraction = recover_fraction
-        self.baseline_alpha = baseline_alpha
         self.recovery_times: List[int] = []
         self._last_bytes: Dict[int, int] = {}
         self._last_ns = net.engine.now
@@ -132,7 +134,7 @@ class RecoveryTracker:
                 recovering = self._recovering.get(fid)
                 if recovering is not None:
                     fault_end, base = recovering
-                    if rate >= self.recover_fraction * base:
+                    if rate >= _RECOVER_FRACTION * base:
                         recover_ns = now - fault_end
                         self.recovery_times.append(recover_ns)
                         self.metrics.counter("fault.recoveries").inc()
@@ -150,7 +152,7 @@ class RecoveryTracker:
                     if baseline is None:
                         self._baseline[fid] = rate
                     else:
-                        alpha = self.baseline_alpha
+                        alpha = _BASELINE_ALPHA
                         self._baseline[fid] = (1 - alpha) * baseline + alpha * rate
         self._last_ns = now
         if now + self.sample_ns <= self.stop_ns:

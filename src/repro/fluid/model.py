@@ -60,6 +60,9 @@ ArrayLike = Union[float, Sequence[float], np.ndarray]
 #: p -> 0 limits to avoid 0/0.
 _P_TINY = 1e-12
 
+#: the trajectory is sampled every this many Euler steps
+_RECORD_EVERY = 25
+
 
 @dataclass
 class FluidParams:
@@ -93,15 +96,12 @@ class FluidParams:
     def from_dcqcn(
         cls,
         params: DCQCNParams,
-        capacity_bps: float = units.gbps(40),
         num_flows: int = 2,
-        packet_bytes: int = 1000,
         feedback_delay_s: Optional[float] = None,
     ) -> "FluidParams":
-        """Derive fluid parameters from protocol parameters."""
+        """Derive fluid parameters from protocol parameters, at 40 Gbps
+        and 1000-byte packets."""
         return cls(
-            capacity_bps=capacity_bps,
-            packet_bytes=packet_bytes,
             num_flows=num_flows,
             kmin_bytes=params.kmin_bytes,
             kmax_bytes=params.kmax_bytes,
@@ -139,11 +139,13 @@ class FluidTrace:
     alpha: np.ndarray
     queue_bytes: np.ndarray
 
-    def flow_rate_gbps(self, flow: int, batch: int = 0) -> np.ndarray:
-        return self.rc_bps[:, batch, flow] / 1e9
+    def flow_rate_gbps(self, flow: int) -> np.ndarray:
+        """``flow``'s R_C series of the first batch entry."""
+        return self.rc_bps[:, 0, flow] / 1e9
 
-    def queue_kb(self, batch: int = 0) -> np.ndarray:
-        return self.queue_bytes[:, batch] / 1e3
+    def queue_kb(self) -> np.ndarray:
+        """The queue series of the first batch entry."""
+        return self.queue_bytes[:, 0] / 1e3
 
     def final_rates_bps(self) -> np.ndarray:
         """Last recorded R_C per (batch, flow)."""
@@ -170,9 +172,8 @@ def simulate(
     rc0_bps: Optional[ArrayLike] = None,
     start_times_s: Optional[ArrayLike] = None,
     q0_bytes: ArrayLike = 0.0,
-    record_every: int = 25,
 ) -> FluidTrace:
-    """Integrate the fluid model.
+    """Integrate the fluid model, sampling every 25th step.
 
     Parameters
     ----------
@@ -188,8 +189,6 @@ def simulate(
         Optional per-flow start times (shape broadcastable to
         ``(batch, num_flows)``); a flow contributes nothing and stays
         frozen until its start time, then begins at its ``rc0``.
-    record_every:
-        Sample the trajectory every this many steps.
     """
     if duration_s <= 0 or dt_s <= 0:
         raise ValueError("duration and dt must be positive")
@@ -254,7 +253,7 @@ def simulate(
     hist_rc = np.zeros((max_delay + 1, batch, n))
     batch_index = np.arange(batch)
 
-    sample_count = steps // record_every + 1
+    sample_count = steps // _RECORD_EVERY + 1
     times = np.empty(sample_count)
     trace_rc = np.empty((sample_count, batch, n))
     trace_rt = np.empty((sample_count, batch, n))
@@ -282,7 +281,7 @@ def simulate(
             if not all_started:
                 active = (t >= started_at).astype(float)
 
-            if step % record_every == 0 and sample < sample_count:
+            if step % _RECORD_EVERY == 0 and sample < sample_count:
                 times[sample] = t
                 trace_rc[sample] = rc * active
                 trace_rt[sample] = rt * active
@@ -356,12 +355,7 @@ def simulate(
 
 
 def simulate_two_flow_convergence(
-    params: FluidParams,
-    duration_s: float = 0.2,
-    dt_s: float = 2e-6,
-    fast_rate_bps: float = units.gbps(40),
-    slow_rate_bps: float = units.gbps(5),
-    record_every: int = 25,
+    params: FluidParams, duration_s: float = 0.2
 ) -> FluidTrace:
     """§5.2's convergence scenario: one flow at 40 Gbps, one at 5 Gbps.
 
@@ -369,11 +363,5 @@ def simulate_two_flow_convergence(
     whether (and how fast) the rate gap closes.
     """
     two_flow = params.with_overrides(num_flows=2)
-    rc0 = np.array([fast_rate_bps, slow_rate_bps])
-    return simulate(
-        two_flow,
-        duration_s=duration_s,
-        dt_s=dt_s,
-        rc0_bps=rc0,
-        record_every=record_every,
-    )
+    rc0 = np.array([units.gbps(40), units.gbps(5)])
+    return simulate(two_flow, duration_s=duration_s, rc0_bps=rc0)

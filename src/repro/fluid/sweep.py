@@ -56,14 +56,13 @@ def _run_sweep(
     values: Sequence[float],
     base: FluidParams,
     duration_s: float,
-    dt_s: float,
 ) -> SweepResult:
     values_arr = np.asarray(list(values), dtype=float)
     params = base.with_overrides(**{parameter: values_arr, "num_flows": 2})
     rc0 = np.broadcast_to(
         np.array([units.gbps(40), units.gbps(5)]), (len(values_arr), 2)
     )
-    trace = simulate(params, duration_s=duration_s, dt_s=dt_s, rc0_bps=rc0)
+    trace = simulate(params, duration_s=duration_s, rc0_bps=rc0)
     return SweepResult(
         parameter=parameter,
         values=values_arr,
@@ -81,46 +80,40 @@ def sweep_byte_counter(
         units.mb(3),
         units.mb(10),
     ),
-    base: FluidParams = None,
     duration_s: float = 0.2,
-    dt_s: float = 2e-6,
 ) -> SweepResult:
     """Figure 11(a): byte counter sweep from the QCN strawman (150 KB).
 
     Uses the strawman timer (1.5 ms) so the byte counter dominates;
     slowing the byte counter restores convergence at the cost of speed.
     """
-    if base is None:
-        base = FluidParams(
-            kmin_bytes=units.kb(40),
-            kmax_bytes=units.kb(40),
-            pmax=1.0,
-            g=1.0 / 16.0,
-            timer_s=1.5e-3,
-        )
-    return _run_sweep("byte_counter_bytes", values_bytes, base, duration_s, dt_s)
+    base = FluidParams(
+        kmin_bytes=units.kb(40),
+        kmax_bytes=units.kb(40),
+        pmax=1.0,
+        g=1.0 / 16.0,
+        timer_s=1.5e-3,
+    )
+    return _run_sweep("byte_counter_bytes", values_bytes, base, duration_s)
 
 
 def sweep_timer(
     values_s: Sequence[float] = (1.5e-3, 1e-3, 500e-6, 150e-6, 55e-6),
-    base: FluidParams = None,
     duration_s: float = 0.2,
-    dt_s: float = 2e-6,
 ) -> SweepResult:
     """Figure 11(b): rate-increase timer sweep with a 10 MB byte counter.
 
     Speeding up the timer (but never below the 50 µs CNP interval)
     makes the timer dominate rate increase and convergence fast.
     """
-    if base is None:
-        base = FluidParams(
-            kmin_bytes=units.kb(40),
-            kmax_bytes=units.kb(40),
-            pmax=1.0,
-            g=1.0 / 16.0,
-            byte_counter_bytes=units.mb(10),
-        )
-    return _run_sweep("timer_s", values_s, base, duration_s, dt_s)
+    base = FluidParams(
+        kmin_bytes=units.kb(40),
+        kmax_bytes=units.kb(40),
+        pmax=1.0,
+        g=1.0 / 16.0,
+        byte_counter_bytes=units.mb(10),
+    )
+    return _run_sweep("timer_s", values_s, base, duration_s)
 
 
 def sweep_kmax(
@@ -131,42 +124,36 @@ def sweep_kmax(
         units.kb(160),
         units.kb(200),
     ),
-    base: FluidParams = None,
     duration_s: float = 0.2,
-    dt_s: float = 2e-6,
 ) -> SweepResult:
     """Figure 11(c): widen the RED segment (Kmax) from the strawman.
 
     RED-like probabilistic marking lets the faster flow attract more
     CNPs, restoring convergence without touching the timers.
     """
-    if base is None:
-        base = FluidParams(
-            kmin_bytes=units.kb(5),
-            pmax=0.01,
-            g=1.0 / 16.0,
-            timer_s=1.5e-3,
-            byte_counter_bytes=units.kb(150),
-        )
-    return _run_sweep("kmax_bytes", values_bytes, base, duration_s, dt_s)
+    base = FluidParams(
+        kmin_bytes=units.kb(5),
+        pmax=0.01,
+        g=1.0 / 16.0,
+        timer_s=1.5e-3,
+        byte_counter_bytes=units.kb(150),
+    )
+    return _run_sweep("kmax_bytes", values_bytes, base, duration_s)
 
 
 def sweep_pmax(
     values: Sequence[float] = (1.0, 0.5, 0.1, 0.05, 0.01),
-    base: FluidParams = None,
     duration_s: float = 0.2,
-    dt_s: float = 2e-6,
 ) -> SweepResult:
     """Figure 11(d): Pmax sweep at Kmax = 200 KB; small Pmax converges."""
-    if base is None:
-        base = FluidParams(
-            kmin_bytes=units.kb(5),
-            kmax_bytes=units.kb(200),
-            g=1.0 / 16.0,
-            timer_s=1.5e-3,
-            byte_counter_bytes=units.kb(150),
-        )
-    return _run_sweep("pmax", values, base, duration_s, dt_s)
+    base = FluidParams(
+        kmin_bytes=units.kb(5),
+        kmax_bytes=units.kb(200),
+        g=1.0 / 16.0,
+        timer_s=1.5e-3,
+        byte_counter_bytes=units.kb(150),
+    )
+    return _run_sweep("pmax", values, base, duration_s)
 
 
 @dataclass
@@ -178,33 +165,30 @@ class GQueueResult:
     times_s: np.ndarray
     queue_kb: np.ndarray  # (samples, len(g_values))
 
-    def steady_queue_kb(self, tail_fraction: float = 0.5) -> np.ndarray:
-        start = int(len(self.times_s) * (1.0 - tail_fraction))
-        return self.queue_kb[start:].mean(axis=0)
+    def steady_queue_kb(self) -> np.ndarray:
+        """Mean queue over the trailing half of time."""
+        return self.queue_kb[len(self.times_s) // 2 :].mean(axis=0)
 
-    def queue_stddev_kb(self, tail_fraction: float = 0.5) -> np.ndarray:
-        start = int(len(self.times_s) * (1.0 - tail_fraction))
-        return self.queue_kb[start:].std(axis=0)
+    def queue_stddev_kb(self) -> np.ndarray:
+        """Queue standard deviation over the trailing half of time."""
+        return self.queue_kb[len(self.times_s) // 2 :].std(axis=0)
 
 
 def sweep_g_queue(
     g_values: Sequence[float] = (1.0 / 16.0, 1.0 / 256.0),
     incast_degree: int = 16,
-    base: FluidParams = None,
     duration_s: float = 0.1,
-    dt_s: float = 1e-6,
 ) -> GQueueResult:
-    """Figure 12: bottleneck queue for N:1 incast at different g.
+    """Figure 12: bottleneck queue for N:1 incast at different g,
+    integrated at dt = 1 us.
 
     Smaller g yields a lower, steadier queue (at slightly slower
     convergence) — the basis for the deployed g = 1/256.
     """
-    if base is None:
-        base = FluidParams()
-    params = base.with_overrides(
+    params = FluidParams(
         g=np.asarray(list(g_values), dtype=float), num_flows=incast_degree
     )
-    trace = simulate(params, duration_s=duration_s, dt_s=dt_s)
+    trace = simulate(params, duration_s=duration_s, dt_s=1e-6)
     return GQueueResult(
         g_values=np.asarray(list(g_values), dtype=float),
         incast_degree=incast_degree,

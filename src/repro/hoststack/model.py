@@ -28,7 +28,7 @@ in DESIGN.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro import units
 
@@ -158,21 +158,12 @@ class StackComparison:
     rdma_server_cpu_pct: float
 
 
-def compare_stacks(
-    message_sizes: Sequence[int] = (
-        units.kb(4),
-        units.kb(16),
-        units.kb(64),
-        units.kb(256),
-        units.mb(1),
-        units.mb(4),
-    ),
-    tcp: TcpStackModel = TcpStackModel(),
-    rdma: RdmaStackModel = RdmaStackModel(),
-) -> Dict[int, StackComparison]:
-    """Figure 1(a)/(b): throughput and CPU across message sizes."""
+def compare_stacks() -> Dict[int, StackComparison]:
+    """Figure 1(a)/(b): throughput and CPU from 4 KB to 4 MB messages."""
+    sizes = (units.kb(4), units.kb(16), units.kb(64), units.kb(256), units.mb(1), units.mb(4))
+    tcp, rdma = TcpStackModel(), RdmaStackModel()
     rows = {}
-    for size in message_sizes:
+    for size in sizes:
         rows[size] = StackComparison(
             message_bytes=size,
             tcp_throughput_gbps=tcp.throughput_bps(size) / 1e9,

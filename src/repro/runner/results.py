@@ -12,10 +12,7 @@ swept parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Sequence
-
-#: JSON marker key distinguishing a :class:`RunFailure` from a result
-FAILURE_KIND = "__run_failure__"
+from typing import Any, Dict, List, Sequence
 
 #: the failure taxonomy of the hardened executor
 FAILURE_ERRORS = ("timeout", "crash", "exception", "invariant")
@@ -55,35 +52,6 @@ class RunFailure:
             raise ValueError(
                 f"error must be one of {FAILURE_ERRORS}, got {self.error!r}"
             )
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            FAILURE_KIND: True,
-            "error": self.error,
-            "message": self.message,
-            "fn": self.fn,
-            "kwargs": dict(self.kwargs),
-            "attempts": self.attempts,
-            "duration_s": self.duration_s,
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "RunFailure":
-        return cls(
-            error=data["error"],
-            message=data["message"],
-            fn=data.get("fn", ""),
-            kwargs=dict(data.get("kwargs", {})),
-            attempts=data.get("attempts", 1),
-            duration_s=data.get("duration_s", 0.0),
-        )
-
-    @staticmethod
-    def is_failure(value: Any) -> bool:
-        """True for a :class:`RunFailure` or its JSON form."""
-        if isinstance(value, RunFailure):
-            return True
-        return isinstance(value, Mapping) and value.get(FAILURE_KIND) is True
 
 
 @dataclass

@@ -63,12 +63,6 @@ class ShardPlan:
     def local_names(self, shard: int) -> Set[str]:
         return {name for name, s in self.owner.items() if s == shard}
 
-    def channels_from(self, shard: int) -> List[BoundaryChannel]:
-        return [c for c in self.channels if c.tx_shard == shard]
-
-    def channels_to(self, shard: int) -> List[BoundaryChannel]:
-        return [c for c in self.channels if c.rx_shard == shard]
-
 
 def partition_fabric(fabric: Fabric, shards: int) -> ShardPlan:
     """Partition ``fabric`` into ``shards`` pod-aligned shards.

@@ -263,7 +263,7 @@ class Flow:
         self.greedy = True
         self.src.nic.flow_state_changed(self)
 
-    def send_message(self, size_bytes: int, now_ns: Optional[int] = None) -> Message:
+    def send_message(self, size_bytes: int) -> Message:
         """Queue one transfer; packets follow any already-queued data.
 
         Message sizes are rounded up to whole MTU-sized packets (the
@@ -273,15 +273,13 @@ class Flow:
             raise ValueError("greedy flows do not carry discrete messages")
         if size_bytes <= 0:
             raise ValueError(f"message size must be positive, got {size_bytes}")
-        if now_ns is None:
-            now_ns = self.src.nic.engine.now
         packet_count = -(-size_bytes // self.hdr.size)  # ceil
         message = Message(
             msg_id=len(self._messages),
             size_bytes=size_bytes,
             packet_count=packet_count,
             first_seq=self.end_seq,
-            start_ns=max(now_ns, self.start_ns),
+            start_ns=max(self.src.nic.engine.now, self.start_ns),
         )
         self._messages.append(message)
         self._boundaries.append((message.last_seq, message))

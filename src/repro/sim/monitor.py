@@ -141,7 +141,6 @@ class QueueSampler(_PeriodicProbe):
         port_index: int,
         priority: Optional[int] = None,
         interval_ns: int = 10_000,
-        start_ns: int = 0,
         stop_ns: Optional[int] = None,
         tracer=None,
         histogram=None,
@@ -153,7 +152,7 @@ class QueueSampler(_PeriodicProbe):
         self.histogram = histogram
         self.times_ns: List[int] = []
         self.samples_bytes: List[int] = []
-        super().__init__(engine, interval_ns, start_ns=start_ns, stop_ns=stop_ns)
+        super().__init__(engine, interval_ns, stop_ns=stop_ns)
 
     def _sample(self, now: int) -> None:
         depth = self.switch.egress_queue_bytes(self.port_index, self.priority)
@@ -194,7 +193,6 @@ class TierQueueSampler(_PeriodicProbe):
         tier: str,
         switches: Sequence[Switch],
         interval_ns: int = 10_000,
-        start_ns: int = 0,
         stop_ns: Optional[int] = None,
         tracer=None,
         histogram=None,
@@ -208,7 +206,7 @@ class TierQueueSampler(_PeriodicProbe):
         self.times_ns: List[int] = []
         self.totals_bytes: List[int] = []
         self.max_bytes_series: List[int] = []
-        super().__init__(engine, interval_ns, start_ns=start_ns, stop_ns=stop_ns)
+        super().__init__(engine, interval_ns, stop_ns=stop_ns)
 
     def _sample(self, now: int) -> None:
         total = 0
@@ -232,6 +230,3 @@ class TierQueueSampler(_PeriodicProbe):
                 queue_bytes=total,
                 max_queue_bytes=worst,
             )
-
-    def peak_total_bytes(self) -> int:
-        return max(self.totals_bytes, default=0)

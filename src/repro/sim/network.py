@@ -157,13 +157,10 @@ class Network:
         self.switches.append(switch)
         return switch
 
-    def new_host(self, name: str, nic_config: Optional[NicConfig] = None) -> Host:
+    def new_host(self, name: str) -> Host:
         """Create a host with its RDMA NIC (port attached via connect)."""
         nic = HostNic(
-            self.engine,
-            self._device_id(),
-            f"{name}.nic",
-            config=nic_config or self.nic_config,
+            self.engine, self._device_id(), f"{name}.nic", config=self.nic_config
         )
         nic.tracer = self.tracer
         host = Host(name, nic)

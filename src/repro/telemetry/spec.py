@@ -79,13 +79,9 @@ class TelemetrySpec:
 class Telemetry:
     """The live telemetry context of one simulation run."""
 
-    def __init__(
-        self,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, tracer: Optional[Tracer] = None):
         self.tracer = tracer
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
 
     @classmethod
     def from_spec(
@@ -96,9 +92,7 @@ class Telemetry:
             return cls()
         sink: TraceSink
         if spec.sink == "jsonl":
-            path = spec.path or ""
-            if "{seed}" in path:
-                path = path.format(seed=seed)
+            path = (spec.path or "").replace("{seed}", str(seed))
             sink = JsonlFileSink(path)
         elif spec.sink == "null":
             sink = NullSink()

@@ -82,11 +82,9 @@ class JsonlFileSink(TraceSink):
         self.path = path
         self._handle = open(path, "w", encoding="utf-8")
         self._dumps = json.dumps
-        self.lines_written = 0
 
     def write(self, event: Dict[str, Any]) -> None:
         self._handle.write(self._dumps(event, separators=(",", ":")) + "\n")
-        self.lines_written += 1
 
     def close(self) -> None:
         if not self._handle.closed:
@@ -120,10 +118,6 @@ class Tracer:
         self._stride = sample_stride
         self._skip: Dict[str, int] = {}
         self._counts: Dict[str, int] = {}
-
-    def wants(self, etype: str) -> bool:
-        """Whether events of ``etype`` would currently be recorded."""
-        return etype in self._enabled
 
     def emit(
         self,

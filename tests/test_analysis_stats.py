@@ -1,11 +1,10 @@
-"""Statistics helpers (percentile / CDF / Jain / summary)."""
+"""Statistics helpers (percentile / Jain / summary)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis.stats import (
-    cdf_points,
     jain_fairness,
     percentile,
     summarize,
@@ -51,21 +50,6 @@ class TestPercentile:
         qs = [0, 10, 50, 90, 100]
         values = [percentile(data, q) for q in qs]
         assert values == sorted(values)
-
-
-class TestCdf:
-    def test_points(self):
-        assert cdf_points([2, 1]) == [(1, 0.5), (2, 1.0)]
-
-    def test_empty(self):
-        assert cdf_points([]) == []
-
-    @given(st.lists(finite_floats, min_size=1, max_size=50))
-    def test_fractions_reach_one(self, data):
-        points = cdf_points(data)
-        assert points[-1][1] == pytest.approx(1.0)
-        fracs = [f for _, f in points]
-        assert fracs == sorted(fracs)
 
 
 class TestJain:

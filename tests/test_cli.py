@@ -163,6 +163,44 @@ class TestFaultCommands:
         )
 
 
+class TestTraceCommand:
+    """``repro trace``'s summary and its unwritable ``--out``."""
+
+    def test_out_summary_counts_the_file(self, capsys, tmp_path, monkeypatch):
+        import json
+
+        from repro.runner import format_table
+        from repro.telemetry import events
+
+        monkeypatch.setenv("REPRO_SCALE", "smoke")
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        sampled = ["trace", "smoke", "--queue-sample-ns", "10000"]
+        out_path = tmp_path / "t.jsonl"
+        assert main(sampled + ["--out", str(out_path)]) == 0
+        printed = capsys.readouterr().out
+        counts = {}
+        for line in out_path.read_text().splitlines():
+            etype = json.loads(line)["ev"]
+            counts[etype] = counts.get(etype, 0) + 1
+        assert counts[events.SAMPLE_QUEUE] > 0
+        summary = format_table(["event type", "count"], sorted(counts.items()))
+        assert summary in printed
+        # without --out the same run's summary goes to stderr
+        assert main(sampled) == 0
+        assert capsys.readouterr().err == summary + "\n"
+
+    def test_unwritable_out_is_reported(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "smoke")
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        out_path = str(tmp_path / "missing" / "t.jsonl")
+        assert main(["trace", "smoke", "--out", out_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"cannot write trace to {out_path}: No such file or directory\n"
+        )
+
+
 class TestSharedOptions:
     """Every parser takes its shared options from one declaration and
     exports them through one helper (``repro.cli._export_env``)."""

@@ -126,21 +126,6 @@ class TestRetryPolicy:
 
 
 class TestRunFailure:
-    def test_json_round_trip(self):
-        failure = RunFailure(
-            error="timeout",
-            message="exceeded 1s",
-            fn=SEEDS_FN,
-            kwargs={"repetitions": 3},
-            attempts=2,
-            duration_s=2.0,
-        )
-        wire = json.loads(json.dumps(failure.to_json()))
-        assert RunFailure.from_json(wire) == failure
-        assert RunFailure.is_failure(failure)
-        assert RunFailure.is_failure(wire)
-        assert not RunFailure.is_failure({"flows_bps": {}})
-
     def test_error_taxonomy_enforced(self):
         with pytest.raises(ValueError, match="error"):
             RunFailure(error="meteor", message="", fn=SEEDS_FN)

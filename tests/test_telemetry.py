@@ -226,6 +226,13 @@ class TestTelemetrySpec:
         telemetry.close()
         assert (tmp_path / "t-9.jsonl").exists()
 
+    def test_other_braces_in_path_are_literal(self, tmp_path):
+        spec = TelemetrySpec(
+            trace="cc", sink="jsonl", path=str(tmp_path / "run{a}-{seed}.jsonl")
+        )
+        Telemetry.from_spec(spec, seed=3).close()
+        assert (tmp_path / "run{a}-3.jsonl").exists()
+
     def test_snapshot_folds_trace_counts(self):
         telemetry = Telemetry(tracer=Tracer(RingBufferSink()))
         telemetry.tracer.emit(0, events.NP_CNP_TX, "h.nic", flow=0)

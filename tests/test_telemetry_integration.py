@@ -316,53 +316,34 @@ class TestRunnerIntegration:
 
 
 class TestTraceReaders:
-    def run_traced(self):
+    def run_traced(self, **sink):
         spec = TelemetrySpec(
             trace="full",
             queue_sample_ns=units.us(10),
             rate_sample_ns=units.us(100),
+            **sink,
         )
         telemetry = Telemetry.from_spec(spec, seed=1)
-        run_scenario_inline(
-            incast_scenario(telemetry=spec), seed=1, telemetry=telemetry
-        )
-        return telemetry.tracer.sink.events
-
-    def test_queue_cdf_and_rate_timeline(self):
-        from repro.analysis.trace import (
-            event_counts,
-            queue_cdf,
-            rate_timeline,
-        )
-
-        trace = self.run_traced()
-        cdf = queue_cdf(trace)
-        assert cdf[-1][1] == pytest.approx(1.0)
-        timeline = rate_timeline(trace)
-        assert set(timeline) == {0, 1}
-        counts = event_counts(trace)
-        assert counts[events.SAMPLE_QUEUE] == len(cdf)
-
-    def test_pause_counts_and_cut_timeline(self):
-        from repro.analysis.trace import pause_counts, rate_cut_timeline
-
-        trace = self.run_traced()
-        assert isinstance(pause_counts(trace), dict)
-        cuts = rate_cut_timeline(trace)
-        assert cuts, "DCQCN incast must cut rates"
-        kinds = {kind for series in cuts.values() for _, kind, _ in series}
-        assert "cut" in kinds
+        try:
+            run_scenario_inline(
+                incast_scenario(telemetry=spec), seed=1, telemetry=telemetry
+            )
+        finally:
+            telemetry.close()
+        return telemetry
 
     def test_readers_accept_jsonl_files(self, tmp_path):
-        from repro.analysis.trace import event_counts, read_events
-
+        # a JSONL file is the in-memory trace of the same run, one event
+        # a line, and the tracer's per-type counts are the file's
         path = tmp_path / "trace.jsonl"
-        trace = self.run_traced()
-        path.write_text(
-            "".join(json.dumps(event) + "\n" for event in trace)
-        )
-        assert list(read_events(str(path))) == [dict(e) for e in trace]
-        assert event_counts(str(path)) == event_counts(trace)
+        events = self.run_traced().tracer.sink.events
+        written = self.run_traced(sink="jsonl", path=str(path))
+        decoded = [json.loads(line) for line in path.read_text().splitlines()]
+        assert decoded == [dict(e) for e in events]
+        counts = {}
+        for event in decoded:
+            counts[event["ev"]] = counts.get(event["ev"], 0) + 1
+        assert written.trace_counts() == counts
 
 
 class TestCli:
