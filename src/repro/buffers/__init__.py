@@ -1,13 +1,12 @@
 """Buffer-threshold analysis from paper §4.
 
-Computes PFC headroom, PFC trigger thresholds (static and dynamic) and
+Computes PFC trigger thresholds (static and dynamic) and
 the ECN marking threshold bound that together guarantee ECN fires
 before PFC on a shared-buffer switch.
 """
 
 from repro.buffers.thresholds import (
     SwitchProfile,
-    headroom_bytes,
     static_pfc_threshold_bound,
     dynamic_pfc_threshold,
     ecn_threshold_bound_static,
@@ -18,7 +17,6 @@ from repro.buffers.thresholds import (
 
 __all__ = [
     "SwitchProfile",
-    "headroom_bytes",
     "static_pfc_threshold_bound",
     "dynamic_pfc_threshold",
     "ecn_threshold_bound_static",

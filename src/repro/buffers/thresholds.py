@@ -77,41 +77,6 @@ class SwitchProfile:
         return self.buffer_bytes - self.total_headroom_bytes
 
 
-def headroom_bytes(
-    link_rate_bps: float,
-    cable_delay_ns: int,
-    mtu_bytes: int,
-    pause_response_ns: int = 0,
-) -> int:
-    """First-principles headroom (t_flight) for one (port, priority).
-
-    Worst case absorbed while a PAUSE takes effect:
-
-    * the frame this switch had already begun transmitting cannot be
-      abandoned — up to one MTU of delay before the PAUSE even starts
-      onto the wire, during which data keeps arriving;
-    * the PAUSE frame's own serialization (64 B);
-    * twice the cable propagation delay (PAUSE travels up, in-flight
-      bits keep arriving down);
-    * the frame the upstream had already committed to when the PAUSE
-      arrived (one MTU), plus its response latency.
-
-    With 40 GbE, a ~100 m cable and 1000 B MTU this lands near the
-    paper's 22.4 KB.
-    """
-    if link_rate_bps <= 0:
-        raise ValueError("link_rate_bps must be positive")
-    byte_time_ns = 8 * units.NS_PER_SEC / link_rate_bps
-    delay_ns = (
-        units.serialization_time_ns(mtu_bytes, link_rate_bps)  # frame in progress
-        + units.serialization_time_ns(64, link_rate_bps)  # PAUSE itself
-        + 2 * cable_delay_ns
-        + pause_response_ns
-    )
-    arriving = delay_ns / byte_time_ns
-    return int(arriving) + 2 * mtu_bytes  # + committed frame + quantization
-
-
 def static_pfc_threshold_bound(profile: SwitchProfile) -> float:
     """Upper bound on a fixed t_PFC: ``(B - 8 n t_flight) / (8 n)``.
 
@@ -186,8 +151,9 @@ class ThresholdPlan:
         return self.kmin_bytes >= self.profile.mtu_bytes
 
 
-def plan_thresholds(kmin_bytes: int = units.kb(5)) -> ThresholdPlan:
-    """Compute every §4 quantity for the paper's switch at beta = 8.
+def plan_thresholds() -> ThresholdPlan:
+    """Compute every §4 quantity for the paper's switch at beta = 8 and
+    the deployed Kmin of 5 KB.
 
     This reproduces the paper's numbers: t_PFC <= 24.47 KB, static
     t_ECN bound 0.76 KB (infeasible), dynamic t_ECN bound 21.75 KB.
@@ -200,5 +166,5 @@ def plan_thresholds(kmin_bytes: int = units.kb(5)) -> ThresholdPlan:
         static_pfc_bound_bytes=static_pfc_threshold_bound(profile),
         ecn_bound_static_bytes=ecn_threshold_bound_static(profile),
         ecn_bound_dynamic_bytes=ecn_threshold_bound_dynamic(profile, beta),
-        kmin_bytes=kmin_bytes,
+        kmin_bytes=units.kb(5),
     )

@@ -104,10 +104,3 @@ class RedEcnMarker:
             self.marked += 1
             return True
         return False
-
-    @property
-    def mark_fraction(self) -> float:
-        """Fraction of the packets offered to the marker that were marked."""
-        if self.seen == 0:
-            return 0.0
-        return self.marked / self.seen

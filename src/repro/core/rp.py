@@ -59,9 +59,10 @@ class ReactionPoint:
         Protocol constants, usually :meth:`DCQCNParams.deployed`.
     line_rate_bps:
         The NIC port speed; flows start here and never exceed it.
-    on_rate_change:
-        Optional callback ``fn(new_rate_bps)`` invoked whenever the
-        current rate changes (the NIC re-paces the flow).
+
+    ``on_rate_change``, set by the controller that owns the RP, is
+    called as ``fn(new_rate_bps)`` whenever the current rate changes
+    (the NIC re-paces the flow).
     """
 
     def __init__(
@@ -69,7 +70,6 @@ class ReactionPoint:
         engine: EventScheduler,
         params: DCQCNParams,
         line_rate_bps: float,
-        on_rate_change: Optional[Callable[[float], None]] = None,
         timer_seed: Optional[int] = None,
         flow_id: int = -1,
         component: str = "rp",
@@ -79,7 +79,7 @@ class ReactionPoint:
         self.engine = engine
         self.params = params
         self.line_rate_bps = line_rate_bps
-        self.on_rate_change = on_rate_change
+        self.on_rate_change: Optional[Callable[[float], None]] = None
         #: telemetry identity + bus (tracer is attached by the Network;
         #: None keeps the emit sites to a single identity test)
         self.flow_id = flow_id

@@ -17,7 +17,7 @@ flaps stall flows; they must never read as cyclic buffer waits).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro import units
 from repro.analysis.stats import percentile
@@ -114,9 +114,7 @@ def chaos_scenario(intensity: float) -> Scenario:
     )
 
 
-def chaos_fabric_scenario(
-    intensity: float = 1.0, duration_ns: Optional[int] = None
-) -> Scenario:
+def chaos_fabric_scenario(intensity: float = 1.0) -> Scenario:
     """The fabric-scale chaos maze: incast under storm + boundary faults.
 
     The :func:`~repro.experiments.fabric_scale.fabric_incast_scenario`
@@ -136,7 +134,7 @@ def chaos_fabric_scenario(
 
     if not 0.0 <= intensity <= 1.0:
         raise ValueError(f"intensity must be in [0, 1], got {intensity}")
-    duration_ns = duration_ns or scale.pick(units.ms(1), units.us(300))
+    duration_ns = scale.pick(units.ms(1), units.us(300))
     warmup_ns = units.us(50)
     injectors = []
     if intensity > 0.0:

@@ -54,11 +54,6 @@ class LossSweepPoint:
         """A selective-repeat transport resends only the lost frames."""
         return self.line_rate_bps * (1.0 - self.loss_rate) / 1e9
 
-    @property
-    def efficiency(self) -> float:
-        """Goodput relative to the loss-free ideal."""
-        return self.goodput_gbps * 1e9 / self.line_rate_bps
-
     def row(self) -> List[str]:
         return [
             f"{self.loss_rate:.2%}",

@@ -26,7 +26,7 @@ cores (``REPRO_JOBS``) and hit the result cache on repeat runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 from repro import units
 from repro.analysis.stats import percentile
@@ -62,9 +62,9 @@ class UnfairnessResult:
         )
 
 
-def unfairness_scenario(cc: str, duration_ns: Optional[int] = None) -> Scenario:
+def unfairness_scenario(cc: str) -> Scenario:
     """The Figure 3/8 spec: H1..H4 (one per ToR) write to R under T4."""
-    duration_ns = duration_ns or scale.pick(units.ms(10), units.ms(2))
+    duration_ns = scale.pick(units.ms(10), units.ms(2))
     # DCQCN's additive increase needs ~15 ms to converge after the
     # initial line-rate burst; measure steady state, as the paper's
     # long transfers do.
@@ -187,12 +187,7 @@ def victim_flow_result(runs: Mapping[int, List[RunResult]]) -> VictimFlowResult:
 # fault subsystem itself; :mod:`repro.experiments.chaos` runs it.
 
 
-def pause_storm_scenario(
-    cc: str,
-    duration_ns: Optional[int] = None,
-    warmup_ns: Optional[int] = None,
-    with_storm: bool = True,
-) -> Scenario:
+def pause_storm_scenario(cc: str, with_storm: bool = True) -> Scenario:
     """Dumbbell feeder+victim spec with a scripted PAUSE storm on R1.
 
     L1 writes to R1 (the stormed receiver) and L2 writes to R2 (the
@@ -206,13 +201,8 @@ def pause_storm_scenario(
     """
     from repro.faults import FaultPlan, PauseStorm, WatchdogConfig
 
-    duration_ns = duration_ns or scale.pick(units.ms(10), units.ms(2))
-    if warmup_ns is None:
-        warmup_ns = (
-            scale.pick(units.ms(15), units.ms(1))
-            if cc == "dcqcn"
-            else 0
-        )
+    duration_ns = scale.pick(units.ms(10), units.ms(2))
+    warmup_ns = scale.pick(units.ms(15), units.ms(1)) if cc == "dcqcn" else 0
     # PFC is lossless, so a storm only *delays* frames; damage survives
     # into the mean only if the storm outlasts the catch-up headroom
     # after it (each access link has 2x a flow's trunk share).  The

@@ -131,42 +131,8 @@ class FabricSpec:
             "core": self.core_count,
         }
 
-    def switch_count(self) -> int:
-        return sum(self.tier_counts().values())
-
     def host_count(self) -> int:
         return self.pod_count * self.edges_per_pod * self.hosts_per_edge_switch
-
-    def ecmp_paths(self, cross_pod: bool = True) -> int:
-        """Equal-cost path count between two hosts under distinct edges.
-
-        For a fat-tree, inter-pod traffic fans over ``(k/2)**2`` paths
-        (any aggregation uplink, then any core of that group) and
-        intra-pod cross-edge traffic over ``k/2``; for a generalized
-        Clos the inter-pod figure is ``leaves_per_pod**2 * spines``
-        (up-leaf x spine x down-leaf) and intra-pod is
-        ``leaves_per_pod``.
-        """
-        if self.kind == "fat_tree":
-            half = self.k // 2
-            return half * half if cross_pod else half
-        if cross_pod:
-            return self.leaves_per_pod * self.spines * self.leaves_per_pod
-        return self.leaves_per_pod
-
-    def oversubscription(self) -> float:
-        """Edge-tier oversubscription ratio (host capacity / uplink capacity).
-
-        1.0 is full bisection; larger means the edge uplinks are the
-        squeeze.  Uses the 40 Gbps default for unset rates.
-        """
-        from repro.sim.network import DEFAULT_LINK_RATE_BPS
-
-        host_rate = self.host_rate_bps or DEFAULT_LINK_RATE_BPS
-        agg_rate = self.agg_rate_bps or DEFAULT_LINK_RATE_BPS
-        down = self.hosts_per_edge_switch * host_rate
-        up = self.aggs_per_pod * agg_rate
-        return down / up
 
     # --- naming ------------------------------------------------------------
 

@@ -4,8 +4,8 @@ The pieces:
 
 * :mod:`repro.faults.plan` — the declarative, JSON-serializable
   :class:`FaultPlan` and its injector vocabulary (:class:`LinkFlap`,
-  :class:`ErrorBurst`, :class:`PauseStorm`, :class:`CnpImpairment`,
-  :class:`SlowReceiver`) plus :class:`WatchdogConfig`.
+  :class:`ErrorBurst`, :class:`PauseStorm`, :class:`CnpImpairment`)
+  plus :class:`WatchdogConfig`.
 * :mod:`repro.faults.injectors` — :func:`install_plan`, the runtime
   that arms a plan on a freshly built network and returns a
   :class:`FaultRuntime`.
@@ -28,7 +28,6 @@ from repro.faults.plan import (
     INJECTOR_KINDS,
     LinkFlap,
     PauseStorm,
-    SlowReceiver,
     WatchdogConfig,
 )
 from repro.faults.recovery import RecoveryTracker
@@ -44,7 +43,6 @@ __all__ = [
     "LinkFlap",
     "PauseStorm",
     "RecoveryTracker",
-    "SlowReceiver",
     "WatchdogConfig",
     "install_plan",
 ]

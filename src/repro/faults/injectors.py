@@ -20,7 +20,7 @@ serial vs parallel execution cannot diverge.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.faults.plan import (
     CnpImpairment,
@@ -28,7 +28,6 @@ from repro.faults.plan import (
     FaultPlan,
     LinkFlap,
     PauseStorm,
-    SlowReceiver,
 )
 from repro.faults.recovery import RecoveryTracker
 from repro.faults.watchdog import DeadlockWatchdog
@@ -240,28 +239,6 @@ class _CnpImpairmentRuntime:
         return False
 
 
-def _install_slow_receiver(
-    net, resolve, injector: SlowReceiver, windows, emitter
-) -> None:
-    nic = _find_device(net, resolve, injector.host)
-    drain_port = nic.port.peer  # the switch's transmit port toward the host
-    if drain_port is None:
-        raise RuntimeError(f"{nic.name}: port is not connected")
-    original_rate = drain_port.rate_bps
-
-    def slow() -> None:
-        drain_port.set_rate(original_rate * injector.fraction)
-        emitter.inject(injector.kind, injector.host)
-
-    def restore() -> None:
-        drain_port.set_rate(original_rate)
-        emitter.clear(injector.kind, injector.host)
-
-    for start, end in windows:
-        net.engine.schedule_at(start, slow)
-        net.engine.schedule_at(end, restore)
-
-
 class FaultRuntime:
     """Everything live that a :class:`FaultPlan` installed on one run."""
 
@@ -344,10 +321,6 @@ def install_plan(
                     derive_seed(seed, f"faults.cnp_impairment.{index}")
                 )
                 _CnpImpairmentRuntime(net, nic, injector, windows, emitter, rng)
-        elif isinstance(injector, SlowReceiver):
-            nic = _find_device(net, resolve, injector.host)
-            if is_local(nic):
-                _install_slow_receiver(net, resolve, injector, windows, emitter)
         else:  # pragma: no cover - FaultPlan validates kinds
             raise TypeError(f"unknown injector {injector!r}")
     if total_windows:

@@ -21,7 +21,6 @@ injector          failure mode
 ``CnpImpairment`` loss / delay / jitter on the reverse CNP path (the
                   feedback channel DCQCN's stability analysis assumes
                   is clean)
-``SlowReceiver``  the receiver drains at a fraction of line rate
 ================  ==========================================================
 
 Each injector exposes ``windows(horizon_ns)`` — the list of
@@ -213,33 +212,6 @@ class CnpImpairment:
             self.start_ns + self.duration_ns, horizon_ns
         )
         return [(self.start_ns, end)]
-
-
-@_register
-@dataclass(frozen=True)
-class SlowReceiver:
-    """The receiver drains at ``fraction`` of line rate during the window.
-
-    Models a host whose PCIe/DMA path cannot keep up: the switch port
-    toward the host serializes slower, the switch buffer fills, and PFC
-    does the rest — the gentler sibling of :class:`PauseStorm`.
-    """
-
-    kind: ClassVar[str] = "slow_receiver"
-    host: str
-    fraction: float
-    start_ns: int
-    duration_ns: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.fraction < 1.0:
-            raise ValueError(
-                f"slow_receiver: fraction must be in (0, 1), got {self.fraction}"
-            )
-        _check_repeat("slow_receiver", self.duration_ns, 0, 1)
-
-    def windows(self, horizon_ns: int) -> List[Tuple[int, int]]:
-        return _schedule(self.start_ns, self.duration_ns, 0, 1, horizon_ns)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ delayed terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -139,17 +139,9 @@ class FluidTrace:
     alpha: np.ndarray
     queue_bytes: np.ndarray
 
-    def flow_rate_gbps(self, flow: int) -> np.ndarray:
-        """``flow``'s R_C series of the first batch entry."""
-        return self.rc_bps[:, 0, flow] / 1e9
-
     def queue_kb(self) -> np.ndarray:
         """The queue series of the first batch entry."""
         return self.queue_bytes[:, 0] / 1e3
-
-    def final_rates_bps(self) -> np.ndarray:
-        """Last recorded R_C per (batch, flow)."""
-        return self.rc_bps[-1]
 
 
 def _marking_probability(

@@ -36,10 +36,9 @@ class SweepResult:
     rate_diff_gbps: np.ndarray
     trace: FluidTrace
 
-    def final_diff_gbps(self, tail_fraction: float = 0.5) -> np.ndarray:
-        """Mean |rate gap| over the trailing ``tail_fraction`` of time."""
-        start = int(len(self.times_s) * (1.0 - tail_fraction))
-        return self.rate_diff_gbps[start:].mean(axis=0)
+    def final_diff_gbps(self) -> np.ndarray:
+        """Mean |rate gap| over the trailing half of time."""
+        return self.rate_diff_gbps[len(self.times_s) // 2 :].mean(axis=0)
 
     def best_value(self) -> float:
         """Parameter value with the smallest trailing rate gap."""
@@ -97,10 +96,7 @@ def sweep_byte_counter(
     return _run_sweep("byte_counter_bytes", values_bytes, base, duration_s)
 
 
-def sweep_timer(
-    values_s: Sequence[float] = (1.5e-3, 1e-3, 500e-6, 150e-6, 55e-6),
-    duration_s: float = 0.2,
-) -> SweepResult:
+def sweep_timer(duration_s: float = 0.2) -> SweepResult:
     """Figure 11(b): rate-increase timer sweep with a 10 MB byte counter.
 
     Speeding up the timer (but never below the 50 µs CNP interval)
@@ -113,7 +109,9 @@ def sweep_timer(
         g=1.0 / 16.0,
         byte_counter_bytes=units.mb(10),
     )
-    return _run_sweep("timer_s", values_s, base, duration_s)
+    return _run_sweep(
+        "timer_s", (1.5e-3, 1e-3, 500e-6, 150e-6, 55e-6), base, duration_s
+    )
 
 
 def sweep_kmax(
@@ -141,10 +139,7 @@ def sweep_kmax(
     return _run_sweep("kmax_bytes", values_bytes, base, duration_s)
 
 
-def sweep_pmax(
-    values: Sequence[float] = (1.0, 0.5, 0.1, 0.05, 0.01),
-    duration_s: float = 0.2,
-) -> SweepResult:
+def sweep_pmax(duration_s: float = 0.2) -> SweepResult:
     """Figure 11(d): Pmax sweep at Kmax = 200 KB; small Pmax converges."""
     base = FluidParams(
         kmin_bytes=units.kb(5),
@@ -153,7 +148,7 @@ def sweep_pmax(
         timer_s=1.5e-3,
         byte_counter_bytes=units.kb(150),
     )
-    return _run_sweep("pmax", values, base, duration_s)
+    return _run_sweep("pmax", (1.0, 0.5, 0.1, 0.05, 0.01), base, duration_s)
 
 
 @dataclass

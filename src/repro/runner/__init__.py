@@ -37,7 +37,7 @@ from repro.runner.registry import (
     Registry,
     experiment,
 )
-from repro.runner.resilience import RetryPolicy, default_timeout_s
+from repro.runner.resilience import default_timeout_s
 from repro.runner.results import (
     RunFailure,
     RunResult,
@@ -61,7 +61,6 @@ __all__ = [
     "FlowSpec",
     "REGISTRY",
     "Registry",
-    "RetryPolicy",
     "RunFailure",
     "RunResult",
     "SCENARIOS",

@@ -20,8 +20,8 @@ The executor is *hardened* (see :mod:`repro.runner.resilience`):
 * each worker process owns a private pipe, so a worker that dies (OOM
   kill, segfault, ``os._exit``) or overruns its deadline names its own
   cell: that cell alone is charged and no other cell runs again;
-* failed cells retry with exponential backoff up to
-  :class:`~repro.runner.resilience.RetryPolicy` attempts;
+* a failed cell runs again after a backoff, up to
+  :data:`~repro.runner.resilience.MAX_ATTEMPTS` attempts;
 * with ``collect_failures=True`` a cell that still fails becomes a
   :class:`~repro.runner.results.RunFailure` in the returned list
   instead of aborting the batch — a sweep always comes back complete;
@@ -45,11 +45,8 @@ from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Tuple
 from repro import runtime
 from repro.invariants import InvariantViolation
 from repro.runner import cache as result_cache
-from repro.runner.resilience import RetryPolicy, default_timeout_s
+from repro.runner import resilience
 from repro.runner.results import RunFailure
-
-#: sentinel: "caller did not pass a timeout, use the configured policy"
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -174,8 +171,6 @@ def execute(
     jobs: Optional[int] = None,
     cache: Optional[bool] = None,
     *,
-    timeout_s: Any = _UNSET,
-    retry: Optional[RetryPolicy] = None,
     collect_failures: bool = False,
 ) -> List[Any]:
     """Run every cell; results come back in input order.
@@ -184,10 +179,9 @@ def execute(
     Cache hits skip computation entirely; misses are computed (in
     worker processes when ``jobs > 1``) and stored.
 
-    ``timeout_s`` is the per-cell wall-clock budget (default:
-    :func:`~repro.runner.resilience.default_timeout_s`; ``None``
-    disables).  ``retry`` bounds re-execution of failed cells (default:
-    ``RetryPolicy()``, two attempts).
+    Each cell runs under the wall-clock budget of
+    :func:`~repro.runner.resilience.default_timeout_s`, and a failed
+    one gets :data:`~repro.runner.resilience.MAX_ATTEMPTS` attempts.
 
     With ``collect_failures=False`` (the legacy contract) a cell
     exception propagates immediately, a timeout raises
@@ -204,10 +198,7 @@ def execute(
     if n_jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {n_jobs}")
     use_cache = config.cache if cache is None else cache
-    timeout = default_timeout_s() if timeout_s is _UNSET else timeout_s
-    if timeout is not None and timeout <= 0:
-        raise ValueError(f"timeout_s must be positive or None, got {timeout}")
-    policy = retry if retry is not None else RetryPolicy()
+    timeout = resilience.default_timeout_s()
 
     results: List[Any] = [None] * len(cells)
     stats = ExecutionStats(total=len(cells), computed=0, cached=0, jobs=n_jobs)
@@ -246,9 +237,9 @@ def execute(
                     f"cell {cell.fn} {message} wall-clock (attempt {task.attempts})"
                 )
         # invariant violations are deterministic: never retry
-        if error != "invariant" and task.attempts < policy.max_attempts:
+        if error != "invariant" and task.attempts < resilience.MAX_ATTEMPTS:
             stats.retries += 1
-            task.not_before = time.monotonic() + policy.delay_s(task.attempts)
+            task.not_before = time.monotonic() + resilience.RETRY_BACKOFF_S
             return True
         if not collect_failures:  # what is left of the legacy contract: a crash
             raise RuntimeError(

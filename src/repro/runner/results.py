@@ -102,16 +102,6 @@ class RunResult:
                 return values[name]
         raise KeyError(f"no metric {name!r} in this result")
 
-    def histogram(self, name: str):
-        """Rehydrate histogram ``name`` from the metrics snapshot."""
-        from repro.telemetry.metrics import Histogram
-
-        try:
-            data = self.metrics["histograms"][name]
-        except KeyError:
-            raise KeyError(f"no histogram {name!r} in this result") from None
-        return Histogram.from_json(name, data)
-
     def flow_stats_records(self):
         """Rehydrate :class:`~repro.telemetry.flowstats.FlowStats` rows."""
         from repro.telemetry.flowstats import stats_from_json

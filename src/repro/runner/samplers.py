@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict
 
-from repro.sim.monitor import QueueSampler, RateSampler, TierQueueSampler
+from repro.sim.monitor import QueueSampler, RateSampler
 from repro.sim.switch import Switch
 from repro.telemetry import Telemetry, TelemetrySpec
 
@@ -43,42 +43,20 @@ def install_samplers(
 
     stop_ns = scenario.warmup_ns + scenario.duration_ns
     if spec.queue_sample_ns is not None and spec.watch is None:
-        # Only "fabric" scenarios switch to tier aggregation: the Fig 2
-        # clos is also fabric-built, but its figures depend on the
-        # per-port sample stream staying exactly as before.
-        if scenario.topology == "fabric" and net.fabric is not None:
-            # fabric-scale: one O(switches) aggregate probe per tier
-            # instead of tens of thousands of per-port probes
-            for tier, switches in net.fabric.tiers().items():
-                switches = [sw for sw in switches if local(sw.name)]
-                if not switches:
-                    continue
-                TierQueueSampler(
+        histogram = telemetry.metrics.histogram("switch.queue_bytes")
+        for switch in net.switches:
+            if not local(switch.name):
+                continue
+            for port in switch.ports:
+                QueueSampler(
                     net.engine,
-                    tier,
-                    switches,
+                    switch,
+                    port.index,
                     interval_ns=spec.queue_sample_ns,
                     stop_ns=stop_ns,
                     tracer=telemetry.tracer,
-                    histogram=telemetry.metrics.histogram(
-                        f"switch.occupied_bytes.{tier}"
-                    ),
+                    histogram=histogram,
                 )
-        else:
-            histogram = telemetry.metrics.histogram("switch.queue_bytes")
-            for switch in net.switches:
-                if not local(switch.name):
-                    continue
-                for port in switch.ports:
-                    QueueSampler(
-                        net.engine,
-                        switch,
-                        port.index,
-                        interval_ns=spec.queue_sample_ns,
-                        stop_ns=stop_ns,
-                        tracer=telemetry.tracer,
-                        histogram=histogram,
-                    )
     if spec.rate_sample_ns is None:
         return None
     return RateSampler(

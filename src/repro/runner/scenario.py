@@ -370,14 +370,10 @@ def scenario_cells(scenario: Scenario, seeds: Sequence[int]) -> List[Cell]:
     return [Cell(_CELL_FN, {"spec": spec, "seed": seed}) for seed in seeds]
 
 
-def run_scenario(
-    scenario: Scenario,
-    seeds: Sequence[int],
-    jobs: Optional[int] = None,
-    cache: Optional[bool] = None,
-) -> List[RunResult]:
-    """Run ``scenario`` once per seed (parallel/cached per policy)."""
-    values = execute(scenario_cells(scenario, seeds), jobs=jobs, cache=cache)
+def run_scenario(scenario: Scenario, seeds: Sequence[int]) -> List[RunResult]:
+    """Run ``scenario`` once per seed (parallel/cached per
+    :func:`repro.runtime.current`)."""
+    values = execute(scenario_cells(scenario, seeds))
     return [RunResult.from_json(value) for value in values]
 
 

@@ -50,7 +50,6 @@ def _config_types() -> Dict[str, type]:
         FaultPlan,
         LinkFlap,
         PauseStorm,
-        SlowReceiver,
         WatchdogConfig,
     )
     from repro.shard.spec import ShardingSpec
@@ -71,7 +70,6 @@ def _config_types() -> Dict[str, type]:
             ErrorBurst,
             PauseStorm,
             CnpImpairment,
-            SlowReceiver,
             WatchdogConfig,
             InvariantConfig,
             ShardingSpec,

@@ -26,8 +26,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 
-from repro.sim.packet import (  # noqa: F401 - priorities re-exported
-    CONTROL_PRIORITY,
+from repro.sim.packet import (
     DATA_PRIORITY,
     ECN_ECT,
     KIND_DATA,
@@ -356,8 +355,7 @@ class Flow:
                     )
         if self._sample_rtt and len(self._rtt_probes) < _MAX_RTT_PROBES:
             self._rtt_probes.append((seq, now_ns))
-        # the rate_bps property, inlined.  Read per packet, not cached:
-        # Port.set_rate can change the line rate behind a flow's back.
+        # the rate_bps property, inlined
         rate = self.cc.rate_bps() if self.cc is not None else None
         if rate is None:
             rate = self._static_rate_bps

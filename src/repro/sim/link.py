@@ -30,11 +30,10 @@ Ports implement the details PFC correctness depends on:
   probability models CRC-failing frames on a marginal cable.  RoCEv2's
   go-back-N makes such losses expensive, which is exactly the §7
   discussion; :mod:`repro.experiments.link_errors` quantifies it.
-* **Fault hooks** (:mod:`repro.faults`) — a port can be taken *down*
+* **Fault hook** (:mod:`repro.faults`) — a port can be taken *down*
   (:meth:`Port.set_link_up`; frames finishing serialization while down
-  are lost, nothing new starts) and its rate changed mid-run
-  (:meth:`Port.set_rate`, the slow-receiver injector).  Both are
-  no-ops for scenarios that never script a fault.
+  are lost, nothing new starts).  It is a no-op for scenarios that
+  never script a fault.
 * **Idle ports cost only their identity** — loss injection, link-down
   drops and the shard cut live in a :class:`FaultRecord`, PFC counts
   and pause clocks in a :class:`PauseRecord`, each made at first use;
@@ -51,7 +50,6 @@ from typing import Deque, Dict, Optional, Tuple
 from repro.engine import EventScheduler
 from repro.sim.device import Device
 from repro.sim.packet import KIND_PAUSE, Packet
-from repro.units import serialization_time_ns
 
 
 @cache
@@ -248,17 +246,6 @@ class Port:
         self.link_up = up
         if up:
             self.notify()
-
-    def set_rate(self, rate_bps: float) -> None:
-        """Change the serialization rate mid-run (SlowReceiver injector).
-
-        Applies from the next transmission; an in-flight frame finishes
-        on the schedule its start-of-serialization rate granted.
-        """
-        if rate_bps <= 0:
-            raise ValueError(f"link rate must be positive, got {rate_bps}")
-        self.rate_bps = rate_bps
-        self._ns_per_byte = ns_per_byte(rate_bps)
 
     def set_error_rate(self, rate: float, seed: Optional[int] = None) -> None:
         """Drop each transmitted frame with probability ``rate``.

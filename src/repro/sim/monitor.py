@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.engine import EventScheduler
 from repro.sim.host import Flow
 from repro.sim.switch import Switch
-from repro.telemetry.events import SAMPLE_QUEUE, SAMPLE_RATE, SAMPLE_TIER_QUEUE
+from repro.telemetry.events import SAMPLE_QUEUE, SAMPLE_RATE
 
 
 class _PeriodicProbe:
@@ -32,18 +32,17 @@ class _PeriodicProbe:
         self,
         engine: EventScheduler,
         interval_ns: int,
-        start_ns: int = 0,
         stop_ns: Optional[int] = None,
     ):
         if interval_ns <= 0:
             raise ValueError("interval must be positive")
-        if stop_ns is not None and stop_ns < start_ns:
-            raise ValueError(f"stop_ns {stop_ns} before start_ns {start_ns}")
+        if stop_ns is not None and stop_ns < 0:
+            raise ValueError(f"stop_ns {stop_ns} is negative")
         self.engine = engine
         self.interval_ns = interval_ns
         self.stop_ns = stop_ns
         self._detached = False
-        engine.schedule_at(max(start_ns, engine.now) + interval_ns, self._tick)
+        engine.schedule(interval_ns, self._tick)
 
     def detach(self) -> None:
         """Stop sampling: the pending event becomes a no-op."""
@@ -85,7 +84,6 @@ class RateSampler(_PeriodicProbe):
         engine: EventScheduler,
         flows: Sequence[Flow],
         interval_ns: int,
-        start_ns: int = 0,
         stop_ns: Optional[int] = None,
         tracer=None,
     ):
@@ -94,7 +92,7 @@ class RateSampler(_PeriodicProbe):
         self.times_ns: List[int] = []
         self.rates_bps: Dict[Flow, List[float]] = {flow: [] for flow in self.flows}
         self._last_bytes = {flow: flow.bytes_delivered for flow in self.flows}
-        super().__init__(engine, interval_ns, start_ns=start_ns, stop_ns=stop_ns)
+        super().__init__(engine, interval_ns, stop_ns=stop_ns)
 
     def _sample(self, now: int) -> None:
         self.times_ns.append(now)
@@ -116,13 +114,6 @@ class RateSampler(_PeriodicProbe):
     def series(self, flow: Flow) -> List[float]:
         return self.rates_bps[flow]
 
-    def mean_rate_bps(self, flow: Flow, skip: int = 0) -> float:
-        """Average sampled rate, optionally skipping warm-up samples."""
-        samples = self.rates_bps[flow][skip:]
-        if not samples:
-            return 0.0
-        return sum(samples) / len(samples)
-
 
 class QueueSampler(_PeriodicProbe):
     """Periodically samples one egress queue of a switch (bytes).
@@ -139,7 +130,6 @@ class QueueSampler(_PeriodicProbe):
         engine: EventScheduler,
         switch: Switch,
         port_index: int,
-        priority: Optional[int] = None,
         interval_ns: int = 10_000,
         stop_ns: Optional[int] = None,
         tracer=None,
@@ -147,7 +137,6 @@ class QueueSampler(_PeriodicProbe):
     ):
         self.switch = switch
         self.port_index = port_index
-        self.priority = priority
         self.tracer = tracer
         self.histogram = histogram
         self.times_ns: List[int] = []
@@ -155,7 +144,7 @@ class QueueSampler(_PeriodicProbe):
         super().__init__(engine, interval_ns, stop_ns=stop_ns)
 
     def _sample(self, now: int) -> None:
-        depth = self.switch.egress_queue_bytes(self.port_index, self.priority)
+        depth = self.switch.egress_queue_bytes(self.port_index)
         self.times_ns.append(now)
         self.samples_bytes.append(depth)
         if self.histogram is not None:
@@ -171,62 +160,3 @@ class QueueSampler(_PeriodicProbe):
 
     def max_bytes(self) -> int:
         return max(self.samples_bytes, default=0)
-
-
-class TierQueueSampler(_PeriodicProbe):
-    """Periodically samples aggregate buffer occupancy of one fabric tier.
-
-    Per-port :class:`QueueSampler` instances are the right tool on the
-    paper's 10-switch testbed, but on a thousand-host fabric they mean
-    tens of thousands of probes per sample tick.  This sampler instead
-    reads :attr:`Switch.occupied_bytes` (shared-buffer occupancy, O(1)
-    per switch) across all switches of one tier — O(switches), not
-    O(ports) — and records the tier total plus the hottest single
-    switch.  With ``tracer`` set each sample is published as a
-    ``sample.tier_queue`` event; with ``histogram`` set, the per-switch
-    occupancies feed the shared distribution.
-    """
-
-    def __init__(
-        self,
-        engine: EventScheduler,
-        tier: str,
-        switches: Sequence[Switch],
-        interval_ns: int = 10_000,
-        stop_ns: Optional[int] = None,
-        tracer=None,
-        histogram=None,
-    ):
-        if not switches:
-            raise ValueError(f"tier {tier!r} has no switches to sample")
-        self.tier = tier
-        self.switches = list(switches)
-        self.tracer = tracer
-        self.histogram = histogram
-        self.times_ns: List[int] = []
-        self.totals_bytes: List[int] = []
-        self.max_bytes_series: List[int] = []
-        super().__init__(engine, interval_ns, stop_ns=stop_ns)
-
-    def _sample(self, now: int) -> None:
-        total = 0
-        worst = 0
-        for switch in self.switches:
-            occupied = switch.occupied_bytes
-            total += occupied
-            if occupied > worst:
-                worst = occupied
-            if self.histogram is not None:
-                self.histogram.observe(occupied)
-        self.times_ns.append(now)
-        self.totals_bytes.append(total)
-        self.max_bytes_series.append(worst)
-        if self.tracer is not None:
-            self.tracer.emit(
-                now,
-                SAMPLE_TIER_QUEUE,
-                f"tier.{self.tier}",
-                tier=self.tier,
-                queue_bytes=total,
-                max_queue_bytes=worst,
-            )

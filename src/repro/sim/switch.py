@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro import units
-from repro.buffers.thresholds import SwitchProfile, dynamic_pfc_threshold
+from repro.buffers.thresholds import SwitchProfile
 from repro.core.cp import RedEcnMarker
 from repro.core.params import DCQCNParams
 from repro.engine import EventScheduler

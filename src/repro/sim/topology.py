@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro import units
 from repro.core.params import DCQCNParams
 from repro.sim.host import Host
 from repro.sim.network import (

@@ -33,7 +33,6 @@ event type                level  meaning
 ``flow.first_byte``       full   first packet of a transfer hit the wire
 ``flow.fct``              cc     a transfer completed (cumulative ACK)
 ``sample.queue``          full   periodic egress-queue depth sample
-``sample.tier_queue``     full   periodic fabric-tier queue aggregate
 ``sample.rate``           full   periodic per-flow goodput sample
 ``fault.inject``          cc     a scripted fault window opened
 ``fault.clear``           cc     a scripted fault window closed
@@ -76,7 +75,6 @@ FLOW_START = "flow.start"
 FLOW_FIRST_BYTE = "flow.first_byte"
 FLOW_FCT = "flow.fct"
 SAMPLE_QUEUE = "sample.queue"
-SAMPLE_TIER_QUEUE = "sample.tier_queue"
 SAMPLE_RATE = "sample.rate"
 FAULT_INJECT = "fault.inject"
 FAULT_CLEAR = "fault.clear"
@@ -128,7 +126,6 @@ FULL_EVENTS = frozenset(
         CC_RATE,
         FLOW_FIRST_BYTE,
         SAMPLE_QUEUE,
-        SAMPLE_TIER_QUEUE,
         SAMPLE_RATE,
         FAULT_CNP_DELAY,
         WATCHDOG_SCAN,
@@ -198,7 +195,6 @@ TRACE_SCHEMA: Dict[str, Tuple[str, ...]] = {
     FLOW_FIRST_BYTE: ("flow", "msg"),
     FLOW_FCT: ("flow", "msg", "fct_ns", "bytes"),
     SAMPLE_QUEUE: ("port", "queue_bytes"),
-    SAMPLE_TIER_QUEUE: ("tier", "queue_bytes", "max_queue_bytes"),
     SAMPLE_RATE: ("flow", "rate_bps"),
     FAULT_INJECT: ("kind", "target"),
     FAULT_CLEAR: ("kind", "target"),

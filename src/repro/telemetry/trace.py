@@ -6,23 +6,19 @@ emit site is guarded by ``if self.tracer is not None`` — the disabled
 hot path costs one attribute load and an identity test, nothing more.
 No event dict is built, no level check runs.
 
-When tracing is on, :meth:`Tracer.emit` filters by level (and optional
-type allow-list), applies 1-in-N stride sampling to the high-frequency
-event types, counts what it emitted, and hands the event dict to the
-configured :class:`TraceSink`.
+When tracing is on, :meth:`Tracer.emit` filters by level, applies
+1-in-N stride sampling to the high-frequency event types, counts what
+it emitted, and hands the event dict to the configured
+:class:`TraceSink`.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.telemetry.events import (
-    SAMPLED_EVENTS,
-    TRACE_SCHEMA,
-    events_for_level,
-)
+from repro.telemetry.events import SAMPLED_EVENTS, events_for_level
 
 
 class TraceSink:
@@ -101,20 +97,12 @@ class Tracer:
         sink: TraceSink,
         level: str = "full",
         sample_stride: int = 1,
-        types: Optional[Iterable[str]] = None,
     ):
         if sample_stride < 1:
             raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
-        enabled = events_for_level(level)
-        if types is not None:
-            requested = set(types)
-            unknown = requested - set(TRACE_SCHEMA)
-            if unknown:
-                raise ValueError(f"unknown event types: {sorted(unknown)}")
-            enabled = enabled & requested
         self.sink = sink
         self.level = level
-        self._enabled = enabled
+        self._enabled = events_for_level(level)
         self._stride = sample_stride
         self._skip: Dict[str, int] = {}
         self._counts: Dict[str, int] = {}
@@ -127,7 +115,7 @@ class Tracer:
         flow: int = -1,
         **fields: Any,
     ) -> None:
-        """Record one event (if the level/filter/sampling admit it)."""
+        """Record one event (if the level and sampling admit it)."""
         if etype not in self._enabled:
             return
         if self._stride > 1 and etype in SAMPLED_EVENTS:
@@ -145,7 +133,7 @@ class Tracer:
         self.sink.write(event)
 
     def counts(self) -> Dict[str, int]:
-        """Events emitted so far, by type (post level-filter/sampling)."""
+        """Events emitted so far, by type (post level filter and sampling)."""
         return dict(self._counts)
 
     def close(self) -> None:

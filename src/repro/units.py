@@ -35,11 +35,6 @@ def ms(value: float) -> int:
     return int(round(value * NS_PER_MS))
 
 
-def seconds(value: float) -> int:
-    """Seconds expressed in integer nanoseconds."""
-    return int(round(value * NS_PER_SEC))
-
-
 # --- data sizes -> bytes (decimal) ---------------------------------------
 
 
@@ -56,11 +51,6 @@ def mb(value: float) -> int:
 # --- data rates -> bits per second ---------------------------------------
 
 
-def bps(value: float) -> float:
-    """Bits per second (identity)."""
-    return float(value)
-
-
 def mbps(value: float) -> float:
     """Megabits per second expressed in bits per second."""
     return value * 1e6
@@ -69,19 +59,3 @@ def mbps(value: float) -> float:
 def gbps(value: float) -> float:
     """Gigabits per second expressed in bits per second."""
     return value * 1e9
-
-
-def serialization_time_ns(size_bytes: int, rate_bps: float) -> int:
-    """Time to clock ``size_bytes`` onto a link running at ``rate_bps``.
-
-    Rounds up to a whole nanosecond so that back-to-back transmissions
-    can never overlap.
-    """
-    if rate_bps <= 0:
-        raise ValueError("rate_bps must be positive, got %r" % rate_bps)
-    bits = size_bytes * 8
-    exact = bits * NS_PER_SEC / rate_bps
-    whole = int(exact)
-    if exact > whole:
-        whole += 1
-    return whole

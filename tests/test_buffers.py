@@ -3,13 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import dataclasses
+
 from repro import units
 from repro.buffers.thresholds import (
+    DEFAULT_HEADROOM_BYTES,
     SwitchProfile,
     dynamic_pfc_threshold,
     ecn_threshold_bound_dynamic,
     ecn_threshold_bound_static,
-    headroom_bytes,
     plan_thresholds,
     static_pfc_threshold_bound,
 )
@@ -81,24 +83,10 @@ class TestDynamicThreshold:
 
 class TestHeadroom:
     def test_matches_paper_scale(self):
-        """~100 m cable, 40 GbE, 1000 B MTU lands near 22.4 KB."""
-        h = headroom_bytes(units.gbps(40), cable_delay_ns=500, mtu_bytes=1000,
-                           pause_response_ns=1500)
-        assert 15_000 < h < 30_000
-
-    def test_grows_with_cable_length(self):
-        short = headroom_bytes(units.gbps(40), 100, 1000)
-        long_ = headroom_bytes(units.gbps(40), 2000, 1000)
-        assert long_ > short
-
-    def test_grows_with_rate(self):
-        slow = headroom_bytes(units.gbps(10), 500, 1000)
-        fast = headroom_bytes(units.gbps(40), 500, 1000)
-        assert fast > slow
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            headroom_bytes(0, 500, 1000)
+        """The paper's t_flight for 40 GbE and a 1000 B MTU: 22.4 KB."""
+        assert DEFAULT_HEADROOM_BYTES == 22_400
+        assert SwitchProfile().headroom_bytes == DEFAULT_HEADROOM_BYTES
+        assert plan_thresholds().headroom_bytes == DEFAULT_HEADROOM_BYTES
 
 
 class TestProfileValidation:
@@ -117,9 +105,9 @@ class TestProfileValidation:
 
 class TestPlan:
     def test_misconfigured_kmin_flagged(self):
-        plan = plan_thresholds(kmin_bytes=units.kb(122))
+        plan = dataclasses.replace(plan_thresholds(), kmin_bytes=units.kb(122))
         assert not plan.ecn_before_pfc
 
     def test_sub_mtu_kmin_flagged(self):
-        plan = plan_thresholds(kmin_bytes=500)
+        plan = dataclasses.replace(plan_thresholds(), kmin_bytes=500)
         assert not plan.kmin_feasible

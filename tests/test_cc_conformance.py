@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from repro import units
+from repro import runtime, units
 from repro.cc import CcContext, available_cc, create_cc
 from repro.cc.params import DctcpParams, FnccParams, QcnCpParams, TimelyParams
 from repro.core.params import DCQCNParams
@@ -107,12 +107,15 @@ class TestControllerConformance:
         assert any(engaged)
 
 
-def test_serial_equals_parallel_for_every_controller():
+def test_serial_equals_parallel_for_every_controller(monkeypatch):
     """jobs=1 and jobs=2 produce byte-identical results (determinism)."""
+    monkeypatch.setenv(runtime.VARS["cache"].env, "off")
     for cc in CONTROLLERS:
         scenario = incast_scenario(cc, duration_ns=units.us(300))
-        serial = run_scenario(scenario, seeds=[5], jobs=1, cache=False)
-        parallel = run_scenario(scenario, seeds=[5], jobs=2, cache=False)
+        monkeypatch.setenv(runtime.VARS["jobs"].env, "1")
+        serial = run_scenario(scenario, seeds=[5])
+        monkeypatch.setenv(runtime.VARS["jobs"].env, "2")
+        parallel = run_scenario(scenario, seeds=[5])
         assert [r.flows_bps for r in serial] == [r.flows_bps for r in parallel]
         assert [r.counters for r in serial] == [r.counters for r in parallel]
 

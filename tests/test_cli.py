@@ -146,9 +146,13 @@ class TestFaultCommands:
 
     def test_bad_plan_file_is_reported(self, capsys, tmp_path):
         plan_file = tmp_path / "plan.json"
-        plan_file.write_text('{"injectors": [{"kind": "gremlin"}]}')
-        assert main(["run", "storm", "--faults", str(plan_file)]) == 2
-        assert "bad fault plan" in capsys.readouterr().err
+        # a made-up kind, and the kind of the deleted slow-receiver injector
+        for kind in ("gremlin", "slow_receiver"):
+            plan_file.write_text(f'{{"injectors": [{{"kind": "{kind}"}}]}}')
+            assert main(["run", "storm", "--faults", str(plan_file)]) == 2
+            err = capsys.readouterr().err
+            assert "bad fault plan" in err
+            assert f"unknown fault kind '{kind}'" in err
 
     def test_only_a_named_scenario_takes_an_invariants_overlay(
         self, capsys, monkeypatch

@@ -202,7 +202,7 @@ class TestRecoveryAndQuiescence:
     def test_eventual_full_recovery(self):
         engine, rp = make_rp()
         rp.on_cnp()
-        engine.run_until(engine.now + units.seconds(2))
+        engine.run_until(engine.now + units.ms(2_000))
         assert rp.rc_bps == LINE
         assert not rp.active
 
@@ -210,7 +210,7 @@ class TestRecoveryAndQuiescence:
         """No more timer events once back at line rate."""
         engine, rp = make_rp()
         rp.on_cnp()
-        engine.run_until(engine.now + units.seconds(2))
+        engine.run_until(engine.now + units.ms(2_000))
         before = engine.events_processed
         engine.run_until(engine.now + units.ms(100))
         assert engine.events_processed == before
@@ -219,7 +219,8 @@ class TestRecoveryAndQuiescence:
         engine = EventScheduler()
         rates = []
         params = DCQCNParams(rate_increase_timer_jitter_ns=0)
-        rp = ReactionPoint(engine, params, LINE, on_rate_change=rates.append)
+        rp = ReactionPoint(engine, params, LINE)
+        rp.on_rate_change = rates.append
         rp.on_cnp()
         assert rates[-1] == pytest.approx(LINE / 2)
         engine.run_until(units.us(60))

@@ -64,15 +64,17 @@ class TestCommon:
 
 class TestPfcPathologies:
     def test_unfairness_structure(self):
-        (run,) = run_scenario(
-            unfairness_scenario("none", duration_ns=units.ms(3)), scale.seeds_for(1)
+        scenario = dataclasses.replace(
+            unfairness_scenario("none"), duration_ns=units.ms(3)
         )
+        (run,) = run_scenario(scenario, scale.seeds_for(1))
         assert set(run.flows_bps) == {"H1", "H2", "H3", "H4"}
 
     def test_h4_advantage_without_dcqcn(self):
-        runs = run_scenario(
-            unfairness_scenario("none", duration_ns=units.ms(4)), scale.seeds_for(2)
+        scenario = dataclasses.replace(
+            unfairness_scenario("none"), duration_ns=units.ms(4)
         )
+        runs = run_scenario(scenario, scale.seeds_for(2))
 
         def median(host):
             return percentile([run.flows_bps[host] for run in runs], 50)

@@ -7,12 +7,33 @@ from repro.fabric import Fabric, FabricSpec, TIERS, build_fabric
 from repro.runner.spec import decode_value, encode_value
 
 
+def _edge_oversubscription(fabric: Fabric) -> float:
+    """Host-facing over uplink capacity of the first edge switch."""
+    edge = fabric.edges[0]
+    up = sum(port.rate_bps for port in edge.ports if port.peer.owner in fabric.aggs)
+    return (sum(port.rate_bps for port in edge.ports) - up) / up
+
+
+def _paths(fabric: Fabric, locator) -> int:
+    """Equal-cost paths from the first edge switch to the host at
+    ``(pod, edge, host)``, counted through every switch's route set."""
+    dst = fabric.host_in_pod(*locator).nic.device_id
+
+    def count(switch) -> int:
+        total = 0
+        for index in switch.route_to(dst):
+            peer = switch.ports[index].peer.owner
+            total += count(peer) if hasattr(peer, "route_to") else 1
+        return total
+
+    return count(fabric.edges[0])
+
+
 class TestFabricSpec:
     def test_fat_tree_shape(self):
         spec = FabricSpec(kind="fat_tree", k=4)
         assert spec.tier_counts() == {"edge": 8, "agg": 8, "core": 4}
         assert spec.host_count() == 16  # k^3/4
-        assert spec.switch_count() == 20
 
     def test_k8_shape(self):
         spec = FabricSpec(kind="fat_tree", k=8)
@@ -52,28 +73,35 @@ class TestFabricSpec:
             FabricSpec(kind="fat_tree", k=4, agg_rate_bps=-1.0)
 
     def test_oversubscription_full_bisection(self):
-        assert FabricSpec(kind="fat_tree", k=4).oversubscription() == 1.0
+        assert _edge_oversubscription(build_fabric(kind="fat_tree", k=4)) == 1.0
 
     def test_oversubscription_with_extra_hosts(self):
-        spec = FabricSpec(kind="fat_tree", k=4, hosts_per_edge=4)
-        assert spec.oversubscription() == 2.0
+        fabric = build_fabric(kind="fat_tree", k=4, hosts_per_edge=4)
+        assert _edge_oversubscription(fabric) == 2.0
 
     def test_oversubscription_heterogeneous_rates(self):
-        spec = FabricSpec(
+        fabric = build_fabric(
             kind="fat_tree",
             k=4,
             host_rate_bps=units.gbps(10),
             agg_rate_bps=units.gbps(40),
         )
-        assert spec.oversubscription() == 0.25
+        assert _edge_oversubscription(fabric) == 0.25
 
     def test_ecmp_path_formulas(self):
-        assert FabricSpec(kind="fat_tree", k=4).ecmp_paths() == 4
-        assert FabricSpec(kind="fat_tree", k=4).ecmp_paths(cross_pod=False) == 2
-        assert FabricSpec(kind="fat_tree", k=8).ecmp_paths() == 16
-        clos = FabricSpec(kind="clos", leaves_per_pod=2, spines=2)
-        assert clos.ecmp_paths() == 8  # leaf x spine x leaf
-        assert clos.ecmp_paths(cross_pod=False) == 2
+        """Inter-pod traffic fans over (k/2)^2 paths in a fat-tree and
+        leaf x spine x leaf in a Clos; intra-pod cross-edge traffic
+        over k/2 and leaves_per_pod."""
+        for k, cross, within in ((4, 4, 2), (8, 16, 4)):
+            fabric = build_fabric(kind="fat_tree", k=k)
+            assert _paths(fabric, (k - 1, 0, 0)) == cross
+            assert _paths(fabric, (0, 1, 0)) == within
+        clos = build_fabric(
+            kind="clos", pods=2, tors_per_pod=2, leaves_per_pod=2, spines=2,
+            hosts_per_tor=1,
+        )
+        assert _paths(clos, (1, 0, 0)) == 8
+        assert _paths(clos, (0, 1, 0)) == 2
 
     def test_encode_decode_round_trip(self):
         spec = FabricSpec(

@@ -65,35 +65,43 @@ class TestFabricScenario:
         assert result.invariant_report["violation_count"] == 0
         assert result.invariant_report["checks"] > 0
 
-    def test_serial_equals_parallel(self):
+    def test_serial_equals_parallel(self, monkeypatch):
         """jobs=1 and jobs=2 produce identical results: fabric builds
         (ids, names, salts) are a pure function of (spec, seed)."""
         scenario = small_fabric_scenario()
-        serial = run_scenario(scenario, seeds=[3], jobs=1, cache=False)
-        parallel = run_scenario(scenario, seeds=[3], jobs=2, cache=False)
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        serial = run_scenario(scenario, seeds=[3])
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        parallel = run_scenario(scenario, seeds=[3])
         assert serial[0].to_json() == parallel[0].to_json()
 
     def test_cache_round_trip(self, tmp_path, monkeypatch):
         """A fabric scenario is content-hash cacheable: the second call
         is served from cache and equals the first."""
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE", "on")
+        monkeypatch.setenv("REPRO_JOBS", "1")
         scenario = small_fabric_scenario()
-        first = run_scenario(scenario, seeds=[4], jobs=1, cache=True)
-        second = run_scenario(scenario, seeds=[4], jobs=1, cache=True)
+        first = run_scenario(scenario, seeds=[4])
+        second = run_scenario(scenario, seeds=[4])
         assert first[0].to_json() == second[0].to_json()
 
-    def test_tier_queue_sampler_installed(self):
+    def test_queue_samples_fill_switch_queue_bytes(self):
+        """A fabric run samples every switch port into the one
+        ``switch.queue_bytes`` histogram, as every topology does."""
         from repro.telemetry import TelemetrySpec
 
+        interval_ns = units.us(20)
         scenario = small_fabric_scenario(
-            telemetry=TelemetrySpec(queue_sample_ns=units.us(20))
+            telemetry=TelemetrySpec(queue_sample_ns=interval_ns)
         )
-        result, _ = run_scenario_inline(scenario, seed=1)
-        metrics = result.metrics
-        histograms = metrics.get("histograms", metrics)
-        names = set(histograms)
-        for tier in ("edge", "agg", "core"):
-            assert f"switch.occupied_bytes.{tier}" in names
+        result, net = run_scenario_inline(scenario, seed=1)
+        histograms = result.metrics.get("histograms", result.metrics)
+        ports = sum(len(switch.ports) for switch in net.switches)
+        ticks = (scenario.warmup_ns + scenario.duration_ns) // interval_ns
+        assert set(histograms) == {"switch.queue_bytes"}
+        assert histograms["switch.queue_bytes"]["count"] == ports * ticks
 
 
 class TestRegisteredScenarios:

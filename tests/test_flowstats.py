@@ -166,10 +166,13 @@ class TestFlowStatsTable:
 class TestDeterminism:
     def test_serial_equals_parallel_flow_stats(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE", "off")
         scenario = incast_scenario(duration_ns=units.ms(2))
         seeds = [1, 2, 3, 4]
-        serial = run_scenario(scenario, seeds, jobs=1, cache=False)
-        parallel = run_scenario(scenario, seeds, jobs=2, cache=False)
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        serial = run_scenario(scenario, seeds)
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        parallel = run_scenario(scenario, seeds)
         assert [r.flow_stats for r in serial] == [
             r.flow_stats for r in parallel
         ]

@@ -43,13 +43,13 @@ class TestFairShareConvergence:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_n_flows_converge_to_c_over_n(self, n, two_flows):
         trace = two_flows if n == 2 else converge(n)
-        final = trace.final_rates_bps()[0]
+        final = trace.rc_bps[-1][0]
         assert final == pytest.approx(
             np.full(n, units.gbps(40) / n), rel=0.05
         )
 
     def test_full_utilization(self, two_flows):
-        assert two_flows.final_rates_bps().sum() == pytest.approx(
+        assert two_flows.rc_bps[-1].sum() == pytest.approx(
             units.gbps(40), rel=0.02
         )
 

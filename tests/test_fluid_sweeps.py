@@ -16,20 +16,25 @@ from repro.fluid.sweep import (
 DURATION = 0.06  # seconds; enough to separate converging configs
 
 
-class TestTimerSweep:
-    def test_fast_timer_beats_strawman(self):
-        """Figure 11(b): 55 us converges, 1.5 ms does not."""
-        result = sweep_timer(values_s=(1.5e-3, 55e-6), duration_s=DURATION)
-        diffs = result.final_diff_gbps()
-        assert diffs[1] < diffs[0] / 3
+@pytest.fixture(scope="module")
+def timer_sweep():
+    """Figure 11(b)'s grid, 1.5 ms down to 55 us, integrated once."""
+    return sweep_timer(duration_s=DURATION)
 
-    def test_best_value_is_fastest_timer(self):
-        result = sweep_timer(duration_s=DURATION)
-        assert result.best_value() == pytest.approx(55e-6)
+
+class TestTimerSweep:
+    def test_fast_timer_beats_strawman(self, timer_sweep):
+        """Figure 11(b): 55 us converges, 1.5 ms does not."""
+        assert list(timer_sweep.values[[0, -1]]) == [1.5e-3, 55e-6]
+        diffs = timer_sweep.final_diff_gbps()
+        assert diffs[-1] < diffs[0] / 3
+
+    def test_best_value_is_fastest_timer(self, timer_sweep):
+        assert timer_sweep.best_value() == pytest.approx(55e-6)
 
     def test_surface_shape(self):
-        result = sweep_timer(values_s=(1e-3, 1e-4), duration_s=0.02)
-        assert result.rate_diff_gbps.shape == (len(result.times_s), 2)
+        result = sweep_timer(duration_s=0.02)
+        assert result.rate_diff_gbps.shape == (len(result.times_s), 5)
 
 
 class TestByteCounterSweep:
@@ -52,9 +57,10 @@ class TestByteCounterSweep:
 class TestMarkingSweeps:
     def test_probabilistic_marking_beats_cutoff(self):
         """Figure 11(d): Pmax well below 1 improves convergence."""
-        result = sweep_pmax(values=(1.0, 0.1), duration_s=DURATION)
+        result = sweep_pmax(duration_s=DURATION)
+        assert list(result.values[[0, 2]]) == [1.0, 0.1]
         diffs = result.final_diff_gbps()
-        assert diffs[1] < diffs[0]
+        assert diffs[2] < diffs[0]
 
     def test_kmax_sweep_runs(self):
         result = sweep_kmax(
@@ -63,7 +69,7 @@ class TestMarkingSweeps:
         assert len(result.final_diff_gbps()) == 2
 
     def test_convergence_metric_nonnegative(self):
-        result = sweep_pmax(values=(0.5,), duration_s=0.01)
+        result = sweep_pmax(duration_s=0.01)
         assert np.all(result.rate_diff_gbps >= 0)
 
 

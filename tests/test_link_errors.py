@@ -111,7 +111,6 @@ class TestLossSweepExperiment:
         point = loss_point(0.0, units.ms(3))
         assert point.goodput_gbps > 38
         assert point.retransmitted_packets == 0
-        assert point.efficiency > 0.95
 
     def test_goodput_decreases_with_loss(self):
         clean, lossy = (loss_point(rate, units.ms(4)) for rate in (0.0, 0.02))

@@ -1,6 +1,6 @@
 """Code without a reader goes: an AST scan of the repository.
 
-Three rules, with no allow-list:
+Four rules, with no allow-list:
 
 * (a) every public top-level ``def``/``class`` in ``src/repro`` has a
   reader outside ``tests/`` other than its own definition;
@@ -8,7 +8,9 @@ Three rules, with no allow-list:
   tests included;
 * (c) every defaulted parameter is passed, by keyword or by position,
   at one or more of the call sites found by its function's name, tests
-  included.
+  included;
+* (d) every name a module of ``src/repro`` other than an ``__init__``
+  imports is read in that module.
 
 A reader is a ``Name`` or ``Attribute`` reference, a ``"module:name"``
 string (how ``bench/child.py`` and ``catalog._lazy`` reach code), a
@@ -19,7 +21,11 @@ for names that must not exist.  An import is not a reader, so a subpackage ``__i
 only re-exports a name does not keep it.  A call through a module-level
 alias (``experiment = REGISTRY.register``) is a call of the aliased
 name.  Rule (c) skips a def with no call site by name, or with a
-``*``/``**`` call site.
+``*``/``**`` call site.  For rule (d) a read is a ``Name``, or a word of
+a string that is only names (a quoted annotation such as
+``Optional["Flow"]``); ``from __future__`` imports and a dotted
+``import a.b``, which loads ``a.b`` for what importing it does, need
+none.
 """
 
 from __future__ import annotations
@@ -36,6 +42,9 @@ SRC = ROOT / "src" / "repro"
 TESTS = ROOT / "tests"
 CI = ROOT / ".github" / "workflows" / "ci.yml"
 SCANNED = ("src", "benchmarks", "examples", "bench", "tests")
+
+#: a string that is only names: a quoted annotation, for rule (d)
+_ANNOTATION = re.compile(r"[\w.\[\], ]+")
 
 #: a string naming code: ``"name"`` (``getattr``), ``"module:name"`` or
 #: ``"pkg.module:Class.method"``; an f-string's ``":name"`` part matches too
@@ -283,6 +292,35 @@ def never_passed(s: Scan) -> List[str]:
     return found
 
 
+def unread_imports(s: Scan) -> List[str]:
+    """Rule (d): names a non-``__init__`` module imports and never reads."""
+    found = []
+    for path, tree in s.src_trees():
+        if path.name == "__init__.py":
+            continue
+        bound: Dict[str, ast.stmt] = {}
+        read: Set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname or "." not in alias.name:
+                        bound[alias.asname or alias.name] = node
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if _ANNOTATION.fullmatch(node.value):
+                    read.update(re.findall(r"\w+", node.value))
+        found += [
+            f"{_where(path, node)} {name}"
+            for name, node in bound.items()
+            if name not in read
+        ]
+    return found
+
+
 def test_every_top_level_name_has_a_reader_outside_tests():
     assert unread_top_level(scan()) == []
 
@@ -293,6 +331,26 @@ def test_every_method_has_a_reader():
 
 def test_every_defaulted_parameter_is_passed_somewhere():
     assert never_passed(scan()) == []
+
+
+def test_every_import_is_read():
+    assert unread_imports(scan()) == []
+
+
+def test_an_unread_import_is_reported():
+    sources = {
+        SRC / "m.py": (
+            "from __future__ import annotations\n"
+            "import os, sys\n"
+            "import repro.experiments.catalog\n"
+            "from typing import List, Optional, Tuple\n"
+            "from repro.sim.host import Flow as F\n"
+            "def f(x: Optional['F']) -> List: return os.sep\n"
+        ),
+        SRC / "__init__.py": "from repro.m import f\n",
+    }
+    found = unread_imports(Scan(sources, ""))
+    assert [entry.split()[-1] for entry in found] == ["sys", "Tuple"]
 
 
 def test_a_ci_comment_or_forbidden_grep_is_not_a_reader():

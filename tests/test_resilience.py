@@ -12,7 +12,6 @@ import pytest
 from repro import runtime
 from repro.runner import Cell, RunFailure, execute
 from repro.runner import cache, executor, resilience, scale
-from repro.runner.resilience import RetryPolicy
 
 #: cheap, importable, pure cell for the happy path (same as test_runner)
 SEEDS_FN = "repro.runner.scale:seeds_for"
@@ -84,9 +83,21 @@ def isolated_results(tmp_path, monkeypatch):
     return tmp_path
 
 
-#: a retry policy that keeps failure tests fast
-FAST_NO_RETRY = RetryPolicy(max_attempts=1, backoff_s=0.0)
-FAST_ONE_RETRY = RetryPolicy(max_attempts=2, backoff_s=0.01)
+@pytest.fixture
+def no_retry(monkeypatch):
+    """One attempt per cell, which keeps the failure tests fast."""
+    monkeypatch.setattr(resilience, "MAX_ATTEMPTS", 1)
+
+
+@pytest.fixture
+def fast_retry(monkeypatch):
+    """The two attempts of the policy, with a short backoff."""
+    monkeypatch.setattr(resilience, "RETRY_BACKOFF_S", 0.01)
+
+
+def budget(monkeypatch, seconds):
+    """The per-cell timeout, set the way ``--timeout`` sets it."""
+    monkeypatch.setenv(runtime.VARS["run_timeout"].env, str(seconds))
 
 
 class TestTimeoutPolicy:
@@ -110,19 +121,16 @@ class TestTimeoutPolicy:
             resilience.default_timeout_s()
 
 
-class TestRetryPolicy:
-    def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(backoff_s=1.0, backoff_factor=2.0, max_backoff_s=3.0)
-        assert policy.delay_s(1) == 1.0
-        assert policy.delay_s(2) == 2.0
-        assert policy.delay_s(3) == 3.0  # capped
-        assert policy.delay_s(0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="max_attempts"):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError, match="backoff_factor"):
-            RetryPolicy(backoff_factor=0.5)
+class TestRetry:
+    def test_one_retry_after_the_backoff(self, isolated_results):
+        started = time.monotonic()
+        results = execute(
+            [Cell(f"{HERE}:raising_cell", {})],
+            jobs=1, cache=False, collect_failures=True,
+        )
+        assert time.monotonic() - started >= resilience.RETRY_BACKOFF_S == 0.25
+        assert results[0].attempts == resilience.MAX_ATTEMPTS == 2
+        assert executor.LAST_STATS.retries == 1
 
 
 class TestRunFailure:
@@ -132,14 +140,14 @@ class TestRunFailure:
 
 
 class TestHardenedSerial:
-    def test_exception_becomes_run_failure(self, isolated_results):
+    def test_exception_becomes_run_failure(self, isolated_results, no_retry):
         cells = [
             Cell(SEEDS_FN, {"repetitions": 2}),
             Cell(f"{HERE}:raising_cell", {"message": "kapow"}),
             Cell(SEEDS_FN, {"repetitions": 3}),
         ]
         results = execute(
-            cells, jobs=1, cache=False, collect_failures=True, retry=FAST_NO_RETRY
+            cells, jobs=1, cache=False, collect_failures=True
         )
         assert results[0] == scale.seeds_for(2)
         assert results[2] == scale.seeds_for(3)
@@ -149,20 +157,22 @@ class TestHardenedSerial:
         assert "kapow" in failure.message
         assert executor.LAST_STATS.failed == 1
 
-    def test_transient_failure_retried_to_success(self, isolated_results, tmp_path):
+    def test_transient_failure_retried_to_success(
+        self, isolated_results, fast_retry, tmp_path
+    ):
         marker = str(tmp_path / "flaky-marker")
         cells = [Cell(f"{HERE}:flaky_cell", {"marker": marker, "value": 99})]
         results = execute(
-            cells, jobs=1, cache=False, collect_failures=True, retry=FAST_ONE_RETRY
+            cells, jobs=1, cache=False, collect_failures=True
         )
         assert results == [99]
         assert executor.LAST_STATS.retries == 1
         assert executor.LAST_STATS.failed == 0
 
-    def test_attempts_exhausted_counted(self, isolated_results):
+    def test_attempts_exhausted_counted(self, isolated_results, fast_retry):
         cells = [Cell(f"{HERE}:raising_cell", {})]
         results = execute(
-            cells, jobs=1, cache=False, collect_failures=True, retry=FAST_ONE_RETRY
+            cells, jobs=1, cache=False, collect_failures=True
         )
         assert results[0].attempts == 2
 
@@ -172,41 +182,37 @@ class TestHardenedSerial:
 
 
 class TestHardenedParallel:
-    def test_worker_exception_collected_others_match_serial(self, isolated_results):
+    def test_worker_exception_collected_others_match_serial(
+        self, isolated_results, no_retry
+    ):
         good = [Cell(SEEDS_FN, {"repetitions": n}) for n in (1, 2, 3)]
         cells = [good[0], Cell(f"{HERE}:raising_cell", {}), good[1], good[2]]
         parallel = execute(
-            cells, jobs=2, cache=False, collect_failures=True, retry=FAST_NO_RETRY
+            cells, jobs=2, cache=False, collect_failures=True
         )
         serial_good = execute(good, jobs=1, cache=False)
         assert parallel[1].error == "exception"
         assert [parallel[0], parallel[2], parallel[3]] == serial_good
 
-    def test_timeout_becomes_run_failure(self, isolated_results):
+    def test_timeout_becomes_run_failure(self, isolated_results, no_retry, monkeypatch):
+        budget(monkeypatch, 1.0)
         cells = [
             Cell(SEEDS_FN, {"repetitions": 2}),
             Cell(f"{HERE}:sleeping_cell", {"seconds": 30.0, "value": 1}),
             Cell(SEEDS_FN, {"repetitions": 4}),
         ]
-        results = execute(
-            cells,
-            jobs=2,
-            cache=False,
-            timeout_s=1.0,
-            collect_failures=True,
-            retry=FAST_NO_RETRY,
-        )
+        results = execute(cells, jobs=2, cache=False, collect_failures=True)
         assert results[0] == scale.seeds_for(2)
         assert results[2] == scale.seeds_for(4)
         assert isinstance(results[1], RunFailure)
         assert results[1].error == "timeout"
         assert results[1].duration_s >= 1.0
 
-    def test_killed_worker_becomes_run_failure(self, isolated_results):
+    def test_killed_worker_becomes_run_failure(self, isolated_results, no_retry):
         good = [Cell(SEEDS_FN, {"repetitions": n}) for n in (1, 2, 3)]
         cells = [good[0], Cell(f"{HERE}:killer_cell", {}), good[1], good[2]]
         results = execute(
-            cells, jobs=2, cache=False, collect_failures=True, retry=FAST_NO_RETRY
+            cells, jobs=2, cache=False, collect_failures=True
         )
         assert executor.LAST_STATS.failed == 1
         serial_good = execute(good, jobs=1, cache=False)
@@ -215,26 +221,24 @@ class TestHardenedParallel:
         assert [results[0], results[2], results[3]] == serial_good
 
     def test_neighbour_timeout_leaves_the_innocent_cell_alone(
-        self, isolated_results, tmp_path
+        self, isolated_results, no_retry, monkeypatch, tmp_path
     ):
         # B starts in the worker C vacated and is mid-cell when A times
         # out: only A's worker may be touched
+        budget(monkeypatch, 0.7)
         log = tmp_path / "executions"
         cells = [
             Cell(f"{HERE}:logged_cell", {"name": n, "log": str(log), "seconds": s})
             for n, s in (("A", 30.0), ("C", 0.3), ("B", 0.6))
         ]
-        results = execute(
-            cells, jobs=2, cache=False, timeout_s=0.7,
-            collect_failures=True, retry=FAST_NO_RETRY,
-        )
+        results = execute(cells, jobs=2, cache=False, collect_failures=True)
         assert executions(log) == {"A": 1, "C": 1, "B": 1}
         assert results[1:] == ["C", "B"]
         assert (results[0].error, results[0].attempts) == ("timeout", 1)
         assert executor.LAST_STATS.retries == 0
 
     def test_neighbour_crash_leaves_the_innocent_cell_alone(
-        self, isolated_results, tmp_path
+        self, isolated_results, fast_retry, tmp_path
     ):
         log = tmp_path / "executions"
         cells = [
@@ -242,24 +246,22 @@ class TestHardenedParallel:
                  {"name": "A", "log": str(log), "seconds": 0.2, "exit_code": 9}),
             Cell(f"{HERE}:logged_cell", {"name": "B", "log": str(log), "seconds": 0.6}),
         ]
-        results = execute(
-            cells, jobs=2, cache=False, collect_failures=True, retry=FAST_ONE_RETRY
-        )
-        assert executions(log) == {"A": FAST_ONE_RETRY.max_attempts, "B": 1}
+        results = execute(cells, jobs=2, cache=False, collect_failures=True)
+        assert executions(log) == {"A": resilience.MAX_ATTEMPTS, "B": 1}
         assert results[1] == "B"
         assert (results[0].error, results[0].attempts) == ("crash", 2)
         assert "exit code 9" in results[0].message
         assert executor.LAST_STATS.retries == 1
 
-    def test_lone_pending_cell_gets_its_timeout(self, isolated_results):
+    def test_lone_pending_cell_gets_its_timeout(
+        self, isolated_results, no_retry, monkeypatch
+    ):
         # the one cell still missing from the cache is likely the one
         # that hung: jobs > 1 must isolate it even though it is alone
+        budget(monkeypatch, 0.5)
         cells = [Cell(f"{HERE}:sleeping_cell", {"seconds": 3.0, "value": 1})]
         started = time.monotonic()
-        results = execute(
-            cells, jobs=2, cache=False, timeout_s=0.5,
-            collect_failures=True, retry=FAST_NO_RETRY,
-        )
+        results = execute(cells, jobs=2, cache=False, collect_failures=True)
         assert time.monotonic() - started < 2.0
         assert results[0].error == "timeout"
 
@@ -270,12 +272,12 @@ class TestHardenedParallel:
 
     @pytest.mark.parametrize("cell", ["unpicklable_value_cell", "unloadable_error_cell"])
     def test_outcome_that_does_not_pickle_is_an_exception_failure(
-        self, isolated_results, cell
+        self, isolated_results, no_retry, monkeypatch, cell
     ):
+        budget(monkeypatch, 20.0)
         results = execute(
             [Cell(f"{HERE}:{cell}", {}), Cell(SEEDS_FN, {"repetitions": 2})],
-            jobs=2, cache=False, timeout_s=20.0,
-            collect_failures=True, retry=FAST_NO_RETRY,
+            jobs=2, cache=False, collect_failures=True,
         )
         assert results[0].error == "exception"
         assert "does not pickle" in results[0].message
@@ -300,18 +302,19 @@ class TestHardenedParallel:
             execute(slow, jobs=2, cache=False, collect_failures=True)
         assert multiprocessing.active_children() == []
 
-    def test_legacy_timeout_raises(self, isolated_results):
+    def test_legacy_timeout_raises(self, isolated_results, no_retry, monkeypatch):
+        budget(monkeypatch, 0.5)
         cells = [
             Cell(f"{HERE}:sleeping_cell", {"seconds": 30.0, "value": i})
             for i in range(2)
         ]
         with pytest.raises(TimeoutError, match="wall-clock"):
-            execute(cells, jobs=2, cache=False, timeout_s=0.5, retry=FAST_NO_RETRY)
+            execute(cells, jobs=2, cache=False)
 
-    def test_legacy_repeated_crash_raises(self, isolated_results):
+    def test_legacy_repeated_crash_raises(self, isolated_results, no_retry):
         cells = [Cell(f"{HERE}:killer_cell", {}), Cell(SEEDS_FN, {"repetitions": 2})]
         with pytest.raises(RuntimeError, match="killed its worker"):
-            execute(cells, jobs=2, cache=False, retry=FAST_NO_RETRY)
+            execute(cells, jobs=2, cache=False)
 
 
 class TestInterruptedSweep:

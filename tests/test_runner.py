@@ -545,7 +545,7 @@ class TestEndToEnd:
 @pytest.mark.skipif(
     (os.cpu_count() or 1) < 4, reason="speedup measurement needs >= 4 cores"
 )
-def test_parallel_speedup(isolated_results):
+def test_parallel_speedup(isolated_results, monkeypatch):
     """REPRO_JOBS=4 must cut wall-clock by >= 2x on 8 independent cells."""
     scenario = Scenario(
         topology="single_switch",
@@ -559,12 +559,15 @@ def test_parallel_speedup(isolated_results):
     )
     seeds = scale.seeds_for(8)
 
+    monkeypatch.setenv(runtime.VARS["cache"].env, "off")
+    monkeypatch.setenv(runtime.VARS["jobs"].env, "1")
     start = time.perf_counter()
-    serial = run_scenario(scenario, seeds, jobs=1, cache=False)
+    serial = run_scenario(scenario, seeds)
     serial_s = time.perf_counter() - start
 
+    monkeypatch.setenv(runtime.VARS["jobs"].env, "4")
     start = time.perf_counter()
-    parallel = run_scenario(scenario, seeds, jobs=4, cache=False)
+    parallel = run_scenario(scenario, seeds)
     parallel_s = time.perf_counter() - start
 
     assert serial == parallel

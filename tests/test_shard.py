@@ -79,7 +79,6 @@ class TestPartition:
             spines=2,
             hosts_per_tor=4,
         )
-        assert fabric.spec.oversubscription() > 1.0
         plan = partition_fabric(fabric, 3)
         _assert_plan_well_formed(fabric, plan)
 

@@ -88,8 +88,9 @@ class TestSerialShardedEquality:
         # back to the serial answer exactly
         from repro.experiments.chaos import chaos_fabric_scenario
 
+        monkeypatch.setenv("REPRO_SCALE", "smoke")  # a 300 us window
         scenario = dataclasses.replace(
-            chaos_fabric_scenario(0.5, duration_ns=units.us(300)),
+            chaos_fabric_scenario(0.5),
             invariants=InvariantConfig(mode="strict"),
         )
         serial = _result_json(scenario, 17, 1, monkeypatch)
@@ -148,15 +149,15 @@ class TestShardedCache:
             label="shard-cache",
             sharding=ShardingSpec(shards=2),
         )
-        (first,) = run_scenario(scenario, seeds=[5], jobs=1, cache=True)
-        (again,) = run_scenario(scenario, seeds=[5], jobs=1, cache=True)
+        monkeypatch.setenv(runtime.VARS["jobs"].env, "1")
+        monkeypatch.setenv(runtime.VARS["cache"].env, "on")
+        (first,) = run_scenario(scenario, seeds=[5])
+        (again,) = run_scenario(scenario, seeds=[5])
         assert first.to_json() == again.to_json()
         # the embedded ShardingSpec is part of the cell identity: the
         # serial twin must be a different cache entry, not a hit
         serial_twin = dataclasses.replace(scenario, sharding=None)
-        (serial_result,) = run_scenario(
-            serial_twin, seeds=[5], jobs=1, cache=True
-        )
+        (serial_result,) = run_scenario(serial_twin, seeds=[5])
         stripped = first.to_json()
         for gauge in ("shard.count", "shard.stall_fraction"):
             stripped["metrics"]["gauges"].pop(gauge, None)
@@ -179,7 +180,9 @@ class TestShardedCache:
             duration_ns=units.us(100),
             label="env-shard-cache",
         )
-        (result,) = run_scenario(scenario, seeds=[5], jobs=1, cache=True)
+        monkeypatch.setenv(runtime.VARS["jobs"].env, "1")
+        monkeypatch.setenv(runtime.VARS["cache"].env, "on")
+        (result,) = run_scenario(scenario, seeds=[5])
         assert "shard.count" not in result.metrics["gauges"]
 
 

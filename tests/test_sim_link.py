@@ -187,7 +187,7 @@ class TestPausedAccounting:
 
 
 class TestFaultHooks:
-    """set_link_up / set_rate (the LinkFlap and SlowReceiver hooks)."""
+    """set_link_up (the LinkFlap hook)."""
 
     def test_down_link_starts_nothing(self):
         engine, a, b, port_a, _ = make_pair()
@@ -224,24 +224,6 @@ class TestFaultHooks:
         a.push(frame(KIND_DATA, size=1000))
         engine.run()
         assert len(b.received) == 1
-
-    def test_set_rate_applies_to_next_frame(self):
-        engine, a, b, port_a, _ = make_pair()  # 40G: 200ns/1000B
-        a.push(frame(KIND_DATA, size=1000))
-        a.push(frame(KIND_DATA, size=1000))
-        engine.run_until(100)  # first frame in flight
-        port_a.set_rate(units.gbps(20))
-        engine.run()
-        times = [t for t, _ in b.received]
-        # first keeps its 200ns schedule; second serializes 400ns
-        assert times == [700, 1_100]
-
-    def test_set_rate_rejects_nonpositive(self):
-        _, _, _, port_a, _ = make_pair()
-        with pytest.raises(ValueError):
-            port_a.set_rate(0)
-        with pytest.raises(ValueError):
-            port_a.set_rate(-1)
 
 
 class TestControlBypass:

@@ -72,9 +72,8 @@ class TestRateSampler:
         net.run_for(units.ms(2))
         series = sampler.series(flow)
         assert len(series) == 20
-        assert sampler.mean_rate_bps(flow, skip=2) == pytest.approx(
-            units.gbps(8), rel=0.05
-        )
+        steady = series[2:]  # past the first two, warm-up samples
+        assert sum(steady) / len(steady) == pytest.approx(units.gbps(8), rel=0.05)
 
     def test_rejects_bad_interval(self):
         net, _, hosts = single_switch(2)
@@ -95,12 +94,3 @@ class TestQueueSampler:
         net.run_for(units.ms(1))
         assert sampler.max_bytes() > 0
         assert len(sampler.samples_bytes) == len(sampler.times_ns)
-
-    def test_priority_filter(self):
-        net, switch, hosts = single_switch(3)
-        port = switch.port_to(hosts[0].nic).index
-        sampler = QueueSampler(
-            net.engine, switch, port, priority=5, interval_ns=units.us(10)
-        )
-        net.run_for(units.us(100))
-        assert sampler.max_bytes() == 0

@@ -22,7 +22,7 @@ from repro.sim.packet import (
 )
 from repro.sim.switch import Switch, SwitchConfig, ecmp_hash
 from tests.frames import cnp_packet, data_packet, frame, pause_frame
-from tests.test_sim_link import StubDevice, make_pair
+from tests.test_sim_link import StubDevice
 
 
 def make_switch(config=None, n_neighbors=3, recording=False):
@@ -625,21 +625,6 @@ class TestAllocateOnFirstUse:
         engine.run()
         assert [pkt.seq for _, pkt in late.received] == [0, 1]
         assert switch._egress_bytes == switch._ingress_bytes == [0] * (3 * k)
-
-    def test_set_rate_and_back_restores_the_shared_constant(self):
-        engine, a, b, port_a, port_b = make_pair()
-        shared = port_b._ns_per_byte
-        assert port_a._ns_per_byte is shared
-        took = []
-        for rate in (units.gbps(40), units.gbps(25), units.gbps(40)):
-            port_a.set_rate(rate)
-            start = engine.now
-            a.push(frame(KIND_DATA, size=1001))
-            engine.run()
-            took.append(b.received[-1][0] - start)
-        # 200.2 ns and 320.32 ns of serialization round up, plus 500 ns
-        assert took == [701, 821, 701]
-        assert port_a._ns_per_byte is shared
 
     def test_receive_against_a_hand_ledger(self):
         """Two ingress ports, three priorities, one egress: every count,

@@ -110,13 +110,6 @@ class TestTracer:
             self.emit_mark(tracer, t)
         assert [e["t"] for e in sink.events] == [3, 4]
 
-    def test_type_allowlist(self):
-        sink = RingBufferSink()
-        tracer = Tracer(sink, types={events.NP_CNP_TX})
-        self.emit_mark(tracer)
-        tracer.emit(1, events.NP_CNP_TX, "h.nic", flow=0)
-        assert [e["ev"] for e in sink.events] == [events.NP_CNP_TX]
-
     def test_jsonl_sink_round_trips(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
         tracer = Tracer(JsonlFileSink(path))
@@ -152,13 +145,14 @@ class TestMetrics:
         gauge.set_max(3)
         assert gauge.value == 5
 
-    def test_histogram_quantiles(self):
+    def test_histogram_buckets(self):
         hist = Histogram("q", [10, 100, 1000])
-        for value in (1, 5, 50, 500, 5000):
+        for value in (1, 5, 10, 50, 500, 5000):
             hist.observe(value)
-        assert hist.count == 5
-        assert hist.mean == pytest.approx(1111.2)
-        assert 0 < hist.quantile(0.5) <= 100
+        assert hist.counts == [3, 1, 1, 1]  # upper bounds are inclusive
+        assert hist.count == 6
+        assert hist.total == 5566
+        assert (hist.minimum, hist.maximum) == (1, 5000)
 
     def test_histogram_rejects_unsorted_buckets(self):
         with pytest.raises(ValueError):
@@ -169,8 +163,7 @@ class TestMetrics:
         for value in (100, 2048, 9_000_000):
             hist.observe(value)
         clone = Histogram.from_json("q", hist.to_json())
-        assert clone.counts == hist.counts
-        assert clone.quantile(0.5) == hist.quantile(0.5)
+        assert clone.to_json() == hist.to_json()
 
     def test_registry_snapshot_round_trip(self):
         registry = MetricsRegistry()

@@ -190,9 +190,7 @@ class TestSamplers:
     def test_rejects_stop_before_start(self):
         net, _, _ = single_switch(2)
         with pytest.raises(ValueError):
-            RateSampler(
-                net.engine, [], interval_ns=10, start_ns=100, stop_ns=50
-            )
+            RateSampler(net.engine, [], interval_ns=10, stop_ns=-1)
 
     def test_samplers_publish_to_trace_and_histogram(self):
         net, telemetry = traced_network()
@@ -234,10 +232,7 @@ class TestRunnerIntegration:
         (run,) = run_scenario(incast_scenario(telemetry=spec), seeds=[1])
         clone = RunResult.from_json(json.loads(json.dumps(run.to_json())))
         assert clone.metrics == run.metrics
-        hist = clone.histogram("switch.queue_bytes")
-        assert hist.count > 0
-        with pytest.raises(KeyError):
-            clone.histogram("no.such.histogram")
+        assert clone.metrics["histograms"]["switch.queue_bytes"]["count"] > 0
 
     def test_scenario_spec_round_trips_telemetry(self):
         spec = TelemetrySpec(
@@ -251,23 +246,28 @@ class TestRunnerIntegration:
         assert clone == scenario
         assert clone.telemetry == spec
 
-    def test_traced_and_untraced_runs_agree(self, isolated_results):
+    def test_traced_and_untraced_runs_agree(self, isolated_results, monkeypatch):
         # tracing must observe, never perturb: identical throughput
         # and protocol counters with tracing off and fully on
+        monkeypatch.setenv(runtime.VARS["cache"].env, "off")
         base = incast_scenario()
         traced = incast_scenario(telemetry=TelemetrySpec(trace="full"))
-        (run_off,) = run_scenario(base, seeds=[5], cache=False)
-        (run_on,) = run_scenario(traced, seeds=[5], cache=False)
+        (run_off,) = run_scenario(base, seeds=[5])
+        (run_on,) = run_scenario(traced, seeds=[5])
         assert run_on.flows_bps == run_off.flows_bps
         assert (
             run_on.metric("nic.cnp_tx") == run_off.metric("nic.cnp_tx")
         )
 
-    def test_serial_and_parallel_snapshots_identical(self, isolated_results):
+    def test_serial_and_parallel_snapshots_identical(
+        self, isolated_results, monkeypatch
+    ):
         scenario = incast_scenario(telemetry=TelemetrySpec(trace="cc"))
         seeds = [1, 2]
-        serial = run_scenario(scenario, seeds, jobs=1, cache=False)
-        parallel = run_scenario(scenario, seeds, jobs=2, cache=False)
+        monkeypatch.setenv(runtime.VARS["cache"].env, "off")
+        serial = run_scenario(scenario, seeds)
+        monkeypatch.setenv(runtime.VARS["jobs"].env, "2")
+        parallel = run_scenario(scenario, seeds)
         assert [r.to_json() for r in serial] == [
             r.to_json() for r in parallel
         ]
@@ -298,15 +298,16 @@ class TestRunnerIntegration:
         assert profiler.events > 0
         assert "tx_done" in profiler.table()
 
-    def test_jsonl_spec_writes_per_seed_files(self, isolated_results, tmp_path):
+    def test_jsonl_spec_writes_per_seed_files(
+        self, isolated_results, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv(runtime.VARS["cache"].env, "off")
         spec = TelemetrySpec(
             trace="cc",
             sink="jsonl",
             path=str(tmp_path / "run-{seed}.jsonl"),
         )
-        run_scenario(
-            incast_scenario(telemetry=spec), seeds=[4, 5], cache=False
-        )
+        run_scenario(incast_scenario(telemetry=spec), seeds=[4, 5])
         from repro.telemetry.lint import lint_file
 
         for seed in (4, 5):
